@@ -39,7 +39,7 @@ mapping = map_network(spec, arch)
 for m in mapping.layers:
     print(f"  layer {m.index:>2} ({m.kind:>10}): fan {m.fan_in}x{m.fan_out} -> "
           f"{m.row_blocks}x{m.col_blocks} = {m.crossbar_count} crossbars, "
-          f"{m.pe_count} PEs, {m.tile_count} tile(s)")
+          f"{m.tile_count} tile(s)")
 
 print("\ncalibration anchors on the bundled reference workload:")
 trace = load_reference_trace()

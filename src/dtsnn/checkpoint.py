@@ -24,7 +24,13 @@ import numpy as np
 
 from .errors import ChecksumError, DataFormatError, VersionError
 from .kernels import BatchNormState
-from .network import NetworkSpec, SnnInstance, spec_from_dict, spec_to_dict
+from .network import (
+    NetworkSpec,
+    SnnInstance,
+    build_instance,
+    spec_from_dict,
+    spec_to_dict,
+)
 
 MAGIC = b"DTSNNCK\x00"
 VERSION = 1
@@ -104,6 +110,32 @@ def save_checkpoint(path, ckpt):
         raise
 
 
+def _check_against_spec(path, header, spec):
+    """Every stored array must have the shape the spec allocates for it, and
+    every weighted or norm layer must have all of its parameters."""
+    if header["num_layers"] != len(spec.layers):
+        raise DataFormatError(
+            f"{path}: {header['num_layers']} layers stored, spec has {len(spec.layers)}"
+        )
+    expected = {
+        (e["layer"], e["name"]): e["shape"]
+        for e in _collect_arrays(build_instance(spec).params)[0]
+    }
+    stored = {(e["layer"], e["name"]): e["shape"] for e in header["arrays"]}
+    for (i, name), shape in stored.items():
+        if (i, name) not in expected:
+            raise DataFormatError(f"{path}: layer {i} has unexpected parameter '{name}'")
+        if shape != expected[i, name]:
+            raise DataFormatError(
+                f"{path}: layer {i} parameter '{name}' has shape {tuple(shape)}, "
+                f"spec needs {tuple(expected[i, name])}"
+            )
+    missing = sorted(expected.keys() - stored.keys())
+    if missing:
+        i, name = missing[0]
+        raise DataFormatError(f"{path}: layer {i} is missing parameter '{name}'")
+
+
 def load_checkpoint(path):
     """Read, verify and reconstruct a Checkpoint."""
     with open(path, "rb") as fh:
@@ -125,6 +157,7 @@ def load_checkpoint(path):
     header = json.loads(body[offset : offset + header_len].decode())
     offset += header_len
     spec = spec_from_dict(header["spec"])
+    _check_against_spec(path, header, spec)
     params = [None] * header["num_layers"]
     bn_parts = {}
     for entry in header["arrays"]:

@@ -38,7 +38,6 @@ from .exit_policy import (
 from .hardware import (
     component_energy_matrix,
     dataset_cost_fn,
-    energy_matrix,
     map_network,
     perturbed_instance,
     sigma_e_energy,
@@ -90,25 +89,6 @@ def _progress_printer(quiet):
         )
 
     return show
-
-
-def _static_costs(scan, t_max, mapping, arch):
-    """Dataset-mean energy/latency of the static t_max-step run (no exit module)."""
-    e_steps = energy_matrix(scan["activity"], mapping, arch)
-    mean_energy = float(e_steps[:, :t_max].sum(axis=1).mean())
-    mean_latency = t_max * arch.latency_per_timestep
-    return mean_energy, mean_latency
-
-
-def _dynamic_costs(scan, chosen_t, mapping, arch):
-    e_steps = energy_matrix(scan["activity"], mapping, arch)
-    t_idx = np.arange(1, e_steps.shape[1] + 1)
-    mask = t_idx[None, :] <= chosen_t[:, None]
-    energies = (e_steps * mask).sum(axis=1) + sigma_e_energy(
-        e_steps[:, 0], chosen_t, arch.sigma_e_ratio
-    )
-    lats = chosen_t * arch.latency_per_timestep
-    return float(energies.mean()), float(lats.mean())
 
 
 def cmd_train(args):
@@ -163,8 +143,11 @@ def cmd_eval(args):
     summary = summarize_policy(scan, test_ds.labels, policy)
     static_preds = scan["predictions"][:, t_max - 1]
     static_acc = float((static_preds == test_ds.labels).mean())
-    static_e, static_l = _static_costs(scan, t_max, mapping, cfg.arch)
-    dyn_e, dyn_l = _dynamic_costs(scan, summary.chosen_t, mapping, cfg.arch)
+    activity = scan["activity"]
+    static_e, static_l, static_edp = dataset_cost_fn(mapping, cfg.arch, dynamic=False)(
+        np.full(len(activity), t_max), activity
+    )
+    dyn_e, dyn_l, dyn_edp = dataset_cost_fn(mapping, cfg.arch)(summary.chosen_t, activity)
     header = (
         ["method", "theta", "mean_timesteps", "accuracy",
          "energy_ratio", "latency_ratio", "edp_ratio"]
@@ -178,7 +161,7 @@ def cmd_eval(args):
          f"{1.0:.6f}"] + static_hist,
         ["dt", f"{theta:.4f}", f"{summary.mean_t:.4f}", f"{summary.accuracy:.6f}",
          f"{dyn_e / static_e:.6f}", f"{dyn_l / static_l:.6f}",
-         f"{(dyn_e * dyn_l) / (static_e * static_l):.6f}"]
+         f"{dyn_edp / static_edp:.6f}"]
         + list(summary.histogram),
     ]
     out_path = out_dir / "eval_summary.csv"
@@ -189,7 +172,7 @@ def cmd_eval(args):
         print(
             f"dt theta={theta}: acc {summary.accuracy:.4f} "
             f"mean_t {summary.mean_t:.3f} energy {dyn_e / static_e:.3f}x "
-            f"edp {(dyn_e * dyn_l) / (static_e * static_l):.3f}x"
+            f"edp {dyn_edp / static_edp:.3f}x"
         )
     return 0
 
@@ -210,8 +193,9 @@ def cmd_sweep(args):
         cost_fn=dataset_cost_fn(mapping, cfg.arch),
     )
     # Normalization anchor: the 1-timestep static run of the same checkpoint.
-    e_steps = energy_matrix(scan["activity"], mapping, cfg.arch)
-    edp_static1 = float(e_steps[:, 0].mean()) * cfg.arch.latency_per_timestep
+    edp_static1 = dataset_cost_fn(mapping, cfg.arch, dynamic=False)(
+        np.ones(len(test_ds), dtype=np.int64), scan["activity"]
+    )[2]
     sweep_rows = [[
         "theta", "accuracy", "mean_timesteps", "energy", "latency", "edp",
         "edp_vs_static1",
@@ -266,13 +250,16 @@ def cmd_ablate(args):
             t_max=net.spec.t_max,
         )
         summary = summarize_policy(scan, test_ds.labels, policy)
-        static_e, static_l = _static_costs(scan, net.spec.t_max, mapping, arch)
-        dyn_e, dyn_l = _dynamic_costs(scan, summary.chosen_t, mapping, arch)
+        activity = scan["activity"]
+        static_edp = dataset_cost_fn(mapping, arch, dynamic=False)(
+            np.full(len(activity), net.spec.t_max), activity
+        )[2]
+        dyn_edp = dataset_cost_fn(mapping, arch)(summary.chosen_t, activity)[2]
         results[mode] = {
             "acc_per_t": log.records[-1].eval_acc,
             "dt_acc": summary.accuracy,
             "dt_mean_t": summary.mean_t,
-            "dt_edp_ratio": (dyn_e * dyn_l) / (static_e * static_l),
+            "dt_edp_ratio": dyn_edp / static_edp,
         }
         hashes[mode] = [r.batch_hash for r in log.records]
     if hashes["standard"] != hashes["per_timestep"]:
@@ -314,17 +301,20 @@ def cmd_hwreport(args):
         "timesteps", "crossbar_adc_share", "digital_share",
         "buffer_interconnect_share", "sigma_e_share", "mean_energy",
     ]]
+    # Each row prices a t-step run on the dynamic-timestep hardware, so the
+    # exit module runs once per executed timestep.
     for t in range(1, t_max + 1):
-        sums = {k: float(v[:, :t].sum(axis=1).mean()) for k, v in comps.items()}
+        sums = {
+            k: float(comps[k][:, :t].sum(axis=1).mean())
+            for k in ("crossbar_adc", "digital", "buffer_interconnect")
+        }
+        sums["sigma_e"] = float(
+            sigma_e_energy(comps["total"][:, 0], t, arch.sigma_e_ratio).mean()
+        )
         total = sum(sums.values())
-        comp_rows.append([
-            t,
-            f"{sums['crossbar_adc'] / total:.6f}",
-            f"{sums['digital'] / total:.6f}",
-            f"{sums['buffer_interconnect'] / total:.6f}",
-            f"{0.0:.6f}",
-            f"{total:.6f}",
-        ])
+        comp_rows.append(
+            [t] + [f"{v / total:.6f}" for v in sums.values()] + [f"{total:.6f}"]
+        )
     comp_path = out_dir / "hw_components.csv"
     _write_csv(comp_path, comp_rows)
     outputs = [comp_path.name]

@@ -65,6 +65,9 @@ class DataConfig:
             raise ConfigError(f"data.kind must be 'idx' or 'synth', got {self.kind!r}")
         if self.limit_train < 0 or self.limit_test < 0:
             raise ConfigError("limit_train and limit_test must be >= 0")
+        for name in ("n_train", "n_test"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must satisfy {name} >= 1, got {getattr(self, name)}")
 
 
 @dataclass

@@ -1,25 +1,33 @@
 """Analytical cost model of a tiled in-memory-computing accelerator.
 
 Weight matrices are bit-sliced across fixed-size crossbars (one slice per
-device-precision group of weight bits); crossbars group into processing
-elements and tiles.  Energy per timestep is the sum of a fixed term per
-allocated crossbar (switching, shift-add, accumulation, local buffering), an
-activity term proportional to the spikes presented to each layer, and a flat
-per-timestep control term.  Latency is strictly linear in timesteps:
-timesteps are processed sequentially without pipelining.
+device-precision group of weight bits); crossbars group into tiles.  Energy
+per timestep is a fixed term per allocated crossbar (switching, shift-add,
+accumulation, local buffering), an activity term proportional to the spikes
+presented to each layer, and a flat per-timestep control term.  For layers l
+with x_l allocated crossbars, c_l mapped columns and s_l presented spikes:
+
+    E_step = sum_l (e_crossbar_digital + e_crossbar_buffer) * x_l
+             + sum_l (e_mac + e_adc / crossbar_size) * c_l * s_l
+             + e_step_digital + e_step_buffer
+
+An inference of t timesteps costs the sum of its t step energies plus the
+entropy-exit module, sigma_e_ratio * E_step(t=1) per invocation (one per
+executed timestep on the dynamic-timestep hardware, none on a static run),
+and no latency.  Latency is strictly linear in timesteps: timesteps are
+processed sequentially without pipelining.
 
 All energies are in normalized units: the default coefficients are
 calibrated (see `calibrate_energy_coefficients` and data/reference_trace.json)
 so that one timestep of the bundled reference workload costs 1.0, the
 8-timestep/1-timestep energy ratio is 4.9, and the component shares at four
 timesteps are 45% digital peripherals, 25% crossbar+ADC, 30%
-buffers/interconnect.  The entropy-exit module adds 2e-5 of a one-timestep
-inference energy per invocation and no latency.
+buffers/interconnect.
 """
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -38,21 +46,8 @@ class ArchConfig:
 
     crossbar_size: int = 64
     crossbars_per_tile: int = 64
-    crossbars_per_pe: int = 8
     device_bits: int = 4
     weight_bits: int = 8
-    sigma_over_mu: float = 0.20
-    r_on_kohm: float = 20.0
-    r_off_over_r_on: float = 10.0
-    v_dd: float = 0.9
-    v_read: float = 0.1
-    global_buffer_kb: float = 20.0
-    tile_buffer_kb: float = 10.0
-    pe_buffer_kb: float = 5.0
-    sigma_lut_kb: float = 3.0
-    entropy_lut_kb: float = 3.0
-    technology: str = "32nm CMOS"
-    adc_mux_ratio: int = 8  # columns per ADC; a sharing/area design point
     # Energy coefficients (normalized units), frozen from
     # calibrate_energy_coefficients() on the bundled reference trace:
     e_mac: float = 1.4225149475838339e-08
@@ -72,21 +67,15 @@ class ArchConfig:
                 f"weight_bits ({self.weight_bits}) must be divisible by "
                 f"device_bits ({self.device_bits})"
             )
-        for name in (
-            "crossbar_size", "crossbars_per_tile", "crossbars_per_pe",
-            "adc_mux_ratio",
-        ):
+        for name in ("crossbar_size", "crossbars_per_tile"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in (
-            "r_on_kohm", "r_off_over_r_on", "v_dd", "v_read",
-            "global_buffer_kb", "tile_buffer_kb", "pe_buffer_kb",
-            "sigma_lut_kb", "entropy_lut_kb", "latency_per_timestep",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.sigma_over_mu < 0 or self.sigma_e_ratio < 0:
-            raise ConfigError("sigma_over_mu and sigma_e_ratio must be >= 0")
+        if self.latency_per_timestep <= 0:
+            raise ConfigError(
+                f"latency_per_timestep must be positive, got {self.latency_per_timestep}"
+            )
+        if self.sigma_e_ratio < 0:
+            raise ConfigError("sigma_e_ratio must be >= 0")
 
     @property
     def bit_slices(self):
@@ -107,7 +96,6 @@ class LayerMap:
     row_blocks: int
     col_blocks: int
     crossbar_count: int
-    pe_count: int
     tile_count: int
 
 
@@ -120,10 +108,6 @@ class LayerMapping:
     @property
     def total_crossbars(self):
         return sum(l.crossbar_count for l in self.layers)
-
-    @property
-    def total_tiles(self):
-        return sum(l.tile_count for l in self.layers)
 
 
 def map_layer(index, kind, fan_in, fan_out, arch):
@@ -148,7 +132,6 @@ def map_layer(index, kind, fan_in, fan_out, arch):
         row_blocks=row_blocks,
         col_blocks=col_blocks,
         crossbar_count=crossbars,
-        pe_count=math.ceil(crossbars / arch.crossbars_per_pe),
         tile_count=math.ceil(crossbars / arch.crossbars_per_tile),
     )
 
@@ -172,21 +155,46 @@ def map_network(spec, arch):
     return LayerMapping(layers=tuple(entries))
 
 
-def _per_layer_coefficients(mapping, arch):
-    """Fixed energy per crossbar and activity coefficient for each layer.
+def component_energy_matrix(activity, mapping, arch):
+    """Per-timestep energies, split by component, for activity of shape (..., T, L).
 
-    The activity term is linear in presented spikes: each spike drives one
-    row across the layer's active columns (e_mac per column) and contributes
-    a proportional share of the column conversions (e_adc per crossbar_size
-    rows, i.e. converters duty-cycle with row occupancy).
+    Returns {"crossbar_adc", "digital", "buffer_interconnect", "total"}, each
+    of shape (..., T).  The activity term is linear in presented spikes: each
+    spike drives one row across the layer's active columns (e_mac per column)
+    and contributes a proportional share of the column conversions (e_adc per
+    crossbar_size rows, i.e. converters duty-cycle with row occupancy).
+    "total" is crossbar_adc plus the whole fixed per-step energy summed once,
+    so it equals the sum of the three components up to rounding.
     """
-    xbars = np.array([l.crossbar_count for l in mapping.layers], dtype=np.float64)
-    cols = np.array([l.cols_needed for l in mapping.layers], dtype=np.float64)
-    fixed_digital = arch.e_crossbar_digital * xbars
-    fixed_buffer = arch.e_crossbar_buffer * xbars
-    act_mac = arch.e_mac * cols
-    act_adc = arch.e_adc * cols / arch.crossbar_size
-    return fixed_digital, fixed_buffer, act_mac, act_adc
+    activity = np.asarray(activity, dtype=np.float64)
+    if activity.shape[-1:] != (len(mapping.layers),):
+        raise ValueError(
+            f"activity has {activity.shape[-1:]} entries per row, mapping has "
+            f"{len(mapping.layers)} layers"
+        )
+    layers = mapping.layers
+    fixed_digital, fixed_buffer = np.array([
+        [arch.e_crossbar_digital * l.crossbar_count for l in layers],
+        [arch.e_crossbar_buffer * l.crossbar_count for l in layers],
+    ]).sum(axis=1).tolist()
+    fixed = fixed_digital + fixed_buffer + arch.e_step_digital + arch.e_step_buffer
+    per_spike = np.array([
+        arch.e_mac * l.cols_needed + arch.e_adc * l.cols_needed / arch.crossbar_size
+        for l in layers
+    ])
+    crossbar_adc = (activity * per_spike).sum(axis=-1)
+    shape = activity.shape[:-1]
+    return {
+        "crossbar_adc": crossbar_adc,
+        "digital": np.full(shape, fixed_digital + arch.e_step_digital),
+        "buffer_interconnect": np.full(shape, fixed_buffer + arch.e_step_buffer),
+        "total": crossbar_adc + fixed,
+    }
+
+
+def energy_matrix(activity, mapping, arch):
+    """Per-timestep total energies for activity of shape (..., T, L)."""
+    return component_energy_matrix(activity, mapping, arch)["total"]
 
 
 def energy_per_timestep(mapping, activity, arch):
@@ -201,47 +209,8 @@ def energy_per_timestep(mapping, activity, arch):
             f"activity has {activity.shape} entries, mapping has "
             f"{len(mapping.layers)} layers"
         )
-    fixed_digital, fixed_buffer, act_mac, act_adc = _per_layer_coefficients(
-        mapping, arch
-    )
-    crossbar_adc = float(((act_mac + act_adc) * activity).sum())
-    digital = float(fixed_digital.sum() + arch.e_step_digital)
-    buffer_ic = float(fixed_buffer.sum() + arch.e_step_buffer)
-    total = crossbar_adc + digital + buffer_ic
-    return total, {
-        "crossbar_adc": crossbar_adc,
-        "digital": digital,
-        "buffer_interconnect": buffer_ic,
-    }
-
-
-def energy_matrix(activity, mapping, arch):
-    """Vectorized per-timestep energies for activity of shape (..., T, L)."""
-    activity = np.asarray(activity, dtype=np.float64)
-    fixed_digital, fixed_buffer, act_mac, act_adc = _per_layer_coefficients(
-        mapping, arch
-    )
-    fixed = fixed_digital.sum() + fixed_buffer.sum() + arch.e_step_digital + arch.e_step_buffer
-    return (activity * (act_mac + act_adc)).sum(axis=-1) + fixed
-
-
-def component_energy_matrix(activity, mapping, arch):
-    """Per-component energies for activity of shape (..., T, L).
-
-    Returns {"crossbar_adc": (..., T), "digital": (..., T),
-    "buffer_interconnect": (..., T)}; summing the three reproduces
-    energy_matrix exactly.
-    """
-    activity = np.asarray(activity, dtype=np.float64)
-    fixed_digital, fixed_buffer, act_mac, act_adc = _per_layer_coefficients(
-        mapping, arch
-    )
-    shape = activity.shape[:-1]
-    return {
-        "crossbar_adc": (activity * (act_mac + act_adc)).sum(axis=-1),
-        "digital": np.full(shape, fixed_digital.sum() + arch.e_step_digital),
-        "buffer_interconnect": np.full(shape, fixed_buffer.sum() + arch.e_step_buffer),
-    }
+    comps = {k: float(v) for k, v in component_energy_matrix(activity, mapping, arch).items()}
+    return comps.pop("total"), comps
 
 
 def latency(t_used, arch):
@@ -257,7 +226,7 @@ def sigma_e_energy(e_one_timestep, invocations, ratio=2e-5):
     One invocation per executed timestep; each costs `ratio` of a
     one-timestep inference energy.  Accepts scalars or aligned arrays.
     """
-    if np.any(np.asarray(invocations) < 0):
+    if (np.asarray(invocations) < 0).any():
         raise ValueError(f"invocations must be >= 0, got {invocations}")
     return invocations * ratio * e_one_timestep
 
@@ -304,19 +273,16 @@ def cost_of_inference(step_activities, mapping, arch, sigma_e_invocations=None):
     timestep.  sigma_e_invocations defaults to one per executed timestep
     (dynamic inference); pass 0 for a static run without the exit module.
     """
-    rows = list(step_activities)
-    if not rows:
+    rows = np.asarray(list(step_activities), dtype=np.float64)
+    if len(rows) == 0:
         raise ValueError("cost_of_inference requires at least one timestep of activity")
     t_used = len(rows)
     if sigma_e_invocations is None:
         sigma_e_invocations = t_used
-    energies = []
-    comps = {"crossbar_adc": 0.0, "digital": 0.0, "buffer_interconnect": 0.0}
-    for row in rows:
-        e, c = energy_per_timestep(mapping, row, arch)
-        energies.append(e)
-        for k in comps:
-            comps[k] += c[k]
+    # Python sums over the few rows: far cheaper per call than numpy reductions.
+    per_step = {k: v.tolist() for k, v in component_energy_matrix(rows, mapping, arch).items()}
+    energies = per_step.pop("total")
+    comps = {k: sum(v) for k, v in per_step.items()}
     overhead = sigma_e_energy(energies[0], sigma_e_invocations, arch.sigma_e_ratio)
     comps["sigma_e"] = overhead
     total = float(sum(energies) + overhead)
@@ -337,6 +303,7 @@ def dataset_cost_fn(mapping, arch, dynamic=True):
     Returns f(chosen_t, activity) -> (mean energy, mean latency, their
     product) where activity has shape (N, T, L) and chosen_t is (N,).
     Dataset-level EDP follows the mean-energy x mean-latency convention.
+    dynamic=False prices a static run, which has no exit module.
     """
 
     def cost(chosen_t, activity):
@@ -467,12 +434,3 @@ def calibrate_energy_coefficients(
         "e_crossbar_buffer": per_crossbar_fraction * fixed_buffer / total_xbars * scale,
         "e_step_buffer": (1 - per_crossbar_fraction) * fixed_buffer * scale,
     }
-
-
-def calibrated_arch(overrides=None, **kwargs):
-    """ArchConfig with energy coefficients recalibrated from the bundled trace."""
-    base = ArchConfig(**kwargs)
-    coeffs = calibrate_energy_coefficients(load_reference_trace(), base)
-    if overrides:
-        coeffs.update(overrides)
-    return replace(base, **coeffs)

@@ -94,6 +94,24 @@ def crossbar_mapping_reference(fan_in, fan_out, weight_bits, device_bits, xbar, 
     return slices, rows_blocks, col_blocks, crossbars, tiles
 
 
+def energy_reference(row, mapping, arch):
+    """One timestep's energy, summed layer by layer from the cost-model formula.
+
+    E = sum_l (e_crossbar_digital + e_crossbar_buffer) * crossbars_l
+        + sum_l (e_mac + e_adc / crossbar_size) * columns_l * spikes_l
+        + e_step_digital + e_step_buffer
+    """
+    assert len(row) == len(mapping.layers)
+    total = arch.e_step_digital + arch.e_step_buffer
+    for layer, spikes in zip(mapping.layers, row):
+        total += (arch.e_crossbar_digital + arch.e_crossbar_buffer) * layer.crossbar_count
+        total += (
+            (arch.e_mac + arch.e_adc / arch.crossbar_size)
+            * layer.cols_needed * float(spikes)
+        )
+    return total
+
+
 def softmax_reference(z):
     """Scalar softmax of a 1-d list, no stabilization tricks."""
     exps = [math.exp(v) for v in z]

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 import yaml
 
+from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
 from dtsnn.cli import main
+from dtsnn.config import load_dataset_pair, parse_config
+from dtsnn.exit_policy import scan_with_entropy
+from dtsnn.hardware import dataset_cost_fn, map_network
 
 CONFIG = {
     "model": {
@@ -180,6 +184,26 @@ class TestHwReport:
         for row in rows[1:]:
             shares = [float(v) for v in row[1:5]]
             assert abs(sum(shares) - 1.0) < 1e-9
+
+    def test_sigma_e_priced_like_dataset_cost_fn(self, trained, tmp_path):
+        out = tmp_path / "hs"
+        code = main(["hwreport", "--config", str(trained["config"]),
+                     "--checkpoint", str(trained["ckpt"]),
+                     "--out", str(out), "--quiet"])
+        assert code == 0
+        cfg = parse_config(trained["config"])
+        _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
+        net = instance_from_checkpoint(load_checkpoint(trained["ckpt"]))
+        net.record_activity = True
+        activity = scan_with_entropy(net, test_ds.images, 4)["activity"]
+        cost = dataset_cost_fn(map_network(net.spec, cfg.arch), cfg.arch)
+        for row in read_csv(out / "hw_components.csv")[1:]:
+            t = int(row[0])
+            shares = [float(v) for v in row[1:5]]
+            assert shares[3] > 0.0
+            assert abs(sum(shares) - 1.0) < 3e-6  # four values rounded to 6 places
+            expected = cost(np.full(len(test_ds), t), activity)[0]
+            assert abs(float(row[5]) - expected) <= 5e-7
 
     def test_zero_variation_matches_clean(self, trained, tmp_path):
         out = tmp_path / "hv"

@@ -1,5 +1,7 @@
 """Configuration parsing: defaults, validation messages, round trips."""
 
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -43,13 +45,6 @@ class TestHardwareDefaults:
         assert arch.crossbars_per_tile == 64
         assert arch.device_bits == 4
         assert arch.weight_bits == 8
-        assert arch.sigma_over_mu == 0.20
-        assert arch.r_off_over_r_on == 10.0
-        assert arch.r_on_kohm == 20.0
-        assert (arch.global_buffer_kb, arch.tile_buffer_kb, arch.pe_buffer_kb) == (20.0, 10.0, 5.0)
-        assert (arch.v_dd, arch.v_read) == (0.9, 0.1)
-        assert (arch.sigma_lut_kb, arch.entropy_lut_kb) == (3.0, 3.0)
-        assert arch.technology == "32nm CMOS"
 
     def test_hardware_override(self, tmp_path):
         raw = dict(MINIMAL)
@@ -57,6 +52,16 @@ class TestHardwareDefaults:
         cfg = parse_config(write_config(tmp_path, raw))
         assert cfg.arch.crossbar_size == 128
         assert cfg.arch.sigma_e_ratio == 1e-4
+
+    @pytest.mark.parametrize("key", [
+        "crossbars_per_pe", "sigma_over_mu", "r_on_kohm", "r_off_over_r_on",
+        "v_dd", "v_read", "global_buffer_kb", "tile_buffer_kb", "pe_buffer_kb",
+        "sigma_lut_kb", "entropy_lut_kb", "technology", "adc_mux_ratio",
+    ])
+    def test_reference_design_values_are_not_keys(self, key):
+        raw = {**MINIMAL, "hardware": {key: 1}}
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in section 'hardware'"):
+            parse_config_dict(raw)
 
 
 class TestValidation:
@@ -95,6 +100,12 @@ class TestValidation:
     def test_bad_data_kind(self):
         raw = {**MINIMAL, "data": {"kind": "csv"}}
         with pytest.raises(ConfigError, match="'idx' or 'synth'"):
+            parse_config_dict(raw)
+
+    @pytest.mark.parametrize("key", ["n_train", "n_test"])
+    def test_empty_dataset_rejected(self, key):
+        raw = {**MINIMAL, "data": {key: 0}}
+        with pytest.raises(ConfigError, match=f"{key} >= 1, got 0"):
             parse_config_dict(raw)
 
 
@@ -143,3 +154,12 @@ class TestDataLoading:
         cfg = parse_config_dict({**MINIMAL, "data": {"kind": "idx"}})
         with pytest.raises(ConfigError, match="requires data.train_images"):
             load_dataset_pair(cfg.data, 3)
+
+
+class TestShippedConfigs:
+    def test_every_config_parses(self):
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+        assert {p.name for p in paths} >= {"mnist.yaml", "synth.yaml"}
+        for path in paths:
+            cfg = parse_config(path)  # validation only; no data is read
+            assert cfg.network.layers, path

@@ -201,6 +201,22 @@ class TestCheckpoint:
         with pytest.raises(ChecksumError, match="corrupted"):
             load_checkpoint(path)
 
+    def test_array_shape_checked_against_spec(self, tmp_path):
+        _, ckpt = self.make_ckpt()
+        ckpt.params[4] = dict(ckpt.params[4], w=ckpt.params[4]["w"].T)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(DataFormatError, match=r"layer 4 parameter 'w' has shape \(64, 3\)"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_detected(self, tmp_path):
+        _, ckpt = self.make_ckpt()
+        ckpt.params[4] = {"w": ckpt.params[4]["w"]}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(DataFormatError, match="layer 4 is missing parameter 'b'"):
+            load_checkpoint(path)
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "noise.bin"
         path.write_bytes(b"definitely not a checkpoint")

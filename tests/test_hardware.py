@@ -9,7 +9,9 @@ from dtsnn.hardware import (
     ArchConfig,
     CostReport,
     apply_device_variation,
+    LayerMapping,
     calibrate_energy_coefficients,
+    component_energy_matrix,
     cost_of_inference,
     dataset_cost_fn,
     edp,
@@ -25,7 +27,7 @@ from dtsnn.hardware import (
 )
 from dtsnn.network import LayerSpec, NetworkSpec, build_instance, static_forward
 
-from oracles import crossbar_mapping_reference
+from oracles import crossbar_mapping_reference, energy_reference
 
 rng = np.random.default_rng(1234)
 
@@ -312,3 +314,62 @@ class TestDatasetCost:
         npt.assert_allclose(mean_e, np.mean([r.total_energy for r in reports]), rtol=1e-12)
         npt.assert_allclose(mean_l, np.mean([r.total_latency for r in reports]), rtol=1e-12)
         npt.assert_allclose(product, mean_e * mean_l, rtol=1e-12)
+
+
+class TestEnergyOracle:
+    """Every pricing route against the per-layer loop of the module formula."""
+
+    def random_case(self):
+        arch = ArchConfig(
+            crossbar_size=int(rng.choice([16, 32, 64, 128])),
+            device_bits=int(rng.choice([1, 2, 4])),
+            e_mac=float(rng.uniform(1e-9, 1e-6)),
+            e_adc=float(rng.uniform(1e-8, 1e-5)),
+            e_crossbar_digital=float(rng.uniform(1e-6, 1e-3)),
+            e_crossbar_buffer=float(rng.uniform(1e-6, 1e-3)),
+            e_step_digital=float(rng.uniform(0.01, 0.2)),
+            e_step_buffer=float(rng.uniform(0.01, 0.2)),
+            sigma_e_ratio=float(rng.uniform(0.0, 1e-3)),
+            latency_per_timestep=float(rng.uniform(0.5, 2.0)),
+        )
+        mapping = LayerMapping(layers=tuple(
+            map_layer(i, "fc", int(rng.integers(1, 3000)), int(rng.integers(1, 500)), arch)
+            for i in range(int(rng.integers(1, 7)))
+        ))
+        n, t_max = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        activity = rng.integers(0, 3000, size=(n, t_max, len(mapping.layers))).astype(float)
+        return arch, mapping, activity
+
+    def test_all_routes_match_reference(self):
+        for _ in range(25):
+            arch, mapping, activity = self.random_case()
+            n, t_max, _ = activity.shape
+            ref = np.array([[energy_reference(row, mapping, arch) for row in sample]
+                            for sample in activity])
+            npt.assert_allclose(energy_matrix(activity, mapping, arch), ref, rtol=1e-12)
+            comps = component_energy_matrix(activity, mapping, arch)
+            npt.assert_allclose(
+                comps["crossbar_adc"] + comps["digital"] + comps["buffer_interconnect"],
+                ref, rtol=1e-12,
+            )
+            for row, e in zip(activity[0], ref[0]):
+                npt.assert_allclose(energy_per_timestep(mapping, row, arch)[0], e, rtol=1e-12)
+
+            chosen = rng.integers(1, t_max + 1, size=n)
+            static = np.array([ref[i, : chosen[i]].sum() for i in range(n)])
+            sigma = arch.sigma_e_ratio * ref[:, 0] * chosen
+            for i in range(n):
+                rows = activity[i, : chosen[i]]
+                report = cost_of_inference(rows, mapping, arch, sigma_e_invocations=0)
+                npt.assert_allclose(report.total_energy, static[i], rtol=1e-12)
+                report = cost_of_inference(rows, mapping, arch)
+                npt.assert_allclose(report.total_energy, static[i] + sigma[i], rtol=1e-12)
+
+            lat = (chosen * arch.latency_per_timestep).mean()
+            for dynamic, energies in ((False, static), (True, static + sigma)):
+                mean_e, mean_l, product = dataset_cost_fn(mapping, arch, dynamic)(
+                    chosen, activity
+                )
+                npt.assert_allclose(mean_e, energies.mean(), rtol=1e-12)
+                npt.assert_allclose(mean_l, lat, rtol=1e-12)
+                npt.assert_allclose(product, energies.mean() * lat, rtol=1e-12)
