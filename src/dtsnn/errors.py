@@ -18,7 +18,8 @@ class ConfigError(DtsnnError, ValueError):
 
 
 class DataFormatError(DtsnnError, ValueError):
-    """On-disk data does not match the expected binary format."""
+    """Input data does not match the expected format: a malformed file, or an
+    input array holding non-finite values."""
 
 
 class ChecksumError(DtsnnError, ValueError):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ShapeError
 from .network import forward_timestep, mean_output, reset_states, scan_timesteps
 
 
@@ -86,10 +87,17 @@ def dynamic_infer(net, x, policy):
     """Per-sample dynamic inference: run timesteps until the entropy of the
     running-mean output drops below theta, else stop at t_max.
 
-    x is a single input, with or without the leading batch axis.
+    x is a single input, with or without the leading batch axis; a batch of
+    more than one input raises ShapeError.
     """
-    if x.shape == net.spec.input_shape:
+    shape = net.spec.input_shape
+    if x.shape == shape:
         x = x[None]
+    elif x.shape != (1,) + shape:
+        raise ShapeError(
+            f"dynamic_infer takes one input of shape {shape} or {(1,) + shape}, "
+            f"got {x.shape}"
+        )
     reset_states(net)
     entropies = []
     probs = None

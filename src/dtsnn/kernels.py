@@ -117,11 +117,12 @@ def _col2im(dcols, x_shape, kh, kw, stride, padding):
     return dxp
 
 
-def conv2d_backward(dy, x, weights, params, cols=None):
+def conv2d_backward(dy, x, weights, params, cols=None, need_dx=True):
     """Gradients of conv2d w.r.t. input and weights.
 
     dy has the output shape (N,C_out,Ho,Wo).  Passing the cached ``cols``
-    from the forward pass avoids recomputing the unfold.
+    from the forward pass avoids recomputing the unfold.  With
+    ``need_dx=False`` the input gradient is not computed and returned as None.
     """
     cout, cin, kh, kw = weights.shape
     n = x.shape[0]
@@ -129,6 +130,8 @@ def conv2d_backward(dy, x, weights, params, cols=None):
         cols, _, _ = _im2col(x, kh, kw, params.stride, params.padding)
     dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
     dw = (dy_mat.T @ cols).reshape(weights.shape)
+    if not need_dx:
+        return None, dw
     if params.stride == 1:
         # Transposed convolution: correlate dy with the flipped kernel.
         w_flip = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -246,12 +249,17 @@ def batch_norm(x, state, mode):
     return y, new_state
 
 
-def batch_norm_train_cached(x, state):
-    """Training-mode batch_norm that also returns the cache for backward."""
-    return _batch_norm_impl(x, state, "train", want_cache=True)
+def batch_norm_train_cached(x, state, repeats=1):
+    """Training-mode batch_norm that also returns the cache for backward.
+
+    ``repeats`` treats x as standing for that many identical copies stacked
+    along the batch axis: the batch statistics are those of x itself, and the
+    unbiased running-variance factor count/(count-1) uses the stacked count.
+    """
+    return _batch_norm_impl(x, state, "train", want_cache=True, repeats=repeats)
 
 
-def _batch_norm_impl(x, state, mode, want_cache):
+def _batch_norm_impl(x, state, mode, want_cache, repeats=1):
     nf = state.gamma.shape[0]
     axes, view = _bn_axes_and_view(x, nf)
     if mode == "eval":
@@ -261,7 +269,7 @@ def _batch_norm_impl(x, state, mode, want_cache):
         return y, state, None
     if mode != "train":
         raise ValueError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    count = x.size // nf
+    count = repeats * (x.size // nf)
     mean = x.mean(axis=axes)
     var = x.var(axis=axes)
     invstd = 1.0 / np.sqrt(var + state.eps)

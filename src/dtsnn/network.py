@@ -5,16 +5,24 @@ encoding); the first convolution plus its LIF layer turn it into spike
 trains.  Classifier logits are analog and are accumulated across timesteps;
 the prediction is the running mean of those accumulated logits.
 
+The stem -- the layers before the first LIF layer (`first_lif`) -- sees the
+same input at every timestep, so its output does not depend on t.
+`forward_timestep` computes it once per input and caches it on the instance,
+keyed on the identity of the input array: the cache is reused while the same
+array object is passed and is dropped by `reset_states`.  A caller that
+mutates an input array in place between timesteps must call `reset_states`
+first.
+
 An SnnInstance is single-owner mutable state: one inference at a time.
 Weights may be shared read-only between instances; `clone_state` gives each
-worker its own membrane potentials.
+worker its own membrane potentials (and no cached stem).
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ShapeError, StateError
+from .errors import DataFormatError, ShapeError, StateError
 from .kernels import (
     BatchNormState,
     ConvParams,
@@ -158,9 +166,29 @@ class NetworkSpec:
         )
 
 
+def first_lif(spec):
+    """Index of the first LIF layer; layers before it form the stem, whose
+    output is the same at every timestep under direct encoding."""
+    return next(i for i, layer in enumerate(spec.layers) if layer.kind == "lif")
+
+
+def check_finite(x):
+    """Reject inputs holding NaN or infinity, which would otherwise yield a
+    silent prediction (no spikes, uniform output)."""
+    bad = x.size - np.count_nonzero(np.isfinite(x))
+    if bad:
+        raise DataFormatError(f"input contains {bad} non-finite values (NaN or inf)")
+
+
 @dataclass
 class SnnInstance:
-    """A NetworkSpec bound to weights plus the mutable inference state."""
+    """A NetworkSpec bound to weights plus the mutable inference state.
+
+    ``stem`` caches ``(input, stem output, stem activity counts)`` for the
+    input array last passed to `forward_timestep`.  It lives until
+    `reset_states` or until a different array object is passed; instances
+    from `clone_state` start without it.
+    """
 
     spec: NetworkSpec
     params: list                  # per layer: dict of arrays / BatchNormState / None
@@ -170,6 +198,7 @@ class SnnInstance:
     record_activity: bool = False
     activity: list = field(default_factory=list)  # one row per timestep
     smooth_spikes: bool = False   # gradient-check mode, see training module
+    stem: tuple = None            # (input, stem output, stem activity counts)
 
     def clone_state(self):
         """New instance sharing weights but with fresh inference state."""
@@ -212,11 +241,13 @@ def build_instance(spec, seed=0, dtype=np.float32):
 
 
 def reset_states(net):
-    """Zero all membrane potentials, accumulated logits and the step counter."""
+    """Zero all membrane potentials, accumulated logits and the step counter,
+    and drop the cached stem output."""
     net.lif_states = {}
     net.accumulated_logits = None
     net.t = 0
     net.activity = []
+    net.stem = None
 
 
 def _count_inputs(h, analog):
@@ -237,7 +268,8 @@ def forward_timestep(net, x):
     """Run every layer for one timestep and accumulate the classifier logits.
 
     x is the raw input batch (N,C,H,W), presented identically at every
-    timestep.  Returns this step's logits (N, K).
+    timestep.  The stem runs only when x is not the array whose stem output
+    is cached (see the module docstring).  Returns this step's logits (N, K).
     """
     spec = net.spec
     if net.t >= spec.t_max:
@@ -247,15 +279,33 @@ def forward_timestep(net, x):
         raise ShapeError(
             f"input shape {x.shape[1:]} does not match network input {spec.input_shape}"
         )
-    n = x.shape[0]
-    h = x
-    step_counts = []
-    first_weighted = True
-    for i, layer in enumerate(spec.layers):
-        if layer.kind in WEIGHTED_KINDS:
-            if net.record_activity:
-                step_counts.append(_count_inputs(h, analog=first_weighted))
-            first_weighted = False
+    s = first_lif(spec)
+    if net.stem is None or net.stem[0] is not x:
+        check_finite(x)
+        stem_counts = []
+        net.stem = (x, _run_layers(net, x, range(s), stem_counts), stem_counts)
+    _, h, stem_counts = net.stem
+    step_counts = list(stem_counts) if net.record_activity else None
+    h = _run_layers(net, h, range(s, len(spec.layers)), step_counts)
+    if net.accumulated_logits is None:
+        net.accumulated_logits = np.zeros_like(h)
+    net.accumulated_logits = net.accumulated_logits + h
+    net.t += 1
+    if net.record_activity:
+        net.activity.append(np.stack(step_counts, axis=1))  # (N, mapped layers)
+    return h
+
+
+def _run_layers(net, h, indices, counts):
+    """Apply the layers at ``indices`` to h; when ``counts`` is a list, append
+    the per-sample input count of every weighted layer to it."""
+    spec = net.spec
+    n = h.shape[0]
+    first_weighted = next(i for i, l in enumerate(spec.layers) if l.kind in WEIGHTED_KINDS)
+    for i in indices:
+        layer = spec.layers[i]
+        if layer.kind in WEIGHTED_KINDS and counts is not None:
+            counts.append(_count_inputs(h, analog=i == first_weighted))
         if layer.kind == "conv":
             p = spec.conv_params(layer, h.shape[1])
             h = conv2d(h, net.params[i]["w"], p)
@@ -275,16 +325,8 @@ def forward_timestep(net, x):
             h = lif_step(state, h, spec.lif_config_for(layer))
         elif layer.kind == "pool":
             h = avg_pool2d(h, layer.window)
-        elif layer.kind == "fc":
+        elif layer.kind in ("fc", "classifier"):
             h = fully_connected(h.reshape(n, -1), net.params[i]["w"], net.params[i]["b"])
-        elif layer.kind == "classifier":
-            h = fully_connected(h.reshape(n, -1), net.params[i]["w"], net.params[i]["b"])
-    if net.accumulated_logits is None:
-        net.accumulated_logits = np.zeros_like(h)
-    net.accumulated_logits = net.accumulated_logits + h
-    net.t += 1
-    if net.record_activity:
-        net.activity.append(np.stack(step_counts, axis=1))  # (N, mapped layers)
     return h
 
 

@@ -1,11 +1,22 @@
 """Backpropagation-through-time with a triangular surrogate gradient.
 
 Training unrolls the network layer by layer over a time-stacked batch
-(timesteps folded into the batch axis).  That is mathematically identical to
-the per-timestep forward of `network` for every timestep-independent layer,
-lets batch normalization pool its statistics over (batch x timestep), and
-keeps the matrix multiplies large.  LIF layers unroll the time axis
-internally, caching pre-reset membrane potentials for the backward pass.
+(timesteps folded into the batch axis), which keeps the matrix multiplies
+large and lets batch normalization pool its statistics over
+(batch x timestep).  Under direct encoding the stem -- the layers before the
+first LIF layer (`network.first_lif`) -- sees the same input at every
+timestep, so it runs once on the B input rows and its output is broadcast to
+the T*B stacked rows at the first LIF.  This is exact:
+  - stem batch norm over T identical copies has the statistics of the B rows;
+    only the unbiased running-variance factor count/(count-1) differs, so it
+    keeps count = T*B*H*W (the `repeats` argument of the norm kernel);
+  - in the backward pass the gradient is summed over T at the stem boundary,
+    and the stem's norm and conv backward run on B rows; the norm backward
+    over T copies equals the B-row formula applied to the T-summed gradient.
+The walk back stops at the first layer with parameters, whose input
+gradient nothing reads (the conv computes only dW there).  LIF layers unroll
+the time axis internally, caching pre-reset membrane potentials for the
+backward pass.
 
 Gradient conventions:
   - the spike nonlinearity uses max(0, v_th - |u - v_th|) in place of its
@@ -36,7 +47,7 @@ from .kernels import (
     fully_connected,
     fully_connected_backward,
 )
-from .network import scan_timesteps
+from .network import check_finite, first_lif, scan_timesteps
 
 
 def surrogate_grad(u, v_th):
@@ -130,6 +141,19 @@ def loss_and_grad(step_logits, labels, loss_mode, per_timestep_target="running_m
     return loss, dstep.astype(step_logits.dtype)
 
 
+def _empty_steps(like, t_steps):
+    """Uninitialized (t_steps,) + like.shape array, timestep-major, whose
+    every step has the memory order of ``like``.
+
+    Conv outputs are channels-last in memory, and the pool and conv kernels
+    downstream run markedly faster on that order than on NCHW.  (empty_like
+    would put a broadcast time axis innermost.)
+    """
+    order = np.argsort(like.strides, kind="stable")[::-1]
+    buf = np.empty((t_steps,) + tuple(np.take(like.shape, order)), dtype=like.dtype)
+    return buf.transpose((0,) + tuple(1 + np.argsort(order)))
+
+
 def lif_unroll(currents, cfg, smooth=False):
     """Forward a (T, B, ...) current tensor through one LIF layer.
 
@@ -138,8 +162,8 @@ def lif_unroll(currents, cfg, smooth=False):
     """
     t_steps = currents.shape[0]
     u = np.zeros_like(currents[0])
-    u_pre = np.empty_like(currents)
-    spikes = np.empty_like(currents)
+    u_pre = _empty_steps(currents[0], t_steps)
+    spikes = _empty_steps(currents[0], t_steps)
     for t in range(t_steps):
         u = cfg.tau * u + currents[t]
         u_pre[t] = u
@@ -168,16 +192,22 @@ def lif_unroll_backward(dspikes, cache, cfg):
 def forward_with_tape(net, x, t_steps, train_mode=True):
     """Layer-major unrolled forward pass over stacked timesteps.
 
+    The stem (layers before the first LIF) runs on the B input rows; the
+    first LIF layer receives its output broadcast over T, and every later
+    layer runs on T*B rows, timestep-major.  Raises DataFormatError when x
+    holds a non-finite value.
+
     Returns (step_logits (T,B,K), tape).  In train mode, normalization layers
-    use batch statistics pooled over (timestep x batch) and the tape carries
-    their proposed running-statistic updates; nothing is committed to the
-    instance until `commit_norm_updates` is called.
+    use batch statistics pooled over (timestep x batch) -- over the B rows in
+    the stem, with the running-variance count of T*B rows -- and the tape
+    carries their proposed running-statistic updates; nothing is committed to
+    the instance until `commit_norm_updates` is called.
     """
     spec = net.spec
     batch = x.shape[0]
-    h = np.ascontiguousarray(
-        np.broadcast_to(x, (t_steps,) + x.shape)
-    ).reshape((t_steps * batch,) + x.shape[1:])
+    check_finite(x)
+    s = first_lif(spec)
+    h = x
     caches = []
     norm_updates = {}
     for i, layer in enumerate(spec.layers):
@@ -191,7 +221,8 @@ def forward_with_tape(net, x, t_steps, train_mode=True):
             h = y
         elif layer.kind == "norm":
             if train_mode:
-                h, new_state, cache = batch_norm_train_cached(h, net.params[i])
+                repeats = t_steps if i < s else 1
+                h, new_state, cache = batch_norm_train_cached(h, net.params[i], repeats)
                 norm_updates[i] = new_state
                 caches.append(("norm", cache))
             else:
@@ -199,10 +230,13 @@ def forward_with_tape(net, x, t_steps, train_mode=True):
                 caches.append(("norm", None))
         elif layer.kind == "lif":
             cfg = spec.lif_config_for(layer)
-            currents = h.reshape((t_steps, batch) + h.shape[1:])
+            if i == s:
+                currents = np.broadcast_to(h, (t_steps,) + h.shape)
+            else:
+                currents = h.reshape((t_steps, batch) + h.shape[1:])
             spikes, cache = lif_unroll(currents, cfg, smooth=net.smooth_spikes)
             caches.append(("lif", cfg, cache))
-            h = spikes.reshape(h.shape)
+            h = spikes.reshape((t_steps * batch,) + spikes.shape[2:])
         elif layer.kind == "pool":
             caches.append(("pool", layer.window))
             h = avg_pool2d(h, layer.window)
@@ -217,6 +251,10 @@ def forward_with_tape(net, x, t_steps, train_mode=True):
 def backward_through_time(net, tape, dstep_logits):
     """Walk the tape in reverse, producing a gradient for every parameter.
 
+    The gradient is summed over timesteps at the first LIF layer, so the
+    stem's backward runs on B rows.  The walk ends at the first layer with
+    parameters and skips its input gradient, which nothing reads.
+
     Returns {layer_index: {param_name: gradient}} with shapes mirroring the
     parameters exactly.
     """
@@ -229,9 +267,11 @@ def backward_through_time(net, tape, dstep_logits):
         raise StateError(
             f"tape recorded {tape['t']} timesteps but gradient has {t_steps}"
         )
+    s = first_lif(spec)
+    first_param = next(i for i, p in enumerate(net.params) if p is not None)
     g = dstep_logits.reshape(t_steps * batch, k)
     grads = {}
-    for i in reversed(range(len(spec.layers))):
+    for i in reversed(range(first_param, len(spec.layers))):
         layer = spec.layers[i]
         cache = caches[i]
         if layer.kind in ("fc", "classifier"):
@@ -244,7 +284,8 @@ def backward_through_time(net, tape, dstep_logits):
         elif layer.kind == "lif":
             _, cfg, lif_cache = cache
             gs = g.reshape((t_steps, batch) + g.shape[1:])
-            g = lif_unroll_backward(gs, lif_cache, cfg).reshape(g.shape)
+            g = lif_unroll_backward(gs, lif_cache, cfg)
+            g = g.sum(axis=0) if i == s else g.reshape((t_steps * batch,) + g.shape[2:])
         elif layer.kind == "norm":
             if cache[1] is None:
                 raise StateError("cannot backprop through an eval-mode tape")
@@ -256,7 +297,9 @@ def backward_through_time(net, tape, dstep_logits):
             entry = {"w": None}
             if "b" in net.params[i]:
                 entry["b"] = g.sum(axis=(0, 2, 3))
-            dx, dw = conv2d_backward(g, x_in, net.params[i]["w"], p, cols=cols)
+            dx, dw = conv2d_backward(
+                g, x_in, net.params[i]["w"], p, cols=cols, need_dx=i > first_param
+            )
             entry["w"] = dw
             grads[i] = entry
             g = dx

@@ -2,7 +2,9 @@
 
 Everything here is written for clarity, not speed: plain nested loops and
 scalar arithmetic.  The library kernels are checked against these on random
-inputs; the oracles never call into dtsnn.
+inputs; the oracles never call into dtsnn, except `replicated_tape_grads`,
+which assembles a whole-network forward/backward from the (separately
+checked) layer kernels.
 """
 
 import math
@@ -153,3 +155,93 @@ def finite_difference_grad(f, param, eps=1e-4):
         flat[i] = orig
         gflat[i] = (f_plus - f_minus) / (2.0 * eps)
     return grad
+
+
+def replicated_tape_grads(net, x, t_steps, dstep_logits):
+    """Training forward/backward with the input replicated to T*B rows.
+
+    Every layer, the timestep-invariant ones included, runs on the input
+    copied once per timestep, train-mode batch norm pools statistics over all
+    T*B rows, the LIF recurrence is a plain loop over t, and the backward
+    pass computes every layer's input gradient.  Returns
+    (step_logits (T,B,K), {layer: {param: grad}}, {layer: proposed norm state}).
+    """
+    from dtsnn.kernels import (
+        avg_pool2d,
+        avg_pool2d_backward,
+        batch_norm_backward,
+        batch_norm_train_cached,
+        conv2d,
+        conv2d_backward,
+        fully_connected,
+        fully_connected_backward,
+    )
+
+    spec = net.spec
+    batch = x.shape[0]
+    h = np.concatenate([x] * t_steps, axis=0)
+    tape, norm_updates = [], {}
+    for i, layer in enumerate(spec.layers):
+        par = net.params[i]
+        if layer.kind == "conv":
+            p = spec.conv_params(layer, h.shape[1])
+            tape.append((p, h))
+            h = conv2d(h, par["w"], p)
+            if "b" in par:
+                h = h + par["b"].reshape(1, -1, 1, 1)
+        elif layer.kind == "norm":
+            h, norm_updates[i], cache = batch_norm_train_cached(h, par)
+            tape.append(cache)
+        elif layer.kind == "lif":
+            cfg = spec.lif_config_for(layer)
+            currents = h.reshape((t_steps, batch) + h.shape[1:])
+            u = np.zeros_like(currents[0])
+            u_pre, spikes = [], []
+            for t in range(t_steps):
+                u = cfg.tau * u + currents[t]
+                s = (u > cfg.v_th).astype(u.dtype)
+                u_pre.append(u)
+                spikes.append(s)
+                u = u * (1.0 - s)
+            tape.append((cfg, u_pre, spikes))
+            h = np.concatenate(spikes, axis=0)
+        elif layer.kind == "pool":
+            tape.append(None)
+            h = avg_pool2d(h, layer.window)
+        else:  # fc / classifier
+            tape.append((h.shape, h.reshape(h.shape[0], -1)))
+            h = fully_connected(tape[-1][1], par["w"], par["b"])
+    step_logits = h.reshape(t_steps, batch, -1)
+
+    g = dstep_logits.reshape(t_steps * batch, -1)
+    grads = {}
+    for i in reversed(range(len(spec.layers))):
+        layer, par, entry = spec.layers[i], net.params[i], tape[i]
+        if layer.kind == "conv":
+            p, x_in = entry
+            grads[i] = {}
+            if "b" in par:
+                grads[i]["b"] = g.sum(axis=(0, 2, 3))
+            g, grads[i]["w"] = conv2d_backward(g, x_in, par["w"], p)
+        elif layer.kind == "norm":
+            g, dgamma, dbeta = batch_norm_backward(g, entry)
+            grads[i] = {"gamma": dgamma, "beta": dbeta}
+        elif layer.kind == "lif":
+            cfg, u_pre, spikes = entry
+            gs = g.reshape((t_steps, batch) + g.shape[1:])
+            d_currents = [None] * t_steps
+            du_post = np.zeros_like(gs[0])
+            for t in reversed(range(t_steps)):
+                surrogate = np.maximum(0.0, cfg.v_th - np.abs(u_pre[t] - cfg.v_th))
+                du_pre = gs[t] * surrogate + du_post * (1.0 - spikes[t])
+                d_currents[t] = du_pre
+                du_post = cfg.tau * du_pre
+            g = np.concatenate(d_currents, axis=0)
+        elif layer.kind == "pool":
+            g = avg_pool2d_backward(g, layer.window)
+        else:
+            shape, flat = entry
+            dx, dw, db = fully_connected_backward(g, flat, par["w"])
+            grads[i] = {"w": dw, "b": db}
+            g = dx.reshape(shape)
+    return step_logits, grads, norm_updates

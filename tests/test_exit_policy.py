@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dtsnn.errors import DataFormatError, ShapeError
 from dtsnn.exit_policy import (
     ExitPolicy,
     dynamic_infer,
@@ -185,6 +186,19 @@ class TestDynamicInfer:
             assert trace.prediction == scan["predictions"][i, trace.chosen_t - 1]
 
 
+    def test_rejects_a_batch(self):
+        net = make_net(seed=5)
+        x = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
+        with pytest.raises(ShapeError, match=r"\(3, 1, 8, 8\)"):
+            dynamic_infer(net, x, ExitPolicy(theta=0.5, t_max=4))
+
+    def test_rejects_non_finite_input(self):
+        net = make_net(seed=5)
+        x = np.full((1, 8, 8), np.nan, dtype=np.float32)
+        with pytest.raises(DataFormatError, match="64 non-finite"):
+            dynamic_infer(net, x, ExitPolicy(theta=0.5, t_max=4))
+
+
 class TestEvaluatePolicy:
     def test_theta_zero_equals_static_accuracy(self):
         net = make_net(seed=7)
@@ -214,6 +228,15 @@ class TestEvaluatePolicy:
                 net, np.zeros((0, 1, 8, 8), np.float32), np.zeros(0, int),
                 ExitPolicy(theta=0.5, t_max=4),
             )
+
+
+class TestScanWithEntropy:
+    def test_rejects_non_finite_input(self):
+        net = make_net(seed=5)
+        images = rng.standard_normal((6, 1, 8, 8)).astype(np.float32)
+        images[4, 0, 3, 3] = np.inf
+        with pytest.raises(DataFormatError, match="1 non-finite"):
+            scan_with_entropy(net, images, 4, batch_size=4)
 
 
 class TestThresholdSweep:

@@ -126,6 +126,18 @@ class TestConv2d:
                     npt.assert_allclose(gflat[idx], (lp - lm) / (2 * eps), rtol=1e-5, atol=1e-7)
 
 
+    def test_backward_without_dx_gives_same_dw(self):
+        x = rng.standard_normal((2, 2, 5, 5))
+        w = rng.standard_normal((3, 2, 3, 3))
+        for stride, padding in [(1, 1), (2, 0)]:
+            params = ConvParams(2, 3, 3, 3, stride, padding)
+            dy = rng.standard_normal(conv2d(x, w, params).shape)
+            _, dw_full = conv2d_backward(dy, x, w, params)
+            dx, dw = conv2d_backward(dy, x, w, params, need_dx=False)
+            assert dx is None
+            npt.assert_array_equal(dw, dw_full)
+
+
 class TestFullyConnected:
     def test_identity_weights(self):
         x = rng.standard_normal((4, 5)).astype(np.float32)

@@ -4,7 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dtsnn import network
 from dtsnn.errors import ShapeError, StateError
+from dtsnn.hardware import perturbed_instance
 from dtsnn.network import (
     LayerSpec,
     LifConfig,
@@ -280,6 +282,64 @@ class TestScan:
         act = scan["activity"]
         assert act.shape == (3, 2, 3)  # two convs + classifier are mapped
         npt.assert_array_equal(act[:, :, 0], 64.0)  # analog first layer: all 64 pixels
+
+
+class TestStemCache:
+    # tiny_conv_spec's stem is conv -> norm; forward_timestep computes it once
+    # per input array and serves it from the instance on later timesteps.
+    def make_pair(self, seed=3):
+        nets = [build_instance(tiny_conv_spec(), seed=seed) for _ in range(2)]
+        for net in nets:
+            net.record_activity = True
+        return nets
+
+    def test_reused_input_matches_fresh_copies(self):
+        net, ref = self.make_pair()
+        x = rng.standard_normal((5, 1, 8, 8)).astype(np.float32)
+        for _ in range(4):
+            npt.assert_array_equal(forward_timestep(net, x), forward_timestep(ref, x.copy()))
+        npt.assert_array_equal(mean_output(net), mean_output(ref))
+        assert len(net.activity) == len(ref.activity) == 4
+        for a, b in zip(net.activity, ref.activity):
+            npt.assert_array_equal(a, b)
+
+    def test_new_array_mid_run_is_recomputed(self):
+        net, ref = self.make_pair()
+        x1, x2 = rng.standard_normal((2, 5, 1, 8, 8)).astype(np.float32)
+        for x in (x1, x2, x2):
+            npt.assert_array_equal(forward_timestep(net, x), forward_timestep(ref, x.copy()))
+        assert net.stem[0] is x2
+        for a, b in zip(net.activity, ref.activity):
+            npt.assert_array_equal(a, b)
+
+    def test_reset_clone_and_perturbed_start_without_stem(self):
+        net, ref = self.make_pair()
+        x = rng.standard_normal((5, 1, 8, 8)).astype(np.float32)
+        forward_timestep(net, x)
+        assert net.stem is not None
+        assert net.clone_state().stem is None
+        noisy = perturbed_instance(net, 0.2, seed=1)
+        assert noisy.stem is None
+        npt.assert_array_equal(
+            forward_timestep(noisy, x),
+            forward_timestep(perturbed_instance(ref, 0.2, seed=1), x.copy()),
+        )
+        reset_states(net)
+        assert net.stem is None
+        x *= 2.0  # mutated in place: only valid after reset_states
+        npt.assert_array_equal(forward_timestep(net, x), forward_timestep(ref.clone_state(), x.copy()))
+
+    def test_stem_convolutions_run_once_per_input(self, monkeypatch):
+        calls = []
+        conv2d = network.conv2d
+        monkeypatch.setattr(
+            network, "conv2d", lambda *a, **kw: calls.append(a[0].shape) or conv2d(*a, **kw)
+        )
+        net = build_instance(tiny_conv_spec(t_max=4), seed=2)
+        x = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
+        static_forward(net, x, 4)
+        n_conv, n_stem_conv, t_steps = 2, 1, 4
+        assert len(calls) == t_steps * n_conv - (t_steps - 1) * n_stem_conv
 
 
 class TestSpecValidation:

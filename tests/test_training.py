@@ -1,12 +1,14 @@
 """Losses, surrogate-gradient BPTT, and the SGD training loop."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dtsnn.errors import TrainingError
+from dtsnn.config import parse_config
+from dtsnn.errors import DataFormatError, TrainingError
 from dtsnn.network import (
     LayerSpec,
     LifConfig,
@@ -31,7 +33,7 @@ from dtsnn.training import (
     train,
 )
 
-from oracles import cross_entropy_reference, finite_difference_grad
+from oracles import cross_entropy_reference, finite_difference_grad, replicated_tape_grads
 
 rng = np.random.default_rng(99)
 
@@ -376,6 +378,14 @@ class TestTrainLoop:
             with np.errstate(over="raise", invalid="raise"):
                 train(net, images, labels, images, labels, cfg)
 
+    def test_non_finite_input_rejected(self):
+        images, labels = separable_blobs(8)
+        images[3, 0, 2, 2] = np.nan
+        net = build_instance(self.small_spec(), seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=16, t_train=2, seed=0)
+        with pytest.raises(DataFormatError, match="1 non-finite"):
+            train(net, images, labels, images, labels, cfg)
+
     def test_t_train_cannot_exceed_t_max(self):
         images, labels = separable_blobs(8)
         net = build_instance(self.small_spec(), seed=0)
@@ -394,3 +404,76 @@ class TestStackedForwardAgainstStepwise:
         stepwise = static_forward(net, x, 4)
         stacked, _ = forward_with_tape(net, x, 4, train_mode=False)
         npt.assert_allclose(stacked.mean(axis=0), stepwise, atol=1e-5)
+
+
+def stem_specs():
+    """The mnist.yaml model, a stem of conv -> norm -> pool, and an empty stem."""
+    mnist = parse_config(Path(__file__).resolve().parents[1] / "configs" / "mnist.yaml")
+    stem_pool = NetworkSpec(
+        input_shape=(2, 8, 8),
+        num_classes=3,
+        t_max=4,
+        layers=(
+            LayerSpec("conv", out_channels=4, kernel=3, stride=1, padding=1, bias=True),
+            LayerSpec("norm"),
+            LayerSpec("pool", window=2),
+            LayerSpec("lif"),
+            LayerSpec("conv", out_channels=5, kernel=3, stride=2, padding=1),
+            LayerSpec("norm"),
+            LayerSpec("lif"),
+            LayerSpec("pool", window=2),
+            LayerSpec("classifier"),
+        ),
+    )
+    lif_first = NetworkSpec(
+        input_shape=(2, 6, 6),
+        num_classes=3,
+        t_max=4,
+        layers=(
+            LayerSpec("lif"),
+            LayerSpec("conv", out_channels=3, kernel=3, stride=1, padding=1, bias=True),
+            LayerSpec("norm"),
+            LayerSpec("lif"),
+            LayerSpec("pool", window=2),
+            LayerSpec("classifier"),
+        ),
+        lif=LifConfig(tau=0.5, v_th=0.5),
+    )
+    return {"mnist": mnist.network, "stem_pool": stem_pool, "lif_first": lif_first}
+
+
+class TestStemRouteAgainstReplicatedOracle:
+    # forward_with_tape runs the stem on B rows and backward_through_time sums
+    # over T at the first LIF; the oracle replicates every layer over T*B rows.
+    @pytest.mark.parametrize("name", ["mnist", "stem_pool", "lif_first"])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    def test_logits_grads_and_running_stats_match(self, name, dtype, rtol):
+        spec = stem_specs()[name]
+        t_steps, batch = 3, 8
+        net = build_instance(spec, seed=17, dtype=dtype)
+        r = np.random.default_rng(5)
+        x = (r.standard_normal((batch,) + spec.input_shape) * 1.5).astype(dtype)
+
+        step_logits, tape = forward_with_tape(net, x, t_steps)
+        dstep = r.standard_normal(step_logits.shape).astype(dtype)
+        grads = backward_through_time(net, tape, dstep)
+        ref_logits, ref_grads, ref_norms = replicated_tape_grads(net, x, t_steps, dstep)
+
+        def close(actual, expected, scale=None):
+            # Elements that are zero in exact arithmetic (a conv bias feeding
+            # a norm) hold rounding noise, so the absolute tolerance is taken
+            # relative to the largest gradient of the same layer.
+            scale = np.abs(expected).max() if scale is None else scale
+            npt.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
+
+        close(step_logits, ref_logits)
+        assert grads.keys() == ref_grads.keys()
+        for i, ref in ref_grads.items():
+            assert grads[i].keys() == ref.keys()
+            scale = max(np.abs(g).max() for g in ref.values())
+            for param, g in ref.items():
+                close(grads[i][param], g, scale)
+        assert tape["norm_updates"].keys() == ref_norms.keys()
+        for i, ref in ref_norms.items():
+            close(tape["norm_updates"][i].running_mean, ref.running_mean)
+            close(tape["norm_updates"][i].running_var, ref.running_var)
