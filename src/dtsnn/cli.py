@@ -131,8 +131,6 @@ def _load_net(args, cfg):
 def cmd_eval(args):
     cfg, out_dir = _prepare(args, "eval")
     theta = cfg.exit.theta if args.theta is None else args.theta
-    if not 0.0 <= theta <= 1.0:
-        raise ConfigError(f"theta must satisfy 0 <= theta <= 1, got {theta}")
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
     t_max = net.spec.t_max
@@ -180,9 +178,6 @@ def cmd_eval(args):
 def cmd_sweep(args):
     cfg, out_dir = _prepare(args, "sweep")
     thetas = args.theta_grid if args.theta_grid else list(cfg.exit.theta_grid)
-    for theta in thetas:
-        if not 0.0 <= theta <= 1.0:
-            raise ConfigError(f"theta must satisfy 0 <= theta <= 1, got {theta}")
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
     t_max = net.spec.t_max
@@ -419,6 +414,22 @@ def build_parser():
     return parser
 
 
+def _check_flags(args):
+    """Reject out-of-range flag values before any work is done (the config
+    file's own values are checked by parse_config)."""
+    flags = vars(args)
+    for theta in [flags.get("theta")] + (flags.get("theta_grid") or []):
+        if theta is not None and not 0.0 <= theta <= 1.0:
+            raise ConfigError(f"theta must satisfy 0 <= theta <= 1, got {theta}")
+    sigma_mu = flags.get("sigma_mu")
+    if sigma_mu is not None and not sigma_mu >= 0.0:
+        raise ConfigError(f"--sigma-mu must be >= 0, got {sigma_mu}")
+    if flags.get("variation_seeds", 1) < 1:
+        raise ConfigError(
+            f"--variation-seeds must be >= 1, got {flags['variation_seeds']}"
+        )
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -426,6 +437,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

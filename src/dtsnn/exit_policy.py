@@ -88,8 +88,13 @@ def dynamic_infer(net, x, policy):
     running-mean output drops below theta, else stop at t_max.
 
     x is a single input, with or without the leading batch axis; a batch of
-    more than one input raises ShapeError.
+    more than one input raises ShapeError.  A policy t_max beyond the
+    network's t_max raises ValueError.
     """
+    if policy.t_max > net.spec.t_max:
+        raise ValueError(
+            f"policy t_max={policy.t_max} exceeds the network's t_max={net.spec.t_max}"
+        )
     shape = net.spec.input_shape
     if x.shape == shape:
         x = x[None]
@@ -140,7 +145,14 @@ def scan_with_entropy(net, images, t_max, batch_size=512):
 
 
 def exit_times(entropy, policy):
-    """First timestep (1-based) whose entropy is below theta, else t_max."""
+    """First timestep (1-based) whose entropy is below theta, else t_max.
+
+    Raises ValueError when policy.t_max exceeds the scanned timesteps.
+    """
+    if policy.t_max > entropy.shape[1]:
+        raise ValueError(
+            f"policy t_max={policy.t_max} exceeds the scan's {entropy.shape[1]} timesteps"
+        )
     below = entropy[:, : policy.t_max] < policy.theta
     first = np.argmax(below, axis=1) + 1
     never = ~below.any(axis=1)

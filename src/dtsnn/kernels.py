@@ -1,10 +1,25 @@
 """Dense tensor kernels: convolution, fully-connected, pooling, normalization.
 
-All kernels are pure functions over numpy arrays in NCHW / NF layout with
-32-bit float semantics (inputs of higher precision are processed as-is, which
-the gradient-check tests rely on).  Backward passes are hand-derived here so
-the training module can assemble backpropagation-through-time without any
-autodiff machinery.
+All kernels are pure functions over numpy arrays with 32-bit float semantics
+(inputs of higher precision are processed as-is, which the gradient-check
+tests rely on).  Backward passes are hand-derived here so the training module
+can assemble backpropagation-through-time without any autodiff machinery.
+
+Shapes are NCHW (images) and NF (features); memory is channels-last.  Every
+4-d array the network passes between layers is an (N, C, H, W) view of an
+(N, H, W, C) buffer, because a convolution's output rows are its GEMM rows
+``y.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)``.  The kernels read any
+strides, but are fast on that one:
+
+- convolution unfolds windows in (kh, kw, C) column order, so each row of the
+  unfolded matrix is kh runs of kw*C contiguous values; `_weight_matrix`
+  orders the weights' columns the same way.  Weights and their gradients keep
+  the (C_out, C_in, kh, kw) shape and C order;
+- `conv2d`, `conv2d_backward`'s input gradient and `avg_pool2d_backward`
+  return channels-last views; `avg_pool2d`, `batch_norm` and
+  `batch_norm_backward` return arrays in the memory order of their input;
+- per-channel sums in `batch_norm_backward` use einsum, which reduces
+  channels-last memory without looping over the short channel axis.
 """
 
 from dataclasses import dataclass, replace
@@ -48,20 +63,34 @@ class ConvParams:
 
 
 def _im2col(x, kh, kw, stride, padding):
-    """Unfold sliding windows of x (N,C,H,W) into rows (N*Ho*Wo, C*kh*kw)."""
+    """Unfold sliding windows of x (N,C,H,W) into rows (N*Ho*Wo, kh*kw*C).
+
+    Columns are in (kh, kw, C) order.  x is copied once, channels-last, into
+    a zero-padded (N, H+2p, W+2p, C) buffer; without padding its own strides
+    are used.
+    """
     n, c, h, w = x.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
+    x = x.transpose(0, 2, 3, 1)
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    sn, sc, sh, sw = x.strides
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding : padding + h, padding : padding + w] = x
+        x = xp
+    sn, sh, sw, sc = x.strides
     windows = as_strided(
         x,
-        shape=(n, ho, wo, c, kh, kw),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
+        shape=(n, ho, wo, kh, kw, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
     )
-    cols = np.ascontiguousarray(windows).reshape(n * ho * wo, c * kh * kw)
+    cols = np.ascontiguousarray(windows).reshape(n * ho * wo, kh * kw * c)
     return cols, ho, wo
+
+
+def _weight_matrix(weights):
+    """Weights (C_out,C_in,kh,kw) as a (C_out, kh*kw*C_in) matrix in the
+    column order of `_im2col`."""
+    return weights.transpose(0, 2, 3, 1).reshape(weights.shape[0], -1)
 
 
 def conv2d(x, weights, params, cols_out=None):
@@ -95,26 +124,27 @@ def conv2d(x, weights, params, cols_out=None):
     cols, ho, wo = _im2col(x, kh, kw, params.stride, params.padding)
     if cols_out is not None:
         cols_out.append(cols)
-    y = cols @ weights.reshape(cout, -1).T
+    y = cols @ _weight_matrix(weights).T
     return y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
 
 
 def _col2im(dcols, x_shape, kh, kw, stride, padding):
-    """Scatter-add column gradients back onto the (padded) input."""
+    """Scatter-add (kh, kw, C)-ordered column gradients back onto the input.
+
+    Returns an (N,C,H,W) view of an (N, H, W, C) buffer.
+    """
     n, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    dxp = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
-    dcols = dcols.reshape(n, ho, wo, c, kh, kw)
+    dxp = np.zeros((n, hp, wp, c), dtype=dcols.dtype)
+    dcols = dcols.reshape(n, ho, wo, kh, kw, c)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += (
-                dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride] += (
+                dcols[:, :, :, i, j]
             )
-    if padding > 0:
-        return dxp[:, :, padding : padding + h, padding : padding + w]
-    return dxp
+    return dxp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
 def conv2d_backward(dy, x, weights, params, cols=None, need_dx=True):
@@ -129,11 +159,14 @@ def conv2d_backward(dy, x, weights, params, cols=None, need_dx=True):
     if cols is None:
         cols, _, _ = _im2col(x, kh, kw, params.stride, params.padding)
     dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
-    dw = (dy_mat.T @ cols).reshape(weights.shape)
+    dw = np.ascontiguousarray(
+        (dy_mat.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+    )
     if not need_dx:
         return None, dw
-    if params.stride == 1:
-        # Transposed convolution: correlate dy with the flipped kernel.
+    if params.stride == 1 and kh == kw and params.padding < kh:
+        # Transposed convolution: correlate dy with the flipped kernel.  Its
+        # padding kh-1-p must be >= 0 and the same on both axes.
         w_flip = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         back = ConvParams(
             in_channels=cout,
@@ -143,9 +176,9 @@ def conv2d_backward(dy, x, weights, params, cols=None, need_dx=True):
             stride=1,
             padding=kh - 1 - params.padding,
         )
-        dx = conv2d(np.ascontiguousarray(dy), np.ascontiguousarray(w_flip), back)
+        dx = conv2d(dy, w_flip, back)
     else:
-        dcols = dy_mat @ weights.reshape(cout, -1)
+        dcols = dy_mat @ _weight_matrix(weights)
         dx = _col2im(dcols, x.shape, kh, kw, params.stride, params.padding)
     return dx, dw
 
@@ -175,21 +208,37 @@ def fully_connected_backward(dy, x, weights):
 
 
 def avg_pool2d(x, window):
-    """Non-overlapping mean pooling; H and W must be divisible by window."""
+    """Non-overlapping mean pooling; H and W must be divisible by window.
+
+    Sums the window's strided row slices, then its strided column slices,
+    then divides by window**2; the output has the memory order of x.
+    """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d input must be 4-d, got shape {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if window < 1 or h % window or w % window:
         raise ShapeError(
             f"spatial size {h}x{w} not divisible by pooling window {window}"
         )
-    return x.reshape(n, c, h // window, window, w // window, window).mean(axis=(3, 5))
+    rows = x[:, :, 0::window].copy(order="K")
+    for i in range(1, window):
+        rows += x[:, :, i::window]
+    y = rows[:, :, :, 0::window].copy(order="K")
+    for j in range(1, window):
+        y += rows[:, :, :, j::window]
+    return y / (window * window)
 
 
 def avg_pool2d_backward(dy, window):
-    """Spread each pooled gradient uniformly over its window."""
-    g = dy / float(window * window)
-    return np.repeat(np.repeat(g, window, axis=2), window, axis=3)
+    """Spread each pooled gradient uniformly over its window.
+
+    Returns an (N,C,H,W) view of an (N, H, W, C) buffer.
+    """
+    n, c, ho, wo = dy.shape
+    g = (dy / float(window * window)).transpose(0, 2, 3, 1)
+    dx = np.empty((n, ho, window, wo, window, c), dtype=g.dtype)
+    dx[...] = g[:, :, None, :, None, :]
+    return dx.reshape(n, ho * window, wo * window, c).transpose(0, 3, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -264,8 +313,9 @@ def _batch_norm_impl(x, state, mode, want_cache, repeats=1):
     axes, view = _bn_axes_and_view(x, nf)
     if mode == "eval":
         invstd = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x - state.running_mean.reshape(view)) * invstd.reshape(view)
-        y = state.gamma.reshape(view) * xhat + state.beta.reshape(view)
+        y = _normalize(x, state.running_mean, invstd, view)
+        y *= state.gamma.reshape(view)
+        y += state.beta.reshape(view)
         return y, state, None
     if mode != "train":
         raise ValueError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
@@ -273,8 +323,9 @@ def _batch_norm_impl(x, state, mode, want_cache, repeats=1):
     mean = x.mean(axis=axes)
     var = x.var(axis=axes)
     invstd = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mean.reshape(view)) * invstd.reshape(view)
-    y = state.gamma.reshape(view) * xhat + state.beta.reshape(view)
+    xhat = _normalize(x, mean, invstd, view)
+    y = xhat * state.gamma.reshape(view)
+    y += state.beta.reshape(view)
     m = state.momentum
     var_unbiased = var * (count / max(count - 1, 1))
     new_state = replace(
@@ -286,19 +337,30 @@ def _batch_norm_impl(x, state, mode, want_cache, repeats=1):
             state.running_var.dtype
         ),
     )
-    cache = (xhat, invstd, state.gamma, axes, view, count) if want_cache else None
+    cache = (xhat, invstd, state.gamma, view) if want_cache else None
     return y, new_state, cache
 
 
+def _normalize(x, mean, invstd, view):
+    """(x - mean) * invstd per channel, as one new array in x's memory order."""
+    y = x - mean.reshape(view)
+    y *= invstd.reshape(view)
+    return y
+
+
 def batch_norm_backward(dy, cache):
-    """Gradient of training-mode batch_norm w.r.t. input, gamma, beta."""
-    xhat, invstd, gamma, axes, view, count = cache
-    dgamma = (dy * xhat).sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma.reshape(view)
-    dx = (
-        dxhat
-        - dxhat.mean(axis=axes).reshape(view)
-        - xhat * (dxhat * xhat).mean(axis=axes).reshape(view)
-    ) * invstd.reshape(view)
+    """Gradient of training-mode batch_norm w.r.t. input, gamma, beta.
+
+    With m values per channel, dxhat = gamma * dy has the channel means
+    gamma * dbeta / m and mean(dxhat * xhat) = gamma * dgamma / m, so the two
+    einsum reductions are the only passes that sum over the batch.
+    """
+    xhat, invstd, gamma, view = cache
+    idx = "nchw"[: dy.ndim]
+    m = dy.size // gamma.shape[0]
+    dbeta = np.einsum(f"{idx}->c", dy)
+    dgamma = np.einsum(f"{idx},{idx}->c", dy, xhat)
+    dx = dy - xhat * (dgamma / m).reshape(view)
+    dx -= (dbeta / m).reshape(view)
+    dx *= (gamma * invstd).reshape(view)
     return dx, dgamma, dbeta

@@ -220,6 +220,22 @@ class TestHwReport:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--theta", "1.5"],
+        ["sweep", "--traces", "--theta", "1.5"],
+        ["ablate", "--theta", "1.5"],
+        ["hwreport", "--sigma-mu", "-0.1"],
+        ["hwreport", "--sigma-mu", "0.1", "--variation-seeds", "0"],
+    ])
+    def test_bad_flag_exit_2_before_any_output(self, trained, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        ckpt = [] if argv[0] == "ablate" else ["--checkpoint", str(trained["ckpt"])]
+        code = main(argv + ckpt + ["--config", str(trained["config"]),
+                                   "--out", str(out), "--quiet"])
+        assert code == 2
+        assert argv[-2].lstrip("-") in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
 

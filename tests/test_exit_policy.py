@@ -141,6 +141,20 @@ class TestExitTimes:
                 assert (t_hat <= prev).all()
             prev = t_hat
 
+    def test_policy_beyond_scan_rejected(self, tmp_path):
+        scan = {"entropy": rng.uniform(0, 1, size=(5, 4)),
+                "predictions": rng.integers(0, 4, size=(5, 4))}
+        labels = np.zeros(5, dtype=int)
+        policy = ExitPolicy(theta=0.5, t_max=6)
+        with pytest.raises(ValueError, match=r"t_max=6 .* 4 timesteps"):
+            exit_times(scan["entropy"], policy)
+        with pytest.raises(ValueError, match=r"t_max=6 .* 4 timesteps"):
+            summarize_policy(scan, labels, policy)
+        path = tmp_path / "traces.csv"
+        with pytest.raises(ValueError, match=r"t_max=6 .* 4 timesteps"):
+            write_trace_csv(path, scan, labels, policy)
+        assert not path.exists()
+
 
 class TestDynamicInfer:
     def test_theta_zero_matches_static_forward_bit_exact(self):
@@ -197,6 +211,15 @@ class TestDynamicInfer:
         x = np.full((1, 8, 8), np.nan, dtype=np.float32)
         with pytest.raises(DataFormatError, match="64 non-finite"):
             dynamic_infer(net, x, ExitPolicy(theta=0.5, t_max=4))
+
+    def test_rejects_policy_beyond_network_t_max(self):
+        # theta 1.0 exits at t=1 on any input, so the check must come first.
+        net = make_net(seed=5, t_max=4)
+        x = rng.standard_normal((1, 1, 8, 8)).astype(np.float32)
+        for theta in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"t_max=6 .* t_max=4"):
+                dynamic_infer(net, x, ExitPolicy(theta=theta, t_max=6))
+            assert net.t == 0
 
 
 class TestEvaluatePolicy:

@@ -46,6 +46,20 @@ def random_conv_case(max_n=2, max_c=3, max_hw=6):
     return x, wts, params
 
 
+def channels_last(x):
+    """The same NCHW values as a view of an (N, H, W, C) buffer, the memory
+    order the network passes between layers."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+# (kh, kw, stride, padding) cases beyond the random small-shape sweep,
+# including padding >= kernel and non-square kernels at stride 1
+WIDE_CONV_CASES = [
+    (3, 3, 2, 0), (3, 3, 2, 2), (1, 1, 1, 0), (1, 1, 1, 1), (1, 1, 2, 0),
+    (5, 5, 1, 2), (5, 5, 2, 2), (3, 1, 1, 0), (2, 3, 1, 1),
+]
+
+
 class TestConv2d:
     def test_zero_input_gives_zero_output(self):
         x = np.zeros((1, 2, 5, 5), dtype=np.float32)
@@ -138,6 +152,38 @@ class TestConv2d:
             npt.assert_array_equal(dw, dw_full)
 
 
+    @pytest.mark.parametrize("kh,kw,stride,padding", WIDE_CONV_CASES)
+    def test_channels_last_against_loop_oracle(self, kh, kw, stride, padding):
+        x = rng.standard_normal((2, 3, 9, 8)).astype(np.float32)
+        w = rng.standard_normal((4, 3, kh, kw)).astype(np.float32)
+        params = ConvParams(3, 4, kh, kw, stride, padding)
+        ref = conv2d_reference(x, w, stride, padding)
+        got = conv2d(channels_last(x), w, params)
+        assert np.max(np.abs(got - ref)) < 1e-5
+        npt.assert_array_equal(got, conv2d(x, w, params))
+        assert got.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("kh,kw,stride,padding", WIDE_CONV_CASES)
+    def test_channels_last_backward_matches_finite_differences(self, kh, kw, stride, padding):
+        x = channels_last(rng.standard_normal((2, 3, 7, 6)))
+        w = rng.standard_normal((4, 3, kh, kw))
+        params = ConvParams(3, 4, kh, kw, stride, padding)
+        proj = channels_last(rng.standard_normal(conv2d(x, w, params).shape))
+        dx, dw = conv2d_backward(proj, x, w, params)
+        assert dx.shape == x.shape and dw.shape == w.shape
+        assert dw.flags.c_contiguous
+        eps = 1e-6
+        for arr, grad in [(x, dx), (w, dw)]:
+            for idx in zip(*[rng.integers(0, d, size=10) for d in arr.shape]):
+                orig = arr[idx]
+                arr[idx] = orig + eps
+                lp = float((conv2d(x, w, params) * proj).sum())
+                arr[idx] = orig - eps
+                lm = float((conv2d(x, w, params) * proj).sum())
+                arr[idx] = orig
+                npt.assert_allclose(grad[idx], (lp - lm) / (2 * eps), rtol=1e-5, atol=1e-7)
+
+
 class TestFullyConnected:
     def test_identity_weights(self):
         x = rng.standard_normal((4, 5)).astype(np.float32)
@@ -219,6 +265,22 @@ class TestAvgPool:
         with pytest.raises(ShapeError, match="divisible"):
             avg_pool2d(np.zeros((1, 1, 5, 5), np.float32), 2)
 
+    @pytest.mark.parametrize("window", range(1, 8))
+    def test_channels_last_large_windows_against_oracle(self, window):
+        x = channels_last(rng.standard_normal((2, 3, 2 * window, 3 * window)).astype(np.float32))
+        got = avg_pool2d(x, window)
+        assert np.max(np.abs(got - avg_pool2d_reference(x, window))) < 1e-5
+        assert got.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 7])
+    def test_backward_is_adjoint(self, window):
+        # <pool(x), dy> == <x, pool_backward(dy)> for every x and dy
+        x = channels_last(rng.standard_normal((2, 3, 2 * window, window)))
+        dy = channels_last(rng.standard_normal((2, 3, 2, 1)))
+        lhs = float((avg_pool2d(x, window) * dy).sum())
+        rhs = float((x * avg_pool2d_backward(dy, window)).sum())
+        npt.assert_allclose(lhs, rhs, rtol=1e-12)
+
     def test_backward_spreads_uniformly(self):
         dy = np.array([[[[4.0]]]], dtype=np.float32)
         dx = avg_pool2d_backward(dy, 2)
@@ -232,6 +294,25 @@ class TestBatchNorm:
         y, new_state = batch_norm(x, state, "eval")
         npt.assert_allclose(y, x, atol=1e-4)
         assert new_state is state
+
+    def test_eval_bit_exact_to_formula(self):
+        state = BatchNormState(
+            gamma=rng.standard_normal(5).astype(np.float32),
+            beta=rng.standard_normal(5).astype(np.float32),
+            running_mean=rng.standard_normal(5).astype(np.float32),
+            running_var=rng.uniform(0.5, 2.0, 5).astype(np.float32),
+        )
+        x = channels_last(rng.standard_normal((3, 5, 4, 6)).astype(np.float32))
+        view = (1, 5, 1, 1)
+        invstd = (1.0 / np.sqrt(state.running_var + state.eps)).reshape(view)
+        expected = (
+            state.gamma.reshape(view) * ((x - state.running_mean.reshape(view)) * invstd)
+            + state.beta.reshape(view)
+        )
+        y, _ = batch_norm(x, state, "eval")
+        assert y.dtype == np.float32
+        npt.assert_array_equal(y, expected)
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_train_normalizes(self):
         state = BatchNormState.create(3)
@@ -286,3 +367,77 @@ class TestBatchNorm:
             flat[idx] = orig
             npt.assert_allclose(gflat[idx], (lp - lm) / (2 * eps), rtol=1e-4, atol=1e-7)
         npt.assert_allclose(dbeta, proj.sum(axis=(0, 2, 3)), rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(5, 3, 2, 4), (7, 3)])
+    def test_backward_channels_last_against_finite_differences(self, shape):
+        x = rng.standard_normal(shape)
+        if x.ndim == 4:
+            x = channels_last(x)
+        state = BatchNormState(
+            gamma=rng.standard_normal(3),
+            beta=rng.standard_normal(3),
+            running_mean=np.zeros(3),
+            running_var=np.ones(3),
+        )
+        proj = rng.standard_normal(shape)
+
+        def loss():
+            y, _, _ = batch_norm_train_cached(x, state)
+            return float((y * proj).sum())
+
+        _, _, cache = batch_norm_train_cached(x, state)
+        dx, dgamma, dbeta = batch_norm_backward(proj, cache)
+        eps = 1e-6
+        for arr, grad in [(x, dx), (state.gamma, dgamma), (state.beta, dbeta)]:
+            for idx in zip(*[rng.integers(0, d, size=6) for d in arr.shape]):
+                orig = arr[idx]
+                arr[idx] = orig + eps
+                lp = loss()
+                arr[idx] = orig - eps
+                lm = loss()
+                arr[idx] = orig
+                npt.assert_allclose(grad[idx], (lp - lm) / (2 * eps), rtol=1e-5, atol=1e-7)
+
+
+def test_kernels_do_not_mutate_inputs():
+    x = channels_last(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    state = BatchNormState(
+        gamma=rng.standard_normal(3).astype(np.float32),
+        beta=rng.standard_normal(3).astype(np.float32),
+        running_mean=rng.standard_normal(3).astype(np.float32),
+        running_var=rng.uniform(0.5, 2.0, 3).astype(np.float32),
+    )
+    fc_x = rng.standard_normal((4, 6)).astype(np.float32)
+    fc_w = rng.standard_normal((3, 6)).astype(np.float32)
+    fc_b = rng.standard_normal(3).astype(np.float32)
+    inputs = [x, w, fc_x, fc_w, fc_b, state.gamma, state.beta,
+              state.running_mean, state.running_var]
+    before = [a.copy() for a in inputs]
+    for stride in (1, 2):
+        params = ConvParams(3, 4, 3, 3, stride, 1)
+        cols = []
+        y = conv2d(x, w, params, cols_out=cols)
+        dy = np.ones_like(y)
+        dy_before = dy.copy()
+        conv2d_backward(dy, x, w, params)
+        conv2d_backward(dy, x, w, params, cols=cols[0])
+        npt.assert_array_equal(dy, dy_before)
+    fully_connected(fc_x, fc_w, fc_b)
+    dy = np.ones((4, 3), np.float32)
+    fully_connected_backward(dy, fc_x, fc_w)
+    pooled = avg_pool2d(x, 2)
+    pooled_before = pooled.copy()
+    avg_pool2d_backward(pooled, 2)
+    npt.assert_array_equal(pooled, pooled_before)
+    batch_norm(x, state, "eval")
+    batch_norm(x, state, "train")
+    _, _, cache = batch_norm_train_cached(x, state)
+    cache_xhat = cache[0].copy()
+    dy = channels_last(rng.standard_normal(x.shape).astype(np.float32))
+    dy_before = dy.copy()
+    batch_norm_backward(dy, cache)
+    npt.assert_array_equal(dy, dy_before)
+    npt.assert_array_equal(cache[0], cache_xhat)
+    for a, b in zip(inputs, before):
+        npt.assert_array_equal(a, b)
