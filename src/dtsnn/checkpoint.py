@@ -161,13 +161,22 @@ def load_checkpoint(path):
     params = [None] * header["num_layers"]
     bn_parts = {}
     for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        i, name = entry["layer"], entry["name"]
+        try:
+            dtype = np.dtype(entry["dtype"])
+        except TypeError:
+            dtype = None
+        if dtype is None or dtype.kind not in "fiu":
+            raise DataFormatError(
+                f"{path}: layer {i} parameter '{name}' has non-numeric dtype {entry['dtype']!r}"
+            )
+        count = int(np.prod(entry["shape"]))
+        if offset + count * dtype.itemsize > len(body):
+            raise DataFormatError(f"{path}: payload ends inside layer {i} parameter '{name}'")
         arr = np.frombuffer(
             body, dtype=dtype, count=count, offset=offset
         ).reshape(entry["shape"]).copy()
         offset += count * dtype.itemsize
-        i, name = entry["layer"], entry["name"]
         if name in ("gamma", "beta", "running_mean", "running_var"):
             slot = bn_parts.setdefault(i, {})
             slot[name] = arr
@@ -178,6 +187,8 @@ def load_checkpoint(path):
             if params[i] is None:
                 params[i] = {}
             params[i][name] = arr
+    if offset != len(body):
+        raise DataFormatError(f"{path}: {len(body) - offset} bytes follow the last array")
     for i, parts in bn_parts.items():
         params[i] = BatchNormState(**parts)
     return Checkpoint(

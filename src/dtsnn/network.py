@@ -1,12 +1,17 @@
-"""Stateful spiking network: LIF dynamics and the per-timestep forward pass.
+"""Stateful spiking network: LIF dynamics and the one layer engine.
 
 The network consumes the raw analog input at every timestep (direct
 encoding); the first convolution plus its LIF layer turn it into spike
 trains.  Classifier logits are analog and are accumulated across timesteps;
 the prediction is the running mean of those accumulated logits.
 
+`run_layers` is the only layer loop and `lif_unroll` the only LIF update:
+inference (`forward_timestep`) runs one timestep per call, training
+(`training.forward_with_tape`) runs T timesteps stacked in the batch axis.
+
 The stem -- the layers before the first LIF layer (`first_lif`) -- sees the
-same input at every timestep, so its output does not depend on t.
+same input at every timestep, so its output does not depend on t.  It runs
+on the B input rows and the first LIF layer broadcasts it over T.
 `forward_timestep` computes it once per input and caches it on the instance,
 keyed on the identity of the input array: the cache is reused while the same
 array object is passed and is dropped by `reset_states`.  A caller that
@@ -19,6 +24,7 @@ worker its own membrane potentials (and no cached stem).
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from .kernels import (
     ConvParams,
     avg_pool2d,
     batch_norm,
+    batch_norm_train_cached,
     conv2d,
     fully_connected,
 )
@@ -55,22 +62,62 @@ class LifState:
     last_spikes: np.ndarray
 
 
-def lif_step(state, input_current, cfg):
-    """One membrane update: leak, integrate, fire, hard reset.
+def spike_ramp(u, v_th):
+    """C1 antiderivative of `training.surrogate_grad`, used as a smooth firing
+    function in gradient-check mode: ramps from 0 (u <= 0) to v_th**2
+    (u >= 2*v_th)."""
+    a = np.clip(u, 0.0, v_th)
+    b = np.clip(u - v_th, 0.0, v_th)
+    return 0.5 * a * a + b * v_th - 0.5 * b * b
 
-    u <- tau*u + input; spike where u > v_th (strict); u <- u*(1-spike).
-    The state is mutated in place and the binary spike tensor returned.
+
+def _empty_steps(like, t_steps):
+    """Uninitialized (t_steps,) + like.shape array, timestep-major, whose
+    every step has the memory order of ``like`` (channels-last for conv
+    outputs, on which the kernels downstream run fastest).
     """
-    if input_current.shape != state.u.shape:
+    rows = (t_steps * like.shape[0],) + like.shape[1:]
+    return np.empty_like(like, shape=rows).reshape((t_steps,) + like.shape)
+
+
+def lif_unroll(currents, cfg, smooth=False, state=None):
+    """Forward a (T, B, ...) current tensor through one LIF layer.
+
+    Each step: u <- tau*u + input; spike where u > v_th (strict), or
+    spike_ramp(u) when ``smooth``; u <- u*(1-spike).  Without ``state`` the
+    unroll starts from rest and returns (spikes, (u_pre, spikes)), the cache
+    `training.lif_unroll_backward` needs.  With a LifState it continues from
+    the state's potentials, leaves the final potentials and spikes in it, and
+    returns (spikes, None): inference keeps no pre-reset potentials.
+    """
+    t_steps = currents.shape[0]
+    if state is None:
+        u = np.zeros_like(currents[0])
+        u_pre = _empty_steps(currents[0], t_steps)
+    elif currents.shape[1:] != state.u.shape:
         raise ShapeError(
-            f"input current shape {input_current.shape} does not match "
+            f"input current shape {currents.shape[1:]} does not match "
             f"membrane shape {state.u.shape}"
         )
-    u = cfg.tau * state.u + input_current
-    spikes = (u > cfg.v_th).astype(u.dtype)
-    state.u = u * (1.0 - spikes)
-    state.last_spikes = spikes
-    return spikes
+    else:
+        u, u_pre = state.u, None
+    spikes = _empty_steps(currents[0], t_steps)
+    for t in range(t_steps):
+        u = cfg.tau * u + currents[t]
+        if u_pre is not None:
+            u_pre[t] = u
+        spikes[t] = spike_ramp(u, cfg.v_th) if smooth else u > cfg.v_th
+        u *= 1.0 - spikes[t]
+    if state is None:
+        return spikes, (u_pre, spikes)
+    state.u, state.last_spikes = u, spikes[-1]
+    return spikes, None
+
+
+def lif_step(state, input_current, cfg):
+    """One membrane update (`lif_unroll` over one step) of ``state``, which
+    is mutated in place; returns the binary spike tensor."""
+    return lif_unroll(input_current[None], cfg, state=state)[0][0]
 
 
 # Layer kinds understood by NetworkSpec.
@@ -122,6 +169,16 @@ class NetworkSpec:
             raise ValueError("network must contain at least one lif layer")
         self.layer_shapes()  # raises ShapeError if shapes do not compose
 
+    @cached_property
+    def layer_configs(self):
+        """Per layer: its ConvParams (conv), LifConfig (lif) or None; built
+        once, so the per-timestep forward pass does not rebuild them."""
+        return tuple(
+            self.conv_params(l, inp[0]) if l.kind == "conv"
+            else self.lif_config_for(l) if l.kind == "lif" else None
+            for l, (inp, _) in zip(self.layers, self.layer_shapes())
+        )
+
     def lif_config_for(self, layer):
         tau = layer.tau if layer.tau else self.lif.tau
         v_th = layer.v_th if layer.v_th else self.lif.v_th
@@ -146,7 +203,6 @@ class NetworkSpec:
                     )
                 cur = (cur[0], cur[1] // layer.window, cur[2] // layer.window)
             elif layer.kind == "fc":
-                flat = int(np.prod(cur))
                 cur = (layer.out_features,)
             elif layer.kind == "classifier":
                 cur = (self.num_classes,)
@@ -197,7 +253,7 @@ class SnnInstance:
     t: int = 0
     record_activity: bool = False
     activity: list = field(default_factory=list)  # one row per timestep
-    smooth_spikes: bool = False   # gradient-check mode, see training module
+    smooth_spikes: bool = False   # fire by spike_ramp (gradient-check mode)
     stem: tuple = None            # (input, stem output, stem activity counts)
 
     def clone_state(self):
@@ -229,7 +285,7 @@ def _init_params(spec, seed, dtype):
             entry = {"w": w, "b": np.zeros(fan_out, dtype=dtype)}
             params.append(entry)
         elif layer.kind == "norm":
-            params.append(BatchNormState.create(in_shape[0] if len(in_shape) == 3 else in_shape[0], dtype=dtype))
+            params.append(BatchNormState.create(in_shape[0], dtype=dtype))
         else:
             params.append(None)
     return params
@@ -253,15 +309,13 @@ def reset_states(net):
 def _count_inputs(h, analog):
     """Per-sample drive presented to a crossbar-mapped layer this timestep.
 
-    Analog inputs (direct encoding into the first weighted layer) drive every
-    row, so the count is the number of elements; spiking inputs count the
-    nonzero lines only.
+    Analog inputs (direct encoding into a weighted layer of the stem) drive
+    every row, so the count is the number of elements; spiking inputs count
+    the nonzero lines only.
     """
-    n = h.shape[0]
-    flat = h.reshape(n, -1)
     if analog:
-        return np.full(n, flat.shape[1], dtype=np.float64)
-    return np.count_nonzero(flat, axis=1).astype(np.float64)
+        return np.full(h.shape[0], np.prod(h.shape[1:]), dtype=np.float64)
+    return np.count_nonzero(h, axis=tuple(range(1, h.ndim))).astype(np.float64)
 
 
 def forward_timestep(net, x):
@@ -283,10 +337,10 @@ def forward_timestep(net, x):
     if net.stem is None or net.stem[0] is not x:
         check_finite(x)
         stem_counts = []
-        net.stem = (x, _run_layers(net, x, range(s), stem_counts), stem_counts)
+        net.stem = (x, run_layers(net, x, range(s), counts=stem_counts), stem_counts)
     _, h, stem_counts = net.stem
     step_counts = list(stem_counts) if net.record_activity else None
-    h = _run_layers(net, h, range(s, len(spec.layers)), step_counts)
+    h = run_layers(net, h, range(s, len(spec.layers)), counts=step_counts)
     if net.accumulated_logits is None:
         net.accumulated_logits = np.zeros_like(h)
     net.accumulated_logits = net.accumulated_logits + h
@@ -296,37 +350,61 @@ def forward_timestep(net, x):
     return h
 
 
-def _run_layers(net, h, indices, counts):
-    """Apply the layers at ``indices`` to h; when ``counts`` is a list, append
-    the per-sample input count of every weighted layer to it."""
+def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
+    """Apply the layers at ``indices`` to h, the B rows entering the first.
+
+    Rows are t_steps timestep-major blocks of B rows from the first LIF on.
+    ``counts``, when a list, receives the per-sample input count of every
+    weighted layer.  Without a tape norms use running statistics and LIF
+    layers continue from ``net.lif_states``; with one, LIF layers start from
+    rest, every layer appends its cache to ``tape["caches"]``, and if
+    ``tape["train"]`` norms propose updates in ``tape["norm_updates"]``.
+    """
     spec = net.spec
-    n = h.shape[0]
-    first_weighted = next(i for i, l in enumerate(spec.layers) if l.kind in WEIGHTED_KINDS)
+    s = first_lif(spec)
+    batch = h.shape[0]
+    record = tape["caches"].append if tape is not None else lambda cache: None
     for i in indices:
-        layer = spec.layers[i]
-        if layer.kind in WEIGHTED_KINDS and counts is not None:
-            counts.append(_count_inputs(h, analog=i == first_weighted))
-        if layer.kind == "conv":
-            p = spec.conv_params(layer, h.shape[1])
-            h = conv2d(h, net.params[i]["w"], p)
-            if "b" in net.params[i]:
-                h = h + net.params[i]["b"].reshape(1, -1, 1, 1)
-        elif layer.kind == "norm":
-            h, _ = batch_norm(h, net.params[i], "eval")
-        elif layer.kind == "lif":
-            state = net.lif_states.get(i)
-            if state is None or state.u.shape != h.shape:
+        layer, par = spec.layers[i], net.params[i]
+        kind = layer.kind
+        if counts is not None and kind in WEIGHTED_KINDS:
+            counts.append(_count_inputs(h, analog=i < s))
+        if kind == "conv":
+            p = spec.layer_configs[i]
+            cols = None if tape is None else []
+            y = conv2d(h, par["w"], p, cols_out=cols)
+            if "b" in par:
+                y += par["b"].reshape(1, -1, 1, 1)
+            record((kind, p, h, None if cols is None else cols[0]))
+            h = y
+        elif kind == "norm":
+            if tape is not None and tape["train"]:
+                repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
+                h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats)
+            else:
+                h, _ = batch_norm(h, par, "eval")
+                cache = None
+            record((kind, cache))
+        elif kind == "lif":
+            state = None if tape is not None else net.lif_states.get(i)
+            if tape is None and (state is None or state.u.shape != h.shape):
                 if state is not None:
-                    raise StateError(
-                        "batch size changed mid-inference; call reset_states first"
-                    )
-                state = LifState(u=np.zeros_like(h), last_spikes=np.zeros_like(h))
-                net.lif_states[i] = state
-            h = lif_step(state, h, spec.lif_config_for(layer))
-        elif layer.kind == "pool":
+                    raise StateError("batch size changed mid-inference; call reset_states first")
+                state = net.lif_states[i] = LifState(np.zeros_like(h), np.zeros_like(h))
+            h = h.reshape((-1, batch) + h.shape[1:])
+            if len(h) < t_steps:  # the stem's rows, the same at every step
+                h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
+            cfg = spec.layer_configs[i]
+            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, state)
+            record((kind, cfg, cache))
+            h = spikes.reshape((-1,) + spikes.shape[2:])
+        elif kind == "pool":
+            record((kind, layer.window))
             h = avg_pool2d(h, layer.window)
-        elif layer.kind in ("fc", "classifier"):
-            h = fully_connected(h.reshape(n, -1), net.params[i]["w"], net.params[i]["b"])
+        else:  # fc / classifier
+            h, shape = h.reshape(h.shape[0], -1), h.shape
+            record((kind, h, shape))
+            h = fully_connected(h, par["w"], par["b"])
     return h
 
 

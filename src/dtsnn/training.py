@@ -1,12 +1,11 @@
 """Backpropagation-through-time with a triangular surrogate gradient.
 
-Training unrolls the network layer by layer over a time-stacked batch
+The forward pass is `network.run_layers` over a time-stacked batch
 (timesteps folded into the batch axis), which keeps the matrix multiplies
 large and lets batch normalization pool its statistics over
-(batch x timestep).  Under direct encoding the stem -- the layers before the
-first LIF layer (`network.first_lif`) -- sees the same input at every
-timestep, so it runs once on the B input rows and its output is broadcast to
-the T*B stacked rows at the first LIF.  This is exact:
+(batch x timestep).  The stem -- the layers before the first LIF layer --
+runs once on the B input rows and is broadcast to the T*B stacked rows at
+the first LIF.  This is exact:
   - stem batch norm over T identical copies has the statistics of the B rows;
     only the unbiased running-variance factor count/(count-1) differs, so it
     keeps count = T*B*H*W (the `repeats` argument of the norm kernel);
@@ -14,9 +13,7 @@ the T*B stacked rows at the first LIF.  This is exact:
     and the stem's norm and conv backward run on B rows; the norm backward
     over T copies equals the B-row formula applied to the T-summed gradient.
 The walk back stops at the first layer with parameters, whose input
-gradient nothing reads (the conv computes only dW there).  LIF layers unroll
-the time axis internally, caching pre-reset membrane potentials for the
-backward pass.
+gradient nothing reads (the conv computes only dW there).
 
 Gradient conventions:
   - the spike nonlinearity uses max(0, v_th - |u - v_th|) in place of its
@@ -31,36 +28,24 @@ f_t = (1/t) * sum_{t'<=t} logits_t'.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import StateError, TrainingError
 from .kernels import (
-    avg_pool2d,
     avg_pool2d_backward,
-    batch_norm,
     batch_norm_backward,
-    batch_norm_train_cached,
-    conv2d,
     conv2d_backward,
-    fully_connected,
     fully_connected_backward,
 )
-from .network import check_finite, first_lif, scan_timesteps
+# lif_unroll and spike_ramp are public here too.
+from .network import check_finite, first_lif, lif_unroll, run_layers, scan_timesteps, spike_ramp
 
 
 def surrogate_grad(u, v_th):
     """Triangular stand-in derivative of the firing function, peak at u == v_th."""
     return np.maximum(0.0, v_th - np.abs(u - v_th))
-
-
-def spike_ramp(u, v_th):
-    """C1 antiderivative of surrogate_grad, used as a smooth firing function
-    in gradient-check mode: ramps from 0 (u <= 0) to v_th**2 (u >= 2*v_th)."""
-    a = np.clip(u, 0.0, v_th)
-    b = np.clip(u - v_th, 0.0, v_th)
-    return 0.5 * a * a + b * v_th - 0.5 * b * b
 
 
 def _log_softmax64(logits):
@@ -141,38 +126,6 @@ def loss_and_grad(step_logits, labels, loss_mode, per_timestep_target="running_m
     return loss, dstep.astype(step_logits.dtype)
 
 
-def _empty_steps(like, t_steps):
-    """Uninitialized (t_steps,) + like.shape array, timestep-major, whose
-    every step has the memory order of ``like``.
-
-    Conv outputs are channels-last in memory, and the pool and conv kernels
-    downstream run markedly faster on that order than on NCHW.  (empty_like
-    would put a broadcast time axis innermost.)
-    """
-    order = np.argsort(like.strides, kind="stable")[::-1]
-    buf = np.empty((t_steps,) + tuple(np.take(like.shape, order)), dtype=like.dtype)
-    return buf.transpose((0,) + tuple(1 + np.argsort(order)))
-
-
-def lif_unroll(currents, cfg, smooth=False):
-    """Forward a (T, B, ...) current tensor through one LIF layer.
-
-    Returns (spikes, cache) where cache holds the pre-reset potentials and
-    the emitted spikes, both needed for the backward unroll.
-    """
-    t_steps = currents.shape[0]
-    u = np.zeros_like(currents[0])
-    u_pre = _empty_steps(currents[0], t_steps)
-    spikes = _empty_steps(currents[0], t_steps)
-    for t in range(t_steps):
-        u = cfg.tau * u + currents[t]
-        u_pre[t] = u
-        s = spike_ramp(u, cfg.v_th) if smooth else (u > cfg.v_th).astype(u.dtype)
-        spikes[t] = s
-        u = u * (1.0 - s)
-    return spikes, (u_pre, spikes)
-
-
 def lif_unroll_backward(dspikes, cache, cfg):
     """Reverse-time unroll: surrogate through the firing, tau through the
     membrane recurrence, (1 - s) through the detached reset multiplier."""
@@ -190,62 +143,21 @@ def lif_unroll_backward(dspikes, cache, cfg):
 
 
 def forward_with_tape(net, x, t_steps, train_mode=True):
-    """Layer-major unrolled forward pass over stacked timesteps.
+    """Layer-major unrolled forward pass over t_steps stacked timesteps.
 
-    The stem (layers before the first LIF) runs on the B input rows; the
-    first LIF layer receives its output broadcast over T, and every later
-    layer runs on T*B rows, timestep-major.  Raises DataFormatError when x
-    holds a non-finite value.
+    Every LIF layer starts from rest; the instance's inference state
+    (``lif_states``, ``stem``, ``t``) is neither read nor changed.  Raises
+    DataFormatError when x holds a non-finite value.
 
     Returns (step_logits (T,B,K), tape).  In train mode, normalization layers
-    use batch statistics pooled over (timestep x batch) -- over the B rows in
-    the stem, with the running-variance count of T*B rows -- and the tape
-    carries their proposed running-statistic updates; nothing is committed to
-    the instance until `commit_norm_updates` is called.
+    use batch statistics pooled over (timestep x batch), and the tape carries
+    their proposed running-statistic updates; nothing is committed to the
+    instance until `commit_norm_updates` is called.
     """
-    spec = net.spec
-    batch = x.shape[0]
     check_finite(x)
-    s = first_lif(spec)
-    h = x
-    caches = []
-    norm_updates = {}
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "conv":
-            p = spec.conv_params(layer, h.shape[1])
-            cols_list = []
-            y = conv2d(h, net.params[i]["w"], p, cols_out=cols_list)
-            if "b" in net.params[i]:
-                y = y + net.params[i]["b"].reshape(1, -1, 1, 1)
-            caches.append(("conv", p, h, cols_list[0]))
-            h = y
-        elif layer.kind == "norm":
-            if train_mode:
-                repeats = t_steps if i < s else 1
-                h, new_state, cache = batch_norm_train_cached(h, net.params[i], repeats)
-                norm_updates[i] = new_state
-                caches.append(("norm", cache))
-            else:
-                h, _ = batch_norm(h, net.params[i], "eval")
-                caches.append(("norm", None))
-        elif layer.kind == "lif":
-            cfg = spec.lif_config_for(layer)
-            if i == s:
-                currents = np.broadcast_to(h, (t_steps,) + h.shape)
-            else:
-                currents = h.reshape((t_steps, batch) + h.shape[1:])
-            spikes, cache = lif_unroll(currents, cfg, smooth=net.smooth_spikes)
-            caches.append(("lif", cfg, cache))
-            h = spikes.reshape((t_steps * batch,) + spikes.shape[2:])
-        elif layer.kind == "pool":
-            caches.append(("pool", layer.window))
-            h = avg_pool2d(h, layer.window)
-        elif layer.kind in ("fc", "classifier"):
-            flat = h.reshape(h.shape[0], -1)
-            caches.append((layer.kind, flat, h.shape))
-            h = fully_connected(flat, net.params[i]["w"], net.params[i]["b"])
-    step_logits = h.reshape(t_steps, batch, -1)
-    return step_logits, {"caches": caches, "norm_updates": norm_updates, "t": t_steps}
+    tape = {"caches": [], "norm_updates": {}, "t": t_steps, "train": train_mode}
+    h = run_layers(net, x, range(len(net.spec.layers)), t_steps, tape=tape)
+    return h.reshape(t_steps, x.shape[0], -1), tape
 
 
 def backward_through_time(net, tape, dstep_logits):
@@ -413,8 +325,6 @@ def _set_param(net, i, name, value):
     if isinstance(p, dict):
         p[name] = value
     else:
-        from dataclasses import replace
-
         net.params[i] = replace(p, **{name: value})
 
 

@@ -1,0 +1,50 @@
+"""The module attributes bench/tracing.py wraps exist and see both engines.
+
+`Tracer.install` patches names on dtsnn's modules with an unguarded getattr,
+so a function moved between modules would break `bench/run.py --trace 1`.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import dtsnn
+from dtsnn.network import LayerSpec, NetworkSpec, build_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracing  # noqa: E402
+
+
+def test_tracer_installs_and_sees_conv_from_both_engines():
+    spec = NetworkSpec(
+        input_shape=(1, 6, 6),
+        num_classes=3,
+        t_max=2,
+        layers=(
+            LayerSpec("conv", out_channels=2),
+            LayerSpec("norm"),
+            LayerSpec("lif"),
+            LayerSpec("conv", out_channels=2),
+            LayerSpec("lif"),
+            LayerSpec("classifier"),
+        ),
+    )
+    net = build_instance(spec, seed=0)
+    x = np.random.default_rng(0).standard_normal((2, 1, 6, 6)).astype(np.float32)
+    tracer = tracing.Tracer("run")
+    try:
+        tracer.install(dtsnn)
+        dtsnn.network.forward_timestep(net, x)
+        step_logits, tape = dtsnn.training.forward_with_tape(net, x, 2)
+        dtsnn.training.backward_through_time(net, tape, np.ones_like(step_logits))
+    finally:
+        tracer.unpatch()
+    fields = np.asarray(tracer.spans).reshape(-1, tracing.SPAN_FIELDS)
+    name_of = {int(span[0]): tracer.names[int(span[1])] for span in fields}
+    conv_parents = {
+        name_of.get(int(span[4])) for span in fields
+        if tracer.names[int(span[1])] == "kernels.conv2d"
+    }
+    assert conv_parents == {"network.forward_timestep", "training.forward_with_tape"}
+    assert not hasattr(dtsnn.network.forward_timestep, "__wrapped__")

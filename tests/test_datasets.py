@@ -1,5 +1,7 @@
 """IDX loading, synthetic datasets, and checkpoint round trips."""
 
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -215,6 +217,43 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
         with pytest.raises(DataFormatError, match="layer 4 is missing parameter 'b'"):
+            load_checkpoint(path)
+
+    def resealed(self, tmp_path, edit_header=None, edit_payload=None):
+        """A saved checkpoint with its header or payload edited and a valid
+        digest recomputed over the result."""
+        _, ckpt = self.make_ckpt()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        body = path.read_bytes()[:-32]
+        (header_len,) = struct.unpack_from("<Q", body, 12)
+        header = json.loads(body[20 : 20 + header_len])
+        payload = body[20 + header_len :]
+        if edit_header:
+            edit_header(header)
+        if edit_payload:
+            payload = edit_payload(payload)
+        raw = json.dumps(header).encode()
+        body = body[:12] + struct.pack("<Q", len(raw)) + raw + payload
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        return path
+
+    def test_short_payload_rejected(self, tmp_path):
+        path = self.resealed(tmp_path, edit_payload=lambda p: p[:-8])
+        with pytest.raises(DataFormatError, match="payload ends inside layer 4 parameter 'w'"):
+            load_checkpoint(path)
+
+    def test_object_dtype_rejected(self, tmp_path):
+        def to_object(header):
+            header["arrays"][0]["dtype"] = "|O"
+
+        path = self.resealed(tmp_path, edit_header=to_object)
+        with pytest.raises(DataFormatError, match=r"non-numeric dtype '\|O'"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self.resealed(tmp_path, edit_payload=lambda p: p + bytes(8))
+        with pytest.raises(DataFormatError, match="8 bytes follow the last array"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):

@@ -283,6 +283,26 @@ class TestScan:
         assert act.shape == (3, 2, 3)  # two convs + classifier are mapped
         npt.assert_array_equal(act[:, :, 0], 64.0)  # analog first layer: all 64 pixels
 
+    def test_only_stem_layers_count_analog_input(self):
+        # A LIF-first net has no stem: its first conv sees spikes, and an
+        # all-zero input presents none.
+        spec = NetworkSpec(
+            input_shape=(2, 6, 6),
+            num_classes=3,
+            t_max=2,
+            layers=(
+                LayerSpec("lif"),
+                LayerSpec("conv", out_channels=3, kernel=3, stride=1, padding=1),
+                LayerSpec("lif"),
+                LayerSpec("pool", window=2),
+                LayerSpec("classifier"),
+            ),
+        )
+        net = build_instance(spec, seed=0)
+        net.record_activity = True
+        scan = scan_timesteps(net, np.zeros((2, 2, 6, 6), dtype=np.float32), 2)
+        npt.assert_array_equal(scan["activity"], 0.0)
+
 
 class TestStemCache:
     # tiny_conv_spec's stem is conv -> norm; forward_timestep computes it once

@@ -14,6 +14,7 @@ from dtsnn.network import (
     LifConfig,
     NetworkSpec,
     build_instance,
+    forward_timestep,
     static_forward,
 )
 from dtsnn.training import (
@@ -404,6 +405,28 @@ class TestStackedForwardAgainstStepwise:
         stepwise = static_forward(net, x, 4)
         stacked, _ = forward_with_tape(net, x, 4, train_mode=False)
         npt.assert_allclose(stacked.mean(axis=0), stepwise, atol=1e-5)
+
+    def test_smooth_firing_agrees_between_implementations(self):
+        net = build_instance(toy_spec(t_max=4), seed=21, dtype=np.float64)
+        net.smooth_spikes = True
+        x = rng.standard_normal((5, 1, 6, 6))
+        stepwise = static_forward(net, x, 4)
+        stacked, _ = forward_with_tape(net, x, 4, train_mode=False)
+        npt.assert_allclose(stacked.mean(axis=0), stepwise, rtol=1e-12)
+
+    def test_tape_leaves_inference_state_alone(self):
+        net, ref = (build_instance(toy_spec(t_max=4), seed=21) for _ in range(2))
+        x = rng.standard_normal((5, 1, 6, 6)).astype(np.float32)
+        for n in (net, ref):
+            for _ in range(2):
+                forward_timestep(n, x)
+        before = (net.t, net.stem, {i: (s.u, s.last_spikes) for i, s in net.lif_states.items()})
+        forward_with_tape(net, x, 3)
+        assert net.t == before[0] and net.stem is before[1]
+        assert net.lif_states.keys() == before[2].keys()
+        for i, (u, spikes) in before[2].items():
+            assert net.lif_states[i].u is u and net.lif_states[i].last_spikes is spikes
+        npt.assert_array_equal(forward_timestep(net, x), forward_timestep(ref, x))
 
 
 def stem_specs():
