@@ -22,7 +22,7 @@ from dtsnn import (
     threshold_sweep,
     train,
 )
-from dtsnn.hardware import dataset_cost_fn, energy_matrix
+from dtsnn.hardware import component_energy_matrix, dataset_cost_fn
 
 spec = NetworkSpec(
     input_shape=(1, 16, 16),
@@ -60,7 +60,9 @@ rows, scan = threshold_sweep(
     [0.0, 0.05, 0.12, 0.25, 0.4, 0.6], 4,
     cost_fn=dataset_cost_fn(mapping, arch),
 )
-static_energy = float(energy_matrix(scan["activity"], mapping, arch).sum(axis=1).mean())
+static_energy = float(
+    component_energy_matrix(scan["activity"], mapping, arch)["total"].sum(axis=1).mean()
+)
 static_edp = static_energy * 4 * arch.latency_per_timestep
 
 print("\nthreshold sweep (energy/EDP relative to the static 4-step run):")

@@ -110,6 +110,15 @@ def save_checkpoint(path, ckpt):
         raise
 
 
+def _require(path, mapping, keys, where):
+    """Reject a header part that is not a mapping or lacks one of ``keys``."""
+    if not isinstance(mapping, dict):
+        raise DataFormatError(f"{path}: {where} is not a mapping")
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise DataFormatError(f"{path}: {where} lacks key '{missing[0]}'")
+
+
 def _check_against_spec(path, header, spec):
     """Every stored array must have the shape the spec allocates for it, and
     every weighted or norm layer must have all of its parameters."""
@@ -156,7 +165,15 @@ def load_checkpoint(path):
     offset += 8
     header = json.loads(body[offset : offset + header_len].decode())
     offset += header_len
-    spec = spec_from_dict(header["spec"])
+    _require(path, header, ("spec", "train_config", "seed", "num_layers", "arrays"), "header")
+    for i, entry in enumerate(header["arrays"]):
+        _require(path, entry, ("layer", "name", "dtype", "shape"), f"manifest entry {i}")
+    _require(path, header["spec"], ("input_shape", "num_classes", "t_max", "lif", "layers"),
+             "spec")
+    try:
+        spec = spec_from_dict(header["spec"])
+    except (TypeError, ValueError) as exc:  # an unknown or invalid spec field
+        raise DataFormatError(f"{path}: invalid spec ({exc})") from exc
     _check_against_spec(path, header, spec)
     params = [None] * header["num_layers"]
     bn_parts = {}

@@ -137,22 +137,13 @@ def map_layer(index, kind, fan_in, fan_out, arch):
 
 
 def map_network(spec, arch):
-    """Allocate crossbars for every conv / fc / classifier layer of a network.
-
-    Convolutions map im2col style: fan_in = C_in * k_h * k_w, fan_out = C_out.
-    """
-    entries = []
-    for i, (layer, (in_shape, out_shape)) in enumerate(
-        zip(spec.layers, spec.layer_shapes())
-    ):
-        if layer.kind == "conv":
-            fan_in = in_shape[0] * layer.kernel * layer.kernel
-            entries.append(map_layer(i, "conv", fan_in, layer.out_channels, arch))
-        elif layer.kind in ("fc", "classifier"):
-            fan_in = int(np.prod(in_shape))
-            fan_out = int(np.prod(out_shape))
-            entries.append(map_layer(i, layer.kind, fan_in, fan_out, arch))
-    return LayerMapping(layers=tuple(entries))
+    """Allocate crossbars for the weight matrix of every weighted layer:
+    fan_in rows by fan_out columns (`NetworkSpec.layer_plan`)."""
+    return LayerMapping(layers=tuple(
+        map_layer(i, layer.kind, plan.fan_in, plan.weight_shape[0], arch)
+        for i, (layer, plan) in enumerate(zip(spec.layers, spec.layer_plan))
+        if plan.weight_shape is not None
+    ))
 
 
 def component_energy_matrix(activity, mapping, arch):
@@ -190,11 +181,6 @@ def component_energy_matrix(activity, mapping, arch):
         "buffer_interconnect": np.full(shape, fixed_buffer + arch.e_step_buffer),
         "total": crossbar_adc + fixed,
     }
-
-
-def energy_matrix(activity, mapping, arch):
-    """Per-timestep total energies for activity of shape (..., T, L)."""
-    return component_energy_matrix(activity, mapping, arch)["total"]
 
 
 def energy_per_timestep(mapping, activity, arch):
@@ -247,24 +233,6 @@ class CostReport:
     components: dict
     timesteps_used: float
 
-    def normalized_to(self, baseline):
-        """Every field divided by the matching baseline field."""
-        return CostReport(
-            total_energy=self.total_energy / baseline.total_energy,
-            total_latency=self.total_latency / baseline.total_latency,
-            edp=self.edp / baseline.edp,
-            per_timestep_energy=tuple(
-                a / b
-                for a, b in zip(self.per_timestep_energy, baseline.per_timestep_energy)
-            ),
-            components={
-                k: (self.components[k] / baseline.components[k]
-                    if baseline.components[k] else 0.0)
-                for k in self.components
-            },
-            timesteps_used=self.timesteps_used / baseline.timesteps_used,
-        )
-
 
 def cost_of_inference(step_activities, mapping, arch, sigma_e_invocations=None):
     """Sum per-timestep energies, add exit-module overhead, compute EDP.
@@ -307,7 +275,7 @@ def dataset_cost_fn(mapping, arch, dynamic=True):
     """
 
     def cost(chosen_t, activity):
-        e_steps = energy_matrix(activity, mapping, arch)  # (N, T)
+        e_steps = component_energy_matrix(activity, mapping, arch)["total"]  # (N, T)
         t_idx = np.arange(1, e_steps.shape[1] + 1)
         mask = t_idx[None, :] <= np.asarray(chosen_t)[:, None]
         energies = (e_steps * mask).sum(axis=1)

@@ -23,8 +23,9 @@ Weights may be shared read-only between instances; `clone_state` gives each
 worker its own membrane potentials (and no cached stem).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,7 +123,6 @@ def lif_step(state, input_current, cfg):
 
 # Layer kinds understood by NetworkSpec.
 LAYER_KINDS = ("conv", "fc", "lif", "norm", "pool", "classifier")
-WEIGHTED_KINDS = ("conv", "fc", "classifier")
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,33 @@ class LayerSpec:
     padding: int = 1            # conv
     window: int = 2             # pool
     out_features: int = 0       # fc
-    bias: bool = False          # conv / fc (classifier always has a bias)
+    bias: bool = False          # conv only: fc and the classifier always have a bias
     tau: float = 0.0            # lif override; 0 means use the network default
     v_th: float = 0.0           # lif override; 0 means use the network default
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+
+
+class LayerPlan(NamedTuple):
+    """What one layer needs at run time, derived once from the spec.
+
+    Shapes leave out the batch axis.  ``config`` is the layer's ConvParams
+    (conv), LifConfig (lif) or None.  ``weight_shape`` is the matrix the
+    layer maps onto crossbars -- (C_out, C_in, k, k) for a conv, (fan_out,
+    fan_in) for fc / classifier -- or None for a layer without weights.
+    """
+
+    in_shape: tuple
+    out_shape: tuple
+    config: object
+    weight_shape: tuple
+
+    @property
+    def fan_in(self):
+        """Crossbar rows: C_in * k * k for a conv (im2col), inputs for fc."""
+        return int(np.prod(self.weight_shape[1:]))
 
 
 @dataclass(frozen=True)
@@ -167,48 +187,46 @@ class NetworkSpec:
             raise ValueError("network must end with exactly one classifier layer")
         if "lif" not in kinds:
             raise ValueError("network must contain at least one lif layer")
-        self.layer_shapes()  # raises ShapeError if shapes do not compose
+        self.layer_plan  # raises ShapeError if shapes do not compose
 
     @cached_property
-    def layer_configs(self):
-        """Per layer: its ConvParams (conv), LifConfig (lif) or None; built
-        once, so the per-timestep forward pass does not rebuild them."""
-        return tuple(
-            self.conv_params(l, inp[0]) if l.kind == "conv"
-            else self.lif_config_for(l) if l.kind == "lif" else None
-            for l, (inp, _) in zip(self.layers, self.layer_shapes())
-        )
+    def layer_plan(self):
+        """One LayerPlan per layer, built once so the per-timestep forward
+        pass, weight initialization and crossbar mapping share it."""
+        plan = []
+        cur = self.input_shape
+        for layer in self.layers:
+            config = weight = None
+            if layer.kind == "conv":
+                if len(cur) != 3:
+                    raise ShapeError(f"conv layer expects (C,H,W) input, got {cur}")
+                config = self.conv_params(layer, cur[0])
+                weight = (layer.out_channels, cur[0], layer.kernel, layer.kernel)
+                out = (layer.out_channels,) + config.output_hw(cur[1], cur[2])
+            elif layer.kind == "pool":
+                w = layer.window
+                if w < 1:
+                    raise ShapeError(f"pool window must be >= 1, got {w}")
+                if len(cur) != 3 or cur[1] % w or cur[2] % w:
+                    raise ShapeError(f"pool window {w} does not divide spatial size {cur}")
+                out = (cur[0], cur[1] // w, cur[2] // w)
+            elif layer.kind in ("fc", "classifier"):
+                width = self.num_classes if layer.kind == "classifier" else layer.out_features
+                if width < 1:
+                    raise ShapeError(f"fc out_features must be >= 1, got {width}")
+                weight = (width, int(np.prod(cur)))
+                out = (width,)
+            else:  # lif / norm preserve shape
+                config = self.lif_config_for(layer) if layer.kind == "lif" else None
+                out = cur
+            plan.append(LayerPlan(cur, out, config, weight))
+            cur = out
+        return tuple(plan)
 
     def lif_config_for(self, layer):
         tau = layer.tau if layer.tau else self.lif.tau
         v_th = layer.v_th if layer.v_th else self.lif.v_th
         return LifConfig(tau=tau, v_th=v_th)
-
-    def layer_shapes(self):
-        """Per-layer (input_shape, output_shape) without the batch axis."""
-        shapes = []
-        cur = self.input_shape
-        for layer in self.layers:
-            inp = cur
-            if layer.kind == "conv":
-                if len(cur) != 3:
-                    raise ShapeError(f"conv layer expects (C,H,W) input, got {cur}")
-                p = self.conv_params(layer, cur[0])
-                ho, wo = p.output_hw(cur[1], cur[2])
-                cur = (layer.out_channels, ho, wo)
-            elif layer.kind == "pool":
-                if len(cur) != 3 or cur[1] % layer.window or cur[2] % layer.window:
-                    raise ShapeError(
-                        f"pool window {layer.window} does not divide spatial size {cur}"
-                    )
-                cur = (cur[0], cur[1] // layer.window, cur[2] // layer.window)
-            elif layer.kind == "fc":
-                cur = (layer.out_features,)
-            elif layer.kind == "classifier":
-                cur = (self.num_classes,)
-            # lif / norm preserve shape
-            shapes.append((inp, cur))
-        return shapes
 
     @staticmethod
     def conv_params(layer, in_channels):
@@ -266,26 +284,19 @@ class SnnInstance:
 
 
 def _init_params(spec, seed, dtype):
+    """He-normal weights (std sqrt(2 / fan_in)) drawn in layer order, zero
+    biases, and fresh normalization statistics."""
     rng = np.random.default_rng(seed)
     params = []
-    for layer, (in_shape, out_shape) in zip(spec.layers, spec.layer_shapes()):
-        if layer.kind == "conv":
-            p = spec.conv_params(layer, in_shape[0])
-            fan_in = p.in_channels * p.kernel_h * p.kernel_w
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(
-                p.out_channels, p.in_channels, p.kernel_h, p.kernel_w)).astype(dtype)
-            entry = {"w": w}
-            if layer.bias:
-                entry["b"] = np.zeros(p.out_channels, dtype=dtype)
-            params.append(entry)
-        elif layer.kind in ("fc", "classifier"):
-            fan_in = int(np.prod(in_shape))
-            fan_out = spec.num_classes if layer.kind == "classifier" else layer.out_features
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in)).astype(dtype)
-            entry = {"w": w, "b": np.zeros(fan_out, dtype=dtype)}
+    for layer, plan in zip(spec.layers, spec.layer_plan):
+        if plan.weight_shape is not None:
+            std = np.sqrt(2.0 / plan.fan_in)
+            entry = {"w": rng.normal(0.0, std, size=plan.weight_shape).astype(dtype)}
+            if layer.bias or layer.kind != "conv":
+                entry["b"] = np.zeros(plan.weight_shape[0], dtype=dtype)
             params.append(entry)
         elif layer.kind == "norm":
-            params.append(BatchNormState.create(in_shape[0], dtype=dtype))
+            params.append(BatchNormState.create(plan.in_shape[0], dtype=dtype))
         else:
             params.append(None)
     return params
@@ -365,17 +376,16 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
     batch = h.shape[0]
     record = tape["caches"].append if tape is not None else lambda cache: None
     for i in indices:
-        layer, par = spec.layers[i], net.params[i]
-        kind = layer.kind
-        if counts is not None and kind in WEIGHTED_KINDS:
+        layer, par, plan = spec.layers[i], net.params[i], spec.layer_plan[i]
+        kind, cfg = layer.kind, plan.config
+        if counts is not None and plan.weight_shape is not None:
             counts.append(_count_inputs(h, analog=i < s))
         if kind == "conv":
-            p = spec.layer_configs[i]
             cols = None if tape is None else []
-            y = conv2d(h, par["w"], p, cols_out=cols)
+            y = conv2d(h, par["w"], cfg, cols_out=cols)
             if "b" in par:
                 y += par["b"].reshape(1, -1, 1, 1)
-            record((kind, p, h, None if cols is None else cols[0]))
+            record((kind, cfg, h, None if cols is None else cols[0]))
             h = y
         elif kind == "norm":
             if tape is not None and tape["train"]:
@@ -394,7 +404,6 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
             h = h.reshape((-1, batch) + h.shape[1:])
             if len(h) < t_steps:  # the stem's rows, the same at every step
                 h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
-            cfg = spec.layer_configs[i]
             spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, state)
             record((kind, cfg, cache))
             h = spikes.reshape((-1,) + spikes.shape[2:])

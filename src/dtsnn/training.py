@@ -86,7 +86,7 @@ def running_means(step_logits):
     return cums / np.arange(1, t + 1, dtype=np.float64).reshape(-1, 1, 1)
 
 
-def loss_and_grad(step_logits, labels, loss_mode, per_timestep_target="running_mean"):
+def loss_and_grad(step_logits, labels, loss_mode):
     """Loss plus its gradient w.r.t. every per-step logit tensor.
 
     step_logits: (T, B, K).  Returns (loss, dstep_logits of same shape).
@@ -105,12 +105,7 @@ def loss_and_grad(step_logits, labels, loss_mode, per_timestep_target="running_m
         return loss, np.ascontiguousarray(dstep)
     if loss_mode != "per_timestep":
         raise ValueError(f"loss_mode must be 'standard' or 'per_timestep', got {loss_mode!r}")
-    if per_timestep_target == "running_mean":
-        targets = running_means(step_logits)
-    elif per_timestep_target == "step_logits":
-        targets = step_logits.astype(np.float64)
-    else:
-        raise ValueError(f"unknown per_timestep_target {per_timestep_target!r}")
+    targets = running_means(step_logits)
     losses = []
     d_targets = np.empty_like(targets)
     for t in range(t_steps):
@@ -118,8 +113,6 @@ def loss_and_grad(step_logits, labels, loss_mode, per_timestep_target="running_m
         losses.append(float(-logp[np.arange(batch), labels].mean()))
         d_targets[t] = (np.exp(logp) - onehot) / (batch * t_steps)
     loss = float(np.mean(losses))
-    if per_timestep_target == "step_logits":
-        return loss, d_targets.astype(step_logits.dtype)
     # d logits_t' = sum_{t >= t'} (1/t) * dL/df_t  (suffix sum)
     weighted = d_targets / np.arange(1, t_steps + 1, dtype=np.float64).reshape(-1, 1, 1)
     dstep = np.cumsum(weighted[::-1], axis=0)[::-1]
@@ -234,7 +227,6 @@ class TrainConfig:
     weight_decay: float = 5e-4
     momentum: float = 0.9
     loss_mode: str = "per_timestep"
-    per_timestep_target: str = "running_mean"
     seed: int = 0
     t_train: int = 4
     eval_batch: int = 512
@@ -252,11 +244,6 @@ class TrainConfig:
             raise ValueError(f"t_train must satisfy t_train >= 1, got {self.t_train}")
         if self.loss_mode not in ("standard", "per_timestep"):
             raise ValueError(f"loss_mode must be 'standard' or 'per_timestep', got {self.loss_mode!r}")
-        if self.per_timestep_target not in ("running_mean", "step_logits"):
-            raise ValueError(
-                f"per_timestep_target must be 'running_mean' or 'step_logits', "
-                f"got {self.per_timestep_target!r}"
-            )
 
 
 def cosine_lr(lr0, epoch, total_epochs):
@@ -355,9 +342,7 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
             xb = train_images[idx]
             yb = train_labels[idx]
             step_logits, tape = forward_with_tape(net, xb, cfg.t_train)
-            loss, dstep = loss_and_grad(
-                step_logits, yb, cfg.loss_mode, cfg.per_timestep_target
-            )
+            loss, dstep = loss_and_grad(step_logits, yb, cfg.loss_mode)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             grads = backward_through_time(net, tape, dstep)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dtsnn
 from dtsnn.network import LayerSpec, NetworkSpec, build_instance
@@ -16,7 +17,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 
 
-def test_tracer_installs_and_sees_conv_from_both_engines():
+@pytest.fixture(scope="module")
+def parents():
+    """(span name, parent span name) of every span of one traced inference
+    step plus one traced training forward and backward pass."""
     spec = NetworkSpec(
         input_shape=(1, 6, 6),
         num_classes=3,
@@ -25,6 +29,7 @@ def test_tracer_installs_and_sees_conv_from_both_engines():
             LayerSpec("conv", out_channels=2),
             LayerSpec("norm"),
             LayerSpec("lif"),
+            LayerSpec("pool", window=2),
             LayerSpec("conv", out_channels=2),
             LayerSpec("lif"),
             LayerSpec("classifier"),
@@ -40,11 +45,24 @@ def test_tracer_installs_and_sees_conv_from_both_engines():
         dtsnn.training.backward_through_time(net, tape, np.ones_like(step_logits))
     finally:
         tracer.unpatch()
+    assert not hasattr(dtsnn.network.forward_timestep, "__wrapped__")
     fields = np.asarray(tracer.spans).reshape(-1, tracing.SPAN_FIELDS)
     name_of = {int(span[0]): tracer.names[int(span[1])] for span in fields}
-    conv_parents = {
-        name_of.get(int(span[4])) for span in fields
-        if tracer.names[int(span[1])] == "kernels.conv2d"
-    }
+    return [(tracer.names[int(span[1])], name_of.get(int(span[4]))) for span in fields]
+
+
+def test_tracer_installs_and_sees_conv_from_both_engines(parents):
+    conv_parents = {parent for name, parent in parents if name == "kernels.conv2d"}
     assert conv_parents == {"network.forward_timestep", "training.forward_with_tape"}
-    assert not hasattr(dtsnn.network.forward_timestep, "__wrapped__")
+
+
+def test_tracer_sees_every_backward_kernel(parents):
+    under_backward = {name for name, parent in parents
+                      if parent == "training.backward_through_time"}
+    assert under_backward >= {
+        "kernels.conv2d_backward",
+        "kernels.batch_norm_backward",
+        "kernels.avg_pool2d_backward",
+        "kernels.fully_connected_backward",
+        "training.lif_unroll_backward",
+    }

@@ -236,6 +236,34 @@ class TestUsage:
         assert argv[-2].lstrip("-") in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("layer, message", [
+        ({"kind": "pool", "window": 0}, "pool window must be >= 1"),
+        ({"kind": "fc"}, "out_features must be >= 1"),
+    ], ids=["pool_window_0", "fc_default_width"])
+    def test_empty_layer_exit_2_before_any_output(self, tmp_path, capsys, layer, message):
+        model = dict(CONFIG["model"])
+        model["layers"] = model["layers"][:-1] + [layer, {"kind": "classifier"}]
+        config_path = tmp_path / "run.yaml"
+        config_path.write_text(yaml.safe_dump({**CONFIG, "model": model}))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(config_path), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_checkpoint_header_exit_1(self, trained, tmp_path, capsys, reseal):
+        def drop_seed(header):
+            del header["seed"]
+
+        ckpt = reseal(edit_header=drop_seed)
+        code = main(["eval", "--checkpoint", str(ckpt), "--config", str(trained["config"]),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "header lacks key 'seed'" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
 

@@ -75,9 +75,10 @@ class TestValidation:
             parse_config_dict({**MINIMAL, "hardwear": {}})
 
     def test_unknown_train_key_named(self):
-        raw = {**MINIMAL, "train": {"epochs": 2, "learning_rate": 0.1}}
-        with pytest.raises(ConfigError, match="unknown key 'learning_rate' in section 'train'"):
-            parse_config_dict(raw)
+        for key in ("learning_rate", "per_timestep_target"):
+            raw = {**MINIMAL, "train": {"epochs": 2, key: 0.1}}
+            with pytest.raises(ConfigError, match=f"unknown key '{key}' in section 'train'"):
+                parse_config_dict(raw)
 
     def test_unknown_layer_key_named(self):
         raw = {**MINIMAL, "model": {**MINIMAL["model"], "layers": [

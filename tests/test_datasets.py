@@ -1,7 +1,6 @@
 """IDX loading, synthetic datasets, and checkpoint round trips."""
 
-import hashlib
-import json
+import re
 import struct
 
 import numpy as np
@@ -219,41 +218,56 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="layer 4 is missing parameter 'b'"):
             load_checkpoint(path)
 
-    def resealed(self, tmp_path, edit_header=None, edit_payload=None):
-        """A saved checkpoint with its header or payload edited and a valid
-        digest recomputed over the result."""
+    def resealed(self, tmp_path, reseal, **edits):
         _, ckpt = self.make_ckpt()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
-        body = path.read_bytes()[:-32]
-        (header_len,) = struct.unpack_from("<Q", body, 12)
-        header = json.loads(body[20 : 20 + header_len])
-        payload = body[20 + header_len :]
-        if edit_header:
-            edit_header(header)
-        if edit_payload:
-            payload = edit_payload(payload)
-        raw = json.dumps(header).encode()
-        body = body[:12] + struct.pack("<Q", len(raw)) + raw + payload
-        path.write_bytes(body + hashlib.sha256(body).digest())
-        return path
+        return reseal(path, **edits)
 
-    def test_short_payload_rejected(self, tmp_path):
-        path = self.resealed(tmp_path, edit_payload=lambda p: p[:-8])
+    def test_short_payload_rejected(self, tmp_path, reseal):
+        path = self.resealed(tmp_path, reseal, edit_payload=lambda p: p[:-8])
         with pytest.raises(DataFormatError, match="payload ends inside layer 4 parameter 'w'"):
             load_checkpoint(path)
 
-    def test_object_dtype_rejected(self, tmp_path):
+    def test_object_dtype_rejected(self, tmp_path, reseal):
         def to_object(header):
             header["arrays"][0]["dtype"] = "|O"
 
-        path = self.resealed(tmp_path, edit_header=to_object)
+        path = self.resealed(tmp_path, reseal, edit_header=to_object)
         with pytest.raises(DataFormatError, match=r"non-numeric dtype '\|O'"):
             load_checkpoint(path)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = self.resealed(tmp_path, edit_payload=lambda p: p + bytes(8))
+    def test_trailing_bytes_rejected(self, tmp_path, reseal):
+        path = self.resealed(tmp_path, reseal, edit_payload=lambda p: p + bytes(8))
         with pytest.raises(DataFormatError, match="8 bytes follow the last array"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keys", [
+        ("seed",), ("arrays",), ("num_layers",), ("spec",), ("train_config",),
+        ("arrays", 0, "layer"), ("arrays", 0, "name"), ("arrays", 0, "shape"),
+        ("arrays", 0, "dtype"),
+        ("spec", "t_max"), ("spec", "layers"), ("spec", "lif"),
+    ], ids=lambda keys: "-".join(map(str, keys)))
+    def test_missing_header_key_named(self, reseal, keys):
+        def drop(header):
+            part = header
+            for key in keys[:-1]:
+                part = part[key]
+            del part[keys[-1]]
+
+        path = reseal(edit_header=drop)
+        where = {1: "header", 2: "spec", 3: "manifest entry 0"}[len(keys)]
+        message = f"{re.escape(str(path))}: {where} lacks key '{keys[-1]}'"
+        with pytest.raises(DataFormatError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["spec"]["layers"][0].update(kernel_size=3), "invalid spec .*'kernel_size'"),
+        (lambda h: h["arrays"].__setitem__(0, 7), "manifest entry 0 is not a mapping"),
+    ], ids=["unknown_spec_layer_key", "manifest_entry_not_a_mapping"])
+    def test_malformed_header_part_named(self, reseal, edit, message):
+        path = reseal(edit_header=edit)
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: {message}"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):

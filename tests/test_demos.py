@@ -1,4 +1,4 @@
-"""The instant demos run to completion against the installed package."""
+"""Every demo runs to completion against the installed package."""
 
 import os
 import subprocess
@@ -12,7 +12,9 @@ import dtsnn
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["01_lif_dynamics.py", "03_hardware_model.py"])
+@pytest.mark.parametrize("script", [
+    "01_lif_dynamics.py", "02_entropy_exit.py", "03_hardware_model.py", "04_full_pipeline.py",
+])
 def test_instant_demo_exits_zero(script):
     env = dict(os.environ)
     package_root = str(Path(dtsnn.__file__).resolve().parents[1])

@@ -1,9 +1,12 @@
 """Crossbar mapping, the energy/latency/EDP model, and device variation."""
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dtsnn.config import parse_config
 from dtsnn.errors import ConfigError, ShapeError
 from dtsnn.hardware import (
     ArchConfig,
@@ -15,7 +18,6 @@ from dtsnn.hardware import (
     cost_of_inference,
     dataset_cost_fn,
     edp,
-    energy_matrix,
     energy_per_timestep,
     latency,
     load_reference_trace,
@@ -89,6 +91,34 @@ class TestMapping:
         assert mapping.layers[0].fan_in == 9  # 1 channel * 3 * 3
         assert mapping.layers[1].fan_in == 4 * 4 * 4
 
+    @pytest.mark.parametrize("spec", [
+        parse_config(Path(__file__).resolve().parents[1] / "configs" / "mnist.yaml").network,
+        NetworkSpec(
+            input_shape=(3, 12, 12),
+            num_classes=5,
+            t_max=2,
+            layers=(
+                LayerSpec("conv", out_channels=6, kernel=5, padding=2),
+                LayerSpec("lif"),
+                LayerSpec("conv", out_channels=4, stride=2, bias=True),
+                LayerSpec("lif"),
+                LayerSpec("fc", out_features=7),
+                LayerSpec("lif"),
+                LayerSpec("classifier"),
+            ),
+        ),
+    ], ids=["mnist", "fc_bias_stride2_k5"])
+    def test_mapping_matches_weight_matrices(self, spec):
+        net = build_instance(spec)
+        mapping = map_network(spec, ArchConfig())
+        weights = [p["w"] for p in net.params if isinstance(p, dict)]
+        assert [(l.fan_in, l.fan_out) for l in mapping.layers] == [
+            (int(np.prod(w.shape[1:])), w.shape[0]) for w in weights
+        ]
+        assert [l.index for l in mapping.layers] == [
+            i for i, p in enumerate(net.params) if isinstance(p, dict)
+        ]
+
     def test_weight_bits_must_divide(self):
         with pytest.raises(ConfigError, match="divisible"):
             ArchConfig(device_bits=3)
@@ -121,7 +151,7 @@ class TestEnergy:
         arch = ArchConfig()
         mapping = map_network(small_spec(), arch)
         activity = rng.integers(0, 50, size=(5, 3, 2)).astype(float)
-        mat = energy_matrix(activity, mapping, arch)
+        mat = component_energy_matrix(activity, mapping, arch)["total"]
         for i in range(5):
             for t in range(3):
                 e, _ = energy_per_timestep(mapping, activity[i, t], arch)
@@ -203,13 +233,6 @@ class TestCostReport:
         e1, _ = energy_per_timestep(mapping, [64, 10], arch)
         npt.assert_allclose(report.total_energy, e1 + sigma_e_energy(e1, 1), rtol=1e-12)
         assert report.total_latency == latency(1, arch)
-
-    def test_normalized_to_itself_is_unity(self):
-        report, _, _ = self.make_report()
-        unit = report.normalized_to(report)
-        npt.assert_allclose(unit.total_energy, 1.0)
-        npt.assert_allclose(unit.total_latency, 1.0)
-        npt.assert_allclose(unit.edp, 1.0)
 
     def test_missing_activity_rejected(self):
         arch = ArchConfig()
@@ -346,8 +369,8 @@ class TestEnergyOracle:
             n, t_max, _ = activity.shape
             ref = np.array([[energy_reference(row, mapping, arch) for row in sample]
                             for sample in activity])
-            npt.assert_allclose(energy_matrix(activity, mapping, arch), ref, rtol=1e-12)
             comps = component_energy_matrix(activity, mapping, arch)
+            npt.assert_allclose(comps["total"], ref, rtol=1e-12)
             npt.assert_allclose(
                 comps["crossbar_adc"] + comps["digital"] + comps["buffer_interconnect"],
                 ref, rtol=1e-12,

@@ -377,3 +377,13 @@ class TestSpecValidation:
                 (1, 9, 9), 3, 4,
                 (LayerSpec("lif"), LayerSpec("pool", window=2), LayerSpec("classifier")),
             )
+
+    @pytest.mark.parametrize("layer, message", [
+        (LayerSpec("pool", window=0), "pool window must be >= 1, got 0"),
+        (LayerSpec("pool", window=-2), "pool window must be >= 1, got -2"),
+        (LayerSpec("fc"), "out_features must be >= 1, got 0"),
+        (LayerSpec("fc", out_features=-3), "out_features must be >= 1, got -3"),
+    ], ids=["pool_window_0", "pool_window_negative", "fc_default_width", "fc_negative"])
+    def test_empty_layer_rejected(self, layer, message):
+        with pytest.raises(ShapeError, match=message):
+            NetworkSpec((1, 8, 8), 3, 4, (LayerSpec("lif"), layer, LayerSpec("classifier")))
