@@ -21,12 +21,12 @@ from .errors import (
     VersionError,
 )
 from .kernels import (
-    BatchNormState,
     ConvParams,
     avg_pool2d,
     batch_norm,
     conv2d,
     fully_connected,
+    norm_params,
 )
 from .network import (
     LayerSpec,

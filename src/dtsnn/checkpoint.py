@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChecksumError, DataFormatError, VersionError
-from .kernels import BatchNormState
+from .kernels import BN_EPS, BN_MOMENTUM
 from .network import (
     NetworkSpec,
     SnnInstance,
@@ -34,6 +34,10 @@ from .network import (
 
 MAGIC = b"DTSNNCK\x00"
 VERSION = 1
+# Manifest order of a layer's parameters.  A norm layer's gamma entry also
+# records the momentum and eps it was trained with.
+_PARAM_ORDER = ("b", "w", "gamma", "beta", "running_mean", "running_var")
+_NORM_CONSTANTS = {"momentum": BN_MOMENTUM, "eps": BN_EPS}
 
 
 @dataclass
@@ -50,29 +54,17 @@ class Checkpoint:
 def _collect_arrays(params):
     """Flatten instance parameters into (manifest, ordered arrays)."""
     manifest, arrays = [], []
-
-    def add(layer, name, arr, extra=None):
-        entry = {
-            "layer": layer,
-            "name": name,
-            "dtype": arr.dtype.str,  # byte order explicit, e.g. '<f4'
-            "shape": list(arr.shape),
-        }
-        if extra:
-            entry.update(extra)
-        manifest.append(entry)
-        arrays.append(np.ascontiguousarray(arr))
-
     for i, p in enumerate(params):
-        if isinstance(p, dict):
-            for name in sorted(p):
-                add(i, name, p[name])
-        elif isinstance(p, BatchNormState):
-            extra = {"momentum": p.momentum, "eps": p.eps}
-            add(i, "gamma", p.gamma, extra)
-            add(i, "beta", p.beta)
-            add(i, "running_mean", p.running_mean)
-            add(i, "running_var", p.running_var)
+        for name in sorted(p or (), key=_PARAM_ORDER.index):
+            arr = p[name]
+            manifest.append({
+                "layer": i,
+                "name": name,
+                "dtype": arr.dtype.str,  # byte order explicit, e.g. '<f4'
+                "shape": list(arr.shape),
+                **(_NORM_CONSTANTS if name == "gamma" else {}),
+            })
+            arrays.append(np.ascontiguousarray(arr))
     return manifest, arrays
 
 
@@ -119,6 +111,35 @@ def _require(path, mapping, keys, where):
         raise DataFormatError(f"{path}: {where} lacks key '{missing[0]}'")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_manifest(path, header):
+    """Counts, indices and shapes must be integers (13.0 would pass the count
+    and key checks, then fail as an index), and stored norm constants must be
+    the ones this build normalizes with."""
+    if not _is_int(header["num_layers"]):
+        raise DataFormatError(f"{path}: num_layers {header['num_layers']!r} is not an integer")
+    if not isinstance(header["arrays"], list):
+        raise DataFormatError(f"{path}: arrays is not a list")
+    for i, entry in enumerate(header["arrays"]):
+        where = f"{path}: manifest entry {i}"
+        _require(path, entry, ("layer", "name", "dtype", "shape"), f"manifest entry {i}")
+        if not _is_int(entry["layer"]):
+            raise DataFormatError(f"{where} has layer {entry['layer']!r}, not an integer")
+        if not isinstance(entry["name"], str):
+            raise DataFormatError(f"{where} has name {entry['name']!r}, not a string")
+        shape = entry["shape"]
+        if not (isinstance(shape, list) and all(_is_int(d) and d >= 0 for d in shape)):
+            raise DataFormatError(f"{where} has shape {shape!r}, not a list of sizes")
+        for key, value in _NORM_CONSTANTS.items():
+            if entry.get(key, value) != value:
+                raise DataFormatError(
+                    f"{where} has {key} {entry[key]!r}; this build normalizes with {value}"
+                )
+
+
 def _check_against_spec(path, header, spec):
     """Every stored array must have the shape the spec allocates for it, and
     every weighted or norm layer must have all of its parameters."""
@@ -163,11 +184,13 @@ def load_checkpoint(path):
         )
     (header_len,) = struct.unpack_from("<Q", body, offset)
     offset += 8
-    header = json.loads(body[offset : offset + header_len].decode())
+    try:
+        header = json.loads(body[offset : offset + header_len].decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataFormatError(f"{path}: header is not JSON ({exc})") from exc
     offset += header_len
     _require(path, header, ("spec", "train_config", "seed", "num_layers", "arrays"), "header")
-    for i, entry in enumerate(header["arrays"]):
-        _require(path, entry, ("layer", "name", "dtype", "shape"), f"manifest entry {i}")
+    _check_manifest(path, header)
     _require(path, header["spec"], ("input_shape", "num_classes", "t_max", "lif", "layers"),
              "spec")
     try:
@@ -175,8 +198,7 @@ def load_checkpoint(path):
     except (TypeError, ValueError) as exc:  # an unknown or invalid spec field
         raise DataFormatError(f"{path}: invalid spec ({exc})") from exc
     _check_against_spec(path, header, spec)
-    params = [None] * header["num_layers"]
-    bn_parts = {}
+    layers = {}
     for entry in header["arrays"]:
         i, name = entry["layer"], entry["name"]
         try:
@@ -194,23 +216,12 @@ def load_checkpoint(path):
             body, dtype=dtype, count=count, offset=offset
         ).reshape(entry["shape"]).copy()
         offset += count * dtype.itemsize
-        if name in ("gamma", "beta", "running_mean", "running_var"):
-            slot = bn_parts.setdefault(i, {})
-            slot[name] = arr
-            if "momentum" in entry:
-                slot["momentum"] = entry["momentum"]
-                slot["eps"] = entry["eps"]
-        else:
-            if params[i] is None:
-                params[i] = {}
-            params[i][name] = arr
+        layers.setdefault(i, {})[name] = arr
     if offset != len(body):
         raise DataFormatError(f"{path}: {len(body) - offset} bytes follow the last array")
-    for i, parts in bn_parts.items():
-        params[i] = BatchNormState(**parts)
     return Checkpoint(
         spec=spec,
-        params=params,
+        params=[layers.get(i) for i in range(header["num_layers"])],
         train_config=header["train_config"],
         seed=header["seed"],
         version=version,

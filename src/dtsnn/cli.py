@@ -51,11 +51,11 @@ def _write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-def _write_manifest(out_dir, command, argv, cfg, seed, outputs):
+def _write_manifest(out_dir, args, cfg, outputs):
     manifest = {
-        "command": command,
-        "argv": argv,
-        "seed": seed,
+        "command": args.command,
+        "argv": args.argv,
+        "seed": cfg.train.seed,
         "config": config_to_dict(cfg),
         "versions": {
             "dtsnn": __version__,
@@ -68,11 +68,11 @@ def _write_manifest(out_dir, command, argv, cfg, seed, outputs):
         json.dump(manifest, fh, indent=1)
 
 
-def _prepare(args, command):
+def _prepare(args):
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
-    out_dir = Path(args.out or f"runs/{command}")
+    out_dir = Path(args.out or f"runs/{args.command}")
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir
 
@@ -92,7 +92,7 @@ def _progress_printer(quiet):
 
 
 def cmd_train(args):
-    cfg, out_dir = _prepare(args, "train")
+    cfg, out_dir = _prepare(args)
     train_ds, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = build_instance(cfg.network, seed=cfg.train.seed)
     log = train(
@@ -111,8 +111,7 @@ def cmd_train(args):
     )
     log_path = out_dir / "training_log.csv"
     _write_csv(log_path, log.csv_rows())
-    _write_manifest(out_dir, "train", sys.argv[1:], cfg, cfg.train.seed,
-                    [ckpt_path.name, log_path.name])
+    _write_manifest(out_dir, args, cfg, [ckpt_path.name, log_path.name])
     if not args.quiet:
         final = log.records[-1]
         print(f"checkpoint: {ckpt_path}")
@@ -129,7 +128,7 @@ def _load_net(args, cfg):
 
 
 def cmd_eval(args):
-    cfg, out_dir = _prepare(args, "eval")
+    cfg, out_dir = _prepare(args)
     theta = cfg.exit.theta if args.theta is None else args.theta
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
@@ -164,7 +163,7 @@ def cmd_eval(args):
     ]
     out_path = out_dir / "eval_summary.csv"
     _write_csv(out_path, rows)
-    _write_manifest(out_dir, "eval", sys.argv[1:], cfg, cfg.train.seed, [out_path.name])
+    _write_manifest(out_dir, args, cfg, [out_path.name])
     if not args.quiet:
         print(f"static T={t_max}: acc {static_acc:.4f}")
         print(
@@ -176,7 +175,7 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    cfg, out_dir = _prepare(args, "sweep")
+    cfg, out_dir = _prepare(args)
     thetas = args.theta_grid if args.theta_grid else list(cfg.exit.theta_grid)
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
@@ -216,7 +215,7 @@ def cmd_sweep(args):
                             t_max=t_max)
         write_trace_csv(trace_path, scan, test_ds.labels, policy)
         outputs.append(trace_path.name)
-    _write_manifest(out_dir, "sweep", sys.argv[1:], cfg, cfg.train.seed, outputs)
+    _write_manifest(out_dir, args, cfg, outputs)
     if not args.quiet:
         for line in sweep_rows[1:]:
             print("theta", line[0], "acc", line[1], "mean_t", line[2], "edp", line[5])
@@ -224,7 +223,7 @@ def cmd_sweep(args):
 
 
 def cmd_ablate(args):
-    cfg, out_dir = _prepare(args, "ablate")
+    cfg, out_dir = _prepare(args)
     train_ds, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     arch = cfg.arch
     results = {}
@@ -273,7 +272,7 @@ def cmd_ablate(args):
     out_path = out_dir / "ablation.csv"
     _write_csv(out_path, rows)
     _write_manifest(
-        out_dir, "ablate", sys.argv[1:], cfg, cfg.train.seed,
+        out_dir, args, cfg,
         [out_path.name, "training_log_standard.csv", "training_log_per_timestep.csv"],
     )
     if not args.quiet:
@@ -283,7 +282,7 @@ def cmd_ablate(args):
 
 
 def cmd_hwreport(args):
-    cfg, out_dir = _prepare(args, "hwreport")
+    cfg, out_dir = _prepare(args)
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
     t_max = net.spec.t_max
@@ -359,7 +358,7 @@ def cmd_hwreport(args):
                 f"{arr[:, 1].mean():.4f} +/- {arr[:, 1].std():.4f} "
                 f"(clean {clean_summary.accuracy:.4f})"
             )
-    _write_manifest(out_dir, "hwreport", sys.argv[1:], cfg, cfg.train.seed, outputs)
+    _write_manifest(out_dir, args, cfg, outputs)
     return 0
 
 
@@ -431,11 +430,13 @@ def _check_flags(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    args.argv = argv  # recorded in manifest.json
     try:
         _check_flags(args)
         return args.func(args)

@@ -113,16 +113,22 @@ def _network_from_section(section):
         raise ConfigError(
             f"unknown key '{sorted(set(lif_section) - lif_allowed)[0]}' in 'model.lif'"
         )
-    layer_fields = {f.name for f in dataclasses.fields(LayerSpec)}
+    layer_types = {f.name: f.type for f in dataclasses.fields(LayerSpec)}
     layers = []
     for i, raw in enumerate(section["layers"]):
         if not isinstance(raw, dict) or "kind" not in raw:
             raise ConfigError(f"model.layers[{i}] must be a mapping with a 'kind'")
-        unknown = set(raw) - layer_fields
+        unknown = set(raw) - layer_types.keys()
         if unknown:
             raise ConfigError(
                 f"unknown key '{sorted(unknown)[0]}' in model.layers[{i}]"
             )
+        for key, value in raw.items():
+            want = layer_types[key]
+            if not isinstance(value, (int, float) if want is float else want):
+                raise ConfigError(
+                    f"model.layers[{i}].{key} must be {want.__name__}, got {value!r}"
+                )
         layers.append(LayerSpec(**raw))
     try:
         return NetworkSpec(
@@ -132,7 +138,7 @@ def _network_from_section(section):
             lif=LifConfig(**lif_section),
             layers=tuple(layers),
         )
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:  # TypeError: a field of the wrong type
         raise ConfigError(f"section 'model': {exc}") from exc
 
 

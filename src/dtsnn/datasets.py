@@ -104,6 +104,8 @@ def load_idx(images_path, labels_path, mean=0.0, std=1.0, split="train"):
     """Load an IDX image/label pair into a normalized Dataset."""
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
+    if len(images) == 0:
+        raise DataFormatError(f"{images_path}: IDX file holds no images")
     if len(images) != len(labels):
         raise DataFormatError(
             f"image count {len(images)} does not match label count {len(labels)} "

@@ -315,19 +315,16 @@ def apply_device_variation(weights, sigma_over_mu, seed):
 def perturbed_instance(net, sigma_over_mu, seed):
     """Clone an instance with device-variation noise on its mapped weights.
 
-    Only crossbar-resident weight matrices are perturbed; biases and
-    normalization parameters live in digital logic and stay exact.
+    Only crossbar-resident weight matrices ("w") are perturbed; biases and
+    normalization parameters live in digital logic and stay exact.  Every
+    parameter dict is copied, so training the clone leaves the source's
+    parameters untouched.
     """
     clone = net.clone_state()
-    clone.params = []
-    rng_seed = seed
-    for i, p in enumerate(net.params):
-        if isinstance(p, dict):
-            entry = dict(p)
-            entry["w"] = apply_device_variation(p["w"], sigma_over_mu, rng_seed + i)
-            clone.params.append(entry)
-        else:
-            clone.params.append(p)
+    clone.params = [None if p is None else dict(p) for p in net.params]
+    for i, p in enumerate(clone.params):
+        if p is not None and "w" in p:
+            p["w"] = apply_device_variation(p["w"], sigma_over_mu, seed + i)
     return clone
 
 

@@ -22,7 +22,7 @@ strides, but are fast on that one:
   channels-last memory without looping over the short channel axis.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -241,104 +241,79 @@ def avg_pool2d_backward(dy, window):
     return dx.reshape(n, ho * window, wo * window, c).transpose(0, 3, 1, 2)
 
 
-@dataclass(frozen=True)
-class BatchNormState:
-    """Per-channel affine parameters plus running statistics.
+# Batch normalization constants: the weight of the batch statistics in the
+# running blend, and the variance offset under the square root.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
-    Immutable: training-mode calls return a new state with blended running
-    statistics instead of mutating, so instances can be shared read-only.
-    """
 
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
-
-    @classmethod
-    def create(cls, num_features, dtype=np.float32, momentum=0.1, eps=1e-5):
-        return cls(
-            gamma=np.ones(num_features, dtype=dtype),
-            beta=np.zeros(num_features, dtype=dtype),
-            running_mean=np.zeros(num_features, dtype=dtype),
-            running_var=np.ones(num_features, dtype=dtype),
-            momentum=momentum,
-            eps=eps,
-        )
+def norm_params(num_features, dtype=np.float32):
+    """Parameters of a fresh normalization layer: unit scale, zero shift and
+    the running statistics of a standard normal."""
+    return {
+        "gamma": np.ones(num_features, dtype=dtype),
+        "beta": np.zeros(num_features, dtype=dtype),
+        "running_mean": np.zeros(num_features, dtype=dtype),
+        "running_var": np.ones(num_features, dtype=dtype),
+    }
 
 
 def _bn_axes_and_view(x, num_features):
     if x.ndim == 4:
         if x.shape[1] != num_features:
             raise ShapeError(
-                f"channel axis has size {x.shape[1]}, norm state expects {num_features}"
+                f"channel axis has size {x.shape[1]}, norm layer expects {num_features}"
             )
         return (0, 2, 3), (1, num_features, 1, 1)
     if x.ndim == 2:
         if x.shape[1] != num_features:
             raise ShapeError(
-                f"feature axis has size {x.shape[1]}, norm state expects {num_features}"
+                f"feature axis has size {x.shape[1]}, norm layer expects {num_features}"
             )
         return (0,), (1, num_features)
     raise ShapeError(f"batch_norm input must be 2-d or 4-d, got shape {x.shape}")
 
 
-def batch_norm(x, state, mode):
-    """Per-channel normalization.
+def batch_norm(x, params):
+    """Per-channel normalization by the stored running statistics."""
+    _, view = _bn_axes_and_view(x, params["gamma"].shape[0])
+    invstd = 1.0 / np.sqrt(params["running_var"] + BN_EPS)
+    y = _normalize(x, params["running_mean"], invstd, view)
+    y *= params["gamma"].reshape(view)
+    y += params["beta"].reshape(view)
+    return y
 
-    mode "train": normalize by the statistics of this batch (biased variance)
-    and return a new state whose running statistics are the momentum blend
-    new = (1 - m) * old + m * batch (unbiased variance for the running blend).
-    mode "eval": normalize by the stored running statistics; state unchanged.
 
-    Returns (output, new_state).
+def batch_norm_train_cached(x, params, repeats=1):
+    """Per-channel normalization by the statistics of this batch (biased
+    variance).
+
+    Returns (y, new_params, cache).  new_params is a new dict whose running
+    statistics are the blend new = (1 - m) * old + m * batch, with
+    m = BN_MOMENTUM and the unbiased batch variance; the cache feeds
+    `batch_norm_backward`.  ``repeats`` treats x as standing for that many
+    identical copies stacked along the batch axis: the batch statistics are
+    those of x itself, and the unbiased factor count/(count-1) uses the
+    stacked count.
     """
-    y, new_state, _ = _batch_norm_impl(x, state, mode, want_cache=False)
-    return y, new_state
-
-
-def batch_norm_train_cached(x, state, repeats=1):
-    """Training-mode batch_norm that also returns the cache for backward.
-
-    ``repeats`` treats x as standing for that many identical copies stacked
-    along the batch axis: the batch statistics are those of x itself, and the
-    unbiased running-variance factor count/(count-1) uses the stacked count.
-    """
-    return _batch_norm_impl(x, state, "train", want_cache=True, repeats=repeats)
-
-
-def _batch_norm_impl(x, state, mode, want_cache, repeats=1):
-    nf = state.gamma.shape[0]
+    nf = params["gamma"].shape[0]
     axes, view = _bn_axes_and_view(x, nf)
-    if mode == "eval":
-        invstd = 1.0 / np.sqrt(state.running_var + state.eps)
-        y = _normalize(x, state.running_mean, invstd, view)
-        y *= state.gamma.reshape(view)
-        y += state.beta.reshape(view)
-        return y, state, None
-    if mode != "train":
-        raise ValueError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     count = repeats * (x.size // nf)
     mean = x.mean(axis=axes)
     var = x.var(axis=axes)
-    invstd = 1.0 / np.sqrt(var + state.eps)
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat = _normalize(x, mean, invstd, view)
-    y = xhat * state.gamma.reshape(view)
-    y += state.beta.reshape(view)
-    m = state.momentum
+    y = xhat * params["gamma"].reshape(view)
+    y += params["beta"].reshape(view)
+    m = BN_MOMENTUM
     var_unbiased = var * (count / max(count - 1, 1))
-    new_state = replace(
-        state,
-        running_mean=((1.0 - m) * state.running_mean + m * mean).astype(
-            state.running_mean.dtype
-        ),
-        running_var=((1.0 - m) * state.running_var + m * var_unbiased).astype(
-            state.running_var.dtype
-        ),
+    running_mean, running_var = params["running_mean"], params["running_var"]
+    new_params = dict(
+        params,
+        running_mean=((1.0 - m) * running_mean + m * mean).astype(running_mean.dtype),
+        running_var=((1.0 - m) * running_var + m * var_unbiased).astype(running_var.dtype),
     )
-    cache = (xhat, invstd, state.gamma, view) if want_cache else None
-    return y, new_state, cache
+    return y, new_params, (xhat, invstd, params["gamma"], view)
 
 
 def _normalize(x, mean, invstd, view):

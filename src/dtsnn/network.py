@@ -31,13 +31,13 @@ import numpy as np
 
 from .errors import DataFormatError, ShapeError, StateError
 from .kernels import (
-    BatchNormState,
     ConvParams,
     avg_pool2d,
     batch_norm,
     batch_norm_train_cached,
     conv2d,
     fully_connected,
+    norm_params,
 )
 
 
@@ -265,7 +265,7 @@ class SnnInstance:
     """
 
     spec: NetworkSpec
-    params: list                  # per layer: dict of arrays / BatchNormState / None
+    params: list                  # per layer: dict of arrays, or None
     lif_states: dict = field(default_factory=dict)
     accumulated_logits: np.ndarray = None
     t: int = 0
@@ -296,7 +296,7 @@ def _init_params(spec, seed, dtype):
                 entry["b"] = np.zeros(plan.weight_shape[0], dtype=dtype)
             params.append(entry)
         elif layer.kind == "norm":
-            params.append(BatchNormState.create(plan.in_shape[0], dtype=dtype))
+            params.append(norm_params(plan.in_shape[0], dtype=dtype))
         else:
             params.append(None)
     return params
@@ -392,8 +392,7 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
                 repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
                 h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats)
             else:
-                h, _ = batch_norm(h, par, "eval")
-                cache = None
+                h, cache = batch_norm(h, par), None
             record((kind, cache))
         elif kind == "lif":
             state = None if tape is not None else net.lif_states.get(i)

@@ -28,7 +28,7 @@ f_t = (1/t) * sum_{t'<=t} logits_t'.
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -213,8 +213,8 @@ def backward_through_time(net, tape, dstep_logits):
 
 def commit_norm_updates(net, tape):
     """Adopt the running statistics proposed by a training forward pass."""
-    for i, new_state in tape["norm_updates"].items():
-        net.params[i] = new_state
+    for i, new_params in tape["norm_updates"].items():
+        net.params[i] = new_params
 
 
 @dataclass(frozen=True)
@@ -289,30 +289,15 @@ def evaluate_per_timestep(net, images, labels, t_steps, batch_size=512):
 def sgd_step(net, grads, velocities, lr, momentum, weight_decay):
     """SGD with momentum; L2 decay applied to weight matrices only."""
     for i, layer_grads in grads.items():
+        p = net.params[i]
         for name, g in layer_grads.items():
             if name == "w" and weight_decay:
-                g = g + weight_decay * _get_param(net, i, name)
+                g = g + weight_decay * p[name]
             key = (i, name)
             v = velocities.get(key)
             v = g if v is None else momentum * v + g
             velocities[key] = v
-            _set_param(net, i, name, _get_param(net, i, name) - (lr * v).astype(
-                _get_param(net, i, name).dtype))
-
-
-def _get_param(net, i, name):
-    p = net.params[i]
-    if isinstance(p, dict):
-        return p[name]
-    return getattr(p, name)  # BatchNormState
-
-
-def _set_param(net, i, name, value):
-    p = net.params[i]
-    if isinstance(p, dict):
-        p[name] = value
-    else:
-        net.params[i] = replace(p, **{name: value})
+            p[name] = p[name] - (lr * v).astype(p[name].dtype)
 
 
 def train(net, train_images, train_labels, eval_images, eval_labels, cfg,

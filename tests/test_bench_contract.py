@@ -56,6 +56,11 @@ def test_tracer_installs_and_sees_conv_from_both_engines(parents):
     assert conv_parents == {"network.forward_timestep", "training.forward_with_tape"}
 
 
+def test_tracer_sees_each_norm_kernel_in_its_engine(parents):
+    assert ("kernels.batch_norm", "network.forward_timestep") in parents
+    assert ("kernels.batch_norm_train_cached", "training.forward_with_tape") in parents
+
+
 def test_tracer_sees_every_backward_kernel(parents):
     under_backward = {name for name, parent in parents
                       if parent == "training.backward_through_time"}

@@ -44,10 +44,11 @@ def trained(tmp_path_factory):
     config_path = root / "run.yaml"
     config_path.write_text(yaml.safe_dump(CONFIG))
     out = root / "train"
-    code = main(["train", "--config", str(config_path), "--out", str(out), "--quiet"])
+    argv = ["train", "--config", str(config_path), "--out", str(out), "--quiet"]
+    code = main(argv)
     assert code == 0
     return {"config": config_path, "out": out, "ckpt": out / "checkpoint.ckpt",
-            "root": root}
+            "root": root, "argv": argv}
 
 
 class TestTrain:
@@ -56,6 +57,7 @@ class TestTrain:
         assert (trained["out"] / "training_log.csv").exists()
         manifest = json.loads((trained["out"] / "manifest.json").read_text())
         assert manifest["command"] == "train"
+        assert manifest["argv"] == trained["argv"]
         assert manifest["seed"] == 3
         assert "checkpoint.ckpt" in manifest["outputs"]
         assert manifest["config"]["model"]["num_classes"] == 3
@@ -239,7 +241,8 @@ class TestUsage:
     @pytest.mark.parametrize("layer, message", [
         ({"kind": "pool", "window": 0}, "pool window must be >= 1"),
         ({"kind": "fc"}, "out_features must be >= 1"),
-    ], ids=["pool_window_0", "fc_default_width"])
+        ({"kind": "conv", "out_channels": "12"}, "model.layers[4].out_channels must be int"),
+    ], ids=["pool_window_0", "fc_default_width", "conv_out_channels_str"])
     def test_empty_layer_exit_2_before_any_output(self, tmp_path, capsys, layer, message):
         model = dict(CONFIG["model"])
         model["layers"] = model["layers"][:-1] + [layer, {"kind": "classifier"}]

@@ -89,6 +89,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="kernel_size"):
             parse_config_dict(raw)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("out_channels", "12", r"model\.layers\[0\]\.out_channels must be int, got '12'"),
+        ("kernel", 3.0, r"model\.layers\[0\]\.kernel must be int, got 3\.0"),
+        ("bias", "yes", r"model\.layers\[0\]\.bias must be bool, got 'yes'"),
+    ], ids=["out_channels_str", "kernel_float", "bias_str"])
+    def test_layer_field_type_named(self, field, value, message):
+        layers = [{"kind": "conv", "out_channels": 4, field: value}] + MINIMAL["model"]["layers"][1:]
+        raw = {**MINIMAL, "model": {**MINIMAL["model"], "layers": layers}}
+        with pytest.raises(ConfigError, match=message):
+            parse_config_dict(raw)
+
+    def test_model_field_type_is_config_error(self):
+        raw = {**MINIMAL, "model": {**MINIMAL["model"], "num_classes": "3"}}
+        with pytest.raises(ConfigError, match="section 'model'"):
+            parse_config_dict(raw)
+
     def test_model_section_required(self):
         with pytest.raises(ConfigError, match="'model'"):
             parse_config_dict({"train": {"epochs": 1}})

@@ -85,6 +85,12 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="does not match label count"):
             load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
 
+    def test_empty_split_rejected(self, tmp_path):
+        write_idx_images(tmp_path / "i.idx", np.zeros((0, 3, 3), np.uint8))
+        write_idx_labels(tmp_path / "l.idx", np.zeros(0, np.uint8))
+        with pytest.raises(DataFormatError, match=r"i\.idx: IDX file holds no images"):
+            load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+
     def test_normalization_recorded(self, tmp_path):
         write_idx_images(tmp_path / "i.idx", np.full((2, 3, 3), 255, np.uint8))
         write_idx_labels(tmp_path / "l.idx", np.zeros(2, np.uint8))
@@ -169,14 +175,10 @@ class TestCheckpoint:
         assert loaded.seed == 0
         assert loaded.train_config == {"epochs": 3, "lr0": 0.1}
         for orig, back in zip(net.params, loaded.params):
-            if isinstance(orig, dict):
-                for name in orig:
-                    npt.assert_array_equal(orig[name], back[name])
-                    assert orig[name].dtype == back[name].dtype
-            elif orig is not None:
-                npt.assert_array_equal(orig.gamma, back.gamma)
-                npt.assert_array_equal(orig.running_var, back.running_var)
-                assert orig.momentum == back.momentum
+            assert (orig is None) == (back is None)
+            for name in orig or ():
+                npt.assert_array_equal(orig[name], back[name])
+                assert orig[name].dtype == back[name].dtype
 
     def test_version_bump_rejected(self, tmp_path):
         _, ckpt = self.make_ckpt()
@@ -268,6 +270,35 @@ class TestCheckpoint:
     def test_malformed_header_part_named(self, reseal, edit, message):
         path = reseal(edit_header=edit)
         with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+
+    def test_header_not_json_named(self, reseal):
+        path = reseal(raw_header=b"{not json")
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: header is not JSON"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.update(num_layers=13.0), "num_layers 13.0 is not an integer"),
+        (lambda h: h.update(arrays={}), "arrays is not a list"),
+        (lambda h: h["arrays"][0].update(layer=0.0), "manifest entry 0 has layer 0.0, not an integer"),
+        (lambda h: h["arrays"][0].update(name=["w"]), r"manifest entry 0 has name \['w'\], not a string"),
+        (lambda h: h["arrays"][0].update(shape=[12.0]), r"manifest entry 0 has shape \[12.0\], not a list"),
+        (lambda h: h["arrays"][0].update(shape=12), "manifest entry 0 has shape 12, not a list"),
+    ], ids=["num_layers_float", "arrays_mapping", "layer_float", "name_list", "shape_float", "shape_int"])
+    def test_manifest_field_type_named(self, reseal, edit, message):
+        path = reseal(edit_header=edit)
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("eps", 1e-3), ("momentum", 0.2)])
+    def test_foreign_norm_constant_rejected(self, reseal, key, value):
+        def change(header):
+            gamma = next(e for e in header["arrays"] if e["name"] == "gamma")
+            assert gamma[key] != value
+            gamma[key] = value
+
+        path = reseal(edit_header=change)
+        with pytest.raises(DataFormatError, match=f"has {key} {value}; this build normalizes"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):

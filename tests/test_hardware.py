@@ -111,12 +111,12 @@ class TestMapping:
     def test_mapping_matches_weight_matrices(self, spec):
         net = build_instance(spec)
         mapping = map_network(spec, ArchConfig())
-        weights = [p["w"] for p in net.params if isinstance(p, dict)]
+        weights = [p["w"] for p in net.params if p is not None and "w" in p]
         assert [(l.fan_in, l.fan_out) for l in mapping.layers] == [
             (int(np.prod(w.shape[1:])), w.shape[0]) for w in weights
         ]
         assert [l.index for l in mapping.layers] == [
-            i for i, p in enumerate(net.params) if isinstance(p, dict)
+            i for i, p in enumerate(net.params) if p is not None and "w" in p
         ]
 
     def test_weight_bits_must_divide(self):

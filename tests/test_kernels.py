@@ -6,7 +6,7 @@ import pytest
 
 from dtsnn.errors import ShapeError
 from dtsnn.kernels import (
-    BatchNormState,
+    BN_EPS,
     ConvParams,
     avg_pool2d,
     avg_pool2d_backward,
@@ -17,6 +17,7 @@ from dtsnn.kernels import (
     conv2d_backward,
     fully_connected,
     fully_connected_backward,
+    norm_params,
 )
 
 from oracles import (
@@ -289,14 +290,16 @@ class TestAvgPool:
 
 class TestBatchNorm:
     def test_eval_identity(self):
-        state = BatchNormState.create(3)
+        state = norm_params(3)
+        before = dict(state)
         x = rng.standard_normal((4, 3, 2, 2)).astype(np.float32)
-        y, new_state = batch_norm(x, state, "eval")
+        y = batch_norm(x, state)
         npt.assert_allclose(y, x, atol=1e-4)
-        assert new_state is state
+        assert state.keys() == before.keys()
+        assert all(state[name] is before[name] for name in before)
 
     def test_eval_bit_exact_to_formula(self):
-        state = BatchNormState(
+        state = dict(
             gamma=rng.standard_normal(5).astype(np.float32),
             beta=rng.standard_normal(5).astype(np.float32),
             running_mean=rng.standard_normal(5).astype(np.float32),
@@ -304,20 +307,20 @@ class TestBatchNorm:
         )
         x = channels_last(rng.standard_normal((3, 5, 4, 6)).astype(np.float32))
         view = (1, 5, 1, 1)
-        invstd = (1.0 / np.sqrt(state.running_var + state.eps)).reshape(view)
+        invstd = (1.0 / np.sqrt(state["running_var"] + BN_EPS)).reshape(view)
         expected = (
-            state.gamma.reshape(view) * ((x - state.running_mean.reshape(view)) * invstd)
-            + state.beta.reshape(view)
+            state["gamma"].reshape(view) * ((x - state["running_mean"].reshape(view)) * invstd)
+            + state["beta"].reshape(view)
         )
-        y, _ = batch_norm(x, state, "eval")
+        y = batch_norm(x, state)
         assert y.dtype == np.float32
         npt.assert_array_equal(y, expected)
         assert y.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_train_normalizes(self):
-        state = BatchNormState.create(3)
+        state = norm_params(3)
         x = (rng.standard_normal((16, 3, 4, 4)) * 3.0 + 1.5).astype(np.float32)
-        y, _ = batch_norm(x, state, "train")
+        y, _, _ = batch_norm_train_cached(x, state)
         mu = y.mean(axis=(0, 2, 3))
         var = y.var(axis=(0, 2, 3))
         assert np.max(np.abs(mu)) < 1e-5
@@ -325,23 +328,23 @@ class TestBatchNorm:
 
     def test_running_stats_momentum_blend(self):
         # Hand calculation: start mean 0 / var 1, momentum 0.1, one batch.
-        state = BatchNormState.create(1, momentum=0.1)
+        state = norm_params(1)
         x = np.array([[1.0], [2.0], [3.0], [4.0]], dtype=np.float32)
-        _, new_state = batch_norm(x, state, "train")
+        _, new_state, _ = batch_norm_train_cached(x, state)
         batch_mean = 2.5
         batch_var_unbiased = np.var([1.0, 2.0, 3.0, 4.0], ddof=1)  # 5/3
-        npt.assert_allclose(new_state.running_mean, [0.9 * 0.0 + 0.1 * batch_mean], rtol=1e-6)
-        npt.assert_allclose(new_state.running_var, [0.9 * 1.0 + 0.1 * batch_var_unbiased], rtol=1e-6)
+        npt.assert_allclose(new_state["running_mean"], [0.9 * 0.0 + 0.1 * batch_mean], rtol=1e-6)
+        npt.assert_allclose(new_state["running_var"], [0.9 * 1.0 + 0.1 * batch_var_unbiased], rtol=1e-6)
 
     def test_zero_variance_is_finite(self):
-        state = BatchNormState.create(2)
+        state = norm_params(2)
         x = np.ones((8, 2), dtype=np.float32)
-        y, _ = batch_norm(x, state, "train")
+        y, _, _ = batch_norm_train_cached(x, state)
         assert np.isfinite(y).all()
 
     def test_backward_against_finite_differences(self):
-        state = BatchNormState.create(3, momentum=0.1)
-        state = BatchNormState(
+        state = norm_params(3)
+        state = dict(
             gamma=rng.standard_normal(3),
             beta=rng.standard_normal(3),
             running_mean=np.zeros(3),
@@ -373,7 +376,7 @@ class TestBatchNorm:
         x = rng.standard_normal(shape)
         if x.ndim == 4:
             x = channels_last(x)
-        state = BatchNormState(
+        state = dict(
             gamma=rng.standard_normal(3),
             beta=rng.standard_normal(3),
             running_mean=np.zeros(3),
@@ -388,7 +391,7 @@ class TestBatchNorm:
         _, _, cache = batch_norm_train_cached(x, state)
         dx, dgamma, dbeta = batch_norm_backward(proj, cache)
         eps = 1e-6
-        for arr, grad in [(x, dx), (state.gamma, dgamma), (state.beta, dbeta)]:
+        for arr, grad in [(x, dx), (state["gamma"], dgamma), (state["beta"], dbeta)]:
             for idx in zip(*[rng.integers(0, d, size=6) for d in arr.shape]):
                 orig = arr[idx]
                 arr[idx] = orig + eps
@@ -402,7 +405,7 @@ class TestBatchNorm:
 def test_kernels_do_not_mutate_inputs():
     x = channels_last(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
     w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-    state = BatchNormState(
+    state = dict(
         gamma=rng.standard_normal(3).astype(np.float32),
         beta=rng.standard_normal(3).astype(np.float32),
         running_mean=rng.standard_normal(3).astype(np.float32),
@@ -411,8 +414,8 @@ def test_kernels_do_not_mutate_inputs():
     fc_x = rng.standard_normal((4, 6)).astype(np.float32)
     fc_w = rng.standard_normal((3, 6)).astype(np.float32)
     fc_b = rng.standard_normal(3).astype(np.float32)
-    inputs = [x, w, fc_x, fc_w, fc_b, state.gamma, state.beta,
-              state.running_mean, state.running_var]
+    inputs = [x, w, fc_x, fc_w, fc_b, state["gamma"], state["beta"],
+              state["running_mean"], state["running_var"]]
     before = [a.copy() for a in inputs]
     for stride in (1, 2):
         params = ConvParams(3, 4, 3, 3, stride, 1)
@@ -430,8 +433,8 @@ def test_kernels_do_not_mutate_inputs():
     pooled_before = pooled.copy()
     avg_pool2d_backward(pooled, 2)
     npt.assert_array_equal(pooled, pooled_before)
-    batch_norm(x, state, "eval")
-    batch_norm(x, state, "train")
+    batch_norm(x, state)
+    batch_norm_train_cached(x, state)
     _, _, cache = batch_norm_train_cached(x, state)
     cache_xhat = cache[0].copy()
     dy = channels_last(rng.standard_normal(x.shape).astype(np.float32))
