@@ -69,12 +69,11 @@ def _write_manifest(out_dir, args, cfg, outputs):
 
 
 def _prepare(args):
+    """Config and output path; a command creates the path once its inputs load."""
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
-    out_dir = Path(args.out or f"runs/{args.command}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    return cfg, Path(args.out or f"runs/{args.command}")
 
 
 def _progress_printer(quiet):
@@ -94,6 +93,7 @@ def _progress_printer(quiet):
 def cmd_train(args):
     cfg, out_dir = _prepare(args)
     train_ds, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
+    out_dir.mkdir(parents=True, exist_ok=True)
     net = build_instance(cfg.network, seed=cfg.train.seed)
     log = train(
         net, train_ds.images, train_ds.labels, test_ds.images, test_ds.labels,
@@ -132,6 +132,7 @@ def cmd_eval(args):
     theta = cfg.exit.theta if args.theta is None else args.theta
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     t_max = net.spec.t_max
     mapping = map_network(net.spec, cfg.arch)
     net.record_activity = True
@@ -179,6 +180,7 @@ def cmd_sweep(args):
     thetas = args.theta_grid if args.theta_grid else list(cfg.exit.theta_grid)
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     t_max = net.spec.t_max
     mapping = map_network(net.spec, cfg.arch)
     net.record_activity = True
@@ -225,6 +227,7 @@ def cmd_sweep(args):
 def cmd_ablate(args):
     cfg, out_dir = _prepare(args)
     train_ds, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
+    out_dir.mkdir(parents=True, exist_ok=True)
     arch = cfg.arch
     results = {}
     hashes = {}
@@ -285,6 +288,7 @@ def cmd_hwreport(args):
     cfg, out_dir = _prepare(args)
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     t_max = net.spec.t_max
     arch = cfg.arch
     mapping = map_network(net.spec, arch)

@@ -13,8 +13,8 @@ strides, but are fast on that one:
 
 - convolution unfolds windows in (kh, kw, C) column order, so each row of the
   unfolded matrix is kh runs of kw*C contiguous values; `_weight_matrix`
-  orders the weights' columns the same way.  Weights and their gradients keep
-  the (C_out, C_in, kh, kw) shape and C order;
+  orders the weights' columns the same way, for free on (C_out, kh, kw, C_in)
+  memory (the inference plan's); gradients keep the weights' shape, C order;
 - `conv2d`, `conv2d_backward`'s input gradient and `avg_pool2d_backward`
   return channels-last views; `avg_pool2d`, `batch_norm` and
   `batch_norm_backward` return arrays in the memory order of their input;

@@ -18,11 +18,17 @@ array object is passed and is dropped by `reset_states`.  A caller that
 mutates an input array in place between timesteps must call `reset_states`
 first.
 
+Without a tape, `run_layers` runs on `inference_params`: eval norms folded
+into the conv / fc before them, rebuilt whenever a parameter array is
+replaced.  Parameter arrays are read-only from the first inference on;
+replace them, do not write into them.
+
 An SnnInstance is single-owner mutable state: one inference at a time.
 Weights may be shared read-only between instances; `clone_state` gives each
 worker its own membrane potentials (and no cached stem).
 """
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -31,6 +37,7 @@ import numpy as np
 
 from .errors import DataFormatError, ShapeError, StateError
 from .kernels import (
+    BN_EPS,
     ConvParams,
     avg_pool2d,
     batch_norm,
@@ -85,7 +92,8 @@ def lif_unroll(currents, cfg, smooth=False, state=None):
     """Forward a (T, B, ...) current tensor through one LIF layer.
 
     Each step: u <- tau*u + input; spike where u > v_th (strict), or
-    spike_ramp(u) when ``smooth``; u <- u*(1-spike).  Without ``state`` the
+    spike_ramp(u) when ``smooth``; u <- u*(1-spike).  The potentials are
+    updated in place, the state's own buffer included.  Without ``state`` the
     unroll starts from rest and returns (spikes, (u_pre, spikes)), the cache
     `training.lif_unroll_backward` needs.  With a LifState it continues from
     the state's potentials, leaves the final potentials and spikes in it, and
@@ -103,12 +111,19 @@ def lif_unroll(currents, cfg, smooth=False, state=None):
     else:
         u, u_pre = state.u, None
     spikes = _empty_steps(currents[0], t_steps)
+    keep = np.empty_like(u, dtype=bool)
     for t in range(t_steps):
-        u = cfg.tau * u + currents[t]
+        u *= cfg.tau
+        u += currents[t]
         if u_pre is not None:
             u_pre[t] = u
-        spikes[t] = spike_ramp(u, cfg.v_th) if smooth else u > cfg.v_th
-        u *= 1.0 - spikes[t]
+        if smooth:
+            spikes[t] = spike_ramp(u, cfg.v_th)
+            u *= 1.0 - spikes[t]
+        else:
+            np.less_equal(u, cfg.v_th, out=keep)
+            np.logical_not(keep, out=spikes[t], casting="unsafe")
+            u *= keep
     if state is None:
         return spikes, (u_pre, spikes)
     state.u, state.last_spikes = u, spikes[-1]
@@ -260,8 +275,9 @@ class SnnInstance:
 
     ``stem`` caches ``(input, stem output, stem activity counts)`` for the
     input array last passed to `forward_timestep`.  It lives until
-    `reset_states` or until a different array object is passed; instances
-    from `clone_state` start without it.
+    `reset_states`, until a different array object is passed or until
+    ``inference_plan`` (see `inference_params`) is rebuilt; instances from
+    `clone_state` start without either.
     """
 
     spec: NetworkSpec
@@ -273,6 +289,7 @@ class SnnInstance:
     activity: list = field(default_factory=list)  # one row per timestep
     smooth_spikes: bool = False   # fire by spike_ramp (gradient-check mode)
     stem: tuple = None            # (input, stem output, stem activity counts)
+    inference_plan: tuple = None  # (parameter arrays, inference parameters)
 
     def clone_state(self):
         """New instance sharing weights but with fresh inference state."""
@@ -317,6 +334,37 @@ def reset_states(net):
     net.stem = None
 
 
+def inference_params(net):
+    """Per-layer parameters `run_layers` uses without a tape.
+
+    A norm directly after a conv or fc is folded into it, in float64: with
+    s = gamma / sqrt(running_var + BN_EPS) the weights become w*s, the bias
+    (b - running_mean)*s + beta, and the norm's entry None.  Conv weights are
+    (C_out, C_in, kh, kw) views of (C_out, kh, kw, C_in) memory, the column
+    order of `conv2d`'s unfolded input.  Kept in ``net.inference_plan`` and
+    rebuilt, dropping the cached stem, when an array of ``net.params`` has
+    been replaced; building it makes those arrays read-only.
+    """
+    arrays = [a for p in net.params if p is not None for a in p.values()]
+    plan = net.inference_plan
+    if plan is None or len(plan[0]) != len(arrays) or not all(map(operator.is_, plan[0], arrays)):
+        for a in arrays:
+            a.flags.writeable = False
+        kinds, params = [layer.kind for layer in net.spec.layers], list(net.params)
+        for i in range(1, len(kinds)):
+            if kinds[i] == "norm" and kinds[i - 1] in ("conv", "fc"):
+                prev, norm = params[i - 1], {k: v.astype(np.float64) for k, v in params[i].items()}
+                s = norm["gamma"] / np.sqrt(norm["running_var"] + BN_EPS)
+                w = prev["w"] * s.reshape((-1,) + (1,) * (prev["w"].ndim - 1))
+                b = (prev.get("b", 0.0) - norm["running_mean"]) * s + norm["beta"]
+                params[i - 1] = {"w": w.astype(prev["w"].dtype), "b": b.astype(prev["w"].dtype)}
+                params[i] = None
+        params = [dict(p, w=np.ascontiguousarray(p["w"].transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2))
+                  if kind == "conv" else p for kind, p in zip(kinds, params)]
+        net.inference_plan, net.stem = (arrays, params), None
+    return net.inference_plan[1]
+
+
 def _count_inputs(h, analog):
     """Per-sample drive presented to a crossbar-mapped layer this timestep.
 
@@ -345,6 +393,7 @@ def forward_timestep(net, x):
             f"input shape {x.shape[1:]} does not match network input {spec.input_shape}"
         )
     s = first_lif(spec)
+    inference_params(net)  # a rebuilt plan drops the stem computed on old weights
     if net.stem is None or net.stem[0] is not x:
         check_finite(x)
         stem_counts = []
@@ -366,17 +415,19 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
 
     Rows are t_steps timestep-major blocks of B rows from the first LIF on.
     ``counts``, when a list, receives the per-sample input count of every
-    weighted layer.  Without a tape norms use running statistics and LIF
-    layers continue from ``net.lif_states``; with one, LIF layers start from
-    rest, every layer appends its cache to ``tape["caches"]``, and if
-    ``tape["train"]`` norms propose updates in ``tape["norm_updates"]``.
+    weighted layer.  Without a tape layers run on `inference_params`, unfolded
+    norms use running statistics and LIF layers continue from
+    ``net.lif_states``; with one, LIF layers start from rest, every layer
+    appends its cache to ``tape["caches"]``, and if ``tape["train"]`` norms
+    propose updates in ``tape["norm_updates"]``.
     """
     spec = net.spec
     s = first_lif(spec)
     batch = h.shape[0]
     record = tape["caches"].append if tape is not None else lambda cache: None
+    params = net.params if tape is not None else inference_params(net)
     for i in indices:
-        layer, par, plan = spec.layers[i], net.params[i], spec.layer_plan[i]
+        layer, par, plan = spec.layers[i], params[i], spec.layer_plan[i]
         kind, cfg = layer.kind, plan.config
         if counts is not None and plan.weight_shape is not None:
             counts.append(_count_inputs(h, analog=i < s))
@@ -388,11 +439,12 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
             record((kind, cfg, h, None if cols is None else cols[0]))
             h = y
         elif kind == "norm":
+            cache = None
             if tape is not None and tape["train"]:
                 repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
                 h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats)
-            else:
-                h, cache = batch_norm(h, par), None
+            elif par is not None:  # None: folded into the layer before
+                h = batch_norm(h, par)
             record((kind, cache))
         elif kind == "lif":
             state = None if tape is not None else net.lif_states.get(i)

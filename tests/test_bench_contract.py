@@ -30,6 +30,7 @@ def parents():
             LayerSpec("norm"),
             LayerSpec("lif"),
             LayerSpec("pool", window=2),
+            LayerSpec("norm"),  # after a pool: not folded, so eval batch_norm runs
             LayerSpec("conv", out_channels=2),
             LayerSpec("lif"),
             LayerSpec("classifier"),

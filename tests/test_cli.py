@@ -10,6 +10,7 @@ import yaml
 from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
 from dtsnn.cli import main
 from dtsnn.config import load_dataset_pair, parse_config
+from dtsnn.datasets import write_idx_images, write_idx_labels
 from dtsnn.exit_policy import scan_with_entropy
 from dtsnn.hardware import dataset_cost_fn, map_network
 
@@ -266,6 +267,23 @@ class TestUsage:
         assert err.startswith("error: ") and "header lacks key 'seed'" in err
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_empty_idx_split_exit_1_without_out_dir(self, trained, tmp_path, capsys):
+        for split, n in (("train", 4), ("test", 0)):
+            write_idx_images(tmp_path / f"{split}_i.idx", np.zeros((n, 8, 8), np.uint8))
+            write_idx_labels(tmp_path / f"{split}_l.idx", np.zeros(n, np.uint8))
+        data = {"kind": "idx", "train_images": str(tmp_path / "train_i.idx"),
+                "train_labels": str(tmp_path / "train_l.idx"),
+                "test_images": str(tmp_path / "test_i.idx"),
+                "test_labels": str(tmp_path / "test_l.idx")}
+        config_path = tmp_path / "idx.yaml"
+        config_path.write_text(yaml.safe_dump({**CONFIG, "data": data}))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(config_path), "--checkpoint", str(trained["ckpt"]),
+                     "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "test_i.idx: IDX file holds no images" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2

@@ -4,6 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
+from dtsnn.config import DEFAULT_THETA_GRID, parse_config
+from dtsnn.datasets import synth_dataset
 from dtsnn.errors import DataFormatError, ShapeError
 from dtsnn.exit_policy import (
     ExitPolicy,
@@ -25,6 +28,7 @@ from dtsnn.network import (
     static_forward,
 )
 
+from conftest import BENCH_CKPT
 from oracles import normalized_entropy_reference, softmax_reference
 
 rng = np.random.default_rng(4242)
@@ -317,3 +321,19 @@ class TestTraceCsv(object):
             fields = line.split(",")
             assert int(fields[3]) == t_hat[i]
             assert len(fields) == 4 + t_hat[i]  # entropy list length == chosen_t
+
+
+def test_dynamic_infer_matches_scan_on_bench_model():
+    # The benchmark's correctness check: the mnist.yaml architecture with the
+    # pinned bench/model.ckpt on hard `stripes` inputs, at every default theta.
+    ckpt = load_checkpoint(BENCH_CKPT)
+    assert ckpt.spec == parse_config(BENCH_CKPT.parents[1] / "configs" / "mnist.yaml").network
+    net = instance_from_checkpoint(ckpt)
+    ds = synth_dataset("stripes", 64, ckpt.spec.num_classes, seed=7, noise=1.3)
+    scan = scan_with_entropy(net, ds.images, ckpt.spec.t_max)
+    for theta in DEFAULT_THETA_GRID:
+        policy = ExitPolicy(theta=theta, t_max=ckpt.spec.t_max)
+        ref = summarize_policy(scan, ds.labels, policy)
+        traces = [dynamic_infer(net, image, policy) for image in ds.images]
+        npt.assert_array_equal([t.chosen_t for t in traces], ref.chosen_t)
+        npt.assert_array_equal([t.prediction for t in traces], ref.predictions)

@@ -7,6 +7,7 @@ import pytest
 from dtsnn import network
 from dtsnn.errors import ShapeError, StateError
 from dtsnn.hardware import perturbed_instance
+from dtsnn.kernels import avg_pool2d, batch_norm, conv2d, fully_connected
 from dtsnn.network import (
     LayerSpec,
     LifConfig,
@@ -15,11 +16,20 @@ from dtsnn.network import (
     SnnInstance,
     build_instance,
     forward_timestep,
+    inference_params,
     lif_step,
+    lif_unroll,
     mean_output,
     reset_states,
     static_forward,
     scan_timesteps,
+)
+from dtsnn.training import (
+    backward_through_time,
+    commit_norm_updates,
+    forward_with_tape,
+    loss_and_grad,
+    sgd_step,
 )
 
 from oracles import lif_sequence_reference
@@ -114,6 +124,215 @@ class TestLifStep:
             LifConfig(tau=1.5)
         with pytest.raises(ValueError, match="v_th"):
             LifConfig(v_th=0.0)
+
+
+def lif_formula(currents, tau, v_th, u0):
+    """u <- tau*u + I; s = u > v_th; u <- u*(1 - s), one fresh array per op.
+
+    Returns (spikes, pre-reset potentials, final potentials)."""
+    u, spikes, u_pre = u0.copy(), [], []
+    for current in currents:
+        u = tau * u + current
+        s = (u > v_th).astype(u.dtype)
+        u_pre.append(u)
+        spikes.append(s)
+        u = u * (1 - s)
+    return np.stack(spikes), np.stack(u_pre), u
+
+
+class TestLifUnroll:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_formula_with_and_without_state(self, dtype):
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        currents = rng.uniform(-1.5, 2.0, size=(5, 6, 3, 4)).astype(dtype)
+        currents[0, 0, 0, :2] = 1.0    # from rest u == v_th exactly: no spike
+        currents[:, 1, 0, 0] = -0.75   # potentials stay negative
+        currents = currents.transpose(0, 1, 3, 2)  # a non-contiguous layout
+        rest = np.zeros(currents.shape[1:], dtype=dtype)
+        ref_spikes, ref_u_pre, _ = lif_formula(currents, cfg.tau, cfg.v_th, rest)
+        assert ref_u_pre[0, 0, :2, 0].tolist() == [1.0, 1.0]
+        assert ref_spikes[0, 0, :2, 0].tolist() == [0.0, 0.0]
+        assert (ref_u_pre[:, 1, 0, 0] < 0).all()
+        spikes, (u_pre, cached) = lif_unroll(currents, cfg)
+        assert spikes.dtype == u_pre.dtype == dtype
+        npt.assert_array_equal(spikes, ref_spikes)
+        npt.assert_array_equal(u_pre, ref_u_pre)
+        assert cached is spikes
+
+        u0 = rng.uniform(-1.0, 1.0, size=currents.shape[1:]).astype(dtype)
+        u0[0, 0, 0] = 0.0
+        ref_spikes, _, ref_u = lif_formula(currents, cfg.tau, cfg.v_th, u0)
+        state = LifState(u0.copy(), np.zeros_like(u0))
+        spikes, cache = lif_unroll(currents, cfg, state=state)
+        assert cache is None
+        npt.assert_array_equal(spikes, ref_spikes)
+        npt.assert_array_equal(state.u, ref_u)
+        npt.assert_array_equal(state.last_spikes, ref_spikes[-1])
+
+
+def reference_logits(spec, params, x, t_steps):
+    """Per-step logits and the current entering every LIF layer at every
+    step, from the kernels on unfolded parameters: conv2d, batch_norm with
+    running statistics, avg_pool2d, fully_connected, and `lif_formula`."""
+    u = {}
+    logits, currents = [], []
+    for _ in range(t_steps):
+        h = x
+        for i, (layer, par, plan) in enumerate(zip(spec.layers, params, spec.layer_plan)):
+            if layer.kind == "conv":
+                h = conv2d(h, par["w"], plan.config)
+                if "b" in par:
+                    h = h + par["b"].reshape(1, -1, 1, 1)
+            elif layer.kind == "norm":
+                h = batch_norm(h, par)
+            elif layer.kind == "pool":
+                h = avg_pool2d(h, layer.window)
+            elif layer.kind == "lif":
+                currents.append(h)
+                u0 = u.get(i, np.zeros_like(h))
+                spikes, _, u[i] = lif_formula(h[None], plan.config.tau, plan.config.v_th, u0)
+                h = spikes[0]
+            else:
+                h = fully_connected(h.reshape(h.shape[0], -1), par["w"], par["b"])
+        logits.append(h)
+    return np.stack(logits), currents
+
+
+def randomize_norms(net, seed=0):
+    """Replace every norm's arrays with random statistics, so that a fold is
+    not close to the identity."""
+    gen = np.random.default_rng(seed)
+    for i, p in enumerate(net.params):
+        if p is not None and "gamma" in p:
+            n, dtype = p["gamma"].shape[0], p["gamma"].dtype
+            net.params[i] = {
+                "gamma": gen.uniform(0.5, 2.0, n).astype(dtype),
+                "beta": gen.uniform(-0.5, 0.5, n).astype(dtype),
+                "running_mean": gen.uniform(-0.5, 0.5, n).astype(dtype),
+                "running_var": gen.uniform(0.2, 3.0, n).astype(dtype),
+            }
+    return net
+
+
+# name -> (layers, input shape, indices of the norms that fold)
+PLAN_CASES = {
+    "conv_norm": ((LayerSpec("conv", out_channels=4), LayerSpec("norm"), LayerSpec("lif"),
+                   LayerSpec("pool", window=2), LayerSpec("classifier")), (2, 6, 6), [1]),
+    "biased_conv_norm": ((LayerSpec("conv", out_channels=4, bias=True), LayerSpec("norm"),
+                          LayerSpec("lif"), LayerSpec("classifier")), (2, 6, 6), [1]),
+    "fc_norm": ((LayerSpec("fc", out_features=12), LayerSpec("norm"), LayerSpec("lif"),
+                 LayerSpec("classifier")), (1, 4, 4), [1]),
+    "pool_norm": ((LayerSpec("pool", window=2), LayerSpec("norm"), LayerSpec("lif"),
+                   LayerSpec("conv", out_channels=3), LayerSpec("lif"),
+                   LayerSpec("classifier")), (2, 6, 6), []),
+    "lif_first": ((LayerSpec("lif"), LayerSpec("norm"), LayerSpec("conv", out_channels=3),
+                   LayerSpec("norm"), LayerSpec("lif"), LayerSpec("classifier")),
+                  (2, 6, 6), [3]),
+}
+
+
+class TestInferencePlan:
+    T_STEPS = 3
+
+    def make(self, case, dtype, seed=4):
+        layers, input_shape, folded = PLAN_CASES[case]
+        spec = NetworkSpec(input_shape=input_shape, num_classes=3, t_max=4, layers=layers)
+        net = randomize_norms(build_instance(spec, seed=seed, dtype=dtype), seed)
+        x = (rng.standard_normal((5,) + input_shape) * 1.5).astype(dtype)
+        return net, x, folded
+
+    def run(self, net, x, monkeypatch):
+        """Per-step logits of forward_timestep plus every current it passes
+        to a LIF layer, in the order `reference_logits` records them."""
+        currents = []
+        unroll = network.lif_unroll
+
+        def recording(h, *args, **kwargs):
+            currents.extend(np.array(c) for c in h)
+            return unroll(h, *args, **kwargs)
+
+        monkeypatch.setattr(network, "lif_unroll", recording)
+        reset_states(net)
+        logits = np.stack([forward_timestep(net, x) for _ in range(self.T_STEPS)])
+        return logits, currents
+
+    @pytest.mark.parametrize("case", list(PLAN_CASES))
+    @pytest.mark.parametrize("dtype, rtol, atol", [
+        (np.float64, 1e-12, 0.0),
+        (np.float32, 1e-5, 1e-5),  # float32 rounding of w*s against (conv - mean)*s
+    ], ids=["float64", "float32"])
+    def test_folded_forward_matches_unfolded_reference(self, case, dtype, rtol, atol,
+                                                       monkeypatch):
+        net, x, _ = self.make(case, dtype)
+        ref_logits, ref_currents = reference_logits(net.spec, net.params, x, self.T_STEPS)
+        logits, currents = self.run(net, x, monkeypatch)
+        assert len(currents) == len(ref_currents)
+        for got, want in zip(currents, ref_currents):
+            assert got.dtype == dtype
+            npt.assert_allclose(got, want, rtol=rtol, atol=atol)
+        npt.assert_allclose(logits, ref_logits, rtol=rtol, atol=atol)
+
+    def test_only_norms_after_conv_or_fc_fold(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(network, "batch_norm", lambda *a: calls.append(1) or batch_norm(*a))
+        for case, (layers, _, folded) in PLAN_CASES.items():
+            net, x, _ = self.make(case, np.float32)
+            calls.clear()
+            forward_timestep(net, x)
+            norms = [i for i, layer in enumerate(layers) if layer.kind == "norm"]
+            assert [i for i in norms if inference_params(net)[i] is None] == folded, case
+            assert len(calls) == len(norms) - len(folded), case
+
+    def test_plan_is_reused_while_params_are_unchanged(self):
+        net, x, _ = self.make("conv_norm", np.float32)
+        forward_timestep(net, x)
+        plan = net.inference_plan
+        forward_timestep(net, x)
+        assert net.inference_plan is plan
+
+    def train_one_step(self, net, x):
+        step_logits, tape = forward_with_tape(net, x, 2)
+        _, dstep = loss_and_grad(step_logits, np.arange(len(x)) % 3, "per_timestep")
+        grads = backward_through_time(net, tape, dstep)
+        commit_norm_updates(net, tape)
+        sgd_step(net, grads, {}, lr=0.5, momentum=0.9, weight_decay=5e-4)
+
+    def test_training_between_inferences_uses_the_new_weights(self):
+        net, x, _ = self.make("conv_norm", np.float32)
+        before = static_forward(net, x, 2)
+        self.train_one_step(net, x)
+        after = static_forward(net, x, 2)
+        fresh = SnnInstance(spec=net.spec, params=net.params)
+        npt.assert_array_equal(after, static_forward(fresh, x, 2))
+        assert not np.array_equal(before, after)
+
+    def test_training_mid_inference_recomputes_the_stem(self):
+        net, x, _ = self.make("conv_norm", np.float32)
+        ref = SnnInstance(spec=net.spec, params=net.params)  # shares the params list
+        npt.assert_array_equal(forward_timestep(net, x), forward_timestep(ref, x))
+        self.train_one_step(net, x)
+        # the same input array: the stem cached on the old weights is dropped
+        npt.assert_array_equal(forward_timestep(net, x), forward_timestep(ref, x.copy()))
+
+    def test_writing_into_a_parameter_after_inference_raises(self):
+        net, x, _ = self.make("biased_conv_norm", np.float32)
+        net.params[0]["w"][:] = 0.5  # writable before the first inference
+        forward_timestep(net, x)
+        for p in net.params:
+            for arr in (p or {}).values():
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+
+    def test_perturbed_instance_gets_its_own_plan(self):
+        net, x, _ = self.make("conv_norm", np.float64)
+        clean = static_forward(net, x, 3)
+        noisy = perturbed_instance(net, 0.3, seed=2)
+        noisy_logits = static_forward(noisy, x, 3)
+        assert noisy.inference_plan is not net.inference_plan
+        assert not np.array_equal(inference_params(noisy)[0]["w"], inference_params(net)[0]["w"])
+        ref_logits, _ = reference_logits(noisy.spec, noisy.params, x, 3)
+        npt.assert_allclose(noisy_logits, ref_logits.mean(axis=0), rtol=1e-12)
+        npt.assert_array_equal(static_forward(net, x, 3), clean)
 
 
 class TestForwardTimestep:
