@@ -15,10 +15,20 @@ strides, but are fast on that one:
   unfolded matrix is kh runs of kw*C contiguous values; `_weight_matrix`
   orders the weights' columns the same way, for free on (C_out, kh, kw, C_in)
   memory (the inference plan's); gradients keep the weights' shape, C order;
+- `conv2d`, the weight gradient and the stride-1 input gradient (a `conv2d`
+  call) never hold a whole batch's unfolded matrix: they unfold and multiply
+  blocks of batch samples of about BLOCK_BYTES each.  A block is still in
+  cache when its GEMM reads it, and the GEMMs stay small enough that BLAS
+  threading does not dominate (on a 2-core Xeon guest the stem's
+  (100352x9)@(9x12) GEMM over 128 samples mostly took ~24 ms on 2 OpenBLAS
+  threads, ~1.2 ms on one, and ~0.6 ms in blocks).  A batch that fits in
+  one block takes one unfold and one GEMM.  Training tapes therefore keep
+  each conv's input, not its unfolded matrix;
 - `conv2d`, `conv2d_backward`'s input gradient and `avg_pool2d_backward`
-  return channels-last views; `avg_pool2d`, `batch_norm` and
-  `batch_norm_backward` return arrays in the memory order of their input;
-- per-channel sums in `batch_norm_backward` use einsum, which reduces
+  return channels-last views; `avg_pool2d`, `batch_norm`,
+  `batch_norm_train_cached` and `batch_norm_backward` return arrays in the
+  memory order of their input;
+- per-channel sums in the norm kernels use einsum, which reduces
   channels-last memory without looping over the short channel axis.
 """
 
@@ -93,12 +103,34 @@ def _weight_matrix(weights):
     return weights.transpose(0, 2, 3, 1).reshape(weights.shape[0], -1)
 
 
-def conv2d(x, weights, params, cols_out=None):
+# Bytes of unfolded input per convolution block: about half an L2 cache.
+BLOCK_BYTES = 1 << 20
+
+
+def _unfolded_blocks(x, params, ho, wo):
+    """Yield (rows, cols) for consecutive blocks of x's batch: cols is the
+    block's unfolded input, of at most about BLOCK_BYTES, and rows the slice
+    of the (N*Ho*Wo)-row GEMM it fills.
+
+    A batch that fits in one block is unfolded whole, without slicing x, and
+    yields rows=None.
+    """
+    n, c = x.shape[:2]
+    kh, kw, stride, padding = params.kernel_h, params.kernel_w, params.stride, params.padding
+    step = max(1, BLOCK_BYTES // (ho * wo * kh * kw * c * x.itemsize))
+    if n <= step:
+        yield None, _im2col(x, kh, kw, stride, padding)[0]
+        return
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        cols, _, _ = _im2col(x[start:stop], kh, kw, stride, padding)
+        yield slice(start * ho * wo, stop * ho * wo), cols
+
+
+def conv2d(x, weights, params):
     """2-d cross-correlation of x (N,C,H,W) with weights (C_out,C_in,kh,kw).
 
-    Equivalent to the direct sum-of-products over every window.  When
-    ``cols_out`` is a list, the unfolded input matrix is appended to it so a
-    backward pass can reuse it.
+    Equivalent to the direct sum-of-products over every window.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got shape {x.shape}")
@@ -121,10 +153,16 @@ def conv2d(x, weights, params, cols_out=None):
             f"input channel axis has size {x.shape[1]}, weights expect {cin}"
         )
     n = x.shape[0]
-    cols, ho, wo = _im2col(x, kh, kw, params.stride, params.padding)
-    if cols_out is not None:
-        cols_out.append(cols)
-    y = cols @ _weight_matrix(weights).T
+    ho, wo = params.output_hw(*x.shape[2:])
+    wmat = _weight_matrix(weights).T
+    y = None
+    for rows, cols in _unfolded_blocks(x, params, ho, wo):
+        if rows is None:
+            y = cols @ wmat
+        else:
+            if y is None:
+                y = np.empty((n * ho * wo, cout), dtype=np.result_type(cols, wmat))
+            np.matmul(cols, wmat, out=y[rows])
     return y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
 
 
@@ -147,21 +185,21 @@ def _col2im(dcols, x_shape, kh, kw, stride, padding):
     return dxp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
-def conv2d_backward(dy, x, weights, params, cols=None, need_dx=True):
+def conv2d_backward(dy, x, weights, params, need_dx=True):
     """Gradients of conv2d w.r.t. input and weights.
 
-    dy has the output shape (N,C_out,Ho,Wo).  Passing the cached ``cols``
-    from the forward pass avoids recomputing the unfold.  With
-    ``need_dx=False`` the input gradient is not computed and returned as None.
+    dy has the output shape (N,C_out,Ho,Wo).  dW re-unfolds x block by block.
+    With ``need_dx=False`` the input gradient is not computed and returned as
+    None.
     """
     cout, cin, kh, kw = weights.shape
-    n = x.shape[0]
-    if cols is None:
-        cols, _, _ = _im2col(x, kh, kw, params.stride, params.padding)
+    ho, wo = dy.shape[2:]
     dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
-    dw = np.ascontiguousarray(
-        (dy_mat.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+    dw = sum(
+        (dy_mat if rows is None else dy_mat[rows]).T @ cols
+        for rows, cols in _unfolded_blocks(x, params, ho, wo)
     )
+    dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
     if not need_dx:
         return None, dw
     if params.stride == 1 and kh == kw and params.padding < kh:
@@ -258,27 +296,24 @@ def norm_params(num_features, dtype=np.float32):
     }
 
 
-def _bn_axes_and_view(x, num_features):
-    if x.ndim == 4:
-        if x.shape[1] != num_features:
-            raise ShapeError(
-                f"channel axis has size {x.shape[1]}, norm layer expects {num_features}"
-            )
-        return (0, 2, 3), (1, num_features, 1, 1)
-    if x.ndim == 2:
-        if x.shape[1] != num_features:
-            raise ShapeError(
-                f"feature axis has size {x.shape[1]}, norm layer expects {num_features}"
-            )
-        return (0,), (1, num_features)
-    raise ShapeError(f"batch_norm input must be 2-d or 4-d, got shape {x.shape}")
+def _channel_view(x, num_features):
+    """Shape that broadcasts a per-channel vector against x (2-d or 4-d)."""
+    if x.ndim not in (2, 4):
+        raise ShapeError(f"batch_norm input must be 2-d or 4-d, got shape {x.shape}")
+    if x.shape[1] != num_features:
+        axis = "channel" if x.ndim == 4 else "feature"
+        raise ShapeError(
+            f"{axis} axis has size {x.shape[1]}, norm layer expects {num_features}"
+        )
+    return (1, num_features) + (1,) * (x.ndim - 2)
 
 
 def batch_norm(x, params):
     """Per-channel normalization by the stored running statistics."""
-    _, view = _bn_axes_and_view(x, params["gamma"].shape[0])
+    view = _channel_view(x, params["gamma"].shape[0])
     invstd = 1.0 / np.sqrt(params["running_var"] + BN_EPS)
-    y = _normalize(x, params["running_mean"], invstd, view)
+    y = x - params["running_mean"].reshape(view)
+    y *= invstd.reshape(view)
     y *= params["gamma"].reshape(view)
     y += params["beta"].reshape(view)
     return y
@@ -295,17 +330,23 @@ def batch_norm_train_cached(x, params, repeats=1):
     identical copies stacked along the batch axis: the batch statistics are
     those of x itself, and the unbiased factor count/(count-1) uses the
     stacked count.
+
+    The statistics are einsum reductions over x and over x centred once, in
+    x's memory order; the centred array is then scaled in place into xhat.
     """
     nf = params["gamma"].shape[0]
-    axes, view = _bn_axes_and_view(x, nf)
-    count = repeats * (x.size // nf)
-    mean = x.mean(axis=axes)
-    var = x.var(axis=axes)
+    view = _channel_view(x, nf)
+    idx = "nchw"[: x.ndim]
+    per_channel = x.size // nf
+    mean = np.einsum(f"{idx}->c", x) / per_channel
+    xhat = x - mean.reshape(view)
+    var = np.einsum(f"{idx},{idx}->c", xhat, xhat) / per_channel
     invstd = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = _normalize(x, mean, invstd, view)
+    xhat *= invstd.reshape(view)
     y = xhat * params["gamma"].reshape(view)
     y += params["beta"].reshape(view)
     m = BN_MOMENTUM
+    count = repeats * per_channel
     var_unbiased = var * (count / max(count - 1, 1))
     running_mean, running_var = params["running_mean"], params["running_var"]
     new_params = dict(
@@ -314,13 +355,6 @@ def batch_norm_train_cached(x, params, repeats=1):
         running_var=((1.0 - m) * running_var + m * var_unbiased).astype(running_var.dtype),
     )
     return y, new_params, (xhat, invstd, params["gamma"], view)
-
-
-def _normalize(x, mean, invstd, view):
-    """(x - mean) * invstd per channel, as one new array in x's memory order."""
-    y = x - mean.reshape(view)
-    y *= invstd.reshape(view)
-    return y
 
 
 def batch_norm_backward(dy, cache):

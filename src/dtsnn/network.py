@@ -432,11 +432,10 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
         if counts is not None and plan.weight_shape is not None:
             counts.append(_count_inputs(h, analog=i < s))
         if kind == "conv":
-            cols = None if tape is None else []
-            y = conv2d(h, par["w"], cfg, cols_out=cols)
+            y = conv2d(h, par["w"], cfg)
             if "b" in par:
                 y += par["b"].reshape(1, -1, 1, 1)
-            record((kind, cfg, h, None if cols is None else cols[0]))
+            record((kind, cfg, h))
             h = y
         elif kind == "norm":
             cache = None

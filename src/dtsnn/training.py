@@ -43,9 +43,15 @@ from .kernels import (
 from .network import check_finite, first_lif, lif_unroll, run_layers, scan_timesteps, spike_ramp
 
 
-def surrogate_grad(u, v_th):
-    """Triangular stand-in derivative of the firing function, peak at u == v_th."""
-    return np.maximum(0.0, v_th - np.abs(u - v_th))
+def surrogate_grad(u, v_th, out=None):
+    """Triangular stand-in derivative of the firing function, peak at u == v_th:
+    max(0, v_th - |u - v_th|), written into ``out`` when it is given."""
+    if out is None:
+        out = np.empty_like(u, dtype=np.result_type(u, v_th))
+    np.subtract(u, v_th, out=out)
+    np.abs(out, out=out)
+    np.subtract(v_th, out, out=out)
+    return np.maximum(0.0, out, out=out)
 
 
 def _log_softmax64(logits):
@@ -121,17 +127,25 @@ def loss_and_grad(step_logits, labels, loss_mode):
 
 def lif_unroll_backward(dspikes, cache, cfg):
     """Reverse-time unroll: surrogate through the firing, tau through the
-    membrane recurrence, (1 - s) through the detached reset multiplier."""
+    membrane recurrence, (1 - s) through the detached reset multiplier.
+
+    Each step's gradient is built in its own row of the result; one carry
+    buffer holds tau * du[t+1] * (1 - s[t]).
+    """
     u_pre, spikes = cache
     t_steps = dspikes.shape[0]
     d_currents = np.empty_like(dspikes)
-    du_post = np.zeros_like(dspikes[0])
+    carry = np.empty_like(dspikes[0])
     for t in reversed(range(t_steps)):
-        du_pre = dspikes[t] * surrogate_grad(u_pre[t], cfg.v_th) + du_post * (
-            1.0 - spikes[t]
-        )
-        d_currents[t] = du_pre
-        du_post = cfg.tau * du_pre
+        du = d_currents[t]
+        if t + 1 < t_steps:
+            np.multiply(d_currents[t + 1], cfg.tau, out=carry)
+            np.subtract(1.0, spikes[t], out=du)
+            carry *= du
+        surrogate_grad(u_pre[t], cfg.v_th, out=du)
+        du *= dspikes[t]
+        if t + 1 < t_steps:
+            du += carry
     return d_currents
 
 
@@ -198,13 +212,11 @@ def backward_through_time(net, tape, dstep_logits):
             grads[i] = {"gamma": dgamma, "beta": dbeta}
             g = dx
         elif layer.kind == "conv":
-            _, p, x_in, cols = cache
+            _, p, x_in = cache
             entry = {"w": None}
             if "b" in net.params[i]:
                 entry["b"] = g.sum(axis=(0, 2, 3))
-            dx, dw = conv2d_backward(
-                g, x_in, net.params[i]["w"], p, cols=cols, need_dx=i > first_param
-            )
+            dx, dw = conv2d_backward(g, x_in, net.params[i]["w"], p, need_dx=i > first_param)
             entry["w"] = dw
             grads[i] = entry
             g = dx
@@ -300,6 +312,18 @@ def sgd_step(net, grads, velocities, lr, momentum, weight_decay):
             p[name] = p[name] - (lr * v).astype(p[name].dtype)
 
 
+def _check_params_finite(net, epoch):
+    """Raise TrainingError naming the first parameter array (weights or
+    running statistics) that holds a non-finite value."""
+    for i, p in enumerate(net.params):
+        for name, a in (p or {}).items():
+            if not np.isfinite(a).all():
+                raise TrainingError(
+                    f"parameter {name!r} of layer {i} became non-finite at "
+                    f"epoch {epoch} (training diverged)"
+                )
+
+
 def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
           progress=None):
     """SGD with momentum, L2 decay and a cosine-annealed learning rate.
@@ -307,7 +331,8 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     Returns a TrainingLog with one record per epoch: train loss, the
     learning rate used, eval accuracy at every timestep 1..t_train, and a
     hash of the epoch's batch order (so paired runs can prove they saw the
-    same data).
+    same data).  Raises TrainingError when a step's loss or any parameter
+    after it is non-finite.
     """
     if cfg.t_train > net.spec.t_max:
         raise ValueError(
@@ -333,6 +358,7 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
             grads = backward_through_time(net, tape, dstep)
             commit_norm_updates(net, tape)
             sgd_step(net, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
+            _check_params_finite(net, epoch)
             losses.append(loss)
         acc = evaluate_per_timestep(
             net, eval_images, eval_labels, cfg.t_train, cfg.eval_batch

@@ -18,9 +18,10 @@ import tracing  # noqa: E402
 
 
 @pytest.fixture(scope="module")
-def parents():
-    """(span name, parent span name) of every span of one traced inference
-    step plus one traced training forward and backward pass."""
+def traced():
+    """The tracer of one traced inference step plus one traced training
+    forward and backward pass, and the (span name, parent span name) of
+    every span it recorded."""
     spec = NetworkSpec(
         input_shape=(1, 6, 6),
         num_classes=3,
@@ -49,20 +50,24 @@ def parents():
     assert not hasattr(dtsnn.network.forward_timestep, "__wrapped__")
     fields = np.asarray(tracer.spans).reshape(-1, tracing.SPAN_FIELDS)
     name_of = {int(span[0]): tracer.names[int(span[1])] for span in fields}
-    return [(tracer.names[int(span[1])], name_of.get(int(span[4]))) for span in fields]
+    parents = [(tracer.names[int(span[1])], name_of.get(int(span[4]))) for span in fields]
+    return tracer, parents
 
 
-def test_tracer_installs_and_sees_conv_from_both_engines(parents):
+def test_tracer_installs_and_sees_conv_from_both_engines(traced):
+    _, parents = traced
     conv_parents = {parent for name, parent in parents if name == "kernels.conv2d"}
     assert conv_parents == {"network.forward_timestep", "training.forward_with_tape"}
 
 
-def test_tracer_sees_each_norm_kernel_in_its_engine(parents):
+def test_tracer_sees_each_norm_kernel_in_its_engine(traced):
+    _, parents = traced
     assert ("kernels.batch_norm", "network.forward_timestep") in parents
     assert ("kernels.batch_norm_train_cached", "training.forward_with_tape") in parents
 
 
-def test_tracer_sees_every_backward_kernel(parents):
+def test_tracer_sees_every_backward_kernel(traced):
+    _, parents = traced
     under_backward = {name for name, parent in parents
                       if parent == "training.backward_through_time"}
     assert under_backward >= {
@@ -72,3 +77,10 @@ def test_tracer_sees_every_backward_kernel(parents):
         "kernels.fully_connected_backward",
         "training.lif_unroll_backward",
     }
+
+
+def test_tracer_counts_conv_work_forward_and_backward(traced):
+    # The counters read conv2d / conv2d_backward arguments by position.
+    tracer, _ = traced
+    assert tracer.counts["conv2d_mac"] > 0
+    assert tracer.counts["conv2d_backward_mac"] > 0

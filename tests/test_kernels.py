@@ -1,12 +1,16 @@
 """Tensor kernels against brute-force loop oracles and hand calculations."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dtsnn.errors import ShapeError
 from dtsnn.kernels import (
+    BLOCK_BYTES,
     BN_EPS,
+    BN_MOMENTUM,
     ConvParams,
     avg_pool2d,
     avg_pool2d_backward,
@@ -185,6 +189,92 @@ class TestConv2d:
                 npt.assert_allclose(grad[idx], (lp - lm) / (2 * eps), rtol=1e-5, atol=1e-7)
 
 
+def multi_block_batch(c, h, w, kh, kw, stride, padding, itemsize):
+    """(batch, samples per block) for an input of c x h x w whose unfolded
+    matrix spans three conv2d blocks of BLOCK_BYTES, the last one ragged."""
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    per_block = BLOCK_BYTES // (ho * wo * kh * kw * c * itemsize)
+    assert per_block >= 2
+    return 2 * per_block + per_block // 2, per_block
+
+
+class TestConv2dMultiBlock:
+    """Batches whose unfolded input spans several blocks of BLOCK_BYTES."""
+
+    @pytest.mark.parametrize("kh,kw,stride,padding", WIDE_CONV_CASES)
+    def test_against_loop_oracle(self, kh, kw, stride, padding):
+        n, per_block = multi_block_batch(3, 9, 8, kh, kw, stride, padding, 4)
+        x = channels_last(rng.standard_normal((n, 3, 9, 8)).astype(np.float32))
+        w = rng.standard_normal((4, 3, kh, kw)).astype(np.float32)
+        got = conv2d(x, w, ConvParams(3, 4, kh, kw, stride, padding))
+        assert got.transpose(0, 2, 3, 1).flags.c_contiguous
+        # the oracle is slow: check the samples on each side of every block edge
+        edges = [0, per_block - 1, per_block, 2 * per_block - 1, 2 * per_block, n - 1]
+        ref = conv2d_reference(x[edges], w, stride, padding)
+        assert np.max(np.abs(got[edges] - ref)) < 1e-5
+
+    @pytest.mark.parametrize("kh,kw,stride,padding", WIDE_CONV_CASES)
+    def test_backward_equals_per_sample_calls_summed(self, kh, kw, stride, padding):
+        n, _ = multi_block_batch(3, 9, 8, kh, kw, stride, padding, 4)
+        x = channels_last(rng.standard_normal((n, 3, 9, 8)).astype(np.float32))
+        w = rng.standard_normal((4, 3, kh, kw)).astype(np.float32)
+        params = ConvParams(3, 4, kh, kw, stride, padding)
+        dy = channels_last(rng.standard_normal(conv2d(x, w, params).shape).astype(np.float32))
+        dx, dw = conv2d_backward(dy, x, w, params)
+        per_sample = [conv2d_backward(dy[i : i + 1], x[i : i + 1], w, params) for i in range(n)]
+        npt.assert_allclose(dx, np.concatenate([d for d, _ in per_sample]), rtol=1e-5, atol=1e-5)
+        dw_sum = np.sum([g for _, g in per_sample], axis=0, dtype=np.float64)
+        npt.assert_allclose(dw, dw_sum, rtol=1e-5, atol=1e-5 * np.abs(dw_sum).max())
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
+    def test_backward_matches_finite_differences(self, stride, padding):
+        n, per_block = multi_block_batch(2, 7, 6, 3, 3, stride, padding, 8)
+        x = channels_last(rng.standard_normal((n, 2, 7, 6)))
+        w = rng.standard_normal((3, 2, 3, 3))
+        params = ConvParams(2, 3, 3, 3, stride, padding)
+        proj = channels_last(rng.standard_normal(conv2d(x, w, params).shape))
+        dx, dw = conv2d_backward(proj, x, w, params)
+
+        def loss():
+            return float((conv2d(x, w, params) * proj).sum())
+
+        eps = 1e-6
+        x_entries = [(b, *(int(rng.integers(0, d)) for d in x.shape[1:]))
+                     for b in (0, per_block - 1, per_block, 2 * per_block, n - 1)]
+        w_entries = list(zip(*[rng.integers(0, d, size=6) for d in w.shape]))
+        for arr, grad, entries in [(x, dx, x_entries), (w, dw, w_entries)]:
+            for idx in entries:
+                orig = arr[idx]
+                arr[idx] = orig + eps
+                lp = loss()
+                arr[idx] = orig - eps
+                lm = loss()
+                arr[idx] = orig
+                npt.assert_allclose(grad[idx], (lp - lm) / (2 * eps), rtol=1e-5, atol=1e-6)
+
+    def test_never_allocates_the_full_unfolded_matrix(self):
+        n, _ = multi_block_batch(8, 16, 16, 3, 3, 1, 1, 4)
+        n *= 3  # about eight blocks
+        unfolded_bytes = n * 16 * 16 * 9 * 8 * 4
+        x = channels_last(rng.standard_normal((n, 8, 16, 16)).astype(np.float32))
+        w = rng.standard_normal((4, 8, 3, 3)).astype(np.float32)
+        params = ConvParams(8, 4, 3, 3, 1, 1)
+        dy = channels_last(rng.standard_normal((n, 4, 16, 16)).astype(np.float32))
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            peaks = []
+            for call in (lambda: conv2d(x, w, params),
+                         lambda: conv2d_backward(dy, x, w, params)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < unfolded_bytes, (peaks, unfolded_bytes)
+
+
 class TestFullyConnected:
     def test_identity_weights(self):
         x = rng.standard_normal((4, 5)).astype(np.float32)
@@ -336,6 +426,47 @@ class TestBatchNorm:
         npt.assert_allclose(new_state["running_mean"], [0.9 * 0.0 + 0.1 * batch_mean], rtol=1e-6)
         npt.assert_allclose(new_state["running_var"], [0.9 * 1.0 + 0.1 * batch_var_unbiased], rtol=1e-6)
 
+    @pytest.mark.parametrize("layout", ["channels_last", "nchw", "2d"])
+    def test_batch_statistics_match_numpy_mean_and_var(self, layout):
+        shape = (16, 5) if layout == "2d" else (12, 5, 6, 7)
+        x = (rng.standard_normal(shape) * 2.0 + 3.0).astype(np.float32)
+        if layout == "channels_last":
+            x = channels_last(x)
+        axes = (0,) if layout == "2d" else (0, 2, 3)
+        view = (1, 5) + (1,) * (x.ndim - 2)
+        state = dict(
+            gamma=rng.standard_normal(5).astype(np.float32),
+            beta=rng.standard_normal(5).astype(np.float32),
+            running_mean=rng.standard_normal(5).astype(np.float32),
+            running_var=rng.uniform(0.5, 2.0, 5).astype(np.float32),
+        )
+        repeats = 3
+        y, new_state, (xhat, invstd, _, _) = batch_norm_train_cached(x, state, repeats)
+        x64 = x.astype(np.float64)
+        mean, var = x64.mean(axis=axes), x64.var(axis=axes)
+        count = repeats * (x.size // 5)
+        m = BN_MOMENTUM
+        npt.assert_allclose(invstd, 1.0 / np.sqrt(var + BN_EPS), rtol=1e-5)
+        npt.assert_allclose(
+            xhat, (x64 - mean.reshape(view)) / np.sqrt(var + BN_EPS).reshape(view),
+            rtol=1e-5, atol=1e-5,
+        )
+        npt.assert_allclose(
+            y, xhat * state["gamma"].reshape(view) + state["beta"].reshape(view),
+            rtol=1e-6, atol=1e-6,
+        )
+        npt.assert_allclose(
+            new_state["running_mean"], (1 - m) * state["running_mean"] + m * mean,
+            rtol=1e-5, atol=1e-6,
+        )
+        npt.assert_allclose(
+            new_state["running_var"],
+            (1 - m) * state["running_var"] + m * var * count / (count - 1),
+            rtol=1e-5,
+        )
+        assert y.dtype == xhat.dtype == new_state["running_var"].dtype == np.float32
+        assert y.strides == x.strides
+
     def test_zero_variance_is_finite(self):
         state = norm_params(2)
         x = np.ones((8, 2), dtype=np.float32)
@@ -419,12 +550,10 @@ def test_kernels_do_not_mutate_inputs():
     before = [a.copy() for a in inputs]
     for stride in (1, 2):
         params = ConvParams(3, 4, 3, 3, stride, 1)
-        cols = []
-        y = conv2d(x, w, params, cols_out=cols)
+        y = conv2d(x, w, params)
         dy = np.ones_like(y)
         dy_before = dy.copy()
         conv2d_backward(dy, x, w, params)
-        conv2d_backward(dy, x, w, params, cols=cols[0])
         npt.assert_array_equal(dy, dy_before)
     fully_connected(fc_x, fc_w, fc_b)
     dy = np.ones((4, 3), np.float32)

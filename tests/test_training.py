@@ -377,6 +377,15 @@ class TestTrainLoop:
             with np.errstate(over="raise", invalid="raise"):
                 train(net, images, labels, images, labels, cfg)
 
+    def test_divergence_raises_training_error_without_errstate(self):
+        # At this rate the loss stays finite while a running variance
+        # overflows; the parameter check catches it.
+        images, labels = separable_blobs(16)
+        net = build_instance(self.small_spec(), seed=0)
+        cfg = TrainConfig(epochs=3, batch_size=16, lr0=1e9, t_train=2, seed=0)
+        with pytest.raises(TrainingError, match="non-finite"):
+            train(net, images, labels, images, labels, cfg)
+
     def test_non_finite_input_rejected(self):
         images, labels = separable_blobs(8)
         images[3, 0, 2, 2] = np.nan
