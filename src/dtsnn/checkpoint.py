@@ -22,15 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChecksumError, DataFormatError, VersionError
+from .config import spec_from_dict, spec_to_dict
+from .errors import ChecksumError, ConfigError, DataFormatError, VersionError
 from .kernels import BN_EPS, BN_MOMENTUM
-from .network import (
-    NetworkSpec,
-    SnnInstance,
-    build_instance,
-    spec_from_dict,
-    spec_to_dict,
-)
+from .network import NetworkSpec, SnnInstance, build_instance
 
 MAGIC = b"DTSNNCK\x00"
 VERSION = 1
@@ -195,7 +190,7 @@ def load_checkpoint(path):
              "spec")
     try:
         spec = spec_from_dict(header["spec"])
-    except (TypeError, ValueError) as exc:  # an unknown or invalid spec field
+    except ConfigError as exc:  # an unknown, mistyped or invalid spec field
         raise DataFormatError(f"{path}: invalid spec ({exc})") from exc
     _check_against_spec(path, header, spec)
     layers = {}

@@ -69,10 +69,13 @@ def _write_manifest(out_dir, args, cfg, outputs):
 
 
 def _prepare(args):
-    """Config and output path; a command creates the path once its inputs load."""
+    """Config and output path; a command creates the path once its inputs load.
+    A command's --theta falls back to the config's exit.theta."""
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
+    if "theta" in args and args.theta is None:
+        args.theta = cfg.exit.theta
     return cfg, Path(args.out or f"runs/{args.command}")
 
 
@@ -129,7 +132,6 @@ def _load_net(args, cfg):
 
 def cmd_eval(args):
     cfg, out_dir = _prepare(args)
-    theta = cfg.exit.theta if args.theta is None else args.theta
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -137,7 +139,7 @@ def cmd_eval(args):
     mapping = map_network(net.spec, cfg.arch)
     net.record_activity = True
     scan = scan_with_entropy(net, test_ds.images, t_max)
-    policy = ExitPolicy(theta=theta, t_max=t_max)
+    policy = ExitPolicy(theta=args.theta, t_max=t_max)
     summary = summarize_policy(scan, test_ds.labels, policy)
     static_preds = scan["predictions"][:, t_max - 1]
     static_acc = float((static_preds == test_ds.labels).mean())
@@ -157,7 +159,7 @@ def cmd_eval(args):
         header,
         ["static", "", t_max, f"{static_acc:.6f}", f"{1.0:.6f}", f"{1.0:.6f}",
          f"{1.0:.6f}"] + static_hist,
-        ["dt", f"{theta:.4f}", f"{summary.mean_t:.4f}", f"{summary.accuracy:.6f}",
+        ["dt", f"{args.theta:.4f}", f"{summary.mean_t:.4f}", f"{summary.accuracy:.6f}",
          f"{dyn_e / static_e:.6f}", f"{dyn_l / static_l:.6f}",
          f"{dyn_edp / static_edp:.6f}"]
         + list(summary.histogram),
@@ -168,7 +170,7 @@ def cmd_eval(args):
     if not args.quiet:
         print(f"static T={t_max}: acc {static_acc:.4f}")
         print(
-            f"dt theta={theta}: acc {summary.accuracy:.4f} "
+            f"dt theta={args.theta}: acc {summary.accuracy:.4f} "
             f"mean_t {summary.mean_t:.3f} energy {dyn_e / static_e:.3f}x "
             f"edp {dyn_edp / static_edp:.3f}x"
         )
@@ -213,8 +215,7 @@ def cmd_sweep(args):
     outputs = [sweep_path.name, dist_path.name]
     if args.traces:
         trace_path = out_dir / "traces.csv"
-        policy = ExitPolicy(theta=args.theta if args.theta is not None else cfg.exit.theta,
-                            t_max=t_max)
+        policy = ExitPolicy(theta=args.theta, t_max=t_max)
         write_trace_csv(trace_path, scan, test_ds.labels, policy)
         outputs.append(trace_path.name)
     _write_manifest(out_dir, args, cfg, outputs)
@@ -242,10 +243,7 @@ def cmd_ablate(args):
         mapping = map_network(net.spec, arch)
         net.record_activity = True
         scan = scan_with_entropy(net, test_ds.images, net.spec.t_max)
-        policy = ExitPolicy(
-            theta=args.theta if args.theta is not None else cfg.exit.theta,
-            t_max=net.spec.t_max,
-        )
+        policy = ExitPolicy(theta=args.theta, t_max=net.spec.t_max)
         summary = summarize_policy(scan, test_ds.labels, policy)
         activity = scan["activity"]
         static_edp = dataset_cost_fn(mapping, arch, dynamic=False)(
@@ -264,12 +262,11 @@ def cmd_ablate(args):
     t_train = cfg.train.t_train
     rows = [["loss_mode"] + [f"acc_t{t}" for t in range(1, t_train + 1)]
             + ["dt_theta", "dt_accuracy", "dt_mean_timesteps", "dt_edp_ratio"]]
-    theta = args.theta if args.theta is not None else cfg.exit.theta
     for mode in ("standard", "per_timestep"):
         r = results[mode]
         rows.append(
             [mode] + [f"{a:.6f}" for a in r["acc_per_t"]]
-            + [f"{theta:.4f}", f"{r['dt_acc']:.6f}", f"{r['dt_mean_t']:.4f}",
+            + [f"{args.theta:.4f}", f"{r['dt_acc']:.6f}", f"{r['dt_mean_t']:.4f}",
                f"{r['dt_edp_ratio']:.6f}"]
         )
     out_path = out_dir / "ablation.csv"
@@ -318,8 +315,7 @@ def cmd_hwreport(args):
     outputs = [comp_path.name]
 
     if args.sigma_mu is not None:
-        theta = args.theta if args.theta is not None else cfg.exit.theta
-        policy = ExitPolicy(theta=theta, t_max=t_max)
+        policy = ExitPolicy(theta=args.theta, t_max=t_max)
         var_rows = [["sigma_mu", "seed", "static_accuracy", "dt_accuracy",
                      "dt_mean_timesteps"]]
         labels = test_ds.labels

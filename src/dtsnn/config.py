@@ -3,14 +3,17 @@ hardware / data sections.
 
 Every key is optional except the model layer list; omitted values fall back
 to the shipped defaults (LIF tau 0.5 and threshold 1.0, the reference
-hardware parameter table, a ten-point theta grid including 0).  Unknown
-sections or keys are rejected by name, and out-of-range values raise errors
+hardware parameter table, a ten-point theta grid including 0).  One reader,
+`_from_mapping`, turns every mapping into its dataclass, checkpoint specs
+included: unknown sections or keys are rejected by name, a value of the
+wrong type names its `section.key`, and out-of-range values raise errors
 quoting the violated invariant.  `serialize_config` inverts `parse_config`,
 and the round trip parse -> serialize -> parse is a fixed point.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 import yaml
@@ -18,7 +21,7 @@ import yaml
 from .datasets import load_idx, synth_dataset
 from .errors import ConfigError
 from .hardware import ArchConfig
-from .network import LayerSpec, LifConfig, NetworkSpec
+from .network import NetworkSpec
 from .training import TrainConfig
 
 DEFAULT_THETA_GRID = (0.0, 0.01, 0.02, 0.05, 0.08, 0.12, 0.18, 0.25, 0.4, 0.6)
@@ -29,7 +32,7 @@ class ExitSettings:
     """Default threshold for single evaluations plus the sweep grid."""
 
     theta: float = 0.1
-    theta_grid: tuple = DEFAULT_THETA_GRID
+    theta_grid: tuple[float, ...] = DEFAULT_THETA_GRID
 
     def __post_init__(self):
         object.__setattr__(self, "theta_grid", tuple(self.theta_grid))
@@ -81,65 +84,63 @@ class AppConfig:
     data: DataConfig
 
 
-def _from_mapping(cls, section, name):
+def _read(want, value, name, key):
+    """``value`` checked against the annotated type ``want`` of field
+    ``name.key``: a float field takes int or float, a tuple field a list
+    (``tuple[X, ...]`` checks each item as X), a dataclass field a mapping,
+    and only a bool field takes a bool."""
+    if dataclasses.is_dataclass(want):
+        return _from_mapping(want, value, f"{name}.{key}")
+    item = typing.get_args(want)[0] if typing.get_origin(want) is tuple else None
+    want = typing.get_origin(want) or want
+    accepted = {float: (int, float), tuple: (list, tuple)}.get(want, want)
+    if not isinstance(value, accepted) or (isinstance(value, bool) and want is not bool):
+        raise ConfigError(
+            f"section '{name}': {name}.{key} must be "
+            f"{'list' if want is tuple else want.__name__}, got {value!r}"
+        )
+    if item is not None:
+        return tuple(_read(item, v, name, f"{key}[{i}]") for i, v in enumerate(value))
+    return value
+
+
+def _from_mapping(cls, section, name, defaults=()):
+    """The dataclass ``cls`` that config mapping ``section`` describes, with
+    ``defaults`` for keys it leaves out.  Unknown keys, values of the wrong
+    type, missing required keys and values ``cls`` rejects raise ConfigError
+    naming the section."""
     if section is None:
         section = {}
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - allowed
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(section) - fields.keys())
     if unknown:
-        raise ConfigError(
-            f"unknown key '{sorted(unknown)[0]}' in section '{name}'"
-        )
+        raise ConfigError(f"unknown key '{unknown[0]}' in section '{name}'")
+    values = {key: _read(fields[key].type, value, name, key)
+              for key, value in {**dict(defaults), **section}.items()}
+    for key, f in fields.items():
+        if key not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"section '{name}' must define '{key}'")
     try:
-        return cls(**section)
-    except (ConfigError, ValueError) as exc:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"section '{name}': {exc}") from exc
 
 
-def _network_from_section(section):
-    if not isinstance(section, dict):
-        raise ConfigError("section 'model' must be a mapping")
-    allowed = {"input_shape", "num_classes", "t_max", "lif", "layers"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in section 'model'")
-    if "layers" not in section:
-        raise ConfigError("section 'model' must define 'layers'")
-    lif_section = section.get("lif") or {}
-    lif_allowed = {"tau", "v_th"}
-    if set(lif_section) - lif_allowed:
-        raise ConfigError(
-            f"unknown key '{sorted(set(lif_section) - lif_allowed)[0]}' in 'model.lif'"
-        )
-    layer_types = {f.name: f.type for f in dataclasses.fields(LayerSpec)}
-    layers = []
-    for i, raw in enumerate(section["layers"]):
-        if not isinstance(raw, dict) or "kind" not in raw:
-            raise ConfigError(f"model.layers[{i}] must be a mapping with a 'kind'")
-        unknown = set(raw) - layer_types.keys()
-        if unknown:
-            raise ConfigError(
-                f"unknown key '{sorted(unknown)[0]}' in model.layers[{i}]"
-            )
-        for key, value in raw.items():
-            want = layer_types[key]
-            if not isinstance(value, (int, float) if want is float else want):
-                raise ConfigError(
-                    f"model.layers[{i}].{key} must be {want.__name__}, got {value!r}"
-                )
-        layers.append(LayerSpec(**raw))
-    try:
-        return NetworkSpec(
-            input_shape=tuple(section.get("input_shape", (1, 28, 28))),
-            num_classes=section.get("num_classes", 10),
-            t_max=section.get("t_max", 4),
-            lif=LifConfig(**lif_section),
-            layers=tuple(layers),
-        )
-    except (ConfigError, ValueError, TypeError) as exc:  # TypeError: a field of the wrong type
-        raise ConfigError(f"section 'model': {exc}") from exc
+def spec_from_dict(d):
+    """The NetworkSpec of a model mapping: a config's model section or a
+    checkpoint's spec.  Input shape, classes and T default to (1, 28, 28),
+    10 and 4."""
+    return _from_mapping(NetworkSpec, d, "model",
+                         {"input_shape": (1, 28, 28), "num_classes": 10, "t_max": 4})
+
+
+def spec_to_dict(spec):
+    """Plain-data form of a NetworkSpec, read back by spec_from_dict."""
+    d = dataclasses.asdict(spec)
+    return {"input_shape": list(spec.input_shape), "num_classes": spec.num_classes,
+            "t_max": spec.t_max, "lif": d["lif"], "layers": list(d["layers"])}
 
 
 def parse_config_dict(raw):
@@ -152,10 +153,8 @@ def parse_config_dict(raw):
         raise ConfigError(f"unknown section '{sorted(unknown)[0]}'")
     if "model" not in raw:
         raise ConfigError("configuration must contain a 'model' section")
-    network = _network_from_section(raw["model"])
-    train_section = dict(raw.get("train") or {})
-    train_section.setdefault("epochs", 10)
-    train = _from_mapping(TrainConfig, train_section, "train")
+    network = spec_from_dict(raw["model"])
+    train = _from_mapping(TrainConfig, raw.get("train"), "train", {"epochs": 10})
     exit_settings = _from_mapping(ExitSettings, raw.get("exit"), "exit")
     arch = _from_mapping(ArchConfig, raw.get("hardware"), "hardware")
     data = _from_mapping(DataConfig, raw.get("data"), "data")
@@ -175,8 +174,6 @@ def parse_config(path):
 
 def config_to_dict(cfg):
     """Plain-dict form of an AppConfig (inverse of parse_config_dict)."""
-    from .network import spec_to_dict
-
     return {
         "model": spec_to_dict(cfg.network),
         "train": dataclasses.asdict(cfg.train),

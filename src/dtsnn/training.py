@@ -241,7 +241,6 @@ class TrainConfig:
     loss_mode: str = "per_timestep"
     seed: int = 0
     t_train: int = 4
-    eval_batch: int = 512
 
     def __post_init__(self):
         if self.lr0 <= 0:
@@ -360,9 +359,7 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
             sgd_step(net, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
             _check_params_finite(net, epoch)
             losses.append(loss)
-        acc = evaluate_per_timestep(
-            net, eval_images, eval_labels, cfg.t_train, cfg.eval_batch
-        )
+        acc = evaluate_per_timestep(net, eval_images, eval_labels, cfg.t_train)
         record = EpochRecord(
             epoch=epoch,
             lr=lr,

@@ -255,6 +255,18 @@ class TestUsage:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mistyped_config_value_exit_2_without_out_dir(self, trained, tmp_path, capsys):
+        config_path = tmp_path / "run.yaml"
+        config_path.write_text(yaml.safe_dump({**CONFIG, "hardware": {"crossbar_size": "64"}}))
+        out = tmp_path / "out"
+        code = main(["eval", "--config", str(config_path), "--checkpoint", str(trained["ckpt"]),
+                     "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "hardware.crossbar_size must be int, got '64'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_checkpoint_header_exit_1(self, trained, tmp_path, capsys, reseal):
         def drop_seed(header):
             del header["seed"]

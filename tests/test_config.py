@@ -1,9 +1,14 @@
 """Configuration parsing: defaults, validation messages, round trips."""
 
+import copy
+import math
+import re
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtsnn.config import (
     DEFAULT_THETA_GRID,
@@ -11,6 +16,8 @@ from dtsnn.config import (
     parse_config,
     parse_config_dict,
     serialize_config,
+    spec_from_dict,
+    spec_to_dict,
 )
 from dtsnn.errors import ConfigError
 
@@ -124,6 +131,128 @@ class TestValidation:
         raw = {**MINIMAL, "data": {key: 0}}
         with pytest.raises(ConfigError, match=f"{key} >= 1, got 0"):
             parse_config_dict(raw)
+
+
+class TestFieldTypes:
+    """Every value is checked against its field's type at the boundary."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("train.epochs", "3", "must be int, got '3'"),
+        ("train.epochs", True, "must be int, got True"),
+        ("train.batch_size", 32.0, "must be int, got 32.0"),
+        ("hardware.crossbar_size", "64", "must be int, got '64'"),
+        ("exit.theta", "0.1", "must be float, got '0.1'"),
+        ("exit.theta_grid", 0.3, "must be list, got 0.3"),
+        ("data.noise", "x", "must be float, got 'x'"),
+        ("data.train_images", 5, "must be str, got 5"),
+        ("model.t_max", True, "must be int, got True"),
+        ("model.lif.tau", "0.5", "must be float, got '0.5'"),
+    ])
+    def test_wrong_type_names_key(self, path, value, message):
+        raw = copy.deepcopy(MINIMAL)
+        *sections, key = path.split(".")
+        part = raw
+        for name in sections:
+            part = part.setdefault(name, {})
+        part[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{path} {message}")):
+            parse_config_dict(raw)
+
+    def test_eval_batch_is_an_unknown_train_key(self):
+        raw = {**MINIMAL, "train": {"epochs": 2, "eval_batch": 512}}
+        with pytest.raises(ConfigError, match="unknown key 'eval_batch' in section 'train'"):
+            parse_config_dict(raw)
+
+
+def _number(lo, hi):
+    """An int or a float in [lo, hi]: a float field takes both."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)),
+                     st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+_TEXT = st.one_of(st.text(alphabet="ab5/._- ", max_size=10),
+                  st.sampled_from(["true", "null", "5", "~", "1e3", "0.5"]))
+
+
+@st.composite
+def _networks(draw):
+    """A valid model mapping: conv blocks with optional norm / pool / fc."""
+    channels, side = draw(st.integers(1, 3)), draw(st.sampled_from([4, 8]))
+    size, layers = side, []
+    for _ in range(draw(st.integers(1, 2))):
+        kernel = draw(st.sampled_from([1, 3]))
+        layers.append({"kind": "conv", "out_channels": draw(st.integers(1, 6)),
+                       "kernel": kernel, "padding": kernel // 2,
+                       "bias": draw(st.booleans())})
+        if draw(st.booleans()):
+            layers.append({"kind": "norm"})
+        layers.append(draw(st.sampled_from([
+            {"kind": "lif"}, {"kind": "lif", "tau": 0.25}, {"kind": "lif", "v_th": 2},
+        ])))
+        if size % 2 == 0 and draw(st.booleans()):
+            layers.append({"kind": "pool", "window": 2})
+            size //= 2
+    if draw(st.booleans()):
+        layers += [{"kind": "fc", "out_features": draw(st.integers(1, 8))}, {"kind": "lif"}]
+    layers.append({"kind": "classifier"})
+    return {
+        "input_shape": [channels, side, side],
+        "num_classes": draw(st.integers(2, 10)),
+        "t_max": draw(st.integers(1, 8)),
+        "lif": {"tau": draw(_number(0.01, 1.0)), "v_th": draw(_number(0.1, 4.0))},
+        "layers": layers,
+    }
+
+
+_SECTIONS = st.fixed_dictionaries({
+    "model": _networks(),
+    "train": st.fixed_dictionaries({
+        "epochs": st.integers(1, 50), "batch_size": st.integers(1, 512),
+        "lr0": _number(1e-4, 1.0), "weight_decay": _number(0.0, 1e-2),
+        "momentum": _number(0.0, 1.0), "loss_mode": st.sampled_from(["standard", "per_timestep"]),
+        "seed": st.integers(0, 2**31), "t_train": st.integers(1, 8),
+    }),
+    "exit": st.fixed_dictionaries({
+        "theta": _number(0.0, 1.0),
+        "theta_grid": st.lists(_number(0.0, 1.0), min_size=1, max_size=6),
+    }),
+    "hardware": st.integers(0, 3).flatmap(lambda bits: st.fixed_dictionaries({
+        "crossbar_size": st.integers(1, 256), "crossbars_per_tile": st.integers(1, 256),
+        "device_bits": st.just(2**bits), "weight_bits": st.integers(1, 4).map(lambda k: k * 2**bits),
+        "e_mac": _number(0.0, 1.0), "e_adc": _number(0.0, 1.0),
+        "e_crossbar_digital": _number(0.0, 1.0), "e_crossbar_buffer": _number(0.0, 1.0),
+        "e_step_digital": _number(0.0, 1.0), "e_step_buffer": _number(0.0, 1.0),
+        "sigma_e_ratio": _number(0.0, 1.0), "latency_per_timestep": _number(1e-3, 10.0),
+    })),
+    "data": st.fixed_dictionaries({
+        "kind": st.sampled_from(["idx", "synth"]), "train_images": _TEXT,
+        "train_labels": _TEXT, "test_images": _TEXT, "test_labels": _TEXT,
+        "mean": _number(-1.0, 1.0), "std": _number(0.1, 2.0),
+        "limit_train": st.integers(0, 100), "limit_test": st.integers(0, 100),
+        "synth_kind": _TEXT, "n_train": st.integers(1, 10_000), "n_test": st.integers(1, 10_000),
+        "image_size": st.integers(1, 64), "noise": _number(0.0, 2.0), "seed": st.integers(0, 10_000),
+    }),
+})
+
+
+class TestRoundTripProperty:
+    """Whatever serialize_config emits, the typed reader reads back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SECTIONS)
+    def test_parse_serialize_parse_is_fixed_point(self, raw):
+        first = parse_config_dict(raw)
+        text = serialize_config(first)
+        second = parse_config_dict(yaml.safe_load(text))
+        assert (second.network, second.train, second.exit, second.arch, second.data) == (
+            first.network, first.train, first.exit, first.arch, first.data)
+        assert serialize_config(second) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(_networks())
+    def test_spec_dict_round_trip(self, model):
+        spec = spec_from_dict(model)
+        assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
 class TestDefaultsAndRoundTrip:

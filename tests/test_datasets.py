@@ -21,13 +21,12 @@ from dtsnn.datasets import (
     write_idx_images,
     write_idx_labels,
 )
+from dtsnn.config import spec_from_dict, spec_to_dict
 from dtsnn.errors import ChecksumError, DataFormatError, VersionError
 from dtsnn.network import (
     LayerSpec,
     NetworkSpec,
     build_instance,
-    spec_from_dict,
-    spec_to_dict,
     static_forward,
 )
 
@@ -270,6 +269,12 @@ class TestCheckpoint:
     def test_malformed_header_part_named(self, reseal, edit, message):
         path = reseal(edit_header=edit)
         with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+
+    def test_mistyped_spec_field_named(self, reseal):
+        path = reseal(edit_header=lambda h: h["spec"].update(t_max=True))
+        message = f"{re.escape(str(path))}: invalid spec .*model.t_max must be int, got True"
+        with pytest.raises(DataFormatError, match=message):
             load_checkpoint(path)
 
     def test_header_not_json_named(self, reseal):

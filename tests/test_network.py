@@ -522,6 +522,14 @@ class TestScan:
         scan = scan_timesteps(net, np.zeros((2, 2, 6, 6), dtype=np.float32), 2)
         npt.assert_array_equal(scan["activity"], 0.0)
 
+    def test_batch_one_count_matches_batched_count(self):
+        h = (rng.random((3, 12, 14, 14)) < 0.4).astype(np.float32)
+        batched = network._count_inputs(h, analog=False)
+        for i in range(3):
+            one = network._count_inputs(h[i : i + 1], analog=False)
+            assert one.dtype == np.float64 and one.shape == (1,)
+            npt.assert_array_equal(one, batched[i : i + 1])
+
 
 class TestStemCache:
     # tiny_conv_spec's stem is conv -> norm; forward_timestep computes it once
