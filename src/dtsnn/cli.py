@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import Checkpoint, instance_from_checkpoint, load_checkpoint, save_checkpoint
-from .config import config_to_dict, load_dataset_pair, parse_config
+from .config import ExitSettings, config_to_dict, load_dataset_pair, parse_config
 from .errors import ConfigError, DtsnnError
 from .exit_policy import (
     ExitPolicy,
@@ -73,7 +73,10 @@ def _prepare(args):
     A command's --theta falls back to the config's exit.theta."""
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
+        try:
+            cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     if "theta" in args and args.theta is None:
         args.theta = cfg.exit.theta
     return cfg, Path(args.out or f"runs/{args.command}")
@@ -414,12 +417,10 @@ def build_parser():
 
 
 def _check_flags(args):
-    """Reject out-of-range flag values before any work is done (the config
-    file's own values are checked by parse_config)."""
+    """Reject out-of-range flag values before any work is done; thresholds
+    get the range ExitSettings declares, as the config file's do."""
     flags = vars(args)
-    for theta in [flags.get("theta")] + (flags.get("theta_grid") or []):
-        if theta is not None and not 0.0 <= theta <= 1.0:
-            raise ConfigError(f"theta must satisfy 0 <= theta <= 1, got {theta}")
+    ExitSettings(flags.get("theta") or 0.0, flags.get("theta_grid") or (0.0,))
     sigma_mu = flags.get("sigma_mu")
     if sigma_mu is not None and not sigma_mu >= 0.0:
         raise ConfigError(f"--sigma-mu must be >= 0, got {sigma_mu}")

@@ -5,10 +5,11 @@ Every key is optional except the model layer list; omitted values fall back
 to the shipped defaults (LIF tau 0.5 and threshold 1.0, the reference
 hardware parameter table, a ten-point theta grid including 0).  One reader,
 `_from_mapping`, turns every mapping into its dataclass, checkpoint specs
-included: unknown sections or keys are rejected by name, a value of the
-wrong type names its `section.key`, and out-of-range values raise errors
-quoting the violated invariant.  `serialize_config` inverts `parse_config`,
-and the round trip parse -> serialize -> parse is a fixed point.
+included: unknown sections or keys are rejected by name, and a value of the
+wrong type names its `section.key`.  Each field declares its range with
+`errors.bounded`, checked by its dataclass; `parse_config_dict` adds the
+ranges that the model sets for train and data.  `serialize_config` inverts
+`parse_config`: parse -> serialize -> parse is a fixed point.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import numpy as np
 import yaml
 
 from .datasets import load_idx, synth_dataset
-from .errors import ConfigError
+from .errors import ConfigError, bounded, check_bounds
 from .hardware import ArchConfig
 from .network import NetworkSpec
 from .training import TrainConfig
@@ -31,14 +32,12 @@ DEFAULT_THETA_GRID = (0.0, 0.01, 0.02, 0.05, 0.08, 0.12, 0.18, 0.25, 0.4, 0.6)
 class ExitSettings:
     """Default threshold for single evaluations plus the sweep grid."""
 
-    theta: float = 0.1
-    theta_grid: tuple[float, ...] = DEFAULT_THETA_GRID
+    theta: float = bounded(0.1, ge=0, le=1)
+    theta_grid: tuple[float, ...] = bounded(DEFAULT_THETA_GRID, ge=0, le=1)
 
     def __post_init__(self):
         object.__setattr__(self, "theta_grid", tuple(self.theta_grid))
-        for theta in (self.theta, *self.theta_grid):
-            if not 0.0 <= theta <= 1.0:
-                raise ConfigError(f"theta must satisfy 0 <= theta <= 1, got {theta}")
+        check_bounds(self, ConfigError)
         if not self.theta_grid:
             raise ConfigError("theta_grid must contain at least one threshold")
 
@@ -47,30 +46,24 @@ class ExitSettings:
 class DataConfig:
     """Where the train/test data comes from: IDX files or a synthetic set."""
 
-    kind: str = "synth"
+    kind: str = bounded("synth", choices=("idx", "synth"))
     train_images: str = ""
     train_labels: str = ""
     test_images: str = ""
     test_labels: str = ""
-    mean: float = 0.0
-    std: float = 1.0
-    limit_train: int = 0  # 0 means use everything
-    limit_test: int = 0
-    synth_kind: str = "stripes"
-    n_train: int = 8000
-    n_test: int = 2000
-    image_size: int = 28
-    noise: float = 0.45
-    seed: int = 1234
+    mean: float = bounded(0.0)
+    std: float = bounded(1.0, gt=0)
+    limit_train: int = bounded(0, ge=0)  # 0 means use everything
+    limit_test: int = bounded(0, ge=0)
+    synth_kind: str = bounded("stripes", choices=("blobs", "stripes"))
+    n_train: int = bounded(8000, ge=1)
+    n_test: int = bounded(2000, ge=1)
+    image_size: int = bounded(28, ge=1)
+    noise: float = bounded(0.45, ge=0)
+    seed: int = bounded(1234, ge=0)
 
     def __post_init__(self):
-        if self.kind not in ("idx", "synth"):
-            raise ConfigError(f"data.kind must be 'idx' or 'synth', got {self.kind!r}")
-        if self.limit_train < 0 or self.limit_test < 0:
-            raise ConfigError("limit_train and limit_test must be >= 0")
-        for name in ("n_train", "n_test"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must satisfy {name} >= 1, got {getattr(self, name)}")
+        check_bounds(self, ConfigError)
 
 
 @dataclass
@@ -158,6 +151,13 @@ def parse_config_dict(raw):
     exit_settings = _from_mapping(ExitSettings, raw.get("exit"), "exit")
     arch = _from_mapping(ArchConfig, raw.get("hardware"), "hardware")
     data = _from_mapping(DataConfig, raw.get("data"), "data")
+    # Ranges set by the model, checked before a run reads data or writes output.
+    if data.kind == "synth" and min(data.n_train, data.n_test) < network.num_classes:
+        raise ConfigError(f"section 'data': n_train and n_test must be >= model.num_classes "
+                          f"({network.num_classes}), got {data.n_train} and {data.n_test}")
+    if train.t_train > network.t_max:
+        raise ConfigError(f"section 'train': t_train must satisfy t_train <= model.t_max "
+                          f"({network.t_max}), got {train.t_train}")
     return AppConfig(network=network, train=train, exit=exit_settings,
                      arch=arch, data=data)
 

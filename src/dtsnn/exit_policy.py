@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, bounded, check_bounds
 from .network import forward_timestep, mean_output, reset_states, scan_timesteps
 
 
@@ -24,14 +24,11 @@ from .network import forward_timestep, mean_output, reset_states, scan_timesteps
 class ExitPolicy:
     """Entropy threshold and the timestep budget of dynamic inference."""
 
-    theta: float
-    t_max: int
+    theta: float = bounded(ge=0, le=1)
+    t_max: int = bounded(ge=1)
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must satisfy 0 <= theta <= 1, got {self.theta}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must satisfy t_max >= 1, got {self.t_max}")
+        check_bounds(self, ValueError)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, bounded, check_bounds
 
 
 @dataclass(frozen=True)
@@ -44,38 +44,28 @@ class ArchConfig:
     run configuration.
     """
 
-    crossbar_size: int = 64
-    crossbars_per_tile: int = 64
-    device_bits: int = 4
-    weight_bits: int = 8
+    crossbar_size: int = bounded(64, ge=1)
+    crossbars_per_tile: int = bounded(64, ge=1)
+    device_bits: int = bounded(4, ge=1)
+    weight_bits: int = bounded(8, ge=1)
     # Energy coefficients (normalized units), frozen from
     # calibrate_energy_coefficients() on the bundled reference trace:
-    e_mac: float = 1.4225149475838339e-08
-    e_adc: float = 7.112574737919169e-07
-    e_crossbar_digital: float = 2.976925708891303e-05
-    e_crossbar_buffer: float = 1.9846171392777032e-05
-    e_step_digital: float = 0.09175735585005537
-    e_step_buffer: float = 0.06117157056722247
-    sigma_e_ratio: float = 2e-5
-    latency_per_timestep: float = 1.0
+    e_mac: float = bounded(1.4225149475838339e-08, ge=0)
+    e_adc: float = bounded(7.112574737919169e-07, ge=0)
+    e_crossbar_digital: float = bounded(2.976925708891303e-05, ge=0)
+    e_crossbar_buffer: float = bounded(1.9846171392777032e-05, ge=0)
+    e_step_digital: float = bounded(0.09175735585005537, ge=0)
+    e_step_buffer: float = bounded(0.06117157056722247, ge=0)
+    sigma_e_ratio: float = bounded(2e-5, ge=0)
+    latency_per_timestep: float = bounded(1.0, gt=0)
 
     def __post_init__(self):
-        if self.device_bits < 1 or self.weight_bits < 1:
-            raise ConfigError("device_bits and weight_bits must be positive")
+        check_bounds(self, ConfigError)
         if self.weight_bits % self.device_bits:
             raise ConfigError(
                 f"weight_bits ({self.weight_bits}) must be divisible by "
                 f"device_bits ({self.device_bits})"
             )
-        for name in ("crossbar_size", "crossbars_per_tile"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.latency_per_timestep <= 0:
-            raise ConfigError(
-                f"latency_per_timestep must be positive, got {self.latency_per_timestep}"
-            )
-        if self.sigma_e_ratio < 0:
-            raise ConfigError("sigma_e_ratio must be >= 0")
 
     @property
     def bit_slices(self):

@@ -37,28 +37,22 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ShapeError
+from .errors import ShapeError, bounded, check_bounds
 
 
 @dataclass(frozen=True)
 class ConvParams:
     """Geometry of a 2-d convolution (square stride, symmetric zero padding)."""
 
-    in_channels: int
-    out_channels: int
-    kernel_h: int
-    kernel_w: int
-    stride: int = 1
-    padding: int = 0
+    in_channels: int = bounded(ge=1)
+    out_channels: int = bounded(ge=1)
+    kernel_h: int = bounded(ge=1)
+    kernel_w: int = bounded(ge=1)
+    stride: int = bounded(1, ge=1)
+    padding: int = bounded(0, ge=0)
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ShapeError(f"stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise ShapeError(f"padding must be >= 0, got {self.padding}")
-        for name in ("in_channels", "out_channels", "kernel_h", "kernel_w"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_bounds(self, ShapeError)
 
     def output_hw(self, h, w):
         ho = (h + 2 * self.padding - self.kernel_h) // self.stride + 1

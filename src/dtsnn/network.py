@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataFormatError, ShapeError, StateError
+from .errors import DataFormatError, ShapeError, StateError, bounded, check_bounds
 from .kernels import (
     BN_EPS,
     ConvParams,
@@ -52,14 +52,11 @@ from .kernels import (
 class LifConfig:
     """Leak factor and firing threshold of a leaky integrate-and-fire layer."""
 
-    tau: float = 0.5
-    v_th: float = 1.0
+    tau: float = bounded(0.5, gt=0, le=1)
+    v_th: float = bounded(1.0, gt=0)
 
     def __post_init__(self):
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError(f"tau must satisfy 0 < tau <= 1, got {self.tau}")
-        if not self.v_th > 0.0:
-            raise ValueError(f"v_th must satisfy v_th > 0, got {self.v_th}")
+        check_bounds(self, ValueError)
 
 
 @dataclass
@@ -144,7 +141,7 @@ LAYER_KINDS = ("conv", "fc", "lif", "norm", "pool", "classifier")
 class LayerSpec:
     """One layer of the network; fields are interpreted per `kind`."""
 
-    kind: str
+    kind: str = bounded(choices=LAYER_KINDS)
     out_channels: int = 0       # conv
     kernel: int = 3             # conv
     stride: int = 1             # conv
@@ -156,8 +153,7 @@ class LayerSpec:
     v_th: float = 0.0           # lif override; 0 means use the network default
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
+        check_bounds(self, ValueError)
 
 
 class LayerPlan(NamedTuple):
@@ -185,18 +181,15 @@ class NetworkSpec:
     """Architecture description: ordered layers plus network-wide settings."""
 
     input_shape: tuple[int, ...]  # (C, H, W)
-    num_classes: int
-    t_max: int
+    num_classes: int = bounded(ge=2)
+    t_max: int = bounded(ge=1)
     layers: tuple[LayerSpec, ...]
     lif: LifConfig = LifConfig()
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        check_bounds(self, ValueError)
         kinds = [l.kind for l in self.layers]
         if kinds.count("classifier") != 1 or kinds[-1] != "classifier":
             raise ValueError("network must end with exactly one classifier layer")

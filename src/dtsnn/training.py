@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StateError, TrainingError
+from .errors import StateError, TrainingError, bounded, check_bounds
 from .kernels import (
     avg_pool2d_backward,
     batch_norm_backward,
@@ -233,28 +233,17 @@ def commit_norm_updates(net, tape):
 class TrainConfig:
     """Optimizer and schedule settings for one training run."""
 
-    epochs: int
-    batch_size: int = 128
-    lr0: float = 0.1
-    weight_decay: float = 5e-4
-    momentum: float = 0.9
-    loss_mode: str = "per_timestep"
-    seed: int = 0
-    t_train: int = 4
+    epochs: int = bounded(ge=1)
+    batch_size: int = bounded(128, ge=1)
+    lr0: float = bounded(0.1, gt=0)
+    weight_decay: float = bounded(5e-4, ge=0)
+    momentum: float = bounded(0.9, ge=0, lt=1)
+    loss_mode: str = bounded("per_timestep", choices=("standard", "per_timestep"))
+    seed: int = bounded(0, ge=0)
+    t_train: int = bounded(4, ge=1)
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must satisfy lr0 > 0, got {self.lr0}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must satisfy weight_decay >= 0, got {self.weight_decay}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must satisfy batch_size >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must satisfy epochs >= 1, got {self.epochs}")
-        if self.t_train < 1:
-            raise ValueError(f"t_train must satisfy t_train >= 1, got {self.t_train}")
-        if self.loss_mode not in ("standard", "per_timestep"):
-            raise ValueError(f"loss_mode must be 'standard' or 'per_timestep', got {self.loss_mode!r}")
+        check_bounds(self, ValueError)
 
 
 def cosine_lr(lr0, epoch, total_epochs):

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ CONFIG = {
     "data": {"kind": "synth", "synth_kind": "stripes", "n_train": 240,
              "n_test": 90, "image_size": 8, "noise": 0.35},
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_csv(path):
@@ -265,6 +270,44 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "hardware.crossbar_size must be int, got '64'" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "image_size", -3), ("data", "image_size", 0), ("data", "noise", -1),
+        ("data", "std", 0), ("data", "synth_kind", "nope"), ("data", "seed", -1),
+        ("data", "n_test", 5),
+        ("hardware", "e_mac", -1), ("hardware", "e_mac", math.nan),
+        ("hardware", "latency_per_timestep", math.nan),
+        ("hardware", "e_step_digital", math.inf),
+        ("train", "momentum", -1), ("train", "momentum", 5), ("train", "lr0", math.nan),
+        ("train", "weight_decay", math.nan), ("train", "seed", -1), ("train", "t_train", 6),
+    ], ids=lambda v: str(v))
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_out_of_range_config_value_exit_2_without_out_dir(
+            self, tmp_path, capsys, monkeypatch, command, section, key, value):
+        def accepted(*args):  # fail fast instead of running on a bad value
+            raise AssertionError("configuration accepted")
+
+        monkeypatch.setattr("dtsnn.cli.load_dataset_pair", accepted)
+        raw = yaml.safe_load((ROOT / "configs" / "synth.yaml").read_text())
+        raw.setdefault(section, {})[key] = value
+        config_path = tmp_path / "run.yaml"
+        config_path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        ckpt = ["--checkpoint", str(ROOT / "bench" / "model.ckpt")] if command == "eval" else []
+        code = main([command, "--config", str(config_path), *ckpt, "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"section '{section}': " in err and f"{key} must" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exit_2(self, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(trained["config"]), "--seed", "-1",
+                     "--out", str(out), "--quiet"])
+        assert code == 2
+        assert "--seed: seed must satisfy seed >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_checkpoint_header_exit_1(self, trained, tmp_path, capsys, reseal):

@@ -204,13 +204,14 @@ def _networks(draw):
     }
 
 
-_SECTIONS = st.fixed_dictionaries({
-    "model": _networks(),
+_SECTIONS = _networks().flatmap(lambda model: st.fixed_dictionaries({
+    "model": st.just(model),
     "train": st.fixed_dictionaries({
         "epochs": st.integers(1, 50), "batch_size": st.integers(1, 512),
         "lr0": _number(1e-4, 1.0), "weight_decay": _number(0.0, 1e-2),
-        "momentum": _number(0.0, 1.0), "loss_mode": st.sampled_from(["standard", "per_timestep"]),
-        "seed": st.integers(0, 2**31), "t_train": st.integers(1, 8),
+        "momentum": st.one_of(st.just(0), st.floats(0.0, 1.0, exclude_max=True)),
+        "loss_mode": st.sampled_from(["standard", "per_timestep"]),
+        "seed": st.integers(0, 2**31), "t_train": st.integers(1, model["t_max"]),
     }),
     "exit": st.fixed_dictionaries({
         "theta": _number(0.0, 1.0),
@@ -229,10 +230,12 @@ _SECTIONS = st.fixed_dictionaries({
         "train_labels": _TEXT, "test_images": _TEXT, "test_labels": _TEXT,
         "mean": _number(-1.0, 1.0), "std": _number(0.1, 2.0),
         "limit_train": st.integers(0, 100), "limit_test": st.integers(0, 100),
-        "synth_kind": _TEXT, "n_train": st.integers(1, 10_000), "n_test": st.integers(1, 10_000),
+        "synth_kind": st.sampled_from(["blobs", "stripes"]),
+        "n_train": st.integers(model["num_classes"], 10_000),
+        "n_test": st.integers(model["num_classes"], 10_000),
         "image_size": st.integers(1, 64), "noise": _number(0.0, 2.0), "seed": st.integers(0, 10_000),
     }),
-})
+}))
 
 
 class TestRoundTripProperty:
