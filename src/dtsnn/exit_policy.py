@@ -127,6 +127,7 @@ def scan_with_entropy(net, images, t_max, batch_size=512):
     The per-timestep trajectories do not depend on theta, so one scan serves
     any number of thresholds.  Returns a dict with
       mean_logits (N,T,K), entropy (N,T), predictions (N,T), activity (N,T,L) or None.
+    Runs `scan_timesteps`, whose cache-sized tiles ``batch_size`` only caps.
     """
     scan = scan_timesteps(net, images, t_max, batch_size=batch_size)
     ml = scan["mean_logits"]
@@ -184,7 +185,11 @@ def summarize_policy(scan, labels, policy):
 
 
 def evaluate_policy(net, images, labels, policy, batch_size=512, scan=None):
-    """Accuracy, mean timestep count and exit histogram over a labeled set."""
+    """Accuracy, mean timestep count and exit histogram over a labeled set.
+
+    Without a finished ``scan`` it runs `scan_with_entropy`; ``batch_size``
+    caps the rows of its cache-sized tiles.
+    """
     if len(images) == 0:
         raise ValueError("evaluate_policy requires a non-empty dataset")
     if scan is None:
@@ -199,8 +204,12 @@ def threshold_sweep(net, images, labels, thetas, t_max, cost_fn=None,
     cost_fn(chosen_t, activity) -> (energy, latency, edp) computes the
     dataset-mean hardware metrics for the per-sample exit decisions; when
     omitted the cost columns are zero.  Rows share a single scan of the
-    network, so per-sample trajectories are identical across thetas.
+    network, so per-sample trajectories are identical across thetas;
+    ``batch_size`` caps the rows of its cache-sized tiles (`scan_timesteps`).
+    Raises ValueError for an empty image set or an empty theta list.
     """
+    if len(images) == 0:
+        raise ValueError("threshold_sweep requires a non-empty dataset")
     if len(thetas) == 0:
         raise ValueError("threshold_sweep requires at least one theta")
     record = net.record_activity

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import DataFormatError, ShapeError, StateError, bounded, check_bounds
 from .kernels import (
     BN_EPS,
@@ -469,16 +470,27 @@ def mean_output(net):
     return net.accumulated_logits / net.t
 
 
+def _check_t_steps(spec, t_steps):
+    if not 1 <= t_steps <= spec.t_max:
+        raise ValueError(f"t_steps must be in [1, {spec.t_max}], got {t_steps}")
+
+
 def static_forward(net, x, t_steps):
     """Reset, run a fixed number of timesteps, return the mean logits."""
-    if not 1 <= t_steps <= net.spec.t_max:
-        raise ValueError(
-            f"t_steps must be in [1, {net.spec.t_max}], got {t_steps}"
-        )
+    _check_t_steps(net.spec, t_steps)
     reset_states(net)
     for _ in range(t_steps):
         forward_timestep(net, x)
     return mean_output(net)
+
+
+def _scan_rows(spec, itemsize, batch_size):
+    """Samples per scan tile: as many as keep the widest per-sample
+    activation of ``spec`` within `kernels.BLOCK_BYTES` per tile, at least 1
+    and at most ``batch_size``."""
+    widest = max(int(np.prod(shape)) for plan in spec.layer_plan
+                 for shape in (plan.in_shape, plan.out_shape))
+    return max(1, min(batch_size, kernels.BLOCK_BYTES // (widest * itemsize)))
 
 
 def scan_timesteps(net, images, t_steps, batch_size=512):
@@ -488,15 +500,25 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
       mean_logits: (N, T, K) running-mean classifier output after each step,
       activity:    (N, T, L) per-sample spike counts per mapped layer, or
                    None when the instance does not record activity.
-    Samples are processed in batches; results are merged by sample index so
-    the outcome does not depend on the batch split.
+    Samples run in tiles, each through all t_steps before the next.  A tile
+    holds as many samples as keep its widest layer activation within about
+    `kernels.BLOCK_BYTES`, so a tile's membranes, spikes and cached stem
+    output stay in cache between layers (27 samples for configs/mnist.yaml
+    in float32); ``batch_size`` only caps that number.  Results are merged
+    by sample index, so the outcome does not depend on the tiling.  Raises
+    ValueError for t_steps outside [1, spec.t_max] or batch_size < 1.
     """
+    _check_t_steps(net.spec, t_steps)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = images.shape[0]
     k = net.spec.num_classes
+    itemsize = np.result_type(images.dtype, net.params[-1]["w"].dtype).itemsize
+    rows = _scan_rows(net.spec, itemsize, batch_size)
     mean_logits = np.zeros((n, t_steps, k), dtype=np.float32)
     activities = [] if net.record_activity else None
-    for start in range(0, n, batch_size):
-        chunk = images[start : start + batch_size]
+    for start in range(0, n, rows):
+        chunk = images[start : start + rows]
         reset_states(net)
         for t in range(t_steps):
             forward_timestep(net, chunk)

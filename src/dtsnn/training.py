@@ -280,7 +280,10 @@ class TrainingLog:
 
 
 def evaluate_per_timestep(net, images, labels, t_steps, batch_size=512):
-    """Accuracy of the running-mean prediction after each timestep."""
+    """Accuracy of the running-mean prediction after each timestep.
+
+    Runs `scan_timesteps`, whose cache-sized tiles ``batch_size`` only caps.
+    """
     scan = scan_timesteps(net, images, t_steps, batch_size=batch_size)
     preds = scan["mean_logits"].argmax(axis=2)  # (N, T)
     return (preds == np.asarray(labels).reshape(-1, 1)).mean(axis=0)

@@ -1,4 +1,5 @@
-"""The module attributes bench/tracing.py wraps exist and see both engines.
+"""The module attributes bench/tracing.py wraps exist and see both engines,
+and a round of the benchmark's `sweep` workload passes its own checks.
 
 `Tracer.install` patches names on dtsnn's modules with an unguarded getattr,
 so a function moved between modules would break `bench/run.py --trace 1`.
@@ -15,6 +16,7 @@ from dtsnn.network import LayerSpec, NetworkSpec, build_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +86,18 @@ def test_tracer_counts_conv_work_forward_and_backward(traced):
     tracer, _ = traced
     assert tracer.counts["conv2d_mac"] > 0
     assert tracer.counts["conv2d_backward_mac"] > 0
+
+
+def test_sweep_workload_round_passes_its_checks():
+    # One round of `bench/run.py --workload sweep` in process: the scan's
+    # keywords, the theta-grid rows, monotone mean_t, edp == energy x latency,
+    # a repeated round and the calibration anchors.
+    workload = workloads.SweepWorkload(dtsnn, seed=1)
+    workload.setup()
+    for k in range(workload.round_len):
+        workload.op(k)
+    workload.op(workload.round_len)  # the first chunk again: must sweep identically
+    metrics = workload.finish()
+    assert workload.failures == []
+    assert workload.global_checks() == []
+    assert 1.0 <= metrics["mean_t"] <= workloads.T_MAX

@@ -1,8 +1,12 @@
 """Softmax, normalized entropy, and the dynamic-timestep exit rule."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
 from dtsnn.config import DEFAULT_THETA_GRID, parse_config
@@ -266,6 +270,34 @@ class TestScanWithEntropy:
             scan_with_entropy(net, images, 4, batch_size=4)
 
 
+TILING_N = 24
+
+
+class TestScanTiling:
+    """A scan's result does not depend on how its samples are tiled."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, TILING_N), st.permutations(range(TILING_N)))
+    def test_tiles_match_single_tile_scan(self, cap, order):
+        net = make_net(seed=3)
+        net.record_activity = True
+        images = np.random.default_rng(9).standard_normal((TILING_N, 1, 8, 8)).astype(np.float32)
+        ref = scan_with_entropy(net, images, 4, batch_size=TILING_N)  # one tile
+        order = np.asarray(order)
+        got = scan_with_entropy(net, images[order], 4, batch_size=cap)
+        npt.assert_array_equal(got["activity"], ref["activity"][order])
+        npt.assert_array_equal(got["predictions"], ref["predictions"][order])
+        npt.assert_allclose(got["mean_logits"], ref["mean_logits"][order], atol=1e-6)
+        for theta in DEFAULT_THETA_GRID:
+            near = (np.abs(ref["entropy"][order] - theta) <= 1e-6).any(axis=1)
+            if near.any():
+                warnings.warn(f"theta {theta}: samples {order[near].tolist()} have an "
+                              "entropy within 1e-6 of theta; exit times not compared")
+            policy = ExitPolicy(theta=theta, t_max=4)
+            npt.assert_array_equal(exit_times(got["entropy"], policy)[~near],
+                                   exit_times(ref["entropy"][order], policy)[~near])
+
+
 class TestThresholdSweep:
     def test_grid_with_zero_reproduces_static_point(self):
         net = make_net(seed=2)
@@ -303,6 +335,14 @@ class TestThresholdSweep:
         net = make_net(seed=2)
         with pytest.raises(ValueError, match="theta"):
             threshold_sweep(net, np.zeros((1, 1, 8, 8), np.float32), [0], [], 4)
+
+    def test_empty_dataset_raises(self):
+        net = make_net(seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no mean-of-empty RuntimeWarning first
+            with pytest.raises(ValueError, match="non-empty"):
+                threshold_sweep(net, np.zeros((0, 1, 8, 8), np.float32), np.zeros(0, int),
+                                [0.0, 0.5], 4)
 
 
 class TestTraceCsv(object):

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dtsnn import network
+from dtsnn import kernels, network
 from dtsnn.errors import ShapeError, StateError
 from dtsnn.hardware import perturbed_instance
 from dtsnn.kernels import avg_pool2d, batch_norm, conv2d, fully_connected
@@ -492,6 +492,51 @@ class TestScan:
         a = scan_timesteps(net, x, 3, batch_size=7)["mean_logits"]
         b = scan_timesteps(net, x, 3, batch_size=2)["mean_logits"]
         npt.assert_allclose(a, b, atol=1e-6)
+
+    @pytest.mark.parametrize("t_steps", [0, -1, 5])
+    def test_t_steps_outside_range_rejected_before_any_step(self, t_steps, monkeypatch):
+        net = build_instance(tiny_conv_spec(t_max=4), seed=11)
+        calls = []
+        monkeypatch.setattr(network, "forward_timestep", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"t_steps must be in \[1, 4\]"):
+            scan_timesteps(net, np.zeros((3, 1, 8, 8), np.float32), t_steps)
+        assert calls == []
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        net = build_instance(tiny_conv_spec(), seed=11)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            scan_timesteps(net, np.zeros((3, 1, 8, 8), np.float32), 2, batch_size=batch_size)
+
+    def test_tile_rows_from_block_bytes(self):
+        # The first block of configs/mnist.yaml: its widest activation,
+        # conv0's 12x28x28 output (37.6 KB in float32), sets the tile.
+        spec = NetworkSpec(
+            input_shape=(1, 28, 28), num_classes=10, t_max=4,
+            layers=(LayerSpec("conv", out_channels=12), LayerSpec("norm"), LayerSpec("lif"),
+                    LayerSpec("pool", window=2), LayerSpec("classifier")),
+        )
+        assert network._scan_rows(spec, 4, 512) == 27
+        assert network._scan_rows(spec, 8, 512) == 13
+        assert network._scan_rows(spec, 4, 10) == 10  # batch_size caps the tile
+        assert network._scan_rows(spec, 4 * kernels.BLOCK_BYTES, 512) == 1
+
+    def test_tiles_stay_within_byte_budget(self, monkeypatch):
+        net = build_instance(tiny_conv_spec(), seed=11)
+        net.record_activity = True
+        x = rng.standard_normal((10, 1, 8, 8)).astype(np.float32)
+        whole = scan_timesteps(net, x, 4, batch_size=10)
+        # The widest activation is the first conv's 4x8x8 float32 output, 1 KB.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 3 * 1024 + 1000)
+        rows, step = [], network.forward_timestep
+        monkeypatch.setattr(network, "forward_timestep",
+                            lambda net, x: rows.append(len(x)) or step(net, x))
+        for cap, tiles in ((512, [3, 3, 3, 1]), (2, [2] * 5)):
+            rows.clear()
+            tiled = scan_timesteps(net, x, 4, batch_size=cap)
+            assert rows == [r for r in tiles for _ in range(4)]
+            npt.assert_array_equal(tiled["activity"], whole["activity"])
+            npt.assert_allclose(tiled["mean_logits"], whole["mean_logits"], atol=1e-6)
 
     def test_activity_counts_spikes(self):
         net = build_instance(tiny_conv_spec(), seed=13)

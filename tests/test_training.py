@@ -348,6 +348,12 @@ class TestTrainLoop:
         acc = evaluate_per_timestep(net, images, labels, 2)
         assert acc[-1] >= 0.99
 
+    def test_evaluate_rejects_zero_timesteps(self):
+        images, labels = separable_blobs(4)
+        net = build_instance(self.small_spec(), seed=0)
+        with pytest.raises(ValueError, match="t_steps must be in"):
+            evaluate_per_timestep(net, images, labels, 0)
+
     def test_same_seed_identical_weights(self):
         images, labels = separable_blobs(16)
         final = []
