@@ -37,6 +37,7 @@ from .network import (
     build_instance,
     forward_timestep,
     lif_step,
+    lif_unroll,
     mean_output,
     reset_states,
     scan_timesteps,

@@ -30,8 +30,15 @@ strides, but are fast on that one:
   memory order of their input;
 - per-channel sums in the norm kernels use einsum, which reduces
   channels-last memory without looping over the short channel axis.
+
+`one_blas_thread` holds the loaded OpenBLAS at one thread while several
+threads run kernels at once: OpenBLAS serializes concurrent threaded GEMMs.
 """
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,3 +374,68 @@ def batch_norm_backward(dy, cache):
     dx -= (dbeta / m).reshape(view)
     dx *= (gamma * invstd).reshape(view)
     return dx, dgamma, dbeta
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS loaded in this
+    process, found through /proc/self/maps, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({fields[5] for fields in map(str.split, fh)
+                            if len(fields) == 6 and "openblas" in fields[5].rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                try:
+                    get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def blas_threads():
+    """Thread count of the loaded OpenBLAS, or None where none was found."""
+    found = _openblas()
+    return None if found is None else found[0]()
+
+
+_hold_lock = threading.Lock()
+_hold = {"holders": 0, "saved": None}
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold the loaded OpenBLAS at one thread inside the block.
+
+    Yields True, or False without holding anything where no OpenBLAS was
+    found.  Blocks may nest or overlap across threads: the count found on
+    entering the first is restored when the last one leaves.
+    """
+    found = _openblas()
+    if found is None:
+        yield False
+        return
+    get, set_ = found
+    with _hold_lock:
+        if _hold["holders"] == 0:
+            _hold["saved"] = get()
+            set_(1)
+        _hold["holders"] += 1
+    try:
+        yield True
+    finally:
+        with _hold_lock:
+            _hold["holders"] -= 1
+            if _hold["holders"] == 0:
+                set_(_hold["saved"])

@@ -25,10 +25,17 @@ replace them, do not write into them.
 
 An SnnInstance is single-owner mutable state: one inference at a time.
 Weights may be shared read-only between instances; `clone_state` gives each
-worker its own membrane potentials (and no cached stem).
+worker its own membrane potentials (and no cached stem) over the same built
+inference plan.  `scan_timesteps` does this itself: its tiles run on one
+worker per usable core, the caller's thread and helpers from one kept
+thread pool, each on its own clone.
 """
 
+import functools
+import itertools
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -62,10 +69,9 @@ class LifConfig:
 
 @dataclass
 class LifState:
-    """Membrane potentials and the spikes emitted at the last step."""
+    """Membrane potentials of one LIF layer."""
 
     u: np.ndarray
-    last_spikes: np.ndarray
 
 
 def spike_ramp(u, v_th):
@@ -94,8 +100,8 @@ def lif_unroll(currents, cfg, smooth=False, state=None):
     updated in place, the state's own buffer included.  Without ``state`` the
     unroll starts from rest and returns (spikes, (u_pre, spikes)), the cache
     `training.lif_unroll_backward` needs.  With a LifState it continues from
-    the state's potentials, leaves the final potentials and spikes in it, and
-    returns (spikes, None): inference keeps no pre-reset potentials.
+    the state's potentials, leaves the final potentials in it, and returns
+    (spikes, None): inference keeps no pre-reset potentials.
     """
     t_steps = currents.shape[0]
     if state is None:
@@ -124,7 +130,6 @@ def lif_unroll(currents, cfg, smooth=False, state=None):
             u *= keep
     if state is None:
         return spikes, (u_pre, spikes)
-    state.u, state.last_spikes = u, spikes[-1]
     return spikes, None
 
 
@@ -271,7 +276,7 @@ class SnnInstance:
     input array last passed to `forward_timestep`.  It lives until
     `reset_states`, until a different array object is passed or until
     ``inference_plan`` (see `inference_params`) is rebuilt; instances from
-    `clone_state` start without either.
+    `clone_state` start without it.
     """
 
     spec: NetworkSpec
@@ -286,11 +291,14 @@ class SnnInstance:
     inference_plan: tuple = None  # (parameter arrays, inference parameters)
 
     def clone_state(self):
-        """New instance sharing weights but with fresh inference state."""
+        """New instance sharing weights, their inference plan and the firing
+        mode, with fresh inference state."""
         return SnnInstance(
             spec=self.spec,
             params=self.params,
             record_activity=self.record_activity,
+            smooth_spikes=self.smooth_spikes,
+            inference_plan=self.inference_plan,
         )
 
 
@@ -446,7 +454,7 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
             if tape is None and (state is None or state.u.shape != h.shape):
                 if state is not None:
                     raise StateError("batch size changed mid-inference; call reset_states first")
-                state = net.lif_states[i] = LifState(np.zeros_like(h), np.zeros_like(h))
+                state = net.lif_states[i] = LifState(np.zeros_like(h))
             h = h.reshape((-1, batch) + h.shape[1:])
             if len(h) < t_steps:  # the stem's rows, the same at every step
                 h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
@@ -493,6 +501,22 @@ def _scan_rows(spec, itemsize, batch_size):
     return max(1, min(batch_size, kernels.BLOCK_BYTES // (widest * itemsize)))
 
 
+def _scan_workers():
+    """Workers a scan may use where BLAS can be held at one thread: one per
+    usable core."""
+    return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _helper_pool():
+    """The scans' helper threads, created on first use and kept."""
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="dtsnn-scan")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper_pool.cache_clear)  # a child has no helpers
+
+
 def scan_timesteps(net, images, t_steps, batch_size=512):
     """Batched unroll over all timesteps recording the running means.
 
@@ -500,31 +524,65 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
       mean_logits: (N, T, K) running-mean classifier output after each step,
       activity:    (N, T, L) per-sample spike counts per mapped layer, or
                    None when the instance does not record activity.
-    Samples run in tiles, each through all t_steps before the next.  A tile
-    holds as many samples as keep its widest layer activation within about
-    `kernels.BLOCK_BYTES`, so a tile's membranes, spikes and cached stem
-    output stay in cache between layers (27 samples for configs/mnist.yaml
-    in float32); ``batch_size`` only caps that number.  Results are merged
-    by sample index, so the outcome does not depend on the tiling.  Raises
-    ValueError for t_steps outside [1, spec.t_max] or batch_size < 1.
+    Samples run in tiles, each through all t_steps before its worker takes
+    the next.  A tile holds as many samples as keep its widest layer
+    activation within about `kernels.BLOCK_BYTES`, so a tile's membranes,
+    spikes and cached stem output stay in cache between layers (27 samples
+    for configs/mnist.yaml in float32); ``batch_size`` only caps that
+    number.  Tiles run on one
+    worker per usable core, never more workers than tiles: the caller's
+    thread on ``net`` and helper threads on clones (`clone_state`), each
+    taking the next tile until none is left, with BLAS held at one thread
+    (`kernels.one_blas_thread`; one worker where it cannot be held).
+    Results are written by sample index, so the outcome depends neither on
+    the tiling nor on the workers.  The first error of any tile stops the
+    other workers at their next tile and is raised.  Raises ValueError for
+    an empty batch, t_steps outside [1, spec.t_max] or batch_size < 1.
     """
-    _check_t_steps(net.spec, t_steps)
+    spec = net.spec
+    _check_t_steps(spec, t_steps)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = images.shape[0]
-    k = net.spec.num_classes
+    if n == 0:
+        raise ValueError("scan_timesteps requires a non-empty batch")
     itemsize = np.result_type(images.dtype, net.params[-1]["w"].dtype).itemsize
-    rows = _scan_rows(net.spec, itemsize, batch_size)
-    mean_logits = np.zeros((n, t_steps, k), dtype=np.float32)
-    activities = [] if net.record_activity else None
-    for start in range(0, n, rows):
-        chunk = images[start : start + rows]
-        reset_states(net)
-        for t in range(t_steps):
-            forward_timestep(net, chunk)
-            mean_logits[start : start + len(chunk), t] = mean_output(net)
-        if activities is not None:
-            activities.append(np.stack(net.activity, axis=1))  # (B, T, L)
-    reset_states(net)
-    activity = np.concatenate(activities, axis=0) if activities else None
+    rows = _scan_rows(spec, itemsize, batch_size)
+    mean_logits = np.zeros((n, t_steps, spec.num_classes), dtype=np.float32)
+    activity = None
+    if net.record_activity:
+        mapped = sum(plan.weight_shape is not None for plan in spec.layer_plan)
+        activity = np.zeros((n, t_steps, mapped))
+    tiles, errors = itertools.count(), []
+
+    def work(inst):
+        try:
+            while not errors:
+                start = next(tiles) * rows
+                if start >= n:
+                    break
+                chunk = images[start : start + rows]
+                reset_states(inst)
+                for t in range(t_steps):
+                    forward_timestep(inst, chunk)
+                    mean_logits[start : start + len(chunk), t] = mean_output(inst)
+                if activity is not None:
+                    activity[start : start + len(chunk)] = np.stack(inst.activity, axis=1)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            reset_states(inst)
+
+    inference_params(net)  # built once here, shared by the clones
+    with kernels.one_blas_thread() as held:
+        workers = min(_scan_workers() if held else 1, -(-n // rows))
+        helpers = [_helper_pool().submit(work, net.clone_state()) for _ in range(workers - 1)]
+        try:
+            work(net)
+        finally:
+            for helper in helpers:
+                helper.cancel()  # not started yet: the tiles are all taken
+            wait(helpers)
+    if errors:
+        raise errors[0]
     return {"mean_logits": mean_logits, "activity": activity}

@@ -282,7 +282,8 @@ class TrainingLog:
 def evaluate_per_timestep(net, images, labels, t_steps, batch_size=512):
     """Accuracy of the running-mean prediction after each timestep.
 
-    Runs `scan_timesteps`, whose cache-sized tiles ``batch_size`` only caps.
+    Runs `scan_timesteps`, whose cache-sized tiles ``batch_size`` only caps
+    and which rejects an empty batch.
     """
     scan = scan_timesteps(net, images, t_steps, batch_size=batch_size)
     preds = scan["mean_logits"].argmax(axis=2)  # (N, T)
@@ -322,13 +323,17 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     Returns a TrainingLog with one record per epoch: train loss, the
     learning rate used, eval accuracy at every timestep 1..t_train, and a
     hash of the epoch's batch order (so paired runs can prove they saw the
-    same data).  Raises TrainingError when a step's loss or any parameter
-    after it is non-finite.
+    same data).  Raises ValueError for an empty training or evaluation split,
+    before the first epoch, and TrainingError when a step's loss or any
+    parameter after it is non-finite.
     """
     if cfg.t_train > net.spec.t_max:
         raise ValueError(
             f"t_train={cfg.t_train} exceeds the network's t_max={net.spec.t_max}"
         )
+    for split, images in (("training", train_images), ("evaluation", eval_images)):
+        if len(images) == 0:
+            raise ValueError(f"train requires a non-empty {split} split")
     rng = np.random.default_rng(cfg.seed)
     n = len(train_images)
     velocities = {}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtsnn import network
 from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
 from dtsnn.config import DEFAULT_THETA_GRID, parse_config
 from dtsnn.datasets import synth_dataset
@@ -274,17 +275,24 @@ TILING_N = 24
 
 
 class TestScanTiling:
-    """A scan's result does not depend on how its samples are tiled."""
+    """A scan's result does not depend on how its samples are tiled, nor on
+    how many workers run the tiles."""
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, TILING_N), st.permutations(range(TILING_N)))
-    def test_tiles_match_single_tile_scan(self, cap, order):
+    @given(st.integers(1, TILING_N), st.permutations(range(TILING_N)), st.integers(1, 3))
+    def test_tiles_match_single_tile_scan(self, cap, order, workers):
         net = make_net(seed=3)
         net.record_activity = True
         images = np.random.default_rng(9).standard_normal((TILING_N, 1, 8, 8)).astype(np.float32)
-        ref = scan_with_entropy(net, images, 4, batch_size=TILING_N)  # one tile
         order = np.asarray(order)
-        got = scan_with_entropy(net, images[order], 4, batch_size=cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "_scan_workers", lambda: 1)
+            ref = scan_with_entropy(net, images, 4, batch_size=TILING_N)  # one tile
+            alone = scan_with_entropy(net, images[order], 4, batch_size=cap)
+            mp.setattr(network, "_scan_workers", lambda: workers)
+            got = scan_with_entropy(net, images[order], 4, batch_size=cap)
+        npt.assert_array_equal(got["activity"], alone["activity"])
+        npt.assert_array_equal(got["mean_logits"], alone["mean_logits"])
         npt.assert_array_equal(got["activity"], ref["activity"][order])
         npt.assert_array_equal(got["predictions"], ref["predictions"][order])
         npt.assert_allclose(got["mean_logits"], ref["mean_logits"][order], atol=1e-6)

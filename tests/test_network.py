@@ -1,11 +1,15 @@
 """LIF dynamics and the per-timestep forward pass of the spiking network."""
 
+import os
+import sys
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dtsnn import kernels, network
-from dtsnn.errors import ShapeError, StateError
+from dtsnn.errors import DataFormatError, ShapeError, StateError
 from dtsnn.hardware import perturbed_instance
 from dtsnn.kernels import avg_pool2d, batch_norm, conv2d, fully_connected
 from dtsnn.network import (
@@ -58,21 +62,21 @@ def tiny_conv_spec(t_max=4, num_classes=3):
 class TestLifStep:
     def test_charge_fire_reset(self):
         cfg = LifConfig(tau=0.5, v_th=1.0)
-        state = LifState(u=np.zeros(1), last_spikes=np.zeros(1))
+        state = LifState(u=np.zeros(1))
         spikes = lif_step(state, np.array([2.0]), cfg)
         npt.assert_array_equal(spikes, [1.0])
         npt.assert_array_equal(state.u, [0.0])
 
     def test_subthreshold_decay(self):
         cfg = LifConfig(tau=0.5, v_th=1.0)
-        state = LifState(u=np.array([0.4]), last_spikes=np.zeros(1))
+        state = LifState(u=np.array([0.4]))
         spikes = lif_step(state, np.array([0.0]), cfg)
         npt.assert_array_equal(spikes, [0.0])
         npt.assert_allclose(state.u, [0.2])
 
     def test_threshold_is_strict(self):
         cfg = LifConfig(tau=1.0, v_th=1.0)
-        state = LifState(u=np.zeros(1), last_spikes=np.zeros(1))
+        state = LifState(u=np.zeros(1))
         spikes = lif_step(state, np.array([1.0]), cfg)
         npt.assert_array_equal(spikes, [0.0])  # u == v_th does not fire
 
@@ -80,7 +84,7 @@ class TestLifStep:
         cfg = LifConfig(tau=0.5, v_th=1.0)
         currents = rng.uniform(-0.5, 1.5, size=8)
         ref_spikes, ref_u = lif_sequence_reference(currents, 0.5, 1.0)
-        state = LifState(u=np.zeros(1), last_spikes=np.zeros(1))
+        state = LifState(u=np.zeros(1))
         for t in range(8):
             s = lif_step(state, np.array([currents[t]]), cfg)
             assert s[0] == ref_spikes[t]
@@ -89,7 +93,7 @@ class TestLifStep:
     def test_batch_of_sequences_matches_oracle(self):
         cfg = LifConfig(tau=0.7, v_th=0.9)
         currents = rng.uniform(-0.5, 1.5, size=(8, 32))
-        state = LifState(u=np.zeros(32), last_spikes=np.zeros(32))
+        state = LifState(u=np.zeros(32))
         refs = [lif_sequence_reference(currents[:, j], 0.7, 0.9) for j in range(32)]
         for t in range(8):
             s = lif_step(state, currents[t], cfg)
@@ -99,7 +103,7 @@ class TestLifStep:
 
     def test_spikes_are_binary_and_hard_reset(self):
         cfg = LifConfig()
-        state = LifState(u=np.zeros(100), last_spikes=np.zeros(100))
+        state = LifState(u=np.zeros(100))
         for _ in range(10):
             s = lif_step(state, rng.uniform(-1, 2, size=100), cfg)
             assert set(np.unique(s)).issubset({0.0, 1.0})
@@ -108,14 +112,14 @@ class TestLifStep:
     def test_geometric_decay_without_input(self):
         cfg = LifConfig(tau=0.8, v_th=10.0)
         u0 = 0.5
-        state = LifState(u=np.array([u0]), last_spikes=np.zeros(1))
+        state = LifState(u=np.array([u0]))
         zero = np.array([0.0])
         for t in range(1, 6):
             lif_step(state, zero, cfg)
             npt.assert_allclose(state.u, [u0 * 0.8**t], rtol=1e-12)
 
     def test_shape_mismatch(self):
-        state = LifState(u=np.zeros(3), last_spikes=np.zeros(3))
+        state = LifState(u=np.zeros(3))
         with pytest.raises(ShapeError):
             lif_step(state, np.zeros(4), LifConfig())
 
@@ -162,12 +166,12 @@ class TestLifUnroll:
         u0 = rng.uniform(-1.0, 1.0, size=currents.shape[1:]).astype(dtype)
         u0[0, 0, 0] = 0.0
         ref_spikes, _, ref_u = lif_formula(currents, cfg.tau, cfg.v_th, u0)
-        state = LifState(u0.copy(), np.zeros_like(u0))
+        state = LifState(u0.copy())
         spikes, cache = lif_unroll(currents, cfg, state=state)
         assert cache is None
         npt.assert_array_equal(spikes, ref_spikes)
         npt.assert_array_equal(state.u, ref_u)
-        npt.assert_array_equal(state.last_spikes, ref_spikes[-1])
+        npt.assert_array_equal(spikes[-1], ref_spikes[-1])
 
 
 def reference_logits(spec, params, x, t_steps):
@@ -322,6 +326,16 @@ class TestInferencePlan:
             for arr in (p or {}).values():
                 with pytest.raises(ValueError, match="read-only"):
                     arr[...] = 0.0
+
+    def test_clone_shares_the_built_plan_and_firing_mode(self):
+        net, x, _ = self.make("conv_norm", np.float64)
+        net.smooth_spikes = True
+        logits = static_forward(net, x, 3)
+        clone = net.clone_state()
+        assert clone.smooth_spikes
+        assert clone.inference_plan is net.inference_plan
+        assert inference_params(clone) is inference_params(net)  # not rebuilt
+        npt.assert_array_equal(static_forward(clone, x, 3), logits)
 
     def test_perturbed_instance_gets_its_own_plan(self):
         net, x, _ = self.make("conv_norm", np.float64)
@@ -508,6 +522,62 @@ class TestScan:
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             scan_timesteps(net, np.zeros((3, 1, 8, 8), np.float32), 2, batch_size=batch_size)
 
+    def test_empty_batch_rejected(self):
+        net = build_instance(tiny_conv_spec(), seed=11)
+        net.record_activity = True
+        with pytest.raises(ValueError, match="requires a non-empty batch"):
+            scan_timesteps(net, np.zeros((0, 1, 8, 8), np.float32), 2)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_error_in_last_tile_is_raised_and_blas_restored(self, workers, monkeypatch):
+        monkeypatch.setattr(network, "_scan_workers", lambda: workers)
+        net, ref = (build_instance(tiny_conv_spec(), seed=11) for _ in range(2))
+        net.record_activity = ref.record_activity = True
+        x = rng.standard_normal((10, 1, 8, 8)).astype(np.float32)
+        bad = x.copy()
+        bad[-1, 0, 4, 4] = np.nan  # tiles of 3 rows: the NaN is in the last one
+        before = kernels.blas_threads()
+        with pytest.raises(DataFormatError, match="1 non-finite"):
+            scan_timesteps(net, bad, 4, batch_size=3)
+        assert kernels.blas_threads() == before
+        assert net.t == 0 and net.lif_states == {} and net.stem is None
+        got, want = (scan_timesteps(n, x, 4, batch_size=3) for n in (net, ref))
+        npt.assert_array_equal(got["mean_logits"], want["mean_logits"])
+        npt.assert_array_equal(got["activity"], want["activity"])
+
+    def test_more_workers_than_cores_take_each_tile_once(self, monkeypatch):
+        net = build_instance(tiny_conv_spec(), seed=11)
+        net.record_activity = True
+        x = rng.standard_normal((40, 1, 8, 8)).astype(np.float32)
+        monkeypatch.setattr(network, "_scan_workers", lambda: 1)
+        alone = scan_timesteps(net, x, 4, batch_size=1)
+        tiles, step = [], network.forward_timestep  # a tile is known by its first row's address
+        monkeypatch.setattr(network, "forward_timestep", lambda inst, chunk: tiles.append(
+            chunk.__array_interface__["data"][0]) or step(inst, chunk))
+        monkeypatch.setattr(network, "_scan_workers", lambda: len(os.sched_getaffinity(0)) + 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = scan_timesteps(net, x, 4, batch_size=1)
+        finally:
+            sys.setswitchinterval(interval)
+        steps_per_tile = Counter(tiles)
+        assert len(steps_per_tile) == 40 and set(steps_per_tile.values()) == {4}
+        npt.assert_array_equal(got["mean_logits"], alone["mean_logits"])
+        npt.assert_array_equal(got["activity"], alone["activity"])
+
+    def test_helpers_fire_smooth_like_the_caller(self, monkeypatch):
+        net = build_instance(tiny_conv_spec(), seed=11, dtype=np.float64)
+        net.smooth_spikes = True
+        x = rng.standard_normal((10, 1, 8, 8))
+        scans = []
+        for workers in (1, 3):
+            monkeypatch.setattr(network, "_scan_workers", lambda: workers)
+            scans.append(scan_timesteps(net, x, 4, batch_size=2)["mean_logits"])
+        npt.assert_array_equal(scans[1], scans[0])
+        net.smooth_spikes = False
+        assert not np.array_equal(scan_timesteps(net, x, 4, batch_size=2)["mean_logits"], scans[0])
+
     def test_tile_rows_from_block_bytes(self):
         # The first block of configs/mnist.yaml: its widest activation,
         # conv0's 12x28x28 output (37.6 KB in float32), sets the tile.
@@ -534,7 +604,8 @@ class TestScan:
         for cap, tiles in ((512, [3, 3, 3, 1]), (2, [2] * 5)):
             rows.clear()
             tiled = scan_timesteps(net, x, 4, batch_size=cap)
-            assert rows == [r for r in tiles for _ in range(4)]
+            # workers take tiles concurrently: the calls come in no set order
+            assert Counter(rows) == Counter(r for r in tiles for _ in range(4))
             npt.assert_array_equal(tiled["activity"], whole["activity"])
             npt.assert_allclose(tiled["mean_logits"], whole["mean_logits"], atol=1e-6)
 

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dtsnn import training
 from dtsnn.config import parse_config
 from dtsnn.errors import DataFormatError, TrainingError
 from dtsnn.network import (
@@ -400,6 +401,24 @@ class TestTrainLoop:
         with pytest.raises(DataFormatError, match="1 non-finite"):
             train(net, images, labels, images, labels, cfg)
 
+    def test_evaluate_rejects_empty_batch(self):
+        net = build_instance(self.small_spec(), seed=0)
+        with pytest.raises(ValueError, match="requires a non-empty batch"):
+            evaluate_per_timestep(net, np.zeros((0, 1, 8, 8), np.float32), np.zeros(0, int), 2)
+
+    @pytest.mark.parametrize("empty", ["training", "evaluation"])
+    def test_empty_split_rejected_before_the_first_epoch(self, empty, monkeypatch):
+        images, labels = separable_blobs(8)
+        none = (images[:0], labels[:0])
+        splits = (none + (images, labels)) if empty == "training" else ((images, labels) + none)
+        net = build_instance(self.small_spec(), seed=0)
+        steps = []
+        monkeypatch.setattr(training, "forward_with_tape", lambda *a, **kw: steps.append(a))
+        cfg = TrainConfig(epochs=1, batch_size=8, t_train=2, seed=0)
+        with pytest.raises(ValueError, match=f"non-empty {empty} split"):
+            train(net, *splits, cfg)
+        assert steps == []
+
     def test_t_train_cannot_exceed_t_max(self):
         images, labels = separable_blobs(8)
         net = build_instance(self.small_spec(), seed=0)
@@ -433,12 +452,12 @@ class TestStackedForwardAgainstStepwise:
         for n in (net, ref):
             for _ in range(2):
                 forward_timestep(n, x)
-        before = (net.t, net.stem, {i: (s.u, s.last_spikes) for i, s in net.lif_states.items()})
+        before = (net.t, net.stem, {i: s.u for i, s in net.lif_states.items()})
         forward_with_tape(net, x, 3)
         assert net.t == before[0] and net.stem is before[1]
         assert net.lif_states.keys() == before[2].keys()
-        for i, (u, spikes) in before[2].items():
-            assert net.lif_states[i].u is u and net.lif_states[i].last_spikes is spikes
+        for i, u in before[2].items():
+            assert net.lif_states[i].u is u
         npt.assert_array_equal(forward_timestep(net, x), forward_timestep(ref, x))
 
 
