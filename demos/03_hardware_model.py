@@ -6,15 +6,16 @@ Run: python3 demos/03_hardware_model.py   (instant, no training)
 
 import numpy as np
 
-from dtsnn import ArchConfig, LayerSpec, NetworkSpec, latency, map_network
-from dtsnn.hardware import (
-    calibrate_energy_coefficients,
+from dtsnn import (
+    ArchConfig,
+    LayerSpec,
+    NetworkSpec,
+    component_energy_matrix,
     cost_of_inference,
-    energy_per_timestep,
-    load_reference_trace,
-    reference_mapping,
-    sigma_e_energy,
+    inference_costs,
+    map_network,
 )
+from dtsnn.hardware import calibrate_energy_coefficients, load_reference_trace, reference_mapping
 
 arch = ArchConfig()
 print("reference hardware parameters:")
@@ -44,20 +45,20 @@ for m in mapping.layers:
 print("\ncalibration anchors on the bundled reference workload:")
 trace = load_reference_trace()
 ref_map = reference_mapping(trace, arch)
-spikes = np.asarray(trace["spikes"])
-energies = [energy_per_timestep(ref_map, spikes[t], arch)[0] for t in range(8)]
+spikes = np.asarray(trace["spikes"])[:8]
+# The same 8-step trace run for t = 1..8 steps, priced by the one pricing rule.
+steps = component_energy_matrix(np.stack([spikes] * 8), ref_map, arch)
+static = inference_costs(steps, np.arange(1, 9), arch, dynamic=False)
+energies, lats = static["energy"], static["latency"]
 print(f"  energy(1) = {energies[0]:.4f} normalized units")
-print(f"  energy(8)/energy(1) = {sum(energies) / energies[0]:.3f}  (anchor: 4.9)")
-print(f"  latency(8)/latency(1) = {latency(8, arch) / latency(1, arch):.1f}  (anchor: 8)")
-comps = {"crossbar_adc": 0.0, "digital": 0.0, "buffer_interconnect": 0.0}
-for t in range(4):
-    for k, v in energy_per_timestep(ref_map, spikes[t], arch)[1].items():
-        comps[k] += v
-total = sum(comps.values())
+print(f"  energy(8)/energy(1) = {energies[7] / energies[0]:.3f}  (anchor: 4.9)")
+print(f"  latency(8)/latency(1) = {lats[7] / lats[0]:.1f}  (anchor: 8)")
+parts = ("crossbar_adc", "digital", "buffer_interconnect")
 print("  component shares at T=4 "
-      + ", ".join(f"{k} {v / total:.2%}" for k, v in comps.items()))
+      + ", ".join(f"{k} {static[k][3] / energies[3]:.2%}" for k in parts))
+sigma_e = inference_costs(steps, np.arange(1, 9), arch)["sigma_e"]
 print(f"  exit-module overhead per invocation: "
-      f"{sigma_e_energy(1.0, 1, arch.sigma_e_ratio):.1e} of a 1-timestep inference")
+      f"{sigma_e[0] / energies[0]:.1e} of a 1-timestep inference")
 
 print("\nre-deriving the shipped coefficients from the anchors:")
 coeffs = calibrate_energy_coefficients(trace, arch)
@@ -66,7 +67,7 @@ for name, value in coeffs.items():
 
 print("\nwhat early exit buys on a toy activity log (desk net, 4 timesteps):")
 activity = [[784, 250, 90, 40], [784, 120, 50, 25], [784, 90, 40, 20], [784, 80, 35, 18]]
-static = cost_of_inference(activity, mapping, arch, sigma_e_invocations=0)
+static = cost_of_inference(activity, mapping, arch, dynamic=False)
 dynamic = cost_of_inference(activity[:2], mapping, arch)  # exited after t=2
 print(f"  static 4 steps: energy {static.total_energy:.4f}, latency {static.total_latency:.1f}, "
       f"EDP {static.edp:.4f}")

@@ -4,8 +4,9 @@ analytical in-memory-computing cost model.
 Typical flow: describe a network with NetworkSpec, train it with
 training.train (surrogate-gradient BPTT, per-timestep or standard loss), run
 input-aware inference with exit_policy.dynamic_infer / threshold_sweep, and
-price the result on crossbar hardware with hardware.map_network and
-hardware.cost_of_inference.
+price the result on crossbar hardware with hardware.map_network,
+hardware.component_energy_matrix and hardware.inference_costs, the one
+pricing rule behind cost_of_inference and dataset_cost_fn.
 """
 
 __version__ = "0.1.0"
@@ -70,13 +71,12 @@ from .hardware import (
     LayerMapping,
     apply_device_variation,
     calibrate_energy_coefficients,
+    component_energy_matrix,
     cost_of_inference,
-    edp,
     energy_per_timestep,
-    latency,
+    inference_costs,
     map_network,
     perturbed_instance,
-    sigma_e_energy,
 )
 from .datasets import Dataset, load_idx, synth_dataset
 from .checkpoint import (

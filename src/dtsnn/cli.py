@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -38,9 +39,9 @@ from .exit_policy import (
 from .hardware import (
     component_energy_matrix,
     dataset_cost_fn,
+    inference_costs,
     map_network,
     perturbed_instance,
-    sigma_e_energy,
 )
 from .network import build_instance
 from .training import train
@@ -133,24 +134,32 @@ def _load_net(args, cfg):
     return instance_from_checkpoint(ckpt)
 
 
+def _static_vs_dynamic(net, ds, theta, arch):
+    """Scan `ds` for all t_max timesteps and apply the exit policy at theta.
+
+    Returns the policy summary, the static t_max-step accuracy, and the
+    (mean energy, mean latency, EDP) of the static and of the dynamic run.
+    """
+    t_max = net.spec.t_max
+    net.record_activity = True
+    scan = scan_with_entropy(net, ds.images, t_max)
+    summary = summarize_policy(scan, ds.labels, ExitPolicy(theta=theta, t_max=t_max))
+    static_acc = float((scan["predictions"][:, t_max - 1] == ds.labels).mean())
+    mapping = map_network(net.spec, arch)
+    activity = scan["activity"]
+    static = dataset_cost_fn(mapping, arch, dynamic=False)(np.full(len(ds), t_max), activity)
+    dynamic = dataset_cost_fn(mapping, arch)(summary.chosen_t, activity)
+    return summary, static_acc, static, dynamic
+
+
 def cmd_eval(args):
     cfg, out_dir = _prepare(args)
     _, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     net = _load_net(args, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     t_max = net.spec.t_max
-    mapping = map_network(net.spec, cfg.arch)
-    net.record_activity = True
-    scan = scan_with_entropy(net, test_ds.images, t_max)
-    policy = ExitPolicy(theta=args.theta, t_max=t_max)
-    summary = summarize_policy(scan, test_ds.labels, policy)
-    static_preds = scan["predictions"][:, t_max - 1]
-    static_acc = float((static_preds == test_ds.labels).mean())
-    activity = scan["activity"]
-    static_e, static_l, static_edp = dataset_cost_fn(mapping, cfg.arch, dynamic=False)(
-        np.full(len(activity), t_max), activity
-    )
-    dyn_e, dyn_l, dyn_edp = dataset_cost_fn(mapping, cfg.arch)(summary.chosen_t, activity)
+    summary, static_acc, static, dynamic = _static_vs_dynamic(net, test_ds, args.theta, cfg.arch)
+    ratios = [d / s for d, s in zip(dynamic, static)]  # energy, latency, EDP
     header = (
         ["method", "theta", "mean_timesteps", "accuracy",
          "energy_ratio", "latency_ratio", "edp_ratio"]
@@ -162,10 +171,8 @@ def cmd_eval(args):
         header,
         ["static", "", t_max, f"{static_acc:.6f}", f"{1.0:.6f}", f"{1.0:.6f}",
          f"{1.0:.6f}"] + static_hist,
-        ["dt", f"{args.theta:.4f}", f"{summary.mean_t:.4f}", f"{summary.accuracy:.6f}",
-         f"{dyn_e / static_e:.6f}", f"{dyn_l / static_l:.6f}",
-         f"{dyn_edp / static_edp:.6f}"]
-        + list(summary.histogram),
+        ["dt", f"{args.theta:.4f}", f"{summary.mean_t:.4f}", f"{summary.accuracy:.6f}"]
+        + [f"{r:.6f}" for r in ratios] + list(summary.histogram),
     ]
     out_path = out_dir / "eval_summary.csv"
     _write_csv(out_path, rows)
@@ -174,8 +181,8 @@ def cmd_eval(args):
         print(f"static T={t_max}: acc {static_acc:.4f}")
         print(
             f"dt theta={args.theta}: acc {summary.accuracy:.4f} "
-            f"mean_t {summary.mean_t:.3f} energy {dyn_e / static_e:.3f}x "
-            f"edp {dyn_edp / static_edp:.3f}x"
+            f"mean_t {summary.mean_t:.3f} energy {ratios[0]:.3f}x "
+            f"edp {ratios[2]:.3f}x"
         )
     return 0
 
@@ -232,7 +239,6 @@ def cmd_ablate(args):
     cfg, out_dir = _prepare(args)
     train_ds, test_ds = load_dataset_pair(cfg.data, cfg.network.num_classes)
     out_dir.mkdir(parents=True, exist_ok=True)
-    arch = cfg.arch
     results = {}
     hashes = {}
     for mode in ("standard", "per_timestep"):
@@ -243,21 +249,12 @@ def cmd_ablate(args):
             run_cfg, progress=_progress_printer(args.quiet),
         )
         _write_csv(out_dir / f"training_log_{mode}.csv", log.csv_rows())
-        mapping = map_network(net.spec, arch)
-        net.record_activity = True
-        scan = scan_with_entropy(net, test_ds.images, net.spec.t_max)
-        policy = ExitPolicy(theta=args.theta, t_max=net.spec.t_max)
-        summary = summarize_policy(scan, test_ds.labels, policy)
-        activity = scan["activity"]
-        static_edp = dataset_cost_fn(mapping, arch, dynamic=False)(
-            np.full(len(activity), net.spec.t_max), activity
-        )[2]
-        dyn_edp = dataset_cost_fn(mapping, arch)(summary.chosen_t, activity)[2]
+        summary, _, static, dynamic = _static_vs_dynamic(net, test_ds, args.theta, cfg.arch)
         results[mode] = {
             "acc_per_t": log.records[-1].eval_acc,
             "dt_acc": summary.accuracy,
             "dt_mean_t": summary.mean_t,
-            "dt_edp_ratio": dyn_edp / static_edp,
+            "dt_edp_ratio": dynamic[2] / static[2],
         }
         hashes[mode] = [r.batch_hash for r in log.records]
     if hashes["standard"] != hashes["per_timestep"]:
@@ -294,25 +291,16 @@ def cmd_hwreport(args):
     mapping = map_network(net.spec, arch)
     net.record_activity = True
     scan = scan_with_entropy(net, test_ds.images, t_max)
-    comps = component_energy_matrix(scan["activity"], mapping, arch)  # (N, T) each
-    comp_rows = [[
-        "timesteps", "crossbar_adc_share", "digital_share",
-        "buffer_interconnect_share", "sigma_e_share", "mean_energy",
-    ]]
+    steps = component_energy_matrix(scan["activity"], mapping, arch)
+    parts = ("crossbar_adc", "digital", "buffer_interconnect", "sigma_e")
+    comp_rows = [["timesteps"] + [f"{k}_share" for k in parts] + ["mean_energy"]]
     # Each row prices a t-step run on the dynamic-timestep hardware, so the
     # exit module runs once per executed timestep.
     for t in range(1, t_max + 1):
-        sums = {
-            k: float(comps[k][:, :t].sum(axis=1).mean())
-            for k in ("crossbar_adc", "digital", "buffer_interconnect")
-        }
-        sums["sigma_e"] = float(
-            sigma_e_energy(comps["total"][:, 0], t, arch.sigma_e_ratio).mean()
-        )
-        total = sum(sums.values())
-        comp_rows.append(
-            [t] + [f"{v / total:.6f}" for v in sums.values()] + [f"{total:.6f}"]
-        )
+        costs = inference_costs(steps, np.full(len(test_ds), t), arch)
+        means = [float(costs[k].mean()) for k in parts]
+        total = sum(means)
+        comp_rows.append([t] + [f"{v / total:.6f}" for v in means] + [f"{total:.6f}"])
     comp_path = out_dir / "hw_components.csv"
     _write_csv(comp_path, comp_rows)
     outputs = [comp_path.name]
@@ -422,8 +410,8 @@ def _check_flags(args):
     flags = vars(args)
     ExitSettings(flags.get("theta") or 0.0, flags.get("theta_grid") or (0.0,))
     sigma_mu = flags.get("sigma_mu")
-    if sigma_mu is not None and not sigma_mu >= 0.0:
-        raise ConfigError(f"--sigma-mu must be >= 0, got {sigma_mu}")
+    if sigma_mu is not None and not 0.0 <= sigma_mu < math.inf:
+        raise ConfigError(f"--sigma-mu must be finite and >= 0, got {sigma_mu}")
     if flags.get("variation_seeds", 1) < 1:
         raise ConfigError(
             f"--variation-seeds must be >= 1, got {flags['variation_seeds']}"

@@ -11,11 +11,14 @@ with x_l allocated crossbars, c_l mapped columns and s_l presented spikes:
              + sum_l (e_mac + e_adc / crossbar_size) * c_l * s_l
              + e_step_digital + e_step_buffer
 
-An inference of t timesteps costs the sum of its t step energies plus the
-entropy-exit module, sigma_e_ratio * E_step(t=1) per invocation (one per
-executed timestep on the dynamic-timestep hardware, none on a static run),
-and no latency.  Latency is strictly linear in timesteps: timesteps are
-processed sequentially without pipelining.
+`component_energy_matrix` computes E_step for every sample and timestep, and
+`inference_costs` is the one pricing rule on top of it: an inference of t
+timesteps costs the sum of its t step energies plus the entropy-exit module,
+sigma_e_ratio * E_step(t=1) per invocation (one per executed timestep on the
+dynamic-timestep hardware, none on a static run), and no latency.  Latency
+is strictly linear in timesteps: timesteps are processed sequentially
+without pipelining.  `cost_of_inference` (one request) and `dataset_cost_fn`
+(dataset means) both price through it.
 
 All energies are in normalized units: the default coefficients are
 calibrated (see `calibrate_energy_coefficients` and data/reference_trace.json)
@@ -81,7 +84,6 @@ class LayerMap:
     fan_in: int
     fan_out: int
     bit_slices: int
-    rows_needed: int
     cols_needed: int
     row_blocks: int
     col_blocks: int
@@ -117,7 +119,6 @@ def map_layer(index, kind, fan_in, fan_out, arch):
         fan_in=fan_in,
         fan_out=fan_out,
         bit_slices=slices,
-        rows_needed=fan_in,
         cols_needed=cols_needed,
         row_blocks=row_blocks,
         col_blocks=col_blocks,
@@ -189,69 +190,62 @@ def energy_per_timestep(mapping, activity, arch):
     return comps.pop("total"), comps
 
 
-def latency(t_used, arch):
-    """Sequential, unpipelined timesteps: strictly linear latency."""
-    if t_used < 1:
-        raise ValueError(f"t_used must be >= 1, got {t_used}")
-    return t_used * arch.latency_per_timestep
+def inference_costs(steps, chosen_t, arch, dynamic=True):
+    """Per-sample cost of N inferences, sample i run for chosen_t[i] timesteps.
 
-
-def sigma_e_energy(e_one_timestep, invocations, ratio=2e-5):
-    """Energy of the softmax-entropy exit module.
-
-    One invocation per executed timestep; each costs `ratio` of a
-    one-timestep inference energy.  Accepts scalars or aligned arrays.
+    steps is the `component_energy_matrix` of an (N, T, L) activity and
+    chosen_t holds (N,) integers in [1, T].  Returns per-sample arrays:
+    crossbar_adc, digital and buffer_interconnect summed over the executed
+    timesteps; sigma_e, the exit module run once per executed timestep at
+    sigma_e_ratio of the first timestep's energy (none when dynamic=False,
+    a static run); energy, the executed step totals plus sigma_e; latency.
     """
-    if (np.asarray(invocations) < 0).any():
-        raise ValueError(f"invocations must be >= 0, got {invocations}")
-    return invocations * ratio * e_one_timestep
-
-
-def edp(energy, latency_value):
-    """Energy-delay product."""
-    return energy * latency_value
+    total = steps["total"]
+    n, t_max = total.shape
+    chosen_t = np.asarray(chosen_t)
+    if (chosen_t.shape != (n,) or not np.issubdtype(chosen_t.dtype, np.integer)
+            or ((chosen_t < 1) | (chosen_t > t_max)).any()):
+        raise ValueError(
+            f"chosen_t must hold ({n},) integers in [1, {t_max}], got {chosen_t}"
+        )
+    keys = ("crossbar_adc", "digital", "buffer_interconnect", "total")
+    mask = np.arange(1, t_max + 1) <= chosen_t[:, None]
+    costs = dict(zip(keys, (np.array([steps[k] for k in keys]) * mask).sum(axis=2)))
+    costs["sigma_e"] = chosen_t * (arch.sigma_e_ratio if dynamic else 0.0) * total[:, 0]
+    costs["energy"] = costs.pop("total") + costs["sigma_e"]
+    costs["latency"] = chosen_t * arch.latency_per_timestep
+    return costs
 
 
 @dataclass(frozen=True)
 class CostReport:
-    """Aggregate cost of one inference (or of a dataset-mean inference)."""
+    """Cost of one inference."""
 
     total_energy: float
     total_latency: float
     edp: float
     per_timestep_energy: tuple
     components: dict
-    timesteps_used: float
 
 
-def cost_of_inference(step_activities, mapping, arch, sigma_e_invocations=None):
-    """Sum per-timestep energies, add exit-module overhead, compute EDP.
+def cost_of_inference(step_activities, mapping, arch, dynamic=True):
+    """Price one inference with `inference_costs`.
 
     step_activities: iterable of per-layer spike counts, one row per executed
-    timestep.  sigma_e_invocations defaults to one per executed timestep
-    (dynamic inference); pass 0 for a static run without the exit module.
+    timestep.  dynamic=False prices a static run without the exit module.
     """
     rows = np.asarray(list(step_activities), dtype=np.float64)
     if len(rows) == 0:
         raise ValueError("cost_of_inference requires at least one timestep of activity")
-    t_used = len(rows)
-    if sigma_e_invocations is None:
-        sigma_e_invocations = t_used
-    # Python sums over the few rows: far cheaper per call than numpy reductions.
-    per_step = {k: v.tolist() for k, v in component_energy_matrix(rows, mapping, arch).items()}
-    energies = per_step.pop("total")
-    comps = {k: sum(v) for k, v in per_step.items()}
-    overhead = sigma_e_energy(energies[0], sigma_e_invocations, arch.sigma_e_ratio)
-    comps["sigma_e"] = overhead
-    total = float(sum(energies) + overhead)
-    lat = latency(t_used, arch)
+    steps = component_energy_matrix(rows[None], mapping, arch)
+    comps = {k: float(v[0]) for k, v in inference_costs(steps, [len(rows)], arch, dynamic).items()}
+    energy, lat = comps.pop("energy"), comps.pop("latency")
     return CostReport(
-        total_energy=total,
+        total_energy=energy,
         total_latency=lat,
-        edp=edp(total, lat),
-        per_timestep_energy=tuple(energies),
+        edp=energy * lat,
+        per_timestep_energy=tuple(steps["total"][0].tolist()),
         components=comps,
-        timesteps_used=t_used,
     )
 
 
@@ -259,24 +253,18 @@ def dataset_cost_fn(mapping, arch, dynamic=True):
     """Build a cost callback for threshold sweeps.
 
     Returns f(chosen_t, activity) -> (mean energy, mean latency, their
-    product) where activity has shape (N, T, L) and chosen_t is (N,).
-    Dataset-level EDP follows the mean-energy x mean-latency convention.
-    dynamic=False prices a static run, which has no exit module.
+    product) of `inference_costs`, where activity has shape (N, T, L) and
+    chosen_t is (N,).  Dataset-level EDP follows the mean-energy x
+    mean-latency convention.
     """
 
     def cost(chosen_t, activity):
-        e_steps = component_energy_matrix(activity, mapping, arch)["total"]  # (N, T)
-        t_idx = np.arange(1, e_steps.shape[1] + 1)
-        mask = t_idx[None, :] <= np.asarray(chosen_t)[:, None]
-        energies = (e_steps * mask).sum(axis=1)
-        if dynamic:
-            energies = energies + sigma_e_energy(
-                e_steps[:, 0], np.asarray(chosen_t), arch.sigma_e_ratio
-            )
-        lats = np.asarray(chosen_t) * arch.latency_per_timestep
-        mean_e = float(energies.mean())
-        mean_l = float(lats.mean())
-        return mean_e, mean_l, edp(mean_e, mean_l)
+        costs = inference_costs(
+            component_energy_matrix(activity, mapping, arch), chosen_t, arch, dynamic
+        )
+        mean_e = float(costs["energy"].mean())
+        mean_l = float(costs["latency"].mean())
+        return mean_e, mean_l, mean_e * mean_l
 
     return cost
 
@@ -287,8 +275,8 @@ def apply_device_variation(weights, sigma_over_mu, seed):
     `weights` may be a single array or a list of arrays; the same seed always
     produces the same perturbation.
     """
-    if sigma_over_mu < 0:
-        raise ValueError(f"sigma_over_mu must be >= 0, got {sigma_over_mu}")
+    if not 0.0 <= sigma_over_mu < math.inf:
+        raise ValueError(f"sigma_over_mu must be finite and >= 0, got {sigma_over_mu}")
     rng = np.random.default_rng(seed)
     single = isinstance(weights, np.ndarray)
     arrays = [weights] if single else list(weights)

@@ -1,5 +1,6 @@
 """The module attributes bench/tracing.py wraps exist and see both engines,
-and a round of the benchmark's `sweep` workload passes its own checks.
+and a round of the benchmark's `sweep` and `dynamic` workloads passes its own
+checks.
 
 `Tracer.install` patches names on dtsnn's modules with an unguarded getattr,
 so a function moved between modules would break `bench/run.py --trace 1`.
@@ -100,4 +101,19 @@ def test_sweep_workload_round_passes_its_checks():
     metrics = workload.finish()
     assert workload.failures == []
     assert workload.global_checks() == []
+    assert 1.0 <= metrics["mean_t"] <= workloads.T_MAX
+
+
+def test_dynamic_workload_round_passes_its_checks():
+    # One round of `bench/run.py --workload dynamic` in process: every request
+    # answers as it did the first time, dynamic_infer agrees with the batched
+    # scan, and the mean cost_of_inference equals dataset_cost_fn on the same
+    # exits and activity (relative tolerance 1e-9).
+    workload = workloads.DynamicWorkload(dtsnn, seed=1)
+    workload.setup()
+    for k in range(workload.round_len + 1):  # one full pass, then a repeat
+        workload.op(k)
+    metrics = workload.finish()
+    assert workload.failures == []
+    assert workload.mismatches == 0
     assert 1.0 <= metrics["mean_t"] <= workloads.T_MAX

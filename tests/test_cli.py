@@ -233,6 +233,8 @@ class TestUsage:
         ["sweep", "--traces", "--theta", "1.5"],
         ["ablate", "--theta", "1.5"],
         ["hwreport", "--sigma-mu", "-0.1"],
+        ["hwreport", "--sigma-mu", "inf"],
+        ["hwreport", "--sigma-mu", "nan"],
         ["hwreport", "--sigma-mu", "0.1", "--variation-seeds", "0"],
     ])
     def test_bad_flag_exit_2_before_any_output(self, trained, tmp_path, capsys, argv):

@@ -17,15 +17,13 @@ from dtsnn.hardware import (
     component_energy_matrix,
     cost_of_inference,
     dataset_cost_fn,
-    edp,
     energy_per_timestep,
-    latency,
+    inference_costs,
     load_reference_trace,
     map_layer,
     map_network,
     perturbed_instance,
     reference_mapping,
-    sigma_e_energy,
 )
 from dtsnn.network import LayerSpec, NetworkSpec, build_instance, static_forward
 
@@ -46,6 +44,14 @@ def small_spec():
             LayerSpec("classifier"),
         ),
     )
+
+
+def constant_run_costs(chosen_t, arch, dynamic=True, t_max=8):
+    """inference_costs of len(chosen_t) samples that each present [13, 5]
+    spikes to small_spec()'s two mapped layers at every one of t_max steps."""
+    activity = np.tile([13.0, 5.0], (len(chosen_t), t_max, 1))
+    steps = component_energy_matrix(activity, map_network(small_spec(), arch), arch)
+    return inference_costs(steps, chosen_t, arch, dynamic)
 
 
 class TestMapping:
@@ -162,49 +168,66 @@ class TestEnergy:
         mapping = map_network(small_spec(), arch)
         e1, _ = energy_per_timestep(mapping, [13, 5], arch)
         rows = [[13, 5]] * 6
-        report = cost_of_inference(rows, mapping, arch, sigma_e_invocations=0)
+        report = cost_of_inference(rows, mapping, arch, dynamic=False)
         npt.assert_allclose(report.total_energy, 6 * e1, rtol=1e-12)
 
 
 class TestLatency:
     def test_single_step(self):
         arch = ArchConfig(latency_per_timestep=2.5)
-        assert latency(1, arch) == 2.5
+        assert constant_run_costs([1], arch)["latency"][0] == 2.5
 
     def test_eight_steps_exactly_eightfold(self):
-        arch = ArchConfig()
-        assert latency(8, arch) == 8 * latency(1, arch)
+        lat = constant_run_costs([1, 8], ArchConfig())["latency"]
+        assert lat[1] == 8 * lat[0]
 
     def test_additive(self):
-        arch = ArchConfig(latency_per_timestep=1.7)
-        npt.assert_allclose(latency(3, arch) + latency(4, arch), latency(7, arch))
+        lat = constant_run_costs([3, 4, 7], ArchConfig(latency_per_timestep=1.7))["latency"]
+        npt.assert_allclose(lat[0] + lat[1], lat[2])
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            latency(0, ArchConfig())
+            constant_run_costs([0], ArchConfig())
 
 
 class TestSigmaE:
+    """The exit module: sigma_e_ratio (2e-5) of the first step's energy per
+    executed timestep, none on a static run."""
+
     def test_zero_invocations(self):
-        assert sigma_e_energy(1.0, 0) == 0.0
+        assert constant_run_costs([3], ArchConfig(), dynamic=False)["sigma_e"][0] == 0.0
 
     def test_single_invocation_ratio(self):
-        npt.assert_allclose(sigma_e_energy(1.0, 1), 2e-5, rtol=1e-12)
+        costs = constant_run_costs([1], ArchConfig())
+        e1 = costs["energy"][0] - costs["sigma_e"][0]
+        npt.assert_allclose(costs["sigma_e"][0], 2e-5 * e1, rtol=1e-12)
 
     def test_linear_in_invocations(self):
-        npt.assert_allclose(sigma_e_energy(1.0, 4), 8e-5, rtol=1e-12)
+        costs = constant_run_costs([1, 4], ArchConfig())
+        e1 = costs["energy"][0] - costs["sigma_e"][0]
+        npt.assert_allclose(costs["sigma_e"][1], 8e-5 * e1, rtol=1e-12)
 
     def test_negative_invocations_rejected(self):
         with pytest.raises(ValueError):
-            sigma_e_energy(1.0, -1)
+            constant_run_costs([-1], ArchConfig())
 
 
 class TestEdp:
     def test_product(self):
-        assert edp(2.0, 3.0) == 6.0
+        arch = ArchConfig()
+        activity = rng.integers(0, 50, size=(5, 4, 2)).astype(float)
+        mean_e, mean_l, product = dataset_cost_fn(map_network(small_spec(), arch), arch)(
+            np.array([1, 4, 2, 3, 4]), activity
+        )
+        assert product == mean_e * mean_l
 
-    def test_zero_latency(self):
-        assert edp(5.0, 0.0) == 0.0
+    def test_zero_energy(self):
+        free = {k: 0.0 for k in ("e_mac", "e_adc", "e_crossbar_digital", "e_crossbar_buffer",
+                                 "e_step_digital", "e_step_buffer")}
+        report = cost_of_inference([[64, 10], [30, 8]], map_network(small_spec(), ArchConfig()),
+                                   ArchConfig(**free))
+        assert report.total_energy == 0.0 and report.edp == 0.0
+        assert report.total_latency == 2.0
 
 
 class TestCostReport:
@@ -231,8 +254,8 @@ class TestCostReport:
         mapping = map_network(small_spec(), arch)
         report = cost_of_inference([[64, 10]], mapping, arch)
         e1, _ = energy_per_timestep(mapping, [64, 10], arch)
-        npt.assert_allclose(report.total_energy, e1 + sigma_e_energy(e1, 1), rtol=1e-12)
-        assert report.total_latency == latency(1, arch)
+        npt.assert_allclose(report.total_energy, e1 + arch.sigma_e_ratio * e1, rtol=1e-12)
+        assert report.total_latency == arch.latency_per_timestep
 
     def test_missing_activity_rejected(self):
         arch = ArchConfig()
@@ -246,7 +269,7 @@ class TestCostReport:
         for _ in range(20):
             t_used = int(rng.integers(2, 8))
             rows = rng.integers(0, 80, size=(t_used, 2)).astype(float)
-            report = cost_of_inference(rows, mapping, arch, sigma_e_invocations=0)
+            report = cost_of_inference(rows, mapping, arch, dynamic=False)
             e1 = report.per_timestep_energy[0]
             assert 1.0 <= report.total_energy / e1 <= t_used * max(
                 report.per_timestep_energy
@@ -281,8 +304,8 @@ class TestCalibration:
             npt.assert_allclose(value, getattr(arch, name), rtol=1e-9)
 
     def test_latency_anchor(self):
-        arch = ArchConfig()
-        assert latency(8, arch) / latency(1, arch) == 8.0
+        lat = constant_run_costs([1, 8], ArchConfig())["latency"]
+        assert lat[1] / lat[0] == 8.0
 
 
 class TestDeviceVariation:
@@ -311,6 +334,11 @@ class TestDeviceVariation:
         assert isinstance(out, list) and len(out) == 2
         assert out[0].shape == (3, 3) and out[1].shape == (5,)
 
+    @pytest.mark.parametrize("sigma", [-0.1, np.inf, np.nan])
+    def test_non_finite_or_negative_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            apply_device_variation(np.ones(4), sigma, seed=0)
+
     def test_perturbed_instance_keeps_norm_and_bias(self):
         net = build_instance(small_spec(), seed=0)
         noisy = perturbed_instance(net, 0.2, seed=5)
@@ -337,6 +365,16 @@ class TestDatasetCost:
         npt.assert_allclose(mean_e, np.mean([r.total_energy for r in reports]), rtol=1e-12)
         npt.assert_allclose(mean_l, np.mean([r.total_latency for r in reports]), rtol=1e-12)
         npt.assert_allclose(product, mean_e * mean_l, rtol=1e-12)
+
+    @pytest.mark.parametrize("chosen", [[9, 9], [0, 0], [2], [2.5, 2.5]],
+                             ids=["beyond_t_max", "zero_steps", "not_one_per_sample",
+                                  "fractional_steps"])
+    def test_impossible_exit_times_rejected(self, chosen):
+        # Two samples over 4 steps: a run has 1..4 steps and each sample its own.
+        arch = ArchConfig()
+        activity = rng.integers(1, 50, size=(2, 4, 2)).astype(float)
+        with pytest.raises(ValueError, match="chosen_t"):
+            dataset_cost_fn(map_network(small_spec(), arch), arch)(np.array(chosen), activity)
 
 
 class TestEnergyOracle:
@@ -383,7 +421,7 @@ class TestEnergyOracle:
             sigma = arch.sigma_e_ratio * ref[:, 0] * chosen
             for i in range(n):
                 rows = activity[i, : chosen[i]]
-                report = cost_of_inference(rows, mapping, arch, sigma_e_invocations=0)
+                report = cost_of_inference(rows, mapping, arch, dynamic=False)
                 npt.assert_allclose(report.total_energy, static[i], rtol=1e-12)
                 report = cost_of_inference(rows, mapping, arch)
                 npt.assert_allclose(report.total_energy, static[i] + sigma[i], rtol=1e-12)
@@ -396,3 +434,22 @@ class TestEnergyOracle:
                 npt.assert_allclose(mean_e, energies.mean(), rtol=1e-12)
                 npt.assert_allclose(mean_l, lat, rtol=1e-12)
                 npt.assert_allclose(product, energies.mean() * lat, rtol=1e-12)
+
+    def test_inference_costs_match_reference(self):
+        for _ in range(25):
+            arch, mapping, activity = self.random_case()
+            n, t_max, _ = activity.shape
+            chosen = rng.integers(1, t_max + 1, size=n)
+            steps = component_energy_matrix(activity, mapping, arch)
+            for dynamic in (False, True):
+                costs = inference_costs(steps, chosen, arch, dynamic)
+                for i in range(n):
+                    executed = [energy_reference(row, mapping, arch)
+                                for row in activity[i, : chosen[i]]]
+                    sigma = dynamic * arch.sigma_e_ratio * executed[0] * chosen[i]
+                    npt.assert_allclose(costs["sigma_e"][i], sigma, rtol=1e-12)
+                    npt.assert_allclose(costs["energy"][i], sum(executed) + sigma, rtol=1e-12)
+                    parts = sum(costs[k][i] for k in (
+                        "crossbar_adc", "digital", "buffer_interconnect", "sigma_e"))
+                    npt.assert_allclose(parts, costs["energy"][i], rtol=1e-12)
+                    assert costs["latency"][i] == chosen[i] * arch.latency_per_timestep
