@@ -28,6 +28,7 @@ timesteps are 45% digital peripherals, 25% crossbar+ADC, 30%
 buffers/interconnect.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -137,6 +138,24 @@ def map_network(spec, arch):
     ))
 
 
+@functools.lru_cache(maxsize=64)
+def _step_constants(mapping, arch):
+    """(fixed_digital, fixed_buffer, per_spike) of one (mapping, arch): the
+    per-crossbar energies summed over the layers, and each layer's energy
+    per presented spike (read-only)."""
+    layers = mapping.layers
+    fixed_digital, fixed_buffer = np.array([
+        [arch.e_crossbar_digital * l.crossbar_count for l in layers],
+        [arch.e_crossbar_buffer * l.crossbar_count for l in layers],
+    ]).sum(axis=1).tolist()
+    per_spike = np.array([
+        arch.e_mac * l.cols_needed + arch.e_adc * l.cols_needed / arch.crossbar_size
+        for l in layers
+    ])
+    per_spike.flags.writeable = False
+    return fixed_digital, fixed_buffer, per_spike
+
+
 def component_energy_matrix(activity, mapping, arch):
     """Per-timestep energies, split by component, for activity of shape (..., T, L).
 
@@ -154,16 +173,8 @@ def component_energy_matrix(activity, mapping, arch):
             f"activity has {activity.shape[-1:]} entries per row, mapping has "
             f"{len(mapping.layers)} layers"
         )
-    layers = mapping.layers
-    fixed_digital, fixed_buffer = np.array([
-        [arch.e_crossbar_digital * l.crossbar_count for l in layers],
-        [arch.e_crossbar_buffer * l.crossbar_count for l in layers],
-    ]).sum(axis=1).tolist()
+    fixed_digital, fixed_buffer, per_spike = _step_constants(mapping, arch)
     fixed = fixed_digital + fixed_buffer + arch.e_step_digital + arch.e_step_buffer
-    per_spike = np.array([
-        arch.e_mac * l.cols_needed + arch.e_adc * l.cols_needed / arch.crossbar_size
-        for l in layers
-    ])
     crossbar_adc = (activity * per_spike).sum(axis=-1)
     shape = activity.shape[:-1]
     return {
@@ -203,13 +214,15 @@ def inference_costs(steps, chosen_t, arch, dynamic=True):
     total = steps["total"]
     n, t_max = total.shape
     chosen_t = np.asarray(chosen_t)
-    if (chosen_t.shape != (n,) or not np.issubdtype(chosen_t.dtype, np.integer)
-            or ((chosen_t < 1) | (chosen_t > t_max)).any()):
+    if (chosen_t.shape != (n,) or chosen_t.dtype.kind not in "iu"
+            or (n and (chosen_t.min() < 1 or chosen_t.max() > t_max))):
         raise ValueError(
             f"chosen_t must hold ({n},) integers in [1, {t_max}], got {chosen_t}"
         )
     keys = ("crossbar_adc", "digital", "buffer_interconnect", "total")
     mask = np.arange(1, t_max + 1) <= chosen_t[:, None]
+    # One masked sum over the stacked components: per call it costs less
+    # than four.
     costs = dict(zip(keys, (np.array([steps[k] for k in keys]) * mask).sum(axis=2)))
     costs["sigma_e"] = chosen_t * (arch.sigma_e_ratio if dynamic else 0.0) * total[:, 0]
     costs["energy"] = costs.pop("total") + costs["sigma_e"]

@@ -31,13 +31,26 @@ strides, but are fast on that one:
 - per-channel sums in the norm kernels use einsum, which reduces
   channels-last memory without looping over the short channel axis.
 
-`one_blas_thread` holds the loaded OpenBLAS at one thread while several
-threads run kernels at once: OpenBLAS serializes concurrent threaded GEMMs.
+This module owns the engine's threads.  `run_blocks` is the one fork-join:
+it runs the blocks of a kernel, or the tiles of `network.scan_timesteps`, on
+the caller's thread plus helpers from one kept thread pool, one worker per
+usable core, with the loaded OpenBLAS held at one thread (`one_blas_thread`:
+OpenBLAS serializes concurrent threaded GEMMs).  The row-independent
+kernels -- `conv2d`, the weight gradient of `conv2d_backward`, `avg_pool2d`,
+`avg_pool2d_backward`, the elementwise passes of the train-mode norms, and
+`network.lif_unroll` / `training.lif_unroll_backward` -- split the batch
+into blocks of about BLOCK_BYTES (`run_row_blocks`) and write every block
+into the one output array.  Blocks keep each reduction's order (the weight
+gradient adds its block products in block order), so a result does not
+depend on the worker count.
 """
 
 import ctypes
 import functools
+import itertools
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -104,28 +117,32 @@ def _weight_matrix(weights):
     return weights.transpose(0, 2, 3, 1).reshape(weights.shape[0], -1)
 
 
-# Bytes of unfolded input per convolution block: about half an L2 cache.
+# Bytes per block of a kernel's rows (of unfolded input for a convolution):
+# about half an L2 cache.
 BLOCK_BYTES = 1 << 20
 
 
-def _unfolded_blocks(x, params, ho, wo):
-    """Yield (rows, cols) for consecutive blocks of x's batch: cols is the
-    block's unfolded input, of at most about BLOCK_BYTES, and rows the slice
-    of the (N*Ho*Wo)-row GEMM it fills.
+def block_rows(row_bytes):
+    """Rows of ``row_bytes`` each in a block of about BLOCK_BYTES, at least 1."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
-    A batch that fits in one block is unfolded whole, without slicing x, and
-    yields rows=None.
+
+def run_row_blocks(n, row_bytes, fn):
+    """Call fn(rows) for the consecutive slices ``rows`` of range(n) of
+    `block_rows` rows each (one empty slice when n is 0), as the blocks of
+    one `run_blocks` call.
+
+    The kernels that inference calls at batch 1 test `block_rows` first and
+    run a batch that fits in one block directly, without slicing it.
     """
-    n, c = x.shape[:2]
-    kh, kw, stride, padding = params.kernel_h, params.kernel_w, params.stride, params.padding
-    step = max(1, BLOCK_BYTES // (ho * wo * kh * kw * c * x.itemsize))
-    if n <= step:
-        yield None, _im2col(x, kh, kw, stride, padding)[0]
-        return
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        cols, _, _ = _im2col(x[start:stop], kh, kw, stride, padding)
-        yield slice(start * ho * wo, stop * ho * wo), cols
+    step = block_rows(row_bytes)
+    run_blocks(max(1, -(-n // step)), lambda i, _: fn(slice(i * step, min(i * step + step, n))))
+
+
+def _unfolded_row_bytes(x, params, ho, wo):
+    """Bytes of one sample's unfolded input: the row size `conv2d` and the
+    weight gradient split their batch by."""
+    return ho * wo * params.kernel_h * params.kernel_w * x.shape[1] * x.itemsize
 
 
 def conv2d(x, weights, params):
@@ -156,14 +173,17 @@ def conv2d(x, weights, params):
     n = x.shape[0]
     ho, wo = params.output_hw(*x.shape[2:])
     wmat = _weight_matrix(weights).T
-    y = None
-    for rows, cols in _unfolded_blocks(x, params, ho, wo):
-        if rows is None:
-            y = cols @ wmat
-        else:
-            if y is None:
-                y = np.empty((n * ho * wo, cout), dtype=np.result_type(cols, wmat))
-            np.matmul(cols, wmat, out=y[rows])
+    row_bytes = _unfolded_row_bytes(x, params, ho, wo)
+    if n <= block_rows(row_bytes):  # one unfold and one GEMM
+        y = _im2col(x, kh, kw, params.stride, params.padding)[0] @ wmat
+    else:
+        y = np.empty((n * ho * wo, cout), dtype=np.result_type(x, wmat))
+
+        def block(samples):
+            cols, _, _ = _im2col(x[samples], kh, kw, params.stride, params.padding)
+            np.matmul(cols, wmat, out=y[samples.start * ho * wo : samples.stop * ho * wo])
+
+        run_row_blocks(n, row_bytes, block)
     return y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
 
 
@@ -196,10 +216,14 @@ def conv2d_backward(dy, x, weights, params, need_dx=True):
     cout, cin, kh, kw = weights.shape
     ho, wo = dy.shape[2:]
     dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
-    dw = sum(
-        (dy_mat if rows is None else dy_mat[rows]).T @ cols
-        for rows, cols in _unfolded_blocks(x, params, ho, wo)
-    )
+    parts = {}  # block products by first sample, summed in block order
+
+    def block(samples):
+        cols, _, _ = _im2col(x[samples], kh, kw, params.stride, params.padding)
+        parts[samples.start] = dy_mat[samples.start * ho * wo : samples.stop * ho * wo].T @ cols
+
+    run_row_blocks(x.shape[0], _unfolded_row_bytes(x, params, ho, wo), block)
+    dw = sum(parts[start] for start in sorted(parts))
     dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
     if not need_dx:
         return None, dw
@@ -246,11 +270,23 @@ def fully_connected_backward(dy, x, weights):
     return dx, dw, db
 
 
+def _pool_rows(x, window, out=None):
+    """`avg_pool2d` of x, into ``out`` when it is given."""
+    rows = x[:, :, 0::window].copy(order="K")
+    for i in range(1, window):
+        rows += x[:, :, i::window]
+    y = rows[:, :, :, 0::window].copy(order="K")
+    for j in range(1, window):
+        y += rows[:, :, :, j::window]
+    return np.divide(y, window * window, out=out)
+
+
 def avg_pool2d(x, window):
     """Non-overlapping mean pooling; H and W must be divisible by window.
 
     Sums the window's strided row slices, then its strided column slices,
-    then divides by window**2; the output has the memory order of x.
+    then divides by window**2; the output has the memory order of x.  Runs
+    in blocks of samples of about BLOCK_BYTES of input.
     """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d input must be 4-d, got shape {x.shape}")
@@ -259,24 +295,28 @@ def avg_pool2d(x, window):
         raise ShapeError(
             f"spatial size {h}x{w} not divisible by pooling window {window}"
         )
-    rows = x[:, :, 0::window].copy(order="K")
-    for i in range(1, window):
-        rows += x[:, :, i::window]
-    y = rows[:, :, :, 0::window].copy(order="K")
-    for j in range(1, window):
-        y += rows[:, :, :, j::window]
-    return y / (window * window)
+    n, row_bytes = len(x), x.nbytes // max(1, len(x))
+    if n <= block_rows(row_bytes):
+        return _pool_rows(x, window)
+    y = np.empty_like(x[:, :, ::window, ::window], dtype=np.result_type(x, 1.0))
+    run_row_blocks(n, row_bytes, lambda rows: _pool_rows(x[rows], window, y[rows]))
+    return y
 
 
 def avg_pool2d_backward(dy, window):
     """Spread each pooled gradient uniformly over its window.
 
-    Returns an (N,C,H,W) view of an (N, H, W, C) buffer.
+    Returns an (N,C,H,W) view of an (N, H, W, C) buffer, filled in blocks of
+    samples of about BLOCK_BYTES.
     """
     n, c, ho, wo = dy.shape
-    g = (dy / float(window * window)).transpose(0, 2, 3, 1)
-    dx = np.empty((n, ho, window, wo, window, c), dtype=g.dtype)
-    dx[...] = g[:, :, None, :, None, :]
+    dx = np.empty((n, ho, window, wo, window, c), dtype=np.result_type(dy, 1.0))
+
+    def block(samples):
+        g = (dy[samples] / float(window * window)).transpose(0, 2, 3, 1)
+        dx[samples] = g[:, :, None, :, None, :]
+
+    run_row_blocks(n, dx.nbytes // max(1, n), block)
     return dx.reshape(n, ho * window, wo * window, c).transpose(0, 3, 1, 2)
 
 
@@ -334,18 +374,29 @@ def batch_norm_train_cached(x, params, repeats=1):
 
     The statistics are einsum reductions over x and over x centred once, in
     x's memory order; the centred array is then scaled in place into xhat.
+    The elementwise passes run in blocks of samples (`run_row_blocks`), the
+    reductions over the whole batch.
     """
     nf = params["gamma"].shape[0]
     view = _channel_view(x, nf)
     idx = "nchw"[: x.ndim]
     per_channel = x.size // nf
     mean = np.einsum(f"{idx}->c", x) / per_channel
-    xhat = x - mean.reshape(view)
+    xhat = np.empty_like(x, dtype=np.result_type(x, mean))
+    run_row_blocks(len(x), xhat.nbytes // max(1, len(x)),
+                   lambda rows: np.subtract(x[rows], mean.reshape(view), out=xhat[rows]))
     var = np.einsum(f"{idx},{idx}->c", xhat, xhat) / per_channel
     invstd = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= invstd.reshape(view)
-    y = xhat * params["gamma"].reshape(view)
-    y += params["beta"].reshape(view)
+    gamma, beta = params["gamma"].reshape(view), params["beta"].reshape(view)
+    y = np.empty_like(xhat, dtype=np.result_type(xhat, invstd, gamma))
+
+    def scale(rows):
+        xb, yb = xhat[rows], y[rows]
+        xb *= invstd.reshape(view)
+        np.multiply(xb, gamma, out=yb)
+        yb += beta
+
+    run_row_blocks(len(x), y.nbytes // max(1, len(x)), scale)
     m = BN_MOMENTUM
     count = repeats * per_channel
     var_unbiased = var * (count / max(count - 1, 1))
@@ -363,16 +414,25 @@ def batch_norm_backward(dy, cache):
 
     With m values per channel, dxhat = gamma * dy has the channel means
     gamma * dbeta / m and mean(dxhat * xhat) = gamma * dgamma / m, so the two
-    einsum reductions are the only passes that sum over the batch.
+    einsum reductions are the only passes that sum over the batch; the
+    elementwise passes run in blocks of samples (`run_row_blocks`).
     """
     xhat, invstd, gamma, view = cache
     idx = "nchw"[: dy.ndim]
     m = dy.size // gamma.shape[0]
     dbeta = np.einsum(f"{idx}->c", dy)
     dgamma = np.einsum(f"{idx},{idx}->c", dy, xhat)
-    dx = dy - xhat * (dgamma / m).reshape(view)
-    dx -= (dbeta / m).reshape(view)
-    dx *= (gamma * invstd).reshape(view)
+    slope, shift = (dgamma / m).reshape(view), (dbeta / m).reshape(view)
+    scale = (gamma * invstd).reshape(view)
+    dx = np.empty_like(dy, dtype=np.result_type(dy, xhat, slope, shift, scale))
+
+    def block(rows):
+        dxb = dx[rows]
+        np.subtract(dy[rows], xhat[rows] * slope, out=dxb)
+        dxb -= shift
+        dxb *= scale
+
+    run_row_blocks(len(dy), dx.nbytes // max(1, len(dy)), block)
     return dx, dgamma, dbeta
 
 
@@ -439,3 +499,67 @@ def one_blas_thread():
             _hold["holders"] -= 1
             if _hold["holders"] == 0:
                 set_(_hold["saved"])
+
+
+def _scan_workers():
+    """Workers `run_blocks` may use where BLAS can be held at one thread: one
+    per usable core."""
+    return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _helper_pool():
+    """The helper threads of `run_blocks`, created on first use and kept."""
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="dtsnn")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper_pool.cache_clear)  # a child has no helpers
+
+_worker = threading.local()  # .busy: this thread is running blocks of a run_blocks call
+
+
+def run_blocks(count, fn, state=None, helper_state=None):
+    """Call fn(i, s) once for every block index i in range(count).
+
+    ``s`` is ``state`` on the caller's thread and ``helper_state()`` (default:
+    ``state``) on each helper.  With more than one block the blocks run on
+    one worker per usable core, never more workers than blocks: the caller's
+    thread and helpers from one kept thread pool, each taking the next index
+    from a shared counter until none is left, with BLAS held at one thread
+    (one worker where it cannot be held).  One block, or a call made from
+    inside a block, runs inline on the calling thread, with no hold.  The
+    first error of any block stops the other workers at their next block and
+    is raised as it was raised.  fn must write its results by block index.
+    """
+    if count <= 1 or getattr(_worker, "busy", False):
+        for i in range(count):
+            fn(i, state)
+        return
+    indices, errors = itertools.count(), []
+
+    def work(s):
+        _worker.busy = True
+        try:
+            while not errors:
+                i = next(indices)
+                if i >= count:
+                    break
+                fn(i, s)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            _worker.busy = False
+
+    with one_blas_thread() as held:
+        workers = min(_scan_workers() if held else 1, count)
+        helpers = [_helper_pool().submit(work, state if helper_state is None else helper_state())
+                   for _ in range(workers - 1)]
+        try:
+            work(state)
+        finally:
+            for helper in helpers:
+                helper.cancel()  # not started yet: the blocks are all taken
+            wait(helpers)
+    if errors:
+        raise errors[0]

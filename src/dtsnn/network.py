@@ -26,16 +26,12 @@ replace them, do not write into them.
 An SnnInstance is single-owner mutable state: one inference at a time.
 Weights may be shared read-only between instances; `clone_state` gives each
 worker its own membrane potentials (and no cached stem) over the same built
-inference plan.  `scan_timesteps` does this itself: its tiles run on one
-worker per usable core, the caller's thread and helpers from one kept
-thread pool, each on its own clone.
+inference plan.  `scan_timesteps` does this itself: its tiles run on the
+workers of `kernels.run_blocks`, the caller's thread on the instance and
+each helper on its own clone.
 """
 
-import functools
-import itertools
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -101,7 +97,10 @@ def lif_unroll(currents, cfg, smooth=False, state=None):
     unroll starts from rest and returns (spikes, (u_pre, spikes)), the cache
     `training.lif_unroll_backward` needs.  With a LifState it continues from
     the state's potentials, leaves the final potentials in it, and returns
-    (spikes, None): inference keeps no pre-reset potentials.
+    (spikes, None): inference keeps no pre-reset potentials.  Samples are
+    independent: the batch runs in blocks of about `kernels.BLOCK_BYTES` of
+    one step's currents (`kernels.run_row_blocks`), each through all T
+    steps.
     """
     t_steps = currents.shape[0]
     if state is None:
@@ -115,8 +114,24 @@ def lif_unroll(currents, cfg, smooth=False, state=None):
     else:
         u, u_pre = state.u, None
     spikes = _empty_steps(currents[0], t_steps)
+    batch, row_bytes = len(u), u.nbytes // max(1, len(u))
+    if batch <= kernels.block_rows(row_bytes):
+        _lif_rows(currents, cfg, smooth, u, u_pre, spikes)
+    else:
+        kernels.run_row_blocks(batch, row_bytes, lambda rows: _lif_rows(
+            currents[:, rows], cfg, smooth, u[rows],
+            None if u_pre is None else u_pre[:, rows], spikes[:, rows]))
+    if state is None:
+        return spikes, (u_pre, spikes)
+    return spikes, None
+
+
+def _lif_rows(currents, cfg, smooth, u, u_pre, spikes):
+    """`lif_unroll` of one block of samples: updates u in place and writes
+    each step's potentials before the reset (unless u_pre is None) and
+    spikes."""
     keep = np.empty_like(u, dtype=bool)
-    for t in range(t_steps):
+    for t in range(currents.shape[0]):
         u *= cfg.tau
         u += currents[t]
         if u_pre is not None:
@@ -128,9 +143,6 @@ def lif_unroll(currents, cfg, smooth=False, state=None):
             np.less_equal(u, cfg.v_th, out=keep)
             np.logical_not(keep, out=spikes[t], casting="unsafe")
             u *= keep
-    if state is None:
-        return spikes, (u_pre, spikes)
-    return spikes, None
 
 
 def lif_step(state, input_current, cfg):
@@ -501,22 +513,6 @@ def _scan_rows(spec, itemsize, batch_size):
     return max(1, min(batch_size, kernels.BLOCK_BYTES // (widest * itemsize)))
 
 
-def _scan_workers():
-    """Workers a scan may use where BLAS can be held at one thread: one per
-    usable core."""
-    return len(os.sched_getaffinity(0))
-
-
-@functools.cache
-def _helper_pool():
-    """The scans' helper threads, created on first use and kept."""
-    return ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="dtsnn-scan")
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_helper_pool.cache_clear)  # a child has no helpers
-
-
 def scan_timesteps(net, images, t_steps, batch_size=512):
     """Batched unroll over all timesteps recording the running means.
 
@@ -529,15 +525,15 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
     activation within about `kernels.BLOCK_BYTES`, so a tile's membranes,
     spikes and cached stem output stay in cache between layers (27 samples
     for configs/mnist.yaml in float32); ``batch_size`` only caps that
-    number.  Tiles run on one
-    worker per usable core, never more workers than tiles: the caller's
-    thread on ``net`` and helper threads on clones (`clone_state`), each
-    taking the next tile until none is left, with BLAS held at one thread
-    (`kernels.one_blas_thread`; one worker where it cannot be held).
-    Results are written by sample index, so the outcome depends neither on
-    the tiling nor on the workers.  The first error of any tile stops the
-    other workers at their next tile and is raised.  Raises ValueError for
-    an empty batch, t_steps outside [1, spec.t_max] or batch_size < 1.
+    number.  BLAS is held at one thread throughout.  The tiles are the
+    blocks of one `kernels.run_blocks` call: the caller's thread runs them
+    on ``net`` and each helper thread on a clone (`clone_state`); the
+    kernels inside a tile run their own blocks inline.  Results are written
+    by sample index, so the outcome depends neither on the tiling nor on the
+    workers.  The first error of any tile stops the other workers at their
+    next tile and is raised; ``net`` is left reset either way.  Raises
+    ValueError for an empty batch, t_steps outside [1, spec.t_max] or
+    batch_size < 1.
     """
     spec = net.spec
     _check_t_steps(spec, t_steps)
@@ -553,36 +549,21 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
     if net.record_activity:
         mapped = sum(plan.weight_shape is not None for plan in spec.layer_plan)
         activity = np.zeros((n, t_steps, mapped))
-    tiles, errors = itertools.count(), []
 
-    def work(inst):
-        try:
-            while not errors:
-                start = next(tiles) * rows
-                if start >= n:
-                    break
-                chunk = images[start : start + rows]
-                reset_states(inst)
-                for t in range(t_steps):
-                    forward_timestep(inst, chunk)
-                    mean_logits[start : start + len(chunk), t] = mean_output(inst)
-                if activity is not None:
-                    activity[start : start + len(chunk)] = np.stack(inst.activity, axis=1)
-        except BaseException as exc:
-            errors.append(exc)
-        finally:
-            reset_states(inst)
+    def tile(i, inst):
+        start = i * rows
+        chunk = images[start : start + rows]
+        reset_states(inst)
+        for t in range(t_steps):
+            forward_timestep(inst, chunk)
+            mean_logits[start : start + len(chunk), t] = mean_output(inst)
+        if activity is not None:
+            activity[start : start + len(chunk)] = np.stack(inst.activity, axis=1)
 
     inference_params(net)  # built once here, shared by the clones
-    with kernels.one_blas_thread() as held:
-        workers = min(_scan_workers() if held else 1, -(-n // rows))
-        helpers = [_helper_pool().submit(work, net.clone_state()) for _ in range(workers - 1)]
-        try:
-            work(net)
-        finally:
-            for helper in helpers:
-                helper.cancel()  # not started yet: the tiles are all taken
-            wait(helpers)
-    if errors:
-        raise errors[0]
+    try:
+        with kernels.one_blas_thread():  # a single tile runs inline, held too
+            kernels.run_blocks(-(-n // rows), tile, net, net.clone_state)
+    finally:
+        reset_states(net)
     return {"mean_logits": mean_logits, "activity": activity}

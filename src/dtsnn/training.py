@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import StateError, TrainingError, bounded, check_bounds
 from .kernels import (
     avg_pool2d_backward,
@@ -130,11 +131,25 @@ def lif_unroll_backward(dspikes, cache, cfg):
     membrane recurrence, (1 - s) through the detached reset multiplier.
 
     Each step's gradient is built in its own row of the result; one carry
-    buffer holds tau * du[t+1] * (1 - s[t]).
+    buffer holds tau * du[t+1] * (1 - s[t]).  Samples are independent: the
+    batch axis of (T, B, ...) runs in blocks of about `kernels.BLOCK_BYTES`
+    of one step (`kernels.run_row_blocks`), each through all T steps.
     """
     u_pre, spikes = cache
-    t_steps = dspikes.shape[0]
     d_currents = np.empty_like(dspikes)
+
+    def block(rows):
+        _lif_rows_backward(dspikes[:, rows], u_pre[:, rows], spikes[:, rows], cfg,
+                           d_currents[:, rows])
+
+    batch = dspikes.shape[1]
+    kernels.run_row_blocks(batch, d_currents[0].nbytes // max(1, batch), block)
+    return d_currents
+
+
+def _lif_rows_backward(dspikes, u_pre, spikes, cfg, d_currents):
+    """`lif_unroll_backward` of one block of samples, into d_currents."""
+    t_steps = dspikes.shape[0]
     carry = np.empty_like(dspikes[0])
     for t in reversed(range(t_steps)):
         du = d_currents[t]
@@ -146,7 +161,6 @@ def lif_unroll_backward(dspikes, cache, cfg):
         du *= dspikes[t]
         if t + 1 < t_steps:
             du += carry
-    return d_currents
 
 
 def forward_with_tape(net, x, t_steps, train_mode=True):
@@ -326,6 +340,12 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     same data).  Raises ValueError for an empty training or evaluation split,
     before the first epoch, and TrainingError when a step's loss or any
     parameter after it is non-finite.
+
+    Each step runs with the loaded OpenBLAS held at one thread
+    (`kernels.one_blas_thread`): its row-independent kernels split their
+    rows into blocks across the workers of `kernels.run_blocks`, and no
+    BLAS thread spins between them.  The result is bit-identical for any
+    worker count.
     """
     if cfg.t_train > net.spec.t_max:
         raise ValueError(
@@ -347,13 +367,14 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
             idx = perm[start : start + cfg.batch_size]
             xb = train_images[idx]
             yb = train_labels[idx]
-            step_logits, tape = forward_with_tape(net, xb, cfg.t_train)
-            loss, dstep = loss_and_grad(step_logits, yb, cfg.loss_mode)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            grads = backward_through_time(net, tape, dstep)
-            commit_norm_updates(net, tape)
-            sgd_step(net, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
+            with kernels.one_blas_thread():
+                step_logits, tape = forward_with_tape(net, xb, cfg.t_train)
+                loss, dstep = loss_and_grad(step_logits, yb, cfg.loss_mode)
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}")
+                grads = backward_through_time(net, tape, dstep)
+                commit_norm_updates(net, tape)
+                sgd_step(net, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
             _check_params_finite(net, epoch)
             losses.append(loss)
         acc = evaluate_per_timestep(net, eval_images, eval_labels, cfg.t_train)

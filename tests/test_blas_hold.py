@@ -1,5 +1,5 @@
-"""The scan holds OpenBLAS at one thread while its workers run, and gives
-the caller's thread count back afterwards."""
+"""The scan and the training step hold OpenBLAS at one thread while their
+workers run, and give the caller's thread count back afterwards."""
 
 import json
 import os
@@ -70,11 +70,13 @@ print(json.dumps({"before": before, "during": sorted(seen), "after": kernels.bla
 """
 
 
-def scan_in_subprocess(blas_threads):
+def in_subprocess(script, blas_threads):
+    """JSON printed by ``script`` run on bench/model.ckpt in a new Python
+    process whose OpenBLAS starts with ``blas_threads`` threads."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     package_root = str(Path(dtsnn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", SCAN, str(BENCH_CKPT)],
+    result = subprocess.run([sys.executable, "-c", script, str(BENCH_CKPT)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
@@ -82,8 +84,38 @@ def scan_in_subprocess(blas_threads):
 
 def test_scan_is_independent_of_the_blas_thread_count_and_restores_it():
     # 96 bench inputs make four 27-row tiles for the mnist.yaml architecture.
-    two, one = scan_in_subprocess(2), scan_in_subprocess(1)
+    two, one = in_subprocess(SCAN, 2), in_subprocess(SCAN, 1)
     assert two["digest"] == one["digest"]
+    assert two["during"] == one["during"] == [1]
+    assert two["before"] == two["after"] == min(2, len(os.sched_getaffinity(0)))
+    assert one["before"] == one["after"] == 1
+
+
+TRAIN = """
+import hashlib, json, sys
+from dtsnn import kernels, network, training
+from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
+from dtsnn.datasets import synth_dataset
+
+ckpt = load_checkpoint(sys.argv[1])
+net = instance_from_checkpoint(ckpt)
+ds = synth_dataset("stripes", 96, ckpt.spec.num_classes, seed=7, noise=1.3)
+cfg = training.TrainConfig(epochs=1, batch_size=64, t_train=ckpt.spec.t_max, seed=3)
+seen, conv = set(), network.conv2d
+network.conv2d = lambda *args: seen.add(kernels.blas_threads()) or conv(*args)
+before = kernels.blas_threads()
+log = training.train(net, ds.images[:80], ds.labels[:80], ds.images[80:], ds.labels[80:], cfg)
+digest = hashlib.sha256(b"".join(a.tobytes() for p in net.params if p for a in p.values()))
+print(json.dumps({"before": before, "during": sorted(seen), "after": kernels.blas_threads(),
+                  "digest": digest.hexdigest(), "log": log.csv_rows()}))
+"""
+
+
+def test_training_is_independent_of_the_blas_thread_count_and_restores_it():
+    # Two steps of bench inputs (64 and a ragged 16), then a 16-sample eval.
+    two, one = (in_subprocess(TRAIN, threads) for threads in (2, 1))
+    assert two["digest"] == one["digest"]
+    assert two["log"] == one["log"]
     assert two["during"] == one["during"] == [1]
     assert two["before"] == two["after"] == min(2, len(os.sched_getaffinity(0)))
     assert one["before"] == one["after"] == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtsnn import network
+from dtsnn import kernels, network
 from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
 from dtsnn.config import DEFAULT_THETA_GRID, parse_config
 from dtsnn.datasets import synth_dataset
@@ -286,10 +286,10 @@ class TestScanTiling:
         images = np.random.default_rng(9).standard_normal((TILING_N, 1, 8, 8)).astype(np.float32)
         order = np.asarray(order)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(network, "_scan_workers", lambda: 1)
+            mp.setattr(kernels, "_scan_workers", lambda: 1)
             ref = scan_with_entropy(net, images, 4, batch_size=TILING_N)  # one tile
             alone = scan_with_entropy(net, images[order], 4, batch_size=cap)
-            mp.setattr(network, "_scan_workers", lambda: workers)
+            mp.setattr(kernels, "_scan_workers", lambda: workers)
             got = scan_with_entropy(net, images[order], 4, batch_size=cap)
         npt.assert_array_equal(got["activity"], alone["activity"])
         npt.assert_array_equal(got["mean_logits"], alone["mean_logits"])

@@ -1,11 +1,13 @@
 """Tensor kernels against brute-force loop oracles and hand calculations."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dtsnn import kernels, network
 from dtsnn.errors import ShapeError
 from dtsnn.kernels import (
     BLOCK_BYTES,
@@ -23,6 +25,7 @@ from dtsnn.kernels import (
     fully_connected_backward,
     norm_params,
 )
+from dtsnn.network import LifConfig, lif_unroll
 
 from oracles import (
     avg_pool2d_reference,
@@ -573,3 +576,81 @@ def test_kernels_do_not_mutate_inputs():
     npt.assert_array_equal(cache[0], cache_xhat)
     for a, b in zip(inputs, before):
         npt.assert_array_equal(a, b)
+
+
+needs_helpers = pytest.mark.skipif(kernels.blas_threads() is None,
+                                   reason="helpers run only where BLAS can be held at one thread")
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def count_submits(monkeypatch):
+    """List that receives one entry per task submitted to the helper pool."""
+    pool, submits = kernels._helper_pool(), []
+    submit = pool.submit
+    monkeypatch.setattr(pool, "submit", lambda *a: submits.append(a) or submit(*a))
+    return submits
+
+
+class TestRunBlocks:
+    def test_batch_one_runs_inline_without_a_hold(self, monkeypatch):
+        holds, submits = [], count_submits(monkeypatch)
+        hold = kernels.one_blas_thread
+        monkeypatch.setattr(kernels, "one_blas_thread", lambda: holds.append(1) or hold())
+        x = channels_last(rng.standard_normal((1, 12, 14, 14)).astype(np.float32))
+        y = conv2d(x, rng.standard_normal((24, 12, 3, 3)).astype(np.float32),
+                   ConvParams(12, 24, 3, 3, 1, 1))
+        lif_unroll(avg_pool2d(y, 2)[None], LifConfig())
+        assert holds == [] and submits == []
+
+    def test_blocks_write_the_one_output_whatever_the_worker_count(self, monkeypatch):
+        x = channels_last(rng.standard_normal((11, 3, 9, 8)).astype(np.float32))
+        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        params = ConvParams(3, 4, 3, 3, 1, 1)
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 3 * 9 * 8 * 9 * 4 * 2)  # 2 samples a block
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
+            results.append(conv2d(x, w, params))
+        for got in results[1:]:
+            npt.assert_array_equal(got, results[0])
+            assert got.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    @needs_helpers
+    @pytest.mark.parametrize("kernel", ["conv2d", "lif_unroll"])
+    def test_helper_error_is_raised_as_is_and_the_next_call_is_fresh(self, kernel, monkeypatch):
+        x = channels_last(rng.standard_normal((6, 3, 9, 8)).astype(np.float32))
+        if kernel == "conv2d":
+            w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+            module, attr = kernels, "_im2col"
+            call = lambda: [conv2d(x, w, ConvParams(3, 4, 3, 3, 1, 1))]  # noqa: E731
+        else:
+            currents = np.stack([x, -x, x])
+            module, attr = network, "_lif_rows"
+            call = lambda: list(lif_unroll(currents, LifConfig())[1])  # noqa: E731
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 1)  # one sample a block
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+        fresh = call()
+        before, boom, raised = kernels.blas_threads(), Boom("in a helper"), threading.Event()
+        original = getattr(module, attr)
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raised.set()
+                raise boom
+            assert raised.wait(10)  # the caller's first block waits for the helper
+            return original(*args)
+
+        monkeypatch.setattr(module, attr, failing)
+        with pytest.raises(Boom) as info:
+            call()
+        assert info.value is boom
+        assert kernels.blas_threads() == before
+        monkeypatch.setattr(module, attr, original)
+        submits = count_submits(monkeypatch)
+        again = call()
+        assert len(submits) == 1  # the caller is not left marked as a worker
+        for got, want in zip(again, fresh, strict=True):
+            npt.assert_array_equal(got, want)

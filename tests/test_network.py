@@ -2,6 +2,7 @@
 
 import os
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -530,7 +531,7 @@ class TestScan:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_error_in_last_tile_is_raised_and_blas_restored(self, workers, monkeypatch):
-        monkeypatch.setattr(network, "_scan_workers", lambda: workers)
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
         net, ref = (build_instance(tiny_conv_spec(), seed=11) for _ in range(2))
         net.record_activity = ref.record_activity = True
         x = rng.standard_normal((10, 1, 8, 8)).astype(np.float32)
@@ -549,12 +550,12 @@ class TestScan:
         net = build_instance(tiny_conv_spec(), seed=11)
         net.record_activity = True
         x = rng.standard_normal((40, 1, 8, 8)).astype(np.float32)
-        monkeypatch.setattr(network, "_scan_workers", lambda: 1)
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 1)
         alone = scan_timesteps(net, x, 4, batch_size=1)
         tiles, step = [], network.forward_timestep  # a tile is known by its first row's address
         monkeypatch.setattr(network, "forward_timestep", lambda inst, chunk: tiles.append(
             chunk.__array_interface__["data"][0]) or step(inst, chunk))
-        monkeypatch.setattr(network, "_scan_workers", lambda: len(os.sched_getaffinity(0)) + 2)
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: len(os.sched_getaffinity(0)) + 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -572,7 +573,7 @@ class TestScan:
         x = rng.standard_normal((10, 1, 8, 8))
         scans = []
         for workers in (1, 3):
-            monkeypatch.setattr(network, "_scan_workers", lambda: workers)
+            monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
             scans.append(scan_timesteps(net, x, 4, batch_size=2)["mean_logits"])
         npt.assert_array_equal(scans[1], scans[0])
         net.smooth_spikes = False
@@ -608,6 +609,46 @@ class TestScan:
             assert Counter(rows) == Counter(r for r in tiles for _ in range(4))
             npt.assert_array_equal(tiled["activity"], whole["activity"])
             npt.assert_allclose(tiled["mean_logits"], whole["mean_logits"], atol=1e-6)
+
+    @pytest.mark.skipif(kernels.blas_threads() is None,
+                        reason="helpers run only where BLAS can be held at one thread")
+    def test_kernels_inside_a_tile_run_inline_on_its_worker(self, monkeypatch):
+        net = build_instance(tiny_conv_spec(), seed=11)
+        net.record_activity = True
+        x = rng.standard_normal((40, 1, 8, 8)).astype(np.float32)
+        # Tiles of 3 samples; the first conv unfolds 2.3 KB a sample, so each
+        # of its calls has 3 blocks.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 3 * 1024 + 1000)
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 1)
+        alone = scan_timesteps(net, x, 4)
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+        scan_timesteps(net, x, 4)  # the pool starts its helper
+        pool = kernels._helper_pool()
+        threads, submits, submit = len(pool._threads), [], pool.submit
+        monkeypatch.setattr(pool, "submit", lambda *a: submits.append(a) or submit(*a))
+        tile, calls = threading.local(), []
+        step, unfold = network.forward_timestep, kernels._im2col
+
+        def tile_step(inst, chunk):
+            tile.thread = threading.get_ident()
+            return step(inst, chunk)
+
+        def recorded_unfold(x, *args):
+            calls.append((getattr(tile, "thread", None), threading.get_ident(), len(x)))
+            return unfold(x, *args)
+
+        monkeypatch.setattr(network, "forward_timestep", tile_step)
+        monkeypatch.setattr(kernels, "_im2col", recorded_unfold)
+        done = {}
+        scanner = threading.Thread(target=lambda: done.update(scan=scan_timesteps(net, x, 4)))
+        scanner.start()
+        scanner.join(60)
+        assert not scanner.is_alive()
+        assert len(submits) == 1 and len(pool._threads) == threads
+        assert {size for _, _, size in calls} == {1}  # several blocks per call
+        assert all(owner == thread for owner, thread, _ in calls)
+        npt.assert_array_equal(done["scan"]["mean_logits"], alone["mean_logits"])
+        npt.assert_array_equal(done["scan"]["activity"], alone["activity"])
 
     def test_activity_counts_spikes(self):
         net = build_instance(tiny_conv_spec(), seed=13)

@@ -6,13 +6,22 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtsnn import training
+from dtsnn import kernels, training
 from dtsnn.config import parse_config
 from dtsnn.errors import DataFormatError, TrainingError
+from dtsnn.kernels import (
+    avg_pool2d,
+    avg_pool2d_backward,
+    batch_norm_backward,
+    batch_norm_train_cached,
+)
 from dtsnn.network import (
     LayerSpec,
     LifConfig,
+    LifState,
     NetworkSpec,
     build_instance,
     forward_timestep,
@@ -21,6 +30,7 @@ from dtsnn.network import (
 from dtsnn.training import (
     TrainConfig,
     backward_through_time,
+    commit_norm_updates,
     cosine_lr,
     evaluate_per_timestep,
     forward_with_tape,
@@ -532,3 +542,119 @@ class TestStemRouteAgainstReplicatedOracle:
         for i, ref in ref_norms.items():
             close(tape["norm_updates"][i]["running_mean"], ref["running_mean"])
             close(tape["norm_updates"][i]["running_var"], ref["running_var"])
+
+
+def row_parallel_spec():
+    """Two conv blocks (the second on the T*B stacked rows), a 2-d norm and a
+    2-d LIF layer: every kernel that splits its rows into blocks."""
+    return NetworkSpec(
+        input_shape=(1, 8, 8),
+        num_classes=3,
+        t_max=4,
+        layers=(
+            LayerSpec("conv", out_channels=4, kernel=3, stride=1, padding=1),
+            LayerSpec("norm"),
+            LayerSpec("lif"),
+            LayerSpec("pool", window=2),
+            LayerSpec("conv", out_channels=6, kernel=3, stride=1, padding=1),
+            LayerSpec("norm"),
+            LayerSpec("lif"),
+            LayerSpec("pool", window=2),
+            LayerSpec("fc", out_features=10),
+            LayerSpec("norm"),
+            LayerSpec("lif"),
+            LayerSpec("classifier"),
+        ),
+    )
+
+
+def one_training_step(batch, t_steps, dtype, smooth, loss_mode, seed):
+    """forward_with_tape -> loss_and_grad -> backward_through_time ->
+    commit_norm_updates on a fresh instance; returns what each produced."""
+    net = build_instance(row_parallel_spec(), seed=seed, dtype=dtype)
+    net.smooth_spikes = smooth
+    data = np.random.default_rng(seed)
+    x = (data.standard_normal((batch, 1, 8, 8)) * 1.5).astype(dtype)
+    labels = data.integers(0, 3, size=batch)
+    step_logits, tape = forward_with_tape(net, x, t_steps)
+    loss, dstep = loss_and_grad(step_logits, labels, loss_mode)
+    grads = backward_through_time(net, tape, dstep)
+    commit_norm_updates(net, tape)
+    norms = {i: net.params[i] for i in tape["norm_updates"]}
+    lif_caches = [cache[2] for cache in tape["caches"] if cache[0] == "lif"]
+    return loss, step_logits, grads, norms, lif_caches
+
+
+def assert_steps_equal(got, want):
+    assert got[0] == want[0]
+    npt.assert_array_equal(got[1], want[1])
+    assert got[2].keys() == want[2].keys()
+    for i in want[2]:
+        for name in want[2][i]:
+            npt.assert_array_equal(got[2][i][name], want[2][i][name])
+    assert got[3].keys() == want[3].keys()
+    for i in want[3]:
+        for name in want[3][i]:
+            npt.assert_array_equal(got[3][i][name], want[3][i][name])
+    for (u_pre, spikes), (ref_u_pre, ref_spikes) in zip(got[4], want[4], strict=True):
+        npt.assert_array_equal(u_pre, ref_u_pre)
+        npt.assert_array_equal(spikes, ref_spikes)
+
+
+class TestRowParallelStep:
+    """A training step splits its kernels' rows into blocks across workers;
+    the result does not depend on the worker count."""
+
+    # Per sample the first conv unfolds 2.3 KB and its LIF layer holds 1 KB
+    # (float32): budgets from one row per block to one block per batch.
+    @settings(max_examples=30, deadline=None)
+    @given(batch=st.integers(1, 13), t_steps=st.integers(1, 4),
+           block_bytes=st.sampled_from([1, 700, 2500, 5000, kernels.BLOCK_BYTES]),
+           dtype=st.sampled_from([np.float32, np.float64]), smooth=st.booleans(),
+           loss_mode=st.sampled_from(["standard", "per_timestep"]))
+    def test_step_is_bit_identical_for_any_worker_count(self, batch, t_steps, block_bytes,
+                                                        dtype, smooth, loss_mode):
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK_BYTES", block_bytes)
+            for workers in (1, 2, 3):
+                mp.setattr(kernels, "_scan_workers", lambda: workers)
+                steps.append(one_training_step(batch, t_steps, dtype, smooth, loss_mode, seed=5))
+        for got in steps[1:]:
+            assert_steps_equal(got, steps[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(batch=st.integers(1, 13), block_bytes=st.sampled_from([1, 300, 700, 2500]),
+           workers=st.integers(1, 3), smooth=st.booleans())
+    def test_elementwise_kernels_are_independent_of_the_block_size(self, batch, block_bytes,
+                                                                   workers, smooth):
+        # LIF, pooling and the train-mode norm treat every element alone, so
+        # their blocks change neither a value nor a reduction.
+        data = np.random.default_rng(batch)
+        currents = (data.standard_normal((4, batch, 8, 8, 4)) * 1.5).astype(np.float32)
+        currents = currents.transpose(0, 1, 4, 2, 3)  # channels-last (T, B, C, H, W)
+        dspikes = data.standard_normal(currents.shape).astype(np.float32)
+        u0 = data.standard_normal(currents.shape[1:]).astype(np.float32)
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        norm = {"gamma": data.standard_normal(4).astype(np.float32), "beta": np.ones(4, np.float32),
+                "running_mean": np.zeros(4, np.float32), "running_var": np.ones(4, np.float32)}
+
+        def run():
+            spikes, cache = lif_unroll(currents, cfg, smooth)
+            state = LifState(u0.copy())
+            state_spikes, _ = lif_unroll(currents, cfg, smooth, state)
+            d = lif_unroll_backward(dspikes, cache, cfg)
+            flat = spikes.reshape((-1,) + spikes.shape[2:])
+            y, new, norm_cache = batch_norm_train_cached(flat, norm, repeats=2)
+            dx, dgamma, dbeta = batch_norm_backward(flat, norm_cache)
+            return [spikes, *cache, state_spikes, state.u, d, avg_pool2d(flat, 2),
+                    avg_pool2d_backward(flat, 2), y, new["running_mean"], new["running_var"],
+                    dx, dgamma, dbeta]
+
+        whole = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK_BYTES", block_bytes)
+            mp.setattr(kernels, "_scan_workers", lambda: workers)
+            blocked = run()
+        for got, want in zip(blocked, whole, strict=True):
+            npt.assert_array_equal(got, want)
