@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, bounded, check_bounds
-from .network import forward_timestep, mean_output, reset_states, scan_timesteps
+from .network import as_images, forward_timestep, mean_output, reset_states, scan_timesteps
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,15 @@ def dynamic_infer(net, x, policy):
     running-mean output drops below theta, else stop at t_max.
 
     x is a single input, with or without the leading batch axis; a batch of
-    more than one input raises ShapeError.  A policy t_max beyond the
-    network's t_max raises ValueError.
+    more than one input raises ShapeError, and anything but an array of
+    real numbers DataFormatError.  A policy t_max beyond the network's t_max
+    raises ValueError.
     """
     if policy.t_max > net.spec.t_max:
         raise ValueError(
             f"policy t_max={policy.t_max} exceeds the network's t_max={net.spec.t_max}"
         )
+    x = as_images(x)
     shape = net.spec.input_shape
     if x.shape == shape:
         x = x[None]

@@ -27,7 +27,9 @@ strides, but are fast on that one:
 - `conv2d`, `conv2d_backward`'s input gradient and `avg_pool2d_backward`
   return channels-last views; `avg_pool2d`, `batch_norm`,
   `batch_norm_train_cached` and `batch_norm_backward` return arrays in the
-  memory order of their input;
+  memory order of their input.  The kernels a training step calls write
+  into an ``out`` array instead when given one, which is how the tape path
+  draws them from its `network.Workspace`;
 - per-channel sums in the norm kernels use einsum, which reduces
   channels-last memory without looping over the short channel axis.
 
@@ -145,10 +147,30 @@ def _unfolded_row_bytes(x, params, ho, wo):
     return ho * wo * params.kernel_h * params.kernel_w * x.shape[1] * x.itemsize
 
 
-def conv2d(x, weights, params):
+def _check_out(out, shape, dtype):
+    """``out`` when it has this shape and dtype; ShapeError otherwise."""
+    if out.shape != tuple(shape) or out.dtype != dtype:
+        raise ShapeError(
+            f"out array has shape {out.shape} and dtype {out.dtype}, "
+            f"expected {tuple(shape)} and {np.dtype(dtype)}"
+        )
+    return out
+
+
+def _channels_last_rows(out, shape, dtype):
+    """The (N*H*W, C) matrix under ``out``, an (N,C,H,W) view of (N,H,W,C)
+    memory of this shape and dtype; ShapeError for any other array."""
+    rows = _check_out(out, shape, dtype).transpose(0, 2, 3, 1)
+    if not rows.flags.c_contiguous:
+        raise ShapeError("out array must be an (N,C,H,W) view of (N,H,W,C) memory")
+    return rows.reshape(-1, shape[1])
+
+
+def conv2d(x, weights, params, out=None):
     """2-d cross-correlation of x (N,C,H,W) with weights (C_out,C_in,kh,kw).
 
-    Equivalent to the direct sum-of-products over every window.
+    Equivalent to the direct sum-of-products over every window.  ``out``, an
+    (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory, receives the result.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got shape {x.shape}")
@@ -174,17 +196,20 @@ def conv2d(x, weights, params):
     ho, wo = params.output_hw(*x.shape[2:])
     wmat = _weight_matrix(weights).T
     row_bytes = _unfolded_row_bytes(x, params, ho, wo)
-    if n <= block_rows(row_bytes):  # one unfold and one GEMM
+    if out is None and n <= block_rows(row_bytes):  # one unfold and one GEMM
         y = _im2col(x, kh, kw, params.stride, params.padding)[0] @ wmat
-    else:
-        y = np.empty((n * ho * wo, cout), dtype=np.result_type(x, wmat))
+        return y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    dtype = np.result_type(x, wmat)
+    if out is None:
+        out = np.empty((n, ho, wo, cout), dtype=dtype).transpose(0, 3, 1, 2)
+    y = _channels_last_rows(out, (n, cout, ho, wo), dtype)
 
-        def block(samples):
-            cols, _, _ = _im2col(x[samples], kh, kw, params.stride, params.padding)
-            np.matmul(cols, wmat, out=y[samples.start * ho * wo : samples.stop * ho * wo])
+    def block(samples):
+        cols, _, _ = _im2col(x[samples], kh, kw, params.stride, params.padding)
+        np.matmul(cols, wmat, out=y[samples.start * ho * wo : samples.stop * ho * wo])
 
-        run_row_blocks(n, row_bytes, block)
-    return y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    run_row_blocks(n, row_bytes, block)
+    return out
 
 
 def _col2im(dcols, x_shape, kh, kw, stride, padding):
@@ -206,12 +231,13 @@ def _col2im(dcols, x_shape, kh, kw, stride, padding):
     return dxp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
-def conv2d_backward(dy, x, weights, params, need_dx=True):
+def conv2d_backward(dy, x, weights, params, need_dx=True, out=None):
     """Gradients of conv2d w.r.t. input and weights.
 
     dy has the output shape (N,C_out,Ho,Wo).  dW re-unfolds x block by block.
     With ``need_dx=False`` the input gradient is not computed and returned as
-    None.
+    None.  ``out``, an (N,C,H,W) view of (N,H,W,C) memory, receives the input
+    gradient.
     """
     cout, cin, kh, kw = weights.shape
     ho, wo = dy.shape[2:]
@@ -239,10 +265,13 @@ def conv2d_backward(dy, x, weights, params, need_dx=True):
             stride=1,
             padding=kh - 1 - params.padding,
         )
-        dx = conv2d(dy, w_flip, back)
+        dx = conv2d(dy, w_flip, back, out=out)
     else:
         dcols = dy_mat @ _weight_matrix(weights)
         dx = _col2im(dcols, x.shape, kh, kw, params.stride, params.padding)
+        if out is not None:
+            _check_out(out, x.shape, dx.dtype)[...] = dx
+            dx = out
     return dx, dw
 
 
@@ -281,12 +310,13 @@ def _pool_rows(x, window, out=None):
     return np.divide(y, window * window, out=out)
 
 
-def avg_pool2d(x, window):
+def avg_pool2d(x, window, out=None):
     """Non-overlapping mean pooling; H and W must be divisible by window.
 
     Sums the window's strided row slices, then its strided column slices,
-    then divides by window**2; the output has the memory order of x.  Runs
-    in blocks of samples of about BLOCK_BYTES of input.
+    then divides by window**2; the output has the memory order of x, or is
+    written into ``out``.  Runs in blocks of samples of about BLOCK_BYTES of
+    input.
     """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d input must be 4-d, got shape {x.shape}")
@@ -296,28 +326,32 @@ def avg_pool2d(x, window):
             f"spatial size {h}x{w} not divisible by pooling window {window}"
         )
     n, row_bytes = len(x), x.nbytes // max(1, len(x))
-    if n <= block_rows(row_bytes):
+    if out is None and n <= block_rows(row_bytes):
         return _pool_rows(x, window)
-    y = np.empty_like(x[:, :, ::window, ::window], dtype=np.result_type(x, 1.0))
+    corner, dtype = x[:, :, ::window, ::window], np.result_type(x, 1.0)
+    y = np.empty_like(corner, dtype=dtype) if out is None else _check_out(out, corner.shape, dtype)
     run_row_blocks(n, row_bytes, lambda rows: _pool_rows(x[rows], window, y[rows]))
     return y
 
 
-def avg_pool2d_backward(dy, window):
+def avg_pool2d_backward(dy, window, out=None):
     """Spread each pooled gradient uniformly over its window.
 
-    Returns an (N,C,H,W) view of an (N, H, W, C) buffer, filled in blocks of
-    samples of about BLOCK_BYTES.
+    Returns an (N,C,H,W) view of an (N, H, W, C) buffer, ``out`` when it is
+    given, filled in blocks of samples of about BLOCK_BYTES.
     """
     n, c, ho, wo = dy.shape
-    dx = np.empty((n, ho, window, wo, window, c), dtype=np.result_type(dy, 1.0))
+    shape, dtype = (n, c, ho * window, wo * window), np.result_type(dy, 1.0)
+    if out is None:
+        out = np.empty((n, ho * window, wo * window, c), dtype=dtype).transpose(0, 3, 1, 2)
+    dx = _channels_last_rows(out, shape, dtype).reshape(n, ho, window, wo, window, c)
 
     def block(samples):
         g = (dy[samples] / float(window * window)).transpose(0, 2, 3, 1)
         dx[samples] = g[:, :, None, :, None, :]
 
     run_row_blocks(n, dx.nbytes // max(1, n), block)
-    return dx.reshape(n, ho * window, wo * window, c).transpose(0, 3, 1, 2)
+    return out
 
 
 # Batch normalization constants: the weight of the batch statistics in the
@@ -360,7 +394,7 @@ def batch_norm(x, params):
     return y
 
 
-def batch_norm_train_cached(x, params, repeats=1):
+def batch_norm_train_cached(x, params, repeats=1, out=None):
     """Per-channel normalization by the statistics of this batch (biased
     variance).
 
@@ -375,20 +409,24 @@ def batch_norm_train_cached(x, params, repeats=1):
     The statistics are einsum reductions over x and over x centred once, in
     x's memory order; the centred array is then scaled in place into xhat.
     The elementwise passes run in blocks of samples (`run_row_blocks`), the
-    reductions over the whole batch.
+    reductions over the whole batch.  ``out``, a pair (xhat, y), receives
+    the two arrays; y may be x itself, which is read only before y is
+    written.
     """
     nf = params["gamma"].shape[0]
     view = _channel_view(x, nf)
     idx = "nchw"[: x.ndim]
     per_channel = x.size // nf
     mean = np.einsum(f"{idx}->c", x) / per_channel
-    xhat = np.empty_like(x, dtype=np.result_type(x, mean))
+    dtype = np.result_type(x, mean)
+    xhat = np.empty_like(x, dtype=dtype) if out is None else _check_out(out[0], x.shape, dtype)
     run_row_blocks(len(x), xhat.nbytes // max(1, len(x)),
                    lambda rows: np.subtract(x[rows], mean.reshape(view), out=xhat[rows]))
     var = np.einsum(f"{idx},{idx}->c", xhat, xhat) / per_channel
     invstd = 1.0 / np.sqrt(var + BN_EPS)
     gamma, beta = params["gamma"].reshape(view), params["beta"].reshape(view)
-    y = np.empty_like(xhat, dtype=np.result_type(xhat, invstd, gamma))
+    dtype = np.result_type(xhat, invstd, gamma)
+    y = np.empty_like(xhat, dtype=dtype) if out is None else _check_out(out[1], x.shape, dtype)
 
     def scale(rows):
         xb, yb = xhat[rows], y[rows]
@@ -409,13 +447,14 @@ def batch_norm_train_cached(x, params, repeats=1):
     return y, new_params, (xhat, invstd, params["gamma"], view)
 
 
-def batch_norm_backward(dy, cache):
+def batch_norm_backward(dy, cache, out=None):
     """Gradient of training-mode batch_norm w.r.t. input, gamma, beta.
 
     With m values per channel, dxhat = gamma * dy has the channel means
     gamma * dbeta / m and mean(dxhat * xhat) = gamma * dgamma / m, so the two
     einsum reductions are the only passes that sum over the batch; the
-    elementwise passes run in blocks of samples (`run_row_blocks`).
+    elementwise passes run in blocks of samples (`run_row_blocks`).  ``out``
+    receives the input gradient; it may be dy itself.
     """
     xhat, invstd, gamma, view = cache
     idx = "nchw"[: dy.ndim]
@@ -424,7 +463,8 @@ def batch_norm_backward(dy, cache):
     dgamma = np.einsum(f"{idx},{idx}->c", dy, xhat)
     slope, shift = (dgamma / m).reshape(view), (dbeta / m).reshape(view)
     scale = (gamma * invstd).reshape(view)
-    dx = np.empty_like(dy, dtype=np.result_type(dy, xhat, slope, shift, scale))
+    dtype = np.result_type(dy, xhat, slope, shift, scale)
+    dx = np.empty_like(dy, dtype=dtype) if out is None else _check_out(out, dy.shape, dtype)
 
     def block(rows):
         dxb = dx[rows]

@@ -31,7 +31,10 @@ workers of `kernels.run_blocks`, the caller's thread on the instance and
 each helper on its own clone.
 """
 
+import math
 import operator
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -79,47 +82,53 @@ def spike_ramp(u, v_th):
     return 0.5 * a * a + b * v_th - 0.5 * b * b
 
 
-def _empty_steps(like, t_steps):
+def _empty_steps(like, t_steps, ws=None, key=None):
     """Uninitialized (t_steps,) + like.shape array, timestep-major, whose
     every step has the memory order of ``like`` (channels-last for conv
-    outputs, on which the kernels downstream run fastest).
+    outputs, on which the kernels downstream run fastest); from workspace
+    ``ws`` under ``key`` when it is given.
     """
     rows = (t_steps * like.shape[0],) + like.shape[1:]
-    return np.empty_like(like, shape=rows).reshape((t_steps,) + like.shape)
+    steps = np.empty_like(like, shape=rows) if ws is None else ws.empty_like(key, like, shape=rows)
+    return steps.reshape((t_steps,) + like.shape)
 
 
-def lif_unroll(currents, cfg, smooth=False, state=None):
+def lif_unroll(currents, cfg, smooth=False, state=None, out=None):
     """Forward a (T, B, ...) current tensor through one LIF layer.
 
     Each step: u <- tau*u + input; spike where u > v_th (strict), or
     spike_ramp(u) when ``smooth``; u <- u*(1-spike).  The potentials are
     updated in place, the state's own buffer included.  Without ``state`` the
     unroll starts from rest and returns (spikes, (u_pre, spikes)), the cache
-    `training.lif_unroll_backward` needs.  With a LifState it continues from
-    the state's potentials, leaves the final potentials in it, and returns
-    (spikes, None): inference keeps no pre-reset potentials.  Samples are
-    independent: the batch runs in blocks of about `kernels.BLOCK_BYTES` of
-    one step's currents (`kernels.run_row_blocks`), each through all T
-    steps.
+    `training.lif_unroll_backward` needs; ``out``, a pair (u_pre, spikes) of
+    (T, B, ...) arrays, receives it, and its spikes may be currents itself.
+    With a LifState it continues from the state's potentials, leaves the
+    final potentials in it, and returns (spikes, None): inference keeps no
+    pre-reset potentials.  Samples are independent: the batch runs in blocks
+    of about `kernels.BLOCK_BYTES` of one step's currents
+    (`kernels.run_row_blocks`), each through all T steps, from rest on
+    potentials of its own.
     """
     t_steps = currents.shape[0]
     if state is None:
-        u = np.zeros_like(currents[0])
-        u_pre = _empty_steps(currents[0], t_steps)
+        u = None
+        if out is None:
+            out = (_empty_steps(currents[0], t_steps), _empty_steps(currents[0], t_steps))
+        u_pre, spikes = out
     elif currents.shape[1:] != state.u.shape:
         raise ShapeError(
             f"input current shape {currents.shape[1:]} does not match "
             f"membrane shape {state.u.shape}"
         )
     else:
-        u, u_pre = state.u, None
-    spikes = _empty_steps(currents[0], t_steps)
-    batch, row_bytes = len(u), u.nbytes // max(1, len(u))
+        u, u_pre, spikes = state.u, None, _empty_steps(currents[0], t_steps)
+    batch = currents.shape[1]
+    row_bytes = currents[0].nbytes // max(1, batch)
     if batch <= kernels.block_rows(row_bytes):
         _lif_rows(currents, cfg, smooth, u, u_pre, spikes)
     else:
         kernels.run_row_blocks(batch, row_bytes, lambda rows: _lif_rows(
-            currents[:, rows], cfg, smooth, u[rows],
+            currents[:, rows], cfg, smooth, None if u is None else u[rows],
             None if u_pre is None else u_pre[:, rows], spikes[:, rows]))
     if state is None:
         return spikes, (u_pre, spikes)
@@ -127,9 +136,11 @@ def lif_unroll(currents, cfg, smooth=False, state=None):
 
 
 def _lif_rows(currents, cfg, smooth, u, u_pre, spikes):
-    """`lif_unroll` of one block of samples: updates u in place and writes
-    each step's potentials before the reset (unless u_pre is None) and
-    spikes."""
+    """`lif_unroll` of one block of samples: updates u in place (from rest
+    when u is None) and writes each step's potentials before the reset
+    (unless u_pre is None) and spikes."""
+    if u is None:
+        u = np.zeros_like(currents[0])
     keep = np.empty_like(u, dtype=bool)
     for t in range(currents.shape[0]):
         u *= cfg.tau
@@ -272,12 +283,79 @@ def first_lif(spec):
     return next(i for i, layer in enumerate(spec.layers) if layer.kind == "lif")
 
 
+def as_images(x):
+    """x as an array of real numbers (`np.asarray`); DataFormatError when it
+    is ragged or of any other dtype (objects, strings, complex numbers)."""
+    try:
+        x = np.asarray(x)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"input is not an array of numbers: {exc}") from exc
+    if x.dtype.kind not in "biuf":
+        raise DataFormatError(f"input must hold real numbers, got dtype {x.dtype}")
+    return x
+
+
 def check_finite(x):
     """Reject inputs holding NaN or infinity, which would otherwise yield a
     silent prediction (no spikes, uniform output)."""
     bad = x.size - np.count_nonzero(np.isfinite(x))
     if bad:
         raise DataFormatError(f"input contains {bad} non-finite values (NaN or inf)")
+
+
+class Workspace:
+    """The arrays of one training step, kept for the next one.
+
+    Every array is a view of a byte buffer kept under a (layer index, role)
+    key, grown when a request needs more bytes and never shrunk: steps of the
+    same shape allocate nothing, and a smaller batch takes a prefix.  An
+    array is overwritten by the next request under its key.
+    `training.train` takes the instance's workspace (`take`) for the call
+    and runs every step's tape and input gradients in it; `clone_state`
+    hands it to the clones, so it lives, at about one step's arrays, until
+    the instance and its clones are gone.  A tape without one draws from a
+    new `Workspace()` of its own, so its arrays are new.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def take(self):
+        """Yield this workspace to one holder at a time, None while another
+        holds it."""
+        if not self._lock.acquire(blocking=False):
+            yield None
+            return
+        try:
+            yield self
+        finally:
+            self._lock.release()
+
+    def empty(self, key, shape, dtype):
+        """Uninitialized C-order array of this shape and dtype under ``key``."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(key)
+        if buf is None or buf.nbytes < nbytes:
+            buf = self._buffers[key] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+    def empty_like(self, key, like, shape=None, dtype=None):
+        """`empty` in the memory order of ``np.empty_like(like, dtype, shape=shape)``
+        (``shape`` has like's number of axes)."""
+        shape = like.shape if shape is None else shape
+        # numpy's axis order for like, outermost first, read off a tiny probe
+        probe = np.empty_like(like, dtype=np.uint8, shape=(2,) * like.ndim)
+        order = np.argsort(probe.strides)[::-1]
+        mem = self.empty(key, [shape[a] for a in order], like.dtype if dtype is None else dtype)
+        return mem.transpose(np.argsort(order))
+
+    def channels_last(self, key, shape, dtype):
+        """`empty` (N,C,H,W) view of (N,H,W,C) memory: a conv output's layout."""
+        n, c, h, w = shape
+        return self.empty(key, (n, h, w, c), dtype).transpose(0, 3, 1, 2)
 
 
 @dataclass
@@ -301,16 +379,18 @@ class SnnInstance:
     smooth_spikes: bool = False   # fire by spike_ramp (gradient-check mode)
     stem: tuple = None            # (input, stem output, stem activity counts)
     inference_plan: tuple = None  # (parameter arrays, inference parameters)
+    workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     def clone_state(self):
-        """New instance sharing weights, their inference plan and the firing
-        mode, with fresh inference state."""
+        """New instance sharing weights, their inference plan, the training
+        workspace and the firing mode, with fresh inference state."""
         return SnnInstance(
             spec=self.spec,
             params=self.params,
             record_activity=self.record_activity,
             smooth_spikes=self.smooth_spikes,
             inference_plan=self.inference_plan,
+            workspace=self.workspace,
         )
 
 
@@ -403,7 +483,7 @@ def forward_timestep(net, x):
     spec = net.spec
     if net.t >= spec.t_max:
         raise StateError(f"forward_timestep called beyond t_max={spec.t_max}")
-    x = np.asarray(x)
+    x = as_images(x)
     if x.shape[1:] != spec.input_shape:
         raise ShapeError(
             f"input shape {x.shape[1:]} does not match network input {spec.input_shape}"
@@ -435,20 +515,28 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
     norms use running statistics and LIF layers continue from
     ``net.lif_states``; with one, LIF layers start from rest, every layer
     appends its cache to ``tape["caches"]``, and if ``tape["train"]`` norms
-    propose updates in ``tape["norm_updates"]``.
+    propose updates in ``tape["norm_updates"]``.  A tape's conv, train-mode
+    norm, LIF and pool outputs come from ``tape["workspace"]`` (a new
+    `Workspace` when it is None), keyed by layer index, and a train-mode
+    norm or a LIF layer writes its output over an input that no tape entry
+    holds.
     """
     spec = net.spec
     s = first_lif(spec)
     batch = h.shape[0]
     record = tape["caches"].append if tape is not None else lambda cache: None
     params = net.params if tape is not None else inference_params(net)
+    ws = None if tape is None else tape["workspace"] or Workspace()
+    owned = False  # with a tape: h is this pass's own array and no tape entry holds it
     for i in indices:
         layer, par, plan = spec.layers[i], params[i], spec.layer_plan[i]
         kind, cfg = layer.kind, plan.config
         if counts is not None and plan.weight_shape is not None:
             counts.append(_count_inputs(h, analog=i < s))
         if kind == "conv":
-            y = conv2d(h, par["w"], cfg)
+            out = None if ws is None else ws.channels_last(
+                (i, "y"), (len(h),) + plan.out_shape, np.result_type(h, par["w"]))
+            y = conv2d(h, par["w"], cfg, out)
             if "b" in par:
                 y += par["b"].reshape(1, -1, 1, 1)
             record((kind, cfg, h))
@@ -457,7 +545,11 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
             cache = None
             if tape is not None and tape["train"]:
                 repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
-                h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats)
+                xhat = ws.empty_like((i, "xhat"), h, dtype=np.result_type(h, 1.0))
+                dtype = np.result_type(xhat, par["gamma"])
+                y = h if owned and h.dtype == dtype else ws.empty_like((i, "y"), h, dtype=dtype)
+                h, tape["norm_updates"][i], cache = batch_norm_train_cached(
+                    h, par, repeats, (xhat, y))
             elif par is not None:  # None: folded into the layer before
                 h = batch_norm(h, par)
             record((kind, cache))
@@ -468,18 +560,27 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
                     raise StateError("batch size changed mid-inference; call reset_states first")
                 state = net.lif_states[i] = LifState(np.zeros_like(h))
             h = h.reshape((-1, batch) + h.shape[1:])
+            out = None
+            if ws is not None:
+                in_place = owned and len(h) == t_steps  # not the stem's broadcast rows
+                out = (_empty_steps(h[0], t_steps, ws, (i, "u_pre")),
+                       h if in_place else _empty_steps(h[0], t_steps, ws, (i, "spikes")))
             if len(h) < t_steps:  # the stem's rows, the same at every step
                 h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
-            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, state)
+            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, state, out)
             record((kind, cfg, cache))
             h = spikes.reshape((-1,) + spikes.shape[2:])
         elif kind == "pool":
             record((kind, layer.window))
-            h = avg_pool2d(h, layer.window)
+            w = layer.window
+            out = None if ws is None else ws.empty_like(
+                (i, "y"), h[:, :, ::w, ::w], dtype=np.result_type(h, 1.0))
+            h = avg_pool2d(h, w, out)
         else:  # fc / classifier
             h, shape = h.reshape(h.shape[0], -1), h.shape
             record((kind, h, shape))
             h = fully_connected(h, par["w"], par["b"])
+        owned = kind != "lif"  # a LIF layer's tape entry holds its spikes
     return h
 
 
@@ -533,12 +634,14 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
     workers.  The first error of any tile stops the other workers at their
     next tile and is raised; ``net`` is left reset either way.  Raises
     ValueError for an empty batch, t_steps outside [1, spec.t_max] or
-    batch_size < 1.
+    batch_size < 1, and DataFormatError when images is not an array of real
+    numbers.
     """
     spec = net.spec
     _check_t_steps(spec, t_steps)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    images = as_images(images)
     n = images.shape[0]
     if n == 0:
         raise ValueError("scan_timesteps requires a non-empty batch")

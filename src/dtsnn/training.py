@@ -41,7 +41,16 @@ from .kernels import (
     fully_connected_backward,
 )
 # lif_unroll and spike_ramp are public here too.
-from .network import check_finite, first_lif, lif_unroll, run_layers, scan_timesteps, spike_ramp
+from .network import (
+    Workspace,
+    as_images,
+    check_finite,
+    first_lif,
+    lif_unroll,
+    run_layers,
+    scan_timesteps,
+    spike_ramp,
+)
 
 
 def surrogate_grad(u, v_th, out=None):
@@ -126,57 +135,77 @@ def loss_and_grad(step_logits, labels, loss_mode):
     return loss, dstep.astype(step_logits.dtype)
 
 
-def lif_unroll_backward(dspikes, cache, cfg):
+def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None):
     """Reverse-time unroll: surrogate through the firing, tau through the
     membrane recurrence, (1 - s) through the detached reset multiplier.
 
-    Each step's gradient is built in its own row of the result; one carry
-    buffer holds tau * du[t+1] * (1 - s[t]).  Samples are independent: the
-    batch axis of (T, B, ...) runs in blocks of about `kernels.BLOCK_BYTES`
-    of one step (`kernels.run_row_blocks`), each through all T steps.
+    Each step's gradient is built in its own row of the result, ``out`` when
+    it is given (which may be dspikes itself); one carry buffer holds
+    tau * du[t+1] * (1 - s[t]).  Samples are independent: the batch axis of
+    (T, B, ...) runs in blocks of about `kernels.BLOCK_BYTES` of one step
+    (`kernels.run_row_blocks`), each through all T steps.  With
+    ``step_sum``, a (B, ...) array, each block also adds its rows'
+    gradients over the T steps into it, in step order as ``sum(axis=0)``
+    does, and step_sum is returned.
     """
     u_pre, spikes = cache
-    d_currents = np.empty_like(dspikes)
+    d_currents = np.empty_like(dspikes) if out is None else out
 
     def block(rows):
         _lif_rows_backward(dspikes[:, rows], u_pre[:, rows], spikes[:, rows], cfg,
                            d_currents[:, rows])
+        if step_sum is not None:
+            total = step_sum[rows]
+            total[...] = d_currents[0, rows]
+            for d in d_currents[1:, rows]:
+                total += d
 
     batch = dspikes.shape[1]
     kernels.run_row_blocks(batch, d_currents[0].nbytes // max(1, batch), block)
-    return d_currents
+    return d_currents if step_sum is None else step_sum
 
 
 def _lif_rows_backward(dspikes, u_pre, spikes, cfg, d_currents):
-    """`lif_unroll_backward` of one block of samples, into d_currents."""
+    """`lif_unroll_backward` of one block of samples, into d_currents, which
+    may be dspikes: step t reads dspikes[t] before it writes d_currents[t]."""
     t_steps = dspikes.shape[0]
     carry = np.empty_like(dspikes[0])
+    term = np.empty_like(carry)
     for t in reversed(range(t_steps)):
         du = d_currents[t]
         if t + 1 < t_steps:
             np.multiply(d_currents[t + 1], cfg.tau, out=carry)
-            np.subtract(1.0, spikes[t], out=du)
-            carry *= du
-        surrogate_grad(u_pre[t], cfg.v_th, out=du)
-        du *= dspikes[t]
+            np.subtract(1.0, spikes[t], out=term)
+            carry *= term
+        surrogate_grad(u_pre[t], cfg.v_th, out=term)
+        np.multiply(term, dspikes[t], out=du)
         if t + 1 < t_steps:
             du += carry
 
 
-def forward_with_tape(net, x, t_steps, train_mode=True):
+def forward_with_tape(net, x, t_steps, train_mode=True, *, workspace=None):
     """Layer-major unrolled forward pass over t_steps stacked timesteps.
 
     Every LIF layer starts from rest; the instance's inference state
     (``lif_states``, ``stem``, ``t``) is neither read nor changed.  Raises
-    DataFormatError when x holds a non-finite value.
+    DataFormatError when x is not an array of real numbers or holds a
+    non-finite value.
 
     Returns (step_logits (T,B,K), tape).  In train mode, normalization layers
     use batch statistics pooled over (timestep x batch), and the tape carries
     their proposed running-statistic updates; nothing is committed to the
     instance until `commit_norm_updates` is called.
+
+    The tape holds new arrays that nothing else writes.  Only `train` passes
+    a ``workspace`` (`network.Workspace`, the instance's): then the tape's
+    arrays, and the input gradients `backward_through_time` computes from
+    it, are that workspace's, which the next step overwrites.  Parameter
+    gradients are new arrays either way.
     """
+    x = as_images(x)
     check_finite(x)
-    tape = {"caches": [], "norm_updates": {}, "t": t_steps, "train": train_mode}
+    tape = {"caches": [], "norm_updates": {}, "t": t_steps, "train": train_mode,
+            "workspace": workspace}
     h = run_layers(net, x, range(len(net.spec.layers)), t_steps, tape=tape)
     return h.reshape(t_steps, x.shape[0], -1), tape
 
@@ -184,12 +213,16 @@ def forward_with_tape(net, x, t_steps, train_mode=True):
 def backward_through_time(net, tape, dstep_logits):
     """Walk the tape in reverse, producing a gradient for every parameter.
 
-    The gradient is summed over timesteps at the first LIF layer, so the
-    stem's backward runs on B rows.  The walk ends at the first layer with
-    parameters and skips its input gradient, which nothing reads.
+    The gradient is summed over timesteps at the first LIF layer, inside
+    `lif_unroll_backward`'s blocks, so the stem's backward runs on B rows.
+    The walk ends at the first layer with parameters and skips its input
+    gradient, which nothing reads.  The input gradients of pool, conv and
+    the first LIF layer come from the tape's workspace (a new one when it
+    has none), keyed by layer index; LIF and norm layers overwrite the
+    gradient they receive, which nothing else holds.
 
     Returns {layer_index: {param_name: gradient}} with shapes mirroring the
-    parameters exactly.
+    parameters exactly, in new arrays.
     """
     spec = net.spec
     caches = tape["caches"]
@@ -202,6 +235,7 @@ def backward_through_time(net, tape, dstep_logits):
         )
     s = first_lif(spec)
     first_param = next(i for i, p in enumerate(net.params) if p is not None)
+    ws = tape["workspace"] or Workspace()
     g = dstep_logits.reshape(t_steps * batch, k)
     grads = {}
     for i in reversed(range(first_param, len(spec.layers))):
@@ -213,16 +247,25 @@ def backward_through_time(net, tape, dstep_logits):
             grads[i] = {"w": dw, "b": db}
             g = dx.reshape(orig_shape)
         elif layer.kind == "pool":
-            g = avg_pool2d_backward(g, cache[1])
+            n, c, h, w = g.shape
+            window = cache[1]
+            out = ws.channels_last((i, "dx"), (n, c, h * window, w * window),
+                                   np.result_type(g, 1.0))
+            g = avg_pool2d_backward(g, window, out=out)
         elif layer.kind == "lif":
             _, cfg, lif_cache = cache
             gs = g.reshape((t_steps, batch) + g.shape[1:])
-            g = lif_unroll_backward(gs, lif_cache, cfg)
-            g = g.sum(axis=0) if i == s else g.reshape((t_steps * batch,) + g.shape[2:])
+            if i == s:
+                g = lif_unroll_backward(gs, lif_cache, cfg, out=gs,
+                                        step_sum=ws.empty_like((i, "dx"), gs[0]))
+            else:
+                g = lif_unroll_backward(gs, lif_cache, cfg, out=gs).reshape(g.shape)
         elif layer.kind == "norm":
             if cache[1] is None:
                 raise StateError("cannot backprop through an eval-mode tape")
-            dx, dgamma, dbeta = batch_norm_backward(g, cache[1])
+            xhat, _, gamma, _ = cache[1]
+            in_place = g.dtype == np.result_type(g, xhat, gamma)
+            dx, dgamma, dbeta = batch_norm_backward(g, cache[1], out=g if in_place else None)
             grads[i] = {"gamma": dgamma, "beta": dbeta}
             g = dx
         elif layer.kind == "conv":
@@ -230,7 +273,10 @@ def backward_through_time(net, tape, dstep_logits):
             entry = {"w": None}
             if "b" in net.params[i]:
                 entry["b"] = g.sum(axis=(0, 2, 3))
-            dx, dw = conv2d_backward(g, x_in, net.params[i]["w"], p, need_dx=i > first_param)
+            w = net.params[i]["w"]
+            need_dx = i > first_param
+            out = ws.channels_last((i, "dx"), x_in.shape, np.result_type(g, w)) if need_dx else None
+            dx, dw = conv2d_backward(g, x_in, w, p, need_dx=need_dx, out=out)
             entry["w"] = dw
             grads[i] = entry
             g = dx
@@ -346,11 +392,20 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     rows into blocks across the workers of `kernels.run_blocks`, and no
     BLAS thread spins between them.  The result is bit-identical for any
     worker count.
+
+    The call holds the instance's `network.Workspace`, shared with its
+    clones, and every step's tape and input gradients reuse its arrays,
+    so steps after the first allocate none of them (a smaller last batch
+    takes a prefix).  A call that finds the workspace held by a call on a
+    clone runs its steps on new arrays.  Raises DataFormatError when a
+    split is not an array of real numbers.
     """
     if cfg.t_train > net.spec.t_max:
         raise ValueError(
             f"t_train={cfg.t_train} exceeds the network's t_max={net.spec.t_max}"
         )
+    train_images, eval_images = as_images(train_images), as_images(eval_images)
+    train_labels = np.asarray(train_labels)
     for split, images in (("training", train_images), ("evaluation", eval_images)):
         if len(images) == 0:
             raise ValueError(f"train requires a non-empty {split} split")
@@ -358,34 +413,36 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     n = len(train_images)
     velocities = {}
     log = TrainingLog()
-    for epoch in range(cfg.epochs):
-        lr = float(cosine_lr(cfg.lr0, epoch, cfg.epochs))
-        perm = rng.permutation(n)
-        batch_hash = hashlib.sha1(perm.tobytes()).hexdigest()[:12]
-        losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            xb = train_images[idx]
-            yb = train_labels[idx]
-            with kernels.one_blas_thread():
-                step_logits, tape = forward_with_tape(net, xb, cfg.t_train)
-                loss, dstep = loss_and_grad(step_logits, yb, cfg.loss_mode)
-                if not np.isfinite(loss):
-                    raise TrainingError(f"non-finite loss at epoch {epoch}")
-                grads = backward_through_time(net, tape, dstep)
-                commit_norm_updates(net, tape)
-                sgd_step(net, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
-            _check_params_finite(net, epoch)
-            losses.append(loss)
-        acc = evaluate_per_timestep(net, eval_images, eval_labels, cfg.t_train)
-        record = EpochRecord(
-            epoch=epoch,
-            lr=lr,
-            train_loss=float(np.mean(losses)),
-            eval_acc=tuple(float(a) for a in acc),
-            batch_hash=batch_hash,
-        )
-        log.records.append(record)
-        if progress is not None:
-            progress(record)
+    with net.workspace.take() as workspace:
+        for epoch in range(cfg.epochs):
+            lr = float(cosine_lr(cfg.lr0, epoch, cfg.epochs))
+            perm = rng.permutation(n)
+            batch_hash = hashlib.sha1(perm.tobytes()).hexdigest()[:12]
+            losses = []
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                xb = train_images[idx]
+                yb = train_labels[idx]
+                with kernels.one_blas_thread():
+                    step_logits, tape = forward_with_tape(net, xb, cfg.t_train,
+                                                          workspace=workspace)
+                    loss, dstep = loss_and_grad(step_logits, yb, cfg.loss_mode)
+                    if not np.isfinite(loss):
+                        raise TrainingError(f"non-finite loss at epoch {epoch}")
+                    grads = backward_through_time(net, tape, dstep)
+                    commit_norm_updates(net, tape)
+                    sgd_step(net, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
+                _check_params_finite(net, epoch)
+                losses.append(loss)
+            acc = evaluate_per_timestep(net, eval_images, eval_labels, cfg.t_train)
+            record = EpochRecord(
+                epoch=epoch,
+                lr=lr,
+                train_loss=float(np.mean(losses)),
+                eval_acc=tuple(float(a) for a in acc),
+                batch_hash=batch_hash,
+            )
+            log.records.append(record)
+            if progress is not None:
+                progress(record)
     return log

@@ -21,7 +21,8 @@ def reseal(tmp_path):
     passes the checksum."""
 
     def make(source=BENCH_CKPT, edit_header=None, edit_payload=None, raw_header=None):
-        body = open(source, "rb").read()[:-32]
+        with open(source, "rb") as fh:
+            body = fh.read()[:-32]
         (header_len,) = struct.unpack_from("<Q", body, 12)
         header = json.loads(body[20 : 20 + header_len])
         payload = body[20 + header_len :]
@@ -36,3 +37,21 @@ def reseal(tmp_path):
         return path
 
     return make
+
+
+INPUT_FORMS = ("list", "object", "ragged", "complex")
+
+
+def input_form(x, form):
+    """The float array x as a nested list, an object array, a ragged nested
+    list or a complex array: an entry point takes the list as
+    ``np.asarray(x.tolist())`` and rejects the others with DataFormatError."""
+    if form == "list":
+        return x.tolist()
+    if form == "object":
+        return x.astype(object)
+    if form == "complex":
+        return x.astype(complex)
+    ragged = x.tolist()
+    ragged[-1][0][-1] = ragged[-1][0][-1][:-1]  # one row of the last sample is short
+    return ragged

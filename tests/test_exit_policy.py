@@ -33,7 +33,7 @@ from dtsnn.network import (
     static_forward,
 )
 
-from conftest import BENCH_CKPT
+from conftest import BENCH_CKPT, INPUT_FORMS, input_form
 from oracles import normalized_entropy_reference, softmax_reference
 
 rng = np.random.default_rng(4242)
@@ -221,6 +221,19 @@ class TestDynamicInfer:
         with pytest.raises(DataFormatError, match="64 non-finite"):
             dynamic_infer(net, x, ExitPolicy(theta=0.5, t_max=4))
 
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_input_is_taken_as_an_array_of_real_numbers(self, form):
+        net = make_net(seed=5)
+        policy = ExitPolicy(theta=0.5, t_max=4)
+        x = input_form(rng.standard_normal((1, 1, 8, 8)).astype(np.float32), form)
+        if form != "list":
+            with pytest.raises(DataFormatError):
+                dynamic_infer(net, x, policy)
+            return
+        got, want = dynamic_infer(net, x, policy), dynamic_infer(net, np.asarray(x), policy)
+        assert got.chosen_t == want.chosen_t
+        npt.assert_array_equal(got.mean_logits, want.mean_logits)
+
     def test_rejects_policy_beyond_network_t_max(self):
         # theta 1.0 exits at t=1 on any input, so the check must come first.
         net = make_net(seed=5, t_max=4)
@@ -269,6 +282,18 @@ class TestScanWithEntropy:
         images[4, 0, 3, 3] = np.inf
         with pytest.raises(DataFormatError, match="1 non-finite"):
             scan_with_entropy(net, images, 4, batch_size=4)
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_images_are_taken_as_an_array_of_real_numbers(self, form):
+        net = make_net(seed=5)
+        images = input_form(rng.standard_normal((6, 1, 8, 8)).astype(np.float32), form)
+        if form != "list":
+            with pytest.raises(DataFormatError):
+                scan_with_entropy(net, images, 4)
+            return
+        got, want = scan_with_entropy(net, images, 4), scan_with_entropy(net, np.asarray(images), 4)
+        npt.assert_array_equal(got["entropy"], want["entropy"])
+        npt.assert_array_equal(got["mean_logits"], want["mean_logits"])
 
 
 TILING_N = 24
@@ -338,6 +363,22 @@ class TestThresholdSweep:
         rows, _ = threshold_sweep(net, images, labels, [0.0, 0.7], 4, cost_fn=cost_fn)
         for row in rows:
             assert row["edp"] == row["energy"] * row["latency"]
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_images_are_taken_as_an_array_of_real_numbers(self, form):
+        net = make_net(seed=2)
+        images = input_form(rng.standard_normal((8, 1, 8, 8)).astype(np.float32), form)
+        labels = rng.integers(0, 4, size=8).tolist()
+        if form != "list":
+            with pytest.raises(DataFormatError):
+                threshold_sweep(net, images, labels, [0.0, 0.5], 4)
+            return
+        got, _ = threshold_sweep(net, images, labels, [0.0, 0.5], 4)
+        want, _ = threshold_sweep(net, np.asarray(images), np.asarray(labels), [0.0, 0.5], 4)
+        for g, w in zip(got, want, strict=True):
+            assert g.keys() == w.keys()
+            for key in w:
+                npt.assert_array_equal(g[key], w[key])
 
     def test_empty_grid_raises(self):
         net = make_net(seed=2)

@@ -37,6 +37,7 @@ from dtsnn.training import (
     sgd_step,
 )
 
+from conftest import INPUT_FORMS, input_form
 from oracles import lif_sequence_reference
 
 rng = np.random.default_rng(7)
@@ -528,6 +529,20 @@ class TestScan:
         net.record_activity = True
         with pytest.raises(ValueError, match="requires a non-empty batch"):
             scan_timesteps(net, np.zeros((0, 1, 8, 8), np.float32), 2)
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_images_are_taken_as_an_array_of_real_numbers(self, form):
+        net = build_instance(tiny_conv_spec(), seed=11)
+        net.record_activity = True
+        x = rng.standard_normal((4, 1, 8, 8)).astype(np.float32)
+        images = input_form(x, form)
+        if form != "list":
+            with pytest.raises(DataFormatError):
+                scan_timesteps(net, images, 2)
+            return
+        got, want = scan_timesteps(net, images, 2), scan_timesteps(net, np.asarray(images), 2)
+        npt.assert_array_equal(got["mean_logits"], want["mean_logits"])
+        npt.assert_array_equal(got["activity"], want["activity"])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_error_in_last_tile_is_raised_and_blas_restored(self, workers, monkeypatch):

@@ -1,6 +1,11 @@
 """Losses, surrogate-gradient BPTT, and the SGD training loop."""
 
+import copy
 import math
+import os
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +28,7 @@ from dtsnn.network import (
     LifConfig,
     LifState,
     NetworkSpec,
+    Workspace,
     build_instance,
     forward_timestep,
     static_forward,
@@ -40,11 +46,13 @@ from dtsnn.training import (
     loss_per_timestep,
     loss_standard,
     running_means,
+    sgd_step,
     spike_ramp,
     surrogate_grad,
     train,
 )
 
+from conftest import INPUT_FORMS, input_form
 from oracles import cross_entropy_reference, finite_difference_grad, replicated_tape_grads
 
 rng = np.random.default_rng(99)
@@ -194,6 +202,30 @@ class TestLifBackward:
         di2 = g2 * sg(u2)
         di1 = g1 * sg(u1) + 0.5 * di2 * (1 - s1)
         npt.assert_allclose(d[:, 0, 0], [di1, di2], rtol=1e-12)
+
+    @pytest.mark.parametrize("block_bytes", [1, 700, kernels.BLOCK_BYTES])
+    @pytest.mark.parametrize("t_steps", [1, 4])
+    def test_in_place_and_step_sum_equal_the_plain_backward(self, t_steps, block_bytes,
+                                                            monkeypatch):
+        # backward_through_time writes over the gradient it receives and sums
+        # the first LIF layer's result over T inside the blocks; both must
+        # keep every bit of a new array and its sum(axis=0).
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        data = np.random.default_rng(t_steps)
+        currents = (data.standard_normal((t_steps, 7, 6, 6, 4)) * 1.5).astype(np.float32)
+        currents = currents.transpose(0, 1, 4, 2, 3)  # channels-last (T, B, C, H, W)
+        dspikes = data.standard_normal(currents.shape).astype(np.float32)
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        _, cache = lif_unroll(currents, cfg)
+        plain = lif_unroll_backward(dspikes, cache, cfg)
+        overwritten = dspikes.copy()
+        npt.assert_array_equal(lif_unroll_backward(overwritten, cache, cfg, out=overwritten),
+                               plain)
+        npt.assert_array_equal(overwritten, plain)
+        overwritten = dspikes.copy()
+        total = lif_unroll_backward(overwritten, cache, cfg, out=overwritten,
+                                    step_sum=np.empty_like(dspikes[0]))
+        npt.assert_array_equal(total, plain.sum(axis=0))
 
     def test_smooth_mode_matches_finite_differences(self):
         cfg = LifConfig(tau=0.7, v_th=1.0)
@@ -436,6 +468,41 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="t_max"):
             train(net, images, labels, images, labels, cfg)
 
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_evaluate_takes_an_array_of_real_numbers(self, form):
+        images, labels = separable_blobs(8)
+        net = build_instance(self.small_spec(), seed=0)
+        given = input_form(images, form)
+        if form != "list":
+            with pytest.raises(DataFormatError):
+                evaluate_per_timestep(net, given, labels.tolist(), 2)
+            return
+        npt.assert_array_equal(evaluate_per_timestep(net, given, labels.tolist(), 2),
+                               evaluate_per_timestep(net, np.asarray(given), labels, 2))
+
+    @pytest.mark.parametrize("split", ["training", "evaluation"])
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_train_takes_splits_of_real_numbers(self, split, form, monkeypatch):
+        images, labels = separable_blobs(8)
+        given = (input_form(images, form), labels.tolist())
+        as_array = (np.asarray(images.tolist()), labels)
+        splits = given + as_array if split == "training" else as_array + given
+        cfg = TrainConfig(epochs=1, batch_size=8, lr0=0.05, t_train=2, seed=0)
+        net = build_instance(self.small_spec(), seed=0)
+        if form != "list":
+            steps = []
+            monkeypatch.setattr(training, "forward_with_tape", lambda *a, **kw: steps.append(a))
+            with pytest.raises(DataFormatError):
+                train(net, *splits, cfg)
+            assert steps == []  # both splits are checked before the first step
+            return
+        ref = build_instance(self.small_spec(), seed=0)
+        got, want = train(net, *splits, cfg), train(ref, *as_array, *as_array, cfg)
+        assert got.csv_rows() == want.csv_rows()
+        for p, q in zip(net.params, ref.params, strict=True):
+            for name in p or {}:
+                npt.assert_array_equal(p[name], q[name])
+
 
 class TestStackedForwardAgainstStepwise:
     def test_mean_logits_agree_between_implementations(self):
@@ -472,7 +539,8 @@ class TestStackedForwardAgainstStepwise:
 
 
 def stem_specs():
-    """The mnist.yaml model, a stem of conv -> norm -> pool, and an empty stem."""
+    """The mnist.yaml model, a stem of conv -> norm -> pool, an empty stem,
+    and layers fed by a LIF layer."""
     mnist = parse_config(Path(__file__).resolve().parents[1] / "configs" / "mnist.yaml")
     stem_pool = NetworkSpec(
         input_shape=(2, 8, 8),
@@ -504,13 +572,32 @@ def stem_specs():
         ),
         lif=LifConfig(tau=0.5, v_th=0.5),
     )
-    return {"mnist": mnist.network, "stem_pool": stem_pool, "lif_first": lif_first}
+    # A norm and a LIF layer right after a LIF layer: their input is the
+    # spikes the tape holds, which the training path must not write over.
+    after_lif = NetworkSpec(
+        input_shape=(2, 6, 6),
+        num_classes=3,
+        t_max=4,
+        layers=(
+            LayerSpec("conv", out_channels=3, kernel=3, stride=1, padding=1),
+            LayerSpec("norm"),
+            LayerSpec("lif"),
+            LayerSpec("norm"),
+            LayerSpec("lif", v_th=1.2),  # fires on fewer inputs than the first
+            LayerSpec("lif", v_th=1.5),
+            LayerSpec("pool", window=2),
+            LayerSpec("classifier"),
+        ),
+        lif=LifConfig(tau=0.5, v_th=0.5),
+    )
+    return {"mnist": mnist.network, "stem_pool": stem_pool, "lif_first": lif_first,
+            "after_lif": after_lif}
 
 
 class TestStemRouteAgainstReplicatedOracle:
     # forward_with_tape runs the stem on B rows and backward_through_time sums
     # over T at the first LIF; the oracle replicates every layer over T*B rows.
-    @pytest.mark.parametrize("name", ["mnist", "stem_pool", "lif_first"])
+    @pytest.mark.parametrize("name", ["mnist", "stem_pool", "lif_first", "after_lif"])
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
     def test_logits_grads_and_running_stats_match(self, name, dtype, rtol):
         spec = stem_specs()[name]
@@ -568,21 +655,27 @@ def row_parallel_spec():
     )
 
 
-def one_training_step(batch, t_steps, dtype, smooth, loss_mode, seed):
-    """forward_with_tape -> loss_and_grad -> backward_through_time ->
-    commit_norm_updates on a fresh instance; returns what each produced."""
+def training_steps(batches, t_steps, dtype, smooth, loss_mode, seed, workspace=None):
+    """One forward_with_tape -> loss_and_grad -> backward_through_time ->
+    commit_norm_updates -> sgd_step per batch size, on one fresh instance,
+    the tapes drawn from ``workspace``; returns copies of what each step
+    produced."""
     net = build_instance(row_parallel_spec(), seed=seed, dtype=dtype)
     net.smooth_spikes = smooth
     data = np.random.default_rng(seed)
-    x = (data.standard_normal((batch, 1, 8, 8)) * 1.5).astype(dtype)
-    labels = data.integers(0, 3, size=batch)
-    step_logits, tape = forward_with_tape(net, x, t_steps)
-    loss, dstep = loss_and_grad(step_logits, labels, loss_mode)
-    grads = backward_through_time(net, tape, dstep)
-    commit_norm_updates(net, tape)
-    norms = {i: net.params[i] for i in tape["norm_updates"]}
-    lif_caches = [cache[2] for cache in tape["caches"] if cache[0] == "lif"]
-    return loss, step_logits, grads, norms, lif_caches
+    velocities, steps = {}, []
+    for batch in batches:
+        x = (data.standard_normal((batch, 1, 8, 8)) * 1.5).astype(dtype)
+        labels = data.integers(0, 3, size=batch)
+        step_logits, tape = forward_with_tape(net, x, t_steps, workspace=workspace)
+        loss, dstep = loss_and_grad(step_logits, labels, loss_mode)
+        grads = backward_through_time(net, tape, dstep)
+        commit_norm_updates(net, tape)
+        norms = {i: net.params[i] for i in tape["norm_updates"]}
+        lif_caches = [cache[2] for cache in tape["caches"] if cache[0] == "lif"]
+        steps.append(copy.deepcopy((loss, step_logits, grads, norms, lif_caches)))
+        sgd_step(net, grads, velocities, lr=0.1, momentum=0.9, weight_decay=5e-4)
+    return steps
 
 
 def assert_steps_equal(got, want):
@@ -603,25 +696,30 @@ def assert_steps_equal(got, want):
 
 class TestRowParallelStep:
     """A training step splits its kernels' rows into blocks across workers;
-    the result does not depend on the worker count."""
+    the result does not depend on the worker count, nor on whether its
+    arrays are new or a workspace's, overwritten from the step before."""
 
     # Per sample the first conv unfolds 2.3 KB and its LIF layer holds 1 KB
-    # (float32): budgets from one row per block to one block per batch.
+    # (float32): budgets from one row per block to one block per batch.  The
+    # second step's batch may be smaller: it takes a prefix of the buffers.
     @settings(max_examples=30, deadline=None)
-    @given(batch=st.integers(1, 13), t_steps=st.integers(1, 4),
+    @given(batch=st.integers(1, 13), batch2=st.integers(1, 13), t_steps=st.integers(1, 4),
            block_bytes=st.sampled_from([1, 700, 2500, 5000, kernels.BLOCK_BYTES]),
            dtype=st.sampled_from([np.float32, np.float64]), smooth=st.booleans(),
            loss_mode=st.sampled_from(["standard", "per_timestep"]))
-    def test_step_is_bit_identical_for_any_worker_count(self, batch, t_steps, block_bytes,
-                                                        dtype, smooth, loss_mode):
-        steps = []
+    def test_step_is_bit_identical_for_any_worker_count(self, batch, batch2, t_steps,
+                                                        block_bytes, dtype, smooth, loss_mode):
+        runs = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "BLOCK_BYTES", block_bytes)
             for workers in (1, 2, 3):
                 mp.setattr(kernels, "_scan_workers", lambda: workers)
-                steps.append(one_training_step(batch, t_steps, dtype, smooth, loss_mode, seed=5))
-        for got in steps[1:]:
-            assert_steps_equal(got, steps[0])
+                for workspace in (None, Workspace()):
+                    runs.append(training_steps((batch, batch2), t_steps, dtype, smooth,
+                                               loss_mode, seed=5, workspace=workspace))
+        for got in runs[1:]:
+            for got_step, want_step in zip(got, runs[0], strict=True):
+                assert_steps_equal(got_step, want_step)
 
     @settings(max_examples=30, deadline=None)
     @given(batch=st.integers(1, 13), block_bytes=st.sampled_from([1, 300, 700, 2500]),
@@ -658,3 +756,113 @@ class TestRowParallelStep:
             blocked = run()
         for got, want in zip(blocked, whole, strict=True):
             npt.assert_array_equal(got, want)
+
+
+def tape_arrays(obj):
+    """Every array held by a tape, a cache entry or a gradient dict."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in tape_arrays(item)]
+    return []
+
+
+class TestWorkspace:
+    """`train` draws every step's tape and input gradients from the
+    instance's workspace, shared with its clones; direct tape callers get
+    new arrays."""
+
+    def batch(self, spec, n):
+        data = np.random.default_rng(2)
+        x = data.standard_normal((n,) + spec.input_shape).astype(np.float32)
+        return x, data.integers(0, spec.num_classes, n)
+
+    def test_later_calls_and_clones_allocate_a_fraction_of_the_first(self):
+        # The first call allocates the workspace, about one step's arrays and
+        # most of the call's peak.  A second call on the instance, and a first
+        # call on a new clone of it, draw those arrays from it: each must peak
+        # (above what was allocated before it) below a quarter of the first
+        # call's peak.  At the bench's B=128, T=4 they peak near a twelfth.
+        spec = stem_specs()["mnist"]
+        x, y = self.batch(spec, 32)
+        cfg = TrainConfig(epochs=1, batch_size=32, t_train=4, seed=0)
+        net = build_instance(spec, seed=1)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for inst in (net, net, net.clone_state()):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                train(inst, x, y, x[:4], y[:4], cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 4, peaks
+        assert peaks[2] < peaks[0] / 4, peaks
+
+    def test_direct_tape_and_gradients_survive_later_training(self):
+        spec = row_parallel_spec()
+        x, y = self.batch(spec, 9)
+        net = build_instance(spec, seed=3)
+        logits, tape = forward_with_tape(net, x, 3)
+        loss, dstep = loss_and_grad(logits, y, "per_timestep")
+        grads = backward_through_time(net, tape, dstep)
+        held = [logits, dstep] + tape_arrays(tape) + tape_arrays(grads)
+        before = [a.copy() for a in held]
+        cfg = TrainConfig(epochs=2, batch_size=9, lr0=0.05, t_train=3, seed=0)
+        train(net, x, y, x, y, cfg)
+        for a, b in zip(held, before, strict=True):
+            npt.assert_array_equal(a, b)
+
+    def test_concurrent_calls_on_clones_match_a_lone_call(self):
+        # More threads than cores, each training its own clone (own params,
+        # shared workspace) at a short switch interval: one call holds the
+        # workspace, the others run on new arrays, and every result equals
+        # a call made alone.
+        spec = row_parallel_spec()
+        x, y = self.batch(spec, 16)
+        cfg = TrainConfig(epochs=3, batch_size=4, lr0=0.05, t_train=3, seed=0)
+        source = build_instance(spec, seed=3)
+        alone = source.clone_state()
+        alone.params = copy.deepcopy(source.params)
+        want = train(alone, x, y, x[:4], y[:4], cfg).csv_rows()
+        clones = [source.clone_state() for _ in range(len(os.sched_getaffinity(0)) + 2)]
+        results = [None] * len(clones)
+
+        def run(k):
+            clones[k].params = copy.deepcopy(source.params)
+            results[k] = train(clones[k], x, y, x[:4], y[:4], cfg).csv_rows()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(clones))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * len(clones)
+        for clone in clones:
+            for p, q in zip(clone.params, alone.params, strict=True):
+                for name in p or {}:
+                    npt.assert_array_equal(p[name], q[name])
+
+    def test_a_call_finding_the_workspace_held_runs_on_new_arrays(self):
+        spec = row_parallel_spec()
+        x, y = self.batch(spec, 9)
+        cfg = TrainConfig(epochs=2, batch_size=4, lr0=0.05, t_train=3, seed=0)
+        net, ref = (build_instance(spec, seed=3) for _ in range(2))
+        with net.workspace.take() as held:
+            with net.workspace.take() as again:
+                assert held is net.workspace and again is None
+            got = train(net.clone_state(), x, y, x, y, cfg)
+            assert held._buffers == {}  # the clone's steps drew nothing from it
+        assert got.csv_rows() == train(ref, x, y, x, y, cfg).csv_rows()
+        for p, q in zip(net.params, ref.params, strict=True):
+            for name in p or {}:
+                npt.assert_array_equal(p[name], q[name])
