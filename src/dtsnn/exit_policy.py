@@ -12,6 +12,7 @@ convention holds in floating point.
 """
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,15 +45,16 @@ class ExitTrace:
 
 
 def softmax(logits):
-    """Row-wise softmax with max subtraction, computed in float64."""
-    z = np.asarray(logits, dtype=np.float64)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[None, :]
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[0] if squeeze else p
+    """Row-wise softmax with max subtraction, computed in float64.
+
+    Works in one new array with direct ufunc calls: at batch 1 the call
+    overhead, not the ten-element row, is the cost.
+    """
+    z = np.array(logits, dtype=np.float64)
+    np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=z)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def normalized_entropy(pi, num_classes):
@@ -70,9 +72,16 @@ def normalized_entropy(pi, num_classes):
 
 def _entropy_rows(probs):
     """Normalized entropy of each row of a (N, K) probability matrix."""
-    k = probs.shape[1]
-    logs = np.log(np.maximum(probs, 1e-12))
-    return -(probs * logs).sum(axis=1) / np.log(k)
+    terms = np.maximum(probs, 1e-12)
+    np.log(terms, out=terms)
+    terms *= probs
+    return -np.add.reduce(terms, axis=1) / _log_classes(probs.shape[1])
+
+
+@functools.cache
+def _log_classes(k):
+    """np.log(k), the entropy of k equally likely classes."""
+    return np.log(k)
 
 
 def should_exit(entropy, policy):

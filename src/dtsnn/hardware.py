@@ -307,12 +307,11 @@ def perturbed_instance(net, sigma_over_mu, seed):
     """Clone an instance with device-variation noise on its mapped weights.
 
     Only crossbar-resident weight matrices ("w") are perturbed; biases and
-    normalization parameters live in digital logic and stay exact.  Every
-    parameter dict is copied, so training the clone leaves the source's
-    parameters untouched.
+    normalization parameters live in digital logic and stay exact.  The
+    clone's parameter dicts are its own (`clone_state`), so neither the noise
+    nor training the clone touches the source's parameters.
     """
     clone = net.clone_state()
-    clone.params = [None if p is None else dict(p) for p in net.params]
     for i, p in enumerate(clone.params):
         if p is not None and "w" in p:
             p["w"] = apply_device_variation(p["w"], sigma_over_mu, seed + i)

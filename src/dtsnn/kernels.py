@@ -12,9 +12,11 @@ Shapes are NCHW (images) and NF (features); memory is channels-last.  Every
 strides, but are fast on that one:
 
 - convolution unfolds windows in (kh, kw, C) column order, so each row of the
-  unfolded matrix is kh runs of kw*C contiguous values; `_weight_matrix`
-  orders the weights' columns the same way, for free on (C_out, kh, kw, C_in)
-  memory (the inference plan's); gradients keep the weights' shape, C order;
+  unfolded matrix is kh runs of kw*C contiguous values (a single-channel
+  input, the network's raw images, is unfolded plane by plane into the
+  transpose of a K-major matrix instead); `_weight_matrix` orders the
+  weights' columns the same way, for free on (C_out, kh, kw, C_in) memory
+  (the inference plan's); gradients keep the weights' shape, C order;
 - `conv2d`, the weight gradient and the stride-1 input gradient (a `conv2d`
   call) never hold a whole batch's unfolded matrix: they unfold and multiply
   blocks of batch samples of about BLOCK_BYTES each.  A block is still in
@@ -91,26 +93,48 @@ class ConvParams:
 def _im2col(x, kh, kw, stride, padding):
     """Unfold sliding windows of x (N,C,H,W) into rows (N*Ho*Wo, kh*kw*C).
 
-    Columns are in (kh, kw, C) order.  x is copied once, channels-last, into
-    a zero-padded (N, H+2p, W+2p, C) buffer; without padding its own strides
-    are used.
+    Columns are in (kh, kw, C) order.  With several channels x is copied
+    once, channels-last, into a zero-padded (N, H+2p, W+2p, C) buffer and
+    its windows into a C-order matrix, whose rows are kh runs of kw*C
+    values.  A single channel (the network's raw images) is unfolded plane
+    by plane (`planes`) instead: copied into a zero-padded (N, 1, H+2p,
+    W+2p) buffer, whose windows fill a K-major (kh*kw, N*Ho*Wo) matrix in
+    runs of Wo values; the result is that matrix's transpose, which a GEMM
+    reads without a copy.  Without padding x's own strides are used.
+
+    Several channels keep the C-order matrix whatever x's memory order:
+    OpenBLAS rounds a GEMM that reads a long (K of 36 and more in float32)
+    matrix transposed differently, and an NCHW input must give the bits of
+    its channels-last copy.
     """
+    return _unfold(x, kh, kw, stride, padding, planes=x.shape[1] == 1)
+
+
+def _unfold(x, kh, kw, stride, padding, planes):
+    """`_im2col`, plane by plane or channels-last (any number of channels):
+    the same matrix values either way."""
     n, c, h, w = x.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    x = x.transpose(0, 2, 3, 1)
+    mem = None
     if padding > 0:
-        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
-        xp[:, padding : padding + h, padding : padding + w] = x
+        hp, wp = h + 2 * padding, w + 2 * padding
+        mem = np.zeros((n, c, hp, wp) if planes else (n, hp, wp, c), dtype=x.dtype)
+        xp = mem if planes else mem.transpose(0, 3, 1, 2)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
         x = xp
-    sn, sh, sw, sc = x.strides
-    windows = as_strided(
-        x,
-        shape=(n, ho, wo, kh, kw, c),
-        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-    )
-    cols = np.ascontiguousarray(windows).reshape(n * ho * wo, kh * kw * c)
-    return cols, ho, wo
+    sn, sc, sh, sw = x.strides
+    if planes:
+        shape, strides = (kh, kw, c, n, ho, wo), (sh, sw, sc, sn, sh * stride, sw * stride)
+    else:
+        shape, strides = (n, ho, wo, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc)
+    # A view built on the buffer it owns costs a fraction of as_strided.
+    windows = as_strided(x, shape, strides) if mem is None else \
+        np.ndarray(shape, x.dtype, mem, 0, strides)
+    cols = np.ascontiguousarray(windows)
+    if planes:
+        return cols.reshape(kh * kw * c, n * ho * wo).T, ho, wo
+    return cols.reshape(n * ho * wo, kh * kw * c), ho, wo
 
 
 def _weight_matrix(weights):

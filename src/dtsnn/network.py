@@ -9,14 +9,14 @@ the prediction is the running mean of those accumulated logits.
 inference (`forward_timestep`) runs one timestep per call, training
 (`training.forward_with_tape`) runs T timesteps stacked in the batch axis.
 
-The stem -- the layers before the first LIF layer (`first_lif`) -- sees the
-same input at every timestep, so its output does not depend on t.  It runs
-on the B input rows and the first LIF layer broadcasts it over T.
-`forward_timestep` computes it once per input and caches it on the instance,
-keyed on the identity of the input array: the cache is reused while the same
-array object is passed and is dropped by `reset_states`.  A caller that
-mutates an input array in place between timesteps must call `reset_states`
-first.
+The stem -- the layers before the first LIF layer (`NetworkSpec.first_lif`)
+-- sees the same input at every timestep, so its output does not depend on
+t.  It runs on the B input rows and the first LIF layer broadcasts it over
+T.  `forward_timestep` computes it once per input and caches it on the
+instance, keyed on the identity of the input array: the cache is reused
+while the same array object is passed and is dropped by `reset_states`.  A
+caller that mutates an input array in place between timesteps must call
+`reset_states` first.
 
 Without a tape, `run_layers` runs on `inference_params`: eval norms folded
 into the conv / fc before them, rebuilt whenever a parameter array is
@@ -109,21 +109,21 @@ def lif_unroll(currents, cfg, smooth=False, state=None, out=None):
     (`kernels.run_row_blocks`), each through all T steps, from rest on
     potentials of its own.
     """
-    t_steps = currents.shape[0]
+    t_steps, batch = currents.shape[:2]
+    step = currents[0]
     if state is None:
         u = None
         if out is None:
-            out = (_empty_steps(currents[0], t_steps), _empty_steps(currents[0], t_steps))
+            out = (_empty_steps(step, t_steps), _empty_steps(step, t_steps))
         u_pre, spikes = out
-    elif currents.shape[1:] != state.u.shape:
+    elif step.shape != state.u.shape:
         raise ShapeError(
-            f"input current shape {currents.shape[1:]} does not match "
+            f"input current shape {step.shape} does not match "
             f"membrane shape {state.u.shape}"
         )
     else:
-        u, u_pre, spikes = state.u, None, _empty_steps(currents[0], t_steps)
-    batch = currents.shape[1]
-    row_bytes = currents[0].nbytes // max(1, batch)
+        u, u_pre, spikes = state.u, None, _empty_steps(step, t_steps)
+    row_bytes = step.nbytes // max(1, batch)
     if batch <= kernels.block_rows(row_bytes):
         _lif_rows(currents, cfg, smooth, u, u_pre, spikes)
     else:
@@ -260,6 +260,12 @@ class NetworkSpec:
             cur = out
         return tuple(plan)
 
+    @cached_property
+    def first_lif(self):
+        """Index of the first LIF layer; layers before it form the stem, whose
+        output is the same at every timestep under direct encoding."""
+        return next(i for i, layer in enumerate(self.layers) if layer.kind == "lif")
+
     def lif_config_for(self, layer):
         tau = layer.tau if layer.tau else self.lif.tau
         v_th = layer.v_th if layer.v_th else self.lif.v_th
@@ -275,12 +281,6 @@ class NetworkSpec:
             stride=layer.stride,
             padding=layer.padding,
         )
-
-
-def first_lif(spec):
-    """Index of the first LIF layer; layers before it form the stem, whose
-    output is the same at every timestep under direct encoding."""
-    return next(i for i, layer in enumerate(spec.layers) if layer.kind == "lif")
 
 
 def as_images(x):
@@ -363,7 +363,8 @@ class SnnInstance:
     """A NetworkSpec bound to weights plus the mutable inference state.
 
     ``stem`` caches ``(input, stem output, stem activity counts)`` for the
-    input array last passed to `forward_timestep`.  It lives until
+    input array last passed to `forward_timestep`; the counts are None when
+    it was computed without ``record_activity``.  It lives until
     `reset_states`, until a different array object is passed or until
     ``inference_plan`` (see `inference_params`) is rebuilt; instances from
     `clone_state` start without it.
@@ -382,11 +383,15 @@ class SnnInstance:
     workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     def clone_state(self):
-        """New instance sharing weights, their inference plan, the training
-        workspace and the firing mode, with fresh inference state."""
+        """New instance sharing the weight arrays, their inference plan, the
+        training workspace and the firing mode, with fresh inference state.
+
+        The clone has its own parameter list and dicts over the same
+        (read-only once the plan is built) arrays, so replacing an entry, as
+        training does, leaves the source alone."""
         return SnnInstance(
             spec=self.spec,
-            params=self.params,
+            params=[None if p is None else dict(p) for p in self.params],
             record_activity=self.record_activity,
             smooth_spikes=self.smooth_spikes,
             inference_plan=self.inference_plan,
@@ -469,7 +474,9 @@ def _count_inputs(h, analog):
     if analog:
         return np.full(h.shape[0], np.prod(h.shape[1:]), dtype=np.float64)
     if h.shape[0] == 1:  # numpy's per-axis count costs several us more
-        return np.array([np.count_nonzero(h)], dtype=np.float64)
+        # counted in memory order: a count over a channels-last view's
+        # strides costs about twice as much
+        return np.array([np.count_nonzero(h.ravel(order="K"))], dtype=np.float64)
     return np.count_nonzero(h, axis=tuple(range(1, h.ndim))).astype(np.float64)
 
 
@@ -488,48 +495,52 @@ def forward_timestep(net, x):
         raise ShapeError(
             f"input shape {x.shape[1:]} does not match network input {spec.input_shape}"
         )
-    s = first_lif(spec)
-    inference_params(net)  # a rebuilt plan drops the stem computed on old weights
-    if net.stem is None or net.stem[0] is not x:
+    s = spec.first_lif
+    params = inference_params(net)  # a rebuilt plan drops the stem computed on old weights
+    record = net.record_activity
+    if net.stem is None or net.stem[0] is not x or (record and net.stem[2] is None):
         check_finite(x)
-        stem_counts = []
-        net.stem = (x, run_layers(net, x, range(s), counts=stem_counts), stem_counts)
+        stem_counts = [] if record else None
+        net.stem = (x, run_layers(net, x, range(s), counts=stem_counts, params=params), stem_counts)
     _, h, stem_counts = net.stem
-    step_counts = list(stem_counts) if net.record_activity else None
-    h = run_layers(net, h, range(s, len(spec.layers)), counts=step_counts)
+    step_counts = list(stem_counts) if record else None
+    h = run_layers(net, h, range(s, len(spec.layers)), counts=step_counts, params=params)
     if net.accumulated_logits is None:
         net.accumulated_logits = np.zeros_like(h)
-    net.accumulated_logits = net.accumulated_logits + h
+    net.accumulated_logits += h
     net.t += 1
-    if net.record_activity:
-        net.activity.append(np.stack(step_counts, axis=1))  # (N, mapped layers)
+    if step_counts is not None:
+        net.activity.append(np.array(step_counts).T)  # (N, mapped layers)
     return h
 
 
-def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
+def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=None):
     """Apply the layers at ``indices`` to h, the B rows entering the first.
 
     Rows are t_steps timestep-major blocks of B rows from the first LIF on.
     ``counts``, when a list, receives the per-sample input count of every
-    weighted layer.  Without a tape layers run on `inference_params`, unfolded
-    norms use running statistics and LIF layers continue from
-    ``net.lif_states``; with one, LIF layers start from rest, every layer
-    appends its cache to ``tape["caches"]``, and if ``tape["train"]`` norms
-    propose updates in ``tape["norm_updates"]``.  A tape's conv, train-mode
-    norm, LIF and pool outputs come from ``tape["workspace"]`` (a new
-    `Workspace` when it is None), keyed by layer index, and a train-mode
-    norm or a LIF layer writes its output over an input that no tape entry
-    holds.
+    weighted layer.  Without a tape the pass is one timestep (t_steps 1):
+    layers run on ``params``, by default `inference_params`, unfolded norms
+    use running statistics and LIF layers continue from ``net.lif_states``.
+    With one, LIF layers start from rest, every layer appends its cache to
+    ``tape["caches"]``, and if ``tape["train"]`` norms propose updates in
+    ``tape["norm_updates"]``.  A tape's conv, train-mode norm, LIF and pool
+    outputs come from ``tape["workspace"]`` (a new `Workspace` when it is
+    None), keyed by layer index, and a train-mode norm or a LIF layer writes
+    its output over an input that no tape entry holds.
     """
     spec = net.spec
-    s = first_lif(spec)
+    layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
     batch = h.shape[0]
-    record = tape["caches"].append if tape is not None else lambda cache: None
-    params = net.params if tape is not None else inference_params(net)
-    ws = None if tape is None else tape["workspace"] or Workspace()
+    if tape is None:
+        ws = None
+        if params is None:
+            params = inference_params(net)
+    else:
+        params, ws, record = net.params, tape["workspace"] or Workspace(), tape["caches"].append
     owned = False  # with a tape: h is this pass's own array and no tape entry holds it
     for i in indices:
-        layer, par, plan = spec.layers[i], params[i], spec.layer_plan[i]
+        layer, par, plan = layers[i], params[i], plans[i]
         kind, cfg = layer.kind, plan.config
         if counts is not None and plan.weight_shape is not None:
             counts.append(_count_inputs(h, analog=i < s))
@@ -539,11 +550,12 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
             y = conv2d(h, par["w"], cfg, out)
             if "b" in par:
                 y += par["b"].reshape(1, -1, 1, 1)
-            record((kind, cfg, h))
+            if ws is not None:
+                record((kind, cfg, h))
             h = y
         elif kind == "norm":
             cache = None
-            if tape is not None and tape["train"]:
+            if ws is not None and tape["train"]:
                 repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
                 xhat = ws.empty_like((i, "xhat"), h, dtype=np.result_type(h, 1.0))
                 dtype = np.result_type(xhat, par["gamma"])
@@ -552,33 +564,36 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None):
                     h, par, repeats, (xhat, y))
             elif par is not None:  # None: folded into the layer before
                 h = batch_norm(h, par)
-            record((kind, cache))
-        elif kind == "lif":
-            state = None if tape is not None else net.lif_states.get(i)
-            if tape is None and (state is None or state.u.shape != h.shape):
+            if ws is not None:
+                record((kind, cache))
+        elif kind == "lif" and ws is None:  # one step, from the instance's potentials
+            state = net.lif_states.get(i)
+            if state is None or state.u.shape != h.shape:
                 if state is not None:
                     raise StateError("batch size changed mid-inference; call reset_states first")
                 state = net.lif_states[i] = LifState(np.zeros_like(h))
+            h = lif_unroll(h[None], cfg, net.smooth_spikes, state)[0][0]
+        elif kind == "lif":
             h = h.reshape((-1, batch) + h.shape[1:])
-            out = None
-            if ws is not None:
-                in_place = owned and len(h) == t_steps  # not the stem's broadcast rows
-                out = (_empty_steps(h[0], t_steps, ws, (i, "u_pre")),
-                       h if in_place else _empty_steps(h[0], t_steps, ws, (i, "spikes")))
+            in_place = owned and len(h) == t_steps  # not the stem's broadcast rows
+            out = (_empty_steps(h[0], t_steps, ws, (i, "u_pre")),
+                   h if in_place else _empty_steps(h[0], t_steps, ws, (i, "spikes")))
             if len(h) < t_steps:  # the stem's rows, the same at every step
                 h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
-            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, state, out)
+            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, None, out)
             record((kind, cfg, cache))
             h = spikes.reshape((-1,) + spikes.shape[2:])
         elif kind == "pool":
-            record((kind, layer.window))
             w = layer.window
-            out = None if ws is None else ws.empty_like(
-                (i, "y"), h[:, :, ::w, ::w], dtype=np.result_type(h, 1.0))
+            out = None
+            if ws is not None:
+                record((kind, w))
+                out = ws.empty_like((i, "y"), h[:, :, ::w, ::w], dtype=np.result_type(h, 1.0))
             h = avg_pool2d(h, w, out)
         else:  # fc / classifier
             h, shape = h.reshape(h.shape[0], -1), h.shape
-            record((kind, h, shape))
+            if ws is not None:
+                record((kind, h, shape))
             h = fully_connected(h, par["w"], par["b"])
         owned = kind != "lif"  # a LIF layer's tape entry holds its spikes
     return h

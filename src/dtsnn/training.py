@@ -45,7 +45,6 @@ from .network import (
     Workspace,
     as_images,
     check_finite,
-    first_lif,
     lif_unroll,
     run_layers,
     scan_timesteps,
@@ -233,7 +232,7 @@ def backward_through_time(net, tape, dstep_logits):
         raise StateError(
             f"tape recorded {tape['t']} timesteps but gradient has {t_steps}"
         )
-    s = first_lif(spec)
+    s = spec.first_lif
     first_param = next(i for i, p in enumerate(net.params) if p is not None)
     ws = tape["workspace"] or Workspace()
     g = dstep_logits.reshape(t_steps * batch, k)
@@ -343,9 +342,15 @@ def evaluate_per_timestep(net, images, labels, t_steps, batch_size=512):
     """Accuracy of the running-mean prediction after each timestep.
 
     Runs `scan_timesteps`, whose cache-sized tiles ``batch_size`` only caps
-    and which rejects an empty batch.
+    and which rejects an empty batch, with ``net.record_activity`` off: only
+    the predictions are read.  The flag is restored afterwards.
     """
-    scan = scan_timesteps(net, images, t_steps, batch_size=batch_size)
+    record = net.record_activity
+    net.record_activity = False
+    try:
+        scan = scan_timesteps(net, images, t_steps, batch_size=batch_size)
+    finally:
+        net.record_activity = record
     preds = scan["mean_logits"].argmax(axis=2)  # (N, T)
     return (preds == np.asarray(labels).reshape(-1, 1)).mean(axis=0)
 

@@ -38,6 +38,27 @@ def conv2d_reference(x, w, stride, padding):
     return y
 
 
+def conv2d_weight_grad_reference(dy, x, kh, kw, stride, padding):
+    """Seven-nested-loop gradient of the 2-d cross-correlation w.r.t. its
+    (C_out, C_in, kh, kw) weights, given the output gradient dy."""
+    n, cin, h, wd = x.shape
+    cout, ho, wo = dy.shape[1:]
+    xp = np.zeros((n, cin, h + 2 * padding, wd + 2 * padding), dtype=np.float64)
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    dw = np.zeros((cout, cin, kh, kw), dtype=np.float64)
+    for oc in range(cout):
+        for ic in range(cin):
+            for ki in range(kh):
+                for kj in range(kw):
+                    acc = 0.0
+                    for b in range(n):
+                        for i in range(ho):
+                            for j in range(wo):
+                                acc += dy[b, oc, i, j] * xp[b, ic, i * stride + ki, j * stride + kj]
+                    dw[oc, ic, ki, kj] = acc
+    return dw
+
+
 def fully_connected_reference(x, w, b):
     """Double-loop dot products: y[n, o] = sum_i x[n, i] * w[o, i] + b[o]."""
     n, fin = x.shape

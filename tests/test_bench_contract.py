@@ -57,6 +57,48 @@ def traced():
     return tracer, parents
 
 
+def test_traced_batch_one_request_books_every_kernel_under_its_caller():
+    # The `dynamic` workload's request path.  A fast path that called a
+    # kernel other than through the module attribute the tracer patches
+    # would silently zero that kernel's per-layer figure.
+    spec = NetworkSpec(
+        input_shape=(1, 6, 6),
+        num_classes=3,
+        t_max=2,
+        layers=(
+            LayerSpec("conv", out_channels=2),
+            LayerSpec("norm"),  # folded into the conv: eval batch_norm does not run
+            LayerSpec("lif"),
+            LayerSpec("pool", window=2),
+            LayerSpec("conv", out_channels=2),
+            LayerSpec("lif"),
+            LayerSpec("classifier"),
+        ),
+    )
+    net = build_instance(spec, seed=0)
+    net.record_activity = True
+    x = np.random.default_rng(1).standard_normal((1, 6, 6)).astype(np.float32)
+    policy = dtsnn.exit_policy.ExitPolicy(theta=0.0, t_max=2)  # runs every step
+    tracer = tracing.Tracer("run")
+    try:
+        tracer.install(dtsnn)
+        trace = dtsnn.exit_policy.dynamic_infer(net, x, policy)
+    finally:
+        tracer.unpatch()
+    assert trace.chosen_t == 2
+    fields = np.asarray(tracer.spans).reshape(-1, tracing.SPAN_FIELDS)
+    name_of = {int(span[0]): tracer.names[int(span[1])] for span in fields}
+    parents = {(tracer.names[int(span[1])], name_of.get(int(span[4]))) for span in fields}
+    under_step = {name for name, parent in parents if parent == "network.forward_timestep"}
+    assert under_step >= {"kernels.conv2d", "kernels.avg_pool2d", "kernels.fully_connected"}
+    assert ("network.forward_timestep", "exit_policy.dynamic_infer") in parents
+    assert ("exit_policy.entropy", "exit_policy.dynamic_infer") in parents
+    assert tracer.calls["exit_policy.entropy"] == 2 * 2  # softmax and _entropy_rows a step
+    assert tracer.calls["network.forward_timestep"] == 2
+    assert tracer.calls["kernels.fully_connected"] == 2
+    assert tracer.counts["conv2d_mac"] > 0
+
+
 def test_tracer_installs_and_sees_conv_from_both_engines(traced):
     _, parents = traced
     conv_parents = {parent for name, parent in parents if name == "kernels.conv2d"}

@@ -30,6 +30,7 @@ from dtsnn.network import LifConfig, lif_unroll
 from oracles import (
     avg_pool2d_reference,
     conv2d_reference,
+    conv2d_weight_grad_reference,
     fully_connected_reference,
 )
 
@@ -190,6 +191,88 @@ class TestConv2d:
                 lm = float((conv2d(x, w, params) * proj).sum())
                 arr[idx] = orig
                 npt.assert_allclose(grad[idx], (lp - lm) / (2 * eps), rtol=1e-5, atol=1e-7)
+
+
+# (C_in, kh, kw, stride, padding): one to three channels, a non-square kernel
+PLANE_CASES = [(c, kh, kw, stride, padding) for c in (1, 2, 3) for kh, kw in ((3, 3), (2, 3))
+               for stride in (1, 2) for padding in (0, 1, 2)]
+SINGLE_CHANNEL_CASES = [case[1:] for case in PLANE_CASES if case[0] == 1]
+
+
+def channels_last_conv(x, w, params):
+    """conv2d by the channels-last unfold and one row-major GEMM, the way
+    every input was convolved before a single channel unfolded by planes."""
+    cols, ho, wo = kernels._unfold(x, params.kernel_h, params.kernel_w, params.stride,
+                                   params.padding, planes=False)
+    y = cols @ kernels._weight_matrix(w).T
+    return y.reshape(len(x), ho, wo, -1).transpose(0, 3, 1, 2)
+
+
+def channels_last_weight_grad(dy, x, w, params):
+    """conv2d_backward's dW by the channels-last unfold, as it was computed
+    before a single channel unfolded by planes."""
+    cols, _, _ = kernels._unfold(x, params.kernel_h, params.kernel_w, params.stride,
+                                 params.padding, planes=False)
+    dw = dy.transpose(0, 2, 3, 1).reshape(-1, w.shape[0]).T @ cols
+    return dw.reshape(w.shape[0], w.shape[2], w.shape[3], w.shape[1]).transpose(0, 3, 1, 2)
+
+
+class TestPlaneUnfold:
+    """A single-channel input (the network's raw images) unfolds plane by
+    plane into a K-major matrix; any other input unfolds channels-last."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c,kh,kw,stride,padding", PLANE_CASES)
+    def test_same_matrix_as_channels_last_and_the_oracle(self, c, kh, kw, stride, padding, dtype):
+        x = rng.standard_normal((3, c, 7, 6)).astype(dtype)
+        w = rng.standard_normal((4, c, kh, kw)).astype(dtype)
+        by_planes, ho, wo = kernels._unfold(x, kh, kw, stride, padding, planes=True)
+        by_rows = kernels._unfold(x, kh, kw, stride, padding, planes=False)
+        assert by_planes.T.flags.c_contiguous  # K-major: runs of Wo values
+        assert (ho, wo) == by_rows[1:]
+        npt.assert_array_equal(by_planes, by_rows[0])
+        y = (by_planes @ kernels._weight_matrix(w).T).reshape(3, ho, wo, 4).transpose(0, 3, 1, 2)
+        assert np.max(np.abs(y - conv2d_reference(x, w, stride, padding))) < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh,kw,stride,padding", SINGLE_CHANNEL_CASES)
+    def test_single_channel_conv_equals_the_channels_last_path(self, kh, kw, stride, padding,
+                                                               dtype):
+        x = rng.standard_normal((3, 1, 9, 8)).astype(dtype)
+        w = rng.standard_normal((5, 1, kh, kw)).astype(dtype)
+        params = ConvParams(1, 5, kh, kw, stride, padding)
+        cols = kernels._im2col(x, kh, kw, stride, padding)[0]
+        assert cols.T.flags.c_contiguous  # conv2d took the plane-by-plane unfold
+        got = conv2d(x, w, params)
+        npt.assert_array_equal(got, channels_last_conv(x, w, params))
+        npt.assert_array_equal(got, conv2d(channels_last(x), w, params))
+        assert got.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert np.max(np.abs(got - conv2d_reference(x, w, stride, padding))) < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh,kw,stride,padding", SINGLE_CHANNEL_CASES)
+    def test_stem_weight_gradient_equals_the_channels_last_path(self, kh, kw, stride, padding,
+                                                                dtype):
+        x = rng.standard_normal((3, 1, 9, 8)).astype(dtype)
+        w = rng.standard_normal((5, 1, kh, kw)).astype(dtype)
+        params = ConvParams(1, 5, kh, kw, stride, padding)
+        dy = channels_last(rng.standard_normal(conv2d(x, w, params).shape).astype(dtype))
+        dx, dw = conv2d_backward(dy, x, w, params, need_dx=False)
+        assert dx is None and dw.flags.c_contiguous
+        npt.assert_array_equal(dw, channels_last_weight_grad(dy, x, w, params))
+        ref = conv2d_weight_grad_reference(dy, x, kh, kw, stride, padding)
+        npt.assert_allclose(dw, ref, rtol=0, atol=1e-4 * np.abs(ref).max())
+
+    def test_single_channel_blocks_equal_one_block(self, monkeypatch):
+        x = rng.standard_normal((7, 1, 9, 8)).astype(np.float32)
+        w = rng.standard_normal((5, 1, 3, 3)).astype(np.float32)
+        params = ConvParams(1, 5, 3, 3, 1, 1)
+        dy = channels_last(rng.standard_normal((7, 5, 9, 8)).astype(np.float32))
+        whole = conv2d(x, w, params), conv2d_backward(dy, x, w, params, need_dx=False)[1]
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 2 * 9 * 8 * 9 * 4)  # 2 samples a block
+        npt.assert_array_equal(conv2d(x, w, params), whole[0])
+        npt.assert_allclose(conv2d_backward(dy, x, w, params, need_dx=False)[1], whole[1],
+                            rtol=1e-5, atol=1e-5)
 
 
 def multi_block_batch(c, h, w, kh, kw, stride, padding, itemsize):

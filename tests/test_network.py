@@ -731,6 +731,18 @@ class TestStemCache:
         for a, b in zip(net.activity, ref.activity):
             npt.assert_array_equal(a, b)
 
+    def test_recording_switched_on_mid_input_counts_the_stem(self):
+        net, ref = self.make_pair()
+        net.record_activity = False
+        x = rng.standard_normal((5, 1, 8, 8)).astype(np.float32)
+        forward_timestep(net, x)
+        assert net.stem[2] is None and net.activity == []
+        net.record_activity = True
+        want = [forward_timestep(ref, x) for _ in range(2)][1]
+        npt.assert_array_equal(forward_timestep(net, x), want)
+        assert len(net.activity) == 1
+        npt.assert_array_equal(net.activity[0], ref.activity[1])
+
     def test_reset_clone_and_perturbed_start_without_stem(self):
         net, ref = self.make_pair()
         x = rng.standard_normal((5, 1, 8, 8)).astype(np.float32)

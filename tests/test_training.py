@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtsnn import kernels, training
+from dtsnn import kernels, network, training
 from dtsnn.config import parse_config
 from dtsnn.errors import DataFormatError, TrainingError
 from dtsnn.kernels import (
@@ -31,6 +31,7 @@ from dtsnn.network import (
     Workspace,
     build_instance,
     forward_timestep,
+    inference_params,
     static_forward,
 )
 from dtsnn.training import (
@@ -448,6 +449,36 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="requires a non-empty batch"):
             evaluate_per_timestep(net, np.zeros((0, 1, 8, 8), np.float32), np.zeros(0, int), 2)
 
+    def test_evaluate_counts_no_activity_and_restores_the_flag(self, monkeypatch):
+        images, labels = separable_blobs(8)
+        net = build_instance(self.small_spec(), seed=0)
+        net.record_activity = True
+        want = evaluate_per_timestep(build_instance(self.small_spec(), seed=0), images, labels, 2)
+        counted, count = [], network._count_inputs
+        monkeypatch.setattr(network, "_count_inputs", lambda *a, **k: counted.append(1) or count(*a, **k))
+        npt.assert_array_equal(evaluate_per_timestep(net, images, labels, 2), want)
+        assert counted == [] and net.record_activity
+        with pytest.raises(ValueError, match="requires a non-empty batch"):
+            evaluate_per_timestep(net, images[:0], labels[:0], 2)
+        assert net.record_activity
+        forward_timestep(net, images)  # the flag still counts outside the eval scan
+        assert counted
+
+    def test_training_a_clone_leaves_the_source_untouched(self):
+        images, labels = separable_blobs(16)
+        source, twin = (build_instance(self.small_spec(), seed=5) for _ in range(2))
+        forward_timestep(source, images)  # builds the inference plan the clone shares
+        clone = source.clone_state()
+        assert inference_params(clone) is inference_params(source)
+        cfg = TrainConfig(epochs=1, batch_size=8, lr0=0.05, t_train=2, seed=0)
+        train(clone, images, labels, images, labels, cfg)
+        assert any(not np.array_equal(p["w"], q["w"])
+                   for p, q in zip(clone.params, source.params) if p is not None and "w" in p)
+        for p, q in zip(source.params, twin.params, strict=True):
+            assert (p is None) == (q is None)
+            for name in p or {}:
+                npt.assert_array_equal(p[name], q[name])
+
     @pytest.mark.parametrize("empty", ["training", "evaluation"])
     def test_empty_split_rejected_before_the_first_epoch(self, empty, monkeypatch):
         images, labels = separable_blobs(8)
@@ -826,13 +857,11 @@ class TestWorkspace:
         cfg = TrainConfig(epochs=3, batch_size=4, lr0=0.05, t_train=3, seed=0)
         source = build_instance(spec, seed=3)
         alone = source.clone_state()
-        alone.params = copy.deepcopy(source.params)
         want = train(alone, x, y, x[:4], y[:4], cfg).csv_rows()
         clones = [source.clone_state() for _ in range(len(os.sched_getaffinity(0)) + 2)]
         results = [None] * len(clones)
 
         def run(k):
-            clones[k].params = copy.deepcopy(source.params)
             results[k] = train(clones[k], x, y, x[:4], y[:4], cfg).csv_rows()
 
         interval = sys.getswitchinterval()
@@ -860,9 +889,10 @@ class TestWorkspace:
         with net.workspace.take() as held:
             with net.workspace.take() as again:
                 assert held is net.workspace and again is None
-            got = train(net.clone_state(), x, y, x, y, cfg)
+            clone = net.clone_state()
+            got = train(clone, x, y, x, y, cfg)
             assert held._buffers == {}  # the clone's steps drew nothing from it
         assert got.csv_rows() == train(ref, x, y, x, y, cfg).csv_rows()
-        for p, q in zip(net.params, ref.params, strict=True):
+        for p, q in zip(clone.params, ref.params, strict=True):
             for name in p or {}:
                 npt.assert_array_equal(p[name], q[name])
