@@ -42,7 +42,6 @@ from .network import (
     mean_output,
     reset_states,
     scan_timesteps,
-    static_forward,
 )
 from .training import (
     TrainConfig,
@@ -58,10 +57,8 @@ from .exit_policy import (
     ExitPolicy,
     ExitTrace,
     dynamic_infer,
-    evaluate_policy,
     normalized_entropy,
     scan_with_entropy,
-    should_exit,
     softmax,
     threshold_sweep,
 )

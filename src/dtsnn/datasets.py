@@ -37,15 +37,11 @@ class Dataset:
     def __len__(self):
         return len(self.images)
 
-    def subset(self, n, seed=None):
-        """First n samples, or a seeded random subset when seed is given."""
+    def subset(self, n):
+        """The first n samples."""
         if n >= len(self):
             return self
-        if seed is None:
-            idx = np.arange(n)
-        else:
-            idx = np.random.default_rng(seed).permutation(len(self))[:n]
-        return Dataset(self.images[idx], self.labels[idx], self.split, self.mean, self.std)
+        return Dataset(self.images[:n], self.labels[:n], self.split, self.mean, self.std)
 
 
 def _read_idx(path, expected_magic, expected_dims):

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, bounded, check_bounds
-from .network import as_images, forward_timestep, mean_output, reset_states, scan_timesteps
+from .network import (
+    as_images,
+    as_labels,
+    forward_timestep,
+    mean_output,
+    reset_states,
+    scan_timesteps,
+)
 
 
 @dataclass(frozen=True)
@@ -84,11 +91,6 @@ def _log_classes(k):
     return np.log(k)
 
 
-def should_exit(entropy, policy):
-    """True iff the entropy is strictly below the policy threshold."""
-    return bool(entropy < policy.theta)
-
-
 def dynamic_infer(net, x, policy):
     """Per-sample dynamic inference: run timesteps until the entropy of the
     running-mean output drops below theta, else stop at t_max.
@@ -119,7 +121,7 @@ def dynamic_infer(net, x, policy):
         probs = softmax(mean_output(net)[0])
         entropy = float(_entropy_rows(probs[None, :])[0])
         entropies.append(entropy)
-        if should_exit(entropy, policy):
+        if entropy < policy.theta:  # strict: a tie runs on
             break
     logits = mean_output(net)[0]
     return ExitTrace(
@@ -180,9 +182,12 @@ class PolicySummary:
 
 
 def summarize_policy(scan, labels, policy):
-    """Apply an exit policy to a finished scan and aggregate the outcome."""
-    labels = np.asarray(labels)
+    """Apply an exit policy to a finished scan and aggregate the outcome.
+
+    ``labels`` must hold one class index per scanned sample (`as_labels`).
+    """
     t_hat = exit_times(scan["entropy"], policy)
+    labels = as_labels(labels, len(t_hat), scan["mean_logits"].shape[2])
     preds = scan["predictions"][np.arange(len(t_hat)), t_hat - 1]
     hist = np.bincount(t_hat, minlength=policy.t_max + 1)[1:]
     return PolicySummary(
@@ -193,19 +198,6 @@ def summarize_policy(scan, labels, policy):
         chosen_t=t_hat,
         predictions=preds,
     )
-
-
-def evaluate_policy(net, images, labels, policy, batch_size=512, scan=None):
-    """Accuracy, mean timestep count and exit histogram over a labeled set.
-
-    Without a finished ``scan`` it runs `scan_with_entropy`; ``batch_size``
-    caps the rows of its cache-sized tiles.
-    """
-    if len(images) == 0:
-        raise ValueError("evaluate_policy requires a non-empty dataset")
-    if scan is None:
-        scan = scan_with_entropy(net, images, policy.t_max, batch_size=batch_size)
-    return summarize_policy(scan, labels, policy)
 
 
 def threshold_sweep(net, images, labels, thetas, t_max, cost_fn=None,
@@ -253,9 +245,8 @@ def threshold_sweep(net, images, labels, thetas, t_max, cost_fn=None,
 
 def write_trace_csv(path, scan, labels, policy):
     """Per-sample trace export: sample_id, label, prediction, chosen_t, entropies."""
-    labels = np.asarray(labels)
-    t_hat = exit_times(scan["entropy"], policy)
-    preds = scan["predictions"][np.arange(len(t_hat)), t_hat - 1]
+    summary = summarize_policy(scan, labels, policy)
+    labels, t_hat, preds = np.asarray(labels), summary.chosen_t, summary.predictions
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -343,39 +343,41 @@ def reference_mapping(trace, arch):
     return LayerMapping(layers=tuple(entries))
 
 
-def calibrate_energy_coefficients(
-    trace,
-    arch,
-    energy8_ratio=4.9,
-    digital_share=0.45,
-    buffer_share=0.30,
-    share_at_t=4,
-    adc_per_mac=50.0,
-    per_crossbar_fraction=0.7,
-):
+# Anchor points of the calibration.
+ENERGY8_RATIO = 4.9          # energy of 8 reference timesteps over that of 1
+SHARE_AT_T = 4               # timesteps at which DIGITAL_SHARE holds
+DIGITAL_SHARE = 0.45         # digital peripherals' share of the energy
+ADC_PER_MAC = 50.0           # e_adc / e_mac
+PER_CROSSBAR_FRACTION = 0.7  # of the fixed budgets, the part paid per crossbar
+
+
+def calibrate_energy_coefficients(trace, arch):
     """Solve the energy coefficients against the published anchor points.
 
-    Anchors: energy(8)/energy(1) == energy8_ratio on the reference trace;
-    component shares at `share_at_t` timesteps equal digital_share and
-    buffer_share (crossbar+ADC takes the remainder); one reference timestep
-    costs 1.0.  The fixed digital/buffer budgets are split between a
-    per-crossbar term and a flat per-timestep term by per_crossbar_fraction.
+    Anchors (the module constants above): energy(8)/energy(1) ==
+    ENERGY8_RATIO on the reference trace; the digital share at SHARE_AT_T
+    timesteps equals DIGITAL_SHARE, and buffers take the rest of the fixed
+    budget (30% on the bundled trace, leaving crossbar+ADC 25%); one
+    reference timestep costs 1.0.  The fixed digital/buffer budgets are
+    split between a per-crossbar term and a flat per-timestep term by
+    PER_CROSSBAR_FRACTION.  Raises ConfigError for a trace that cannot meet
+    the anchors.
     """
     mapping = reference_mapping(trace, arch)
     spikes = np.asarray(trace["spikes"], dtype=np.float64)  # (8, L)
     if spikes.shape[0] < 8:
         raise ConfigError("reference trace must cover 8 timesteps")
     cols = np.array([l.cols_needed for l in mapping.layers], dtype=np.float64)
-    act_coeff = cols * (1.0 + adc_per_mac / arch.crossbar_size)  # e_mac = 1 unit
+    act_coeff = cols * (1.0 + ADC_PER_MAC / arch.crossbar_size)  # e_mac = 1 unit
     u = (spikes * act_coeff).sum(axis=1)
-    fixed_total = (energy8_ratio * u[0] - u[:8].sum()) / (8.0 - energy8_ratio)
+    fixed_total = (ENERGY8_RATIO * u[0] - u[:8].sum()) / (8.0 - ENERGY8_RATIO)
     if fixed_total <= 0:
         raise ConfigError(
             "reference trace is incompatible with the energy-ratio anchor "
             "(activity does not decay enough)"
         )
-    total_at_share_t = share_at_t * fixed_total + u[:share_at_t].sum()
-    fixed_digital = digital_share * total_at_share_t / share_at_t
+    total_at_share_t = SHARE_AT_T * fixed_total + u[:SHARE_AT_T].sum()
+    fixed_digital = DIGITAL_SHARE * total_at_share_t / SHARE_AT_T
     fixed_buffer = fixed_total - fixed_digital
     if fixed_buffer <= 0:
         raise ConfigError("component-share anchors leave no buffer budget")
@@ -383,9 +385,9 @@ def calibrate_energy_coefficients(
     scale = 1.0 / (fixed_total + u[0])  # one reference timestep == 1.0
     return {
         "e_mac": scale,
-        "e_adc": adc_per_mac * scale,
-        "e_crossbar_digital": per_crossbar_fraction * fixed_digital / total_xbars * scale,
-        "e_step_digital": (1 - per_crossbar_fraction) * fixed_digital * scale,
-        "e_crossbar_buffer": per_crossbar_fraction * fixed_buffer / total_xbars * scale,
-        "e_step_buffer": (1 - per_crossbar_fraction) * fixed_buffer * scale,
+        "e_adc": ADC_PER_MAC * scale,
+        "e_crossbar_digital": PER_CROSSBAR_FRACTION * fixed_digital / total_xbars * scale,
+        "e_step_digital": (1 - PER_CROSSBAR_FRACTION) * fixed_digital * scale,
+        "e_crossbar_buffer": PER_CROSSBAR_FRACTION * fixed_buffer / total_xbars * scale,
+        "e_step_buffer": (1 - PER_CROSSBAR_FRACTION) * fixed_buffer * scale,
     }

@@ -295,6 +295,27 @@ def as_images(x):
     return x
 
 
+def as_labels(labels, n, num_classes):
+    """labels as an array of one class index per image (`np.asarray`).
+
+    ShapeError unless it holds n labels; ValueError unless they are integers
+    in [0, num_classes): a label of any other count, type or range would be
+    compared with the predictions as if it were one.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ShapeError(f"expected {n} labels, one per image, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must lie in [0, {num_classes}) as integers, "
+                         f"got dtype {labels.dtype}")
+    if n and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(
+            f"labels must lie in [0, {num_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+    return labels
+
+
 def check_finite(x):
     """Reject inputs holding NaN or infinity, which would otherwise yield a
     silent prediction (no spikes, uniform output)."""
@@ -522,12 +543,12 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=Non
     weighted layer.  Without a tape the pass is one timestep (t_steps 1):
     layers run on ``params``, by default `inference_params`, unfolded norms
     use running statistics and LIF layers continue from ``net.lif_states``.
-    With one, LIF layers start from rest, every layer appends its cache to
-    ``tape["caches"]``, and if ``tape["train"]`` norms propose updates in
-    ``tape["norm_updates"]``.  A tape's conv, train-mode norm, LIF and pool
-    outputs come from ``tape["workspace"]`` (a new `Workspace` when it is
-    None), keyed by layer index, and a train-mode norm or a LIF layer writes
-    its output over an input that no tape entry holds.
+    With one, LIF layers start from rest, norms use batch statistics and
+    propose updates in ``tape["norm_updates"]``, and every layer appends its
+    cache to ``tape["caches"]``.  A tape's conv, norm, LIF and pool outputs
+    come from ``tape["workspace"]`` (a new `Workspace` when it is None),
+    keyed by layer index, and a norm or a LIF layer writes its output over
+    an input that no tape entry holds.
     """
     spec = net.spec
     layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
@@ -553,19 +574,16 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=Non
             if ws is not None:
                 record((kind, cfg, h))
             h = y
-        elif kind == "norm":
-            cache = None
-            if ws is not None and tape["train"]:
-                repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
-                xhat = ws.empty_like((i, "xhat"), h, dtype=np.result_type(h, 1.0))
-                dtype = np.result_type(xhat, par["gamma"])
-                y = h if owned and h.dtype == dtype else ws.empty_like((i, "y"), h, dtype=dtype)
-                h, tape["norm_updates"][i], cache = batch_norm_train_cached(
-                    h, par, repeats, (xhat, y))
-            elif par is not None:  # None: folded into the layer before
+        elif kind == "norm" and ws is None:
+            if par is not None:  # None: folded into the layer before
                 h = batch_norm(h, par)
-            if ws is not None:
-                record((kind, cache))
+        elif kind == "norm":
+            repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
+            xhat = ws.empty_like((i, "xhat"), h, dtype=np.result_type(h, 1.0))
+            dtype = np.result_type(xhat, par["gamma"])
+            y = h if owned and h.dtype == dtype else ws.empty_like((i, "y"), h, dtype=dtype)
+            h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats, (xhat, y))
+            record((kind, cache))
         elif kind == "lif" and ws is None:  # one step, from the instance's potentials
             state = net.lif_states.get(i)
             if state is None or state.u.shape != h.shape:
@@ -606,20 +624,6 @@ def mean_output(net):
     return net.accumulated_logits / net.t
 
 
-def _check_t_steps(spec, t_steps):
-    if not 1 <= t_steps <= spec.t_max:
-        raise ValueError(f"t_steps must be in [1, {spec.t_max}], got {t_steps}")
-
-
-def static_forward(net, x, t_steps):
-    """Reset, run a fixed number of timesteps, return the mean logits."""
-    _check_t_steps(net.spec, t_steps)
-    reset_states(net)
-    for _ in range(t_steps):
-        forward_timestep(net, x)
-    return mean_output(net)
-
-
 def _scan_rows(spec, itemsize, batch_size):
     """Samples per scan tile: as many as keep the widest per-sample
     activation of ``spec`` within `kernels.BLOCK_BYTES` per tile, at least 1
@@ -653,7 +657,8 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
     numbers.
     """
     spec = net.spec
-    _check_t_steps(spec, t_steps)
+    if not 1 <= t_steps <= spec.t_max:
+        raise ValueError(f"t_steps must be in [1, {spec.t_max}], got {t_steps}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     images = as_images(images)

@@ -44,6 +44,7 @@ from .kernels import (
 from .network import (
     Workspace,
     as_images,
+    as_labels,
     check_finite,
     lif_unroll,
     run_layers,
@@ -69,20 +70,10 @@ def _log_softmax64(logits):
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _check_labels(labels, k):
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(
-            f"labels must lie in [0, {k}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
-
-
 def loss_standard(logits, labels):
     """Batch-mean cross entropy of the final mean output."""
     logits = np.asarray(logits)
-    labels = _check_labels(labels, logits.shape[1])
+    labels = as_labels(labels, len(logits), logits.shape[1])
     logp = _log_softmax64(logits)
     return float(-logp[np.arange(len(labels)), labels].mean())
 
@@ -107,7 +98,7 @@ def loss_and_grad(step_logits, labels, loss_mode):
     step_logits: (T, B, K).  Returns (loss, dstep_logits of same shape).
     """
     t_steps, batch, k = step_logits.shape
-    labels = _check_labels(labels, k)
+    labels = as_labels(labels, batch, k)
     onehot = np.zeros((batch, k), dtype=np.float64)
     onehot[np.arange(batch), labels] = 1.0
     if loss_mode == "standard":
@@ -182,17 +173,18 @@ def _lif_rows_backward(dspikes, u_pre, spikes, cfg, d_currents):
             du += carry
 
 
-def forward_with_tape(net, x, t_steps, train_mode=True, *, workspace=None):
+def forward_with_tape(net, x, t_steps, *, workspace=None):
     """Layer-major unrolled forward pass over t_steps stacked timesteps.
 
     Every LIF layer starts from rest; the instance's inference state
     (``lif_states``, ``stem``, ``t``) is neither read nor changed.  Raises
     DataFormatError when x is not an array of real numbers or holds a
-    non-finite value.
+    non-finite value.  BLAS is held at one thread throughout
+    (`kernels.one_blas_thread`).
 
-    Returns (step_logits (T,B,K), tape).  In train mode, normalization layers
-    use batch statistics pooled over (timestep x batch), and the tape carries
-    their proposed running-statistic updates; nothing is committed to the
+    Returns (step_logits (T,B,K), tape).  Normalization layers use batch
+    statistics pooled over (timestep x batch), and the tape carries their
+    proposed running-statistic updates; nothing is committed to the
     instance until `commit_norm_updates` is called.
 
     The tape holds new arrays that nothing else writes.  Only `train` passes
@@ -203,9 +195,9 @@ def forward_with_tape(net, x, t_steps, train_mode=True, *, workspace=None):
     """
     x = as_images(x)
     check_finite(x)
-    tape = {"caches": [], "norm_updates": {}, "t": t_steps, "train": train_mode,
-            "workspace": workspace}
-    h = run_layers(net, x, range(len(net.spec.layers)), t_steps, tape=tape)
+    tape = {"caches": [], "norm_updates": {}, "t": t_steps, "workspace": workspace}
+    with kernels.one_blas_thread():
+        h = run_layers(net, x, range(len(net.spec.layers)), t_steps, tape=tape)
     return h.reshape(t_steps, x.shape[0], -1), tape
 
 
@@ -218,7 +210,8 @@ def backward_through_time(net, tape, dstep_logits):
     gradient, which nothing reads.  The input gradients of pool, conv and
     the first LIF layer come from the tape's workspace (a new one when it
     has none), keyed by layer index; LIF and norm layers overwrite the
-    gradient they receive, which nothing else holds.
+    gradient they receive, which nothing else holds.  BLAS is held at one
+    thread throughout (`kernels.one_blas_thread`).
 
     Returns {layer_index: {param_name: gradient}} with shapes mirroring the
     parameters exactly, in new arrays.
@@ -237,48 +230,48 @@ def backward_through_time(net, tape, dstep_logits):
     ws = tape["workspace"] or Workspace()
     g = dstep_logits.reshape(t_steps * batch, k)
     grads = {}
-    for i in reversed(range(first_param, len(spec.layers))):
-        layer = spec.layers[i]
-        cache = caches[i]
-        if layer.kind in ("fc", "classifier"):
-            _, flat_in, orig_shape = cache
-            dx, dw, db = fully_connected_backward(g, flat_in, net.params[i]["w"])
-            grads[i] = {"w": dw, "b": db}
-            g = dx.reshape(orig_shape)
-        elif layer.kind == "pool":
-            n, c, h, w = g.shape
-            window = cache[1]
-            out = ws.channels_last((i, "dx"), (n, c, h * window, w * window),
-                                   np.result_type(g, 1.0))
-            g = avg_pool2d_backward(g, window, out=out)
-        elif layer.kind == "lif":
-            _, cfg, lif_cache = cache
-            gs = g.reshape((t_steps, batch) + g.shape[1:])
-            if i == s:
-                g = lif_unroll_backward(gs, lif_cache, cfg, out=gs,
-                                        step_sum=ws.empty_like((i, "dx"), gs[0]))
-            else:
-                g = lif_unroll_backward(gs, lif_cache, cfg, out=gs).reshape(g.shape)
-        elif layer.kind == "norm":
-            if cache[1] is None:
-                raise StateError("cannot backprop through an eval-mode tape")
-            xhat, _, gamma, _ = cache[1]
-            in_place = g.dtype == np.result_type(g, xhat, gamma)
-            dx, dgamma, dbeta = batch_norm_backward(g, cache[1], out=g if in_place else None)
-            grads[i] = {"gamma": dgamma, "beta": dbeta}
-            g = dx
-        elif layer.kind == "conv":
-            _, p, x_in = cache
-            entry = {"w": None}
-            if "b" in net.params[i]:
-                entry["b"] = g.sum(axis=(0, 2, 3))
-            w = net.params[i]["w"]
-            need_dx = i > first_param
-            out = ws.channels_last((i, "dx"), x_in.shape, np.result_type(g, w)) if need_dx else None
-            dx, dw = conv2d_backward(g, x_in, w, p, need_dx=need_dx, out=out)
-            entry["w"] = dw
-            grads[i] = entry
-            g = dx
+    with kernels.one_blas_thread():
+        for i in reversed(range(first_param, len(spec.layers))):
+            layer = spec.layers[i]
+            cache = caches[i]
+            if layer.kind in ("fc", "classifier"):
+                _, flat_in, orig_shape = cache
+                dx, dw, db = fully_connected_backward(g, flat_in, net.params[i]["w"])
+                grads[i] = {"w": dw, "b": db}
+                g = dx.reshape(orig_shape)
+            elif layer.kind == "pool":
+                n, c, h, w = g.shape
+                window = cache[1]
+                out = ws.channels_last((i, "dx"), (n, c, h * window, w * window),
+                                       np.result_type(g, 1.0))
+                g = avg_pool2d_backward(g, window, out=out)
+            elif layer.kind == "lif":
+                _, cfg, lif_cache = cache
+                gs = g.reshape((t_steps, batch) + g.shape[1:])
+                if i == s:
+                    g = lif_unroll_backward(gs, lif_cache, cfg, out=gs,
+                                            step_sum=ws.empty_like((i, "dx"), gs[0]))
+                else:
+                    g = lif_unroll_backward(gs, lif_cache, cfg, out=gs).reshape(g.shape)
+            elif layer.kind == "norm":
+                xhat, _, gamma, _ = cache[1]
+                in_place = g.dtype == np.result_type(g, xhat, gamma)
+                dx, dgamma, dbeta = batch_norm_backward(g, cache[1], out=g if in_place else None)
+                grads[i] = {"gamma": dgamma, "beta": dbeta}
+                g = dx
+            elif layer.kind == "conv":
+                _, p, x_in = cache
+                entry = {"w": None}
+                if "b" in net.params[i]:
+                    entry["b"] = g.sum(axis=(0, 2, 3))
+                w = net.params[i]["w"]
+                need_dx = i > first_param
+                out = (ws.channels_last((i, "dx"), x_in.shape, np.result_type(g, w))
+                       if need_dx else None)
+                dx, dw = conv2d_backward(g, x_in, w, p, need_dx=need_dx, out=out)
+                entry["w"] = dw
+                grads[i] = entry
+                g = dx
     return grads
 
 
@@ -341,10 +334,13 @@ class TrainingLog:
 def evaluate_per_timestep(net, images, labels, t_steps, batch_size=512):
     """Accuracy of the running-mean prediction after each timestep.
 
+    ``labels`` must hold one class index per image (`network.as_labels`).
     Runs `scan_timesteps`, whose cache-sized tiles ``batch_size`` only caps
     and which rejects an empty batch, with ``net.record_activity`` off: only
     the predictions are read.  The flag is restored afterwards.
     """
+    images = as_images(images)
+    labels = as_labels(labels, len(images), net.spec.num_classes)
     record = net.record_activity
     net.record_activity = False
     try:
@@ -352,7 +348,7 @@ def evaluate_per_timestep(net, images, labels, t_steps, batch_size=512):
     finally:
         net.record_activity = record
     preds = scan["mean_logits"].argmax(axis=2)  # (N, T)
-    return (preds == np.asarray(labels).reshape(-1, 1)).mean(axis=0)
+    return (preds == labels.reshape(-1, 1)).mean(axis=0)
 
 
 def sgd_step(net, grads, velocities, lr, momentum, weight_decay):
@@ -392,10 +388,10 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     before the first epoch, and TrainingError when a step's loss or any
     parameter after it is non-finite.
 
-    Each step runs with the loaded OpenBLAS held at one thread
-    (`kernels.one_blas_thread`): its row-independent kernels split their
-    rows into blocks across the workers of `kernels.run_blocks`, and no
-    BLAS thread spins between them.  The result is bit-identical for any
+    A step's forward and backward pass each hold the loaded OpenBLAS at one
+    thread (`kernels.one_blas_thread`): their row-independent kernels split
+    their rows into blocks across the workers of `kernels.run_blocks`, and
+    no BLAS thread spins between them.  The result is bit-identical for any
     worker count.
 
     The call holds the instance's `network.Workspace`, shared with its
@@ -410,10 +406,12 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
             f"t_train={cfg.t_train} exceeds the network's t_max={net.spec.t_max}"
         )
     train_images, eval_images = as_images(train_images), as_images(eval_images)
-    train_labels = np.asarray(train_labels)
     for split, images in (("training", train_images), ("evaluation", eval_images)):
         if len(images) == 0:
             raise ValueError(f"train requires a non-empty {split} split")
+    k = net.spec.num_classes
+    train_labels = as_labels(train_labels, len(train_images), k)
+    eval_labels = as_labels(eval_labels, len(eval_images), k)
     rng = np.random.default_rng(cfg.seed)
     n = len(train_images)
     velocities = {}
@@ -428,15 +426,13 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
                 idx = perm[start : start + cfg.batch_size]
                 xb = train_images[idx]
                 yb = train_labels[idx]
-                with kernels.one_blas_thread():
-                    step_logits, tape = forward_with_tape(net, xb, cfg.t_train,
-                                                          workspace=workspace)
-                    loss, dstep = loss_and_grad(step_logits, yb, cfg.loss_mode)
-                    if not np.isfinite(loss):
-                        raise TrainingError(f"non-finite loss at epoch {epoch}")
-                    grads = backward_through_time(net, tape, dstep)
-                    commit_norm_updates(net, tape)
-                    sgd_step(net, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
+                step_logits, tape = forward_with_tape(net, xb, cfg.t_train, workspace=workspace)
+                loss, dstep = loss_and_grad(step_logits, yb, cfg.loss_mode)
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}")
+                grads = backward_through_time(net, tape, dstep)
+                commit_norm_updates(net, tape)
+                sgd_step(net, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
                 _check_params_finite(net, epoch)
                 losses.append(loss)
             acc = evaluate_per_timestep(net, eval_images, eval_labels, cfg.t_train)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from dtsnn.network import forward_timestep, mean_output, reset_states
+
 sys.path.insert(0, os.path.dirname(__file__))
 
 BENCH_CKPT = Path(__file__).resolve().parents[1] / "bench" / "model.ckpt"
@@ -40,6 +42,15 @@ def reseal(tmp_path):
 
 
 INPUT_FORMS = ("list", "object", "ragged", "complex")
+
+
+def mean_after(net, x, t_steps):
+    """Running-mean logits of ``net`` after t_steps `forward_timestep` calls
+    on x from rest: the stateful per-step path, in the network's dtype."""
+    reset_states(net)
+    for _ in range(t_steps):
+        forward_timestep(net, x)
+    return mean_output(net)
 
 
 def input_form(x, form):

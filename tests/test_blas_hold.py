@@ -1,5 +1,6 @@
-"""The scan and the training step hold OpenBLAS at one thread while their
-workers run, and give the caller's thread count back afterwards."""
+"""The scan and the training tape's forward and backward passes hold OpenBLAS
+at one thread while their workers run, and give the caller's thread count
+back afterwards."""
 
 import json
 import os
@@ -89,6 +90,40 @@ def test_scan_is_independent_of_the_blas_thread_count_and_restores_it():
     assert two["during"] == one["during"] == [1]
     assert two["before"] == two["after"] == min(2, len(os.sched_getaffinity(0)))
     assert one["before"] == one["after"] == 1
+
+
+TAPE = """
+import json, sys
+from dtsnn import kernels, network, training
+from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
+from dtsnn.datasets import synth_dataset
+
+ckpt = load_checkpoint(sys.argv[1])
+net = instance_from_checkpoint(ckpt)
+ds = synth_dataset("stripes", 16, ckpt.spec.num_classes, seed=7, noise=1.3)
+seen = {}
+
+def record(module, name):
+    kernel, seen[name] = getattr(module, name), set()
+    setattr(module, name, lambda *a: seen[name].add(kernels.blas_threads()) or kernel(*a))
+
+record(network, "fully_connected")
+record(training, "fully_connected_backward")
+before = kernels.blas_threads()
+step_logits, tape = training.forward_with_tape(net, ds.images, ckpt.spec.t_max)
+between = kernels.blas_threads()
+_, dstep = training.loss_and_grad(step_logits, ds.labels, "per_timestep")
+training.backward_through_time(net, tape, dstep)
+print(json.dumps({"before": before, "between": between, "after": kernels.blas_threads(),
+                  **{name: sorted(threads) for name, threads in seen.items()}}))
+"""
+
+
+def test_tape_calls_hold_one_blas_thread_and_restore_it():
+    got = in_subprocess(TAPE, 2)
+    assert got["fully_connected"] == got["fully_connected_backward"] == [1]
+    cores = min(2, len(os.sched_getaffinity(0)))
+    assert got["before"] == got["between"] == got["after"] == cores
 
 
 TRAIN = """

@@ -27,7 +27,7 @@ from dtsnn.network import (
     LayerSpec,
     NetworkSpec,
     build_instance,
-    static_forward,
+    scan_timesteps,
 )
 
 rng = np.random.default_rng(31337)
@@ -318,8 +318,8 @@ class TestCheckpoint:
         save_checkpoint(path, ckpt)
         rebuilt = instance_from_checkpoint(load_checkpoint(path))
         images = rng.standard_normal((100, 1, 8, 8)).astype(np.float32)
-        a = static_forward(net, images, 4)
-        b = static_forward(rebuilt, images, 4)
+        a = scan_timesteps(net, images, 4)["mean_logits"][:, 3]
+        b = scan_timesteps(rebuilt, images, 4)["mean_logits"][:, 3]
         npt.assert_array_equal(a, b)
 
     def test_spec_dict_round_trip(self):

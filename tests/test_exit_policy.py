@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtsnn import kernels, network
+from dtsnn import exit_policy, kernels, network
 from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
 from dtsnn.config import DEFAULT_THETA_GRID, parse_config
 from dtsnn.datasets import synth_dataset
@@ -16,11 +16,9 @@ from dtsnn.errors import DataFormatError, ShapeError
 from dtsnn.exit_policy import (
     ExitPolicy,
     dynamic_infer,
-    evaluate_policy,
     exit_times,
     normalized_entropy,
     scan_with_entropy,
-    should_exit,
     softmax,
     summarize_policy,
     threshold_sweep,
@@ -30,7 +28,9 @@ from dtsnn.network import (
     LayerSpec,
     NetworkSpec,
     build_instance,
-    static_forward,
+    forward_timestep,
+    reset_states,
+    scan_timesteps,
 )
 
 from conftest import BENCH_CKPT, INPUT_FORMS, input_form
@@ -112,16 +112,44 @@ class TestNormalizedEntropy:
                 npt.assert_allclose(p, 1.0 / k, atol=1e-4)
 
 
-class TestShouldExit:
-    def test_below_threshold_exits(self):
-        assert should_exit(0.4, ExitPolicy(theta=0.5, t_max=4))
+# (theta, entropy after each of 4 timesteps, chosen_t): exit at the first
+# entropy strictly below theta, else at t_max; theta 0 never exits.
+EXIT_CASES = [
+    (0.5, [0.4, 0.9, 0.9, 0.9], 1),  # below the threshold exits
+    (0.5, [0.5, 0.5, 0.5, 0.5], 4),  # a tie does not exit
+    (0.5, [0.5, 0.49, 0.1, 0.1], 2),
+    (0.0, [0.0, 0.0, 0.0, 0.0], 4),  # theta 0 never exits
+]
 
-    def test_tie_does_not_exit(self):
-        assert not should_exit(0.5, ExitPolicy(theta=0.5, t_max=4))
 
-    def test_theta_zero_never_exits(self):
-        policy = ExitPolicy(theta=0.0, t_max=4)
-        assert not any(should_exit(e, policy) for e in [0.0, 0.1, 0.5, 1.0])
+class TestExitRule:
+    @pytest.mark.parametrize("theta, entropies, chosen_t", EXIT_CASES)
+    def test_exit_times(self, theta, entropies, chosen_t):
+        policy = ExitPolicy(theta=theta, t_max=4)
+        assert exit_times(np.array([entropies]), policy).tolist() == [chosen_t]
+
+    @pytest.mark.parametrize("theta, entropies, chosen_t", EXIT_CASES)
+    def test_dynamic_infer(self, theta, entropies, chosen_t, monkeypatch):
+        steps = iter(entropies)
+        monkeypatch.setattr(exit_policy, "_entropy_rows", lambda probs: np.array([next(steps)]))
+        x = rng.standard_normal((1, 1, 8, 8)).astype(np.float32)
+        trace = dynamic_infer(make_net(seed=5), x, ExitPolicy(theta=theta, t_max=4))
+        assert trace.chosen_t == chosen_t
+        assert trace.entropies == entropies[:chosen_t]
+
+    def test_entropy_is_taken_on_the_running_mean(self):
+        net = make_net(seed=5)
+        x = rng.standard_normal((1, 1, 8, 8)).astype(np.float32)
+        trace = dynamic_infer(net, x, ExitPolicy(theta=0.0, t_max=4))
+        reset_states(net)
+        logits = np.array([forward_timestep(net, x)[0] for _ in range(4)], dtype=np.float64)
+        means = np.cumsum(logits, axis=0) / np.arange(1, 5)[:, None]
+
+        def entropies(rows):
+            return [normalized_entropy_reference(softmax_reference(r)) for r in rows]
+
+        npt.assert_allclose(trace.entropies, entropies(means), rtol=1e-5, atol=1e-6)
+        assert not np.allclose(trace.entropies, entropies(logits), rtol=1e-5, atol=1e-6)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="theta"):
@@ -166,16 +194,16 @@ class TestExitTimes:
 
 
 class TestDynamicInfer:
-    def test_theta_zero_matches_static_forward_bit_exact(self):
+    def test_theta_zero_matches_a_one_row_scan_bit_exact(self):
         net = make_net(seed=3)
         policy = ExitPolicy(theta=0.0, t_max=4)
         for _ in range(20):
             x = rng.standard_normal((1, 1, 8, 8)).astype(np.float32)
             trace = dynamic_infer(net, x, policy)
-            ref = static_forward(net, x, 4)
+            ref = scan_timesteps(net, x, 4)["mean_logits"][0, 3]
             assert trace.chosen_t == 4
-            npt.assert_array_equal(trace.mean_logits, ref[0])
-            assert trace.prediction == int(np.argmax(ref[0]))
+            npt.assert_array_equal(trace.mean_logits, ref)
+            assert trace.prediction == int(np.argmax(ref))
 
     def test_trace_length_equals_chosen_t(self):
         net = make_net(seed=5)
@@ -244,15 +272,16 @@ class TestDynamicInfer:
             assert net.t == 0
 
 
-class TestEvaluatePolicy:
+class TestSummarizePolicy:
     def test_theta_zero_equals_static_accuracy(self):
         net = make_net(seed=7)
         images = rng.standard_normal((40, 1, 8, 8)).astype(np.float32)
         labels = rng.integers(0, 4, size=40)
-        summary = evaluate_policy(net, images, labels, ExitPolicy(theta=0.0, t_max=4))
+        policy = ExitPolicy(theta=0.0, t_max=4)
+        summary = summarize_policy(scan_with_entropy(net, images, 4), labels, policy)
         assert summary.mean_t == 4.0
         static_logits = np.concatenate(
-            [static_forward(net, images[i : i + 1], 4) for i in range(40)]
+            [scan_timesteps(net, images[i : i + 1], 4)["mean_logits"][:, 3] for i in range(40)]
         )
         static_acc = float((static_logits.argmax(axis=1) == labels).mean())
         assert summary.accuracy == static_acc
@@ -261,18 +290,16 @@ class TestEvaluatePolicy:
         net = make_net(seed=7)
         images = rng.standard_normal((25, 1, 8, 8)).astype(np.float32)
         labels = rng.integers(0, 4, size=25)
+        scan = scan_with_entropy(net, images, 4)
         for theta in (0.0, 0.5, 0.99):
-            s = evaluate_policy(net, images, labels, ExitPolicy(theta=theta, t_max=4))
+            s = summarize_policy(scan, labels, ExitPolicy(theta=theta, t_max=4))
             assert s.histogram.sum() == 25
             assert ((s.chosen_t >= 1) & (s.chosen_t <= 4)).all()
 
     def test_empty_dataset_raises(self):
         net = make_net(seed=7)
         with pytest.raises(ValueError, match="non-empty"):
-            evaluate_policy(
-                net, np.zeros((0, 1, 8, 8), np.float32), np.zeros(0, int),
-                ExitPolicy(theta=0.5, t_max=4),
-            )
+            scan_with_entropy(net, np.zeros((0, 1, 8, 8), np.float32), 4)
 
 
 class TestScanWithEntropy:

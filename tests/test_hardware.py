@@ -25,7 +25,7 @@ from dtsnn.hardware import (
     perturbed_instance,
     reference_mapping,
 )
-from dtsnn.network import LayerSpec, NetworkSpec, build_instance, static_forward
+from dtsnn.network import LayerSpec, NetworkSpec, build_instance, scan_timesteps
 
 from oracles import crossbar_mapping_reference, energy_reference
 
@@ -345,8 +345,8 @@ class TestDeviceVariation:
         assert not np.array_equal(noisy.params[0]["w"], net.params[0]["w"])
         npt.assert_array_equal(noisy.params[-1]["b"], net.params[-1]["b"])
         x = rng.standard_normal((2, 1, 8, 8)).astype(np.float32)
-        a = static_forward(net, x, 2)
-        b = static_forward(noisy, x, 2)
+        a = scan_timesteps(net, x, 2)["mean_logits"][:, 1]
+        b = scan_timesteps(noisy, x, 2)["mean_logits"][:, 1]
         assert a.shape == b.shape  # both instances remain functional
 
 

@@ -26,7 +26,6 @@ from dtsnn.network import (
     lif_unroll,
     mean_output,
     reset_states,
-    static_forward,
     scan_timesteps,
 )
 from dtsnn.training import (
@@ -37,7 +36,7 @@ from dtsnn.training import (
     sgd_step,
 )
 
-from conftest import INPUT_FORMS, input_form
+from conftest import INPUT_FORMS, input_form, mean_after
 from oracles import lif_sequence_reference
 
 rng = np.random.default_rng(7)
@@ -305,11 +304,11 @@ class TestInferencePlan:
 
     def test_training_between_inferences_uses_the_new_weights(self):
         net, x, _ = self.make("conv_norm", np.float32)
-        before = static_forward(net, x, 2)
+        before = mean_after(net, x, 2)
         self.train_one_step(net, x)
-        after = static_forward(net, x, 2)
+        after = mean_after(net, x, 2)
         fresh = SnnInstance(spec=net.spec, params=net.params)
-        npt.assert_array_equal(after, static_forward(fresh, x, 2))
+        npt.assert_array_equal(after, mean_after(fresh, x, 2))
         assert not np.array_equal(before, after)
 
     def test_training_mid_inference_recomputes_the_stem(self):
@@ -332,23 +331,23 @@ class TestInferencePlan:
     def test_clone_shares_the_built_plan_and_firing_mode(self):
         net, x, _ = self.make("conv_norm", np.float64)
         net.smooth_spikes = True
-        logits = static_forward(net, x, 3)
+        logits = mean_after(net, x, 3)
         clone = net.clone_state()
         assert clone.smooth_spikes
         assert clone.inference_plan is net.inference_plan
         assert inference_params(clone) is inference_params(net)  # not rebuilt
-        npt.assert_array_equal(static_forward(clone, x, 3), logits)
+        npt.assert_array_equal(mean_after(clone, x, 3), logits)
 
     def test_perturbed_instance_gets_its_own_plan(self):
         net, x, _ = self.make("conv_norm", np.float64)
-        clean = static_forward(net, x, 3)
+        clean = mean_after(net, x, 3)
         noisy = perturbed_instance(net, 0.3, seed=2)
-        noisy_logits = static_forward(noisy, x, 3)
+        noisy_logits = mean_after(noisy, x, 3)
         assert noisy.inference_plan is not net.inference_plan
         assert not np.array_equal(inference_params(noisy)[0]["w"], inference_params(net)[0]["w"])
         ref_logits, _ = reference_logits(noisy.spec, noisy.params, x, 3)
         npt.assert_allclose(noisy_logits, ref_logits.mean(axis=0), rtol=1e-12)
-        npt.assert_array_equal(static_forward(net, x, 3), clean)
+        npt.assert_array_equal(mean_after(net, x, 3), clean)
 
 
 class TestForwardTimestep:
@@ -434,20 +433,20 @@ class TestResetAndMean:
     def test_reset_then_reinfer_is_bit_identical(self):
         net = build_instance(tiny_conv_spec(), seed=5)
         x = rng.standard_normal((2, 1, 8, 8)).astype(np.float32)
-        a = static_forward(net, x, 4)
-        b = static_forward(net, x, 4)
+        a = mean_after(net, x, 4)
+        b = mean_after(net, x, 4)
         npt.assert_array_equal(a, b)
 
     def test_reset_equals_fresh_instance(self):
         x1 = rng.standard_normal((2, 1, 8, 8)).astype(np.float32)
         x2 = rng.standard_normal((2, 1, 8, 8)).astype(np.float32)
         reused = build_instance(tiny_conv_spec(), seed=9)
-        out1 = static_forward(reused, x1, 4)
-        out2 = static_forward(reused, x2, 4)
+        out1 = mean_after(reused, x1, 4)
+        out2 = mean_after(reused, x2, 4)
         fresh1 = build_instance(tiny_conv_spec(), seed=9)
         fresh2 = build_instance(tiny_conv_spec(), seed=9)
-        npt.assert_array_equal(out1, static_forward(fresh1, x1, 4))
-        npt.assert_array_equal(out2, static_forward(fresh2, x2, 4))
+        npt.assert_array_equal(out1, mean_after(fresh1, x1, 4))
+        npt.assert_array_equal(out2, mean_after(fresh2, x2, 4))
 
     def test_reset_on_fresh_instance_is_noop(self):
         net = build_instance(tiny_conv_spec(), seed=0)
@@ -475,18 +474,10 @@ class TestResetAndMean:
         with pytest.raises(StateError):
             mean_output(net)
 
-    def test_static_forward_range_check(self):
-        net = build_instance(tiny_conv_spec(t_max=4), seed=2)
-        x = np.zeros((1, 1, 8, 8), dtype=np.float32)
-        with pytest.raises(ValueError):
-            static_forward(net, x, 0)
-        with pytest.raises(ValueError):
-            static_forward(net, x, 5)
-
-    def test_t1_static_equals_single_step(self):
+    def test_t1_scan_equals_single_step(self):
         net = build_instance(tiny_conv_spec(), seed=2)
         x = rng.standard_normal((1, 1, 8, 8)).astype(np.float32)
-        out = static_forward(net, x, 1)
+        out = scan_timesteps(net, x, 1)["mean_logits"][:, 0]
         reset_states(net)
         step = forward_timestep(net, x)
         npt.assert_array_equal(out, step)
@@ -768,7 +759,7 @@ class TestStemCache:
         )
         net = build_instance(tiny_conv_spec(t_max=4), seed=2)
         x = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
-        static_forward(net, x, 4)
+        mean_after(net, x, 4)
         n_conv, n_stem_conv, t_steps = 2, 1, 4
         assert len(calls) == t_steps * n_conv - (t_steps - 1) * n_stem_conv
 

@@ -32,7 +32,6 @@ from dtsnn.network import (
     build_instance,
     forward_timestep,
     inference_params,
-    static_forward,
 )
 from dtsnn.training import (
     TrainConfig,
@@ -53,20 +52,20 @@ from dtsnn.training import (
     train,
 )
 
-from conftest import INPUT_FORMS, input_form
+from conftest import INPUT_FORMS, input_form, mean_after
 from oracles import cross_entropy_reference, finite_difference_grad, replicated_tape_grads
 
 rng = np.random.default_rng(99)
 
 
-def toy_spec(t_max=4, hw=6, channels=2, num_classes=3):
+def toy_spec(t_max=4, hw=6, channels=2, num_classes=3, norm=True):
     return NetworkSpec(
         input_shape=(1, hw, hw),
         num_classes=num_classes,
         t_max=t_max,
         layers=(
             LayerSpec("conv", out_channels=channels, kernel=3, stride=1, padding=1),
-            LayerSpec("norm"),
+            *([LayerSpec("norm")] if norm else []),
             LayerSpec("lif"),
             LayerSpec("pool", window=2),
             LayerSpec("classifier"),
@@ -536,23 +535,23 @@ class TestTrainLoop:
 
 
 class TestStackedForwardAgainstStepwise:
+    # The layer-major stacked unroll and the per-timestep stateful path are
+    # independent routes to the same T-step mean output.  The spec has no
+    # norm layer: the tape's norms use batch statistics, inference's the
+    # running ones.
+
     def test_mean_logits_agree_between_implementations(self):
-        # The layer-major stacked unroll and the per-timestep stateful path
-        # are independent routes to the same T-step mean output.
-        spec = toy_spec(t_max=4)
-        net = build_instance(spec, seed=21)
+        net = build_instance(toy_spec(t_max=4, norm=False), seed=21)
         x = rng.standard_normal((5, 1, 6, 6)).astype(np.float32)
-        stepwise = static_forward(net, x, 4)
-        stacked, _ = forward_with_tape(net, x, 4, train_mode=False)
-        npt.assert_allclose(stacked.mean(axis=0), stepwise, atol=1e-5)
+        stacked, _ = forward_with_tape(net, x, 4)
+        npt.assert_allclose(stacked.mean(axis=0), mean_after(net, x, 4), atol=1e-5)
 
     def test_smooth_firing_agrees_between_implementations(self):
-        net = build_instance(toy_spec(t_max=4), seed=21, dtype=np.float64)
+        net = build_instance(toy_spec(t_max=4, norm=False), seed=21, dtype=np.float64)
         net.smooth_spikes = True
         x = rng.standard_normal((5, 1, 6, 6))
-        stepwise = static_forward(net, x, 4)
-        stacked, _ = forward_with_tape(net, x, 4, train_mode=False)
-        npt.assert_allclose(stacked.mean(axis=0), stepwise, rtol=1e-12)
+        stacked, _ = forward_with_tape(net, x, 4)
+        npt.assert_allclose(stacked.mean(axis=0), mean_after(net, x, 4), rtol=1e-12)
 
     def test_tape_leaves_inference_state_alone(self):
         net, ref = (build_instance(toy_spec(t_max=4), seed=21) for _ in range(2))
