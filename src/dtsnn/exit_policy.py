@@ -209,12 +209,14 @@ def threshold_sweep(net, images, labels, thetas, t_max, cost_fn=None,
     omitted the cost columns are zero.  Rows share a single scan of the
     network, so per-sample trajectories are identical across thetas;
     ``batch_size`` caps the rows of its cache-sized tiles (`scan_timesteps`).
-    Raises ValueError for an empty image set or an empty theta list.
+    Raises ValueError for an empty image set or an empty theta list, and
+    checks ``labels`` (`as_labels`) before the scan runs.
     """
     if len(images) == 0:
         raise ValueError("threshold_sweep requires a non-empty dataset")
     if len(thetas) == 0:
         raise ValueError("threshold_sweep requires at least one theta")
+    labels = as_labels(labels, len(images), net.spec.num_classes)
     record = net.record_activity
     net.record_activity = net.record_activity or cost_fn is not None
     try:

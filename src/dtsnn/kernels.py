@@ -31,7 +31,11 @@ strides, but are fast on that one:
   `batch_norm_train_cached` and `batch_norm_backward` return arrays in the
   memory order of their input.  The kernels a training step calls write
   into an ``out`` array instead when given one, which is how the tape path
-  draws them from its `network.Workspace`;
+  draws them from its `network.Workspace`.  An inference step passes
+  ``buffers`` built once by `conv_buffers` / `pool_buffers` (and ``out``
+  arrays to `batch_norm` and `fully_connected`), so it allocates nothing;
+  those calls run on the caller's thread, and a pool sums bool spikes as
+  bytes;
 - per-channel sums in the norm kernels use einsum, which reduces
   channels-last memory without looping over the short channel axis.
 
@@ -57,6 +61,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -90,7 +95,7 @@ class ConvParams:
         return ho, wo
 
 
-def _im2col(x, kh, kw, stride, padding):
+def _im2col(x, kh, kw, stride, padding, prepared=None):
     """Unfold sliding windows of x (N,C,H,W) into rows (N*Ho*Wo, kh*kw*C).
 
     Columns are in (kh, kw, C) order.  With several channels x is copied
@@ -105,17 +110,29 @@ def _im2col(x, kh, kw, stride, padding):
     Several channels keep the C-order matrix whatever x's memory order:
     OpenBLAS rounds a GEMM that reads a long (K of 36 and more in float32)
     matrix transposed differently, and an NCHW input must give the bits of
-    its channels-last copy.
+    its channels-last copy.  ``prepared``: see `_unfold`.
     """
-    return _unfold(x, kh, kw, stride, padding, planes=x.shape[1] == 1)
+    return _unfold(x, kh, kw, stride, padding, x.shape[1] == 1, prepared)
 
 
-def _unfold(x, kh, kw, stride, padding, planes):
+def _unfold(x, kh, kw, stride, padding, planes, prepared=None):
     """`_im2col`, plane by plane or channels-last (any number of channels):
-    the same matrix values either way."""
+    the same matrix values either way.
+
+    ``prepared``, one block's arrays from `conv_buffers`, holds the
+    zero-bordered buffer's interior, its window view, the scratch the
+    windows are copied into and that scratch as the matrix: x is copied into
+    the interior unless it is that array, and nothing is allocated.
+    """
     n, c, h, w = x.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
+    if prepared is not None:
+        interior, windows, cols, matrix = prepared
+        if x is not interior:
+            np.copyto(interior, x)
+        np.copyto(cols, windows)
+        return matrix, ho, wo
     mem = None
     if padding > 0:
         hp, wp = h + 2 * padding, w + 2 * padding
@@ -190,11 +207,68 @@ def _channels_last_rows(out, shape, dtype):
     return rows.reshape(-1, shape[1])
 
 
-def conv2d(x, weights, params, out=None):
+class ConvBuffers(NamedTuple):
+    """The arrays of `conv2d` on one input shape, from `conv_buffers`."""
+
+    x: np.ndarray        # (N,C,H,W) input: the interior of a zero-bordered buffer
+    padded: np.ndarray   # that buffer, one row per sample
+    blocks: tuple        # per block of samples: (`_unfold` arrays, output rows)
+    out: np.ndarray      # (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory
+    rows: np.ndarray     # out's memory, one row per sample
+
+
+def conv_buffers(x_shape, params, dtype, row_itemsize, take):
+    """Build the arrays of `conv2d` on an x of ``x_shape`` once.
+
+    The input is copied into a zero-bordered buffer laid out as `_unfold`
+    lays it out (plane by plane for one channel, else channels-last), whose
+    border is zeroed here.  Each block of samples -- the blocks of `conv2d`
+    without buffers, `block_rows` of unfolded rows of ``row_itemsize``-byte
+    values -- gets its window view of that buffer, its share of an unfold
+    scratch of one block and its rows of the output.
+    ``take(role, shape, dtype)`` returns an uninitialized C-order array for
+    the roles "x" (the bordered buffer), "cols" (the scratch) and "y" (the
+    output); the caller may hand several convolutions one scratch.
+    """
+    n, c, h, w = x_shape
+    kh, kw, stride, pad = params.kernel_h, params.kernel_w, params.stride, params.padding
+    ho, wo = params.output_hw(h, w)
+    planes, k = c == 1, kh * kw * c
+    mem = take("x", (n, c, h + 2 * pad, w + 2 * pad) if planes
+               else (n, h + 2 * pad, w + 2 * pad, c), dtype)
+    mem[...] = 0
+    xp = mem if planes else mem.transpose(0, 3, 1, 2)
+    interior = xp[:, :, pad : pad + h, pad : pad + w]
+    step = block_rows(ho * wo * k * row_itemsize)
+    cols = take("cols", (min(n, step) * ho * wo * k,), dtype)
+    y = take("y", (n, ho, wo, params.out_channels), dtype)
+    rows = y.reshape(-1, params.out_channels)
+    sn, sc, sh, sw = xp.strides
+    blocks = []
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        if planes:
+            shape, strides = (kh, kw, c, m, ho, wo), (sh, sw, sc, sn, sh * stride, sw * stride)
+        else:
+            shape, strides = (m, ho, wo, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc)
+        windows = as_strided(xp[start : start + m], shape, strides, writeable=False)
+        block = cols[: m * ho * wo * k].reshape(shape)
+        matrix = block.reshape(k, m * ho * wo).T if planes else block.reshape(m * ho * wo, k)
+        blocks.append(((interior[start : start + m], windows, block, matrix),
+                       rows[start * ho * wo : (start + m) * ho * wo]))
+    return ConvBuffers(interior, mem.reshape(n, -1), tuple(blocks), y.transpose(0, 3, 1, 2),
+                       y.reshape(n, -1))
+
+
+def conv2d(x, weights, params, out=None, *, buffers=None):
     """2-d cross-correlation of x (N,C,H,W) with weights (C_out,C_in,kh,kw).
 
     Equivalent to the direct sum-of-products over every window.  ``out``, an
     (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory, receives the result.
+    With ``buffers`` from `conv_buffers` on x's shape the call allocates
+    nothing: x is copied into ``buffers.x`` unless it is that array, the
+    blocks run one after another on the caller's thread (they share one
+    scratch) and the result is ``buffers.out``.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got shape {x.shape}")
@@ -219,6 +293,13 @@ def conv2d(x, weights, params, out=None):
     n = x.shape[0]
     ho, wo = params.output_hw(*x.shape[2:])
     wmat = _weight_matrix(weights).T
+    if buffers is not None:
+        if x is not buffers.x:
+            np.copyto(buffers.x, x)
+        for unfold, y in buffers.blocks:
+            cols, _, _ = _im2col(unfold[0], kh, kw, params.stride, params.padding, unfold)
+            np.matmul(cols, wmat, out=y)
+        return buffers.out
     row_bytes = _unfolded_row_bytes(x, params, ho, wo)
     if out is None and n <= block_rows(row_bytes):  # one unfold and one GEMM
         y = _im2col(x, kh, kw, params.stride, params.padding)[0] @ wmat
@@ -299,8 +380,9 @@ def conv2d_backward(dy, x, weights, params, need_dx=True, out=None):
     return dx, dw
 
 
-def fully_connected(x, weights, bias):
-    """Affine map: x (N,F_in) @ weights (F_out,F_in)^T + bias (F_out)."""
+def fully_connected(x, weights, bias, *, out=None):
+    """Affine map: x (N,F_in) @ weights (F_out,F_in)^T + bias (F_out), into
+    ``out`` when it is given."""
     if x.ndim != 2:
         raise ShapeError(f"fully_connected input must be 2-d (N,F), got {x.shape}")
     if weights.ndim != 2 or x.shape[1] != weights.shape[1]:
@@ -312,7 +394,11 @@ def fully_connected(x, weights, bias):
         raise ShapeError(
             f"bias shape {bias.shape} does not match out features {weights.shape[0]}"
         )
-    return x @ weights.T + bias
+    if out is None:
+        return x @ weights.T + bias
+    np.matmul(x, weights.T, out=out)
+    out += bias
+    return out
 
 
 def fully_connected_backward(dy, x, weights):
@@ -334,13 +420,68 @@ def _pool_rows(x, window, out=None):
     return np.divide(y, window * window, out=out)
 
 
-def avg_pool2d(x, window, out=None):
+class PoolBuffers(NamedTuple):
+    """The arrays of `avg_pool2d` on one input array, from `pool_buffers`."""
+
+    x: np.ndarray        # the input array the calls below read
+    calls: tuple         # the numpy calls that sum the windows and divide, in order
+    sums: np.ndarray     # the window sums, one row per sample
+    out: np.ndarray      # (N,C,H/window,W/window) window means
+
+
+def pool_buffers(x, window, out, take):
+    """Build the calls of `avg_pool2d` on this x, an (N,C,H,W) view of
+    (N,H,W,C) memory, into ``out`` once.
+
+    The window sums add the window's rows, then its columns, as `_pool_rows`
+    does, but on views in x's memory order (rows of W*C values, then of C)
+    into row-sum and window-sum buffers from ``take(role, shape, dtype)``;
+    the sums are then divided by window**2 in ``out``'s dtype.  A bool x
+    (spikes) is summed as bytes, in the smallest unsigned integer that holds
+    window**2; integer sums are exact in any order, so a window that covers
+    the whole map is summed by one `np.add.reduce`.
+    """
+    n, c, h, w = x.shape
+    ho, wo = h // window, w // window
+    mem = x.transpose(0, 2, 3, 1)
+    if not mem.flags.c_contiguous:
+        raise ShapeError("pooled input must be an (N,C,H,W) view of (N,H,W,C) memory")
+    dtype = x.dtype
+    if dtype == bool:
+        dtype, mem = np.min_scalar_type(window * window), mem.view(np.uint8)
+    sums = take("sums", (n, ho, wo, c), dtype)
+    calls = []
+
+    def window_sum(src, total):
+        """Add src (M, window, K) over its middle axis into total (M, K)."""
+        if window == 1:
+            return src[:, 0]
+        calls.append(functools.partial(np.add, src[:, 0], src[:, 1], out=total))
+        calls.extend(functools.partial(np.add, total, src[:, i], out=total)
+                     for i in range(2, window))
+        return total
+
+    if dtype.kind == "u" and ho == wo == 1 < window:
+        calls.append(functools.partial(np.add.reduce, mem.reshape(n, h * w, c), axis=1,
+                                       dtype=dtype, out=sums.reshape(n, c)))
+    else:
+        rows = window_sum(mem.reshape(n * ho, window, w * c), take("rows", (n * ho, w * c), dtype))
+        sums = window_sum(rows.reshape(n * ho * wo, window, c), sums.reshape(-1, c))
+        sums = sums.reshape(n, ho, wo, c)
+    calls.append(functools.partial(np.divide, sums.transpose(0, 3, 1, 2), window * window,
+                                   out=out, dtype=out.dtype))
+    return PoolBuffers(x, tuple(calls), sums.reshape(n, -1), out)
+
+
+def avg_pool2d(x, window, out=None, *, buffers=None):
     """Non-overlapping mean pooling; H and W must be divisible by window.
 
     Sums the window's strided row slices, then its strided column slices,
     then divides by window**2; the output has the memory order of x, or is
     written into ``out``.  Runs in blocks of samples of about BLOCK_BYTES of
-    input.
+    input.  With ``buffers`` from `pool_buffers` the call allocates nothing:
+    x is copied into ``buffers.x`` unless it is that array, and the result
+    is ``buffers.out``.
     """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d input must be 4-d, got shape {x.shape}")
@@ -349,6 +490,12 @@ def avg_pool2d(x, window, out=None):
         raise ShapeError(
             f"spatial size {h}x{w} not divisible by pooling window {window}"
         )
+    if buffers is not None:
+        if x is not buffers.x:
+            np.copyto(buffers.x, x)
+        for call in buffers.calls:
+            call()
+        return buffers.out
     n, row_bytes = len(x), x.nbytes // max(1, len(x))
     if out is None and n <= block_rows(row_bytes):
         return _pool_rows(x, window)
@@ -407,11 +554,12 @@ def _channel_view(x, num_features):
     return (1, num_features) + (1,) * (x.ndim - 2)
 
 
-def batch_norm(x, params):
-    """Per-channel normalization by the stored running statistics."""
+def batch_norm(x, params, *, out=None):
+    """Per-channel normalization by the stored running statistics, into
+    ``out`` when it is given."""
     view = _channel_view(x, params["gamma"].shape[0])
     invstd = 1.0 / np.sqrt(params["running_var"] + BN_EPS)
-    y = x - params["running_mean"].reshape(view)
+    y = np.subtract(x, params["running_mean"].reshape(view), out=out)
     y *= invstd.reshape(view)
     y *= params["gamma"].reshape(view)
     y += params["beta"].reshape(view)

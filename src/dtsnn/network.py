@@ -27,8 +27,12 @@ An SnnInstance is single-owner mutable state: one inference at a time.
 Weights may be shared read-only between instances; `clone_state` gives each
 worker its own membrane potentials (and no cached stem) over the same built
 inference plan.  `scan_timesteps` does this itself: its tiles run on the
-workers of `kernels.run_blocks`, the caller's thread on the instance and
-each helper on its own clone.
+workers of `kernels.run_blocks`, each on its own clone.
+
+Without a tape every layer runs on arrays the instance builds once per input
+shape and keeps (`StepBuffers`): the LIF potentials, a bool keep array that
+holds a LIF layer's spikes for the pool after it, each pool's integer window
+sums, each convolution's zero-bordered input, window views and output.
 """
 
 import math
@@ -93,7 +97,7 @@ def _empty_steps(like, t_steps, ws=None, key=None):
     return steps.reshape((t_steps,) + like.shape)
 
 
-def lif_unroll(currents, cfg, smooth=False, state=None, out=None):
+def lif_unroll(currents, cfg, smooth=False, state=None, out=None, keep=None):
     """Forward a (T, B, ...) current tensor through one LIF layer.
 
     Each step: u <- tau*u + input; spike where u > v_th (strict), or
@@ -104,10 +108,12 @@ def lif_unroll(currents, cfg, smooth=False, state=None, out=None):
     (T, B, ...) arrays, receives it, and its spikes may be currents itself.
     With a LifState it continues from the state's potentials, leaves the
     final potentials in it, and returns (spikes, None): inference keeps no
-    pre-reset potentials.  Samples are independent: the batch runs in blocks
-    of about `kernels.BLOCK_BYTES` of one step's currents
-    (`kernels.run_row_blocks`), each through all T steps, from rest on
-    potentials of its own.
+    pre-reset potentials, and ``out`` is (None, spikes).  Strict firing
+    computes keep = u <= v_th into ``keep``, a bool (B, ...) array (a new one
+    when it is None), and spikes = not keep; bool spikes may be ``keep``
+    itself.  Samples are independent: the batch runs in blocks of about
+    `kernels.BLOCK_BYTES` of one step's currents (`kernels.run_row_blocks`),
+    each through all T steps, from rest on potentials of its own.
     """
     t_steps, batch = currents.shape[:2]
     step = currents[0]
@@ -115,45 +121,61 @@ def lif_unroll(currents, cfg, smooth=False, state=None, out=None):
         u = None
         if out is None:
             out = (_empty_steps(step, t_steps), _empty_steps(step, t_steps))
-        u_pre, spikes = out
     elif step.shape != state.u.shape:
         raise ShapeError(
             f"input current shape {step.shape} does not match "
             f"membrane shape {state.u.shape}"
         )
     else:
-        u, u_pre, spikes = state.u, None, _empty_steps(step, t_steps)
+        u = state.u
+        if out is None:
+            out = (None, _empty_steps(step, t_steps))
+    u_pre, spikes = out
     row_bytes = step.nbytes // max(1, batch)
     if batch <= kernels.block_rows(row_bytes):
-        _lif_rows(currents, cfg, smooth, u, u_pre, spikes)
+        _lif_rows(currents, cfg, smooth, u, u_pre, spikes, keep)
     else:
         kernels.run_row_blocks(batch, row_bytes, lambda rows: _lif_rows(
             currents[:, rows], cfg, smooth, None if u is None else u[rows],
-            None if u_pre is None else u_pre[:, rows], spikes[:, rows]))
+            None if u_pre is None else u_pre[:, rows], spikes[:, rows],
+            None if keep is None else keep[rows]))
     if state is None:
         return spikes, (u_pre, spikes)
     return spikes, None
 
 
-def _lif_rows(currents, cfg, smooth, u, u_pre, spikes):
+def _lif_rows(currents, cfg, smooth, u, u_pre, spikes, keep=None):
     """`lif_unroll` of one block of samples: updates u in place (from rest
     when u is None) and writes each step's potentials before the reset
-    (unless u_pre is None) and spikes."""
+    (unless u_pre is None) and spikes, by way of ``keep`` (new when None)."""
     if u is None:
         u = np.zeros_like(currents[0])
-    keep = np.empty_like(u, dtype=bool)
+    if keep is None:
+        keep = np.empty_like(u, dtype=bool)
     for t in range(currents.shape[0]):
-        u *= cfg.tau
-        u += currents[t]
+        current, spike, v, k = _channels_last_views(currents[t], spikes[t], u, keep)
+        v *= cfg.tau
+        v += current
         if u_pre is not None:
             u_pre[t] = u
         if smooth:
-            spikes[t] = spike_ramp(u, cfg.v_th)
-            u *= 1.0 - spikes[t]
+            spike[...] = spike_ramp(v, cfg.v_th)
+            v *= 1.0 - spike
         else:
-            np.less_equal(u, cfg.v_th, out=keep)
-            np.logical_not(keep, out=spikes[t], casting="unsafe")
-            u *= keep
+            np.less_equal(v, cfg.v_th, out=k)
+            v *= k
+            np.logical_not(k, out=spike, casting="unsafe")
+
+
+def _channels_last_views(*arrays):
+    """The (N,H,W,C) views of (N,C,H,W) arrays that all lie in channels-last
+    memory, else the arrays: a ufunc on C-contiguous operands skips numpy's
+    strided iterator, which costs about 2 us a call at batch 1."""
+    if arrays[0].ndim == 4:
+        views = [a.transpose(0, 2, 3, 1) for a in arrays]
+        if all(v.flags.c_contiguous for v in views):
+            return views
+    return arrays
 
 
 def lif_step(state, input_current, cfg):
@@ -379,6 +401,152 @@ class Workspace:
         return self.empty(key, (n, h, w, c), dtype).transpose(0, 3, 1, 2)
 
 
+class StepLayer(NamedTuple):
+    """The arrays one layer of an inference step runs on (`StepBuffers`)."""
+
+    input: np.ndarray    # the array it reads, h copied in unless h is it; None: h as it comes
+    count: np.ndarray    # one row per sample holding a weighted layer's input values
+    buffers: object      # the kernel's ConvBuffers / PoolBuffers, an fc's input rows,
+                         # a LIF layer's (potentials, keep)
+    out: np.ndarray      # the array it writes; None: a new one
+
+
+_NO_STEP = StepLayer(None, None, None, None)  # a tape's layers allocate as they go
+
+
+class StepBuffers:
+    """The arrays of an instance's inference steps, built once per shape.
+
+    `forward_timestep` runs the layers on the `StepLayer` arrays of its
+    input's (rows, dtype) and the instance's firing mode, built on the first
+    step at that key and kept: a later step at the same key allocates only
+    its logits and activity row.  The memory is bytes kept per (layer, role)
+    in a `Workspace`, so a smaller batch (a scan's last tile) takes a prefix.
+    An array that the next layer reads and no later one does is shared by
+    the layers of its role: the convolutions' unfold scratch (at most one
+    block), the outputs of the convolutions after the stem, the LIF layers'
+    keep arrays and the pools' sums.  The arrays hold no weights: a
+    rebuilt `inference_params` keeps them unless the parameters' dtypes
+    changed.  Every step overwrites them, so each instance has its own
+    (`clone_state` gives the clone new ones).
+    """
+
+    MAX_KEYS = 8  # more distinct batch sizes than this start the cache afresh
+
+    def __init__(self):
+        self._memory = Workspace()
+        self._layers = {}  # (rows, dtype, smooth) -> tuple of StepLayer
+
+    def layers(self, net, params, rows, dtype):
+        """The StepLayer of every layer of ``net`` for ``rows`` input rows of
+        ``dtype``, built on first use.
+
+        A first key of another dtype or firing mode, a larger batch or more
+        than MAX_KEYS keys drops the views built before.  A build that grew a
+        kept buffer runs again, so its layers share the grown bytes.
+        """
+        key = (rows, dtype, net.smooth_spikes)
+        found = self._layers.get(key)
+        if found is None:
+            if any(k[1:] != key[1:] or k[0] < rows for k in self._layers) \
+                    or len(self._layers) >= self.MAX_KEYS:
+                self._layers.clear()
+            for _ in range(2):
+                kept = dict(self._memory._buffers)
+                found = _step_layers(net.spec, params, rows, np.dtype(dtype), net.smooth_spikes,
+                                     self._memory.empty)
+                if all(kept.get(k) is buf for k, buf in self._memory._buffers.items()):
+                    break
+            self._layers[key] = found
+        return found
+
+
+def _step_layers(spec, params, n, dtype, smooth, empty):
+    """The StepLayer of every layer for n input rows of ``dtype``.
+
+    ``empty(key, shape, dtype)`` returns an uninitialized C-order array kept
+    under key.  Every layer gets the output dtype its kernel would give.  A
+    convolution reads a zero-bordered buffer and an fc layer C-order rows;
+    the layer before writes straight into them when its output has their
+    dtype, and the loop copies h in otherwise.  A strict LIF layer before a
+    pool leaves its spikes as bool, its keep buffer inverted, which the pool
+    sums as bytes (`kernels.pool_buffers`); every other output is in the
+    step's float dtype, so no bool array reaches a GEMM or a norm.  4-d
+    arrays are (N,C,H,W) views of channels-last memory.
+    """
+    layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
+    inputs = {}  # layer index -> its ConvBuffers or fixed input array
+
+    def own(i, role, shape, dt):
+        if len(shape) == 4:
+            n_, c, h, w = shape
+            return empty((i, role), (n_, h, w, c), dt).transpose(0, 3, 1, 2)
+        return empty((i, role), shape, dt)
+
+    def fixed_input(i, dt):
+        """The array layer i reads, for input dtype dt; None for h as it comes."""
+        if i < len(layers) and i not in inputs:
+            kind, plan = layers[i].kind, plans[i]
+            shape = (n,) + plan.in_shape
+            if kind == "conv":
+                keys = {"x": (i, "x"), "cols": ("step", "cols"),
+                        "y": (i, "y") if i < s else ("step", "y")}
+                inputs[i] = kernels.conv_buffers(
+                    shape, plan.config, np.result_type(dt, params[i]["w"]), dt.itemsize,
+                    lambda role, shape, dt: empty(keys[role], shape, dt))
+            elif kind in ("fc", "classifier"):
+                inputs[i] = empty((i, "x"), shape, dt)
+            elif kind == "pool" and i == 0:  # the raw input: laid out for the pool
+                inputs[i] = own(i, "x", shape, dt)
+        found = inputs.get(i)
+        return found.x if isinstance(found, kernels.ConvBuffers) else found
+
+    def dest(i, dt):
+        """Where layer i writes an output of dtype dt: the next layer's input
+        when it has that dtype, else an array of its own."""
+        nxt = fixed_input(i + 1, dt)
+        if nxt is not None and nxt.dtype == dt:
+            return nxt
+        return own(i, "y", (n,) + plans[i].out_shape, dt)
+
+    step, dt = [], dtype
+    for i, (layer, par, plan) in enumerate(zip(layers, params, plans)):
+        kind, fixed = layer.kind, fixed_input(i, dt)
+        if kind == "conv":
+            conv = inputs[i]
+            arrays = StepLayer(fixed, conv.padded, conv, conv.out)
+            dt = conv.out.dtype
+        elif kind == "norm" and par is not None:
+            dt = np.result_type(dt, par["running_mean"])
+            arrays = StepLayer(None, None, None, dest(i, dt))
+        elif kind == "lif":
+            u = own(i, "u", (n,) + plan.in_shape, dt)
+            keep = own("step", "keep", u.shape, bool)
+            to_pool = not smooth and i + 1 < len(layers) and layers[i + 1].kind == "pool"
+            arrays = StepLayer(None, None, (u, keep), keep if to_pool else dest(i, dt))
+        elif kind == "pool":
+            # the pool's views are built on the array it reads: the output of
+            # the last layer that wrote one (a folded norm writes none)
+            src = fixed if fixed is not None else \
+                next(a.out for a in reversed(step) if a.out is not None)
+            dt = np.result_type(dt, 1.0)
+            pool = kernels.pool_buffers(src, layer.window, dest(i, dt),
+                                        lambda role, shape, dt: empty(("step", role), shape, dt))
+            arrays = StepLayer(fixed, None, pool, pool.out)
+        elif kind in ("fc", "classifier"):
+            rows = fixed.reshape(n, -1)
+            dt = np.result_type(dt, par["w"])
+            arrays = StepLayer(fixed, rows, rows, None if kind == "classifier" else dest(i, dt))
+        else:  # a norm folded into the layer before
+            arrays = _NO_STEP
+        if plan.weight_shape is not None and i > s and layers[i - 1].kind == "pool" \
+                and step[-1].buffers.sums.dtype.kind == "u":
+            # the pool's integer window sums: nonzero where its means are, and smaller
+            arrays = arrays._replace(count=step[-1].buffers.sums)
+        step.append(arrays)
+    return tuple(step)
+
+
 @dataclass
 class SnnInstance:
     """A NetworkSpec bound to weights plus the mutable inference state.
@@ -402,10 +570,12 @@ class SnnInstance:
     stem: tuple = None            # (input, stem output, stem activity counts)
     inference_plan: tuple = None  # (parameter arrays, inference parameters)
     workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
+    step_buffers: StepBuffers = field(default_factory=StepBuffers, repr=False, compare=False)
 
     def clone_state(self):
         """New instance sharing the weight arrays, their inference plan, the
-        training workspace and the firing mode, with fresh inference state.
+        training workspace and the firing mode, with fresh inference state
+        and step buffers of its own.
 
         The clone has its own parameter list and dicts over the same
         (read-only once the plan is built) arrays, so replacing an entry, as
@@ -446,7 +616,8 @@ def build_instance(spec, seed=0, dtype=np.float32):
 
 def reset_states(net):
     """Zero all membrane potentials, accumulated logits and the step counter,
-    and drop the cached stem output."""
+    and drop the cached stem output.  The step buffers stay: the next step
+    zeroes the potentials it takes from them."""
     net.lif_states = {}
     net.accumulated_logits = None
     net.t = 0
@@ -461,15 +632,20 @@ def inference_params(net):
     s = gamma / sqrt(running_var + BN_EPS) the weights become w*s, the bias
     (b - running_mean)*s + beta, and the norm's entry None.  Conv weights are
     (C_out, C_in, kh, kw) views of (C_out, kh, kw, C_in) memory, the column
-    order of `conv2d`'s unfolded input.  Kept in ``net.inference_plan`` and
-    rebuilt, dropping the cached stem, when an array of ``net.params`` has
-    been replaced; building it makes those arrays read-only.
+    order of `conv2d`'s unfolded input; a conv with a bias also gets "b_map",
+    the bias repeated at each output position in the order of one sample's
+    (Ho, Wo, C_out) memory, as a row.  Kept in ``net.inference_plan`` and rebuilt,
+    dropping the cached stem, when an array of ``net.params`` has
+    been replaced; building it makes those arrays read-only.  A rebuild with
+    other dtypes also drops ``net.step_buffers``, laid out for the old ones.
     """
     arrays = [a for p in net.params if p is not None for a in p.values()]
     plan = net.inference_plan
     if plan is None or len(plan[0]) != len(arrays) or not all(map(operator.is_, plan[0], arrays)):
         for a in arrays:
             a.flags.writeable = False
+        if plan is not None and [a.dtype for a in plan[0]] != [a.dtype for a in arrays]:
+            net.step_buffers = StepBuffers()
         kinds, params = [layer.kind for layer in net.spec.layers], list(net.params)
         for i in range(1, len(kinds)):
             if kinds[i] == "norm" and kinds[i - 1] in ("conv", "fc"):
@@ -479,8 +655,12 @@ def inference_params(net):
                 b = (prev.get("b", 0.0) - norm["running_mean"]) * s + norm["beta"]
                 params[i - 1] = {"w": w.astype(prev["w"].dtype), "b": b.astype(prev["w"].dtype)}
                 params[i] = None
-        params = [dict(p, w=np.ascontiguousarray(p["w"].transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2))
-                  if kind == "conv" else p for kind, p in zip(kinds, params)]
+        for i, plan in enumerate(net.spec.layer_plan):
+            if kinds[i] == "conv":
+                w = np.ascontiguousarray(params[i]["w"].transpose(0, 2, 3, 1))
+                p = params[i] = dict(params[i], w=w.transpose(0, 3, 1, 2))
+                if "b" in p:
+                    p["b_map"] = np.tile(p["b"], (1, math.prod(plan.out_shape[1:])))
         net.inference_plan, net.stem = (arrays, params), None
     return net.inference_plan[1]
 
@@ -490,15 +670,16 @@ def _count_inputs(h, analog):
 
     Analog inputs (direct encoding into a weighted layer of the stem) drive
     every row, so the count is the number of elements; spiking inputs count
-    the nonzero lines only.
+    the nonzero lines only, sample by sample: a count along an axis goes
+    through numpy's astype(bool) and sum, which allocates and costs more.
+    The step passes each sample's input values as one contiguous row
+    (`StepLayer.count`), where a whole count is fastest.
     """
     if analog:
-        return np.full(h.shape[0], np.prod(h.shape[1:]), dtype=np.float64)
-    if h.shape[0] == 1:  # numpy's per-axis count costs several us more
-        # counted in memory order: a count over a channels-last view's
-        # strides costs about twice as much
-        return np.array([np.count_nonzero(h.ravel(order="K"))], dtype=np.float64)
-    return np.count_nonzero(h, axis=tuple(range(1, h.ndim))).astype(np.float64)
+        return np.full(h.shape[0], math.prod(h.shape[1:]), dtype=np.float64)
+    if len(h) == 1:
+        return np.array([np.count_nonzero(h)], dtype=np.float64)
+    return np.array([np.count_nonzero(row) for row in h], dtype=np.float64)
 
 
 def forward_timestep(net, x):
@@ -518,14 +699,17 @@ def forward_timestep(net, x):
         )
     s = spec.first_lif
     params = inference_params(net)  # a rebuilt plan drops the stem computed on old weights
+    step = net.step_buffers.layers(net, params, len(x), x.dtype)
     record = net.record_activity
     if net.stem is None or net.stem[0] is not x or (record and net.stem[2] is None):
         check_finite(x)
         stem_counts = [] if record else None
-        net.stem = (x, run_layers(net, x, range(s), counts=stem_counts, params=params), stem_counts)
+        net.stem = (x, run_layers(net, x, range(s), counts=stem_counts, params=params, step=step),
+                    stem_counts)
     _, h, stem_counts = net.stem
     step_counts = list(stem_counts) if record else None
-    h = run_layers(net, h, range(s, len(spec.layers)), counts=step_counts, params=params)
+    h = run_layers(net, h, range(s, len(spec.layers)), counts=step_counts, params=params,
+                   step=step)
     if net.accumulated_logits is None:
         net.accumulated_logits = np.zeros_like(h)
     net.accumulated_logits += h
@@ -535,20 +719,22 @@ def forward_timestep(net, x):
     return h
 
 
-def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=None):
+def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=None, step=None):
     """Apply the layers at ``indices`` to h, the B rows entering the first.
 
     Rows are t_steps timestep-major blocks of B rows from the first LIF on.
     ``counts``, when a list, receives the per-sample input count of every
     weighted layer.  Without a tape the pass is one timestep (t_steps 1):
     layers run on ``params``, by default `inference_params`, unfolded norms
-    use running statistics and LIF layers continue from ``net.lif_states``.
-    With one, LIF layers start from rest, norms use batch statistics and
-    propose updates in ``tape["norm_updates"]``, and every layer appends its
-    cache to ``tape["caches"]``.  A tape's conv, norm, LIF and pool outputs
-    come from ``tape["workspace"]`` (a new `Workspace` when it is None),
-    keyed by layer index, and a norm or a LIF layer writes its output over
-    an input that no tape entry holds.
+    use running statistics and LIF layers continue from ``net.lif_states``,
+    and every layer runs on its arrays in ``step``, the instance's
+    `StepBuffers` layers of the step's input.  With a tape,
+    LIF layers start from rest, norms use batch statistics and propose
+    updates in ``tape["norm_updates"]``, and every layer appends its cache to
+    ``tape["caches"]``.  A tape's conv, norm, LIF and pool outputs come from
+    ``tape["workspace"]`` (a new `Workspace` when it is None), keyed by layer
+    index, and a norm or a LIF layer writes its output over an input that no
+    tape entry holds.
     """
     spec = net.spec
     layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
@@ -563,20 +749,27 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=Non
     for i in indices:
         layer, par, plan = layers[i], params[i], plans[i]
         kind, cfg = layer.kind, plan.config
+        arrays = _NO_STEP if ws is not None else step[i]
+        if arrays.input is not None and h is not arrays.input:
+            np.copyto(arrays.input, h)
+            h = arrays.input
         if counts is not None and plan.weight_shape is not None:
-            counts.append(_count_inputs(h, analog=i < s))
+            counts.append(_count_inputs(h if i < s or arrays.count is None else arrays.count,
+                                        analog=i < s))
         if kind == "conv":
             out = None if ws is None else ws.channels_last(
                 (i, "y"), (len(h),) + plan.out_shape, np.result_type(h, par["w"]))
-            y = conv2d(h, par["w"], cfg, out)
-            if "b" in par:
+            y = conv2d(h, par["w"], cfg, out, buffers=arrays.buffers)
+            if "b" in par and arrays.buffers is None:
                 y += par["b"].reshape(1, -1, 1, 1)
+            elif "b" in par:  # one contiguous add per sample
+                np.add(arrays.buffers.rows, par["b_map"], out=arrays.buffers.rows)
             if ws is not None:
                 record((kind, cfg, h))
             h = y
         elif kind == "norm" and ws is None:
             if par is not None:  # None: folded into the layer before
-                h = batch_norm(h, par)
+                h = batch_norm(h, par, out=arrays.out)
         elif kind == "norm":
             repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
             xhat = ws.empty_like((i, "xhat"), h, dtype=np.result_type(h, 1.0))
@@ -585,12 +778,15 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=Non
             h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats, (xhat, y))
             record((kind, cache))
         elif kind == "lif" and ws is None:  # one step, from the instance's potentials
+            u, keep = arrays.buffers
             state = net.lif_states.get(i)
-            if state is None or state.u.shape != h.shape:
-                if state is not None:
-                    raise StateError("batch size changed mid-inference; call reset_states first")
-                state = net.lif_states[i] = LifState(np.zeros_like(h))
-            h = lif_unroll(h[None], cfg, net.smooth_spikes, state)[0][0]
+            if state is None:
+                u.fill(0)
+                state = net.lif_states[i] = LifState(u)
+            elif state.u.shape != h.shape:
+                raise StateError("batch size changed mid-inference; call reset_states first")
+            lif_unroll(h[None], cfg, net.smooth_spikes, state, (None, arrays.out[None]), keep)
+            h = arrays.out
         elif kind == "lif":
             h = h.reshape((-1, batch) + h.shape[1:])
             in_place = owned and len(h) == t_steps  # not the stem's broadcast rows
@@ -607,12 +803,13 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=Non
             if ws is not None:
                 record((kind, w))
                 out = ws.empty_like((i, "y"), h[:, :, ::w, ::w], dtype=np.result_type(h, 1.0))
-            h = avg_pool2d(h, w, out)
+            h = avg_pool2d(h, w, out, buffers=arrays.buffers)
         else:  # fc / classifier
-            h, shape = h.reshape(h.shape[0], -1), h.shape
+            shape = h.shape
+            h = h.reshape(h.shape[0], -1) if arrays.buffers is None else arrays.buffers
             if ws is not None:
                 record((kind, h, shape))
-            h = fully_connected(h, par["w"], par["b"])
+            h = fully_connected(h, par["w"], par["b"], out=arrays.out)
         owned = kind != "lif"  # a LIF layer's tape entry holds its spikes
     return h
 
@@ -646,8 +843,9 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
     spikes and cached stem output stay in cache between layers (27 samples
     for configs/mnist.yaml in float32); ``batch_size`` only caps that
     number.  BLAS is held at one thread throughout.  The tiles are the
-    blocks of one `kernels.run_blocks` call: the caller's thread runs them
-    on ``net`` and each helper thread on a clone (`clone_state`); the
+    blocks of one `kernels.run_blocks` call, which every worker, the
+    caller's thread too, runs on a clone (`clone_state`): its step buffers
+    live for the call, so an idle ``net`` keeps none of a scan's.  The
     kernels inside a tile run their own blocks inline.  Results are written
     by sample index, so the outcome depends neither on the tiling nor on the
     workers.  The first error of any tile stops the other workers at their
@@ -686,7 +884,7 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
     inference_params(net)  # built once here, shared by the clones
     try:
         with kernels.one_blas_thread():  # a single tile runs inline, held too
-            kernels.run_blocks(-(-n // rows), tile, net, net.clone_state)
+            kernels.run_blocks(-(-n // rows), tile, net.clone_state(), net.clone_state)
     finally:
         reset_states(net)
     return {"mean_logits": mean_logits, "activity": activity}

@@ -105,7 +105,8 @@ seen = {}
 
 def record(module, name):
     kernel, seen[name] = getattr(module, name), set()
-    setattr(module, name, lambda *a: seen[name].add(kernels.blas_threads()) or kernel(*a))
+    setattr(module, name,
+            lambda *a, **kw: seen[name].add(kernels.blas_threads()) or kernel(*a, **kw))
 
 record(network, "fully_connected")
 record(training, "fully_connected_backward")
@@ -137,7 +138,7 @@ net = instance_from_checkpoint(ckpt)
 ds = synth_dataset("stripes", 96, ckpt.spec.num_classes, seed=7, noise=1.3)
 cfg = training.TrainConfig(epochs=1, batch_size=64, t_train=ckpt.spec.t_max, seed=3)
 seen, conv = set(), network.conv2d
-network.conv2d = lambda *args: seen.add(kernels.blas_threads()) or conv(*args)
+network.conv2d = lambda *args, **kw: seen.add(kernels.blas_threads()) or conv(*args, **kw)
 before = kernels.blas_threads()
 log = training.train(net, ds.images[:80], ds.labels[:80], ds.images[80:], ds.labels[80:], cfg)
 digest = hashlib.sha256(b"".join(a.tobytes() for p in net.params if p for a in p.values()))

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dtsnn import training
+from dtsnn import exit_policy, training
 from dtsnn.errors import ShapeError
 from dtsnn.exit_policy import (
     ExitPolicy,
@@ -91,6 +91,18 @@ def test_entry_points_reject_bad_labels(entry, bad, tmp_path, monkeypatch):
     assert (caught.type is ShapeError) == (error is ShapeError)
     assert steps == []  # train checks both splits before its first step
     assert not (tmp_path / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("bad", list(BAD_LABELS))
+def test_sweep_rejects_bad_labels_before_it_scans(bad, monkeypatch):
+    labels, error = BAD_LABELS[bad]
+
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the labels were checked")
+
+    monkeypatch.setattr(exit_policy, "scan_timesteps", scan)
+    with pytest.raises(error, match="labels"):
+        threshold_sweep(make_net(), IMAGES, labels, [0.0, 0.5], 2)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__[len("call_"):])

@@ -3,13 +3,16 @@
 import os
 import sys
 import threading
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dtsnn import kernels, network
+from dtsnn.config import parse_config
 from dtsnn.errors import DataFormatError, ShapeError, StateError
 from dtsnn.hardware import perturbed_instance
 from dtsnn.kernels import avg_pool2d, batch_norm, conv2d, fully_connected
@@ -175,16 +178,26 @@ class TestLifUnroll:
         npt.assert_array_equal(spikes[-1], ref_spikes[-1])
 
 
-def reference_logits(spec, params, x, t_steps):
+def reference_logits(spec, params, x, t_steps, smooth=False, inputs=None):
     """Per-step logits and the current entering every LIF layer at every
     step, from the kernels on unfolded parameters: conv2d, batch_norm with
-    running statistics, avg_pool2d, fully_connected, and `lif_formula`."""
+    running statistics, avg_pool2d, fully_connected, and `lif_formula` (with
+    ``smooth``, the same update firing by `network.spike_ramp`).  ``inputs``,
+    when a list, receives the input of every weighted layer at every step."""
     u = {}
     logits, currents = [], []
     for _ in range(t_steps):
         h = x
         for i, (layer, par, plan) in enumerate(zip(spec.layers, params, spec.layer_plan)):
-            if layer.kind == "conv":
+            if inputs is not None and plan.weight_shape is not None:
+                inputs.append(h)
+            if layer.kind == "lif" and smooth:
+                currents.append(h)
+                cfg = plan.config
+                v = cfg.tau * u.get(i, np.zeros_like(h)) + h
+                h = network.spike_ramp(v, cfg.v_th)
+                u[i] = v * (1 - h)
+            elif layer.kind == "conv":
                 h = conv2d(h, par["w"], plan.config)
                 if "b" in par:
                     h = h + par["b"].reshape(1, -1, 1, 1)
@@ -279,7 +292,8 @@ class TestInferencePlan:
 
     def test_only_norms_after_conv_or_fc_fold(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(network, "batch_norm", lambda *a: calls.append(1) or batch_norm(*a))
+        monkeypatch.setattr(network, "batch_norm",
+                            lambda *a, **kw: calls.append(1) or batch_norm(*a, **kw))
         for case, (layers, _, folded) in PLAN_CASES.items():
             net, x, _ = self.make(case, np.float32)
             calls.clear()
@@ -337,6 +351,43 @@ class TestInferencePlan:
         assert clone.inference_plan is net.inference_plan
         assert inference_params(clone) is inference_params(net)  # not rebuilt
         npt.assert_array_equal(mean_after(clone, x, 3), logits)
+
+    @pytest.mark.parametrize("case", list(PLAN_CASES))
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    @pytest.mark.parametrize("dtype, rtol, atol", [
+        (np.float64, 1e-12, 0.0),
+        (np.float32, 1e-5, 1e-5),
+    ], ids=["float64", "float32"])
+    def test_step_buffers_match_the_reference_at_every_batch(self, case, smooth, dtype, rtol,
+                                                             atol, monkeypatch):
+        # The step's arrays are built per batch size: one row, two, a whole
+        # scan tile and a tile plus one.  Activity counts the reference's
+        # layer inputs, and no bool spike array reaches a GEMM or a norm.
+        net, _, _ = self.make(case, dtype)
+        net.smooth_spikes, net.record_activity = smooth, True
+        if smooth:  # ramp outputs near zero carry the fold's absolute rounding
+            atol = max(atol, rtol)
+        tile = network._scan_rows(net.spec, np.dtype(dtype).itemsize, 512)
+        seen = []
+        for name in ("conv2d", "fully_connected", "batch_norm"):
+            kernel = getattr(network, name)
+            monkeypatch.setattr(network, name, lambda x, *a, kernel=kernel, **kw:
+                                seen.append(x.dtype) or kernel(x, *a, **kw))
+        s = net.spec.first_lif
+        for rows in (1, 2, tile, tile + 1):
+            x = (rng.standard_normal((rows,) + net.spec.input_shape) * 1.5).astype(dtype)
+            inputs = []
+            ref_logits, _ = reference_logits(net.spec, net.params, x, self.T_STEPS, smooth, inputs)
+            reset_states(net)
+            logits = np.stack([forward_timestep(net, x) for _ in range(self.T_STEPS)])
+            npt.assert_allclose(logits, ref_logits, rtol=rtol, atol=atol)
+            mapped = [i for i, plan in enumerate(net.spec.layer_plan) if plan.weight_shape]
+            for t, row in enumerate(net.activity):
+                for j, (i, h) in enumerate(zip(mapped, inputs[t * len(mapped):])):
+                    want = (np.full(rows, h[0].size) if i < s
+                            else [np.count_nonzero(sample) for sample in h])
+                    npt.assert_array_equal(row[:, j], want)
+        assert seen and bool not in seen
 
     def test_perturbed_instance_gets_its_own_plan(self):
         net, x, _ = self.make("conv_norm", np.float64)
@@ -762,6 +813,128 @@ class TestStemCache:
         mean_after(net, x, 4)
         n_conv, n_stem_conv, t_steps = 2, 1, 4
         assert len(calls) == t_steps * n_conv - (t_steps - 1) * n_stem_conv
+
+
+class TestStepBuffers:
+    # forward_timestep runs every layer on arrays the instance builds once
+    # per (rows, dtype, firing mode) and keeps.
+    MNIST = parse_config(Path(__file__).resolve().parents[1] / "configs" / "mnist.yaml").network
+
+    def make(self, seed=0):
+        net = randomize_norms(build_instance(self.MNIST, seed=seed), seed)
+        net.record_activity = True
+        return net
+
+    def images(self, rows, seed=0):
+        shape = (rows,) + self.MNIST.input_shape
+        return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+
+    @pytest.mark.parametrize("rows", [1, 27], ids=["batch_1", "tile"])
+    def test_a_step_at_a_fixed_shape_allocates_nothing(self, rows):
+        # Only the logits and the activity row of each step are new.  numpy
+        # keeps a scratch of getbufsize() elements per operand for strided
+        # and casting loops; it is shrunk here so the peak shows arrays.
+        assert network._scan_rows(self.MNIST, 4, 512) == 27
+        net, x = self.make(), self.images(rows)
+        reset_states(net)
+        forward_timestep(net, x)
+        new_rows = 3 * rows * (self.MNIST.num_classes * 4 + 4 * 8)  # float32 logits, 4 counts
+        old = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                forward_timestep(net, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(old)
+        assert peak < new_rows + 6 * 1024
+
+    def buffers(self, net):
+        """Every array of the instance's built step layers."""
+        found = []
+        for layers in net.step_buffers._layers.values():
+            for layer in layers:
+                for item in layer:
+                    found.extend(a for a in (item if isinstance(item, tuple) else (item,))
+                                 if isinstance(a, np.ndarray))
+        return found
+
+    def test_clones_never_share_step_buffers(self):
+        net, x = self.make(), self.images(3)
+        clone = net.clone_state()
+        for inst in (net, clone):
+            mean_after(inst, x, 2)
+        mine, theirs = self.buffers(net), self.buffers(clone)
+        assert mine and theirs
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    def test_clones_scanned_in_two_threads_match_one_thread(self):
+        net, x = self.make(), self.images(60, seed=1)
+        want = scan_timesteps(net, x, 4, batch_size=27)
+        clones, got = [net.clone_state() for _ in range(2)], [None, None]
+
+        def scan(k):
+            for _ in range(3):
+                got[k] = scan_timesteps(clones[k], x, 4, batch_size=27)
+
+        threads = [threading.Thread(target=scan, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        for result in got:
+            npt.assert_array_equal(result["mean_logits"], want["mean_logits"])
+            npt.assert_array_equal(result["activity"], want["activity"])
+
+    def test_replaced_weights_run_on_the_same_buffers(self):
+        net, x = self.make(), self.images(2)
+        before = mean_after(net, x, 2)
+        layers = net.step_buffers._layers.copy()
+        w = net.params[0]["w"]
+        sgd_step(net, {0: {"w": np.ones_like(w)}}, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
+        assert net.params[0]["w"] is not w
+        after = mean_after(net, x, 2)
+        assert net.step_buffers._layers == layers
+        assert all(a is b for key in layers for a, b in zip(layers[key], net.step_buffers._layers[key]))
+        npt.assert_array_equal(after, mean_after(SnnInstance(spec=net.spec, params=net.params), x, 2))
+        assert not np.array_equal(before, after)
+
+    def test_weights_of_another_dtype_get_buffers_of_theirs(self):
+        net, x = self.make(), self.images(2)
+        mean_after(net, x, 1)
+        net.params = [None if p is None else {k: v.astype(np.float64) for k, v in p.items()}
+                      for p in net.params]
+        got = mean_after(net, x, 2)
+        assert got.dtype == np.float64
+        npt.assert_array_equal(got, mean_after(SnnInstance(spec=net.spec, params=net.params), x, 2))
+
+    def test_reset_drops_the_potentials_and_the_next_step_starts_from_rest(self):
+        net, x = self.make(), self.images(2)
+        first = forward_timestep(net, x)
+        forward_timestep(net, x)
+        assert net.lif_states
+        reset_states(net)
+        assert net.lif_states == {} and net.stem is None
+        npt.assert_array_equal(forward_timestep(net, x), first)
+
+    def test_batch_size_change_without_reset_raises(self):
+        net = self.make()
+        forward_timestep(net, self.images(2))
+        with pytest.raises(StateError, match="batch size changed"):
+            forward_timestep(net, self.images(3))
+        reset_states(net)
+        forward_timestep(net, self.images(3))
+
+    def test_a_smaller_batch_takes_a_prefix(self):
+        net = self.make()
+        mean_after(net, self.images(27), 1)
+        kept = dict(net.step_buffers._memory._buffers)
+        small = mean_after(net, self.images(10, seed=3), 2)
+        assert all(net.step_buffers._memory._buffers[k] is v for k, v in kept.items())
+        npt.assert_array_equal(small, mean_after(self.make(), self.images(10, seed=3), 2))
 
 
 class TestSpecValidation:
