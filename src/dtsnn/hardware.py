@@ -251,14 +251,14 @@ def cost_of_inference(step_activities, mapping, arch, dynamic=True):
     if len(rows) == 0:
         raise ValueError("cost_of_inference requires at least one timestep of activity")
     steps = component_energy_matrix(rows[None], mapping, arch)
-    costs = inference_costs(steps, [len(rows)], arch, dynamic)
-    energy, lat = costs.pop("energy").item(), costs.pop("latency").item()
+    comps = {k: float(v[0]) for k, v in inference_costs(steps, [len(rows)], arch, dynamic).items()}
+    energy, lat = comps.pop("energy"), comps.pop("latency")
     return CostReport(
         total_energy=energy,
         total_latency=lat,
         edp=energy * lat,
         per_timestep_energy=tuple(steps["total"][0].tolist()),
-        components={k: v.item() for k, v in costs.items()},
+        components=comps,
     )
 
 

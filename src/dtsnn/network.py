@@ -411,54 +411,84 @@ class StepLayer(NamedTuple):
     out: np.ndarray      # the array it writes; None: a new one
 
 
-_NO_STEP = StepLayer(None, None, None, None)  # a tape's layers allocate as they go
+_NO_STEP = StepLayer(None, None, None, None)  # the layer allocates as it goes
 
 
 class StepBuffers:
-    """The arrays of an instance's inference steps, built once per shape.
+    """The arrays of an instance's inference steps, built for one input shape.
 
     `forward_timestep` runs the layers on the `StepLayer` arrays of its
     input's (rows, dtype) and the instance's firing mode, built on the first
-    step at that key and kept: a later step at the same key allocates only
-    its logits and activity row.  The memory is bytes kept per (layer, role)
-    in a `Workspace`, so a smaller batch (a scan's last tile) takes a prefix.
-    An array that the next layer reads and no later one does is shared by
-    the layers of its role: the convolutions' unfold scratch (at most one
-    block), the outputs of the convolutions after the stem, the LIF layers'
-    keep arrays and the pools' sums.  The arrays hold no weights: a
-    rebuilt `inference_params` keeps them unless the parameters' dtypes
-    changed.  Every step overwrites them, so each instance has its own
-    (`clone_state` gives the clone new ones).
+    step at that key and kept until a step at another key rebuilds them: a
+    later step at the same key allocates only its logits and activity row.
+    The memory is bytes kept per (layer, role) in a `Workspace`, so a
+    smaller batch (a scan's last tile) takes a prefix.  An array that the
+    next layer reads and no later one does is shared by the layers of its
+    role: the convolutions' unfold scratch (at most one block), the outputs
+    of the convolutions after the stem, the LIF layers' keep arrays and the
+    pools' sums.  A batch of more rows than one scan tile (`_scan_rows`)
+    gets none: its layers run on new arrays, in the kernels' parallel
+    blocks, and the instance keeps nothing of them.  The arrays hold no
+    weights: a rebuilt `inference_params` keeps them unless the parameters'
+    dtypes changed.  Every step overwrites them, so each instance has its
+    own (`clone_state` gives the clone new ones).
     """
-
-    MAX_KEYS = 8  # more distinct batch sizes than this start the cache afresh
 
     def __init__(self):
         self._memory = Workspace()
-        self._layers = {}  # (rows, dtype, smooth) -> tuple of StepLayer
+        self._key = self._layers = None  # (rows, dtype, smooth), tuple of StepLayer
 
     def layers(self, net, params, rows, dtype):
         """The StepLayer of every layer of ``net`` for ``rows`` input rows of
-        ``dtype``, built on first use.
-
-        A first key of another dtype or firing mode, a larger batch or more
-        than MAX_KEYS keys drops the views built before.  A build that grew a
-        kept buffer runs again, so its layers share the grown bytes.
-        """
+        ``dtype``, or None for more rows than one scan tile."""
         key = (rows, dtype, net.smooth_spikes)
-        found = self._layers.get(key)
-        if found is None:
-            if any(k[1:] != key[1:] or k[0] < rows for k in self._layers) \
-                    or len(self._layers) >= self.MAX_KEYS:
-                self._layers.clear()
-            for _ in range(2):
-                kept = dict(self._memory._buffers)
-                found = _step_layers(net.spec, params, rows, np.dtype(dtype), net.smooth_spikes,
-                                     self._memory.empty)
-                if all(kept.get(k) is buf for k, buf in self._memory._buffers.items()):
-                    break
-            self._layers[key] = found
-        return found
+        if key != self._key:
+            dtype = np.dtype(dtype)
+            if rows > _scan_rows(net.spec, np.result_type(dtype, params[-1]["w"]).itemsize, rows):
+                return None
+            # shared buffers at their final size first: one grown mid-build
+            # would leave the earlier layers' views on its old bytes
+            for role, nbytes in _shared_bytes(net.spec, params, rows, dtype,
+                                              net.smooth_spikes).items():
+                self._memory.empty(("step", role), (nbytes,), np.uint8)
+            self._layers = _step_layers(net.spec, params, rows, dtype, net.smooth_spikes,
+                                        self._memory.empty)
+            self._key = key
+        return self._layers
+
+
+def _shared_bytes(spec, params, n, dtype, smooth):
+    """The bytes of the largest array `_step_layers` takes under each shared
+    ("step", role) key for n input rows of ``dtype``, by role."""
+    need, dt, layers = {}, dtype, spec.layers
+
+    def add(role, values, dt):
+        need[role] = max(need.get(role, 0), values * np.dtype(dt).itemsize)
+
+    for i, (layer, par, plan) in enumerate(zip(layers, params, spec.layer_plan)):
+        if layer.kind == "conv":  # `kernels.conv_buffers`
+            cfg, c = plan.config, plan.in_shape[0]
+            row = math.prod(plan.out_shape[1:]) * cfg.kernel_h * cfg.kernel_w * c
+            out = np.result_type(dt, par["w"])
+            add("cols", min(n, kernels.block_rows(row * dt.itemsize)) * row, out)
+            if i > spec.first_lif:
+                add("y", n * math.prod(plan.out_shape), out)
+            dt = out
+        elif layer.kind == "lif":
+            add("keep", n * math.prod(plan.in_shape), bool)
+        elif layer.kind == "pool":  # `kernels.pool_buffers`
+            c, _, w = plan.in_shape
+            spikes = not smooth and i > 0 and layers[i - 1].kind == "lif"
+            sums = np.min_scalar_type(layer.window ** 2) if spikes else dt
+            add("sums", n * math.prod(plan.out_shape), sums)
+            if not (spikes and plan.out_shape[1:] == (1, 1) and layer.window > 1):
+                add("rows", n * plan.out_shape[1] * w * c, sums)
+            dt = np.result_type(dt, 1.0)
+        elif layer.kind == "norm" and par is not None:
+            dt = np.result_type(dt, par["running_mean"])
+        elif layer.kind in ("fc", "classifier"):
+            dt = np.result_type(dt, par["w"])
+    return need
 
 
 def _step_layers(spec, params, n, dtype, smooth, empty):
@@ -670,16 +700,19 @@ def _count_inputs(h, analog):
 
     Analog inputs (direct encoding into a weighted layer of the stem) drive
     every row, so the count is the number of elements; spiking inputs count
-    the nonzero lines only, sample by sample: a count along an axis goes
-    through numpy's astype(bool) and sum, which allocates and costs more.
-    The step passes each sample's input values as one contiguous row
-    (`StepLayer.count`), where a whole count is fastest.
+    the nonzero lines only.  A step on `StepBuffers` passes each sample's
+    input values as one contiguous row (`StepLayer.count`), counted row by
+    row: a count along an axis goes through numpy's astype(bool) and sum,
+    which allocates and costs more there.  A (N,C,H,W) batch on new arrays
+    is counted along its axes, which beats a loop over its strided samples.
     """
     if analog:
         return np.full(h.shape[0], math.prod(h.shape[1:]), dtype=np.float64)
     if len(h) == 1:
         return np.array([np.count_nonzero(h)], dtype=np.float64)
-    return np.array([np.count_nonzero(row) for row in h], dtype=np.float64)
+    if h.ndim == 2:
+        return np.array([np.count_nonzero(row) for row in h], dtype=np.float64)
+    return np.count_nonzero(h, axis=tuple(range(1, h.ndim))).astype(np.float64)
 
 
 def forward_timestep(net, x):
@@ -719,17 +752,18 @@ def forward_timestep(net, x):
     return h
 
 
-def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=None, step=None):
+def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params, step=None):
     """Apply the layers at ``indices`` to h, the B rows entering the first.
 
     Rows are t_steps timestep-major blocks of B rows from the first LIF on.
     ``counts``, when a list, receives the per-sample input count of every
-    weighted layer.  Without a tape the pass is one timestep (t_steps 1):
-    layers run on ``params``, by default `inference_params`, unfolded norms
-    use running statistics and LIF layers continue from ``net.lif_states``,
-    and every layer runs on its arrays in ``step``, the instance's
-    `StepBuffers` layers of the step's input.  With a tape,
-    LIF layers start from rest, norms use batch statistics and propose
+    weighted layer.  Layers run on ``params``: ``net.params`` with a tape,
+    else `inference_params`.  Without a tape the pass is one timestep
+    (t_steps 1): unfolded norms use running statistics, LIF layers continue
+    from ``net.lif_states``, and each layer runs on its arrays in ``step``,
+    the instance's `StepBuffers` layers of the step's input, or on new ones
+    when ``step`` is None (a batch of more than one scan tile).  With a
+    tape, LIF layers start from rest, norms use batch statistics and propose
     updates in ``tape["norm_updates"]``, and every layer appends its cache to
     ``tape["caches"]``.  A tape's conv, norm, LIF and pool outputs come from
     ``tape["workspace"]`` (a new `Workspace` when it is None), keyed by layer
@@ -739,17 +773,14 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=Non
     spec = net.spec
     layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
     batch = h.shape[0]
-    if tape is None:
-        ws = None
-        if params is None:
-            params = inference_params(net)
-    else:
-        params, ws, record = net.params, tape["workspace"] or Workspace(), tape["caches"].append
+    ws = None
+    if tape is not None:
+        ws, record = tape["workspace"] or Workspace(), tape["caches"].append
     owned = False  # with a tape: h is this pass's own array and no tape entry holds it
     for i in indices:
         layer, par, plan = layers[i], params[i], plans[i]
         kind, cfg = layer.kind, plan.config
-        arrays = _NO_STEP if ws is not None else step[i]
+        arrays = _NO_STEP if step is None else step[i]
         if arrays.input is not None and h is not arrays.input:
             np.copyto(arrays.input, h)
             h = arrays.input
@@ -778,15 +809,18 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params=Non
             h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats, (xhat, y))
             record((kind, cache))
         elif kind == "lif" and ws is None:  # one step, from the instance's potentials
-            u, keep = arrays.buffers
+            u, keep = arrays.buffers or (None, None)
             state = net.lif_states.get(i)
             if state is None:
-                u.fill(0)
+                if u is None:
+                    u = np.zeros_like(h)
+                else:
+                    u.fill(0)
                 state = net.lif_states[i] = LifState(u)
             elif state.u.shape != h.shape:
                 raise StateError("batch size changed mid-inference; call reset_states first")
-            lif_unroll(h[None], cfg, net.smooth_spikes, state, (None, arrays.out[None]), keep)
-            h = arrays.out
+            out = None if arrays.out is None else (None, arrays.out[None])
+            h = lif_unroll(h[None], cfg, net.smooth_spikes, state, out, keep)[0][0]
         elif kind == "lif":
             h = h.reshape((-1, batch) + h.shape[1:])
             in_place = owned and len(h) == t_steps  # not the stem's broadcast rows
@@ -825,7 +859,7 @@ def _scan_rows(spec, itemsize, batch_size):
     """Samples per scan tile: as many as keep the widest per-sample
     activation of ``spec`` within `kernels.BLOCK_BYTES` per tile, at least 1
     and at most ``batch_size``."""
-    widest = max(int(np.prod(shape)) for plan in spec.layer_plan
+    widest = max(math.prod(shape) for plan in spec.layer_plan
                  for shape in (plan.in_shape, plan.out_shape))
     return max(1, min(batch_size, kernels.BLOCK_BYTES // (widest * itemsize)))
 

@@ -249,6 +249,26 @@ PLAN_CASES = {
 }
 
 
+def step_arrays(net):
+    """Every array of the instance's built step layers."""
+    found, items = [], list(net.step_buffers._layers)
+    while items:
+        item = items.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, tuple):
+            items.extend(item)
+    return found
+
+
+def assert_in_kept_buffers(net):
+    """Every array of the built step lies in a buffer the instance keeps:
+    no build left a layer on bytes that a later layer grew away from."""
+    kept = list(net.step_buffers._memory._buffers.values())
+    for a in step_arrays(net):
+        assert any(np.shares_memory(a, buf) for buf in kept)
+
+
 class TestInferencePlan:
     T_STEPS = 3
 
@@ -381,6 +401,7 @@ class TestInferencePlan:
             reset_states(net)
             logits = np.stack([forward_timestep(net, x) for _ in range(self.T_STEPS)])
             npt.assert_allclose(logits, ref_logits, rtol=rtol, atol=atol)
+            assert_in_kept_buffers(net)
             mapped = [i for i, plan in enumerate(net.spec.layer_plan) if plan.weight_shape]
             for t, row in enumerate(net.activity):
                 for j, (i, h) in enumerate(zip(mapped, inputs[t * len(mapped):])):
@@ -851,22 +872,12 @@ class TestStepBuffers:
             np.setbufsize(old)
         assert peak < new_rows + 6 * 1024
 
-    def buffers(self, net):
-        """Every array of the instance's built step layers."""
-        found = []
-        for layers in net.step_buffers._layers.values():
-            for layer in layers:
-                for item in layer:
-                    found.extend(a for a in (item if isinstance(item, tuple) else (item,))
-                                 if isinstance(a, np.ndarray))
-        return found
-
     def test_clones_never_share_step_buffers(self):
         net, x = self.make(), self.images(3)
         clone = net.clone_state()
         for inst in (net, clone):
             mean_after(inst, x, 2)
-        mine, theirs = self.buffers(net), self.buffers(clone)
+        mine, theirs = step_arrays(net), step_arrays(clone)
         assert mine and theirs
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
@@ -892,13 +903,12 @@ class TestStepBuffers:
     def test_replaced_weights_run_on_the_same_buffers(self):
         net, x = self.make(), self.images(2)
         before = mean_after(net, x, 2)
-        layers = net.step_buffers._layers.copy()
+        layers = net.step_buffers._layers
         w = net.params[0]["w"]
         sgd_step(net, {0: {"w": np.ones_like(w)}}, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
         assert net.params[0]["w"] is not w
         after = mean_after(net, x, 2)
-        assert net.step_buffers._layers == layers
-        assert all(a is b for key in layers for a, b in zip(layers[key], net.step_buffers._layers[key]))
+        assert net.step_buffers._layers is layers
         npt.assert_array_equal(after, mean_after(SnnInstance(spec=net.spec, params=net.params), x, 2))
         assert not np.array_equal(before, after)
 
@@ -927,6 +937,29 @@ class TestStepBuffers:
             forward_timestep(net, self.images(3))
         reset_states(net)
         forward_timestep(net, self.images(3))
+
+    @pytest.mark.parametrize("rows", [1, 27], ids=["batch_1", "tile"])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    def test_a_fresh_build_lays_every_array_in_the_kept_buffers(self, rows, smooth):
+        # The shared buffers are taken at their final size before the views
+        # are built, so no layer is left on bytes a later one grew away from.
+        net = self.make()
+        net.smooth_spikes = smooth
+        mean_after(net, self.images(rows), 1)
+        assert_in_kept_buffers(net)
+
+    def test_a_batch_above_one_tile_keeps_no_arrays(self, monkeypatch):
+        # It runs on new arrays, the kernels in their parallel blocks.
+        calls = []
+        conv2d = network.conv2d
+        monkeypatch.setattr(network, "conv2d", lambda *a, **kw:
+                            calls.append(kw.get("buffers")) or conv2d(*a, **kw))
+        net, x = self.make(), self.images(30)
+        got = mean_after(net, x, 2)
+        assert net.step_buffers._layers is None and net.step_buffers._memory._buffers == {}
+        assert calls and all(b is None for b in calls)
+        ref_logits, _ = reference_logits(net.spec, net.params, x, 2)
+        npt.assert_allclose(got, ref_logits.mean(axis=0), rtol=1e-5, atol=1e-5)
 
     def test_a_smaller_batch_takes_a_prefix(self):
         net = self.make()
