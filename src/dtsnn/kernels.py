@@ -175,8 +175,8 @@ def run_row_blocks(n, row_bytes, fn):
     `block_rows` rows each (one empty slice when n is 0), as the blocks of
     one `run_blocks` call.
 
-    The kernels that inference calls at batch 1 test `block_rows` first and
-    run a batch that fits in one block directly, without slicing it.
+    `network.lif_unroll`, which inference calls at batch 1, tests
+    `block_rows` first and runs a batch that fits in one block directly.
     """
     step = block_rows(row_bytes)
     run_blocks(max(1, -(-n // step)), lambda i, _: fn(slice(i * step, min(i * step + step, n))))
@@ -300,10 +300,6 @@ def conv2d(x, weights, params, out=None, *, buffers=None):
             cols, _, _ = _im2col(unfold[0], kh, kw, params.stride, params.padding, unfold)
             np.matmul(cols, wmat, out=y)
         return buffers.out
-    row_bytes = _unfolded_row_bytes(x, params, ho, wo)
-    if out is None and n <= block_rows(row_bytes):  # one unfold and one GEMM
-        y = _im2col(x, kh, kw, params.stride, params.padding)[0] @ wmat
-        return y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
     dtype = np.result_type(x, wmat)
     if out is None:
         out = np.empty((n, ho, wo, cout), dtype=dtype).transpose(0, 3, 1, 2)
@@ -313,7 +309,7 @@ def conv2d(x, weights, params, out=None, *, buffers=None):
         cols, _, _ = _im2col(x[samples], kh, kw, params.stride, params.padding)
         np.matmul(cols, wmat, out=y[samples.start * ho * wo : samples.stop * ho * wo])
 
-    run_row_blocks(n, row_bytes, block)
+    run_row_blocks(n, _unfolded_row_bytes(x, params, ho, wo), block)
     return out
 
 
@@ -497,8 +493,6 @@ def avg_pool2d(x, window, out=None, *, buffers=None):
             call()
         return buffers.out
     n, row_bytes = len(x), x.nbytes // max(1, len(x))
-    if out is None and n <= block_rows(row_bytes):
-        return _pool_rows(x, window)
     corner, dtype = x[:, :, ::window, ::window], np.result_type(x, 1.0)
     y = np.empty_like(corner, dtype=dtype) if out is None else _check_out(out, corner.shape, dtype)
     run_row_blocks(n, row_bytes, lambda rows: _pool_rows(x[rows], window, y[rows]))

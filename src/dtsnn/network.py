@@ -30,9 +30,11 @@ inference plan.  `scan_timesteps` does this itself: its tiles run on the
 workers of `kernels.run_blocks`, each on its own clone.
 
 Without a tape every layer runs on arrays the instance builds once per input
-shape and keeps (`StepBuffers`): the LIF potentials, a bool keep array that
-holds a LIF layer's spikes for the pool after it, each pool's integer window
-sums, each convolution's zero-bordered input, window views and output.
+shape (`StepBuffers`): the LIF potentials, a bool keep array that holds a LIF
+layer's spikes for the pool after it, each pool's integer window sums, each
+convolution's zero-bordered input, window views and output.  It keeps those
+of a batch of at most one scan tile; those of a larger batch last until
+`reset_states`.
 """
 
 import math
@@ -363,6 +365,7 @@ class Workspace:
     def __init__(self):
         self._buffers = {}
         self._lock = threading.Lock()
+        self.grown = 0  # buffers replaced by larger ones: views of the old bytes are stale
 
     @contextmanager
     def take(self):
@@ -382,6 +385,7 @@ class Workspace:
         nbytes = math.prod(shape) * dtype.itemsize
         buf = self._buffers.get(key)
         if buf is None or buf.nbytes < nbytes:
+            self.grown += buf is not None
             buf = self._buffers[key] = np.empty(nbytes, dtype=np.uint8)
         return buf[:nbytes].view(dtype).reshape(shape)
 
@@ -411,7 +415,7 @@ class StepLayer(NamedTuple):
     out: np.ndarray      # the array it writes; None: a new one
 
 
-_NO_STEP = StepLayer(None, None, None, None)  # the layer allocates as it goes
+_NO_STEP = StepLayer(None, None, None, None)  # a folded norm's, and every layer's under a tape
 
 
 class StepBuffers:
@@ -426,69 +430,52 @@ class StepBuffers:
     next layer reads and no later one does is shared by the layers of its
     role: the convolutions' unfold scratch (at most one block), the outputs
     of the convolutions after the stem, the LIF layers' keep arrays and the
-    pools' sums.  A batch of more rows than one scan tile (`_scan_rows`)
-    gets none: its layers run on new arrays, in the kernels' parallel
-    blocks, and the instance keeps nothing of them.  The arrays hold no
-    weights: a rebuilt `inference_params` keeps them unless the parameters'
-    dtypes changed.  Every step overwrites them, so each instance has its
-    own (`clone_state` gives the clone new ones).
+    pools' sums.  A build that had to replace a buffer with a larger one
+    walks the layers again, on the grown bytes: an earlier layer of the
+    walk may hold a view of the old one.  A batch of more rows than one scan
+    tile (`_scan_rows`) gets arrays on a `Workspace` of its own, built at
+    its first step and kept beside the slot, never in it, until
+    `reset_states`; its kernels run their blocks one after another, as a
+    tile's do.  The arrays hold no weights: a rebuilt `inference_params`
+    keeps them unless the parameters' dtypes changed.  Every step
+    overwrites them, so each instance has its own (`clone_state` gives the
+    clone new ones).
     """
 
     def __init__(self):
         self._memory = Workspace()
         self._key = self._layers = None  # (rows, dtype, smooth), tuple of StepLayer
+        self._batch = None  # (key, layers) of a batch above one scan tile
 
     def layers(self, net, params, rows, dtype):
         """The StepLayer of every layer of ``net`` for ``rows`` input rows of
-        ``dtype``, or None for more rows than one scan tile."""
+        ``dtype``."""
         key = (rows, dtype, net.smooth_spikes)
-        if key != self._key:
-            dtype = np.dtype(dtype)
-            if rows > _scan_rows(net.spec, np.result_type(dtype, params[-1]["w"]).itemsize, rows):
-                return None
-            # shared buffers at their final size first: one grown mid-build
-            # would leave the earlier layers' views on its old bytes
-            for role, nbytes in _shared_bytes(net.spec, params, rows, dtype,
-                                              net.smooth_spikes).items():
-                self._memory.empty(("step", role), (nbytes,), np.uint8)
-            self._layers = _step_layers(net.spec, params, rows, dtype, net.smooth_spikes,
-                                        self._memory.empty)
-            self._key = key
+        if key == self._key:
+            return self._layers
+        if self._batch is not None and self._batch[0] == key:
+            return self._batch[1]
+        dtype = np.dtype(dtype)
+        if rows > _scan_rows(net.spec, np.result_type(dtype, params[-1]["w"]).itemsize, rows):
+            self._batch = (key, _build_step(net, params, rows, dtype, Workspace()))
+            return self._batch[1]
+        self._layers = _build_step(net, params, rows, dtype, self._memory)
+        self._key = key
         return self._layers
 
+    def drop_batch(self):
+        """Let go of the arrays of a batch above one scan tile."""
+        self._batch = None
 
-def _shared_bytes(spec, params, n, dtype, smooth):
-    """The bytes of the largest array `_step_layers` takes under each shared
-    ("step", role) key for n input rows of ``dtype``, by role."""
-    need, dt, layers = {}, dtype, spec.layers
 
-    def add(role, values, dt):
-        need[role] = max(need.get(role, 0), values * np.dtype(dt).itemsize)
-
-    for i, (layer, par, plan) in enumerate(zip(layers, params, spec.layer_plan)):
-        if layer.kind == "conv":  # `kernels.conv_buffers`
-            cfg, c = plan.config, plan.in_shape[0]
-            row = math.prod(plan.out_shape[1:]) * cfg.kernel_h * cfg.kernel_w * c
-            out = np.result_type(dt, par["w"])
-            add("cols", min(n, kernels.block_rows(row * dt.itemsize)) * row, out)
-            if i > spec.first_lif:
-                add("y", n * math.prod(plan.out_shape), out)
-            dt = out
-        elif layer.kind == "lif":
-            add("keep", n * math.prod(plan.in_shape), bool)
-        elif layer.kind == "pool":  # `kernels.pool_buffers`
-            c, _, w = plan.in_shape
-            spikes = not smooth and i > 0 and layers[i - 1].kind == "lif"
-            sums = np.min_scalar_type(layer.window ** 2) if spikes else dt
-            add("sums", n * math.prod(plan.out_shape), sums)
-            if not (spikes and plan.out_shape[1:] == (1, 1) and layer.window > 1):
-                add("rows", n * plan.out_shape[1] * w * c, sums)
-            dt = np.result_type(dt, 1.0)
-        elif layer.kind == "norm" and par is not None:
-            dt = np.result_type(dt, par["running_mean"])
-        elif layer.kind in ("fc", "classifier"):
-            dt = np.result_type(dt, par["w"])
-    return need
+def _build_step(net, params, n, dtype, memory):
+    """`_step_layers` on ``memory``, walked again when a shared buffer grew
+    during the first walk and left the layers before it on the old bytes."""
+    grown = memory.grown
+    step = _step_layers(net.spec, params, n, dtype, net.smooth_spikes, memory.empty)
+    if memory.grown != grown:
+        step = _step_layers(net.spec, params, n, dtype, net.smooth_spikes, memory.empty)
+    return step
 
 
 def _step_layers(spec, params, n, dtype, smooth, empty):
@@ -646,13 +633,15 @@ def build_instance(spec, seed=0, dtype=np.float32):
 
 def reset_states(net):
     """Zero all membrane potentials, accumulated logits and the step counter,
-    and drop the cached stem output.  The step buffers stay: the next step
-    zeroes the potentials it takes from them."""
+    and drop the cached stem output and the arrays of a batch above one scan
+    tile.  The kept step buffers stay: the next step zeroes the potentials
+    it takes from them."""
     net.lif_states = {}
     net.accumulated_logits = None
     net.t = 0
     net.activity = []
     net.stem = None
+    net.step_buffers.drop_batch()
 
 
 def inference_params(net):
@@ -700,19 +689,16 @@ def _count_inputs(h, analog):
 
     Analog inputs (direct encoding into a weighted layer of the stem) drive
     every row, so the count is the number of elements; spiking inputs count
-    the nonzero lines only.  A step on `StepBuffers` passes each sample's
-    input values as one contiguous row (`StepLayer.count`), counted row by
-    row: a count along an axis goes through numpy's astype(bool) and sum,
-    which allocates and costs more there.  A (N,C,H,W) batch on new arrays
-    is counted along its axes, which beats a loop over its strided samples.
+    the nonzero lines only.  A step passes each sample's input values as one
+    contiguous row (`StepLayer.count`), counted row by row: a count along an
+    axis goes through numpy's astype(bool) and sum, which allocates and
+    costs more there.
     """
     if analog:
         return np.full(h.shape[0], math.prod(h.shape[1:]), dtype=np.float64)
     if len(h) == 1:
         return np.array([np.count_nonzero(h)], dtype=np.float64)
-    if h.ndim == 2:
-        return np.array([np.count_nonzero(row) for row in h], dtype=np.float64)
-    return np.count_nonzero(h, axis=tuple(range(1, h.ndim))).astype(np.float64)
+    return np.array([np.count_nonzero(row) for row in h], dtype=np.float64)
 
 
 def forward_timestep(net, x):
@@ -721,6 +707,7 @@ def forward_timestep(net, x):
     x is the raw input batch (N,C,H,W), presented identically at every
     timestep.  The stem runs only when x is not the array whose stem output
     is cached (see the module docstring).  Returns this step's logits (N, K).
+    Raises ShapeError for an empty batch or another input shape.
     """
     spec = net.spec
     if net.t >= spec.t_max:
@@ -730,6 +717,8 @@ def forward_timestep(net, x):
         raise ShapeError(
             f"input shape {x.shape[1:]} does not match network input {spec.input_shape}"
         )
+    if len(x) == 0:
+        raise ShapeError("forward_timestep requires a non-empty batch")
     s = spec.first_lif
     params = inference_params(net)  # a rebuilt plan drops the stem computed on old weights
     step = net.step_buffers.layers(net, params, len(x), x.dtype)
@@ -761,14 +750,13 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params, st
     else `inference_params`.  Without a tape the pass is one timestep
     (t_steps 1): unfolded norms use running statistics, LIF layers continue
     from ``net.lif_states``, and each layer runs on its arrays in ``step``,
-    the instance's `StepBuffers` layers of the step's input, or on new ones
-    when ``step`` is None (a batch of more than one scan tile).  With a
-    tape, LIF layers start from rest, norms use batch statistics and propose
-    updates in ``tape["norm_updates"]``, and every layer appends its cache to
-    ``tape["caches"]``.  A tape's conv, norm, LIF and pool outputs come from
-    ``tape["workspace"]`` (a new `Workspace` when it is None), keyed by layer
-    index, and a norm or a LIF layer writes its output over an input that no
-    tape entry holds.
+    the instance's `StepBuffers` layers of the step's input.  With a tape
+    ``step`` is None: LIF layers start from rest, norms use batch statistics
+    and propose updates in ``tape["norm_updates"]``, and every layer appends
+    its cache to ``tape["caches"]``.  A tape's conv, norm, LIF and pool
+    outputs come from ``tape["workspace"]`` (a new `Workspace` when it is
+    None), keyed by layer index, and a norm or a LIF layer writes its output
+    over an input that no tape entry holds.
     """
     spec = net.spec
     layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
@@ -809,18 +797,15 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params, st
             h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats, (xhat, y))
             record((kind, cache))
         elif kind == "lif" and ws is None:  # one step, from the instance's potentials
-            u, keep = arrays.buffers or (None, None)
+            u, keep = arrays.buffers
             state = net.lif_states.get(i)
             if state is None:
-                if u is None:
-                    u = np.zeros_like(h)
-                else:
-                    u.fill(0)
+                u.fill(0)
                 state = net.lif_states[i] = LifState(u)
             elif state.u.shape != h.shape:
                 raise StateError("batch size changed mid-inference; call reset_states first")
-            out = None if arrays.out is None else (None, arrays.out[None])
-            h = lif_unroll(h[None], cfg, net.smooth_spikes, state, out, keep)[0][0]
+            h = lif_unroll(h[None], cfg, net.smooth_spikes, state, (None, arrays.out[None]),
+                           keep)[0][0]
         elif kind == "lif":
             h = h.reshape((-1, batch) + h.shape[1:])
             in_place = owned and len(h) == t_steps  # not the stem's broadcast rows

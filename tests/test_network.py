@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -246,6 +247,10 @@ PLAN_CASES = {
     "lif_first": ((LayerSpec("lif"), LayerSpec("norm"), LayerSpec("conv", out_channels=3),
                    LayerSpec("norm"), LayerSpec("lif"), LayerSpec("classifier")),
                   (2, 6, 6), [3]),
+    # the second LIF layer's keep array outgrows the first one's (200 > 4*6*6)
+    "wide_fc_after_pool": ((LayerSpec("conv", out_channels=4), LayerSpec("lif"),
+                            LayerSpec("pool", window=2), LayerSpec("fc", out_features=200),
+                            LayerSpec("lif"), LayerSpec("classifier")), (2, 6, 6), []),
 }
 
 
@@ -490,6 +495,12 @@ class TestForwardTimestep:
         net = build_instance(tiny_conv_spec(), seed=0)
         with pytest.raises(ShapeError, match="input shape"):
             forward_timestep(net, np.zeros((1, 1, 7, 7), dtype=np.float32))
+
+    def test_empty_batch_raises(self):
+        net = build_instance(tiny_conv_spec(), seed=0)
+        with pytest.raises(ShapeError, match="requires a non-empty batch"):
+            forward_timestep(net, np.zeros((0, 1, 8, 8), dtype=np.float32))
+        assert net.t == 0 and net.stem is None
 
     def test_deterministic_across_runs(self):
         x = rng.standard_normal((2, 1, 8, 8)).astype(np.float32)
@@ -949,17 +960,25 @@ class TestStepBuffers:
         assert_in_kept_buffers(net)
 
     def test_a_batch_above_one_tile_keeps_no_arrays(self, monkeypatch):
-        # It runs on new arrays, the kernels in their parallel blocks.
-        calls = []
+        # It runs on arrays of its own, built at its first step, used by the
+        # rest of its steps and dropped by reset_states.
+        calls = []  # weak references to each call's output buffer
         conv2d = network.conv2d
         monkeypatch.setattr(network, "conv2d", lambda *a, **kw:
-                            calls.append(kw.get("buffers")) or conv2d(*a, **kw))
+                            calls.append(weakref.ref(kw["buffers"].out)) or conv2d(*a, **kw))
         net, x = self.make(), self.images(30)
         got = mean_after(net, x, 2)
         assert net.step_buffers._layers is None and net.step_buffers._memory._buffers == {}
-        assert calls and all(b is None for b in calls)
+        convs = sum(layer.kind == "conv" for layer in self.MNIST.layers)
+        outs = [ref() for ref in calls]
+        assert len(outs) == 2 * convs - 1  # the stem runs once
+        assert all(out is not None for out in outs)
+        assert len({id(out) for out in outs}) == convs  # one build for both steps
+        del outs
         ref_logits, _ = reference_logits(net.spec, net.params, x, 2)
         npt.assert_allclose(got, ref_logits.mean(axis=0), rtol=1e-5, atol=1e-5)
+        reset_states(net)
+        assert all(ref() is None for ref in calls)
 
     def test_a_smaller_batch_takes_a_prefix(self):
         net = self.make()
