@@ -80,22 +80,6 @@ def read_idx_labels(path):
     return _read_idx(path, IDX_LABELS_MAGIC, 1)
 
 
-def write_idx_images(path, images):
-    """Write a uint8 (N, rows, cols) array in IDX image format."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    """Write a uint8 (N,) label vector in IDX label format."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
-
-
 def load_idx(images_path, labels_path, mean=0.0, std=1.0, split="train"):
     """Load an IDX image/label pair into a normalized Dataset."""
     images = read_idx_images(images_path)

@@ -110,29 +110,25 @@ def _im2col(x, kh, kw, stride, padding, prepared=None):
     Several channels keep the C-order matrix whatever x's memory order:
     OpenBLAS rounds a GEMM that reads a long (K of 36 and more in float32)
     matrix transposed differently, and an NCHW input must give the bits of
-    its channels-last copy.  ``prepared``: see `_unfold`.
+    its channels-last copy.
+
+    ``prepared``, from a block of `conv_buffers` whose input rows x are, is
+    (its scratch, its window view): the windows are copied into the
+    scratch, which the block already holds as its matrix, so nothing is
+    allocated and None is returned.
     """
-    return _unfold(x, kh, kw, stride, padding, x.shape[1] == 1, prepared)
+    if prepared is not None:
+        np.copyto(*prepared)
+        return None
+    return _unfold(x, kh, kw, stride, padding, x.shape[1] == 1)
 
 
-def _unfold(x, kh, kw, stride, padding, planes, prepared=None):
+def _unfold(x, kh, kw, stride, padding, planes):
     """`_im2col`, plane by plane or channels-last (any number of channels):
-    the same matrix values either way.
-
-    ``prepared``, one block's arrays from `conv_buffers`, holds the
-    zero-bordered buffer's interior, its window view, the scratch the
-    windows are copied into and that scratch as the matrix: x is copied into
-    the interior unless it is that array, and nothing is allocated.
-    """
+    the same matrix values either way."""
     n, c, h, w = x.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    if prepared is not None:
-        interior, windows, cols, matrix = prepared
-        if x is not interior:
-            np.copyto(interior, x)
-        np.copyto(cols, windows)
-        return matrix, ho, wo
     mem = None
     if padding > 0:
         hp, wp = h + 2 * padding, w + 2 * padding
@@ -175,8 +171,8 @@ def run_row_blocks(n, row_bytes, fn):
     `block_rows` rows each (one empty slice when n is 0), as the blocks of
     one `run_blocks` call.
 
-    `network.lif_unroll`, which inference calls at batch 1, tests
-    `block_rows` first and runs a batch that fits in one block directly.
+    `network.lif_unroll` tests `block_rows` first and runs a batch that
+    fits in one block directly.
     """
     step = block_rows(row_bytes)
     run_blocks(max(1, -(-n // step)), lambda i, _: fn(slice(i * step, min(i * step + step, n))))
@@ -212,7 +208,9 @@ class ConvBuffers(NamedTuple):
 
     x: np.ndarray        # (N,C,H,W) input: the interior of a zero-bordered buffer
     padded: np.ndarray   # that buffer, one row per sample
-    blocks: tuple        # per block of samples: (`_unfold` arrays, output rows)
+    blocks: tuple        # per block of samples: (its rows of x, their windows, the
+                         # scratch they are copied into, that scratch as the matrix,
+                         # the block's output rows)
     out: np.ndarray      # (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory
     rows: np.ndarray     # out's memory, one row per sample
 
@@ -254,7 +252,7 @@ def conv_buffers(x_shape, params, dtype, row_itemsize, take):
         windows = as_strided(xp[start : start + m], shape, strides, writeable=False)
         block = cols[: m * ho * wo * k].reshape(shape)
         matrix = block.reshape(k, m * ho * wo).T if planes else block.reshape(m * ho * wo, k)
-        blocks.append(((interior[start : start + m], windows, block, matrix),
+        blocks.append((interior[start : start + m], windows, block, matrix,
                        rows[start * ho * wo : (start + m) * ho * wo]))
     return ConvBuffers(interior, mem.reshape(n, -1), tuple(blocks), y.transpose(0, 3, 1, 2),
                        y.reshape(n, -1))
@@ -266,9 +264,10 @@ def conv2d(x, weights, params, out=None, *, buffers=None):
     Equivalent to the direct sum-of-products over every window.  ``out``, an
     (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory, receives the result.
     With ``buffers`` from `conv_buffers` on x's shape the call allocates
-    nothing: x is copied into ``buffers.x`` unless it is that array, the
-    blocks run one after another on the caller's thread (they share one
-    scratch) and the result is ``buffers.out``.
+    nothing: x is copied into ``buffers.x`` unless it is that array, and the
+    prebuilt blocks run one after another on the caller's thread (they share
+    one scratch), each an `_im2col` copy of its windows and a GEMM into its
+    rows of ``buffers.out``, the result.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got shape {x.shape}")
@@ -296,9 +295,9 @@ def conv2d(x, weights, params, out=None, *, buffers=None):
     if buffers is not None:
         if x is not buffers.x:
             np.copyto(buffers.x, x)
-        for unfold, y in buffers.blocks:
-            cols, _, _ = _im2col(unfold[0], kh, kw, params.stride, params.padding, unfold)
-            np.matmul(cols, wmat, out=y)
+        for block, windows, cols, matrix, y in buffers.blocks:
+            _im2col(block, kh, kw, params.stride, params.padding, (cols, windows))
+            np.matmul(matrix, wmat, out=y)
         return buffers.out
     dtype = np.result_type(x, wmat)
     if out is None:

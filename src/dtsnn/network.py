@@ -1,13 +1,17 @@
-"""Stateful spiking network: LIF dynamics and the one layer engine.
+"""Stateful spiking network: LIF dynamics, the inference step and the
+training tape's layer loop.
 
 The network consumes the raw analog input at every timestep (direct
 encoding); the first convolution plus its LIF layer turn it into spike
 trains.  Classifier logits are analog and are accumulated across timesteps;
 the prediction is the running mean of those accumulated logits.
 
-`run_layers` is the only layer loop and `lif_unroll` the only LIF update:
-inference (`forward_timestep`) runs one timestep per call, training
-(`training.forward_with_tape`) runs T timesteps stacked in the batch axis.
+`_lif_update` is the only LIF update.  Training
+(`training.forward_with_tape`) runs T timesteps stacked in the batch axis
+through `run_layers`, the tape's layer loop, whose LIF layers are
+`lif_unroll`.  Inference (`forward_timestep`) runs one timestep per call as
+a `StepProgram`: a tuple of calls bound to the step's arrays, built once
+and run as it is.
 
 The stem -- the layers before the first LIF layer (`NetworkSpec.first_lif`)
 -- sees the same input at every timestep, so its output does not depend on
@@ -18,10 +22,10 @@ while the same array object is passed and is dropped by `reset_states`.  A
 caller that mutates an input array in place between timesteps must call
 `reset_states` first.
 
-Without a tape, `run_layers` runs on `inference_params`: eval norms folded
-into the conv / fc before them, rebuilt whenever a parameter array is
-replaced.  Parameter arrays are read-only from the first inference on;
-replace them, do not write into them.
+Inference runs on `inference_params`: eval norms folded into the conv / fc
+before them, rebuilt whenever a parameter array is replaced.  Parameter
+arrays are read-only from the first inference on; replace them, do not
+write into them.
 
 An SnnInstance is single-owner mutable state: one inference at a time.
 Weights may be shared read-only between instances; `clone_state` gives each
@@ -29,14 +33,17 @@ worker its own membrane potentials (and no cached stem) over the same built
 inference plan.  `scan_timesteps` does this itself: its tiles run on the
 workers of `kernels.run_blocks`, each on its own clone.
 
-Without a tape every layer runs on arrays the instance builds once per input
-shape (`StepBuffers`): the LIF potentials, a bool keep array that holds a LIF
-layer's spikes for the pool after it, each pool's integer window sums, each
-convolution's zero-bordered input, window views and output.  It keeps those
-of a batch of at most one scan tile; those of a larger batch last until
-`reset_states`.
+An inference step runs every layer on arrays the instance builds once per
+input shape (`StepBuffers`): the LIF potentials, a bool keep array that holds
+a LIF layer's spikes for the pool after it, each pool's integer window sums,
+each convolution's zero-bordered input, window views and output.  It keeps
+those of a batch of at most one scan tile; those of a larger batch last until
+`reset_states`.  The step's calls on them (`_step_program`) are built with
+the arrays and again when the inference parameters or ``record_activity``
+change; the kernels they call are looked up by name at each call.
 """
 
+import functools
 import math
 import operator
 import threading
@@ -99,23 +106,21 @@ def _empty_steps(like, t_steps, ws=None, key=None):
     return steps.reshape((t_steps,) + like.shape)
 
 
-def lif_unroll(currents, cfg, smooth=False, state=None, out=None, keep=None):
-    """Forward a (T, B, ...) current tensor through one LIF layer.
+def lif_unroll(currents, cfg, smooth=False, state=None, out=None):
+    """Forward a (T, B, ...) current tensor through one LIF layer: the
+    training tape's LIF layer.
 
-    Each step: u <- tau*u + input; spike where u > v_th (strict), or
-    spike_ramp(u) when ``smooth``; u <- u*(1-spike).  The potentials are
-    updated in place, the state's own buffer included.  Without ``state`` the
-    unroll starts from rest and returns (spikes, (u_pre, spikes)), the cache
+    Each step is `_lif_update`.  Without ``state`` the unroll starts from
+    rest and returns (spikes, (u_pre, spikes)), the cache
     `training.lif_unroll_backward` needs; ``out``, a pair (u_pre, spikes) of
     (T, B, ...) arrays, receives it, and its spikes may be currents itself.
     With a LifState it continues from the state's potentials, leaves the
-    final potentials in it, and returns (spikes, None): inference keeps no
-    pre-reset potentials, and ``out`` is (None, spikes).  Strict firing
-    computes keep = u <= v_th into ``keep``, a bool (B, ...) array (a new one
-    when it is None), and spikes = not keep; bool spikes may be ``keep``
-    itself.  Samples are independent: the batch runs in blocks of about
-    `kernels.BLOCK_BYTES` of one step's currents (`kernels.run_row_blocks`),
-    each through all T steps, from rest on potentials of its own.
+    final potentials in them, in place, and returns (spikes, None): no
+    pre-reset potentials are kept, and ``out`` is (None, spikes).  Samples
+    are independent: the batch runs in blocks of about `kernels.BLOCK_BYTES`
+    of one step's currents (`kernels.run_row_blocks`), each through all T
+    steps, from rest on potentials of its own.  An inference step does not
+    come here: its program calls `_lif_update` on the step's own arrays.
     """
     t_steps, batch = currents.shape[:2]
     step = currents[0]
@@ -135,55 +140,73 @@ def lif_unroll(currents, cfg, smooth=False, state=None, out=None, keep=None):
     u_pre, spikes = out
     row_bytes = step.nbytes // max(1, batch)
     if batch <= kernels.block_rows(row_bytes):
-        _lif_rows(currents, cfg, smooth, u, u_pre, spikes, keep)
+        _lif_rows(currents, cfg, smooth, u, u_pre, spikes)
     else:
         kernels.run_row_blocks(batch, row_bytes, lambda rows: _lif_rows(
             currents[:, rows], cfg, smooth, None if u is None else u[rows],
-            None if u_pre is None else u_pre[:, rows], spikes[:, rows],
-            None if keep is None else keep[rows]))
+            None if u_pre is None else u_pre[:, rows], spikes[:, rows]))
     if state is None:
         return spikes, (u_pre, spikes)
     return spikes, None
 
 
-def _lif_rows(currents, cfg, smooth, u, u_pre, spikes, keep=None):
-    """`lif_unroll` of one block of samples: updates u in place (from rest
-    when u is None) and writes each step's potentials before the reset
-    (unless u_pre is None) and spikes, by way of ``keep`` (new when None)."""
+def _lif_rows(currents, cfg, smooth, u, u_pre, spikes):
+    """`lif_unroll` of one block of samples: `_lif_update` at every step, on
+    u in place (from rest when u is None), writing each step's potentials
+    before the reset (unless u_pre is None) and its spikes."""
     if u is None:
         u = np.zeros_like(currents[0])
-    if keep is None:
-        keep = np.empty_like(u, dtype=bool)
+    keep = np.empty_like(u, dtype=bool)
     for t in range(currents.shape[0]):
-        current, spike, v, k = _channels_last_views(currents[t], spikes[t], u, keep)
-        v *= cfg.tau
-        v += current
-        if u_pre is not None:
-            u_pre[t] = u
-        if smooth:
-            spike[...] = spike_ramp(v, cfg.v_th)
-            v *= 1.0 - spike
-        else:
-            np.less_equal(v, cfg.v_th, out=k)
-            v *= k
-            np.logical_not(k, out=spike, casting="unsafe")
+        pre = () if u_pre is None else (u_pre[t],)
+        current, v, k, spike, *pre = _channels_last_views(currents[t], u, keep, spikes[t], *pre)
+        _lif_update(current, v, cfg, smooth, k, spike, *pre)
+
+
+def _lif_update(current, v, cfg, smooth, keep, spike, u_pre=None):
+    """One LIF step, in place, on arrays of one layout: v <- tau*v + current;
+    ``u_pre`` (unless None) receives v; then spike where v > v_th (strict),
+    or spike_ramp(v) when ``smooth``; v <- v*(1-spike).
+
+    Strict firing computes keep = v <= v_th into ``keep``, a bool array,
+    for the hard reset (v *= keep) and writes spike = not keep; bool spikes
+    may be ``keep`` itself.  The one LIF update: the tape's `_lif_rows` and
+    every inference step call it.
+    """
+    v *= cfg.tau
+    v += current
+    if u_pre is not None:
+        np.copyto(u_pre, v)
+    if smooth:
+        spike[...] = spike_ramp(v, cfg.v_th)
+        v *= 1.0 - spike
+    else:
+        np.less_equal(v, cfg.v_th, out=keep)
+        v *= keep
+        np.logical_not(keep, out=spike, casting="unsafe")
 
 
 def _channels_last_views(*arrays):
-    """The (N,H,W,C) views of (N,C,H,W) arrays that all lie in channels-last
-    memory, else the arrays: a ufunc on C-contiguous operands skips numpy's
-    strided iterator, which costs about 2 us a call at batch 1."""
+    """The (N,H,W,C) views of (N,C,H,W) arrays, else the arrays: on the
+    channels-last memory every array between layers has, a ufunc then gets
+    C-contiguous operands and skips numpy's strided iterator, which costs
+    about 2 us a call at batch 1."""
     if arrays[0].ndim == 4:
-        views = [a.transpose(0, 2, 3, 1) for a in arrays]
-        if all(v.flags.c_contiguous for v in views):
-            return views
+        return [a.transpose(0, 2, 3, 1) for a in arrays]
     return arrays
 
 
 def lif_step(state, input_current, cfg):
-    """One membrane update (`lif_unroll` over one step) of ``state``, which
-    is mutated in place; returns the binary spike tensor."""
-    return lif_unroll(input_current[None], cfg, state=state)[0][0]
+    """One membrane update (`_lif_update`) of ``state``, which is mutated in
+    place; returns the binary spike tensor."""
+    if input_current.shape != state.u.shape:
+        raise ShapeError(
+            f"input current shape {input_current.shape} does not match "
+            f"membrane shape {state.u.shape}"
+        )
+    spikes = np.empty_like(input_current)
+    _lif_update(input_current, state.u, cfg, False, np.empty(spikes.shape, dtype=bool), spikes)
+    return spikes
 
 
 # Layer kinds understood by NetworkSpec.
@@ -415,11 +438,25 @@ class StepLayer(NamedTuple):
     out: np.ndarray      # the array it writes; None: a new one
 
 
-_NO_STEP = StepLayer(None, None, None, None)  # a folded norm's, and every layer's under a tape
+class StepProgram(NamedTuple):
+    """One inference step as calls bound to a key's StepLayer arrays
+    (`_step_program`)."""
+
+    layers: tuple        # the StepLayer arrays the calls run on
+    params: list         # the inference parameters the calls read
+    record: bool         # whether the calls count activity
+    x: np.ndarray        # the first layer's input, which a step copies x into
+    stem: tuple          # the stem's calls, run when its cached output is stale
+    stem_out: np.ndarray # the stem's output, which the first LIF layer reads
+    step: tuple          # the calls of every later layer; the last returns the logits
+    potentials: dict     # LIF layer index -> its membrane potentials
+    counts: np.ndarray   # (rows, mapped layers) input counts the calls write; None
+                         # without record_activity
 
 
 class StepBuffers:
-    """The arrays of an instance's inference steps, built for one input shape.
+    """The arrays of an instance's inference steps, built for one input
+    shape, and the step's program on them.
 
     `forward_timestep` runs the layers on the `StepLayer` arrays of its
     input's (rows, dtype) and the instance's firing mode, built on the first
@@ -440,12 +477,18 @@ class StepBuffers:
     keeps them unless the parameters' dtypes changed.  Every step
     overwrites them, so each instance has its own (`clone_state` gives the
     clone new ones).
+
+    The step itself is a `StepProgram` on those arrays (`program`), built
+    again only when the arrays, the inference parameters or
+    ``record_activity`` change.
     """
 
     def __init__(self):
         self._memory = Workspace()
         self._key = self._layers = None  # (rows, dtype, smooth), tuple of StepLayer
         self._batch = None  # (key, layers) of a batch above one scan tile
+        self._program = None  # StepProgram of the last step
+        self._attached = None  # the lif_states dict on the program's potentials
 
     def layers(self, net, params, rows, dtype):
         """The StepLayer of every layer of ``net`` for ``rows`` input rows of
@@ -463,9 +506,49 @@ class StepBuffers:
         self._key = key
         return self._layers
 
-    def drop_batch(self):
-        """Let go of the arrays of a batch above one scan tile."""
-        self._batch = None
+    def program(self, net, params, rows, dtype):
+        """The StepProgram of ``net``'s next step on ``rows`` input rows of
+        ``dtype``, with ``net.lif_states`` on its potentials.
+
+        A sequence's first step (no LIF states) starts them from rest on the
+        program's potentials.  A later step whose program is on other arrays
+        carries each state's values over, and raises StateError when the
+        batch size changed.
+        """
+        layers = self.layers(net, params, rows, dtype)
+        prog, record = self._program, net.record_activity
+        if prog is None or prog.layers is not layers or prog.params is not params \
+                or prog.record != record:
+            prog = self._program = _step_program(net.spec, layers, params, net.smooth_spikes,
+                                                 record)
+            self._attached = None
+        if net.lif_states is not self._attached:
+            _attach_states(net.lif_states, prog.potentials)
+            self._attached = net.lif_states
+        return prog
+
+    def reset(self):
+        """Let go of the arrays of a batch above one scan tile, with the
+        program, and of the last sequence's LIF states."""
+        if self._batch is not None:
+            self._batch = self._program = None
+        self._attached = None
+
+
+def _attach_states(states, potentials):
+    """Put ``states``, an instance's LifState per LIF layer, on a step's
+    ``potentials``: a missing state starts from rest, and a state on other
+    arrays of the same shape carries its values over."""
+    for i, u in potentials.items():
+        state = states.get(i)
+        if state is None:
+            u.fill(0)
+            states[i] = LifState(u)
+        elif state.u is not u:
+            if state.u.shape != u.shape:
+                raise StateError("batch size changed mid-inference; call reset_states first")
+            np.copyto(u, state.u)
+            state.u = u
 
 
 def _build_step(net, params, n, dtype, memory):
@@ -485,11 +568,12 @@ def _step_layers(spec, params, n, dtype, smooth, empty):
     under key.  Every layer gets the output dtype its kernel would give.  A
     convolution reads a zero-bordered buffer and an fc layer C-order rows;
     the layer before writes straight into them when its output has their
-    dtype, and the loop copies h in otherwise.  A strict LIF layer before a
-    pool leaves its spikes as bool, its keep buffer inverted, which the pool
-    sums as bytes (`kernels.pool_buffers`); every other output is in the
-    step's float dtype, so no bool array reaches a GEMM or a norm.  4-d
-    arrays are (N,C,H,W) views of channels-last memory.
+    dtype, and the step copies h in otherwise; the first layer always reads
+    an array of its own, which a step copies its input into.  A strict LIF
+    layer before a pool leaves its spikes as bool, its keep buffer inverted,
+    which the pool sums as bytes (`kernels.pool_buffers`); every other
+    output is in the step's float dtype, so no bool array reaches a GEMM or
+    a norm.  4-d arrays are (N,C,H,W) views of channels-last memory.
     """
     layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
     inputs = {}  # layer index -> its ConvBuffers or fixed input array
@@ -513,7 +597,7 @@ def _step_layers(spec, params, n, dtype, smooth, empty):
                     lambda role, shape, dt: empty(keys[role], shape, dt))
             elif kind in ("fc", "classifier"):
                 inputs[i] = empty((i, "x"), shape, dt)
-            elif kind == "pool" and i == 0:  # the raw input: laid out for the pool
+            elif i == 0:  # the step's input, channels-last as a pool reads it
                 inputs[i] = own(i, "x", shape, dt)
         found = inputs.get(i)
         return found.x if isinstance(found, kernels.ConvBuffers) else found
@@ -535,12 +619,12 @@ def _step_layers(spec, params, n, dtype, smooth, empty):
             dt = conv.out.dtype
         elif kind == "norm" and par is not None:
             dt = np.result_type(dt, par["running_mean"])
-            arrays = StepLayer(None, None, None, dest(i, dt))
+            arrays = StepLayer(fixed, None, None, dest(i, dt))
         elif kind == "lif":
             u = own(i, "u", (n,) + plan.in_shape, dt)
             keep = own("step", "keep", u.shape, bool)
             to_pool = not smooth and i + 1 < len(layers) and layers[i + 1].kind == "pool"
-            arrays = StepLayer(None, None, (u, keep), keep if to_pool else dest(i, dt))
+            arrays = StepLayer(fixed, None, (u, keep), keep if to_pool else dest(i, dt))
         elif kind == "pool":
             # the pool's views are built on the array it reads: the output of
             # the last layer that wrote one (a folded norm writes none)
@@ -555,7 +639,7 @@ def _step_layers(spec, params, n, dtype, smooth, empty):
             dt = np.result_type(dt, par["w"])
             arrays = StepLayer(fixed, rows, rows, None if kind == "classifier" else dest(i, dt))
         else:  # a norm folded into the layer before
-            arrays = _NO_STEP
+            arrays = StepLayer(fixed, None, None, None)
         if plan.weight_shape is not None and i > s and layers[i - 1].kind == "pool" \
                 and step[-1].buffers.sums.dtype.kind == "u":
             # the pool's integer window sums: nonzero where its means are, and smaller
@@ -564,16 +648,87 @@ def _step_layers(spec, params, n, dtype, smooth, empty):
     return tuple(step)
 
 
+def _step_program(spec, layers, params, smooth, record):
+    """The StepProgram of one inference step on ``layers``, a key's StepLayer
+    arrays, with the inference parameters ``params``.
+
+    Each layer adds its calls in the order the tape's `run_layers` visits
+    it: a copy of h into the array it reads unless h is that array, with
+    ``record`` the count of a weighted layer's input into its column of
+    ``counts``, then its kernel -- `conv2d` (and its bias add),
+    `batch_norm`, `_lif_update`, `avg_pool2d` or `fully_connected` on the
+    layer's arrays.  Kernels are looked up by their name in this module
+    when called, so a wrapper put in their place afterwards sees every call.
+    A layer after a pool is counted right after the pool, while the pools'
+    shared sums are its.  The stem's input is analog, so its counts are
+    filled in here, once.
+    """
+    s, plans = spec.first_lif, spec.layer_plan
+    mapped = [i for i, plan in enumerate(plans) if plan.weight_shape is not None]
+    x = h = layers[0].input
+    counts = np.empty((len(x), len(mapped))) if record else None
+    calls, potentials = [], {}
+    for i, (layer, par, plan, arrays) in enumerate(zip(spec.layers, params, plans, layers)):
+        if i == s:
+            stem, stem_out, calls = tuple(calls), h, []
+        if arrays.input is not None and arrays.input is not h:
+            calls.append(functools.partial(np.copyto, arrays.input, h))
+            h = arrays.input
+        if record and plan.weight_shape is not None:
+            column = counts[:, mapped.index(i)]
+            if i < s:
+                _count_inputs(h, True, out=column)
+            else:
+                calls.append(functools.partial(_count_inputs, arrays.count, False, out=column))
+        if layer.kind == "lif":
+            potentials[i] = arrays.buffers[0]
+        h = _layer_calls(calls, layer, par, plan.config, arrays, h, smooth)
+    return StepProgram(layers, params, record, x, stem, stem_out, tuple(calls), potentials,
+                       counts)
+
+
+def _layer_calls(calls, layer, par, cfg, arrays, h, smooth):
+    """Append the kernel calls of one layer of a step reading h to ``calls``;
+    returns the array they leave its output in (None: the classifier's call
+    returns new logits)."""
+    kind = layer.kind
+    if kind == "conv":
+        conv, w = arrays.buffers, par["w"]
+        calls.append(lambda: conv2d(h, w, cfg, buffers=conv))
+        if "b" in par:  # one contiguous add per sample
+            calls.append(functools.partial(np.add, conv.rows, par["b_map"], out=conv.rows))
+        return conv.out
+    if kind == "norm":
+        if par is None:  # folded into the layer before
+            return h
+        out = arrays.out
+        calls.append(lambda: batch_norm(h, par, out=out))
+        return out
+    if kind == "lif":
+        current, v, keep, spike = _channels_last_views(h, *arrays.buffers, arrays.out)
+        calls.append(lambda: _lif_update(current, v, cfg, smooth, keep, spike))
+        return arrays.out
+    if kind == "pool":
+        pool, window = arrays.buffers, layer.window
+        calls.append(lambda: avg_pool2d(h, window, buffers=pool))
+        return pool.out
+    rows, w, b, out = arrays.buffers, par["w"], par["b"], arrays.out  # fc / classifier
+    calls.append(lambda: fully_connected(rows, w, b, out=out))
+    return out
+
+
 @dataclass
 class SnnInstance:
     """A NetworkSpec bound to weights plus the mutable inference state.
 
-    ``stem`` caches ``(input, stem output, stem activity counts)`` for the
-    input array last passed to `forward_timestep`; the counts are None when
-    it was computed without ``record_activity``.  It lives until
-    `reset_states`, until a different array object is passed or until
-    ``inference_plan`` (see `inference_params`) is rebuilt; instances from
-    `clone_state` start without it.
+    ``stem`` caches ``(input, stem output, activity counts)`` for the input
+    array last passed to `forward_timestep`: the counts are the step
+    program's array, which holds the stem's constant counts, None when the
+    stem was computed without ``record_activity``.  It lives until
+    `reset_states`, until a different array object is passed, until the
+    step runs on other arrays or until ``inference_plan`` (see
+    `inference_params`) is rebuilt; instances from `clone_state` start
+    without it.
     """
 
     spec: NetworkSpec
@@ -584,7 +739,7 @@ class SnnInstance:
     record_activity: bool = False
     activity: list = field(default_factory=list)  # one row per timestep
     smooth_spikes: bool = False   # fire by spike_ramp (gradient-check mode)
-    stem: tuple = None            # (input, stem output, stem activity counts)
+    stem: tuple = None            # (input, stem output, activity counts)
     inference_plan: tuple = None  # (parameter arrays, inference parameters)
     workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
     step_buffers: StepBuffers = field(default_factory=StepBuffers, repr=False, compare=False)
@@ -632,20 +787,20 @@ def build_instance(spec, seed=0, dtype=np.float32):
 
 
 def reset_states(net):
-    """Zero all membrane potentials, accumulated logits and the step counter,
-    and drop the cached stem output and the arrays of a batch above one scan
-    tile.  The kept step buffers stay: the next step zeroes the potentials
-    it takes from them."""
+    """Drop the membrane potentials, accumulated logits, activity, the step
+    counter and the cached stem output, and the arrays of a batch above one
+    scan tile (`StepBuffers.reset`).  The kept step buffers and their
+    program stay: the next step starts its LIF states from rest on them."""
     net.lif_states = {}
     net.accumulated_logits = None
     net.t = 0
     net.activity = []
     net.stem = None
-    net.step_buffers.drop_batch()
+    net.step_buffers.reset()
 
 
 def inference_params(net):
-    """Per-layer parameters `run_layers` uses without a tape.
+    """Per-layer parameters an inference step runs on.
 
     A norm directly after a conv or fc is folded into it, in float64: with
     s = gamma / sqrt(running_var + BN_EPS) the weights become w*s, the bias
@@ -684,8 +839,9 @@ def inference_params(net):
     return net.inference_plan[1]
 
 
-def _count_inputs(h, analog):
-    """Per-sample drive presented to a crossbar-mapped layer this timestep.
+def _count_inputs(h, analog, out=None):
+    """Per-sample drive presented to a crossbar-mapped layer this timestep,
+    into ``out`` (a new float64 array when None).
 
     Analog inputs (direct encoding into a weighted layer of the stem) drive
     every row, so the count is the number of elements; spiking inputs count
@@ -694,20 +850,28 @@ def _count_inputs(h, analog):
     axis goes through numpy's astype(bool) and sum, which allocates and
     costs more there.
     """
+    if out is None:
+        out = np.empty(len(h))
     if analog:
-        return np.full(h.shape[0], math.prod(h.shape[1:]), dtype=np.float64)
-    if len(h) == 1:
-        return np.array([np.count_nonzero(h)], dtype=np.float64)
-    return np.array([np.count_nonzero(row) for row in h], dtype=np.float64)
+        out[...] = math.prod(h.shape[1:])
+    elif len(h) == 1:
+        out[0] = np.count_nonzero(h)
+    else:
+        for r, row in enumerate(h):
+            out[r] = np.count_nonzero(row)
+    return out
 
 
 def forward_timestep(net, x):
     """Run every layer for one timestep and accumulate the classifier logits.
 
     x is the raw input batch (N,C,H,W), presented identically at every
-    timestep.  The stem runs only when x is not the array whose stem output
-    is cached (see the module docstring).  Returns this step's logits (N, K).
-    Raises ShapeError for an empty batch or another input shape.
+    timestep.  The step runs the calls of the instance's `StepProgram` for
+    x's shape: the stem's only when x is not the array whose stem output is
+    cached (see the module docstring), then the rest.  Returns this step's
+    logits (N, K).  Raises ShapeError for an empty batch or another input
+    shape, and StateError beyond t_max or when the batch size changed
+    without `reset_states`.
     """
     spec = net.spec
     if net.t >= spec.t_max:
@@ -719,76 +883,54 @@ def forward_timestep(net, x):
         )
     if len(x) == 0:
         raise ShapeError("forward_timestep requires a non-empty batch")
-    s = spec.first_lif
     params = inference_params(net)  # a rebuilt plan drops the stem computed on old weights
-    step = net.step_buffers.layers(net, params, len(x), x.dtype)
-    record = net.record_activity
-    if net.stem is None or net.stem[0] is not x or (record and net.stem[2] is None):
+    step = net.step_buffers.program(net, params, len(x), x.dtype)
+    stem = net.stem
+    if stem is None or stem[0] is not x or stem[1] is not step.stem_out:
         check_finite(x)
-        stem_counts = [] if record else None
-        net.stem = (x, run_layers(net, x, range(s), counts=stem_counts, params=params, step=step),
-                    stem_counts)
-    _, h, stem_counts = net.stem
-    step_counts = list(stem_counts) if record else None
-    h = run_layers(net, h, range(s, len(spec.layers)), counts=step_counts, params=params,
-                   step=step)
+        np.copyto(step.x, x)
+        for call in step.stem:
+            call()
+        net.stem = (x, step.stem_out, step.counts)
+    for call in step.step:
+        h = call()
     if net.accumulated_logits is None:
         net.accumulated_logits = np.zeros_like(h)
     net.accumulated_logits += h
     net.t += 1
-    if step_counts is not None:
-        net.activity.append(np.array(step_counts).T)  # (N, mapped layers)
+    if step.counts is not None:
+        net.activity.append(step.counts.copy())  # (N, mapped layers)
     return h
 
 
-def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params, step=None):
-    """Apply the layers at ``indices`` to h, the B rows entering the first.
+def run_layers(net, h, t_steps, tape):
+    """The training tape's layer loop: every layer on ``net.params``, over
+    h, the B input rows.
 
-    Rows are t_steps timestep-major blocks of B rows from the first LIF on.
-    ``counts``, when a list, receives the per-sample input count of every
-    weighted layer.  Layers run on ``params``: ``net.params`` with a tape,
-    else `inference_params`.  Without a tape the pass is one timestep
-    (t_steps 1): unfolded norms use running statistics, LIF layers continue
-    from ``net.lif_states``, and each layer runs on its arrays in ``step``,
-    the instance's `StepBuffers` layers of the step's input.  With a tape
-    ``step`` is None: LIF layers start from rest, norms use batch statistics
-    and propose updates in ``tape["norm_updates"]``, and every layer appends
-    its cache to ``tape["caches"]``.  A tape's conv, norm, LIF and pool
-    outputs come from ``tape["workspace"]`` (a new `Workspace` when it is
-    None), keyed by layer index, and a norm or a LIF layer writes its output
-    over an input that no tape entry holds.
+    Rows are t_steps timestep-major blocks of B rows from the first LIF on:
+    the first LIF layer broadcasts the stem's B rows over T.  LIF layers
+    start from rest, norms use batch statistics and propose updates in
+    ``tape["norm_updates"]``, and every layer appends its cache to
+    ``tape["caches"]``.  The conv, norm, LIF and pool outputs come from
+    ``tape["workspace"]`` (a new `Workspace` when it is None), keyed by
+    layer index, and a norm or a LIF layer writes its output over an input
+    that no tape entry holds.  Inference does not come here: a step runs
+    its `StepProgram`.
     """
     spec = net.spec
-    layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
-    batch = h.shape[0]
-    ws = None
-    if tape is not None:
-        ws, record = tape["workspace"] or Workspace(), tape["caches"].append
-    owned = False  # with a tape: h is this pass's own array and no tape entry holds it
-    for i in indices:
-        layer, par, plan = layers[i], params[i], plans[i]
+    s, batch = spec.first_lif, h.shape[0]
+    ws, record = tape["workspace"] or Workspace(), tape["caches"].append
+    owned = False  # h is this pass's own array and no tape entry holds it
+    for i, (layer, par, plan) in enumerate(zip(spec.layers, net.params, spec.layer_plan)):
         kind, cfg = layer.kind, plan.config
-        arrays = _NO_STEP if step is None else step[i]
-        if arrays.input is not None and h is not arrays.input:
-            np.copyto(arrays.input, h)
-            h = arrays.input
-        if counts is not None and plan.weight_shape is not None:
-            counts.append(_count_inputs(h if i < s or arrays.count is None else arrays.count,
-                                        analog=i < s))
         if kind == "conv":
-            out = None if ws is None else ws.channels_last(
-                (i, "y"), (len(h),) + plan.out_shape, np.result_type(h, par["w"]))
-            y = conv2d(h, par["w"], cfg, out, buffers=arrays.buffers)
-            if "b" in par and arrays.buffers is None:
+            out = ws.channels_last((i, "y"), (len(h),) + plan.out_shape,
+                                   np.result_type(h, par["w"]))
+            y = conv2d(h, par["w"], cfg, out)
+            if "b" in par:
                 y += par["b"].reshape(1, -1, 1, 1)
-            elif "b" in par:  # one contiguous add per sample
-                np.add(arrays.buffers.rows, par["b_map"], out=arrays.buffers.rows)
-            if ws is not None:
-                record((kind, cfg, h))
+            record((kind, cfg, h))
             h = y
-        elif kind == "norm" and ws is None:
-            if par is not None:  # None: folded into the layer before
-                h = batch_norm(h, par, out=arrays.out)
         elif kind == "norm":
             repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
             xhat = ws.empty_like((i, "xhat"), h, dtype=np.result_type(h, 1.0))
@@ -796,16 +938,6 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params, st
             y = h if owned and h.dtype == dtype else ws.empty_like((i, "y"), h, dtype=dtype)
             h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats, (xhat, y))
             record((kind, cache))
-        elif kind == "lif" and ws is None:  # one step, from the instance's potentials
-            u, keep = arrays.buffers
-            state = net.lif_states.get(i)
-            if state is None:
-                u.fill(0)
-                state = net.lif_states[i] = LifState(u)
-            elif state.u.shape != h.shape:
-                raise StateError("batch size changed mid-inference; call reset_states first")
-            h = lif_unroll(h[None], cfg, net.smooth_spikes, state, (None, arrays.out[None]),
-                           keep)[0][0]
         elif kind == "lif":
             h = h.reshape((-1, batch) + h.shape[1:])
             in_place = owned and len(h) == t_steps  # not the stem's broadcast rows
@@ -818,17 +950,14 @@ def run_layers(net, h, indices, t_steps=1, counts=None, tape=None, *, params, st
             h = spikes.reshape((-1,) + spikes.shape[2:])
         elif kind == "pool":
             w = layer.window
-            out = None
-            if ws is not None:
-                record((kind, w))
-                out = ws.empty_like((i, "y"), h[:, :, ::w, ::w], dtype=np.result_type(h, 1.0))
-            h = avg_pool2d(h, w, out, buffers=arrays.buffers)
+            record((kind, w))
+            out = ws.empty_like((i, "y"), h[:, :, ::w, ::w], dtype=np.result_type(h, 1.0))
+            h = avg_pool2d(h, w, out)
         else:  # fc / classifier
             shape = h.shape
-            h = h.reshape(h.shape[0], -1) if arrays.buffers is None else arrays.buffers
-            if ws is not None:
-                record((kind, h, shape))
-            h = fully_connected(h, par["w"], par["b"], out=arrays.out)
+            h = h.reshape(h.shape[0], -1)
+            record((kind, h, shape))
+            h = fully_connected(h, par["w"], par["b"])
         owned = kind != "lif"  # a LIF layer's tape entry holds its spikes
     return h
 

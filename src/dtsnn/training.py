@@ -197,8 +197,7 @@ def forward_with_tape(net, x, t_steps, *, workspace=None):
     check_finite(x)
     tape = {"caches": [], "norm_updates": {}, "t": t_steps, "workspace": workspace}
     with kernels.one_blas_thread():
-        h = run_layers(net, x, range(len(net.spec.layers)), t_steps, tape=tape,
-                       params=net.params)
+        h = run_layers(net, x, t_steps, tape)
     return h.reshape(t_steps, x.shape[0], -1), tape
 
 

@@ -99,6 +99,54 @@ def test_traced_batch_one_request_books_every_kernel_under_its_caller():
     assert tracer.counts["conv2d_mac"] > 0
 
 
+def test_a_step_program_built_untraced_books_what_a_fresh_traced_one_does():
+    # An inference step is a program of calls built at the instance's first
+    # step and kept.  Its kernels are looked up by name when called, so a
+    # tracer installed after the build still sees every one of them.
+    spec = NetworkSpec(
+        input_shape=(1, 6, 6),
+        num_classes=3,
+        t_max=2,
+        layers=(
+            LayerSpec("conv", out_channels=2),
+            LayerSpec("norm"),  # folded into the conv
+            LayerSpec("lif"),
+            LayerSpec("pool", window=2),
+            LayerSpec("norm"),  # after a pool: eval batch_norm runs
+            LayerSpec("conv", out_channels=2),
+            LayerSpec("lif"),
+            LayerSpec("classifier"),
+        ),
+    )
+    x = np.random.default_rng(2).standard_normal((1, 6, 6)).astype(np.float32)
+    policy = dtsnn.exit_policy.ExitPolicy(theta=0.0, t_max=2)  # runs every step
+
+    def instance():
+        net = build_instance(spec, seed=0)
+        net.record_activity = True
+        return net
+
+    def traced_request(net):
+        tracer = tracing.Tracer("run")
+        try:
+            tracer.install(dtsnn)
+            dtsnn.exit_policy.dynamic_infer(net, x, policy)
+        finally:
+            tracer.unpatch()
+        return dict(tracer.calls), dict(tracer.counts)
+
+    built = instance()
+    dtsnn.exit_policy.dynamic_infer(built, x, policy)  # untraced: builds the program
+    program = built.step_buffers._program
+    booked = traced_request(built)
+    assert built.step_buffers._program is program  # the traced request ran that build
+    assert booked == traced_request(instance())
+    calls = booked[0]
+    assert {"kernels.conv2d", "kernels.batch_norm", "kernels.avg_pool2d",
+            "kernels.fully_connected"} <= calls.keys()
+    assert calls["kernels.conv2d"] == 2 + 1  # the stem's conv runs once per request
+
+
 def test_tracer_installs_and_sees_conv_from_both_engines(traced):
     _, parents = traced
     conv_parents = {parent for name, parent in parents if name == "kernels.conv2d"}

@@ -12,9 +12,9 @@ import yaml
 from dtsnn.checkpoint import instance_from_checkpoint, load_checkpoint
 from dtsnn.cli import main
 from dtsnn.config import load_dataset_pair, parse_config
-from dtsnn.datasets import write_idx_images, write_idx_labels
 from dtsnn.exit_policy import scan_with_entropy
 from dtsnn.hardware import dataset_cost_fn, map_network
+from idx_files import write_idx_images, write_idx_labels
 
 CONFIG = {
     "model": {

@@ -18,8 +18,6 @@ from dtsnn.datasets import (
     load_idx,
     read_idx_images,
     synth_dataset,
-    write_idx_images,
-    write_idx_labels,
 )
 from dtsnn.config import spec_from_dict, spec_to_dict
 from dtsnn.errors import ChecksumError, DataFormatError, VersionError
@@ -29,6 +27,7 @@ from dtsnn.network import (
     build_instance,
     scan_timesteps,
 )
+from idx_files import write_idx_images, write_idx_labels
 
 rng = np.random.default_rng(31337)
 

@@ -288,13 +288,15 @@ class TestInferencePlan:
         """Per-step logits of forward_timestep plus every current it passes
         to a LIF layer, in the order `reference_logits` records them."""
         currents = []
-        unroll = network.lif_unroll
+        update = network._lif_update
 
-        def recording(h, *args, **kwargs):
-            currents.extend(np.array(c) for c in h)
-            return unroll(h, *args, **kwargs)
+        def recording(current, *args, **kwargs):
+            # 4-d arrays arrive as (N,H,W,C) views of their channels-last memory
+            c = np.array(current)
+            currents.append(c.transpose(0, 3, 1, 2) if c.ndim == 4 else c)
+            return update(current, *args, **kwargs)
 
-        monkeypatch.setattr(network, "lif_unroll", recording)
+        monkeypatch.setattr(network, "_lif_update", recording)
         reset_states(net)
         logits = np.stack([forward_timestep(net, x) for _ in range(self.T_STEPS)])
         return logits, currents
@@ -922,6 +924,55 @@ class TestStepBuffers:
         assert net.step_buffers._layers is layers
         npt.assert_array_equal(after, mean_after(SnnInstance(spec=net.spec, params=net.params), x, 2))
         assert not np.array_equal(before, after)
+
+    def sequence(self, net, x, t_steps=3):
+        """Every step's logits and activity row of one sequence from rest."""
+        reset_states(net)
+        logits = np.stack([forward_timestep(net, x) for _ in range(t_steps)])
+        return logits, np.stack(net.activity) if net.record_activity else None
+
+    def fresh(self, net):
+        """An instance on the same parameters whose step is built from scratch."""
+        return SnnInstance(spec=net.spec, params=net.params, record_activity=net.record_activity,
+                           smooth_spikes=net.smooth_spikes)
+
+    def test_weights_replaced_after_a_build_get_a_new_program_on_the_same_arrays(self):
+        net, x = self.make(), self.images(2)
+        self.sequence(net, x)
+        layers, program = net.step_buffers._layers, net.step_buffers._program
+        w = net.params[4]["w"]
+        sgd_step(net, {4: {"w": np.ones_like(w)}}, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
+        logits, activity = self.sequence(net, x)
+        assert net.step_buffers._layers is layers
+        assert net.step_buffers._program is not program
+        want_logits, want_activity = self.sequence(self.fresh(net), x)
+        npt.assert_array_equal(logits, want_logits)
+        npt.assert_array_equal(activity, want_activity)
+
+    def test_recording_switched_on_after_an_unrecorded_step_counts_the_next(self):
+        net, x = self.make(), self.images(2)
+        net.record_activity = False
+        first = forward_timestep(net, x)
+        assert net.activity == []
+        net.record_activity = True
+        second = forward_timestep(net, x)
+        want_logits, want_activity = self.sequence(self.fresh(net), x, 2)
+        npt.assert_array_equal(np.stack([first, second]), want_logits)
+        assert len(net.activity) == 1
+        npt.assert_array_equal(net.activity[0], want_activity[1])
+        logits, activity = self.sequence(net, x)
+        want_logits, want_activity = self.sequence(self.fresh(net), x)
+        npt.assert_array_equal(logits, want_logits)
+        npt.assert_array_equal(activity, want_activity)
+
+    def test_smooth_spikes_toggled_between_sequences(self):
+        net, x = self.make(), self.images(2)
+        for smooth in (False, True, False, True):
+            net.smooth_spikes = smooth
+            logits, activity = self.sequence(net, x)
+            want_logits, want_activity = self.sequence(self.fresh(net), x)
+            npt.assert_array_equal(logits, want_logits)
+            npt.assert_array_equal(activity, want_activity)
 
     def test_weights_of_another_dtype_get_buffers_of_theirs(self):
         net, x = self.make(), self.images(2)
