@@ -95,7 +95,7 @@ class ConvParams:
         return ho, wo
 
 
-def _im2col(x, kh, kw, stride, padding, prepared=None):
+def _im2col(x, kh, kw, stride, padding):
     """Unfold sliding windows of x (N,C,H,W) into rows (N*Ho*Wo, kh*kw*C).
 
     Columns are in (kh, kw, C) order.  With several channels x is copied
@@ -111,15 +111,7 @@ def _im2col(x, kh, kw, stride, padding, prepared=None):
     OpenBLAS rounds a GEMM that reads a long (K of 36 and more in float32)
     matrix transposed differently, and an NCHW input must give the bits of
     its channels-last copy.
-
-    ``prepared``, from a block of `conv_buffers` whose input rows x are, is
-    (its scratch, its window view): the windows are copied into the
-    scratch, which the block already holds as its matrix, so nothing is
-    allocated and None is returned.
     """
-    if prepared is not None:
-        np.copyto(*prepared)
-        return None
     return _unfold(x, kh, kw, stride, padding, x.shape[1] == 1)
 
 
@@ -208,9 +200,8 @@ class ConvBuffers(NamedTuple):
 
     x: np.ndarray        # (N,C,H,W) input: the interior of a zero-bordered buffer
     padded: np.ndarray   # that buffer, one row per sample
-    blocks: tuple        # per block of samples: (its rows of x, their windows, the
-                         # scratch they are copied into, that scratch as the matrix,
-                         # the block's output rows)
+    blocks: tuple        # per block of samples: (its windows, the scratch they are
+                         # copied into, that scratch as the matrix, its output rows)
     out: np.ndarray      # (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory
     rows: np.ndarray     # out's memory, one row per sample
 
@@ -252,8 +243,7 @@ def conv_buffers(x_shape, params, dtype, row_itemsize, take):
         windows = as_strided(xp[start : start + m], shape, strides, writeable=False)
         block = cols[: m * ho * wo * k].reshape(shape)
         matrix = block.reshape(k, m * ho * wo).T if planes else block.reshape(m * ho * wo, k)
-        blocks.append((interior[start : start + m], windows, block, matrix,
-                       rows[start * ho * wo : (start + m) * ho * wo]))
+        blocks.append((windows, block, matrix, rows[start * ho * wo : (start + m) * ho * wo]))
     return ConvBuffers(interior, mem.reshape(n, -1), tuple(blocks), y.transpose(0, 3, 1, 2),
                        y.reshape(n, -1))
 
@@ -266,8 +256,9 @@ def conv2d(x, weights, params, out=None, *, buffers=None):
     With ``buffers`` from `conv_buffers` on x's shape the call allocates
     nothing: x is copied into ``buffers.x`` unless it is that array, and the
     prebuilt blocks run one after another on the caller's thread (they share
-    one scratch), each an `_im2col` copy of its windows and a GEMM into its
-    rows of ``buffers.out``, the result.
+    one scratch), each a copy of its windows into the scratch, which the
+    block holds as its unfolded matrix, and a GEMM into its rows of
+    ``buffers.out``, the result.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got shape {x.shape}")
@@ -295,8 +286,8 @@ def conv2d(x, weights, params, out=None, *, buffers=None):
     if buffers is not None:
         if x is not buffers.x:
             np.copyto(buffers.x, x)
-        for block, windows, cols, matrix, y in buffers.blocks:
-            _im2col(block, kh, kw, params.stride, params.padding, (cols, windows))
+        for windows, cols, matrix, y in buffers.blocks:
+            np.copyto(cols, windows)
             np.matmul(matrix, wmat, out=y)
         return buffers.out
     dtype = np.result_type(x, wmat)

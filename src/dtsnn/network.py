@@ -33,14 +33,16 @@ worker its own membrane potentials (and no cached stem) over the same built
 inference plan.  `scan_timesteps` does this itself: its tiles run on the
 workers of `kernels.run_blocks`, each on its own clone.
 
-An inference step runs every layer on arrays the instance builds once per
-input shape (`StepBuffers`): the LIF potentials, a bool keep array that holds
-a LIF layer's spikes for the pool after it, each pool's integer window sums,
-each convolution's zero-bordered input, window views and output.  It keeps
-those of a batch of at most one scan tile; those of a larger batch last until
-`reset_states`.  The step's calls on them (`_step_program`) are built with
-the arrays and again when the inference parameters or ``record_activity``
-change; the kernels they call are looked up by name at each call.
+An inference step runs every layer on arrays the instance lays out in the
+same walk over the layers that binds the step's calls to them
+(`_step_program`): the LIF potentials, a bool keep array that holds a LIF
+layer's spikes for the pool after it, each pool's integer window sums, each
+convolution's zero-bordered input, window views and output.  `StepBuffers`
+keeps that program until the input shape, the firing mode,
+``record_activity`` or the inference parameters change; the next build lays
+its arrays out over the same bytes.  A batch above one scan tile gets bytes
+of its own, which last until `reset_states`.  The kernels the calls run are
+looked up by name at each call.
 """
 
 import functools
@@ -106,61 +108,43 @@ def _empty_steps(like, t_steps, ws=None, key=None):
     return steps.reshape((t_steps,) + like.shape)
 
 
-def lif_unroll(currents, cfg, smooth=False, state=None, out=None):
-    """Forward a (T, B, ...) current tensor through one LIF layer: the
-    training tape's LIF layer.
+def lif_unroll(currents, cfg, smooth=False, out=None):
+    """Forward a (T, B, ...) current tensor through one LIF layer from rest:
+    the training tape's LIF layer.
 
-    Each step is `_lif_update`.  Without ``state`` the unroll starts from
-    rest and returns (spikes, (u_pre, spikes)), the cache
-    `training.lif_unroll_backward` needs; ``out``, a pair (u_pre, spikes) of
-    (T, B, ...) arrays, receives it, and its spikes may be currents itself.
-    With a LifState it continues from the state's potentials, leaves the
-    final potentials in them, in place, and returns (spikes, None): no
-    pre-reset potentials are kept, and ``out`` is (None, spikes).  Samples
-    are independent: the batch runs in blocks of about `kernels.BLOCK_BYTES`
-    of one step's currents (`kernels.run_row_blocks`), each through all T
-    steps, from rest on potentials of its own.  An inference step does not
-    come here: its program calls `_lif_update` on the step's own arrays.
+    Each step is `_lif_update`.  Returns (spikes, (u_pre, spikes)), the
+    cache `training.lif_unroll_backward` needs; ``out``, a pair (u_pre,
+    spikes) of (T, B, ...) arrays, receives it, and its spikes may be
+    currents itself.  Samples are independent: the batch runs in blocks of
+    about `kernels.BLOCK_BYTES` of one step's currents
+    (`kernels.run_row_blocks`), each through all T steps, from rest on
+    potentials of its own.  An inference step does not come here: its
+    program calls `_lif_update` on the step's own arrays, and `lif_step`
+    continues a LifState.
     """
     t_steps, batch = currents.shape[:2]
     step = currents[0]
-    if state is None:
-        u = None
-        if out is None:
-            out = (_empty_steps(step, t_steps), _empty_steps(step, t_steps))
-    elif step.shape != state.u.shape:
-        raise ShapeError(
-            f"input current shape {step.shape} does not match "
-            f"membrane shape {state.u.shape}"
-        )
-    else:
-        u = state.u
-        if out is None:
-            out = (None, _empty_steps(step, t_steps))
+    if out is None:
+        out = (_empty_steps(step, t_steps), _empty_steps(step, t_steps))
     u_pre, spikes = out
     row_bytes = step.nbytes // max(1, batch)
     if batch <= kernels.block_rows(row_bytes):
-        _lif_rows(currents, cfg, smooth, u, u_pre, spikes)
+        _lif_rows(currents, cfg, smooth, u_pre, spikes)
     else:
         kernels.run_row_blocks(batch, row_bytes, lambda rows: _lif_rows(
-            currents[:, rows], cfg, smooth, None if u is None else u[rows],
-            None if u_pre is None else u_pre[:, rows], spikes[:, rows]))
-    if state is None:
-        return spikes, (u_pre, spikes)
-    return spikes, None
+            currents[:, rows], cfg, smooth, u_pre[:, rows], spikes[:, rows]))
+    return spikes, (u_pre, spikes)
 
 
-def _lif_rows(currents, cfg, smooth, u, u_pre, spikes):
-    """`lif_unroll` of one block of samples: `_lif_update` at every step, on
-    u in place (from rest when u is None), writing each step's potentials
-    before the reset (unless u_pre is None) and its spikes."""
-    if u is None:
-        u = np.zeros_like(currents[0])
+def _lif_rows(currents, cfg, smooth, u_pre, spikes):
+    """`lif_unroll` of one block of samples: `_lif_update` at every step,
+    from rest, writing each step's potentials before the reset and its
+    spikes."""
+    u = np.zeros_like(currents[0])
     keep = np.empty_like(u, dtype=bool)
     for t in range(currents.shape[0]):
-        pre = () if u_pre is None else (u_pre[t],)
-        current, v, k, spike, *pre = _channels_last_views(currents[t], u, keep, spikes[t], *pre)
-        _lif_update(current, v, cfg, smooth, k, spike, *pre)
+        current, v, k, spike, pre = _channels_last_views(currents[t], u, keep, spikes[t], u_pre[t])
+        _lif_update(current, v, cfg, smooth, k, spike, pre)
 
 
 def _lif_update(current, v, cfg, smooth, keep, spike, u_pre=None):
@@ -428,23 +412,13 @@ class Workspace:
         return self.empty(key, (n, h, w, c), dtype).transpose(0, 3, 1, 2)
 
 
-class StepLayer(NamedTuple):
-    """The arrays one layer of an inference step runs on (`StepBuffers`)."""
-
-    input: np.ndarray    # the array it reads, h copied in unless h is it; None: h as it comes
-    count: np.ndarray    # one row per sample holding a weighted layer's input values
-    buffers: object      # the kernel's ConvBuffers / PoolBuffers, an fc's input rows,
-                         # a LIF layer's (potentials, keep)
-    out: np.ndarray      # the array it writes; None: a new one
-
-
 class StepProgram(NamedTuple):
-    """One inference step as calls bound to a key's StepLayer arrays
-    (`_step_program`)."""
+    """One inference step: calls bound to the arrays `_step_program` laid out
+    for it."""
 
-    layers: tuple        # the StepLayer arrays the calls run on
+    key: tuple           # the (rows, dtype, smooth, record) it is built for
     params: list         # the inference parameters the calls read
-    record: bool         # whether the calls count activity
+    memory: Workspace    # the workspace whose bytes its arrays are
     x: np.ndarray        # the first layer's input, which a step copies x into
     stem: tuple          # the stem's calls, run when its cached output is stale
     stem_out: np.ndarray # the stem's output, which the first LIF layer reads
@@ -455,56 +429,34 @@ class StepProgram(NamedTuple):
 
 
 class StepBuffers:
-    """The arrays of an instance's inference steps, built for one input
-    shape, and the step's program on them.
+    """An instance's inference step: the `StepProgram` of its last step and
+    the memory it runs on.
 
-    `forward_timestep` runs the layers on the `StepLayer` arrays of its
-    input's (rows, dtype) and the instance's firing mode, built on the first
-    step at that key and kept until a step at another key rebuilds them: a
-    later step at the same key allocates only its logits and activity row.
-    The memory is bytes kept per (layer, role) in a `Workspace`, so a
-    smaller batch (a scan's last tile) takes a prefix.  An array that the
-    next layer reads and no later one does is shared by the layers of its
-    role: the convolutions' unfold scratch (at most one block), the outputs
-    of the convolutions after the stem, the LIF layers' keep arrays and the
-    pools' sums.  A build that had to replace a buffer with a larger one
-    walks the layers again, on the grown bytes: an earlier layer of the
-    walk may hold a view of the old one.  A batch of more rows than one scan
-    tile (`_scan_rows`) gets arrays on a `Workspace` of its own, built at
-    its first step and kept beside the slot, never in it, until
-    `reset_states`; its kernels run their blocks one after another, as a
-    tile's do.  The arrays hold no weights: a rebuilt `inference_params`
-    keeps them unless the parameters' dtypes changed.  Every step
-    overwrites them, so each instance has its own (`clone_state` gives the
-    clone new ones).
-
-    The step itself is a `StepProgram` on those arrays (`program`), built
-    again only when the arrays, the inference parameters or
-    ``record_activity`` change.
+    `forward_timestep` runs the program built for its input's (rows, dtype),
+    the instance's firing mode and ``record_activity`` on the inference
+    parameters, and keeps it until a step with another of these builds the
+    next: a later step with the same ones allocates only its logits and
+    activity row.  The arrays are bytes kept per (layer, role) in a
+    `Workspace`, so a rebuild reuses them and a smaller batch (a scan's
+    last tile) takes a prefix.  An array that the next layer reads and no
+    later one does is shared by the layers of its role: the convolutions'
+    unfold scratch (at most one block), the outputs of the convolutions
+    after the stem, the LIF layers' keep arrays and the pools' sums.  A
+    build that had to replace a buffer with a larger one walks the layers
+    again, on the grown bytes: an earlier layer of the walk may hold a view
+    of the old one.  A batch of more rows than one scan tile (`_scan_rows`)
+    gets a `Workspace` of its own, which only its program holds, until the
+    next build or `reset_states`; its kernels run their blocks one after
+    another, as a tile's do.  The arrays hold no weights: a rebuilt
+    `inference_params` lays them out on the same bytes unless the
+    parameters' dtypes changed.  Every step overwrites them, so each
+    instance has its own (`clone_state` gives the clone new ones).
     """
 
     def __init__(self):
         self._memory = Workspace()
-        self._key = self._layers = None  # (rows, dtype, smooth), tuple of StepLayer
-        self._batch = None  # (key, layers) of a batch above one scan tile
         self._program = None  # StepProgram of the last step
         self._attached = None  # the lif_states dict on the program's potentials
-
-    def layers(self, net, params, rows, dtype):
-        """The StepLayer of every layer of ``net`` for ``rows`` input rows of
-        ``dtype``."""
-        key = (rows, dtype, net.smooth_spikes)
-        if key == self._key:
-            return self._layers
-        if self._batch is not None and self._batch[0] == key:
-            return self._batch[1]
-        dtype = np.dtype(dtype)
-        if rows > _scan_rows(net.spec, np.result_type(dtype, params[-1]["w"]).itemsize, rows):
-            self._batch = (key, _build_step(net, params, rows, dtype, Workspace()))
-            return self._batch[1]
-        self._layers = _build_step(net, params, rows, dtype, self._memory)
-        self._key = key
-        return self._layers
 
     def program(self, net, params, rows, dtype):
         """The StepProgram of ``net``'s next step on ``rows`` input rows of
@@ -515,23 +467,27 @@ class StepBuffers:
         carries each state's values over, and raises StateError when the
         batch size changed.
         """
-        layers = self.layers(net, params, rows, dtype)
-        prog, record = self._program, net.record_activity
-        if prog is None or prog.layers is not layers or prog.params is not params \
-                or prog.record != record:
-            prog = self._program = _step_program(net.spec, layers, params, net.smooth_spikes,
-                                                 record)
-            self._attached = None
+        key = (rows, dtype, net.smooth_spikes, net.record_activity)
+        prog = self._program
+        if prog is None or prog.key != key or prog.params is not params:
+            memory = self._memory
+            if rows > _scan_rows(net.spec, np.result_type(dtype, params[-1]["w"]).itemsize, rows):
+                memory = Workspace()
+            grown = memory.grown
+            prog = _step_program(net.spec, params, key, memory)
+            if memory.grown != grown:
+                prog = _step_program(net.spec, params, key, memory)
+            self._program, self._attached = prog, None
         if net.lif_states is not self._attached:
             _attach_states(net.lif_states, prog.potentials)
             self._attached = net.lif_states
         return prog
 
     def reset(self):
-        """Let go of the arrays of a batch above one scan tile, with the
-        program, and of the last sequence's LIF states."""
-        if self._batch is not None:
-            self._batch = self._program = None
+        """Let go of the program of a batch above one scan tile, with its
+        arrays, and of the last sequence's LIF states."""
+        if self._program is not None and self._program.memory is not self._memory:
+            self._program = None
         self._attached = None
 
 
@@ -551,38 +507,42 @@ def _attach_states(states, potentials):
             state.u = u
 
 
-def _build_step(net, params, n, dtype, memory):
-    """`_step_layers` on ``memory``, walked again when a shared buffer grew
-    during the first walk and left the layers before it on the old bytes."""
-    grown = memory.grown
-    step = _step_layers(net.spec, params, n, dtype, net.smooth_spikes, memory.empty)
-    if memory.grown != grown:
-        step = _step_layers(net.spec, params, n, dtype, net.smooth_spikes, memory.empty)
-    return step
+def _step_program(spec, params, key, memory):
+    """The StepProgram of one inference step for ``key``, (n input rows,
+    their dtype, smooth, record), on the inference parameters ``params``:
+    one walk over the layers lays out each layer's arrays on ``memory`` and
+    adds its calls on them.
 
+    Every layer gets the output dtype its kernel would give.  A convolution
+    reads a zero-bordered buffer and an fc layer C-order rows; the layer
+    before writes straight into them when its output has their dtype, and
+    the step copies h in otherwise; the first layer always reads an array of
+    its own, which a step copies its input into.  A strict LIF layer before
+    a pool leaves its spikes as bool, its keep buffer inverted, which the
+    pool sums as bytes (`kernels.pool_buffers`); every other output is in
+    the step's float dtype, so no bool array reaches a GEMM or a norm.  4-d
+    arrays are (N,C,H,W) views of channels-last memory.
 
-def _step_layers(spec, params, n, dtype, smooth, empty):
-    """The StepLayer of every layer for n input rows of ``dtype``.
-
-    ``empty(key, shape, dtype)`` returns an uninitialized C-order array kept
-    under key.  Every layer gets the output dtype its kernel would give.  A
-    convolution reads a zero-bordered buffer and an fc layer C-order rows;
-    the layer before writes straight into them when its output has their
-    dtype, and the step copies h in otherwise; the first layer always reads
-    an array of its own, which a step copies its input into.  A strict LIF
-    layer before a pool leaves its spikes as bool, its keep buffer inverted,
-    which the pool sums as bytes (`kernels.pool_buffers`); every other
-    output is in the step's float dtype, so no bool array reaches a GEMM or
-    a norm.  4-d arrays are (N,C,H,W) views of channels-last memory.
+    Each layer adds its calls in the order the tape's `run_layers` visits
+    it: a copy of h into the array it reads unless h is that array, with
+    ``record`` the count of a weighted layer's input into its column of
+    ``counts``, then its kernel -- `conv2d` (and its bias add),
+    `batch_norm`, `_lif_update`, `avg_pool2d` or `fully_connected`.
+    Kernels are looked up by their name in this module when called, so a
+    wrapper put in their place afterwards sees every call.  A layer after a
+    pool is counted right after the pool, on the pool's integer window sums
+    when it has them (nonzero where its means are, and smaller), while the
+    pools' shared sums are its.  The stem's input is analog, so its counts
+    are filled in here, once.
     """
+    n, dtype, smooth, record = key
     layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
     inputs = {}  # layer index -> its ConvBuffers or fixed input array
 
     def own(i, role, shape, dt):
         if len(shape) == 4:
-            n_, c, h, w = shape
-            return empty((i, role), (n_, h, w, c), dt).transpose(0, 3, 1, 2)
-        return empty((i, role), shape, dt)
+            return memory.channels_last((i, role), shape, dt)
+        return memory.empty((i, role), shape, dt)
 
     def fixed_input(i, dt):
         """The array layer i reads, for input dtype dt; None for h as it comes."""
@@ -594,9 +554,9 @@ def _step_layers(spec, params, n, dtype, smooth, empty):
                         "y": (i, "y") if i < s else ("step", "y")}
                 inputs[i] = kernels.conv_buffers(
                     shape, plan.config, np.result_type(dt, params[i]["w"]), dt.itemsize,
-                    lambda role, shape, dt: empty(keys[role], shape, dt))
+                    lambda role, shape, dt: memory.empty(keys[role], shape, dt))
             elif kind in ("fc", "classifier"):
-                inputs[i] = empty((i, "x"), shape, dt)
+                inputs[i] = memory.empty((i, "x"), shape, dt)
             elif i == 0:  # the step's input, channels-last as a pool reads it
                 inputs[i] = own(i, "x", shape, dt)
         found = inputs.get(i)
@@ -610,111 +570,63 @@ def _step_layers(spec, params, n, dtype, smooth, empty):
             return nxt
         return own(i, "y", (n,) + plans[i].out_shape, dt)
 
-    step, dt = [], dtype
-    for i, (layer, par, plan) in enumerate(zip(layers, params, plans)):
-        kind, fixed = layer.kind, fixed_input(i, dt)
-        if kind == "conv":
-            conv = inputs[i]
-            arrays = StepLayer(fixed, conv.padded, conv, conv.out)
-            dt = conv.out.dtype
-        elif kind == "norm" and par is not None:
-            dt = np.result_type(dt, par["running_mean"])
-            arrays = StepLayer(fixed, None, None, dest(i, dt))
-        elif kind == "lif":
-            u = own(i, "u", (n,) + plan.in_shape, dt)
-            keep = own("step", "keep", u.shape, bool)
-            to_pool = not smooth and i + 1 < len(layers) and layers[i + 1].kind == "pool"
-            arrays = StepLayer(fixed, None, (u, keep), keep if to_pool else dest(i, dt))
-        elif kind == "pool":
-            # the pool's views are built on the array it reads: the output of
-            # the last layer that wrote one (a folded norm writes none)
-            src = fixed if fixed is not None else \
-                next(a.out for a in reversed(step) if a.out is not None)
-            dt = np.result_type(dt, 1.0)
-            pool = kernels.pool_buffers(src, layer.window, dest(i, dt),
-                                        lambda role, shape, dt: empty(("step", role), shape, dt))
-            arrays = StepLayer(fixed, None, pool, pool.out)
-        elif kind in ("fc", "classifier"):
-            rows = fixed.reshape(n, -1)
-            dt = np.result_type(dt, par["w"])
-            arrays = StepLayer(fixed, rows, rows, None if kind == "classifier" else dest(i, dt))
-        else:  # a norm folded into the layer before
-            arrays = StepLayer(fixed, None, None, None)
-        if plan.weight_shape is not None and i > s and layers[i - 1].kind == "pool" \
-                and step[-1].buffers.sums.dtype.kind == "u":
-            # the pool's integer window sums: nonzero where its means are, and smaller
-            arrays = arrays._replace(count=step[-1].buffers.sums)
-        step.append(arrays)
-    return tuple(step)
-
-
-def _step_program(spec, layers, params, smooth, record):
-    """The StepProgram of one inference step on ``layers``, a key's StepLayer
-    arrays, with the inference parameters ``params``.
-
-    Each layer adds its calls in the order the tape's `run_layers` visits
-    it: a copy of h into the array it reads unless h is that array, with
-    ``record`` the count of a weighted layer's input into its column of
-    ``counts``, then its kernel -- `conv2d` (and its bias add),
-    `batch_norm`, `_lif_update`, `avg_pool2d` or `fully_connected` on the
-    layer's arrays.  Kernels are looked up by their name in this module
-    when called, so a wrapper put in their place afterwards sees every call.
-    A layer after a pool is counted right after the pool, while the pools'
-    shared sums are its.  The stem's input is analog, so its counts are
-    filled in here, once.
-    """
-    s, plans = spec.first_lif, spec.layer_plan
     mapped = [i for i, plan in enumerate(plans) if plan.weight_shape is not None]
-    x = h = layers[0].input
-    counts = np.empty((len(x), len(mapped))) if record else None
+    counts = np.empty((n, len(mapped))) if record else None
+    dt = np.dtype(dtype)
+    x = h = fixed_input(0, dt)
     calls, potentials = [], {}
-    for i, (layer, par, plan, arrays) in enumerate(zip(spec.layers, params, plans, layers)):
+    # Each call binds its arguments as defaults: the walk reuses its names.
+    for i, (layer, par, plan) in enumerate(zip(layers, params, plans)):
+        kind, cfg, fixed = layer.kind, plan.config, fixed_input(i, dt)
         if i == s:
             stem, stem_out, calls = tuple(calls), h, []
-        if arrays.input is not None and arrays.input is not h:
-            calls.append(functools.partial(np.copyto, arrays.input, h))
-            h = arrays.input
+        if fixed is not None and fixed is not h:
+            calls.append(functools.partial(np.copyto, fixed, h))
+            h = fixed
         if record and plan.weight_shape is not None:
             column = counts[:, mapped.index(i)]
             if i < s:
                 _count_inputs(h, True, out=column)
             else:
-                calls.append(functools.partial(_count_inputs, arrays.count, False, out=column))
-        if layer.kind == "lif":
-            potentials[i] = arrays.buffers[0]
-        h = _layer_calls(calls, layer, par, plan.config, arrays, h, smooth)
-    return StepProgram(layers, params, record, x, stem, stem_out, tuple(calls), potentials,
-                       counts)
-
-
-def _layer_calls(calls, layer, par, cfg, arrays, h, smooth):
-    """Append the kernel calls of one layer of a step reading h to ``calls``;
-    returns the array they leave its output in (None: the classifier's call
-    returns new logits)."""
-    kind = layer.kind
-    if kind == "conv":
-        conv, w = arrays.buffers, par["w"]
-        calls.append(lambda: conv2d(h, w, cfg, buffers=conv))
-        if "b" in par:  # one contiguous add per sample
-            calls.append(functools.partial(np.add, conv.rows, par["b_map"], out=conv.rows))
-        return conv.out
-    if kind == "norm":
-        if par is None:  # folded into the layer before
-            return h
-        out = arrays.out
-        calls.append(lambda: batch_norm(h, par, out=out))
-        return out
-    if kind == "lif":
-        current, v, keep, spike = _channels_last_views(h, *arrays.buffers, arrays.out)
-        calls.append(lambda: _lif_update(current, v, cfg, smooth, keep, spike))
-        return arrays.out
-    if kind == "pool":
-        pool, window = arrays.buffers, layer.window
-        calls.append(lambda: avg_pool2d(h, window, buffers=pool))
-        return pool.out
-    rows, w, b, out = arrays.buffers, par["w"], par["b"], arrays.out  # fc / classifier
-    calls.append(lambda: fully_connected(rows, w, b, out=out))
-    return out
+                rows = pool.sums if layers[i - 1].kind == "pool" and pool.sums.dtype.kind == "u" \
+                    else inputs[i].padded if kind == "conv" else h.reshape(n, -1)
+                calls.append(functools.partial(_count_inputs, rows, False, out=column))
+        if kind == "conv":
+            conv, w = inputs[i], par["w"]
+            calls.append(lambda h=h, w=w, cfg=cfg, conv=conv: conv2d(h, w, cfg, buffers=conv))
+            if "b" in par:  # one contiguous add per sample
+                calls.append(functools.partial(np.add, conv.rows, par["b_map"], out=conv.rows))
+            h, dt = conv.out, conv.out.dtype
+        elif kind == "norm" and par is not None:
+            dt = np.result_type(dt, par["running_mean"])
+            out = dest(i, dt)
+            calls.append(lambda h=h, par=par, out=out: batch_norm(h, par, out=out))
+            h = out
+        elif kind == "lif":
+            u = potentials[i] = own(i, "u", (n,) + plan.in_shape, dt)
+            keep = own("step", "keep", u.shape, bool)
+            to_pool = not smooth and i + 1 < len(layers) and layers[i + 1].kind == "pool"
+            out = keep if to_pool else dest(i, dt)
+            current, v, k, spike = _channels_last_views(h, u, keep, out)
+            calls.append(lambda current=current, v=v, cfg=cfg, k=k, spike=spike:
+                         _lif_update(current, v, cfg, smooth, k, spike))
+            h = out
+        elif kind == "pool":
+            # h: the output of the last layer that wrote one (a folded norm writes none)
+            dt, window = np.result_type(dt, 1.0), layer.window
+            pool = kernels.pool_buffers(h, window, dest(i, dt), lambda role, shape, dt:
+                                        memory.empty(("step", role), shape, dt))
+            calls.append(lambda h=h, window=window, pool=pool:
+                         avg_pool2d(h, window, buffers=pool))
+            h = pool.out
+        elif kind in ("fc", "classifier"):
+            rows, w, b = h.reshape(n, -1), par["w"], par["b"]
+            dt = np.result_type(dt, w)
+            out = None if kind == "classifier" else dest(i, dt)
+            calls.append(lambda rows=rows, w=w, b=b, out=out: fully_connected(rows, w, b, out=out))
+            h = out
+        # else: a norm folded into the layer before
+    return StepProgram(key, params, memory, x, stem, stem_out, tuple(calls), potentials, counts)
 
 
 @dataclass
@@ -726,7 +638,7 @@ class SnnInstance:
     program's array, which holds the stem's constant counts, None when the
     stem was computed without ``record_activity``.  It lives until
     `reset_states`, until a different array object is passed, until the
-    step runs on other arrays or until ``inference_plan`` (see
+    step program is built again or until ``inference_plan`` (see
     `inference_params`) is rebuilt; instances from `clone_state` start
     without it.
     """
@@ -788,9 +700,10 @@ def build_instance(spec, seed=0, dtype=np.float32):
 
 def reset_states(net):
     """Drop the membrane potentials, accumulated logits, activity, the step
-    counter and the cached stem output, and the arrays of a batch above one
-    scan tile (`StepBuffers.reset`).  The kept step buffers and their
-    program stay: the next step starts its LIF states from rest on them."""
+    counter and the cached stem output, and the step program of a batch
+    above one scan tile with its arrays (`StepBuffers.reset`).  Any other
+    step program stays: the next step starts its LIF states from rest on
+    its potentials."""
     net.lif_states = {}
     net.accumulated_logits = None
     net.t = 0
@@ -846,9 +759,9 @@ def _count_inputs(h, analog, out=None):
     Analog inputs (direct encoding into a weighted layer of the stem) drive
     every row, so the count is the number of elements; spiking inputs count
     the nonzero lines only.  A step passes each sample's input values as one
-    contiguous row (`StepLayer.count`), counted row by row: a count along an
-    axis goes through numpy's astype(bool) and sum, which allocates and
-    costs more there.
+    contiguous row (the rows `_step_program` binds), counted row by row: a
+    count along an axis goes through numpy's astype(bool) and sum, which
+    allocates and costs more there.
     """
     if out is None:
         out = np.empty(len(h))
@@ -945,7 +858,7 @@ def run_layers(net, h, t_steps, tape):
                    h if in_place else _empty_steps(h[0], t_steps, ws, (i, "spikes")))
             if len(h) < t_steps:  # the stem's rows, the same at every step
                 h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
-            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, None, out)
+            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, out)
             record((kind, cfg, cache))
             h = spikes.reshape((-1,) + spikes.shape[2:])
         elif kind == "pool":

@@ -1,9 +1,11 @@
 """LIF dynamics and the per-timestep forward pass of the spiking network."""
 
+import functools
 import os
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -172,11 +174,9 @@ class TestLifUnroll:
         u0[0, 0, 0] = 0.0
         ref_spikes, _, ref_u = lif_formula(currents, cfg.tau, cfg.v_th, u0)
         state = LifState(u0.copy())
-        spikes, cache = lif_unroll(currents, cfg, state=state)
-        assert cache is None
+        spikes = np.stack([lif_step(state, current, cfg) for current in currents])
         npt.assert_array_equal(spikes, ref_spikes)
         npt.assert_array_equal(state.u, ref_u)
-        npt.assert_array_equal(spikes[-1], ref_spikes[-1])
 
 
 def reference_logits(spec, params, x, t_steps, smooth=False, inputs=None):
@@ -255,22 +255,37 @@ PLAN_CASES = {
 
 
 def step_arrays(net):
-    """Every array of the instance's built step layers."""
-    found, items = [], list(net.step_buffers._layers)
+    """Every array the calls of the instance's step program are bound to
+    (partial arguments, lambda defaults and closure cells), but for the
+    parameters and the activity counts."""
+    program = net.step_buffers._program
+    params = {id(a) for p in program.params if p is not None for a in p.values()}
+    found, items = [], list(program.stem + program.step)
     while items:
         item = items.pop()
         if isinstance(item, np.ndarray):
-            found.append(item)
+            if id(item) not in params and (program.counts is None
+                                           or not np.shares_memory(item, program.counts)):
+                found.append(item)
+        elif isinstance(item, functools.partial):
+            items.extend(item.args)
+            items.extend(item.keywords.values())
+        elif isinstance(item, types.FunctionType):
+            items.extend(item.__defaults__ or ())
+            items.extend(cell.cell_contents for cell in item.__closure__ or ())
         elif isinstance(item, tuple):
             items.extend(item)
     return found
 
 
 def assert_in_kept_buffers(net):
-    """Every array of the built step lies in a buffer the instance keeps:
-    no build left a layer on bytes that a later layer grew away from."""
-    kept = list(net.step_buffers._memory._buffers.values())
-    for a in step_arrays(net):
+    """Every array of the built step lies in a buffer of the workspace its
+    program keeps: no build left a layer on bytes that a later layer grew
+    away from."""
+    kept = list(net.step_buffers._program.memory._buffers.values())
+    arrays = step_arrays(net)
+    assert arrays
+    for a in arrays:
         assert any(np.shares_memory(a, buf) for buf in kept)
 
 
@@ -718,26 +733,28 @@ class TestScan:
         threads, submits, submit = len(pool._threads), [], pool.submit
         monkeypatch.setattr(pool, "submit", lambda *a: submits.append(a) or submit(*a))
         tile, calls = threading.local(), []
-        step, unfold = network.forward_timestep, kernels._im2col
+        step, conv = network.forward_timestep, network.conv2d
 
         def tile_step(inst, chunk):
             tile.thread = threading.get_ident()
             return step(inst, chunk)
 
-        def recorded_unfold(x, *args):
-            calls.append((getattr(tile, "thread", None), threading.get_ident(), len(x)))
-            return unfold(x, *args)
+        def recorded_conv(x, *args, buffers):
+            calls.append((getattr(tile, "thread", None), threading.get_ident(), len(x),
+                          len(buffers.blocks)))
+            return conv(x, *args, buffers=buffers)
 
         monkeypatch.setattr(network, "forward_timestep", tile_step)
-        monkeypatch.setattr(kernels, "_im2col", recorded_unfold)
+        monkeypatch.setattr(network, "conv2d", recorded_conv)
         done = {}
         scanner = threading.Thread(target=lambda: done.update(scan=scan_timesteps(net, x, 4)))
         scanner.start()
         scanner.join(60)
         assert not scanner.is_alive()
         assert len(submits) == 1 and len(pool._threads) == threads
-        assert {size for _, _, size in calls} == {1}  # several blocks per call
-        assert all(owner == thread for owner, thread, _ in calls)
+        # several blocks per call, of one sample each; the last tile has one sample
+        assert {(rows, blocks) for _, _, rows, blocks in calls} == {(3, 3), (1, 1)}
+        assert all(owner == thread for owner, thread, _, _ in calls)
         npt.assert_array_equal(done["scan"]["mean_logits"], alone["mean_logits"])
         npt.assert_array_equal(done["scan"]["activity"], alone["activity"])
 
@@ -916,12 +933,13 @@ class TestStepBuffers:
     def test_replaced_weights_run_on_the_same_buffers(self):
         net, x = self.make(), self.images(2)
         before = mean_after(net, x, 2)
-        layers = net.step_buffers._layers
+        kept = dict(net.step_buffers._memory._buffers)
         w = net.params[0]["w"]
         sgd_step(net, {0: {"w": np.ones_like(w)}}, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
         assert net.params[0]["w"] is not w
         after = mean_after(net, x, 2)
-        assert net.step_buffers._layers is layers
+        assert net.step_buffers._memory._buffers.keys() == kept.keys()
+        assert all(net.step_buffers._memory._buffers[k] is v for k, v in kept.items())
         npt.assert_array_equal(after, mean_after(SnnInstance(spec=net.spec, params=net.params), x, 2))
         assert not np.array_equal(before, after)
 
@@ -939,15 +957,36 @@ class TestStepBuffers:
     def test_weights_replaced_after_a_build_get_a_new_program_on_the_same_arrays(self):
         net, x = self.make(), self.images(2)
         self.sequence(net, x)
-        layers, program = net.step_buffers._layers, net.step_buffers._program
+        kept, program = dict(net.step_buffers._memory._buffers), net.step_buffers._program
         w = net.params[4]["w"]
         sgd_step(net, {4: {"w": np.ones_like(w)}}, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
         logits, activity = self.sequence(net, x)
-        assert net.step_buffers._layers is layers
+        assert net.step_buffers._memory._buffers.keys() == kept.keys()
+        assert all(net.step_buffers._memory._buffers[k] is v for k, v in kept.items())
         assert net.step_buffers._program is not program
         want_logits, want_activity = self.sequence(self.fresh(net), x)
         npt.assert_array_equal(logits, want_logits)
         npt.assert_array_equal(activity, want_activity)
+
+    def test_weights_replaced_mid_sequence_carry_the_potentials_over(self):
+        # The rebuild lays the potentials out on the same bytes; the next
+        # step continues from them on the new weights.
+        net, x = self.make(), self.images(2)
+        reset_states(net)
+        forward_timestep(net, x)
+        potentials = {i: state.u.copy() for i, state in net.lif_states.items()}
+        program = net.step_buffers._program
+        w = net.params[4]["w"]
+        sgd_step(net, {4: {"w": np.ones_like(w)}}, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
+        rebuilt = net.step_buffers.program(net, inference_params(net), len(x), x.dtype)
+        assert rebuilt is not program
+        assert potentials.keys() == net.lif_states.keys()
+        for i, u in potentials.items():
+            assert net.lif_states[i].u is rebuilt.potentials[i]
+            npt.assert_array_equal(net.lif_states[i].u, u)
+        fresh = self.fresh(net)
+        fresh.lif_states = {i: LifState(u.copy()) for i, u in potentials.items()}
+        npt.assert_array_equal(forward_timestep(net, x), forward_timestep(fresh, x))
 
     def test_recording_switched_on_after_an_unrecorded_step_counts_the_next(self):
         net, x = self.make(), self.images(2)
@@ -1019,7 +1058,8 @@ class TestStepBuffers:
                             calls.append(weakref.ref(kw["buffers"].out)) or conv2d(*a, **kw))
         net, x = self.make(), self.images(30)
         got = mean_after(net, x, 2)
-        assert net.step_buffers._layers is None and net.step_buffers._memory._buffers == {}
+        assert net.step_buffers._memory._buffers == {}
+        assert net.step_buffers._program.memory is not net.step_buffers._memory
         convs = sum(layer.kind == "conv" for layer in self.MNIST.layers)
         outs = [ref() for ref in calls]
         assert len(outs) == 2 * convs - 1  # the stem runs once

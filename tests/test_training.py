@@ -26,7 +26,6 @@ from dtsnn.kernels import (
 from dtsnn.network import (
     LayerSpec,
     LifConfig,
-    LifState,
     NetworkSpec,
     Workspace,
     build_instance,
@@ -762,20 +761,17 @@ class TestRowParallelStep:
         currents = (data.standard_normal((4, batch, 8, 8, 4)) * 1.5).astype(np.float32)
         currents = currents.transpose(0, 1, 4, 2, 3)  # channels-last (T, B, C, H, W)
         dspikes = data.standard_normal(currents.shape).astype(np.float32)
-        u0 = data.standard_normal(currents.shape[1:]).astype(np.float32)
         cfg = LifConfig(tau=0.5, v_th=1.0)
         norm = {"gamma": data.standard_normal(4).astype(np.float32), "beta": np.ones(4, np.float32),
                 "running_mean": np.zeros(4, np.float32), "running_var": np.ones(4, np.float32)}
 
         def run():
             spikes, cache = lif_unroll(currents, cfg, smooth)
-            state = LifState(u0.copy())
-            state_spikes, _ = lif_unroll(currents, cfg, smooth, state)
             d = lif_unroll_backward(dspikes, cache, cfg)
             flat = spikes.reshape((-1,) + spikes.shape[2:])
             y, new, norm_cache = batch_norm_train_cached(flat, norm, repeats=2)
             dx, dgamma, dbeta = batch_norm_backward(flat, norm_cache)
-            return [spikes, *cache, state_spikes, state.u, d, avg_pool2d(flat, 2),
+            return [spikes, *cache, d, avg_pool2d(flat, 2),
                     avg_pool2d_backward(flat, 2), y, new["running_mean"], new["running_var"],
                     dx, dgamma, dbeta]
 
