@@ -34,8 +34,11 @@ strides, but are fast on that one:
   draws them from its `network.Workspace`.  An inference step passes
   ``buffers`` built once by `conv_buffers` / `pool_buffers` (and ``out``
   arrays to `batch_norm` and `fully_connected`), so it allocates nothing;
-  those calls run on the caller's thread, and a pool sums bool spikes as
-  bytes;
+  those calls run on the caller's thread;
+- a pool, in either engine, sums bool spikes (a strict LIF layer's before a
+  pool, on the tape as in a step) as bytes and other integer inputs
+  exactly, then divides in the output's float dtype, so its result is that
+  of pooling the same values as floats, bit for bit;
 - per-channel sums in the norm kernels use einsum, which reduces
   channels-last memory without looping over the short channel axis.
 
@@ -395,15 +398,40 @@ def fully_connected_backward(dy, x, weights):
     return dx, dw, db
 
 
-def _pool_rows(x, window, out=None):
-    """`avg_pool2d` of x, into ``out`` when it is given."""
-    rows = x[:, :, 0::window].copy(order="K")
+def _window_sum_dtype(dtype, window):
+    """The dtype a pool sums ``window``-by-``window`` windows of ``dtype``
+    values in.
+
+    bool (spikes) sums as bytes, in the smallest unsigned integer that holds
+    window**2.  Another integer sums in an integer type that holds window**2
+    times any of its values, which gives float64's sums while those are
+    exact (below 2**53); past that, and for floats, the sums are in the
+    result's float dtype.
+    """
+    n = window * window
+    if dtype == bool:
+        return np.min_scalar_type(n)
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        if n * max(info.max, -info.min) <= 2**53:
+            return np.promote_types(np.min_scalar_type(n * info.min),
+                                    np.min_scalar_type(n * info.max))
+    return np.result_type(dtype, 1.0)
+
+
+def _pool_rows(x, window, out):
+    """`avg_pool2d` of x into ``out``: the window sums in
+    `_window_sum_dtype`, divided in ``out``'s dtype."""
+    total = _window_sum_dtype(x.dtype, window)
+    if x.dtype == bool:
+        x = x.view(np.uint8)
+    rows = x[:, :, 0::window].astype(total, order="K")
     for i in range(1, window):
         rows += x[:, :, i::window]
     y = rows[:, :, :, 0::window].copy(order="K")
     for j in range(1, window):
         y += rows[:, :, :, j::window]
-    return np.divide(y, window * window, out=out)
+    return np.divide(y, window * window, out=out, dtype=out.dtype)
 
 
 class PoolBuffers(NamedTuple):
@@ -423,18 +451,18 @@ def pool_buffers(x, window, out, take):
     does, but on views in x's memory order (rows of W*C values, then of C)
     into row-sum and window-sum buffers from ``take(role, shape, dtype)``;
     the sums are then divided by window**2 in ``out``'s dtype.  A bool x
-    (spikes) is summed as bytes, in the smallest unsigned integer that holds
-    window**2; integer sums are exact in any order, so a window that covers
-    the whole map is summed by one `np.add.reduce`.
+    (spikes) is summed as bytes and another integer x exactly, in
+    `_window_sum_dtype`; integer sums are exact in any order, so a window
+    that covers the whole map is summed by one `np.add.reduce`.
     """
     n, c, h, w = x.shape
     ho, wo = h // window, w // window
     mem = x.transpose(0, 2, 3, 1)
     if not mem.flags.c_contiguous:
         raise ShapeError("pooled input must be an (N,C,H,W) view of (N,H,W,C) memory")
-    dtype = x.dtype
-    if dtype == bool:
-        dtype, mem = np.min_scalar_type(window * window), mem.view(np.uint8)
+    dtype = _window_sum_dtype(x.dtype, window)
+    if x.dtype == bool:
+        mem = mem.view(np.uint8)
     sums = take("sums", (n, ho, wo, c), dtype)
     calls = []
 
@@ -442,12 +470,12 @@ def pool_buffers(x, window, out, take):
         """Add src (M, window, K) over its middle axis into total (M, K)."""
         if window == 1:
             return src[:, 0]
-        calls.append(functools.partial(np.add, src[:, 0], src[:, 1], out=total))
-        calls.extend(functools.partial(np.add, total, src[:, i], out=total)
+        calls.append(functools.partial(np.add, src[:, 0], src[:, 1], out=total, dtype=dtype))
+        calls.extend(functools.partial(np.add, total, src[:, i], out=total, dtype=dtype)
                      for i in range(2, window))
         return total
 
-    if dtype.kind == "u" and ho == wo == 1 < window:
+    if dtype.kind in "iu" and ho == wo == 1 < window:
         calls.append(functools.partial(np.add.reduce, mem.reshape(n, h * w, c), axis=1,
                                        dtype=dtype, out=sums.reshape(n, c)))
     else:
@@ -464,7 +492,11 @@ def avg_pool2d(x, window, out=None, *, buffers=None):
 
     Sums the window's strided row slices, then its strided column slices,
     then divides by window**2; the output has the memory order of x, or is
-    written into ``out``.  Runs in blocks of samples of about BLOCK_BYTES of
+    written into ``out``.  The result is that of pooling
+    ``x.astype(np.result_type(x, 1.0))``, bit for bit: a bool x (spikes) is
+    summed as bytes and another integer x exactly (`_window_sum_dtype`).  A
+    bool x may pool into an ``out`` of any float dtype, as its values in
+    that dtype would.  Runs in blocks of samples of about BLOCK_BYTES of
     input.  With ``buffers`` from `pool_buffers` the call allocates nothing:
     x is copied into ``buffers.x`` unless it is that array, and the result
     is ``buffers.out``.
@@ -484,6 +516,8 @@ def avg_pool2d(x, window, out=None, *, buffers=None):
         return buffers.out
     n, row_bytes = len(x), x.nbytes // max(1, len(x))
     corner, dtype = x[:, :, ::window, ::window], np.result_type(x, 1.0)
+    if x.dtype == bool and out is not None and out.dtype.kind == "f":
+        dtype = out.dtype
     y = np.empty_like(corner, dtype=dtype) if out is None else _check_out(out, corner.shape, dtype)
     run_row_blocks(n, row_bytes, lambda rows: _pool_rows(x[rows], window, y[rows]))
     return y
@@ -566,8 +600,8 @@ def batch_norm_train_cached(x, params, repeats=1, out=None):
     x's memory order; the centred array is then scaled in place into xhat.
     The elementwise passes run in blocks of samples (`run_row_blocks`), the
     reductions over the whole batch.  ``out``, a pair (xhat, y), receives
-    the two arrays; y may be x itself, which is read only before y is
-    written.
+    the two arrays; either may be x itself, whose every element is read
+    before it is written.
     """
     nf = params["gamma"].shape[0]
     view = _channel_view(x, nf)

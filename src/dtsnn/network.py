@@ -97,14 +97,16 @@ def spike_ramp(u, v_th):
     return 0.5 * a * a + b * v_th - 0.5 * b * b
 
 
-def _empty_steps(like, t_steps, ws=None, key=None):
-    """Uninitialized (t_steps,) + like.shape array, timestep-major, whose
-    every step has the memory order of ``like`` (channels-last for conv
-    outputs, on which the kernels downstream run fastest); from workspace
-    ``ws`` under ``key`` when it is given.
+def _empty_steps(like, t_steps, ws=None, key=None, dtype=None):
+    """Uninitialized (t_steps,) + like.shape array, timestep-major, of
+    ``dtype`` (like's by default), whose every step has the memory order of
+    ``like`` (channels-last for conv outputs, on which the kernels
+    downstream run fastest); from workspace ``ws`` under ``key`` when it is
+    given.
     """
     rows = (t_steps * like.shape[0],) + like.shape[1:]
-    steps = np.empty_like(like, shape=rows) if ws is None else ws.empty_like(key, like, shape=rows)
+    steps = np.empty_like(like, dtype, shape=rows) if ws is None else \
+        ws.empty_like(key, like, shape=rows, dtype=dtype)
     return steps.reshape((t_steps,) + like.shape)
 
 
@@ -114,11 +116,11 @@ def lif_unroll(currents, cfg, smooth=False, out=None):
 
     Each step is `_lif_update`.  Returns (spikes, (u_pre, spikes)), the
     cache `training.lif_unroll_backward` needs; ``out``, a pair (u_pre,
-    spikes) of (T, B, ...) arrays, receives it, and its spikes may be
-    currents itself.  Samples are independent: the batch runs in blocks of
-    about `kernels.BLOCK_BYTES` of one step's currents
-    (`kernels.run_row_blocks`), each through all T steps, from rest on
-    potentials of its own.  An inference step does not come here: its
+    spikes) of (T, B, ...) arrays, receives it.  Either may be currents
+    itself, and strict spikes may be bool.  Samples are independent: the
+    batch runs in blocks of about `kernels.BLOCK_BYTES` of one step's
+    currents (`kernels.run_row_blocks`), each through all T steps, from
+    rest on potentials of its own.  An inference step does not come here: its
     program calls `_lif_update` on the step's own arrays, and `lif_step`
     continues a LifState.
     """
@@ -168,6 +170,12 @@ def _lif_update(current, v, cfg, smooth, keep, spike, u_pre=None):
         np.less_equal(v, cfg.v_th, out=keep)
         v *= keep
         np.logical_not(keep, out=spike, casting="unsafe")
+
+
+def _bool_spikes(layers, i, smooth):
+    """Whether LIF layer i leaves its spikes as bool, in a step and on the
+    tape: under strict firing, when a pool reads them (as bytes)."""
+    return not smooth and i + 1 < len(layers) and layers[i + 1].kind == "pool"
 
 
 def _channels_last_views(*arrays):
@@ -367,6 +375,14 @@ class Workspace:
     hands it to the clones, so it lives, at about one step's arrays, until
     the instance and its clones are gone.  A tape without one draws from a
     new `Workspace()` of its own, so its arrays are new.
+
+    A step's keys are those `run_layers` and `training.backward_through_time`
+    request: each conv's and pool's output ("y"), each train-mode norm's
+    output ("y", its ``xhat`` is written over the conv output it reads),
+    each LIF layer's spikes ("spikes": bool before a strict pool, else
+    float) and the stem LIF's potentials ("u_pre"; the later LIF layers
+    write theirs over their currents), and the input gradients ("dx") of
+    pools, convs and the first LIF layer.
     """
 
     def __init__(self):
@@ -518,8 +534,9 @@ def _step_program(spec, params, key, memory):
     before writes straight into them when its output has their dtype, and
     the step copies h in otherwise; the first layer always reads an array of
     its own, which a step copies its input into.  A strict LIF layer before
-    a pool leaves its spikes as bool, its keep buffer inverted, which the
-    pool sums as bytes (`kernels.pool_buffers`); every other output is in
+    a pool leaves its spikes as bool (`_bool_spikes`), its keep buffer
+    inverted, which the pool sums as bytes (`kernels.pool_buffers`); every
+    other output is in
     the step's float dtype, so no bool array reaches a GEMM or a norm.  4-d
     arrays are (N,C,H,W) views of channels-last memory.
 
@@ -605,8 +622,7 @@ def _step_program(spec, params, key, memory):
         elif kind == "lif":
             u = potentials[i] = own(i, "u", (n,) + plan.in_shape, dt)
             keep = own("step", "keep", u.shape, bool)
-            to_pool = not smooth and i + 1 < len(layers) and layers[i + 1].kind == "pool"
-            out = keep if to_pool else dest(i, dt)
+            out = keep if _bool_spikes(layers, i, smooth) else dest(i, dt)
             current, v, k, spike = _channels_last_views(h, u, keep, out)
             calls.append(lambda current=current, v=v, cfg=cfg, k=k, spike=spike:
                          _lif_update(current, v, cfg, smooth, k, spike))
@@ -826,15 +842,20 @@ def run_layers(net, h, t_steps, tape):
     ``tape["norm_updates"]``, and every layer appends its cache to
     ``tape["caches"]``.  The conv, norm, LIF and pool outputs come from
     ``tape["workspace"]`` (a new `Workspace` when it is None), keyed by
-    layer index, and a norm or a LIF layer writes its output over an input
-    that no tape entry holds.  Inference does not come here: a step runs
+    layer index.  A layer writes over an input that no tape entry holds: a
+    norm its ``xhat`` over the conv (or pool) output it reads, its result
+    going into an array of its own, and a LIF layer its potentials
+    ``u_pre`` over its currents, except the stem's, whose B rows stand for
+    T steps.  A strict LIF layer before a pool keeps its spikes as bool
+    (`_bool_spikes`, as in an inference step), which the pool sums as bytes
+    into the potentials' dtype.  Inference does not come here: a step runs
     its `StepProgram`.
     """
     spec = net.spec
-    s, batch = spec.first_lif, h.shape[0]
+    layers, s, batch = spec.layers, spec.first_lif, h.shape[0]
     ws, record = tape["workspace"] or Workspace(), tape["caches"].append
     owned = False  # h is this pass's own array and no tape entry holds it
-    for i, (layer, par, plan) in enumerate(zip(spec.layers, net.params, spec.layer_plan)):
+    for i, (layer, par, plan) in enumerate(zip(layers, net.params, spec.layer_plan)):
         kind, cfg = layer.kind, plan.config
         if kind == "conv":
             out = ws.channels_last((i, "y"), (len(h),) + plan.out_shape,
@@ -846,25 +867,31 @@ def run_layers(net, h, t_steps, tape):
             h = y
         elif kind == "norm":
             repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
-            xhat = ws.empty_like((i, "xhat"), h, dtype=np.result_type(h, 1.0))
-            dtype = np.result_type(xhat, par["gamma"])
-            y = h if owned and h.dtype == dtype else ws.empty_like((i, "y"), h, dtype=dtype)
+            dtype = np.result_type(h, 1.0)
+            xhat = h if owned and h.dtype == dtype else ws.empty_like((i, "xhat"), h, dtype=dtype)
+            y = ws.empty_like((i, "y"), h, dtype=np.result_type(xhat, par["gamma"]))
             h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats, (xhat, y))
             record((kind, cache))
         elif kind == "lif":
             h = h.reshape((-1, batch) + h.shape[1:])
-            in_place = owned and len(h) == t_steps  # not the stem's broadcast rows
-            out = (_empty_steps(h[0], t_steps, ws, (i, "u_pre")),
-                   h if in_place else _empty_steps(h[0], t_steps, ws, (i, "spikes")))
-            if len(h) < t_steps:  # the stem's rows, the same at every step
-                h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
-            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, out)
+            spikes = _empty_steps(h[0], t_steps, ws, (i, "spikes"),
+                                  bool if _bool_spikes(layers, i, net.smooth_spikes) else None)
+            if owned and len(h) == t_steps:  # not the stem's broadcast rows
+                u_pre = h
+            else:
+                u_pre = _empty_steps(h[0], t_steps, ws, (i, "u_pre"))
+                if len(h) < t_steps:  # the stem's rows, the same at every step
+                    h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
+            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, (u_pre, spikes))
             record((kind, cfg, cache))
             h = spikes.reshape((-1,) + spikes.shape[2:])
         elif kind == "pool":
             w = layer.window
             record((kind, w))
-            out = ws.empty_like((i, "y"), h[:, :, ::w, ::w], dtype=np.result_type(h, 1.0))
+            # after the stem a bool h is the spikes of the LIF layer before:
+            # they pool into its potentials' dtype
+            dtype = u_pre.dtype if h.dtype == bool and i > s else np.result_type(h, 1.0)
+            out = ws.empty_like((i, "y"), h[:, :, ::w, ::w], dtype=dtype)
             h = avg_pool2d(h, w, out)
         else:  # fc / classifier
             shape = h.shape

@@ -131,9 +131,10 @@ def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None):
 
     Each step's gradient is built in its own row of the result, ``out`` when
     it is given (which may be dspikes itself); one carry buffer holds
-    tau * du[t+1] * (1 - s[t]).  Samples are independent: the batch axis of
-    (T, B, ...) runs in blocks of about `kernels.BLOCK_BYTES` of one step
-    (`kernels.run_row_blocks`), each through all T steps.  With
+    tau * du[t+1] * (1 - s[t]).  With bool spikes the multiplier 1 - s[t]
+    is their logical not, the same values.  Samples are independent: the
+    batch axis of (T, B, ...) runs in blocks of about `kernels.BLOCK_BYTES`
+    of one step (`kernels.run_row_blocks`), each through all T steps.  With
     ``step_sum``, a (B, ...) array, each block also adds its rows'
     gradients over the T steps into it, in step order as ``sum(axis=0)``
     does, and step_sum is returned.
@@ -165,7 +166,10 @@ def _lif_rows_backward(dspikes, u_pre, spikes, cfg, d_currents):
         du = d_currents[t]
         if t + 1 < t_steps:
             np.multiply(d_currents[t + 1], cfg.tau, out=carry)
-            np.subtract(1.0, spikes[t], out=term)
+            if spikes.dtype == bool:
+                np.logical_not(spikes[t], out=term)
+            else:
+                np.subtract(1.0, spikes[t], out=term)
             carry *= term
         surrogate_grad(u_pre[t], cfg.v_th, out=term)
         np.multiply(term, dspikes[t], out=du)

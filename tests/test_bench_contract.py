@@ -1,6 +1,6 @@
 """The module attributes bench/tracing.py wraps exist and see both engines,
-and a round of the benchmark's `sweep` and `dynamic` workloads passes its own
-checks.
+and a round of each of the benchmark's `train`, `sweep` and `dynamic`
+workloads passes its own checks.
 
 `Tracer.install` patches names on dtsnn's modules with an unguarded getattr,
 so a function moved between modules would break `bench/run.py --trace 1`.
@@ -206,4 +206,19 @@ def test_dynamic_workload_round_passes_its_checks():
     metrics = workload.finish()
     assert workload.failures == []
     assert workload.mismatches == 0
+    assert 1.0 <= metrics["mean_t"] <= workloads.T_MAX
+
+
+def test_train_workload_round_passes_its_checks():
+    # One round of `bench/run.py --workload train` in process (B=128, T=4),
+    # then its first call again: every step's loss repeats, no step raises
+    # TrainingError (a failure of its call), and the trained model's sweep
+    # exits within the timestep budget.
+    workload = workloads.TrainWorkload(dtsnn, seed=1)
+    workload.setup()
+    for k in range(workload.round_len + 1):
+        workload.op(k)
+    metrics = workload.finish()
+    assert workload.failures == []
+    assert None not in workload.first_losses
     assert 1.0 <= metrics["mean_t"] <= workloads.T_MAX

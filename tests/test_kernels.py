@@ -463,6 +463,50 @@ class TestAvgPool:
         dx = avg_pool2d_backward(dy, 2)
         npt.assert_array_equal(dx, np.full((1, 1, 2, 2), 1.0, np.float32))
 
+    def test_bool_and_uint8_windows_are_sums_not_or_nor_wrapped(self):
+        npt.assert_array_equal(avg_pool2d(np.ones((1, 1, 2, 2), bool), 2), [[[[1.0]]]])
+        npt.assert_array_equal(avg_pool2d(np.full((1, 1, 2, 2), 200, np.uint8), 2),
+                               [[[[200.0]]]])
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.uint16, np.int32,
+                                       np.int64, np.uint64])
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("block_bytes", [1, BLOCK_BYTES])
+    def test_integer_inputs_pool_as_their_float_values(self, dtype, window, block_bytes,
+                                                       monkeypatch):
+        # Both engines' pools, in one block and in blocks of one sample, on
+        # values that include the dtype's extremes: a narrow sum would wrap
+        # and a bool one saturate.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        shape = (3, window, 2 * window, 3)  # (N, H, W, C) memory
+        if dtype is bool:
+            mem = rng.random(shape) < 0.6
+        else:
+            info = np.iinfo(dtype)
+            mem = rng.integers(info.min, info.max, size=shape, dtype=dtype, endpoint=True)
+            mem[0], mem[1, :, ::2] = info.max, info.min
+        x = mem.transpose(0, 3, 1, 2)
+        want = avg_pool2d(x.astype(np.result_type(x, 1.0)), window)
+        assert want.dtype == np.float64
+        got = avg_pool2d(x, window)
+        assert got.dtype == want.dtype
+        npt.assert_array_equal(got, want)
+        out = np.empty_like(want)
+        buffers = kernels.pool_buffers(x, window, out, lambda role, shape, dt: np.empty(shape, dt))
+        assert avg_pool2d(x, window, buffers=buffers) is out
+        npt.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("window", [1, 2, 7])
+    def test_bool_spikes_pool_into_a_float32_out_as_float32_spikes(self, window, monkeypatch):
+        # The tape's pool after a strict LIF layer: bool spikes into the
+        # potentials' float32, bit-equal to pooling float32 spikes.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 64)
+        spikes = channels_last(rng.random((5, 3, 2 * window, window)) < 0.4)
+        want = avg_pool2d(spikes.astype(np.float32), window)
+        got = avg_pool2d(spikes, window, np.empty_like(want))
+        assert got.dtype == np.float32
+        npt.assert_array_equal(got, want)
+
 
 class TestBatchNorm:
     def test_eval_identity(self):
@@ -552,6 +596,23 @@ class TestBatchNorm:
         )
         assert y.dtype == xhat.dtype == new_state["running_var"].dtype == np.float32
         assert y.strides == x.strides
+
+    @pytest.mark.parametrize("block_bytes", [1, 700, BLOCK_BYTES])
+    def test_xhat_written_over_x_equals_new_arrays(self, block_bytes, monkeypatch):
+        # The tape's norm writes xhat over the conv output it reads.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        x = channels_last((rng.standard_normal((6, 4, 5, 3)) * 2.0 + 1.0).astype(np.float32))
+        state = dict(norm_params(4), gamma=rng.standard_normal(4).astype(np.float32))
+        y, new_state, (xhat, invstd, _, _) = batch_norm_train_cached(x, state, 3)
+        over = x.copy(order="K")
+        out = (over, np.empty_like(over))
+        got, got_state, cache = batch_norm_train_cached(over, state, 3, out)
+        assert got is out[1] and cache[0] is over
+        npt.assert_array_equal(got, y)
+        npt.assert_array_equal(over, xhat)
+        npt.assert_array_equal(cache[1], invstd)
+        for name, value in new_state.items():
+            npt.assert_array_equal(got_state[name], value)
 
     def test_zero_variance_is_finite(self):
         state = norm_params(2)

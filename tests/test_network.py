@@ -179,6 +179,23 @@ class TestLifUnroll:
         npt.assert_array_equal(state.u, ref_u)
 
 
+    @pytest.mark.parametrize("block_bytes", [1, 200, kernels.BLOCK_BYTES])
+    def test_potentials_over_the_currents_and_bool_spikes_equal_new_arrays(self, block_bytes,
+                                                                           monkeypatch):
+        # The tape's LIF layer before a pool: u_pre written over its
+        # currents, spikes as bool, every block from rest.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        currents = rng.uniform(-1.5, 2.5, size=(4, 9, 5, 5, 3)).astype(np.float32)
+        currents = currents.transpose(0, 1, 4, 2, 3)  # channels-last (T, B, C, H, W)
+        want, (want_u_pre, _) = lif_unroll(currents.copy(), cfg)
+        over = currents.copy(order="K")
+        out = (over, np.empty(over.shape, bool))
+        spikes, (u_pre, cached) = lif_unroll(over, cfg, out=out)
+        assert spikes is cached is out[1] and u_pre is over
+        npt.assert_array_equal(u_pre, want_u_pre)
+        npt.assert_array_equal(spikes, want)
+
 def reference_logits(spec, params, x, t_steps, smooth=False, inputs=None):
     """Per-step logits and the current entering every LIF layer at every
     step, from the kernels on unfolded parameters: conv2d, batch_norm with

@@ -226,6 +226,28 @@ class TestLifBackward:
                                     step_sum=np.empty_like(dspikes[0]))
         npt.assert_array_equal(total, plain.sum(axis=0))
 
+    @pytest.mark.parametrize("block_bytes", [1, 700, kernels.BLOCK_BYTES])
+    @pytest.mark.parametrize("step_sum", [False, True])
+    def test_bool_spikes_give_the_float_spikes_gradient(self, step_sum, block_bytes,
+                                                        monkeypatch):
+        # A strict LIF layer before a pool keeps bool spikes on the tape; its
+        # reset multiplier is their logical not.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        data = np.random.default_rng(11)
+        currents = (data.standard_normal((4, 7, 6, 6, 4)) * 1.5).astype(np.float32)
+        currents = currents.transpose(0, 1, 4, 2, 3)  # channels-last (T, B, C, H, W)
+        dspikes = data.standard_normal(currents.shape).astype(np.float32)
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        spikes, (u_pre, _) = lif_unroll(currents, cfg)
+        assert 0 < spikes.mean() < 1
+        as_bool = spikes.astype(bool)
+
+        def backward(cache):
+            total = np.empty_like(dspikes[0]) if step_sum else None
+            return lif_unroll_backward(dspikes, cache, cfg, step_sum=total)
+
+        npt.assert_array_equal(backward((u_pre, as_bool)), backward((u_pre, spikes)))
+
     def test_smooth_mode_matches_finite_differences(self):
         cfg = LifConfig(tau=0.7, v_th=1.0)
         currents = rng.uniform(0.1, 0.9, size=(1, 4))  # single step: reset unused
@@ -793,6 +815,87 @@ def tape_arrays(obj):
     if isinstance(obj, (list, tuple)):
         return [a for item in obj for a in tape_arrays(item)]
     return []
+
+
+def workspace_bytes(spec, batch, t_steps, itemsize):
+    """Bytes of a step's workspace on ``spec``, where every norm follows a
+    conv, from its layer plan: each conv's, norm's and pool's output (a
+    norm's xhat is the conv output), each LIF layer's spikes (bool before a
+    pool), the stem LIF's potentials (the later ones are their currents),
+    and the input gradients of the pools, the convs after the first layer
+    and the first LIF layer (B rows)."""
+    s, total = spec.first_lif, 0
+    for i, (layer, plan) in enumerate(zip(spec.layers, spec.layer_plan)):
+        rows = batch if i < s else t_steps * batch
+        size_in, size_out = math.prod(plan.in_shape), math.prod(plan.out_shape)
+        if layer.kind in ("conv", "norm", "pool"):
+            total += rows * size_out * itemsize
+        if layer.kind == "lif":
+            total += rows * size_out * (1 if spec.layers[i + 1].kind == "pool" else itemsize)
+        if i == s:
+            total += rows * size_in * itemsize + batch * size_in * itemsize
+        if layer.kind == "pool" or (layer.kind == "conv" and i > 0):
+            total += rows * size_in * itemsize
+    return total
+
+
+class TestTapeLayout:
+    """A training step keeps bool spikes before a pool, writes a norm's xhat
+    over the conv output and a later LIF layer's potentials over its
+    currents."""
+
+    def test_bool_spikes_before_a_pool_and_xhat_over_the_conv_output(self):
+        spec = stem_specs()["mnist"]
+        x = np.random.default_rng(4).standard_normal((6,) + spec.input_shape).astype(np.float32)
+        for smooth in (False, True):
+            net = build_instance(spec, seed=2)
+            net.smooth_spikes = smooth
+            ws = Workspace()
+            _, tape = forward_with_tape(net, x, 3, workspace=ws)
+            for i, layer in enumerate(spec.layers):
+                cache = tape["caches"][i]
+                if layer.kind == "lif":
+                    u_pre, spikes = cache[2]
+                    assert spec.layers[i + 1].kind == "pool"
+                    assert spikes.dtype == (np.float32 if smooth else bool)
+                    assert u_pre.dtype == np.float32
+                elif layer.kind == "norm":
+                    assert spec.layers[i - 1].kind == "conv"
+                    assert np.shares_memory(cache[1][0], ws._buffers[(i - 1, "y")])
+                    assert (i, "xhat") not in ws._buffers
+
+    def test_a_train_call_leaves_the_workspace_the_layout_predicts(self):
+        spec = stem_specs()["mnist"]
+        batch, t_steps = 8, 4
+        data = np.random.default_rng(3)
+        x = data.standard_normal((batch,) + spec.input_shape).astype(np.float32)
+        y = data.integers(0, spec.num_classes, batch)
+        net = build_instance(spec, seed=1)
+        train(net, x, y, x[:4], y[:4], TrainConfig(epochs=1, batch_size=batch, t_train=t_steps))
+        got = sum(buf.nbytes for buf in net.workspace._buffers.values())
+        assert got == workspace_bytes(spec, batch, t_steps, 4)
+
+
+class TestPoolFirst:
+    def test_uint8_images_give_the_float64_images_logits_in_both_engines(self):
+        # The pool sums the bytes exactly: no window wraps past 255.
+        spec = NetworkSpec(
+            input_shape=(1, 8, 8),
+            num_classes=3,
+            t_max=2,
+            layers=(
+                LayerSpec("pool", window=2),
+                LayerSpec("conv", out_channels=2, kernel=3, stride=1, padding=1),
+                LayerSpec("lif", v_th=200.0),
+                LayerSpec("classifier"),
+            ),
+        )
+        images = np.random.default_rng(6).integers(150, 256, size=(3, 1, 8, 8), dtype=np.uint8)
+        net = build_instance(spec, seed=0)
+        for engine in (lambda x: mean_after(net, x, 2),
+                       lambda x: forward_with_tape(net, x, 2)[0]):
+            want = engine(images.astype(np.float64))
+            npt.assert_array_equal(engine(images), want)
 
 
 class TestWorkspace:
