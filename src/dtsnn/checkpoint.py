@@ -15,6 +15,7 @@ interrupted save never leaves a partial checkpoint behind.
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -25,7 +26,7 @@ import numpy as np
 from .config import spec_from_dict, spec_to_dict
 from .errors import ChecksumError, ConfigError, DataFormatError, VersionError
 from .kernels import BN_EPS, BN_MOMENTUM
-from .network import NetworkSpec, SnnInstance, build_instance
+from .network import NetworkSpec, SnnInstance
 
 MAGIC = b"DTSNNCK\x00"
 VERSION = 1
@@ -136,16 +137,14 @@ def _check_manifest(path, header):
 
 
 def _check_against_spec(path, header, spec):
-    """Every stored array must have the shape the spec allocates for it, and
+    """Every stored array must have the shape the spec's layer plan gives it, and
     every weighted or norm layer must have all of its parameters."""
     if header["num_layers"] != len(spec.layers):
         raise DataFormatError(
             f"{path}: {header['num_layers']} layers stored, spec has {len(spec.layers)}"
         )
-    expected = {
-        (e["layer"], e["name"]): e["shape"]
-        for e in _collect_arrays(build_instance(spec).params)[0]
-    }
+    expected = {(i, name): list(shape) for i, plan in enumerate(spec.layer_plan)
+                for name, shape in (plan.param_shapes or {}).items()}
     stored = {(e["layer"], e["name"]): e["shape"] for e in header["arrays"]}
     for (i, name), shape in stored.items():
         if (i, name) not in expected:
@@ -204,7 +203,7 @@ def load_checkpoint(path):
             raise DataFormatError(
                 f"{path}: layer {i} parameter '{name}' has non-numeric dtype {entry['dtype']!r}"
             )
-        count = int(np.prod(entry["shape"]))
+        count = math.prod(entry["shape"])
         if offset + count * dtype.itemsize > len(body):
             raise DataFormatError(f"{path}: payload ends inside layer {i} parameter '{name}'")
         arr = np.frombuffer(

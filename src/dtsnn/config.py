@@ -107,7 +107,7 @@ def _from_mapping(cls, section, name, defaults=()):
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - fields.keys())
+    unknown = sorted(set(section) - fields.keys(), key=str)  # YAML keys may be numbers
     if unknown:
         raise ConfigError(f"unknown key '{unknown[0]}' in section '{name}'")
     values = {key: _read(fields[key].type, value, name, key)
@@ -143,7 +143,7 @@ def parse_config_dict(raw):
     known = {"model", "train", "exit", "hardware", "data"}
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"unknown section '{sorted(unknown)[0]}'")
+        raise ConfigError(f"unknown section '{sorted(unknown, key=str)[0]}'")
     if "model" not in raw:
         raise ConfigError("configuration must contain a 'model' section")
     network = spec_from_dict(raw["model"])

@@ -13,6 +13,7 @@ something to discriminate.
 """
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -60,7 +61,7 @@ def _read_idx(path, expected_magic, expected_dims):
     if len(raw) < header_len:
         raise DataFormatError(f"{path}: truncated IDX header")
     dims = struct.unpack(f">{expected_dims}I", raw[4:header_len])
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: numpy's product would wrap at 2**63
     if len(raw) < header_len + count:
         raise DataFormatError(
             f"{path}: truncated IDX payload ({len(raw) - header_len} bytes, "

@@ -19,22 +19,24 @@ strides, but are fast on that one:
   (the inference plan's); gradients keep the weights' shape, C order;
 - `conv2d`, the weight gradient and the stride-1 input gradient (a `conv2d`
   call) never hold a whole batch's unfolded matrix: they unfold and multiply
-  blocks of batch samples of about BLOCK_BYTES each.  A block is still in
-  cache when its GEMM reads it, and the GEMMs stay small enough that BLAS
+  blocks of batch samples of about BLOCK_BYTES each, each block copied into
+  a zero-bordered scratch of its worker first.  A block is still in cache
+  when its GEMM reads it, and the GEMMs stay small enough that BLAS
   threading does not dominate (on a 2-core Xeon guest the stem's
   (100352x9)@(9x12) GEMM over 128 samples mostly took ~24 ms on 2 OpenBLAS
-  threads, ~1.2 ms on one, and ~0.6 ms in blocks).  A batch that fits in
-  one block takes one unfold and one GEMM.  Training tapes therefore keep
-  each conv's input, not its unfolded matrix;
+  threads, ~1.2 ms on one, and ~0.6 ms in blocks).  Training tapes
+  therefore keep each conv's input, not its unfolded matrix;
 - `conv2d`, `conv2d_backward`'s input gradient and `avg_pool2d_backward`
   return channels-last views; `avg_pool2d`, `batch_norm`,
   `batch_norm_train_cached` and `batch_norm_backward` return arrays in the
   memory order of their input.  The kernels a training step calls write
   into an ``out`` array instead when given one, which is how the tape path
-  draws them from its `network.Workspace`.  An inference step passes
-  ``buffers`` built once by `conv_buffers` / `pool_buffers` (and ``out``
-  arrays to `batch_norm` and `fully_connected`), so it allocates nothing;
-  those calls run on the caller's thread;
+  draws them from its `network.Workspace`;
+- `conv2d` and `avg_pool2d` have one body: they run the blocks of buffers
+  from `conv_buffers` / `pool_buffers`, which a call builds for itself
+  unless an inference step passes the ones it built once (with ``out``
+  arrays to `batch_norm` and `fully_connected`, so a step allocates
+  nothing);
 - a pool, in either engine, sums bool spikes (a strict LIF layer's before a
   pool, on the tape as in a step) as bytes and other integer inputs
   exactly, then divides in the output's float dtype, so its result is that
@@ -50,10 +52,11 @@ OpenBLAS serializes concurrent threaded GEMMs).  The row-independent
 kernels -- `conv2d`, the weight gradient of `conv2d_backward`, `avg_pool2d`,
 `avg_pool2d_backward`, the elementwise passes of the train-mode norms, and
 `network.lif_unroll` / `training.lif_unroll_backward` -- split the batch
-into blocks of about BLOCK_BYTES (`run_row_blocks`) and write every block
-into the one output array.  Blocks keep each reduction's order (the weight
-gradient adds its block products in block order), so a result does not
-depend on the worker count.
+into blocks of about BLOCK_BYTES (the convolution's and the pool's in
+their buffers, each worker on a scratch of its own; the others'
+`run_row_blocks`) and write every block into the one output array.  Blocks
+keep each reduction's order (the weight gradient adds its block products
+in block order), so a result does not depend on the worker count.
 """
 
 import ctypes
@@ -98,56 +101,9 @@ class ConvParams:
         return ho, wo
 
 
-def _im2col(x, kh, kw, stride, padding):
-    """Unfold sliding windows of x (N,C,H,W) into rows (N*Ho*Wo, kh*kw*C).
-
-    Columns are in (kh, kw, C) order.  With several channels x is copied
-    once, channels-last, into a zero-padded (N, H+2p, W+2p, C) buffer and
-    its windows into a C-order matrix, whose rows are kh runs of kw*C
-    values.  A single channel (the network's raw images) is unfolded plane
-    by plane (`planes`) instead: copied into a zero-padded (N, 1, H+2p,
-    W+2p) buffer, whose windows fill a K-major (kh*kw, N*Ho*Wo) matrix in
-    runs of Wo values; the result is that matrix's transpose, which a GEMM
-    reads without a copy.  Without padding x's own strides are used.
-
-    Several channels keep the C-order matrix whatever x's memory order:
-    OpenBLAS rounds a GEMM that reads a long (K of 36 and more in float32)
-    matrix transposed differently, and an NCHW input must give the bits of
-    its channels-last copy.
-    """
-    return _unfold(x, kh, kw, stride, padding, x.shape[1] == 1)
-
-
-def _unfold(x, kh, kw, stride, padding, planes):
-    """`_im2col`, plane by plane or channels-last (any number of channels):
-    the same matrix values either way."""
-    n, c, h, w = x.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    mem = None
-    if padding > 0:
-        hp, wp = h + 2 * padding, w + 2 * padding
-        mem = np.zeros((n, c, hp, wp) if planes else (n, hp, wp, c), dtype=x.dtype)
-        xp = mem if planes else mem.transpose(0, 3, 1, 2)
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-        x = xp
-    sn, sc, sh, sw = x.strides
-    if planes:
-        shape, strides = (kh, kw, c, n, ho, wo), (sh, sw, sc, sn, sh * stride, sw * stride)
-    else:
-        shape, strides = (n, ho, wo, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc)
-    # A view built on the buffer it owns costs a fraction of as_strided.
-    windows = as_strided(x, shape, strides) if mem is None else \
-        np.ndarray(shape, x.dtype, mem, 0, strides)
-    cols = np.ascontiguousarray(windows)
-    if planes:
-        return cols.reshape(kh * kw * c, n * ho * wo).T, ho, wo
-    return cols.reshape(n * ho * wo, kh * kw * c), ho, wo
-
-
 def _weight_matrix(weights):
     """Weights (C_out,C_in,kh,kw) as a (C_out, kh*kw*C_in) matrix in the
-    column order of `_im2col`."""
+    column order of the unfolded input."""
     return weights.transpose(0, 2, 3, 1).reshape(weights.shape[0], -1)
 
 
@@ -173,10 +129,31 @@ def run_row_blocks(n, row_bytes, fn):
     run_blocks(max(1, -(-n // step)), lambda i, _: fn(slice(i * step, min(i * step + step, n))))
 
 
-def _unfolded_row_bytes(x, params, ho, wo):
-    """Bytes of one sample's unfolded input: the row size `conv2d` and the
-    weight gradient split their batch by."""
-    return ho * wo * params.kernel_h * params.kernel_w * x.shape[1] * x.itemsize
+def _block_workers(count):
+    """The indices of the workers a `run_blocks` call of ``count`` blocks
+    made on this thread may use, at least one: a kernel's buffers hold a
+    scratch for each."""
+    return range(1 if getattr(_worker, "busy", False) else max(1, min(count, _scan_workers())))
+
+
+def _run_on_scratch(count, fn, buffers):
+    """`run_blocks` of fn over ``count`` blocks (one runs here directly), each
+    worker on one of ``buffers.scratch`` or, past those, a new ``buffers.more()``."""
+    if count == 1:
+        return fn(0, buffers.scratch[0])
+    spare = iter(buffers.scratch[1:])
+    run_blocks(count, fn, buffers.scratch[0], lambda: next(spare, None) or buffers.more())
+
+
+def _new_array(role, shape, dtype):
+    """The ``take`` of buffers built for one call: a new array."""
+    return np.empty(shape, dtype)
+
+
+def _channels_last(x):
+    """x (N,C,H,W) as a view of (N,H,W,C) memory, copied unless it is one."""
+    mem = x.transpose(0, 2, 3, 1)
+    return x if mem.flags.c_contiguous else np.ascontiguousarray(mem).transpose(0, 3, 1, 2)
 
 
 def _check_out(out, shape, dtype):
@@ -199,69 +176,81 @@ def _channels_last_rows(out, shape, dtype):
 
 
 class ConvBuffers(NamedTuple):
-    """The arrays of `conv2d` on one input shape, from `conv_buffers`."""
+    """The blocks of `conv2d` on one input array, from `conv_buffers`."""
 
-    x: np.ndarray        # (N,C,H,W) input: the interior of a zero-bordered buffer
-    padded: np.ndarray   # that buffer, one row per sample
-    blocks: tuple        # per block of samples: (its windows, the scratch they are
-                         # copied into, that scratch as the matrix, its output rows)
+    x: np.ndarray        # the (N,C,H,W) input the blocks read
+    blocks: tuple        # per block of samples: (its samples of x, its rows of out)
+    scratch: tuple       # per worker, per block size: (its bordered buffer's interior,
+                         # their windows, the unfold scratch, that scratch as the matrix)
+    more: object         # builds the scratch of one more worker, on new arrays
     out: np.ndarray      # (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory
-    rows: np.ndarray     # out's memory, one row per sample
 
 
-def conv_buffers(x_shape, params, dtype, row_itemsize, take):
-    """Build the arrays of `conv2d` on an x of ``x_shape`` once.
+def conv_buffers(x, params, dtype, out, take):
+    """Build the blocks of `conv2d` on x into ``out`` once.
 
-    The input is copied into a zero-bordered buffer laid out as `_unfold`
-    lays it out (plane by plane for one channel, else channels-last), whose
-    border is zeroed here.  Each block of samples -- the blocks of `conv2d`
-    without buffers, `block_rows` of unfolded rows of ``row_itemsize``-byte
-    values -- gets its window view of that buffer, its share of an unfold
-    scratch of one block and its rows of the output.
-    ``take(role, shape, dtype)`` returns an uninitialized C-order array for
-    the roles "x" (the bordered buffer), "cols" (the scratch) and "y" (the
-    output); the caller may hand several convolutions one scratch.
+    Blocks are `block_rows` samples of unfolded input at x's itemsize, each
+    with its rows of ``out``, an (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out)
+    memory (the weight gradient passes the output gradient).  Each worker
+    `run_blocks` may use gets ``dtype`` scratch from ``take(role, shape,
+    dtype)``: ("x", k), a channels-last buffer of one block whose border is
+    zeroed here, and ("cols", k), an unfold scratch of one block, which
+    several convolutions may share.  A single channel (the raw images)
+    unfolds plane by plane into a K-major matrix, read transposed; several
+    channels into a C-order matrix whatever x's memory order: OpenBLAS
+    rounds a GEMM that reads a long (K of 36 and more in float32) matrix
+    transposed differently.
     """
-    n, c, h, w = x_shape
+    n, c, h, w = x.shape
     kh, kw, stride, pad = params.kernel_h, params.kernel_w, params.stride, params.padding
     ho, wo = params.output_hw(h, w)
-    planes, k = c == 1, kh * kw * c
-    mem = take("x", (n, c, h + 2 * pad, w + 2 * pad) if planes
-               else (n, h + 2 * pad, w + 2 * pad, c), dtype)
-    mem[...] = 0
-    xp = mem if planes else mem.transpose(0, 3, 1, 2)
-    interior = xp[:, :, pad : pad + h, pad : pad + w]
-    step = block_rows(ho * wo * k * row_itemsize)
-    cols = take("cols", (min(n, step) * ho * wo * k,), dtype)
-    y = take("y", (n, ho, wo, params.out_channels), dtype)
-    rows = y.reshape(-1, params.out_channels)
-    sn, sc, sh, sw = xp.strides
-    blocks = []
-    for start in range(0, n, step):
-        m = min(step, n - start)
-        if planes:
-            shape, strides = (kh, kw, c, m, ho, wo), (sh, sw, sc, sn, sh * stride, sw * stride)
-        else:
-            shape, strides = (m, ho, wo, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc)
-        windows = as_strided(xp[start : start + m], shape, strides, writeable=False)
-        block = cols[: m * ho * wo * k].reshape(shape)
-        matrix = block.reshape(k, m * ho * wo).T if planes else block.reshape(m * ho * wo, k)
-        blocks.append((windows, block, matrix, rows[start * ho * wo : (start + m) * ho * wo]))
-    return ConvBuffers(interior, mem.reshape(n, -1), tuple(blocks), y.transpose(0, 3, 1, 2),
-                       y.reshape(n, -1))
+    k = kh * kw * c
+    step = block_rows(ho * wo * k * x.itemsize)
+    rows = _channels_last_rows(out, (n, out.shape[1], ho, wo), out.dtype)
+    blocks = tuple((x[a : a + step], rows[a * ho * wo : (a + step) * ho * wo])
+                   for a in range(0, max(n, 1), step))
+
+    def scratch(take, worker):
+        mem = take(("x", worker), (min(n, step), h + 2 * pad, w + 2 * pad, c), dtype)
+        mem[...] = 0
+        cols = take(("cols", worker), (min(n, step) * ho * wo * k,), dtype)
+        xp = mem.transpose(0, 3, 1, 2)
+        sn, sc, sh, sw = xp.strides
+        views = {}
+        for m in {len(samples) for samples, _ in blocks}:
+            if c == 1:
+                shape, strides = (kh, kw, c, m, ho, wo), (sh, sw, sc, sn, sh * stride, sw * stride)
+            else:
+                shape, strides = (m, ho, wo, kh, kw, c), (sn, sh * stride, sw * stride, sh, sw, sc)
+            block = cols[: m * ho * wo * k].reshape(shape)
+            matrix = block.reshape(k, m * ho * wo).T if c == 1 else block.reshape(m * ho * wo, k)
+            views[m] = (xp[:m, :, pad : pad + h, pad : pad + w],
+                        as_strided(xp[:m], shape, strides, writeable=False), block, matrix)
+        return views
+
+    return ConvBuffers(x, blocks, tuple(scratch(take, i) for i in _block_workers(len(blocks))),
+                       functools.partial(scratch, _new_array, 0), out)
+
+
+def _unfold_block(x, scratch):
+    """The unfolded matrix of the samples x in a worker's ``scratch`` (from
+    `conv_buffers`): x copied into its bordered buffer, their windows into
+    its unfold scratch."""
+    interior, windows, cols, matrix = scratch[len(x)]
+    np.copyto(interior, x)
+    np.copyto(cols, windows)
+    return matrix
 
 
 def conv2d(x, weights, params, out=None, *, buffers=None):
     """2-d cross-correlation of x (N,C,H,W) with weights (C_out,C_in,kh,kw).
 
-    Equivalent to the direct sum-of-products over every window.  ``out``, an
-    (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory, receives the result.
-    With ``buffers`` from `conv_buffers` on x's shape the call allocates
-    nothing: x is copied into ``buffers.x`` unless it is that array, and the
-    prebuilt blocks run one after another on the caller's thread (they share
-    one scratch), each a copy of its windows into the scratch, which the
-    block holds as its unfolded matrix, and a GEMM into its rows of
-    ``buffers.out``, the result.
+    Equivalent to the direct sum-of-products over every window.  Runs on
+    `run_blocks` the blocks of ``buffers``, from `conv_buffers` on x, or of
+    buffers built for this call into ``out`` (an (N,C_out,Ho,Wo) view of
+    (N,Ho,Wo,C_out) memory, new when None): each unfolds its samples in its
+    worker's scratch (`_unfold_block`) and multiplies them into its rows of
+    the result, ``buffers.out``.  With ``buffers`` it allocates nothing.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got shape {x.shape}")
@@ -286,24 +275,18 @@ def conv2d(x, weights, params, out=None, *, buffers=None):
     n = x.shape[0]
     ho, wo = params.output_hw(*x.shape[2:])
     wmat = _weight_matrix(weights).T
-    if buffers is not None:
-        if x is not buffers.x:
-            np.copyto(buffers.x, x)
-        for windows, cols, matrix, y in buffers.blocks:
-            np.copyto(cols, windows)
-            np.matmul(matrix, wmat, out=y)
-        return buffers.out
-    dtype = np.result_type(x, wmat)
-    if out is None:
-        out = np.empty((n, ho, wo, cout), dtype=dtype).transpose(0, 3, 1, 2)
-    y = _channels_last_rows(out, (n, cout, ho, wo), dtype)
-
-    def block(samples):
-        cols, _, _ = _im2col(x[samples], kh, kw, params.stride, params.padding)
-        np.matmul(cols, wmat, out=y[samples.start * ho * wo : samples.stop * ho * wo])
-
-    run_row_blocks(n, _unfolded_row_bytes(x, params, ho, wo), block)
-    return out
+    if buffers is None:
+        dtype = np.result_type(x, wmat)
+        if out is None:
+            out = np.empty((n, ho, wo, cout), dtype=dtype).transpose(0, 3, 1, 2)
+        buffers = conv_buffers(x, params, dtype, _check_out(out, (n, cout, ho, wo), dtype),
+                               _new_array)
+    elif x is not buffers.x:
+        raise ShapeError("conv2d buffers were built on another input array")
+    blocks = buffers.blocks
+    _run_on_scratch(len(blocks), lambda i, scratch: np.matmul(
+        _unfold_block(blocks[i][0], scratch), wmat, out=blocks[i][1]), buffers)
+    return buffers.out
 
 
 def _col2im(dcols, x_shape, kh, kw, stride, padding):
@@ -328,23 +311,25 @@ def _col2im(dcols, x_shape, kh, kw, stride, padding):
 def conv2d_backward(dy, x, weights, params, need_dx=True, out=None):
     """Gradients of conv2d w.r.t. input and weights.
 
-    dy has the output shape (N,C_out,Ho,Wo).  dW re-unfolds x block by block.
-    With ``need_dx=False`` the input gradient is not computed and returned as
+    dy has the output shape (N,C_out,Ho,Wo).  dW runs on the blocks of
+    `conv_buffers` on x, with dy (copied channels-last unless it is) as
+    their output: each multiplies its rows of dy with its samples' unfolded
+    matrix, and the products are summed in block order.  With
+    ``need_dx=False`` the input gradient is not computed and returned as
     None.  ``out``, an (N,C,H,W) view of (N,H,W,C) memory, receives the input
     gradient.
     """
     cout, cin, kh, kw = weights.shape
-    ho, wo = dy.shape[2:]
-    dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
-    parts = {}  # block products by first sample, summed in block order
+    dy = _channels_last(dy)
+    conv = conv_buffers(x, params, np.result_type(dy, x), dy, _new_array)
+    parts = [None] * len(conv.blocks)
 
-    def block(samples):
-        cols, _, _ = _im2col(x[samples], kh, kw, params.stride, params.padding)
-        parts[samples.start] = dy_mat[samples.start * ho * wo : samples.stop * ho * wo].T @ cols
+    def block(i, scratch):
+        samples, dy_rows = conv.blocks[i]
+        parts[i] = dy_rows.T @ _unfold_block(samples, scratch)
 
-    run_row_blocks(x.shape[0], _unfolded_row_bytes(x, params, ho, wo), block)
-    dw = sum(parts[start] for start in sorted(parts))
-    dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+    _run_on_scratch(len(parts), block, conv)
+    dw = np.ascontiguousarray(sum(parts).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
     if not need_dx:
         return None, dw
     if params.stride == 1 and kh == kw and params.padding < kh:
@@ -361,7 +346,7 @@ def conv2d_backward(dy, x, weights, params, need_dx=True, out=None):
         )
         dx = conv2d(dy, w_flip, back, out=out)
     else:
-        dcols = dy_mat @ _weight_matrix(weights)
+        dcols = dy.transpose(0, 2, 3, 1).reshape(-1, cout) @ _weight_matrix(weights)
         dx = _col2im(dcols, x.shape, kh, kw, params.stride, params.padding)
         if out is not None:
             _check_out(out, x.shape, dx.dtype)[...] = dx
@@ -419,41 +404,30 @@ def _window_sum_dtype(dtype, window):
     return np.result_type(dtype, 1.0)
 
 
-def _pool_rows(x, window, out):
-    """`avg_pool2d` of x into ``out``: the window sums in
-    `_window_sum_dtype`, divided in ``out``'s dtype."""
-    total = _window_sum_dtype(x.dtype, window)
-    if x.dtype == bool:
-        x = x.view(np.uint8)
-    rows = x[:, :, 0::window].astype(total, order="K")
-    for i in range(1, window):
-        rows += x[:, :, i::window]
-    y = rows[:, :, :, 0::window].copy(order="K")
-    for j in range(1, window):
-        y += rows[:, :, :, j::window]
-    return np.divide(y, window * window, out=out, dtype=out.dtype)
-
-
 class PoolBuffers(NamedTuple):
-    """The arrays of `avg_pool2d` on one input array, from `pool_buffers`."""
+    """The blocks of `avg_pool2d` on one input array, from `pool_buffers`."""
 
     x: np.ndarray        # the input array the calls below read
-    calls: tuple         # the numpy calls that sum the windows and divide, in order
+    scratch: tuple       # per worker, per block of samples: the numpy calls that
+                         # sum its windows and divide, in order
+    more: object         # builds the calls of one more worker, on new row sums
     sums: np.ndarray     # the window sums, one row per sample
     out: np.ndarray      # (N,C,H/window,W/window) window means
 
 
 def pool_buffers(x, window, out, take):
-    """Build the calls of `avg_pool2d` on this x, an (N,C,H,W) view of
+    """Build the blocks of `avg_pool2d` on this x, an (N,C,H,W) view of
     (N,H,W,C) memory, into ``out`` once.
 
-    The window sums add the window's rows, then its columns, as `_pool_rows`
-    does, but on views in x's memory order (rows of W*C values, then of C)
-    into row-sum and window-sum buffers from ``take(role, shape, dtype)``;
-    the sums are then divided by window**2 in ``out``'s dtype.  A bool x
-    (spikes) is summed as bytes and another integer x exactly, in
-    `_window_sum_dtype`; integer sums are exact in any order, so a window
-    that covers the whole map is summed by one `np.add.reduce`.
+    A block of about BLOCK_BYTES of x adds the window's rows, then its
+    columns, on views in x's memory order (rows of W*C values, then of C)
+    into row sums, ``take(("rows", k), shape, dtype)`` of its worker k, and
+    its rows of the window sums, ``take("sums", shape, dtype)`` (x itself
+    for a window of 1), then divides them by window**2 into its samples of
+    ``out``, in out's dtype.  A bool x (spikes) is summed as bytes and
+    another integer x exactly, in `_window_sum_dtype`; integer sums are
+    exact in any order, so a window that covers the whole map is summed by
+    one `np.add.reduce`.
     """
     n, c, h, w = x.shape
     ho, wo = h // window, w // window
@@ -463,43 +437,58 @@ def pool_buffers(x, window, out, take):
     dtype = _window_sum_dtype(x.dtype, window)
     if x.dtype == bool:
         mem = mem.view(np.uint8)
-    sums = take("sums", (n, ho, wo, c), dtype)
-    calls = []
+    whole = dtype.kind in "iu" and ho == wo == 1 < window
+    sums = mem if window == 1 else take("sums", (n, ho, wo, c), dtype)
+    step = block_rows(x.nbytes // max(1, n))
+    blocks = [slice(a, a + step) for a in range(0, max(n, 1), step)]
 
-    def window_sum(src, total):
-        """Add src (M, window, K) over its middle axis into total (M, K)."""
-        if window == 1:
-            return src[:, 0]
-        calls.append(functools.partial(np.add, src[:, 0], src[:, 1], out=total, dtype=dtype))
-        calls.extend(functools.partial(np.add, total, src[:, i], out=total, dtype=dtype)
-                     for i in range(2, window))
-        return total
+    def block_calls(b, rows):
+        src, total, calls = mem[b], sums[b], []
+        m = len(src)
 
-    if dtype.kind in "iu" and ho == wo == 1 < window:
-        calls.append(functools.partial(np.add.reduce, mem.reshape(n, h * w, c), axis=1,
-                                       dtype=dtype, out=sums.reshape(n, c)))
-    else:
-        rows = window_sum(mem.reshape(n * ho, window, w * c), take("rows", (n * ho, w * c), dtype))
-        sums = window_sum(rows.reshape(n * ho * wo, window, c), sums.reshape(-1, c))
-        sums = sums.reshape(n, ho, wo, c)
-    calls.append(functools.partial(np.divide, sums.transpose(0, 3, 1, 2), window * window,
-                                   out=out, dtype=out.dtype))
-    return PoolBuffers(x, tuple(calls), sums.reshape(n, -1), out)
+        def window_sum(src, total):
+            """Add src (M, window, K) over its middle axis into total (M, K)."""
+            calls.append(functools.partial(np.add, src[:, 0], src[:, 1], out=total, dtype=dtype))
+            calls.extend(functools.partial(np.add, total, src[:, i], out=total, dtype=dtype)
+                         for i in range(2, window))
+            return total
+
+        if whole:
+            calls.append(functools.partial(np.add.reduce, src.reshape(m, h * w, c), axis=1,
+                                           dtype=dtype, out=total.reshape(m, c)))
+        elif window > 1:
+            row_sums = window_sum(src.reshape(m * ho, window, w * c), rows[: m * ho])
+            window_sum(row_sums.reshape(m * ho * wo, window, c), total.reshape(-1, c))
+        calls.append(functools.partial(np.divide, total.transpose(0, 3, 1, 2), window * window,
+                                       out=out[b], dtype=out.dtype))
+        return tuple(calls)
+
+    def worker(take, k):
+        rows = None if whole or window == 1 else \
+            take(("rows", k), (min(n, step) * ho, w * c), dtype)
+        return tuple(block_calls(b, rows) for b in blocks)
+
+    return PoolBuffers(x, tuple(worker(take, k) for k in _block_workers(len(blocks))),
+                       functools.partial(worker, _new_array, 0),
+                       sums.reshape(n, ho * wo * c), out)
+
+
+def _run_calls(i, calls):
+    """Run block i of a worker's `pool_buffers` calls."""
+    for call in calls[i]:
+        call()
 
 
 def avg_pool2d(x, window, out=None, *, buffers=None):
     """Non-overlapping mean pooling; H and W must be divisible by window.
 
-    Sums the window's strided row slices, then its strided column slices,
-    then divides by window**2; the output has the memory order of x, or is
-    written into ``out``.  The result is that of pooling
-    ``x.astype(np.result_type(x, 1.0))``, bit for bit: a bool x (spikes) is
-    summed as bytes and another integer x exactly (`_window_sum_dtype`).  A
-    bool x may pool into an ``out`` of any float dtype, as its values in
-    that dtype would.  Runs in blocks of samples of about BLOCK_BYTES of
-    input.  With ``buffers`` from `pool_buffers` the call allocates nothing:
-    x is copied into ``buffers.x`` unless it is that array, and the result
-    is ``buffers.out``.
+    Runs on `run_blocks` the blocks of ``buffers``, from `pool_buffers` on
+    x, or of buffers built for this call on x (copied channels-last unless
+    it is) into ``out`` (new when None, in x's memory order); the result is
+    ``buffers.out``, that of pooling ``x.astype(np.result_type(x, 1.0))``
+    bit for bit.  A bool x may pool into an ``out`` of any float dtype, as
+    its values in that dtype would.  With ``buffers`` the call allocates
+    nothing.
     """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d input must be 4-d, got shape {x.shape}")
@@ -508,19 +497,17 @@ def avg_pool2d(x, window, out=None, *, buffers=None):
         raise ShapeError(
             f"spatial size {h}x{w} not divisible by pooling window {window}"
         )
-    if buffers is not None:
-        if x is not buffers.x:
-            np.copyto(buffers.x, x)
-        for call in buffers.calls:
-            call()
-        return buffers.out
-    n, row_bytes = len(x), x.nbytes // max(1, len(x))
-    corner, dtype = x[:, :, ::window, ::window], np.result_type(x, 1.0)
-    if x.dtype == bool and out is not None and out.dtype.kind == "f":
-        dtype = out.dtype
-    y = np.empty_like(corner, dtype=dtype) if out is None else _check_out(out, corner.shape, dtype)
-    run_row_blocks(n, row_bytes, lambda rows: _pool_rows(x[rows], window, y[rows]))
-    return y
+    if buffers is None:
+        corner, dtype = x[:, :, ::window, ::window], np.result_type(x, 1.0)
+        if x.dtype == bool and out is not None and out.dtype.kind == "f":
+            dtype = out.dtype
+        out = np.empty_like(corner, dtype=dtype) if out is None else \
+            _check_out(out, corner.shape, dtype)
+        buffers = pool_buffers(_channels_last(x), window, out, _new_array)
+    elif x is not buffers.x:
+        raise ShapeError("avg_pool2d buffers were built on another input array")
+    _run_on_scratch(len(buffers.scratch[0]), _run_calls, buffers)
+    return buffers.out
 
 
 def avg_pool2d_backward(dy, window, out=None):

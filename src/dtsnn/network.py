@@ -37,7 +37,8 @@ An inference step runs every layer on arrays the instance lays out in the
 same walk over the layers that binds the step's calls to them
 (`_step_program`): the LIF potentials, a bool keep array that holds a LIF
 layer's spikes for the pool after it, each pool's integer window sums, each
-convolution's zero-bordered input, window views and output.  `StepBuffers`
+convolution's output and the zero-bordered and unfold scratch of each
+worker its blocks may run on.  `StepBuffers`
 keeps that program until the input shape, the firing mode,
 ``record_activity`` or the inference parameters change; the next build lays
 its arrays out over the same bytes.  A batch above one scan tile gets bytes
@@ -231,12 +232,16 @@ class LayerPlan(NamedTuple):
     (conv), LifConfig (lif) or None.  ``weight_shape`` is the matrix the
     layer maps onto crossbars -- (C_out, C_in, k, k) for a conv, (fan_out,
     fan_in) for fc / classifier -- or None for a layer without weights.
+    ``param_shapes`` maps each parameter array's name to its shape, or is
+    None: "w" of ``weight_shape`` and a bias row "b" (fc and classifier
+    always, a conv with ``bias``), or a norm's `kernels.norm_params` rows.
     """
 
     in_shape: tuple
     out_shape: tuple
     config: object
     weight_shape: tuple
+    param_shapes: dict
 
     @property
     def fan_in(self):
@@ -272,12 +277,13 @@ class NetworkSpec:
         plan = []
         cur = self.input_shape
         for layer in self.layers:
-            config = weight = None
+            config = weight = params = None
             if layer.kind == "conv":
                 if len(cur) != 3:
                     raise ShapeError(f"conv layer expects (C,H,W) input, got {cur}")
                 config = self.conv_params(layer, cur[0])
                 weight = (layer.out_channels, cur[0], layer.kernel, layer.kernel)
+                params = {"w": weight, "b": weight[:1]} if layer.bias else {"w": weight}
                 out = (layer.out_channels,) + config.output_hw(cur[1], cur[2])
             elif layer.kind == "pool":
                 w = layer.window
@@ -291,11 +297,14 @@ class NetworkSpec:
                 if width < 1:
                     raise ShapeError(f"fc out_features must be >= 1, got {width}")
                 weight = (width, int(np.prod(cur)))
+                params = {"w": weight, "b": weight[:1]}
                 out = (width,)
             else:  # lif / norm preserve shape
                 config = self.lif_config_for(layer) if layer.kind == "lif" else None
+                if layer.kind == "norm":
+                    params = dict.fromkeys(norm_params(0), cur[:1])
                 out = cur
-            plan.append(LayerPlan(cur, out, config, weight))
+            plan.append(LayerPlan(cur, out, config, weight, params))
             cur = out
         return tuple(plan)
 
@@ -455,15 +464,15 @@ class StepBuffers:
     activity row.  The arrays are bytes kept per (layer, role) in a
     `Workspace`, so a rebuild reuses them and a smaller batch (a scan's
     last tile) takes a prefix.  An array that the next layer reads and no
-    later one does is shared by the layers of its role: the convolutions'
-    unfold scratch (at most one block), the outputs of the convolutions
-    after the stem, the LIF layers' keep arrays and the pools' sums.  A
+    later one does is shared by the layers of its role: each worker's unfold
+    scratch (one block) and the pools' row sums, the outputs of the
+    convolutions after the stem, the LIF layers' keep arrays and the pools'
+    sums; each convolution has its own zero-bordered scratch.  A
     build that had to replace a buffer with a larger one walks the layers
     again, on the grown bytes: an earlier layer of the walk may hold a view
     of the old one.  A batch of more rows than one scan tile (`_scan_rows`)
     gets a `Workspace` of its own, which only its program holds, until the
-    next build or `reset_states`; its kernels run their blocks one after
-    another, as a tile's do.  The arrays hold no weights: a rebuilt
+    next build or `reset_states`.  The arrays hold no weights: a rebuilt
     `inference_params` lays them out on the same bytes unless the
     parameters' dtypes changed.  Every step overwrites them, so each
     instance has its own (`clone_state` gives the clone new ones).
@@ -529,16 +538,18 @@ def _step_program(spec, params, key, memory):
     one walk over the layers lays out each layer's arrays on ``memory`` and
     adds its calls on them.
 
-    Every layer gets the output dtype its kernel would give.  A convolution
-    reads a zero-bordered buffer and an fc layer C-order rows; the layer
-    before writes straight into them when its output has their dtype, and
-    the step copies h in otherwise; the first layer always reads an array of
-    its own, which a step copies its input into.  A strict LIF layer before
-    a pool leaves its spikes as bool (`_bool_spikes`), its keep buffer
-    inverted, which the pool sums as bytes (`kernels.pool_buffers`); every
-    other output is in
-    the step's float dtype, so no bool array reaches a GEMM or a norm.  4-d
-    arrays are (N,C,H,W) views of channels-last memory.
+    Every layer gets the output dtype its kernel would give.  An fc layer
+    reads C-order rows; the layer before writes straight into them when its
+    output has their dtype, and the step copies h in otherwise; the first
+    layer always reads an array of its own, which a step copies its input
+    into.  A convolution reads h as it comes: its blocks copy their samples
+    into the zero-bordered scratch of their worker (`kernels.conv_buffers`,
+    one scratch for each worker `kernels.run_blocks` may use, built here).
+    A strict LIF layer before a pool leaves its spikes as bool
+    (`_bool_spikes`), its keep buffer inverted, which the pool sums as bytes
+    (`kernels.pool_buffers`); every other output is in the step's float
+    dtype, so no bool array reaches a GEMM or a norm.  4-d arrays are
+    (N,C,H,W) views of channels-last memory.
 
     Each layer adds its calls in the order the tape's `run_layers` visits
     it: a copy of h into the array it reads unless h is that array, with
@@ -554,30 +565,27 @@ def _step_program(spec, params, key, memory):
     """
     n, dtype, smooth, record = key
     layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
-    inputs = {}  # layer index -> its ConvBuffers or fixed input array
+    inputs = {}  # layer index -> its fixed input array
 
     def own(i, role, shape, dt):
         if len(shape) == 4:
             return memory.channels_last((i, role), shape, dt)
         return memory.empty((i, role), shape, dt)
 
+    def take(i, role, shape, dt):
+        """Layer i's kernel scratch: a convolution's zero-bordered one is its
+        own, any other is shared by the layers of its role."""
+        return memory.empty((i if role[0] == "x" else "step", role), shape, dt)
+
     def fixed_input(i, dt):
         """The array layer i reads, for input dtype dt; None for h as it comes."""
         if i < len(layers) and i not in inputs:
-            kind, plan = layers[i].kind, plans[i]
-            shape = (n,) + plan.in_shape
-            if kind == "conv":
-                keys = {"x": (i, "x"), "cols": ("step", "cols"),
-                        "y": (i, "y") if i < s else ("step", "y")}
-                inputs[i] = kernels.conv_buffers(
-                    shape, plan.config, np.result_type(dt, params[i]["w"]), dt.itemsize,
-                    lambda role, shape, dt: memory.empty(keys[role], shape, dt))
-            elif kind in ("fc", "classifier"):
+            shape = (n,) + plans[i].in_shape
+            if layers[i].kind in ("fc", "classifier"):
                 inputs[i] = memory.empty((i, "x"), shape, dt)
             elif i == 0:  # the step's input, channels-last as a pool reads it
                 inputs[i] = own(i, "x", shape, dt)
-        found = inputs.get(i)
-        return found.x if isinstance(found, kernels.ConvBuffers) else found
+        return inputs.get(i)
 
     def dest(i, dt):
         """Where layer i writes an output of dtype dt: the next layer's input
@@ -606,14 +614,17 @@ def _step_program(spec, params, key, memory):
                 _count_inputs(h, True, out=column)
             else:
                 rows = pool.sums if layers[i - 1].kind == "pool" and pool.sums.dtype.kind == "u" \
-                    else inputs[i].padded if kind == "conv" else h.reshape(n, -1)
+                    else (_channels_last_views(h)[0] if kind == "conv" else h).reshape(n, -1)
                 calls.append(functools.partial(_count_inputs, rows, False, out=column))
         if kind == "conv":
-            conv, w = inputs[i], par["w"]
+            w, dt = par["w"], np.result_type(dt, par["w"])
+            out = memory.channels_last((i if i < s else "step", "y"), (n,) + plan.out_shape, dt)
+            conv = kernels.conv_buffers(h, cfg, dt, out, functools.partial(take, i))
             calls.append(lambda h=h, w=w, cfg=cfg, conv=conv: conv2d(h, w, cfg, buffers=conv))
             if "b" in par:  # one contiguous add per sample
-                calls.append(functools.partial(np.add, conv.rows, par["b_map"], out=conv.rows))
-            h, dt = conv.out, conv.out.dtype
+                rows = out.transpose(0, 2, 3, 1).reshape(n, -1)
+                calls.append(functools.partial(np.add, rows, par["b_map"], out=rows))
+            h = out
         elif kind == "norm" and par is not None:
             dt = np.result_type(dt, par["running_mean"])
             out = dest(i, dt)
@@ -630,8 +641,7 @@ def _step_program(spec, params, key, memory):
         elif kind == "pool":
             # h: the output of the last layer that wrote one (a folded norm writes none)
             dt, window = np.result_type(dt, 1.0), layer.window
-            pool = kernels.pool_buffers(h, window, dest(i, dt), lambda role, shape, dt:
-                                        memory.empty(("step", role), shape, dt))
+            pool = kernels.pool_buffers(h, window, dest(i, dt), functools.partial(take, i))
             calls.append(lambda h=h, window=window, pool=pool:
                          avg_pool2d(h, window, buffers=pool))
             h = pool.out
@@ -691,21 +701,23 @@ class SnnInstance:
 
 
 def _init_params(spec, seed, dtype):
-    """He-normal weights (std sqrt(2 / fan_in)) drawn in layer order, zero
-    biases, and fresh normalization statistics."""
+    """The parameters of each `LayerPlan`'s ``param_shapes``: He-normal
+    weights (std sqrt(2 / fan_in)) drawn in layer order, zero biases, and
+    fresh normalization statistics."""
     rng = np.random.default_rng(seed)
     params = []
-    for layer, plan in zip(spec.layers, spec.layer_plan):
-        if plan.weight_shape is not None:
-            std = np.sqrt(2.0 / plan.fan_in)
-            entry = {"w": rng.normal(0.0, std, size=plan.weight_shape).astype(dtype)}
-            if layer.bias or layer.kind != "conv":
-                entry["b"] = np.zeros(plan.weight_shape[0], dtype=dtype)
-            params.append(entry)
-        elif layer.kind == "norm":
-            params.append(norm_params(plan.in_shape[0], dtype=dtype))
-        else:
+    for plan in spec.layer_plan:
+        shapes = plan.param_shapes
+        if shapes is None:
             params.append(None)
+        elif "w" in shapes:
+            std = np.sqrt(2.0 / plan.fan_in)
+            entry = {"w": rng.normal(0.0, std, size=shapes["w"]).astype(dtype)}
+            if "b" in shapes:
+                entry["b"] = np.zeros(shapes["b"], dtype=dtype)
+            params.append(entry)
+        else:
+            params.append(norm_params(shapes["gamma"][0], dtype=dtype))
     return params
 
 

@@ -262,6 +262,18 @@ class TestUsage:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_numeric_layer_key_exit_2_with_one_error_line(self, tmp_path, capsys):
+        raw = yaml.safe_load((ROOT / "configs" / "synth.yaml").read_text())
+        raw["model"]["layers"][2] = {"kind": "lif", 11: 1.5, "x": 1}
+        config_path = tmp_path / "run.yaml"
+        config_path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        code = main(["hwreport", "--config", str(config_path), "--checkpoint",
+                     str(ROOT / "bench" / "model.ckpt"), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown key '11' in section 'model.layers[2]'"]
+
     def test_mistyped_config_value_exit_2_without_out_dir(self, trained, tmp_path, capsys):
         config_path = tmp_path / "run.yaml"
         config_path.write_text(yaml.safe_dump({**CONFIG, "hardware": {"crossbar_size": "64"}}))

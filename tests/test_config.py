@@ -96,6 +96,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="kernel_size"):
             parse_config_dict(raw)
 
+    def test_numeric_key_beside_string_keys_named(self):
+        raw = {**MINIMAL, "model": {**MINIMAL["model"], "layers": [
+            {"kind": "lif", 11: 1.5, "x": 1},
+            {"kind": "classifier"},
+        ]}}
+        with pytest.raises(ConfigError, match=r"unknown key '11' in section 'model\.layers\[0\]'"):
+            parse_config_dict(raw)
+        with pytest.raises(ConfigError, match="unknown section '7'"):
+            parse_config_dict({**MINIMAL, 7: {}, "trian": {}})
+
     @pytest.mark.parametrize("field, value, message", [
         ("out_channels", "12", r"model\.layers\[0\]\.out_channels must be int, got '12'"),
         ("kernel", 3.0, r"model\.layers\[0\]\.kernel must be int, got 3\.0"),

@@ -77,6 +77,15 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="truncated"):
             read_idx_images(path)
 
+    def test_header_whose_count_passes_2_to_the_63_is_truncated(self, tmp_path):
+        # 2**31 * 2**31 * 4 wraps to 0 in numpy's int64 product.
+        path = tmp_path / "huge.idx"
+        with open(path, "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, 2**31, 2**31, 4))
+            fh.write(bytes(16))
+        with pytest.raises(DataFormatError, match="truncated IDX payload"):
+            read_idx_images(path)
+
     def test_count_mismatch(self, tmp_path):
         write_idx_images(tmp_path / "i.idx", np.zeros((3, 2, 2), np.uint8))
         write_idx_labels(tmp_path / "l.idx", np.zeros(4, np.uint8))
@@ -303,6 +312,15 @@ class TestCheckpoint:
 
         path = reseal(edit_header=change)
         with pytest.raises(DataFormatError, match=f"has {key} {value}; this build normalizes"):
+            load_checkpoint(path)
+
+    def test_spec_too_large_to_build_is_checked_without_building(self, reseal):
+        # A layer plan of 2**40 input channels: the stored shapes do not match
+        # it, and no array of its size is allocated to find that out.
+        path = reseal(edit_header=lambda h: h["spec"]["input_shape"].__setitem__(0, 2**40))
+        message = (r"layer 0 parameter 'w' has shape \(12, 1, 3, 3\), "
+                   rf"spec needs \(12, {2**40}, 3, 3\)")
+        with pytest.raises(DataFormatError, match=message):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from dtsnn import kernels, network
 from dtsnn.errors import ShapeError
@@ -199,11 +200,35 @@ PLANE_CASES = [(c, kh, kw, stride, padding) for c in (1, 2, 3) for kh, kw in ((3
 SINGLE_CHANNEL_CASES = [case[1:] for case in PLANE_CASES if case[0] == 1]
 
 
+def reference_unfold(x, kh, kw, stride, padding, planes):
+    """Sliding windows of x (N,C,H,W) as the rows of an (N*Ho*Wo, kh*kw*C)
+    matrix in (kh, kw, C) column order, with Ho and Wo: by planes the
+    transpose of a K-major matrix, else a C-order matrix."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    (n, c, h, w), (sn, sc, sh, sw) = xp.shape, xp.strides
+    ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sh_, sw_ = sh * stride, sw * stride
+    if planes:
+        windows = as_strided(xp, (kh, kw, c, n, ho, wo), (sh, sw, sc, sn, sh_, sw_))
+        return np.ascontiguousarray(windows).reshape(kh * kw * c, n * ho * wo).T, ho, wo
+    windows = as_strided(xp, (n, ho, wo, kh, kw, c), (sn, sh_, sw_, sh, sw, sc))
+    return np.ascontiguousarray(windows).reshape(n * ho * wo, kh * kw * c), ho, wo
+
+
+def kernel_unfold(x, params):
+    """The unfolded matrix conv2d multiplies for x, a batch of one block."""
+    ho, wo = params.output_hw(*x.shape[2:])
+    out = np.empty((len(x), ho, wo, params.out_channels), x.dtype).transpose(0, 3, 1, 2)
+    buffers = kernels.conv_buffers(x, params, x.dtype, out, kernels._new_array)
+    assert len(buffers.blocks) == 1
+    return kernels._unfold_block(x, buffers.scratch[0])
+
+
 def channels_last_conv(x, w, params):
     """conv2d by the channels-last unfold and one row-major GEMM, the way
     every input was convolved before a single channel unfolded by planes."""
-    cols, ho, wo = kernels._unfold(x, params.kernel_h, params.kernel_w, params.stride,
-                                   params.padding, planes=False)
+    cols, ho, wo = reference_unfold(x, params.kernel_h, params.kernel_w, params.stride,
+                                    params.padding, planes=False)
     y = cols @ kernels._weight_matrix(w).T
     return y.reshape(len(x), ho, wo, -1).transpose(0, 3, 1, 2)
 
@@ -211,8 +236,8 @@ def channels_last_conv(x, w, params):
 def channels_last_weight_grad(dy, x, w, params):
     """conv2d_backward's dW by the channels-last unfold, as it was computed
     before a single channel unfolded by planes."""
-    cols, _, _ = kernels._unfold(x, params.kernel_h, params.kernel_w, params.stride,
-                                 params.padding, planes=False)
+    cols, _, _ = reference_unfold(x, params.kernel_h, params.kernel_w, params.stride,
+                                  params.padding, planes=False)
     dw = dy.transpose(0, 2, 3, 1).reshape(-1, w.shape[0]).T @ cols
     return dw.reshape(w.shape[0], w.shape[2], w.shape[3], w.shape[1]).transpose(0, 3, 1, 2)
 
@@ -226,11 +251,13 @@ class TestPlaneUnfold:
     def test_same_matrix_as_channels_last_and_the_oracle(self, c, kh, kw, stride, padding, dtype):
         x = rng.standard_normal((3, c, 7, 6)).astype(dtype)
         w = rng.standard_normal((4, c, kh, kw)).astype(dtype)
-        by_planes, ho, wo = kernels._unfold(x, kh, kw, stride, padding, planes=True)
-        by_rows = kernels._unfold(x, kh, kw, stride, padding, planes=False)
+        by_planes, ho, wo = reference_unfold(x, kh, kw, stride, padding, planes=True)
+        by_rows = reference_unfold(x, kh, kw, stride, padding, planes=False)
         assert by_planes.T.flags.c_contiguous  # K-major: runs of Wo values
         assert (ho, wo) == by_rows[1:]
         npt.assert_array_equal(by_planes, by_rows[0])
+        npt.assert_array_equal(kernel_unfold(x, ConvParams(c, 4, kh, kw, stride, padding)),
+                               by_rows[0])
         y = (by_planes @ kernels._weight_matrix(w).T).reshape(3, ho, wo, 4).transpose(0, 3, 1, 2)
         assert np.max(np.abs(y - conv2d_reference(x, w, stride, padding))) < 1e-5
 
@@ -241,7 +268,7 @@ class TestPlaneUnfold:
         x = rng.standard_normal((3, 1, 9, 8)).astype(dtype)
         w = rng.standard_normal((5, 1, kh, kw)).astype(dtype)
         params = ConvParams(1, 5, kh, kw, stride, padding)
-        cols = kernels._im2col(x, kh, kw, stride, padding)[0]
+        cols = kernel_unfold(x, params)
         assert cols.T.flags.c_contiguous  # conv2d took the plane-by-plane unfold
         got = conv2d(x, w, params)
         npt.assert_array_equal(got, channels_last_conv(x, w, params))
@@ -768,7 +795,7 @@ class TestRunBlocks:
         x = channels_last(rng.standard_normal((6, 3, 9, 8)).astype(np.float32))
         if kernel == "conv2d":
             w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-            module, attr = kernels, "_im2col"
+            module, attr = kernels, "_unfold_block"
             call = lambda: [conv2d(x, w, ConvParams(3, 4, 3, 3, 1, 1))]  # noqa: E731
         else:
             currents = np.stack([x, -x, x])
@@ -798,3 +825,86 @@ class TestRunBlocks:
         assert len(submits) == 1  # the caller is not left marked as a worker
         for got, want in zip(again, fresh, strict=True):
             npt.assert_array_equal(got, want)
+
+
+class TestOneKernelPath:
+    """A public conv2d, conv2d_backward or avg_pool2d call builds the blocks
+    an inference step builds once on its workspace, and runs them on the
+    same body: the results agree bit for bit for any block size and worker
+    count, on NCHW and on channels-last input."""
+
+    @staticmethod
+    def on_workspace(ws, tag):
+        return lambda role, shape, dt: ws.empty((tag, role), shape, dt)
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, channels_last], ids=["nchw", "nhwc"])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("samples", [None, 1, 3], ids=["default", "one", "three"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_public_calls_equal_calls_on_workspace_buffers(self, layout, c, samples, workers,
+                                                           monkeypatch):
+        data = np.random.default_rng(c * 10 + workers)
+        x = layout(data.standard_normal((7, c, 8, 6)).astype(np.float32))
+        w = data.standard_normal((4, c, 3, 3)).astype(np.float32)
+        params = ConvParams(c, 4, 3, 3, 1, 1)
+        dy = layout(data.standard_normal((7, 4, 8, 6)).astype(np.float32))
+        ws = network.Workspace()
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
+
+        def blocks_of(row_bytes):
+            monkeypatch.setattr(kernels, "BLOCK_BYTES",
+                                BLOCK_BYTES if samples is None else samples * row_bytes)
+
+        blocks_of(8 * 6 * 9 * c * 4)  # one sample's unfolded input
+        y = conv2d(x, w, params)
+        out = ws.channels_last("y", y.shape, y.dtype)
+        conv = kernels.conv_buffers(x, params, y.dtype, out, self.on_workspace(ws, "x"))
+        assert len(conv.blocks) == (1 if samples is None else -(-7 // samples))
+        assert conv2d(x, w, params, buffers=conv) is out
+        npt.assert_array_equal(y, out)
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous
+
+        dx, dw = conv2d_backward(dy, x, w, params)
+        assert dw.shape == w.shape and dw.flags.c_contiguous
+        assert dx.shape == x.shape and dx.transpose(0, 2, 3, 1).flags.c_contiguous
+        conv = kernels.conv_buffers(x, params, dw.dtype, channels_last(dy),
+                                    self.on_workspace(ws, "dw"))
+        parts = [rows.T @ kernels._unfold_block(xb, conv.scratch[0]) for xb, rows in conv.blocks]
+        npt.assert_array_equal(dw, sum(parts).reshape(4, 3, 3, c).transpose(0, 3, 1, 2))
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        back = ConvParams(4, c, 3, 3, 1, 1)
+        blocks_of(8 * 6 * 9 * 4 * 4)  # one sample's unfolded output gradient
+        out = ws.channels_last("dx", dx.shape, dx.dtype)
+        conv = kernels.conv_buffers(dy, back, dx.dtype, out, self.on_workspace(ws, "dx"))
+        npt.assert_array_equal(dx, conv2d(dy, w_flip, back, buffers=conv))
+
+        blocks_of(x[0].nbytes)
+        pooled = avg_pool2d(x, 2)
+        mem = pooled if layout is np.ascontiguousarray else pooled.transpose(0, 2, 3, 1)
+        assert mem.flags.c_contiguous  # x's memory order
+        x_mem = channels_last(x)
+        out = np.empty_like(pooled)
+        pool = kernels.pool_buffers(x_mem, 2, out, self.on_workspace(ws, "pool"))
+        assert len(pool.scratch[0]) == (1 if samples is None else -(-7 // samples))
+        assert avg_pool2d(x_mem, 2, buffers=pool) is out
+        npt.assert_array_equal(pooled, out)
+
+    @needs_helpers
+    def test_buffers_built_for_one_worker_run_on_more(self, monkeypatch):
+        # A worker past the scratch the buffers were built with gets new
+        # scratch of its own, never another worker's.
+        x = channels_last(rng.standard_normal((9, 3, 8, 6)).astype(np.float32))
+        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        params = ConvParams(3, 4, 3, 3, 1, 1)
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 1)  # one sample a block
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 1)
+        want = conv2d(x, w, params), avg_pool2d(x, 2)
+        conv = kernels.conv_buffers(x, params, x.dtype, np.empty_like(want[0]),
+                                    kernels._new_array)
+        pool = kernels.pool_buffers(x, 2, np.empty_like(want[1]), kernels._new_array)
+        assert len(conv.scratch) == len(pool.scratch) == 1
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 3)
+        submits = count_submits(monkeypatch)
+        npt.assert_array_equal(conv2d(x, w, params, buffers=conv), want[0])
+        npt.assert_array_equal(avg_pool2d(x, 2, buffers=pool), want[1])
+        assert len(submits) == 4  # two helpers per call
