@@ -133,7 +133,7 @@ def _block_workers(count):
     """The indices of the workers a `run_blocks` call of ``count`` blocks
     made on this thread may use, at least one: a kernel's buffers hold a
     scratch for each."""
-    return range(1 if getattr(_worker, "busy", False) else max(1, min(count, _scan_workers())))
+    return range(1 if getattr(_worker, "busy", 0) else max(1, min(count, _scan_workers())))
 
 
 def _run_on_scratch(count, fn, buffers):
@@ -733,7 +733,24 @@ def _helper_pool():
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_helper_pool.cache_clear)  # a child has no helpers
 
-_worker = threading.local()  # .busy: this thread is running blocks of a run_blocks call
+_worker = threading.local()  # .busy: this thread runs blocks of a run_blocks call, or
+                             # is inside an inline_blocks context (a count of both)
+
+
+class inline_blocks:
+    """A reusable context: inside it, with ``inline``, every `run_blocks`
+    call made on the thread runs its blocks inline, as a call made from
+    inside a block does, with no hold; without, it changes nothing.
+    Entering it allocates nothing."""
+
+    def __init__(self, inline):
+        self.inline = int(inline)
+
+    def __enter__(self):
+        _worker.busy = getattr(_worker, "busy", 0) + self.inline
+
+    def __exit__(self, exc_type, exc, tb):
+        _worker.busy -= self.inline
 
 
 def run_blocks(count, fn, state=None, helper_state=None):
@@ -745,18 +762,19 @@ def run_blocks(count, fn, state=None, helper_state=None):
     thread and helpers from one kept thread pool, each taking the next index
     from a shared counter until none is left, with BLAS held at one thread
     (one worker where it cannot be held).  One block, or a call made from
-    inside a block, runs inline on the calling thread, with no hold.  The
+    inside a block or an `inline_blocks` context, runs inline on the
+    calling thread, with no hold.  The
     first error of any block stops the other workers at their next block and
     is raised as it was raised.  fn must write its results by block index.
     """
-    if count <= 1 or getattr(_worker, "busy", False):
+    if count <= 1 or getattr(_worker, "busy", 0):
         for i in range(count):
             fn(i, state)
         return
     indices, errors = itertools.count(), []
 
     def work(s):
-        _worker.busy = True
+        _worker.busy = 1
         try:
             while not errors:
                 i = next(indices)
@@ -766,7 +784,7 @@ def run_blocks(count, fn, state=None, helper_state=None):
         except BaseException as exc:
             errors.append(exc)
         finally:
-            _worker.busy = False
+            _worker.busy = 0
 
     with one_blas_thread() as held:
         workers = min(_scan_workers() if held else 1, count)

@@ -58,7 +58,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DataFormatError, ShapeError, StateError, bounded, check_bounds
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    ShapeError,
+    StateError,
+    bounded,
+    check_bounds,
+)
 from .kernels import (
     BN_EPS,
     ConvParams,
@@ -98,16 +105,14 @@ def spike_ramp(u, v_th):
     return 0.5 * a * a + b * v_th - 0.5 * b * b
 
 
-def _empty_steps(like, t_steps, ws=None, key=None, dtype=None):
-    """Uninitialized (t_steps,) + like.shape array, timestep-major, of
-    ``dtype`` (like's by default), whose every step has the memory order of
-    ``like`` (channels-last for conv outputs, on which the kernels
-    downstream run fastest); from workspace ``ws`` under ``key`` when it is
-    given.
+def _empty_steps(like, t_steps, ws=None, key=None):
+    """Uninitialized (t_steps,) + like.shape array, timestep-major, whose
+    every step has the memory order of ``like`` (channels-last for conv
+    outputs, on which the kernels downstream run fastest): of like's dtype,
+    or workspace ``ws``'s planned array of ``key`` when it is given.
     """
     rows = (t_steps * like.shape[0],) + like.shape[1:]
-    steps = np.empty_like(like, dtype, shape=rows) if ws is None else \
-        ws.empty_like(key, like, shape=rows, dtype=dtype)
+    steps = np.empty_like(like, shape=rows) if ws is None else ws.planned(key, like)
     return steps.reshape((t_steps,) + like.shape)
 
 
@@ -372,32 +377,181 @@ def check_finite(x):
         raise DataFormatError(f"input contains {bad} non-finite values (NaN or inf)")
 
 
-class Workspace:
-    """The arrays of one training step, kept for the next one.
+# Arrays in a training workspace's arena start on page boundaries.
+_PAGE = 4096
 
-    Every array is a view of a byte buffer kept under a (layer index, role)
-    key, grown when a request needs more bytes and never shrunk: steps of the
-    same shape allocate nothing, and a smaller batch takes a prefix.  An
-    array is overwritten by the next request under its key.
-    `training.train` takes the instance's workspace (`take`) for the call
-    and runs every step's tape and input gradients in it; `clone_state`
-    hands it to the clones, so it lives, at about one step's arrays, until
-    the instance and its clones are gone.  A tape without one draws from a
-    new `Workspace()` of its own, so its arrays are new.
+
+class TapePlan(NamedTuple):
+    """The arrays of one training step, from `tape_plan`.
+
+    ``slots`` maps each key that `run_layers` and
+    `training.backward_through_time` request to the (shape, dtype) of its
+    array, and ``spans`` maps it to the first and the last layer visit that
+    uses it: visits 0..L-1 are the forward pass over layers 0..L-1, visits
+    L..2L-1 the backward pass over layers L-1..0.  ``logits`` is the dtype
+    of the classifier output, which its gradient must have.
+    """
+
+    slots: dict
+    spans: dict
+    logits: np.dtype
+
+
+def tape_plan(net, batch, t_steps, dtype):
+    """The `TapePlan` of a training step of ``net`` (its parameters' dtypes,
+    its firing mode) on ``batch`` inputs of ``dtype`` over ``t_steps``
+    timesteps, derived from `NetworkSpec.layer_plan`.
+
+    One walk follows `run_layers` forward and `training.backward_through_time`
+    back, with their rules: the dtype each kernel gives, the inputs a layer
+    writes over instead of requesting an array (a norm's xhat, a later LIF
+    layer's potentials, the LIF and norm input gradients), and the arrays a
+    layer's tape entry holds until its backward visit.  An fc layer's entry
+    is taken to hold its input, as it does when the flattening is a view.
+    The layers before the first one with parameters have no backward visit:
+    their arrays last until the last layer that reads them.
+    """
+    spec, params = net.spec, net.params
+    layers, s = spec.layers, spec.first_lif
+    first_param = next(i for i, p in enumerate(params) if p is not None)
+    slots, spans, xhat_dtypes = {}, {}, {}
+
+    def back(i):
+        return 2 * len(layers) - 1 - i
+
+    def use(key, visit):
+        if key is not None:
+            spans[key] = (spans[key][0], max(spans[key][1], visit))
+
+    def new(key, shape, dt, visit):
+        slots[key], spans[key] = (tuple(shape), np.dtype(dt)), (visit, visit)
+        return key
+
+    # h: the key of the array the next layer reads, None when it is not planned
+    h, dt, owned, lif_dt = None, np.dtype(dtype), False, None
+    for i, (layer, par, plan) in enumerate(zip(layers, params, spec.layer_plan)):
+        kind, rows = layer.kind, batch if i < s else t_steps * batch
+        use(h, i)
+        if kind == "conv":
+            use(h, back(i))  # its input, for the weight gradient
+            dt = np.result_type(dt, par["w"])
+            h = new((i, "y"), (rows,) + plan.out_shape, dt, i)
+        elif kind == "norm":
+            xhat_dt = xhat_dtypes[i] = np.result_type(dt, 1.0)
+            xhat = h if owned and dt == xhat_dt else \
+                new((i, "xhat"), (rows,) + plan.in_shape, xhat_dt, i)
+            use(xhat, back(i))
+            dt = np.result_type(xhat_dt, par["gamma"])
+            h = new((i, "y"), (rows,) + plan.out_shape, dt, i)
+        elif kind == "lif":
+            steps = (t_steps * batch,) + plan.in_shape
+            bool_spikes = _bool_spikes(layers, i, net.smooth_spikes)
+            spikes = new((i, "spikes"), steps, bool if bool_spikes else dt, i)
+            # the stem's B rows stand for T steps: written over only when T is 1
+            u_pre = h if owned and (i > s or t_steps == 1) else new((i, "u_pre"), steps, dt, i)
+            if i >= first_param:
+                use(u_pre, back(i))
+                use(spikes, back(i))
+            lif_dt, h, dt = dt, spikes, slots[spikes][1]
+        elif kind == "pool":
+            # bool spikes after the stem pool into their potentials' dtype
+            dt = lif_dt if dt == bool and i > s else np.result_type(dt, 1.0)
+            h = new((i, "y"), (rows,) + plan.out_shape, dt, i)
+        else:  # fc / classifier: a new output
+            use(h, back(i))
+            dt = np.result_type(dt, par["w"], par["b"])
+            h = None
+        owned = kind != "lif"  # a LIF layer's tape entry holds its spikes
+    logits = dt
+    g = None  # the key of the gradient the next layer back receives
+    for i in reversed(range(first_param, len(layers))):
+        kind, par, plan, visit = layers[i].kind, params[i], spec.layer_plan[i], back(i)
+        rows = batch if i < s else t_steps * batch
+        use(g, visit)
+        if kind in ("fc", "classifier"):
+            g, dt = None, np.result_type(dt, par["w"])
+        elif kind == "pool":
+            dt = np.result_type(dt, 1.0)
+            g = new((i, "dx"), (rows,) + plan.in_shape, dt, visit)
+        elif kind == "lif" and i == s:  # summed over T into B rows
+            g = new((i, "dx"), (batch,) + plan.in_shape, dt, visit)
+        elif kind == "norm" and dt != np.result_type(dt, xhat_dtypes[i], par["gamma"]):
+            g, dt = None, np.result_type(dt, xhat_dtypes[i], par["gamma"])  # not over g
+        elif kind == "conv":
+            dt = np.result_type(dt, par["w"])
+            g = new((i, "dx"), (rows,) + plan.in_shape, dt, visit) if i > first_param else None
+    return TapePlan(slots, spans, logits)
+
+
+def _slot_bytes(plan):
+    """The bytes of each array of ``plan``."""
+    return {key: math.prod(shape) * dt.itemsize for key, (shape, dt) in plan.slots.items()}
+
+
+def pack(plan):
+    """(offsets, size): where each array of ``plan`` starts in one arena, and
+    the arena's size in bytes.
+
+    Arrays whose spans overlap, endpoints included, get disjoint bytes.
+    Greedy by size: the largest array first, each at the lowest
+    page-aligned offset clear of every placed array that overlaps it in
+    time.
+    """
+    sizes = _slot_bytes(plan)
+    offsets = {}
+    for key in sorted(sizes, key=lambda k: -sizes[k]):
+        first, last = plan.spans[key]
+        start = 0
+        for lo, hi in sorted((offsets[k], offsets[k] + sizes[k]) for k in offsets
+                             if plan.spans[k][0] <= last and first <= plan.spans[k][1]):
+            if start + sizes[key] <= lo:
+                break
+            start = max(start, -(-hi // _PAGE) * _PAGE)
+        offsets[key] = start
+    return offsets, max((offsets[k] + sizes[k] for k in offsets), default=0)
+
+
+class Workspace:
+    """Kept memory: a training step's arrays in one arena, an inference
+    step's in byte buffers kept per key.
+
+    A training step's arrays are laid out by lifetime.  Before its first
+    request, `lay_out` takes the step's `TapePlan`: every array the step
+    requests, with its shape, dtype and the layer visits that use it.
+    Arrays whose visits overlap get disjoint bytes of the arena; the others
+    share (`pack`).  The arena grows when a plan needs more bytes and never
+    shrinks, and a plan whose arrays each fit the region their key had (a
+    smaller batch) keeps the layout and takes a prefix of each region.
+    `planned` hands out a key's array; a key the plan lacks raises.  An
+    array is overwritten by the next array on its bytes: the tape's arrays
+    by the backward pass's input gradients once their last reader has run,
+    and every one by the next step.  `training.train` takes the instance's
+    workspace (`take`) for the call; `clone_state` hands it to the clones,
+    so it lives, at about the largest set of one step's arrays alive at
+    once, until the instance and its clones are gone.  A tape without one
+    lays out a new `Workspace()`.
 
     A step's keys are those `run_layers` and `training.backward_through_time`
     request: each conv's and pool's output ("y"), each train-mode norm's
-    output ("y", its ``xhat`` is written over the conv output it reads),
-    each LIF layer's spikes ("spikes": bool before a strict pool, else
-    float) and the stem LIF's potentials ("u_pre"; the later LIF layers
-    write theirs over their currents), and the input gradients ("dx") of
-    pools, convs and the first LIF layer.
+    output ("y"; its ``xhat`` is written over the conv output it reads, or
+    is "xhat"), each LIF layer's spikes ("spikes": bool before a strict
+    pool, else float) and the stem LIF's potentials ("u_pre"; the later LIF
+    layers write theirs over their currents), and the input gradients
+    ("dx") of pools, convs and the first LIF layer.
+
+    An inference step (`StepBuffers`) takes its arrays from `empty`
+    instead: a byte buffer per key, grown when a request needs more bytes
+    and never shrunk, of which a smaller batch takes a prefix.
     """
 
     def __init__(self):
-        self._buffers = {}
+        self._buffers = {}     # key -> the byte buffer `empty` keeps for it
+        self._handed = set()   # keys `empty` handed out a view of since `new_walk`
+        self.stale = 0         # how many of those grew since: their views are stale
+        self._arena = None
+        self._regions = None   # key -> (offset, bytes, span) in the arena
+        self.plan = None       # the TapePlan laid out last
         self._lock = threading.Lock()
-        self.grown = 0  # buffers replaced by larger ones: views of the old bytes are stale
 
     @contextmanager
     def take(self):
@@ -411,25 +565,61 @@ class Workspace:
         finally:
             self._lock.release()
 
+    def lay_out(self, plan):
+        """Lay the arena out for a step of ``plan``, before its first
+        request.  ConfigError when the arena it needs cannot be allocated."""
+        if plan == self.plan:
+            return
+        sizes = _slot_bytes(plan)
+        regions = self._regions
+        if regions is None or regions.keys() != sizes.keys() or any(
+                regions[k][1] < sizes[k] or regions[k][2] != plan.spans[k] for k in sizes):
+            offsets, size = pack(plan)
+            regions = {k: (offsets[k], sizes[k], plan.spans[k]) for k in sizes}
+            self.plan = self._regions = None
+            if self._arena is None or self._arena.nbytes < size:
+                self._arena = None  # let the old bytes go first
+                try:
+                    self._arena = np.empty(size, dtype=np.uint8)
+                except (MemoryError, ValueError):
+                    raise ConfigError(f"a training step needs a workspace of {size} bytes, "
+                                      f"more than can be allocated") from None
+        self._regions, self.plan = regions, plan
+
+    def planned(self, key, like=None):
+        """The array of ``key`` in the plan laid out last, with the shape and
+        dtype the plan gives it: in the memory order of
+        ``np.empty_like(like)`` (``like`` has as many axes), or an (N,C,H,W)
+        view of (N,H,W,C) memory, a conv output's layout, when like is None.
+        StateError for a key the plan lacks."""
+        if self.plan is None or key not in self.plan.slots:
+            raise StateError(f"workspace key {key} is not in the step's tape plan")
+        shape, dtype = self.plan.slots[key]
+        if like is None:
+            order = (0, 2, 3, 1)
+        else:  # numpy's axis order for like, outermost first, read off a tiny probe
+            probe = np.empty_like(like, dtype=np.uint8, shape=(2,) * like.ndim)
+            order = np.argsort(probe.strides)[::-1]
+        start = self._regions[key][0]
+        mem = self._arena[start : start + math.prod(shape) * dtype.itemsize].view(dtype)
+        return mem.reshape([shape[a] for a in order]).transpose(np.argsort(order))
+
+    def new_walk(self):
+        """Start a walk of `empty` requests: forget which keys had views
+        handed out, and count `stale` from 0."""
+        self._handed, self.stale = set(), 0
+
     def empty(self, key, shape, dtype):
-        """Uninitialized C-order array of this shape and dtype under ``key``."""
+        """Uninitialized C-order array of this shape and dtype under ``key``,
+        on its kept buffer."""
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         buf = self._buffers.get(key)
         if buf is None or buf.nbytes < nbytes:
-            self.grown += buf is not None
+            self.stale += key in self._handed
             buf = self._buffers[key] = np.empty(nbytes, dtype=np.uint8)
+        self._handed.add(key)
         return buf[:nbytes].view(dtype).reshape(shape)
-
-    def empty_like(self, key, like, shape=None, dtype=None):
-        """`empty` in the memory order of ``np.empty_like(like, dtype, shape=shape)``
-        (``shape`` has like's number of axes)."""
-        shape = like.shape if shape is None else shape
-        # numpy's axis order for like, outermost first, read off a tiny probe
-        probe = np.empty_like(like, dtype=np.uint8, shape=(2,) * like.ndim)
-        order = np.argsort(probe.strides)[::-1]
-        mem = self.empty(key, [shape[a] for a in order], like.dtype if dtype is None else dtype)
-        return mem.transpose(np.argsort(order))
 
     def channels_last(self, key, shape, dtype):
         """`empty` (N,C,H,W) view of (N,H,W,C) memory: a conv output's layout."""
@@ -444,6 +634,7 @@ class StepProgram(NamedTuple):
     key: tuple           # the (rows, dtype, smooth, record) it is built for
     params: list         # the inference parameters the calls read
     memory: Workspace    # the workspace whose bytes its arrays are
+    blocks: kernels.inline_blocks  # the context its calls run in
     x: np.ndarray        # the first layer's input, which a step copies x into
     stem: tuple          # the stem's calls, run when its cached output is stale
     stem_out: np.ndarray # the stem's output, which the first LIF layer reads
@@ -468,11 +659,13 @@ class StepBuffers:
     scratch (one block) and the pools' row sums, the outputs of the
     convolutions after the stem, the LIF layers' keep arrays and the pools'
     sums; each convolution has its own zero-bordered scratch.  A
-    build that had to replace a buffer with a larger one walks the layers
-    again, on the grown bytes: an earlier layer of the walk may hold a view
-    of the old one.  A batch of more rows than one scan tile (`_scan_rows`)
-    gets a `Workspace` of its own, which only its program holds, until the
-    next build or `reset_states`.  The arrays hold no weights: a rebuilt
+    build in which a buffer grew after the walk had handed out a view of
+    it walks the layers again, on the grown bytes (`Workspace.new_walk`).  A
+    step of at most one scan tile (`_scan_rows`) runs its kernels' blocks
+    inline, as a scan tile does: a fork-join saves it nothing measurable.
+    A batch of more rows gets a `Workspace` of its own, which only its
+    program holds, until the next build or `reset_states`, and splits its
+    blocks across the workers.  The arrays hold no weights: a rebuilt
     `inference_params` lays them out on the same bytes unless the
     parameters' dtypes changed.  Every step overwrites them, so each
     instance has its own (`clone_state` gives the clone new ones).
@@ -498,10 +691,13 @@ class StepBuffers:
             memory = self._memory
             if rows > _scan_rows(net.spec, np.result_type(dtype, params[-1]["w"]).itemsize, rows):
                 memory = Workspace()
-            grown = memory.grown
-            prog = _step_program(net.spec, params, key, memory)
-            if memory.grown != grown:
-                prog = _step_program(net.spec, params, key, memory)
+            blocks = kernels.inline_blocks(memory is self._memory)
+            with blocks:  # built for the workers its calls run on
+                memory.new_walk()
+                prog = _step_program(net.spec, params, key, memory, blocks)
+                if memory.stale:
+                    memory.new_walk()
+                    prog = _step_program(net.spec, params, key, memory, blocks)
             self._program, self._attached = prog, None
         if net.lif_states is not self._attached:
             _attach_states(net.lif_states, prog.potentials)
@@ -532,11 +728,12 @@ def _attach_states(states, potentials):
             state.u = u
 
 
-def _step_program(spec, params, key, memory):
+def _step_program(spec, params, key, memory, blocks):
     """The StepProgram of one inference step for ``key``, (n input rows,
     their dtype, smooth, record), on the inference parameters ``params``:
     one walk over the layers lays out each layer's arrays on ``memory`` and
-    adds its calls on them.
+    adds its calls on them.  ``blocks`` is the `kernels.inline_blocks`
+    context the calls run in, which the walk runs in too.
 
     Every layer gets the output dtype its kernel would give.  An fc layer
     reads C-order rows; the layer before writes straight into them when its
@@ -652,7 +849,8 @@ def _step_program(spec, params, key, memory):
             calls.append(lambda rows=rows, w=w, b=b, out=out: fully_connected(rows, w, b, out=out))
             h = out
         # else: a norm folded into the layer before
-    return StepProgram(key, params, memory, x, stem, stem_out, tuple(calls), potentials, counts)
+    return StepProgram(key, params, memory, blocks, x, stem, stem_out, tuple(calls), potentials,
+                       counts)
 
 
 @dataclass
@@ -722,8 +920,18 @@ def _init_params(spec, seed, dtype):
 
 
 def build_instance(spec, seed=0, dtype=np.float32):
-    """Construct an SnnInstance with freshly initialized weights."""
-    return SnnInstance(spec=spec, params=_init_params(spec, seed, dtype))
+    """Construct an SnnInstance with freshly initialized weights.
+
+    ConfigError, naming their bytes, when the parameters cannot be
+    allocated."""
+    try:
+        return SnnInstance(spec=spec, params=_init_params(spec, seed, dtype))
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+        nbytes = np.dtype(dtype).itemsize * sum(
+            math.prod(shape) for plan in spec.layer_plan
+            for shape in (plan.param_shapes or {}).values())
+        raise ConfigError(f"the network's parameters need {nbytes} bytes, "
+                          f"more than can be allocated") from None
 
 
 def reset_states(net):
@@ -827,14 +1035,15 @@ def forward_timestep(net, x):
     params = inference_params(net)  # a rebuilt plan drops the stem computed on old weights
     step = net.step_buffers.program(net, params, len(x), x.dtype)
     stem = net.stem
-    if stem is None or stem[0] is not x or stem[1] is not step.stem_out:
-        check_finite(x)
-        np.copyto(step.x, x)
-        for call in step.stem:
-            call()
-        net.stem = (x, step.stem_out, step.counts)
-    for call in step.step:
-        h = call()
+    with step.blocks:
+        if stem is None or stem[0] is not x or stem[1] is not step.stem_out:
+            check_finite(x)
+            np.copyto(step.x, x)
+            for call in step.stem:
+                call()
+            net.stem = (x, step.stem_out, step.counts)
+        for call in step.step:
+            h = call()
     if net.accumulated_logits is None:
         net.accumulated_logits = np.zeros_like(h)
     net.accumulated_logits += h
@@ -852,42 +1061,38 @@ def run_layers(net, h, t_steps, tape):
     the first LIF layer broadcasts the stem's B rows over T.  LIF layers
     start from rest, norms use batch statistics and propose updates in
     ``tape["norm_updates"]``, and every layer appends its cache to
-    ``tape["caches"]``.  The conv, norm, LIF and pool outputs come from
-    ``tape["workspace"]`` (a new `Workspace` when it is None), keyed by
-    layer index.  A layer writes over an input that no tape entry holds: a
-    norm its ``xhat`` over the conv (or pool) output it reads, its result
-    going into an array of its own, and a LIF layer its potentials
-    ``u_pre`` over its currents, except the stem's, whose B rows stand for
-    T steps.  A strict LIF layer before a pool keeps its spikes as bool
-    (`_bool_spikes`, as in an inference step), which the pool sums as bytes
-    into the potentials' dtype.  Inference does not come here: a step runs
-    its `StepProgram`.
+    ``tape["caches"]``.  The conv, norm, LIF and pool outputs are the
+    planned arrays of ``tape["workspace"]`` (`Workspace.planned`), laid out
+    for the step by `tape_plan`, which gives their shapes and dtypes.  A
+    layer writes over an input that no tape entry holds: a norm its
+    ``xhat`` over the conv (or pool) output it reads, its result going into
+    an array of its own, and a LIF layer its potentials ``u_pre`` over its
+    currents, except the stem's, whose B rows stand for T steps.  A strict
+    LIF layer before a pool keeps its spikes as bool (`_bool_spikes`, as in
+    an inference step), which the pool sums as bytes into the potentials'
+    dtype.  Inference does not come here: a step runs its `StepProgram`.
     """
     spec = net.spec
     layers, s, batch = spec.layers, spec.first_lif, h.shape[0]
-    ws, record = tape["workspace"] or Workspace(), tape["caches"].append
+    ws, record = tape["workspace"], tape["caches"].append
     owned = False  # h is this pass's own array and no tape entry holds it
     for i, (layer, par, plan) in enumerate(zip(layers, net.params, spec.layer_plan)):
         kind, cfg = layer.kind, plan.config
         if kind == "conv":
-            out = ws.channels_last((i, "y"), (len(h),) + plan.out_shape,
-                                   np.result_type(h, par["w"]))
-            y = conv2d(h, par["w"], cfg, out)
+            y = conv2d(h, par["w"], cfg, ws.planned((i, "y")))
             if "b" in par:
                 y += par["b"].reshape(1, -1, 1, 1)
             record((kind, cfg, h))
             h = y
         elif kind == "norm":
             repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
-            dtype = np.result_type(h, 1.0)
-            xhat = h if owned and h.dtype == dtype else ws.empty_like((i, "xhat"), h, dtype=dtype)
-            y = ws.empty_like((i, "y"), h, dtype=np.result_type(xhat, par["gamma"]))
-            h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats, (xhat, y))
+            xhat = h if owned and h.dtype == np.result_type(h, 1.0) else ws.planned((i, "xhat"), h)
+            out = (xhat, ws.planned((i, "y"), h))
+            h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats, out)
             record((kind, cache))
         elif kind == "lif":
             h = h.reshape((-1, batch) + h.shape[1:])
-            spikes = _empty_steps(h[0], t_steps, ws, (i, "spikes"),
-                                  bool if _bool_spikes(layers, i, net.smooth_spikes) else None)
+            spikes = _empty_steps(h[0], t_steps, ws, (i, "spikes"))
             if owned and len(h) == t_steps:  # not the stem's broadcast rows
                 u_pre = h
             else:
@@ -900,11 +1105,7 @@ def run_layers(net, h, t_steps, tape):
         elif kind == "pool":
             w = layer.window
             record((kind, w))
-            # after the stem a bool h is the spikes of the LIF layer before:
-            # they pool into its potentials' dtype
-            dtype = u_pre.dtype if h.dtype == bool and i > s else np.result_type(h, 1.0)
-            out = ws.empty_like((i, "y"), h[:, :, ::w, ::w], dtype=dtype)
-            h = avg_pool2d(h, w, out)
+            h = avg_pool2d(h, w, ws.planned((i, "y"), h[:, :, ::w, ::w]))
         else:  # fc / classifier
             shape = h.shape
             h = h.reshape(h.shape[0], -1)

@@ -50,6 +50,7 @@ from .network import (
     run_layers,
     scan_timesteps,
     spike_ramp,
+    tape_plan,
 )
 
 
@@ -191,15 +192,21 @@ def forward_with_tape(net, x, t_steps, *, workspace=None):
     proposed running-statistic updates; nothing is committed to the
     instance until `commit_norm_updates` is called.
 
-    The tape holds new arrays that nothing else writes.  Only `train` passes
-    a ``workspace`` (`network.Workspace`, the instance's): then the tape's
-    arrays, and the input gradients `backward_through_time` computes from
-    it, are that workspace's, which the next step overwrites.  Parameter
-    gradients are new arrays either way.
+    The tape's arrays, and the input gradients `backward_through_time`
+    computes from it, are the planned arrays of one `network.Workspace`,
+    laid out for the step first (`network.tape_plan`): a new one, or the
+    ``workspace`` passed, which only `train` does (the instance's, which
+    the next step overwrites).  Arrays whose lifetimes do not overlap share
+    bytes, so the backward pass writes over the tape's arrays once their
+    last reader has run: a tape can be walked back once.  Parameter
+    gradients are new arrays either way.  ConfigError when the step's
+    arrays cannot be allocated.
     """
     x = as_images(x)
     check_finite(x)
-    tape = {"caches": [], "norm_updates": {}, "t": t_steps, "workspace": workspace}
+    ws = Workspace() if workspace is None else workspace
+    ws.lay_out(tape_plan(net, x.shape[0], t_steps, x.dtype))
+    tape = {"caches": [], "norm_updates": {}, "t": t_steps, "workspace": ws}
     with kernels.one_blas_thread():
         h = run_layers(net, x, t_steps, tape)
     return h.reshape(t_steps, x.shape[0], -1), tape
@@ -212,13 +219,16 @@ def backward_through_time(net, tape, dstep_logits):
     `lif_unroll_backward`'s blocks, so the stem's backward runs on B rows.
     The walk ends at the first layer with parameters and skips its input
     gradient, which nothing reads.  The input gradients of pool, conv and
-    the first LIF layer come from the tape's workspace (a new one when it
-    has none), keyed by layer index; LIF and norm layers overwrite the
-    gradient they receive, which nothing else holds.  BLAS is held at one
-    thread throughout (`kernels.one_blas_thread`).
+    the first LIF layer are planned arrays of the tape's workspace, keyed by
+    layer index, which may lie over tape arrays whose last reader has run;
+    LIF and norm layers overwrite the gradient they receive, which nothing
+    else holds.  BLAS is held at one thread throughout
+    (`kernels.one_blas_thread`).
 
     Returns {layer_index: {param_name: gradient}} with shapes mirroring the
-    parameters exactly, in new arrays.
+    parameters exactly, in new arrays.  Raises StateError for a tape walked
+    back before, or a gradient of other timesteps or of another dtype than
+    the logits.
     """
     spec = net.spec
     caches = tape["caches"]
@@ -229,9 +239,15 @@ def backward_through_time(net, tape, dstep_logits):
         raise StateError(
             f"tape recorded {tape['t']} timesteps but gradient has {t_steps}"
         )
+    ws = tape["workspace"]
+    if ws is None:
+        raise StateError("the tape was walked back before: its arrays hold input gradients")
+    if dstep_logits.dtype != ws.plan.logits:
+        raise StateError(f"gradient of dtype {dstep_logits.dtype} for logits of "
+                         f"dtype {ws.plan.logits}")
+    tape["workspace"] = None  # the walk writes input gradients over its arrays
     s = spec.first_lif
     first_param = next(i for i, p in enumerate(net.params) if p is not None)
-    ws = tape["workspace"] or Workspace()
     g = dstep_logits.reshape(t_steps * batch, k)
     grads = {}
     with kernels.one_blas_thread():
@@ -244,17 +260,13 @@ def backward_through_time(net, tape, dstep_logits):
                 grads[i] = {"w": dw, "b": db}
                 g = dx.reshape(orig_shape)
             elif layer.kind == "pool":
-                n, c, h, w = g.shape
-                window = cache[1]
-                out = ws.channels_last((i, "dx"), (n, c, h * window, w * window),
-                                       np.result_type(g, 1.0))
-                g = avg_pool2d_backward(g, window, out=out)
+                g = avg_pool2d_backward(g, cache[1], out=ws.planned((i, "dx")))
             elif layer.kind == "lif":
                 _, cfg, lif_cache = cache
                 gs = g.reshape((t_steps, batch) + g.shape[1:])
                 if i == s:
                     g = lif_unroll_backward(gs, lif_cache, cfg, out=gs,
-                                            step_sum=ws.empty_like((i, "dx"), gs[0]))
+                                            step_sum=ws.planned((i, "dx"), gs[0]))
                 else:
                     g = lif_unroll_backward(gs, lif_cache, cfg, out=gs).reshape(g.shape)
             elif layer.kind == "norm":
@@ -268,11 +280,9 @@ def backward_through_time(net, tape, dstep_logits):
                 entry = {"w": None}
                 if "b" in net.params[i]:
                     entry["b"] = g.sum(axis=(0, 2, 3))
-                w = net.params[i]["w"]
                 need_dx = i > first_param
-                out = (ws.channels_last((i, "dx"), x_in.shape, np.result_type(g, w))
-                       if need_dx else None)
-                dx, dw = conv2d_backward(g, x_in, w, p, need_dx=need_dx, out=out)
+                out = ws.planned((i, "dx")) if need_dx else None
+                dx, dw = conv2d_backward(g, x_in, net.params[i]["w"], p, need_dx=need_dx, out=out)
                 entry["w"] = dw
                 grads[i] = entry
                 g = dx
@@ -399,11 +409,15 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     worker count.
 
     The call holds the instance's `network.Workspace`, shared with its
-    clones, and every step's tape and input gradients reuse its arrays,
-    so steps after the first allocate none of them (a smaller last batch
-    takes a prefix).  A call that finds the workspace held by a call on a
-    clone runs its steps on new arrays.  Raises DataFormatError when a
-    split is not an array of real numbers.
+    clones, and every step's tape and input gradients reuse its arena,
+    laid out by lifetime: arrays never alive at the same layer visit share
+    bytes, so the arena is about the largest set of a step's arrays alive
+    at once (71.2 MiB where the arrays add up to 113.8 MiB, for
+    configs/mnist.yaml at B=128, T=4).  Steps after the first allocate
+    none of them (a smaller last batch takes a prefix).  A call that finds
+    the workspace held by a call on a clone runs each step on a new arena.
+    Raises DataFormatError when a split is not an array of real numbers,
+    and ConfigError when a step's arena cannot be allocated.
     """
     if cfg.t_train > net.spec.t_max:
         raise ValueError(

@@ -95,6 +95,22 @@ class TestTrain:
         assert "absent.idx" in capsys.readouterr().err
 
 
+    def test_parameters_too_large_to_allocate_exit_2(self, tmp_path, capsys):
+        # 2**55 output channels: float64 draws of 2**61 bytes, past any
+        # address space, fail at once.
+        bad = json.loads(json.dumps(CONFIG))
+        bad["model"]["layers"][0]["out_channels"] = 2**55
+        config_path = tmp_path / "huge.yaml"
+        config_path.write_text(yaml.safe_dump(bad))
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        nbytes = 4 * 2**55 * (9 + 4 + 3 * 16) + 4 * 3  # float32 conv, norm and classifier
+        assert f"need {nbytes} bytes" in err
+
+
 class TestEval:
     def test_theta_zero_duplicates_static_row(self, trained, tmp_path):
         out = tmp_path / "eval0"

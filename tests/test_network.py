@@ -1088,6 +1088,46 @@ class TestStepBuffers:
         reset_states(net)
         assert all(ref() is None for ref in calls)
 
+    @pytest.mark.parametrize("rows, walks", [((1, 27, 10, 27, 1), [2, 2, 1, 1, 1]),
+                                             ((12, 27), [2, 1])])
+    def test_a_build_walks_again_only_when_a_view_went_stale(self, rows, walks, monkeypatch):
+        # A build walks the layers again only when a buffer grew after the
+        # walk handed out a view of it.  The convolutions share each
+        # worker's unfold scratch: a fresh build at 1 row, or one at 27 rows
+        # after it, grows that scratch under the stem conv's view when the
+        # second conv needs more.  After a 12-row build it is at its largest:
+        # a 27-row build grows only buffers of one layer each, at their one
+        # request in the walk, and walks once.
+        seen = []
+        step_program = network._step_program
+        monkeypatch.setattr(network, "_step_program", lambda *a: seen.append(1) or step_program(*a))
+        net, counts = self.make(), []
+        for n in rows:
+            seen.clear()
+            reset_states(net)
+            forward_timestep(net, self.images(n))
+            counts.append(len(seen))
+            assert_in_kept_buffers(net)
+        assert counts == walks
+
+    def test_a_step_of_one_tile_runs_its_blocks_inline(self, monkeypatch):
+        # A step of at most one scan tile (27 rows here) runs its blocks
+        # inline, as inside a scan tile, where a fork-join saves nothing; a
+        # larger step splits its convolutions' blocks across the workers.
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+        pool, submits = kernels._helper_pool(), []
+        submit = pool.submit
+        monkeypatch.setattr(pool, "submit", lambda *a: submits.append(a) or submit(*a))
+        net = self.make()
+        want = mean_after(self.fresh(net), self.images(27), 2)
+        submits.clear()
+        got = mean_after(net, self.images(27), 2)
+        assert submits == []
+        npt.assert_array_equal(got, want)
+        reset_states(net)
+        forward_timestep(net, self.images(60))
+        assert submits
+
     def test_a_smaller_batch_takes_a_prefix(self):
         net = self.make()
         mean_after(net, self.images(27), 1)

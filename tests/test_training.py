@@ -1,6 +1,7 @@
 """Losses, surrogate-gradient BPTT, and the SGD training loop."""
 
 import copy
+import itertools
 import math
 import os
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from dtsnn import kernels, network, training
 from dtsnn.config import parse_config
-from dtsnn.errors import DataFormatError, TrainingError
+from dtsnn.errors import ConfigError, DataFormatError, StateError, TrainingError
 from dtsnn.kernels import (
     avg_pool2d,
     avg_pool2d_backward,
@@ -31,6 +32,8 @@ from dtsnn.network import (
     build_instance,
     forward_timestep,
     inference_params,
+    pack,
+    tape_plan,
 )
 from dtsnn.training import (
     TrainConfig,
@@ -53,6 +56,7 @@ from dtsnn.training import (
 
 from conftest import INPUT_FORMS, input_form, mean_after
 from oracles import cross_entropy_reference, finite_difference_grad, replicated_tape_grads
+from test_network import PLAN_CASES
 
 rng = np.random.default_rng(99)
 
@@ -719,11 +723,12 @@ def training_steps(batches, t_steps, dtype, smooth, loss_mode, seed, workspace=N
         x = (data.standard_normal((batch, 1, 8, 8)) * 1.5).astype(dtype)
         labels = data.integers(0, 3, size=batch)
         step_logits, tape = forward_with_tape(net, x, t_steps, workspace=workspace)
+        # copied before the backward pass writes its input gradients over them
+        lif_caches = copy.deepcopy([cache[2] for cache in tape["caches"] if cache[0] == "lif"])
         loss, dstep = loss_and_grad(step_logits, labels, loss_mode)
         grads = backward_through_time(net, tape, dstep)
         commit_norm_updates(net, tape)
         norms = {i: net.params[i] for i in tape["norm_updates"]}
-        lif_caches = [cache[2] for cache in tape["caches"] if cache[0] == "lif"]
         steps.append(copy.deepcopy((loss, step_logits, grads, norms, lif_caches)))
         sgd_step(net, grads, velocities, lr=0.1, momentum=0.9, weight_decay=5e-4)
     return steps
@@ -818,12 +823,14 @@ def tape_arrays(obj):
 
 
 def workspace_bytes(spec, batch, t_steps, itemsize):
-    """Bytes of a step's workspace on ``spec``, where every norm follows a
-    conv, from its layer plan: each conv's, norm's and pool's output (a
-    norm's xhat is the conv output), each LIF layer's spikes (bool before a
-    pool), the stem LIF's potentials (the later ones are their currents),
-    and the input gradients of the pools, the convs after the first layer
-    and the first LIF layer (B rows)."""
+    """Bytes of the arrays a step on ``spec``, where every norm follows a
+    conv, requests from its workspace, from its layer plan: each conv's,
+    norm's and pool's output (a norm's xhat is the conv output), each LIF
+    layer's spikes (bool before a pool), the stem LIF's potentials (the
+    later ones are their currents), and the input gradients of the pools,
+    the convs after the first layer and the first LIF layer (B rows).  The
+    arena they are packed into is smaller: arrays that are never alive at
+    once share bytes."""
     s, total = spec.first_lif, 0
     for i, (layer, plan) in enumerate(zip(spec.layers, spec.layer_plan)):
         rows = batch if i < s else t_steps * batch
@@ -861,10 +868,12 @@ class TestTapeLayout:
                     assert u_pre.dtype == np.float32
                 elif layer.kind == "norm":
                     assert spec.layers[i - 1].kind == "conv"
-                    assert np.shares_memory(cache[1][0], ws._buffers[(i - 1, "y")])
-                    assert (i, "xhat") not in ws._buffers
+                    assert np.shares_memory(cache[1][0], ws.planned((i - 1, "y")))
+                    assert (i, "xhat") not in ws.plan.slots
 
     def test_a_train_call_leaves_the_workspace_the_layout_predicts(self):
+        # The workspace holds the planner's arena and nothing else; the
+        # plan holds the arrays the layout predicts, packed into fewer bytes.
         spec = stem_specs()["mnist"]
         batch, t_steps = 8, 4
         data = np.random.default_rng(3)
@@ -872,8 +881,137 @@ class TestTapeLayout:
         y = data.integers(0, spec.num_classes, batch)
         net = build_instance(spec, seed=1)
         train(net, x, y, x[:4], y[:4], TrainConfig(epochs=1, batch_size=batch, t_train=t_steps))
-        got = sum(buf.nbytes for buf in net.workspace._buffers.values())
-        assert got == workspace_bytes(spec, batch, t_steps, 4)
+        plan = tape_plan(net, batch, t_steps, np.float32)
+        assert net.workspace._arena.nbytes == pack(plan)[1] and net.workspace._buffers == {}
+        assert plan_bytes(plan) == workspace_bytes(spec, batch, t_steps, 4)
+        assert pack(plan)[1] < 0.7 * plan_bytes(plan)
+
+
+def plan_bytes(plan):
+    """Bytes of every array of a `tape_plan`, each on bytes of its own."""
+    return sum(math.prod(shape) * dtype.itemsize for shape, dtype in plan.slots.values())
+
+
+def zoo_specs():
+    """stem_specs(), row_parallel_spec() and the inference-plan cases: convs
+    with and without a bias, a pool or a LIF layer first, fc layers, norms
+    after a conv, a pool, an fc and a LIF layer."""
+    specs = dict(stem_specs(), row_parallel=row_parallel_spec())
+    for name, (layers, input_shape, _) in PLAN_CASES.items():
+        specs[f"plan_{name}"] = NetworkSpec(input_shape=input_shape, num_classes=3, t_max=4,
+                                            layers=layers)
+    return specs
+
+
+class TestTapePlan:
+    """A training step runs on arrays laid out by lifetime: every array it
+    requests is planned, arrays alive at the same visit never share bytes,
+    and the step computes what it computes on new arrays."""
+
+    @staticmethod
+    def steps(spec, dtype, smooth, workspace):
+        """Copies of the logits, gradients and proposed running statistics
+        of two training steps, on a full batch and a smaller last one."""
+        net = build_instance(spec, seed=7, dtype=dtype)
+        net.smooth_spikes = smooth
+        data = np.random.default_rng(11)
+        out = []
+        for batch in (5, 3):
+            x = (data.standard_normal((batch,) + spec.input_shape) * 1.5).astype(dtype)
+            labels = data.integers(0, spec.num_classes, batch)
+            logits, tape = forward_with_tape(net, x, 3, workspace=workspace)
+            _, dstep = loss_and_grad(logits, labels, "per_timestep")
+            grads = backward_through_time(net, tape, dstep)
+            out.append(copy.deepcopy((logits, grads, tape["norm_updates"])))
+            commit_norm_updates(net, tape)
+            sgd_step(net, grads, {}, lr=0.1, momentum=0.9, weight_decay=5e-4)
+        return out
+
+    @pytest.mark.parametrize("name", list(zoo_specs()))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    def test_a_packed_step_equals_a_step_on_new_arrays(self, name, dtype, smooth, monkeypatch):
+        spec = zoo_specs()[name]
+
+        def apart(*args):  # every array alive throughout: each on bytes of its own
+            plan = tape_plan(*args)
+            return plan._replace(spans=dict.fromkeys(plan.spans, (0, 2 * len(spec.layers))))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(training, "tape_plan", apart)
+            want = self.steps(spec, dtype, smooth, None)
+        plans, requested = [], []
+        lay_out, planned = Workspace.lay_out, Workspace.planned
+
+        def laying_out(ws, plan):
+            lay_out(ws, plan)
+            plans.append(plan)
+            requested.append(set())
+            sizes = {key: math.prod(shape) * dt.itemsize for key, (shape, dt) in plan.slots.items()}
+            for a, b in itertools.combinations(plan.slots, 2):
+                (first_a, last_a), (first_b, last_b) = plan.spans[a], plan.spans[b]
+                if first_a <= last_b and first_b <= last_a:  # alive at one visit
+                    start_a, start_b = ws._regions[a][0], ws._regions[b][0]
+                    assert start_a + sizes[a] <= start_b or start_b + sizes[b] <= start_a, (a, b)
+
+        monkeypatch.setattr(Workspace, "lay_out", laying_out)
+        monkeypatch.setattr(Workspace, "planned", lambda ws, key, like=None:
+                            requested[-1].add(key) or planned(ws, key, like))
+        got = self.steps(spec, dtype, smooth, Workspace())
+        assert len(plans) == 2
+        for plan, keys in zip(plans, requested, strict=True):
+            assert keys == plan.slots.keys()
+        for (logits, grads, norms), (want_logits, want_grads, want_norms) in zip(got, want,
+                                                                                 strict=True):
+            npt.assert_array_equal(logits, want_logits)
+            assert grads.keys() == want_grads.keys() and norms.keys() == want_norms.keys()
+            for i in want_grads:
+                for param in want_grads[i]:
+                    npt.assert_array_equal(grads[i][param], want_grads[i][param])
+            for i in want_norms:
+                for stat in want_norms[i]:
+                    npt.assert_array_equal(norms[i][stat], want_norms[i][stat])
+
+    def test_the_mnist_step_packs_into_less_than_two_thirds_of_its_arrays(self):
+        # At the bench's B=128, T=4: 113.8 MiB of arrays, 71.2 MiB of arena,
+        # against 70.1 MiB alive at the busiest visit (the end of the
+        # forward pass and the first pool gradient).
+        net = build_instance(stem_specs()["mnist"], seed=0)
+        plan = tape_plan(net, 128, 4, np.float32)
+        assert plan_bytes(plan) == workspace_bytes(net.spec, 128, 4, 4)
+        assert pack(plan)[1] <= 72 * 2**20 < plan_bytes(plan)
+
+    def test_a_request_the_plan_lacks_raises(self):
+        ws = Workspace()
+        with pytest.raises(StateError, match="not in the step's tape plan"):
+            ws.planned((0, "y"))
+        net = build_instance(row_parallel_spec(), seed=0)
+        ws.lay_out(tape_plan(net, 2, 2, np.float32))
+        with pytest.raises(StateError, match="not in the step's tape plan"):
+            ws.planned((0, "dx"))  # the first conv computes no input gradient
+
+    def test_a_tape_is_walked_back_once(self):
+        net = build_instance(row_parallel_spec(), seed=0)
+        x = np.random.default_rng(1).standard_normal((4, 1, 8, 8)).astype(np.float32)
+        logits, tape = forward_with_tape(net, x, 2)
+        dstep = np.ones_like(logits)
+        backward_through_time(net, tape, dstep)
+        with pytest.raises(StateError, match="walked back before"):
+            backward_through_time(net, tape, dstep)
+        _, tape = forward_with_tape(net, x, 2)
+        with pytest.raises(StateError, match="dtype float64 for logits of dtype float32"):
+            backward_through_time(net, tape, dstep.astype(np.float64))
+        backward_through_time(net, tape, dstep)  # the tape is still whole
+
+    def test_a_step_too_large_to_allocate_raises_config_error(self):
+        # 2**56 steps of a 4-channel LIF layer: a 2**60-byte arena, past any
+        # address space, on parameters of a few bytes.
+        spec = NetworkSpec(input_shape=(1, 1, 1), num_classes=2, t_max=2**56, layers=(
+            LayerSpec("conv", out_channels=4, kernel=1, padding=0), LayerSpec("lif"),
+            LayerSpec("classifier")))
+        net = build_instance(spec, seed=0)
+        with pytest.raises(ConfigError, match=r"needs a workspace of \d+ bytes"):
+            forward_with_tape(net, np.zeros((1, 1, 1, 1), np.float32), 2**56)
 
 
 class TestPoolFirst:
@@ -901,7 +1039,7 @@ class TestPoolFirst:
 class TestWorkspace:
     """`train` draws every step's tape and input gradients from the
     instance's workspace, shared with its clones; direct tape callers get
-    new arrays."""
+    new arrays, on an arena of their own per tape."""
 
     def batch(self, spec, n):
         data = np.random.default_rng(2)
@@ -930,6 +1068,29 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peaks[1] < peaks[0] / 4, peaks
         assert peaks[2] < peaks[0] / 4, peaks
+
+    def test_a_first_call_peaks_at_the_arena_not_at_the_sum_of_its_arrays(self, monkeypatch):
+        # Tier-1 guard against a return to a buffer per array: a first call
+        # at B=32, T=4 peaks within the arena plus a slack of 7 MiB for the
+        # temporaries the workspace does not hold (5.1 MiB measured at two
+        # workers); the arrays on bytes of their own would need 10.7 MiB
+        # more than the arena.
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+        spec = stem_specs()["mnist"]
+        x, y = self.batch(spec, 32)
+        net = build_instance(spec, seed=1)
+        plan = tape_plan(net, 32, 4, np.float32)
+        arena, slack = pack(plan)[1], 7 * 2**20
+        assert arena + slack < plan_bytes(plan)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train(net, x, y, x[:4], y[:4], TrainConfig(epochs=1, batch_size=32, t_train=4))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert net.workspace._arena.nbytes == arena
+        assert peak < arena + slack, (peak, arena)
 
     def test_direct_tape_and_gradients_survive_later_training(self):
         spec = row_parallel_spec()
@@ -989,7 +1150,7 @@ class TestWorkspace:
                 assert held is net.workspace and again is None
             clone = net.clone_state()
             got = train(clone, x, y, x, y, cfg)
-            assert held._buffers == {}  # the clone's steps drew nothing from it
+            assert held._arena is None  # the clone's steps drew nothing from it
         assert got.csv_rows() == train(ref, x, y, x, y, cfg).csv_rows()
         for p, q in zip(clone.params, ref.params, strict=True):
             for name in p or {}:
