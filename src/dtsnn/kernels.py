@@ -186,6 +186,16 @@ class ConvBuffers(NamedTuple):
     out: np.ndarray      # (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory
 
 
+def unfold_size(n, in_shape, params, itemsize):
+    """Elements of a worker's unfold scratch for a convolution over n
+    samples of ``in_shape`` (C, H, W) of ``itemsize`` bytes: one block of
+    `block_rows` samples, unfolded."""
+    c, h, w = in_shape
+    ho, wo = params.output_hw(h, w)
+    k = params.kernel_h * params.kernel_w * c
+    return min(n, block_rows(ho * wo * k * itemsize)) * ho * wo * k
+
+
 def conv_buffers(x, params, dtype, out, take):
     """Build the blocks of `conv2d` on x into ``out`` once.
 
@@ -213,7 +223,7 @@ def conv_buffers(x, params, dtype, out, take):
     def scratch(take, worker):
         mem = take(("x", worker), (min(n, step), h + 2 * pad, w + 2 * pad, c), dtype)
         mem[...] = 0
-        cols = take(("cols", worker), (min(n, step) * ho * wo * k,), dtype)
+        cols = take(("cols", worker), (unfold_size(n, (c, h, w), params, x.itemsize),), dtype)
         xp = mem.transpose(0, 3, 1, 2)
         sn, sc, sh, sw = xp.strides
         views = {}
@@ -330,6 +340,7 @@ def conv2d_backward(dy, x, weights, params, need_dx=True, out=None):
 
     _run_on_scratch(len(parts), block, conv)
     dw = np.ascontiguousarray(sum(parts).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+    del conv  # its scratch goes before the input gradient's convolution takes its own
     if not need_dx:
         return None, dw
     if params.stride == 1 and kh == kw and params.padding < kh:

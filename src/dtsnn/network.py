@@ -120,39 +120,59 @@ def lif_unroll(currents, cfg, smooth=False, out=None):
     """Forward a (T, B, ...) current tensor through one LIF layer from rest:
     the training tape's LIF layer.
 
-    Each step is `_lif_update`.  Returns (spikes, (u_pre, spikes)), the
-    cache `training.lif_unroll_backward` needs; ``out``, a pair (u_pre,
-    spikes) of (T, B, ...) arrays, receives it.  Either may be currents
-    itself, and strict spikes may be bool.  Samples are independent: the
-    batch runs in blocks of about `kernels.BLOCK_BYTES` of one step's
-    currents (`kernels.run_row_blocks`), each through all T steps, from
-    rest on potentials of its own.  An inference step does not come here: its
+    Each step is `_lif_update`.  Returns (spikes, (kept, smooth)), the cache
+    `training.lif_unroll_backward` needs, which holds no spikes: kept is the
+    (T, B, ...) potentials before the reset, or, for currents that are one
+    (B, ...) array at every step (a T axis of stride 0, as `np.broadcast_to`
+    gives: the stem's B rows), that array, from which the backward pass
+    recomputes them.  ``out``, a pair (u_pre, spikes) of (T, B, ...) arrays,
+    receives the potentials and the spikes; u_pre may be currents itself,
+    and is not written (it may be None) for broadcast currents; strict
+    spikes may be bool.  Samples are independent: the batch runs in blocks
+    of about `kernels.BLOCK_BYTES` of one step's currents
+    (`kernels.run_row_blocks`), each through all T steps, from rest on
+    potentials of its own.  An inference step does not come here: its
     program calls `_lif_update` on the step's own arrays, and `lif_step`
     continues a LifState.
     """
     t_steps, batch = currents.shape[:2]
     step = currents[0]
+    broadcast = currents.strides[0] == 0
     if out is None:
-        out = (_empty_steps(step, t_steps), _empty_steps(step, t_steps))
-    u_pre, spikes = out
+        out = (None if broadcast else _empty_steps(step, t_steps), _empty_steps(step, t_steps))
+    u_pre, spikes = (None if broadcast else out[0]), out[1]
     row_bytes = step.nbytes // max(1, batch)
     if batch <= kernels.block_rows(row_bytes):
         _lif_rows(currents, cfg, smooth, u_pre, spikes)
     else:
         kernels.run_row_blocks(batch, row_bytes, lambda rows: _lif_rows(
-            currents[:, rows], cfg, smooth, u_pre[:, rows], spikes[:, rows]))
-    return spikes, (u_pre, spikes)
+            currents[:, rows], cfg, smooth, None if u_pre is None else u_pre[:, rows],
+            spikes[:, rows]))
+    return spikes, (step if broadcast else u_pre, smooth)
+
+
+def _lif_potentials(currents, t_steps, cfg, smooth):
+    """The (t_steps, B, ...) potentials before the reset of a LIF layer that
+    sees the (B, ...) currents at every step, in a new array in their memory
+    order: `_lif_rows` again, for the backward pass of a tape that kept the
+    currents (`lif_unroll`)."""
+    u_pre = _empty_steps(currents, t_steps)
+    _lif_rows(np.broadcast_to(currents, u_pre.shape), cfg, smooth, u_pre, None)
+    return u_pre
 
 
 def _lif_rows(currents, cfg, smooth, u_pre, spikes):
     """`lif_unroll` of one block of samples: `_lif_update` at every step,
-    from rest, writing each step's potentials before the reset and its
-    spikes."""
+    from rest, writing each step's potentials before the reset into u_pre
+    and its spikes into spikes, unless they are None."""
     u = np.zeros_like(currents[0])
     keep = np.empty_like(u, dtype=bool)
+    spike = np.empty_like(u) if smooth and spikes is None else keep  # a step's, when not kept
     for t in range(currents.shape[0]):
-        current, v, k, spike, pre = _channels_last_views(currents[t], u, keep, spikes[t], u_pre[t])
-        _lif_update(current, v, cfg, smooth, k, spike, pre)
+        current, v, k, s = _channels_last_views(
+            currents[t], u, keep, spike if spikes is None else spikes[t])
+        _lif_update(current, v, cfg, smooth, k, s,
+                    None if u_pre is None else _channels_last_views(u_pre[t])[0])
 
 
 def _lif_update(current, v, cfg, smooth, keep, spike, u_pre=None):
@@ -406,10 +426,14 @@ def tape_plan(net, batch, t_steps, dtype):
     back, with their rules: the dtype each kernel gives, the inputs a layer
     writes over instead of requesting an array (a norm's xhat, a later LIF
     layer's potentials, the LIF and norm input gradients), and the arrays a
-    layer's tape entry holds until its backward visit.  An fc layer's entry
-    is taken to hold its input, as it does when the flattening is a view.
-    The layers before the first one with parameters have no backward visit:
-    their arrays last until the last layer that reads them.
+    layer's tape entry holds until its backward visit.  A LIF layer's entry
+    holds its input (its potentials, or the stem's B rows of currents), not
+    its spikes, which last until the next layer's forward visit unless that
+    layer holds them.  An fc layer's entry holds its input unless the
+    flattening copies it: a channels-last input (any one after a conv) of
+    more than one channel and more than one pixel.  The layers before the
+    first one with parameters have no backward visit: their arrays last
+    until the last layer that reads them.
     """
     spec, params = net.spec, net.params
     layers, s = spec.layers, spec.first_lif
@@ -428,17 +452,17 @@ def tape_plan(net, batch, t_steps, dtype):
         return key
 
     # h: the key of the array the next layer reads, None when it is not planned
-    h, dt, owned, lif_dt = None, np.dtype(dtype), False, None
+    h, dt, lif_dt, channels_last = None, np.dtype(dtype), None, False
     for i, (layer, par, plan) in enumerate(zip(layers, params, spec.layer_plan)):
         kind, rows = layer.kind, batch if i < s else t_steps * batch
         use(h, i)
         if kind == "conv":
             use(h, back(i))  # its input, for the weight gradient
-            dt = np.result_type(dt, par["w"])
+            dt, channels_last = np.result_type(dt, par["w"]), True
             h = new((i, "y"), (rows,) + plan.out_shape, dt, i)
         elif kind == "norm":
             xhat_dt = xhat_dtypes[i] = np.result_type(dt, 1.0)
-            xhat = h if owned and dt == xhat_dt else \
+            xhat = h if i > 0 and dt == xhat_dt else \
                 new((i, "xhat"), (rows,) + plan.in_shape, xhat_dt, i)
             use(xhat, back(i))
             dt = np.result_type(xhat_dt, par["gamma"])
@@ -447,21 +471,19 @@ def tape_plan(net, batch, t_steps, dtype):
             steps = (t_steps * batch,) + plan.in_shape
             bool_spikes = _bool_spikes(layers, i, net.smooth_spikes)
             spikes = new((i, "spikes"), steps, bool if bool_spikes else dt, i)
-            # the stem's B rows stand for T steps: written over only when T is 1
-            u_pre = h if owned and (i > s or t_steps == 1) else new((i, "u_pre"), steps, dt, i)
             if i >= first_param:
-                use(u_pre, back(i))
-                use(spikes, back(i))
+                use(h, back(i))  # its potentials over its currents; the stem's currents
             lif_dt, h, dt = dt, spikes, slots[spikes][1]
         elif kind == "pool":
             # bool spikes after the stem pool into their potentials' dtype
             dt = lif_dt if dt == bool and i > s else np.result_type(dt, 1.0)
             h = new((i, "y"), (rows,) + plan.out_shape, dt, i)
         else:  # fc / classifier: a new output
-            use(h, back(i))
+            c, *hw = plan.in_shape
+            if not (channels_last and hw and c > 1 and math.prod(hw) > 1):  # else a copy
+                use(h, back(i))
             dt = np.result_type(dt, par["w"], par["b"])
             h = None
-        owned = kind != "lif"  # a LIF layer's tape entry holds its spikes
     logits = dt
     g = None  # the key of the gradient the next layer back receives
     for i in reversed(range(first_param, len(layers))):
@@ -533,11 +555,13 @@ class Workspace:
 
     A step's keys are those `run_layers` and `training.backward_through_time`
     request: each conv's and pool's output ("y"), each train-mode norm's
-    output ("y"; its ``xhat`` is written over the conv output it reads, or
-    is "xhat"), each LIF layer's spikes ("spikes": bool before a strict
-    pool, else float) and the stem LIF's potentials ("u_pre"; the later LIF
-    layers write theirs over their currents), and the input gradients
-    ("dx") of pools, convs and the first LIF layer.
+    output ("y"; its ``xhat`` is written over the array it reads, or is
+    "xhat"), each LIF layer's spikes ("spikes": bool before a strict pool,
+    else float, alive until the next layer has read them unless it keeps
+    them), and the input gradients ("dx") of pools, convs and the first LIF
+    layer.  No LIF layer has potentials of its own: the later ones write
+    theirs over their currents, and the stem's are recomputed from its
+    currents in the backward pass.
 
     An inference step (`StepBuffers`) takes its arrays from `empty`
     instead: a byte buffer per key, grown when a request needs more bytes
@@ -763,6 +787,7 @@ def _step_program(spec, params, key, memory, blocks):
     n, dtype, smooth, record = key
     layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
     inputs = {}  # layer index -> its fixed input array
+    sized = set()  # the unfold scratch keys taken at their largest size
 
     def own(i, role, shape, dt):
         if len(shape) == 4:
@@ -771,8 +796,17 @@ def _step_program(spec, params, key, memory, blocks):
 
     def take(i, role, shape, dt):
         """Layer i's kernel scratch: a convolution's zero-bordered one is its
-        own, any other is shared by the layers of its role."""
-        return memory.empty((i if role[0] == "x" else "step", role), shape, dt)
+        own, any other is shared by the layers of its role.  A worker's
+        unfold scratch is first taken at the largest size any convolution
+        needs (`kernels.unfold_size`, the later ones at dt), so that no
+        view of it goes stale."""
+        key = (i if role[0] == "x" else "step", role)
+        if role[0] == "cols" and key not in sized:
+            sized.add(key)
+            memory.empty(key, (max([shape[0]] + [
+                kernels.unfold_size(n, plans[j].in_shape, plans[j].config, dt.itemsize)
+                for j, layer in enumerate(layers) if layer.kind == "conv"]),), dt)
+        return memory.empty(key, shape, dt)
 
     def fixed_input(i, dt):
         """The array layer i reads, for input dtype dt; None for h as it comes."""
@@ -1064,18 +1098,20 @@ def run_layers(net, h, t_steps, tape):
     ``tape["caches"]``.  The conv, norm, LIF and pool outputs are the
     planned arrays of ``tape["workspace"]`` (`Workspace.planned`), laid out
     for the step by `tape_plan`, which gives their shapes and dtypes.  A
-    layer writes over an input that no tape entry holds: a norm its
-    ``xhat`` over the conv (or pool) output it reads, its result going into
-    an array of its own, and a LIF layer its potentials ``u_pre`` over its
-    currents, except the stem's, whose B rows stand for T steps.  A strict
-    LIF layer before a pool keeps its spikes as bool (`_bool_spikes`, as in
-    an inference step), which the pool sums as bytes into the potentials'
-    dtype.  Inference does not come here: a step runs its `StepProgram`.
+    layer writes over an input that no tape entry holds (any but the
+    caller's x): a norm its ``xhat`` over the array it reads, its result
+    going into an array of its own, and a LIF layer after the stem its
+    potentials over its currents.  The stem's LIF layer writes no
+    potentials: its entry keeps its B rows of currents, from which the
+    backward pass recomputes them (`lif_unroll`).  No LIF entry holds
+    spikes; a strict LIF layer before a pool leaves them as bool
+    (`_bool_spikes`, as in an inference step), which the pool sums as bytes
+    into the potentials' dtype.  Inference does not come here: a step runs
+    its `StepProgram`.
     """
     spec = net.spec
     layers, s, batch = spec.layers, spec.first_lif, h.shape[0]
     ws, record = tape["workspace"], tape["caches"].append
-    owned = False  # h is this pass's own array and no tape entry holds it
     for i, (layer, par, plan) in enumerate(zip(layers, net.params, spec.layer_plan)):
         kind, cfg = layer.kind, plan.config
         if kind == "conv":
@@ -1086,20 +1122,16 @@ def run_layers(net, h, t_steps, tape):
             h = y
         elif kind == "norm":
             repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
-            xhat = h if owned and h.dtype == np.result_type(h, 1.0) else ws.planned((i, "xhat"), h)
+            xhat = h if i > 0 and h.dtype == np.result_type(h, 1.0) else ws.planned((i, "xhat"), h)
             out = (xhat, ws.planned((i, "y"), h))
             h, tape["norm_updates"][i], cache = batch_norm_train_cached(h, par, repeats, out)
             record((kind, cache))
         elif kind == "lif":
             h = h.reshape((-1, batch) + h.shape[1:])
             spikes = _empty_steps(h[0], t_steps, ws, (i, "spikes"))
-            if owned and len(h) == t_steps:  # not the stem's broadcast rows
-                u_pre = h
-            else:
-                u_pre = _empty_steps(h[0], t_steps, ws, (i, "u_pre"))
-                if len(h) < t_steps:  # the stem's rows, the same at every step
-                    h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
-            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, (u_pre, spikes))
+            if i == s:  # the stem's rows, the same at every step
+                h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
+            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, (h, spikes))
             record((kind, cfg, cache))
             h = spikes.reshape((-1,) + spikes.shape[2:])
         elif kind == "pool":
@@ -1111,7 +1143,6 @@ def run_layers(net, h, t_steps, tape):
             h = h.reshape(h.shape[0], -1)
             record((kind, h, shape))
             h = fully_connected(h, par["w"], par["b"])
-        owned = kind != "lif"  # a LIF layer's tape entry holds its spikes
     return h
 
 

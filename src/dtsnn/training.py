@@ -43,6 +43,7 @@ from .kernels import (
 # lif_unroll and spike_ramp are public here too.
 from .network import (
     Workspace,
+    _lif_potentials,
     as_images,
     as_labels,
     check_finite,
@@ -130,22 +131,36 @@ def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None):
     """Reverse-time unroll: surrogate through the firing, tau through the
     membrane recurrence, (1 - s) through the detached reset multiplier.
 
+    ``cache`` is `network.lif_unroll`'s (kept, smooth), which holds no
+    spikes: the reset multiplier comes from the potentials before the reset,
+    u_pre <= v_th under strict firing and 1 - spike_ramp(u_pre) under smooth
+    firing, the values 1 - s of the spikes the forward pass wrote.  Kept
+    (B, ...) currents, the same at every step (the stem's), are run through
+    the forward recurrence again (`network._lif_potentials`) by each block,
+    into a new array of its rows' T steps; kept (T, B, ...) potentials are
+    read as they are.
+
     Each step's gradient is built in its own row of the result, ``out`` when
     it is given (which may be dspikes itself); one carry buffer holds
-    tau * du[t+1] * (1 - s[t]).  With bool spikes the multiplier 1 - s[t]
-    is their logical not, the same values.  Samples are independent: the
-    batch axis of (T, B, ...) runs in blocks of about `kernels.BLOCK_BYTES`
-    of one step (`kernels.run_row_blocks`), each through all T steps.  With
+    tau * du[t+1] * (1 - s[t]).  Samples are independent: the batch axis of
+    (T, B, ...) runs in blocks of about `kernels.BLOCK_BYTES` of one step,
+    or of all T steps where a block recomputes them
+    (`kernels.run_row_blocks`), each through all T steps.  With
     ``step_sum``, a (B, ...) array, each block also adds its rows'
     gradients over the T steps into it, in step order as ``sum(axis=0)``
     does, and step_sum is returned.
     """
-    u_pre, spikes = cache
+    kept, smooth = cache
     d_currents = np.empty_like(dspikes) if out is None else out
+    t_steps = dspikes.shape[0]
+    recompute = kept.ndim < dspikes.ndim  # kept currents
 
     def block(rows):
-        _lif_rows_backward(dspikes[:, rows], u_pre[:, rows], spikes[:, rows], cfg,
-                           d_currents[:, rows])
+        if recompute:
+            u_pre = _lif_potentials(kept[rows], t_steps, cfg, smooth)
+        else:
+            u_pre = kept[:, rows]
+        _lif_rows_backward(dspikes[:, rows], u_pre, smooth, cfg, d_currents[:, rows])
         if step_sum is not None:
             total = step_sum[rows]
             total[...] = d_currents[0, rows]
@@ -153,11 +168,12 @@ def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None):
                 total += d
 
     batch = dspikes.shape[1]
-    kernels.run_row_blocks(batch, d_currents[0].nbytes // max(1, batch), block)
+    row_bytes = d_currents[0].nbytes // max(1, batch)
+    kernels.run_row_blocks(batch, row_bytes * (t_steps if recompute else 1), block)
     return d_currents if step_sum is None else step_sum
 
 
-def _lif_rows_backward(dspikes, u_pre, spikes, cfg, d_currents):
+def _lif_rows_backward(dspikes, u_pre, smooth, cfg, d_currents):
     """`lif_unroll_backward` of one block of samples, into d_currents, which
     may be dspikes: step t reads dspikes[t] before it writes d_currents[t]."""
     t_steps = dspikes.shape[0]
@@ -167,10 +183,10 @@ def _lif_rows_backward(dspikes, u_pre, spikes, cfg, d_currents):
         du = d_currents[t]
         if t + 1 < t_steps:
             np.multiply(d_currents[t + 1], cfg.tau, out=carry)
-            if spikes.dtype == bool:
-                np.logical_not(spikes[t], out=term)
+            if smooth:
+                np.subtract(1.0, spike_ramp(u_pre[t], cfg.v_th), out=term)
             else:
-                np.subtract(1.0, spikes[t], out=term)
+                np.less_equal(u_pre[t], cfg.v_th, out=term)
             carry *= term
         surrogate_grad(u_pre[t], cfg.v_th, out=term)
         np.multiply(term, dspikes[t], out=du)
@@ -412,9 +428,10 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     clones, and every step's tape and input gradients reuse its arena,
     laid out by lifetime: arrays never alive at the same layer visit share
     bytes, so the arena is about the largest set of a step's arrays alive
-    at once (71.2 MiB where the arrays add up to 113.8 MiB, for
-    configs/mnist.yaml at B=128, T=4).  Steps after the first allocate
-    none of them (a smaller last batch takes a prefix).  A call that finds
+    at once (50.5 MiB where the arrays add up to 95.4 MiB, for
+    configs/mnist.yaml at B=128, T=4: no LIF layer keeps its spikes, and
+    the stem's keeps its currents, not its potentials).  Steps after the
+    first allocate none of them (a smaller last batch takes a prefix).  A call that finds
     the workspace held by a call on a clone runs each step on a new arena.
     Raises DataFormatError when a split is not an array of real numbers,
     and ConfigError when a step's arena cannot be allocated.

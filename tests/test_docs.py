@@ -2,13 +2,17 @@
 package's own docstrings and comments refer to."""
 
 import importlib
+import math
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dtsnn
+from dtsnn.config import parse_config
+from dtsnn.network import build_instance, pack, tape_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -71,3 +75,23 @@ def test_name_in_source_resolves(source, name):
     else:  # a _private or CamelCase name of some module of the package
         assert any(resolves(importlib.import_module(f"dtsnn.{module}"), path)
                    for module in MODULES)
+
+
+def test_the_workspace_figures_are_the_mnist_steps():
+    # The README's training-workspace figures, in MiB: the sum of a step's
+    # planned arrays, the arena they pack into and the bytes alive at the
+    # busiest layer visit, each to the precision it is printed with.
+    text = " ".join(README.split())
+    found = re.search(r"For `configs/mnist\.yaml` at B=(\d+), T=(\d+) the step's arrays add up "
+                      r"to ([\d.]+) MiB but pack into a ([\d.]+) MiB arena: at most ([\d.]+) MiB",
+                      text)
+    assert found is not None
+    net = build_instance(parse_config(ROOT / "configs" / "mnist.yaml").network, seed=0)
+    plan = tape_plan(net, int(found[1]), int(found[2]), np.float32)
+    sizes = {key: math.prod(shape) * dt.itemsize for key, (shape, dt) in plan.slots.items()}
+    busiest = max(sum(size for key, size in sizes.items()
+                      if plan.spans[key][0] <= visit <= plan.spans[key][1])
+                  for visit in range(2 * len(net.spec.layers)))
+    for printed, size in zip(found.groups()[2:], (sum(sizes.values()), pack(plan)[1], busiest),
+                             strict=True):
+        assert printed == f"{size / 2**20:.{len(printed.partition('.')[2])}f}"

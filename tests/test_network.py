@@ -164,11 +164,11 @@ class TestLifUnroll:
         assert ref_u_pre[0, 0, :2, 0].tolist() == [1.0, 1.0]
         assert ref_spikes[0, 0, :2, 0].tolist() == [0.0, 0.0]
         assert (ref_u_pre[:, 1, 0, 0] < 0).all()
-        spikes, (u_pre, cached) = lif_unroll(currents, cfg)
+        spikes, (u_pre, smooth) = lif_unroll(currents, cfg)
         assert spikes.dtype == u_pre.dtype == dtype
         npt.assert_array_equal(spikes, ref_spikes)
         npt.assert_array_equal(u_pre, ref_u_pre)
-        assert cached is spikes
+        assert smooth is False
 
         u0 = rng.uniform(-1.0, 1.0, size=currents.shape[1:]).astype(dtype)
         u0[0, 0, 0] = 0.0
@@ -191,8 +191,8 @@ class TestLifUnroll:
         want, (want_u_pre, _) = lif_unroll(currents.copy(), cfg)
         over = currents.copy(order="K")
         out = (over, np.empty(over.shape, bool))
-        spikes, (u_pre, cached) = lif_unroll(over, cfg, out=out)
-        assert spikes is cached is out[1] and u_pre is over
+        spikes, (u_pre, smooth) = lif_unroll(over, cfg, out=out)
+        assert spikes is out[1] and u_pre is over and smooth is False
         npt.assert_array_equal(u_pre, want_u_pre)
         npt.assert_array_equal(spikes, want)
 
@@ -258,6 +258,9 @@ PLAN_CASES = {
                           LayerSpec("lif"), LayerSpec("classifier")), (2, 6, 6), [1]),
     "fc_norm": ((LayerSpec("fc", out_features=12), LayerSpec("norm"), LayerSpec("lif"),
                  LayerSpec("classifier")), (1, 4, 4), [1]),
+    # no conv: the pool keeps the input's C-order layout, which the fc flattens as a view
+    "pool_fc": ((LayerSpec("pool", window=2), LayerSpec("fc", out_features=12),
+                 LayerSpec("norm"), LayerSpec("lif"), LayerSpec("classifier")), (2, 6, 6), [2]),
     "pool_norm": ((LayerSpec("pool", window=2), LayerSpec("norm"), LayerSpec("lif"),
                    LayerSpec("conv", out_channels=3), LayerSpec("lif"),
                    LayerSpec("classifier")), (2, 6, 6), []),
@@ -1088,16 +1091,16 @@ class TestStepBuffers:
         reset_states(net)
         assert all(ref() is None for ref in calls)
 
-    @pytest.mark.parametrize("rows, walks", [((1, 27, 10, 27, 1), [2, 2, 1, 1, 1]),
-                                             ((12, 27), [2, 1])])
+    @pytest.mark.parametrize("rows, walks", [((1, 27, 10, 27, 1), [1, 1, 1, 1, 1]),
+                                             ((12, 27), [1, 1])])
     def test_a_build_walks_again_only_when_a_view_went_stale(self, rows, walks, monkeypatch):
         # A build walks the layers again only when a buffer grew after the
         # walk handed out a view of it.  The convolutions share each
-        # worker's unfold scratch: a fresh build at 1 row, or one at 27 rows
-        # after it, grows that scratch under the stem conv's view when the
-        # second conv needs more.  After a 12-row build it is at its largest:
-        # a 27-row build grows only buffers of one layer each, at their one
-        # request in the walk, and walks once.
+        # worker's unfold scratch, which the stem conv takes at the size the
+        # largest conv needs: a fresh build at 1 row, or one at 27 rows
+        # after it, grows it before any view of it is handed out, and the
+        # buffers of one layer each grow at their one request in the walk.
+        # Every build walks once.
         seen = []
         step_program = network._step_program
         monkeypatch.setattr(network, "_step_program", lambda *a: seen.append(1) or step_program(*a))

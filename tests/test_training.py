@@ -232,25 +232,64 @@ class TestLifBackward:
 
     @pytest.mark.parametrize("block_bytes", [1, 700, kernels.BLOCK_BYTES])
     @pytest.mark.parametrize("step_sum", [False, True])
-    def test_bool_spikes_give_the_float_spikes_gradient(self, step_sum, block_bytes,
-                                                        monkeypatch):
-        # A strict LIF layer before a pool keeps bool spikes on the tape; its
-        # reset multiplier is their logical not.
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    def test_the_potentials_give_the_spikes_reset_multiplier(self, smooth, step_sum,
+                                                             block_bytes, monkeypatch):
+        # The tape keeps no spikes: the backward pass takes the reset
+        # multiplier from the potentials, and it must be 1 - s of the spikes
+        # the forward pass wrote, as bool or as floats, bit for bit.
         monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
         data = np.random.default_rng(11)
         currents = (data.standard_normal((4, 7, 6, 6, 4)) * 1.5).astype(np.float32)
         currents = currents.transpose(0, 1, 4, 2, 3)  # channels-last (T, B, C, H, W)
         dspikes = data.standard_normal(currents.shape).astype(np.float32)
         cfg = LifConfig(tau=0.5, v_th=1.0)
-        spikes, (u_pre, _) = lif_unroll(currents, cfg)
+        spikes, cache = lif_unroll(currents, cfg, smooth)
+        assert 0 < spikes.mean() < 1 and cache[1] is smooth
+        u_pre = cache[0]
+        total = np.empty_like(dspikes[0]) if step_sum else None
+        got = lif_unroll_backward(dspikes, cache, cfg, step_sum=total)
+        for s in [spikes] if smooth else [spikes, spikes.astype(bool)]:
+            want = np.empty_like(dspikes)  # step by step, in lif_unroll_backward's order
+            for t in reversed(range(len(want))):
+                np.multiply(surrogate_grad(u_pre[t], cfg.v_th), dspikes[t], out=want[t])
+                if t + 1 < len(want):
+                    carry = want[t + 1] * cfg.tau
+                    carry *= 1.0 - s[t]
+                    want[t] += carry
+            npt.assert_array_equal(got, want.sum(axis=0) if step_sum else want)
+
+    @pytest.mark.parametrize("block_bytes", [1, 700, kernels.BLOCK_BYTES])
+    @pytest.mark.parametrize("step_sum", [False, True])
+    @pytest.mark.parametrize("t_steps", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    def test_kept_currents_give_the_kept_potentials_gradient(self, smooth, dtype, t_steps,
+                                                             step_sum, block_bytes, monkeypatch):
+        # The stem's LIF layer sees its B rows of currents at every step: its
+        # cache keeps them, not the (T, B) potentials, which every block of
+        # the backward pass recomputes.  The gradient is the one of the
+        # kept potentials, bit for bit.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        data = np.random.default_rng(t_steps)
+        rows = (data.standard_normal((7, 6, 6, 4)) * 1.5).astype(dtype)
+        rows = rows.transpose(0, 3, 1, 2)  # channels-last (B, C, H, W)
+        dspikes = data.standard_normal((t_steps, 7, 6, 6, 4)).astype(dtype)
+        dspikes = dspikes.transpose(0, 1, 4, 2, 3)
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        steps = np.broadcast_to(rows, (t_steps,) + rows.shape)
+        spikes, kept = lif_unroll(steps, cfg, smooth)
+        want_spikes, stored = lif_unroll(steps.copy(), cfg, smooth)
+        assert kept[0].shape == rows.shape and np.shares_memory(kept[0], rows)
+        assert stored[0].shape == steps.shape and kept[1] is stored[1] is smooth
         assert 0 < spikes.mean() < 1
-        as_bool = spikes.astype(bool)
+        npt.assert_array_equal(spikes, want_spikes)
 
         def backward(cache):
             total = np.empty_like(dspikes[0]) if step_sum else None
             return lif_unroll_backward(dspikes, cache, cfg, step_sum=total)
 
-        npt.assert_array_equal(backward((u_pre, as_bool)), backward((u_pre, spikes)))
+        npt.assert_array_equal(backward(kept), backward(stored))
 
     def test_smooth_mode_matches_finite_differences(self):
         cfg = LifConfig(tau=0.7, v_th=1.0)
@@ -309,7 +348,8 @@ class TestGradientChecks:
 
         step_logits, tape = forward_with_tape(net, x, 1)
         # No pre-activation may sit on a kink of the ramp (0, v_th, 2*v_th),
-        # otherwise central differences degrade there.
+        # otherwise central differences degrade there.  The stem LIF keeps
+        # its currents, which at one timestep are its potentials.
         u_pre = tape["caches"][2][2][0]
         dist = np.min(
             np.abs(u_pre[..., None] - np.array([0.0, 1.0, 2.0])), axis=-1
@@ -627,8 +667,9 @@ def stem_specs():
         ),
         lif=LifConfig(tau=0.5, v_th=0.5),
     )
-    # A norm and a LIF layer right after a LIF layer: their input is the
-    # spikes the tape holds, which the training path must not write over.
+    # A norm and a LIF layer right after a LIF layer: their input is spikes
+    # that no tape entry holds, which they write their xhat and potentials
+    # over.
     after_lif = NetworkSpec(
         input_shape=(2, 6, 6),
         num_classes=3,
@@ -745,9 +786,9 @@ def assert_steps_equal(got, want):
     for i in want[3]:
         for name in want[3][i]:
             npt.assert_array_equal(got[3][i][name], want[3][i][name])
-    for (u_pre, spikes), (ref_u_pre, ref_spikes) in zip(got[4], want[4], strict=True):
-        npt.assert_array_equal(u_pre, ref_u_pre)
-        npt.assert_array_equal(spikes, ref_spikes)
+    for (kept, smooth), (ref_kept, ref_smooth) in zip(got[4], want[4], strict=True):
+        npt.assert_array_equal(kept, ref_kept)
+        assert smooth is ref_smooth
 
 
 class TestRowParallelStep:
@@ -826,11 +867,12 @@ def workspace_bytes(spec, batch, t_steps, itemsize):
     """Bytes of the arrays a step on ``spec``, where every norm follows a
     conv, requests from its workspace, from its layer plan: each conv's,
     norm's and pool's output (a norm's xhat is the conv output), each LIF
-    layer's spikes (bool before a pool), the stem LIF's potentials (the
-    later ones are their currents), and the input gradients of the pools,
-    the convs after the first layer and the first LIF layer (B rows).  The
-    arena they are packed into is smaller: arrays that are never alive at
-    once share bytes."""
+    layer's spikes (bool before a pool; no LIF layer keeps potentials of
+    its own: the stem's are recomputed from its currents, the later ones
+    are their currents), and the input gradients of the pools, the convs
+    after the first layer and the first LIF layer (B rows).  The arena they
+    are packed into is smaller: arrays that are never alive at once share
+    bytes."""
     s, total = spec.first_lif, 0
     for i, (layer, plan) in enumerate(zip(spec.layers, spec.layer_plan)):
         rows = batch if i < s else t_steps * batch
@@ -840,7 +882,7 @@ def workspace_bytes(spec, batch, t_steps, itemsize):
         if layer.kind == "lif":
             total += rows * size_out * (1 if spec.layers[i + 1].kind == "pool" else itemsize)
         if i == s:
-            total += rows * size_in * itemsize + batch * size_in * itemsize
+            total += batch * size_in * itemsize
         if layer.kind == "pool" or (layer.kind == "conv" and i > 0):
             total += rows * size_in * itemsize
     return total
@@ -862,10 +904,15 @@ class TestTapeLayout:
             for i, layer in enumerate(spec.layers):
                 cache = tape["caches"][i]
                 if layer.kind == "lif":
-                    u_pre, spikes = cache[2]
-                    assert spec.layers[i + 1].kind == "pool"
-                    assert spikes.dtype == (np.float32 if smooth else bool)
-                    assert u_pre.dtype == np.float32
+                    # no spikes on the tape: the stem keeps its B rows of
+                    # currents, a later layer its potentials over its currents
+                    kept, kept_smooth = cache[2]
+                    assert spec.layers[i + 1].kind == "pool" and kept_smooth is smooth
+                    assert ws.plan.slots[(i, "spikes")][1] == (np.float32 if smooth else bool)
+                    assert kept.dtype == np.float32
+                    assert kept.shape == ((6,) if i == spec.first_lif else (3, 6)) + \
+                        spec.layer_plan[i].in_shape
+                    assert np.shares_memory(kept, ws.planned((i - 1, "y")))
                 elif layer.kind == "norm":
                     assert spec.layers[i - 1].kind == "conv"
                     assert np.shares_memory(cache[1][0], ws.planned((i - 1, "y")))
@@ -973,13 +1020,45 @@ class TestTapePlan:
                     npt.assert_array_equal(norms[i][stat], want_norms[i][stat])
 
     def test_the_mnist_step_packs_into_less_than_two_thirds_of_its_arrays(self):
-        # At the bench's B=128, T=4: 113.8 MiB of arrays, 71.2 MiB of arena,
-        # against 70.1 MiB alive at the busiest visit (the end of the
+        # At the bench's B=128, T=4: 95.4 MiB of arrays, 50.5 MiB of arena,
+        # against 48.2 MiB alive at the busiest visit (the end of the
         # forward pass and the first pool gradient).
         net = build_instance(stem_specs()["mnist"], seed=0)
         plan = tape_plan(net, 128, 4, np.float32)
         assert plan_bytes(plan) == workspace_bytes(net.spec, 128, 4, 4)
-        assert pack(plan)[1] <= 72 * 2**20 < plan_bytes(plan)
+        assert pack(plan)[1] <= 51 * 2**20 < plan_bytes(plan)
+
+    @pytest.mark.parametrize("name", list(zoo_specs()))
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    def test_spikes_last_until_the_next_layer_unless_it_keeps_them(self, name, smooth):
+        # No LIF tape entry holds spikes or planned potentials of its own:
+        # a layer's spikes live until the next layer's forward visit, or its
+        # backward visit when that layer keeps its input (a conv, fc or
+        # classifier) or writes over it (a norm's xhat, a LIF layer's
+        # potentials).  The stem LIF keeps its currents instead.
+        spec = zoo_specs()[name]
+        net = build_instance(spec, seed=0)
+        net.smooth_spikes = smooth
+        plan = tape_plan(net, 5, 3, np.float32)
+        back = 2 * len(spec.layers) - 1
+        assert [key for key in plan.slots if key[1] == "u_pre"] == []
+        for i, layer in enumerate(spec.layers):
+            if layer.kind == "lif":
+                nxt, shape = spec.layers[i + 1].kind, spec.layer_plan[i].out_shape
+                copied = nxt in ("fc", "classifier") and len(shape) == 3 and \
+                    shape[0] > 1 and shape[1] * shape[2] > 1  # channels-last, after a conv
+                last = i + 1 if nxt == "pool" or copied else back - (i + 1)
+                assert plan.spans[(i, "spikes")] == (i, last)
+        s, first_param = spec.first_lif, next(i for i, p in enumerate(net.params) if p)
+        if s >= first_param and (s - 1, "y") in plan.slots:
+            assert plan.spans[(s - 1, "y")][1] == back - s  # the stem's currents
+
+    def test_an_fc_input_the_flattening_copies_lasts_until_the_fc_reads_it(self):
+        # The second pool's output is channels-last with 6 channels of 2x2:
+        # the fc's tape entry holds the copy its flattening makes.
+        net = build_instance(row_parallel_spec(), seed=0)
+        assert net.spec.layers[8].kind == "fc"
+        assert tape_plan(net, 5, 3, np.float32).spans[(7, "y")] == (7, 8)
 
     def test_a_request_the_plan_lacks_raises(self):
         ws = Workspace()
