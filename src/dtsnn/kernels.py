@@ -36,7 +36,8 @@ strides, but are fast on that one:
   from `conv_buffers` / `pool_buffers`, which a call builds for itself
   unless an inference step passes the ones it built once (with ``out``
   arrays to `batch_norm` and `fully_connected`, so a step allocates
-  nothing);
+  nothing); a training tape's convolutions build theirs on the scratch its
+  workspace planned (``take``);
 - a pool, in either engine, sums bool spikes (a strict LIF layer's before a
   pool, on the tape as in a step) as bytes and other integer inputs
   exactly, then divides in the output's float dtype, so its result is that
@@ -53,10 +54,11 @@ kernels -- `conv2d`, the weight gradient of `conv2d_backward`, `avg_pool2d`,
 `avg_pool2d_backward`, the elementwise passes of the train-mode norms, and
 `network.lif_unroll` / `training.lif_unroll_backward` -- split the batch
 into blocks of about BLOCK_BYTES (the convolution's and the pool's in
-their buffers, each worker on a scratch of its own; the others'
-`run_row_blocks`) and write every block into the one output array.  Blocks
-keep each reduction's order (the weight gradient adds its block products
-in block order), so a result does not depend on the worker count.
+their buffers and the LIF backward's, each worker on a scratch of its own;
+the others' `run_row_blocks`) and write every block into the one output
+array.  Blocks keep each reduction's order (the weight gradient adds its
+block products in block order), so a result does not depend on the worker
+count.
 """
 
 import ctypes
@@ -136,13 +138,13 @@ def _block_workers(count):
     return range(1 if getattr(_worker, "busy", 0) else max(1, min(count, _scan_workers())))
 
 
-def _run_on_scratch(count, fn, buffers):
+def _run_on_scratch(count, fn, scratch, more):
     """`run_blocks` of fn over ``count`` blocks (one runs here directly), each
-    worker on one of ``buffers.scratch`` or, past those, a new ``buffers.more()``."""
+    worker on one of ``scratch`` or, past those, a new ``more()``."""
     if count == 1:
-        return fn(0, buffers.scratch[0])
-    spare = iter(buffers.scratch[1:])
-    run_blocks(count, fn, buffers.scratch[0], lambda: next(spare, None) or buffers.more())
+        return fn(0, scratch[0])
+    spare = list(scratch[1:])
+    run_blocks(count, fn, scratch[0], lambda: spare.pop(0) if spare else more())
 
 
 def _new_array(role, shape, dtype):
@@ -186,6 +188,34 @@ class ConvBuffers(NamedTuple):
     out: np.ndarray      # (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory
 
 
+def conv_scratch(n, in_shape, params, in_itemsize):
+    """{(role, k): shape} of the scratch `conv_buffers` takes, in its dtype,
+    for a convolution over n samples of ``in_shape`` (C, H, W) of
+    ``in_itemsize`` bytes: ("x", k), the zero-bordered buffer of one block,
+    and ("cols", k), the unfold scratch of one block, for each worker k its
+    blocks may use."""
+    c, h, w = in_shape
+    ho, wo = params.output_hw(h, w)
+    step = block_rows(ho * wo * params.kernel_h * params.kernel_w * c * in_itemsize)
+    pad = params.padding
+    bordered = (min(n, step), h + 2 * pad, w + 2 * pad, c)
+    cols = (unfold_size(n, in_shape, params, in_itemsize),)
+    return {(role, k): shape for k in _block_workers(-(-max(n, 1) // step))
+            for role, shape in (("x", bordered), ("cols", cols))}
+
+
+def input_gradient_conv(params):
+    """The geometry of the convolution of the output gradient with the
+    flipped kernel by which `conv2d_backward` computes the input gradient,
+    or None where it scatters column gradients instead (a stride above 1, a
+    non-square kernel, or a padding of the kernel size or more)."""
+    kh, kw = params.kernel_h, params.kernel_w
+    if params.stride != 1 or kh != kw or params.padding >= kh:
+        return None
+    return ConvParams(in_channels=params.out_channels, out_channels=params.in_channels,
+                      kernel_h=kh, kernel_w=kw, stride=1, padding=kh - 1 - params.padding)
+
+
 def unfold_size(n, in_shape, params, itemsize):
     """Elements of a worker's unfold scratch for a convolution over n
     samples of ``in_shape`` (C, H, W) of ``itemsize`` bytes: one block of
@@ -203,10 +233,10 @@ def conv_buffers(x, params, dtype, out, take):
     with its rows of ``out``, an (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out)
     memory (the weight gradient passes the output gradient).  Each worker
     `run_blocks` may use gets ``dtype`` scratch from ``take(role, shape,
-    dtype)``: ("x", k), a channels-last buffer of one block whose border is
-    zeroed here, and ("cols", k), an unfold scratch of one block, which
-    several convolutions may share.  A single channel (the raw images)
-    unfolds plane by plane into a K-major matrix, read transposed; several
+    dtype)`` (`conv_scratch`): ("x", k), a channels-last buffer of one block
+    whose border is zeroed here, and ("cols", k), an unfold scratch of one
+    block, which several convolutions may share.  A single channel (the raw
+    images) unfolds plane by plane into a K-major matrix, read transposed; several
     channels into a C-order matrix whatever x's memory order: OpenBLAS
     rounds a GEMM that reads a long (K of 36 and more in float32) matrix
     transposed differently.
@@ -219,11 +249,12 @@ def conv_buffers(x, params, dtype, out, take):
     rows = _channels_last_rows(out, (n, out.shape[1], ho, wo), out.dtype)
     blocks = tuple((x[a : a + step], rows[a * ho * wo : (a + step) * ho * wo])
                    for a in range(0, max(n, 1), step))
+    shapes = conv_scratch(n, (c, h, w), params, x.itemsize)
 
     def scratch(take, worker):
-        mem = take(("x", worker), (min(n, step), h + 2 * pad, w + 2 * pad, c), dtype)
+        mem = take(("x", worker), shapes[("x", 0)], dtype)
         mem[...] = 0
-        cols = take(("cols", worker), (unfold_size(n, (c, h, w), params, x.itemsize),), dtype)
+        cols = take(("cols", worker), shapes[("cols", 0)], dtype)
         xp = mem.transpose(0, 3, 1, 2)
         sn, sc, sh, sw = xp.strides
         views = {}
@@ -238,7 +269,7 @@ def conv_buffers(x, params, dtype, out, take):
                         as_strided(xp[:m], shape, strides, writeable=False), block, matrix)
         return views
 
-    return ConvBuffers(x, blocks, tuple(scratch(take, i) for i in _block_workers(len(blocks))),
+    return ConvBuffers(x, blocks, tuple(scratch(take, k) for role, k in shapes if role == "x"),
                        functools.partial(scratch, _new_array, 0), out)
 
 
@@ -252,15 +283,16 @@ def _unfold_block(x, scratch):
     return matrix
 
 
-def conv2d(x, weights, params, out=None, *, buffers=None):
+def conv2d(x, weights, params, out=None, *, buffers=None, take=_new_array):
     """2-d cross-correlation of x (N,C,H,W) with weights (C_out,C_in,kh,kw).
 
     Equivalent to the direct sum-of-products over every window.  Runs on
     `run_blocks` the blocks of ``buffers``, from `conv_buffers` on x, or of
     buffers built for this call into ``out`` (an (N,C_out,Ho,Wo) view of
-    (N,Ho,Wo,C_out) memory, new when None): each unfolds its samples in its
-    worker's scratch (`_unfold_block`) and multiplies them into its rows of
-    the result, ``buffers.out``.  With ``buffers`` it allocates nothing.
+    (N,Ho,Wo,C_out) memory, new when None) on the scratch of ``take`` (new
+    arrays by default): each unfolds its samples in its worker's scratch
+    (`_unfold_block`) and multiplies them into its rows of the result,
+    ``buffers.out``.  With ``buffers`` it allocates nothing.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got shape {x.shape}")
@@ -290,12 +322,13 @@ def conv2d(x, weights, params, out=None, *, buffers=None):
         if out is None:
             out = np.empty((n, ho, wo, cout), dtype=dtype).transpose(0, 3, 1, 2)
         buffers = conv_buffers(x, params, dtype, _check_out(out, (n, cout, ho, wo), dtype),
-                               _new_array)
+                               take)
     elif x is not buffers.x:
         raise ShapeError("conv2d buffers were built on another input array")
     blocks = buffers.blocks
     _run_on_scratch(len(blocks), lambda i, scratch: np.matmul(
-        _unfold_block(blocks[i][0], scratch), wmat, out=blocks[i][1]), buffers)
+        _unfold_block(blocks[i][0], scratch), wmat, out=blocks[i][1]),
+        buffers.scratch, buffers.more)
     return buffers.out
 
 
@@ -318,7 +351,7 @@ def _col2im(dcols, x_shape, kh, kw, stride, padding):
     return dxp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
-def conv2d_backward(dy, x, weights, params, need_dx=True, out=None):
+def conv2d_backward(dy, x, weights, params, need_dx=True, out=None, *, take=_new_array):
     """Gradients of conv2d w.r.t. input and weights.
 
     dy has the output shape (N,C_out,Ho,Wo).  dW runs on the blocks of
@@ -327,35 +360,29 @@ def conv2d_backward(dy, x, weights, params, need_dx=True, out=None):
     matrix, and the products are summed in block order.  With
     ``need_dx=False`` the input gradient is not computed and returned as
     None.  ``out``, an (N,C,H,W) view of (N,H,W,C) memory, receives the input
-    gradient.
+    gradient.  Both convolutions take their scratch from ``take`` (as
+    `conv2d`), the second after the first has let its scratch go.
     """
     cout, cin, kh, kw = weights.shape
     dy = _channels_last(dy)
-    conv = conv_buffers(x, params, np.result_type(dy, x), dy, _new_array)
+    conv = conv_buffers(x, params, np.result_type(dy, x), dy, take)
     parts = [None] * len(conv.blocks)
 
     def block(i, scratch):
         samples, dy_rows = conv.blocks[i]
         parts[i] = dy_rows.T @ _unfold_block(samples, scratch)
 
-    _run_on_scratch(len(parts), block, conv)
+    _run_on_scratch(len(parts), block, conv.scratch, conv.more)
     dw = np.ascontiguousarray(sum(parts).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
     del conv  # its scratch goes before the input gradient's convolution takes its own
     if not need_dx:
         return None, dw
-    if params.stride == 1 and kh == kw and params.padding < kh:
+    back = input_gradient_conv(params)
+    if back is not None:
         # Transposed convolution: correlate dy with the flipped kernel.  Its
         # padding kh-1-p must be >= 0 and the same on both axes.
         w_flip = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        back = ConvParams(
-            in_channels=cout,
-            out_channels=cin,
-            kernel_h=kh,
-            kernel_w=kw,
-            stride=1,
-            padding=kh - 1 - params.padding,
-        )
-        dx = conv2d(dy, w_flip, back, out=out)
+        dx = conv2d(dy, w_flip, back, out=out, take=take)
     else:
         dcols = dy.transpose(0, 2, 3, 1).reshape(-1, cout) @ _weight_matrix(weights)
         dx = _col2im(dcols, x.shape, kh, kw, params.stride, params.padding)
@@ -517,7 +544,7 @@ def avg_pool2d(x, window, out=None, *, buffers=None):
         buffers = pool_buffers(_channels_last(x), window, out, _new_array)
     elif x is not buffers.x:
         raise ShapeError("avg_pool2d buffers were built on another input array")
-    _run_on_scratch(len(buffers.scratch[0]), _run_calls, buffers)
+    _run_on_scratch(len(buffers.scratch[0]), _run_calls, buffers.scratch, buffers.more)
     return buffers.out
 
 

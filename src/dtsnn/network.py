@@ -116,20 +116,24 @@ def _empty_steps(like, t_steps, ws=None, key=None):
     return steps.reshape((t_steps,) + like.shape)
 
 
-def lif_unroll(currents, cfg, smooth=False, out=None):
+def lif_unroll(currents, cfg, smooth=False, out=None, norm=None):
     """Forward a (T, B, ...) current tensor through one LIF layer from rest:
     the training tape's LIF layer.
 
-    Each step is `_lif_update`.  Returns (spikes, (kept, smooth)), the cache
-    `training.lif_unroll_backward` needs, which holds no spikes: kept is the
-    (T, B, ...) potentials before the reset, or, for currents that are one
-    (B, ...) array at every step (a T axis of stride 0, as `np.broadcast_to`
-    gives: the stem's B rows), that array, from which the backward pass
-    recomputes them.  ``out``, a pair (u_pre, spikes) of (T, B, ...) arrays,
-    receives the potentials and the spikes; u_pre may be currents itself,
-    and is not written (it may be None) for broadcast currents; strict
-    spikes may be bool.  Samples are independent: the batch runs in blocks
-    of about `kernels.BLOCK_BYTES` of one step's currents
+    Each step is `_lif_update`; no potentials are written.  Returns (spikes,
+    (kept, affine, smooth)), the cache `training.lif_unroll_backward` needs,
+    which holds no spikes and no potentials: every block of the backward
+    pass recomputes them (`_lif_potentials`) from the currents kept names.
+    When ``norm`` is given, the (xhat, gamma, beta) of the train-mode norm
+    whose output the currents are (gamma and beta per-channel views), kept
+    is that xhat and affine its (gamma, beta) over one sample
+    (`_per_sample`): the currents are rebuilt as xhat * gamma + beta, the
+    norm's own formula.  Else kept is the currents and affine None.  For currents that
+    are one (B, ...) array at every step (a T axis of stride 0, as
+    `np.broadcast_to` gives: the stem's B rows), kept is that array, or the
+    norm's B rows of xhat.  ``out``, a (T, B, ...) array, receives the
+    spikes; strict spikes may be bool.  Samples are independent: the batch
+    runs in blocks of about `kernels.BLOCK_BYTES` of one step's currents
     (`kernels.run_row_blocks`), each through all T steps, from rest on
     potentials of its own.  An inference step does not come here: its
     program calls `_lif_update` on the step's own arrays, and `lif_step`
@@ -137,58 +141,110 @@ def lif_unroll(currents, cfg, smooth=False, out=None):
     """
     t_steps, batch = currents.shape[:2]
     step = currents[0]
-    broadcast = currents.strides[0] == 0
-    if out is None:
-        out = (None if broadcast else _empty_steps(step, t_steps), _empty_steps(step, t_steps))
-    u_pre, spikes = (None if broadcast else out[0]), out[1]
+    spikes = _empty_steps(step, t_steps) if out is None else out
     row_bytes = step.nbytes // max(1, batch)
     if batch <= kernels.block_rows(row_bytes):
-        _lif_rows(currents, cfg, smooth, u_pre, spikes)
+        _lif_rows(currents, cfg, smooth, spikes)
     else:
         kernels.run_row_blocks(batch, row_bytes, lambda rows: _lif_rows(
-            currents[:, rows], cfg, smooth, None if u_pre is None else u_pre[:, rows],
-            spikes[:, rows]))
-    return spikes, (step if broadcast else u_pre, smooth)
+            currents[:, rows], cfg, smooth, spikes[:, rows]))
+    kept, affine = (step if currents.strides[0] == 0 else currents), None
+    if norm is not None:
+        xhat, gamma, beta = norm
+        kept, affine = xhat.reshape(kept.shape), (_per_sample(gamma, xhat), _per_sample(beta, xhat))
+    return spikes, (kept, affine, smooth)
 
 
-def _lif_potentials(currents, t_steps, cfg, smooth):
-    """The (t_steps, B, ...) potentials before the reset of a LIF layer that
-    sees the (B, ...) currents at every step, in a new array in their memory
-    order: `_lif_rows` again, for the backward pass of a tape that kept the
-    currents (`lif_unroll`)."""
-    u_pre = _empty_steps(currents, t_steps)
-    _lif_rows(np.broadcast_to(currents, u_pre.shape), cfg, smooth, u_pre, None)
+def _per_sample(vector, x):
+    """A (1, C, ...) per-channel vector copied into one array of the shape
+    and memory order of one sample of x: an elementwise pass against it
+    over whole samples runs in long contiguous loops (for channels-last x,
+    broadcasting the vector gives inner loops of C elements, about 3x
+    slower at 12 channels)."""
+    full = np.empty_like(x[0], dtype=vector.dtype)
+    np.copyto(full, vector[0])
+    return full
+
+
+def _lif_scratch(t_steps, batch, step_shape, itemsize):
+    """(rows, {(role, k): shape}): the samples in a block of
+    `training.lif_unroll_backward` over gradients of (t_steps, batch) +
+    step_shape and ``itemsize`` bytes (T steps of about
+    `kernels.BLOCK_BYTES`), and the flat potentials scratch ("u_pre", k),
+    in the potentials' dtype, of each worker k its blocks may use."""
+    elems = math.prod(step_shape)
+    rows = kernels.block_rows(elems * itemsize * t_steps)
+    return rows, {("u_pre", k): (t_steps * min(batch, rows) * elems,)
+                  for k in kernels._block_workers(-(-max(batch, 1) // rows))}
+
+
+def _in_order(mem, shape, like):
+    """The first elements of the flat array mem as an array of ``shape`` in
+    the memory order of ``np.empty_like(like)`` (like has as many axes)."""
+    probe = np.empty_like(like, dtype=np.uint8, shape=(2,) * like.ndim)
+    order = np.argsort(probe.strides)[::-1]
+    return mem[: math.prod(shape)].reshape([shape[a] for a in order]).transpose(np.argsort(order))
+
+
+def _lif_potentials(kept, affine, cfg, smooth, mem):
+    """The (T, B, ...) potentials before the reset of a LIF layer from the
+    (T, B, ...) ``kept`` of its `lif_unroll` cache, in kept's memory order
+    on the flat array ``mem`` of their dtype (kept's, or that of the
+    norm's xhat * gamma): for the backward pass.
+
+    The currents are kept itself when affine is None, else kept * gamma +
+    beta for affine (gamma, beta), the norm's formula, bit-equal to its
+    output; a T axis of stride 0 (the stem's B rows) is rebuilt once.  The
+    recurrence is `_lif_update`'s, bit for bit, without its spikes or the
+    last step's reset: u_pre[t] = tau * u_pre[t-1] * m + current[t], with
+    m = u_pre[t-1] <= v_th, or 1 - spike_ramp(u_pre[t-1]) when ``smooth``.
+    """
+    t_steps = kept.shape[0]
+    u_pre = _in_order(mem, (t_steps * kept.shape[1],) + kept.shape[2:], kept[0])
+    u_pre = u_pre.reshape(kept.shape)
+    currents = kept
+    if affine is not None:  # into the last step's potentials, which are written last
+        broadcast = kept.strides[0] == 0
+        rebuilt = u_pre[-1] if broadcast else u_pre
+        np.multiply(kept[0] if broadcast else kept, affine[0], out=rebuilt)
+        rebuilt += affine[1]
+        currents = np.broadcast_to(rebuilt, kept.shape) if broadcast else u_pre
+    carry = np.zeros_like(u_pre[0])  # tau times the potentials after the last reset
+    for t in range(t_steps):
+        np.add(carry, currents[t], out=u_pre[t])
+        if t + 1 < t_steps:
+            if smooth:
+                np.subtract(1.0, spike_ramp(u_pre[t], cfg.v_th), out=carry)
+            else:
+                np.less_equal(u_pre[t], cfg.v_th, out=carry)
+            carry *= u_pre[t]
+            carry *= cfg.tau
     return u_pre
 
 
-def _lif_rows(currents, cfg, smooth, u_pre, spikes):
+def _lif_rows(currents, cfg, smooth, spikes):
     """`lif_unroll` of one block of samples: `_lif_update` at every step,
-    from rest, writing each step's potentials before the reset into u_pre
-    and its spikes into spikes, unless they are None."""
+    from rest, writing each step's spikes into spikes."""
     u = np.zeros_like(currents[0])
     keep = np.empty_like(u, dtype=bool)
-    spike = np.empty_like(u) if smooth and spikes is None else keep  # a step's, when not kept
     for t in range(currents.shape[0]):
-        current, v, k, s = _channels_last_views(
-            currents[t], u, keep, spike if spikes is None else spikes[t])
-        _lif_update(current, v, cfg, smooth, k, s,
-                    None if u_pre is None else _channels_last_views(u_pre[t])[0])
+        _lif_update(*_channels_last_views(currents[t], u), cfg, smooth,
+                    *_channels_last_views(keep, spikes[t]))
 
 
-def _lif_update(current, v, cfg, smooth, keep, spike, u_pre=None):
+def _lif_update(current, v, cfg, smooth, keep, spike):
     """One LIF step, in place, on arrays of one layout: v <- tau*v + current;
-    ``u_pre`` (unless None) receives v; then spike where v > v_th (strict),
-    or spike_ramp(v) when ``smooth``; v <- v*(1-spike).
+    then spike where v > v_th (strict), or spike_ramp(v) when ``smooth``;
+    v <- v*(1-spike).
 
     Strict firing computes keep = v <= v_th into ``keep``, a bool array,
     for the hard reset (v *= keep) and writes spike = not keep; bool spikes
     may be ``keep`` itself.  The one LIF update: the tape's `_lif_rows` and
-    every inference step call it.
+    every inference step call it (`_lif_potentials` repeats its potentials
+    for the backward pass).
     """
     v *= cfg.tau
     v += current
-    if u_pre is not None:
-        np.copyto(u_pre, v)
     if smooth:
         spike[...] = spike_ramp(v, cfg.v_th)
         v *= 1.0 - spike
@@ -202,6 +258,12 @@ def _bool_spikes(layers, i, smooth):
     """Whether LIF layer i leaves its spikes as bool, in a step and on the
     tape: under strict firing, when a pool reads them (as bytes)."""
     return not smooth and i + 1 < len(layers) and layers[i + 1].kind == "pool"
+
+
+def _rebuilds_currents(layers, i):
+    """Whether LIF layer i rebuilds its currents from the xhat of the
+    train-mode norm before it on the tape, instead of keeping them."""
+    return i > 0 and layers[i - 1].kind == "norm"
 
 
 def _channels_last_views(*arrays):
@@ -424,21 +486,31 @@ def tape_plan(net, batch, t_steps, dtype):
 
     One walk follows `run_layers` forward and `training.backward_through_time`
     back, with their rules: the dtype each kernel gives, the inputs a layer
-    writes over instead of requesting an array (a norm's xhat, a later LIF
-    layer's potentials, the LIF and norm input gradients), and the arrays a
-    layer's tape entry holds until its backward visit.  A LIF layer's entry
-    holds its input (its potentials, or the stem's B rows of currents), not
-    its spikes, which last until the next layer's forward visit unless that
-    layer holds them.  An fc layer's entry holds its input unless the
+    writes over instead of requesting an array (a norm's xhat, the LIF and
+    norm input gradients), and the arrays a layer's tape entry holds until
+    its backward visit.  A LIF layer's entry holds no spikes, which last
+    until the next layer's forward visit unless that layer holds them, and
+    no potentials: after a norm it holds the norm's xhat, which that norm's
+    entry holds anyway, so the norm's output lasts until the LIF layer's
+    forward visit (`_rebuilds_currents`); after any other layer it holds
+    its currents.  An fc layer's entry holds its input unless the
     flattening copies it: a channels-last input (any one after a conv) of
     more than one channel and more than one pixel.  The layers before the
     first one with parameters have no backward visit: their arrays last
     until the last layer that reads them.
+
+    The kernels' scratch is planned too, as (visit, "scratch", role) bytes
+    alive at that one visit (`Workspace.scratch`): each worker's bordered
+    and unfold buffers of a convolution (`kernels.conv_scratch`; at a
+    backward visit the larger of the weight gradient's and the input
+    gradient's, which run one after the other) and each worker's
+    potentials of a LIF layer's backward blocks (`_lif_scratch`).  The
+    workers are those `kernels.run_blocks` would use from this thread.
     """
     spec, params = net.spec, net.params
     layers, s = spec.layers, spec.first_lif
     first_param = next(i for i, p in enumerate(params) if p is not None)
-    slots, spans, xhat_dtypes = {}, {}, {}
+    slots, spans, xhat_dtypes, in_dtypes = {}, {}, {}, {}
 
     def back(i):
         return 2 * len(layers) - 1 - i
@@ -451,14 +523,26 @@ def tape_plan(net, batch, t_steps, dtype):
         slots[key], spans[key] = (tuple(shape), np.dtype(dt)), (visit, visit)
         return key
 
+    def scratch(visit, *requests):
+        """Bytes for each role of the kernels' scratch at ``visit``, the
+        most any of the requests, ({role: shape}, dtype), takes."""
+        need = {}
+        for shapes, dt in requests:
+            for role, shape in shapes.items():
+                need[role] = max(need.get(role, 0), math.prod(shape) * np.dtype(dt).itemsize)
+        for role, nbytes in need.items():
+            new((visit, "scratch", role), (nbytes,), np.uint8, visit)
+
     # h: the key of the array the next layer reads, None when it is not planned
     h, dt, lif_dt, channels_last = None, np.dtype(dtype), None, False
     for i, (layer, par, plan) in enumerate(zip(layers, params, spec.layer_plan)):
         kind, rows = layer.kind, batch if i < s else t_steps * batch
         use(h, i)
+        in_dtypes[i] = dt
         if kind == "conv":
             use(h, back(i))  # its input, for the weight gradient
             dt, channels_last = np.result_type(dt, par["w"]), True
+            scratch(i, (kernels.conv_scratch(rows, plan.in_shape, plan.config, in_dtypes[i].itemsize), dt))
             h = new((i, "y"), (rows,) + plan.out_shape, dt, i)
         elif kind == "norm":
             xhat_dt = xhat_dtypes[i] = np.result_type(dt, 1.0)
@@ -471,8 +555,8 @@ def tape_plan(net, batch, t_steps, dtype):
             steps = (t_steps * batch,) + plan.in_shape
             bool_spikes = _bool_spikes(layers, i, net.smooth_spikes)
             spikes = new((i, "spikes"), steps, bool if bool_spikes else dt, i)
-            if i >= first_param:
-                use(h, back(i))  # its potentials over its currents; the stem's currents
+            if i >= first_param and not _rebuilds_currents(layers, i):
+                use(h, back(i))  # its currents
             lif_dt, h, dt = dt, spikes, slots[spikes][1]
         elif kind == "pool":
             # bool spikes after the stem pool into their potentials' dtype
@@ -495,11 +579,23 @@ def tape_plan(net, batch, t_steps, dtype):
         elif kind == "pool":
             dt = np.result_type(dt, 1.0)
             g = new((i, "dx"), (rows,) + plan.in_shape, dt, visit)
-        elif kind == "lif" and i == s:  # summed over T into B rows
-            g = new((i, "dx"), (batch,) + plan.in_shape, dt, visit)
+        elif kind == "lif":
+            scratch(visit, (_lif_scratch(t_steps, batch, plan.in_shape, dt.itemsize)[1],
+                            in_dtypes[i]))
+            if i == s:  # summed over T into B rows
+                g = new((i, "dx"), (batch,) + plan.in_shape, dt, visit)
         elif kind == "norm" and dt != np.result_type(dt, xhat_dtypes[i], par["gamma"]):
             g, dt = None, np.result_type(dt, xhat_dtypes[i], par["gamma"])  # not over g
         elif kind == "conv":
+            x_dt, cfg = in_dtypes[i], plan.config
+            weight_grad = (kernels.conv_scratch(rows, plan.in_shape, cfg, x_dt.itemsize),
+                           np.result_type(dt, x_dt))
+            back_conv = kernels.input_gradient_conv(cfg)
+            if i > first_param and back_conv is not None:  # then the input gradient's
+                scratch(visit, weight_grad, (kernels.conv_scratch(
+                    rows, plan.out_shape, back_conv, dt.itemsize), np.result_type(dt, par["w"])))
+            else:
+                scratch(visit, weight_grad)
             dt = np.result_type(dt, par["w"])
             g = new((i, "dx"), (rows,) + plan.in_shape, dt, visit) if i > first_param else None
     return TapePlan(slots, spans, logits)
@@ -543,7 +639,8 @@ class Workspace:
     Arrays whose visits overlap get disjoint bytes of the arena; the others
     share (`pack`).  The arena grows when a plan needs more bytes and never
     shrinks, and a plan whose arrays each fit the region their key had (a
-    smaller batch) keeps the layout and takes a prefix of each region.
+    smaller batch, which may also plan fewer workers' scratch) keeps the
+    layout and takes a prefix of each region.
     `planned` hands out a key's array; a key the plan lacks raises.  An
     array is overwritten by the next array on its bytes: the tape's arrays
     by the backward pass's input gradients once their last reader has run,
@@ -558,10 +655,11 @@ class Workspace:
     output ("y"; its ``xhat`` is written over the array it reads, or is
     "xhat"), each LIF layer's spikes ("spikes": bool before a strict pool,
     else float, alive until the next layer has read them unless it keeps
-    them), and the input gradients ("dx") of pools, convs and the first LIF
-    layer.  No LIF layer has potentials of its own: the later ones write
-    theirs over their currents, and the stem's are recomputed from its
-    currents in the backward pass.
+    them), the input gradients ("dx") of pools, convs and the first LIF
+    layer, and the kernels' scratch at each visit (`scratch`).  No LIF
+    layer has currents or potentials of its own: its backward pass
+    recomputes its potentials, from its currents or, after a norm, from the
+    norm's xhat.
 
     An inference step (`StepBuffers`) takes its arrays from `empty`
     instead: a byte buffer per key, grown when a request needs more bytes
@@ -596,7 +694,7 @@ class Workspace:
             return
         sizes = _slot_bytes(plan)
         regions = self._regions
-        if regions is None or regions.keys() != sizes.keys() or any(
+        if regions is None or not sizes.keys() <= regions.keys() or any(
                 regions[k][1] < sizes[k] or regions[k][2] != plan.spans[k] for k in sizes):
             offsets, size = pack(plan)
             regions = {k: (offsets[k], sizes[k], plan.spans[k]) for k in sizes}
@@ -613,20 +711,34 @@ class Workspace:
     def planned(self, key, like=None):
         """The array of ``key`` in the plan laid out last, with the shape and
         dtype the plan gives it: in the memory order of
-        ``np.empty_like(like)`` (``like`` has as many axes), or an (N,C,H,W)
-        view of (N,H,W,C) memory, a conv output's layout, when like is None.
-        StateError for a key the plan lacks."""
+        ``np.empty_like(like)`` (``like`` has as many axes), or, when like is
+        None, an (N,C,H,W) view of (N,H,W,C) memory (a conv output's layout)
+        for four axes, C order for others.  StateError for a key the plan
+        lacks."""
         if self.plan is None or key not in self.plan.slots:
             raise StateError(f"workspace key {key} is not in the step's tape plan")
         shape, dtype = self.plan.slots[key]
-        if like is None:
-            order = (0, 2, 3, 1)
-        else:  # numpy's axis order for like, outermost first, read off a tiny probe
-            probe = np.empty_like(like, dtype=np.uint8, shape=(2,) * like.ndim)
-            order = np.argsort(probe.strides)[::-1]
         start = self._regions[key][0]
         mem = self._arena[start : start + math.prod(shape) * dtype.itemsize].view(dtype)
-        return mem.reshape([shape[a] for a in order]).transpose(np.argsort(order))
+        if like is None and len(shape) == 4:
+            return mem.reshape(shape[0], shape[2], shape[3], shape[1]).transpose(0, 3, 1, 2)
+        return mem.reshape(shape) if like is None else _in_order(mem, shape, like)
+
+    def scratch(self, visit):
+        """The ``take(role, shape, dtype)`` of the kernels of layer visit
+        ``visit`` (`kernels.conv_buffers`, `training.lif_unroll_backward`):
+        the first bytes of the planned (visit, "scratch", role) as a C-order
+        array.  StateError for a role the plan lacks or a request past its
+        bytes."""
+        def take(role, shape, dtype):
+            mem = self.planned((visit, "scratch", role))
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            if nbytes > mem.nbytes:
+                raise StateError(f"scratch {role} of visit {visit}: {nbytes} bytes requested, "
+                                 f"{mem.nbytes} planned")
+            return mem[:nbytes].view(dtype).reshape(shape)
+
+        return take
 
     def new_walk(self):
         """Start a walk of `empty` requests: forget which keys had views
@@ -1100,14 +1212,15 @@ def run_layers(net, h, t_steps, tape):
     for the step by `tape_plan`, which gives their shapes and dtypes.  A
     layer writes over an input that no tape entry holds (any but the
     caller's x): a norm its ``xhat`` over the array it reads, its result
-    going into an array of its own, and a LIF layer after the stem its
-    potentials over its currents.  The stem's LIF layer writes no
-    potentials: its entry keeps its B rows of currents, from which the
-    backward pass recomputes them (`lif_unroll`).  No LIF entry holds
-    spikes; a strict LIF layer before a pool leaves them as bool
-    (`_bool_spikes`, as in an inference step), which the pool sums as bytes
-    into the potentials' dtype.  Inference does not come here: a step runs
-    its `StepProgram`.
+    going into an array of its own.  No LIF layer writes potentials: its
+    entry keeps, after a norm, the norm's xhat, gamma and beta, from which
+    the backward pass rebuilds its currents, else its currents (for the
+    stem, its B rows), and the backward pass recomputes the potentials from
+    them (`lif_unroll`).  No LIF entry holds spikes; a strict LIF layer
+    before a pool leaves them as bool (`_bool_spikes`, as in an inference
+    step), which the pool sums as bytes into the potentials' dtype.  A
+    conv's blocks run on the scratch planned for its visit.  Inference does
+    not come here: a step runs its `StepProgram`.
     """
     spec = net.spec
     layers, s, batch = spec.layers, spec.first_lif, h.shape[0]
@@ -1115,7 +1228,7 @@ def run_layers(net, h, t_steps, tape):
     for i, (layer, par, plan) in enumerate(zip(layers, net.params, spec.layer_plan)):
         kind, cfg = layer.kind, plan.config
         if kind == "conv":
-            y = conv2d(h, par["w"], cfg, ws.planned((i, "y")))
+            y = conv2d(h, par["w"], cfg, ws.planned((i, "y")), take=ws.scratch(i))
             if "b" in par:
                 y += par["b"].reshape(1, -1, 1, 1)
             record((kind, cfg, h))
@@ -1131,7 +1244,11 @@ def run_layers(net, h, t_steps, tape):
             spikes = _empty_steps(h[0], t_steps, ws, (i, "spikes"))
             if i == s:  # the stem's rows, the same at every step
                 h = np.broadcast_to(h, (t_steps,) + h.shape[1:])
-            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, (h, spikes))
+            norm = None
+            if _rebuilds_currents(layers, i):
+                xhat, _, gamma, view = tape["caches"][-1][1]
+                norm = (xhat, gamma.reshape(view), net.params[i - 1]["beta"].reshape(view))
+            spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, spikes, norm)
             record((kind, cfg, cache))
             h = spikes.reshape((-1,) + spikes.shape[2:])
         elif kind == "pool":

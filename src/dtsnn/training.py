@@ -44,6 +44,7 @@ from .kernels import (
 from .network import (
     Workspace,
     _lif_potentials,
+    _lif_scratch,
     as_images,
     as_labels,
     check_finite,
@@ -127,39 +128,43 @@ def loss_and_grad(step_logits, labels, loss_mode):
     return loss, dstep.astype(step_logits.dtype)
 
 
-def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None):
+def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None, take=kernels._new_array):
     """Reverse-time unroll: surrogate through the firing, tau through the
     membrane recurrence, (1 - s) through the detached reset multiplier.
 
-    ``cache`` is `network.lif_unroll`'s (kept, smooth), which holds no
-    spikes: the reset multiplier comes from the potentials before the reset,
-    u_pre <= v_th under strict firing and 1 - spike_ramp(u_pre) under smooth
-    firing, the values 1 - s of the spikes the forward pass wrote.  Kept
-    (B, ...) currents, the same at every step (the stem's), are run through
-    the forward recurrence again (`network._lif_potentials`) by each block,
-    into a new array of its rows' T steps; kept (T, B, ...) potentials are
-    read as they are.
+    ``cache`` is `network.lif_unroll`'s (kept, affine, smooth), which holds
+    no spikes and no potentials.  Each block rebuilds its rows' currents
+    from kept (the norm's xhat * gamma + beta for affine (gamma, beta), the
+    stem's B rows once for all T steps) and recomputes their potentials
+    before the reset (`network._lif_potentials`) in its worker's scratch,
+    ("u_pre", k) of ``take(role, shape, dtype)`` (new arrays by default;
+    `network._lif_scratch` gives the shapes).  The reset multiplier comes
+    from those potentials, u_pre <= v_th under strict firing and
+    1 - spike_ramp(u_pre) under smooth firing, the values 1 - s of the
+    spikes the forward pass wrote.
 
     Each step's gradient is built in its own row of the result, ``out`` when
     it is given (which may be dspikes itself); one carry buffer holds
     tau * du[t+1] * (1 - s[t]).  Samples are independent: the batch axis of
-    (T, B, ...) runs in blocks of about `kernels.BLOCK_BYTES` of one step,
-    or of all T steps where a block recomputes them
-    (`kernels.run_row_blocks`), each through all T steps.  With
-    ``step_sum``, a (B, ...) array, each block also adds its rows'
-    gradients over the T steps into it, in step order as ``sum(axis=0)``
-    does, and step_sum is returned.
+    (T, B, ...) runs in blocks whose T steps are about `kernels.BLOCK_BYTES`
+    (`kernels.run_blocks`), each through all T steps.  With ``step_sum``, a
+    (B, ...) array, each block also adds its rows' gradients over the T
+    steps into it, in step order as ``sum(axis=0)`` does, and step_sum is
+    returned.
     """
-    kept, smooth = cache
+    kept, affine, smooth = cache
     d_currents = np.empty_like(dspikes) if out is None else out
-    t_steps = dspikes.shape[0]
-    recompute = kept.ndim < dspikes.ndim  # kept currents
+    t_steps, batch = dspikes.shape[:2]
+    broadcast = kept.ndim < dspikes.ndim  # the stem's B rows
+    step, shapes = _lif_scratch(t_steps, batch, dspikes.shape[2:], d_currents.itemsize)
+    dtype = kept.dtype if affine is None else np.result_type(kept, affine[0])
+    scratch = [take(role, shape, dtype) for role, shape in shapes.items()]
 
-    def block(rows):
-        if recompute:
-            u_pre = _lif_potentials(kept[rows], t_steps, cfg, smooth)
-        else:
-            u_pre = kept[:, rows]
+    def block(i, mem):
+        rows = slice(i * step, min(i * step + step, batch))
+        steps = kept[:, rows] if not broadcast else \
+            np.broadcast_to(kept[rows], (t_steps,) + kept[rows].shape)
+        u_pre = _lif_potentials(steps, affine, cfg, smooth, mem)
         _lif_rows_backward(dspikes[:, rows], u_pre, smooth, cfg, d_currents[:, rows])
         if step_sum is not None:
             total = step_sum[rows]
@@ -167,9 +172,8 @@ def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None):
             for d in d_currents[1:, rows]:
                 total += d
 
-    batch = dspikes.shape[1]
-    row_bytes = d_currents[0].nbytes // max(1, batch)
-    kernels.run_row_blocks(batch, row_bytes * (t_steps if recompute else 1), block)
+    kernels._run_on_scratch(max(1, -(-batch // step)), block, scratch,
+                            lambda: np.empty(scratch[0].shape, dtype))
     return d_currents if step_sum is None else step_sum
 
 
@@ -236,9 +240,10 @@ def backward_through_time(net, tape, dstep_logits):
     The walk ends at the first layer with parameters and skips its input
     gradient, which nothing reads.  The input gradients of pool, conv and
     the first LIF layer are planned arrays of the tape's workspace, keyed by
-    layer index, which may lie over tape arrays whose last reader has run;
-    LIF and norm layers overwrite the gradient they receive, which nothing
-    else holds.  BLAS is held at one thread throughout
+    layer index, which may lie over tape arrays whose last reader has run,
+    and so is the scratch of the convolutions and of the LIF layers'
+    recompute (`network.Workspace.scratch`); LIF and norm layers overwrite
+    the gradient they receive, which nothing else holds.  BLAS is held at one thread throughout
     (`kernels.one_blas_thread`).
 
     Returns {layer_index: {param_name: gradient}} with shapes mirroring the
@@ -280,11 +285,12 @@ def backward_through_time(net, tape, dstep_logits):
             elif layer.kind == "lif":
                 _, cfg, lif_cache = cache
                 gs = g.reshape((t_steps, batch) + g.shape[1:])
+                take = ws.scratch(2 * len(spec.layers) - 1 - i)
                 if i == s:
-                    g = lif_unroll_backward(gs, lif_cache, cfg, out=gs,
+                    g = lif_unroll_backward(gs, lif_cache, cfg, out=gs, take=take,
                                             step_sum=ws.planned((i, "dx"), gs[0]))
                 else:
-                    g = lif_unroll_backward(gs, lif_cache, cfg, out=gs).reshape(g.shape)
+                    g = lif_unroll_backward(gs, lif_cache, cfg, out=gs, take=take).reshape(g.shape)
             elif layer.kind == "norm":
                 xhat, _, gamma, _ = cache[1]
                 in_place = g.dtype == np.result_type(g, xhat, gamma)
@@ -298,7 +304,8 @@ def backward_through_time(net, tape, dstep_logits):
                     entry["b"] = g.sum(axis=(0, 2, 3))
                 need_dx = i > first_param
                 out = ws.planned((i, "dx")) if need_dx else None
-                dx, dw = conv2d_backward(g, x_in, net.params[i]["w"], p, need_dx=need_dx, out=out)
+                dx, dw = conv2d_backward(g, x_in, net.params[i]["w"], p, need_dx=need_dx, out=out,
+                                         take=ws.scratch(2 * len(spec.layers) - 1 - i))
                 entry["w"] = dw
                 grads[i] = entry
                 g = dx
@@ -428,10 +435,12 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     clones, and every step's tape and input gradients reuse its arena,
     laid out by lifetime: arrays never alive at the same layer visit share
     bytes, so the arena is about the largest set of a step's arrays alive
-    at once (50.5 MiB where the arrays add up to 95.4 MiB, for
-    configs/mnist.yaml at B=128, T=4: no LIF layer keeps its spikes, and
-    the stem's keeps its currents, not its potentials).  Steps after the
-    first allocate none of them (a smaller last batch takes a prefix).  A call that finds
+    at once (32.2 MiB where the arrays add up to 114.5 MiB, for
+    configs/mnist.yaml at B=128, T=4 on two workers, each worker's kernel
+    scratch included: no LIF layer keeps its spikes, currents or
+    potentials; one after a norm rebuilds its currents from the norm's
+    xhat).  Steps after the first allocate none of them (a smaller last
+    batch takes a prefix).  A call that finds
     the workspace held by a call on a clone runs each step on a new arena.
     Raises DataFormatError when a split is not an array of real numbers,
     and ConfigError when a step's arena cannot be allocated.

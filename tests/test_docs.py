@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dtsnn
+from dtsnn import kernels, training
 from dtsnn.config import parse_config
 from dtsnn.network import build_instance, pack, tape_plan
 
@@ -63,7 +64,7 @@ def test_named_path_exists(path):
 
 def test_sources_name_something_to_check():
     assert ("network.py", "_step_program") in SOURCE_NAMES
-    assert ("training.py", "kernels.run_row_blocks") in SOURCE_NAMES
+    assert ("training.py", "kernels.run_blocks") in SOURCE_NAMES
 
 
 @pytest.mark.parametrize("source, name", SOURCE_NAMES,
@@ -77,21 +78,39 @@ def test_name_in_source_resolves(source, name):
                    for module in MODULES)
 
 
-def test_the_workspace_figures_are_the_mnist_steps():
-    # The README's training-workspace figures, in MiB: the sum of a step's
-    # planned arrays, the arena they pack into and the bytes alive at the
-    # busiest layer visit, each to the precision it is printed with.
-    text = " ".join(README.split())
-    found = re.search(r"For `configs/mnist\.yaml` at B=(\d+), T=(\d+) the step's arrays add up "
-                      r"to ([\d.]+) MiB but pack into a ([\d.]+) MiB arena: at most ([\d.]+) MiB",
-                      text)
-    assert found is not None
+def mnist_step_figures(batch, t_steps):
+    """The MiB of a configs/mnist.yaml training step's planned arrays on two
+    workers (the bench machine's), of the arena they pack into and of the
+    arrays alive at the busiest layer visit."""
     net = build_instance(parse_config(ROOT / "configs" / "mnist.yaml").network, seed=0)
-    plan = tape_plan(net, int(found[1]), int(found[2]), np.float32)
+    plan = tape_plan(net, batch, t_steps, np.float32)
     sizes = {key: math.prod(shape) * dt.itemsize for key, (shape, dt) in plan.slots.items()}
     busiest = max(sum(size for key, size in sizes.items()
                       if plan.spans[key][0] <= visit <= plan.spans[key][1])
                   for visit in range(2 * len(net.spec.layers)))
-    for printed, size in zip(found.groups()[2:], (sum(sizes.values()), pack(plan)[1], busiest),
-                             strict=True):
-        assert printed == f"{size / 2**20:.{len(printed.partition('.')[2])}f}"
+    return [size / 2**20 for size in (sum(sizes.values()), pack(plan)[1], busiest)]
+
+
+def assert_printed(printed, figures):
+    """Each printed figure is its figure to the precision it is printed with."""
+    for text, figure in zip(printed, figures, strict=True):
+        assert text == f"{figure:.{len(text.partition('.')[2])}f}"
+
+
+def test_the_workspace_figures_are_the_mnist_steps(monkeypatch):
+    # The README's training-workspace figures, and those of the `train`
+    # docstring: the sum of a step's planned arrays, the arena they pack
+    # into and (in the README) the bytes alive at the busiest layer visit.
+    monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+    text = " ".join(README.split())
+    found = re.search(r"For `configs/mnist\.yaml` at B=(\d+), T=(\d+) on two workers the "
+                      r"step's arrays add up to ([\d.]+) MiB but pack into a ([\d.]+) MiB "
+                      r"arena: at most ([\d.]+) MiB", text)
+    assert found is not None
+    assert_printed(found.groups()[2:], mnist_step_figures(int(found[1]), int(found[2])))
+    doc = " ".join(training.train.__doc__.split())
+    found = re.search(r"\(([\d.]+) MiB where the arrays add up to ([\d.]+) MiB, for "
+                      r"configs/mnist\.yaml at B=(\d+), T=(\d+) on two workers", doc)
+    assert found is not None
+    arrays, arena, _ = mnist_step_figures(int(found[3]), int(found[4]))
+    assert_printed(found.groups()[:2], (arena, arrays))

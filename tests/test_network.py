@@ -164,11 +164,13 @@ class TestLifUnroll:
         assert ref_u_pre[0, 0, :2, 0].tolist() == [1.0, 1.0]
         assert ref_spikes[0, 0, :2, 0].tolist() == [0.0, 0.0]
         assert (ref_u_pre[:, 1, 0, 0] < 0).all()
-        spikes, (u_pre, smooth) = lif_unroll(currents, cfg)
+        spikes, (kept, affine, smooth) = lif_unroll(currents, cfg)
+        assert kept is currents and affine is None and smooth is False
+        u_pre = network._lif_potentials(kept, affine, cfg, smooth,  # the backward pass's
+                                        np.empty(kept.size, dtype))
         assert spikes.dtype == u_pre.dtype == dtype
         npt.assert_array_equal(spikes, ref_spikes)
         npt.assert_array_equal(u_pre, ref_u_pre)
-        assert smooth is False
 
         u0 = rng.uniform(-1.0, 1.0, size=currents.shape[1:]).astype(dtype)
         u0[0, 0, 0] = 0.0
@@ -180,21 +182,55 @@ class TestLifUnroll:
 
 
     @pytest.mark.parametrize("block_bytes", [1, 200, kernels.BLOCK_BYTES])
-    def test_potentials_over_the_currents_and_bool_spikes_equal_new_arrays(self, block_bytes,
-                                                                           monkeypatch):
-        # The tape's LIF layer before a pool: u_pre written over its
-        # currents, spikes as bool, every block from rest.
+    def test_bool_spikes_equal_new_arrays_and_the_currents_stay(self, block_bytes,
+                                                                monkeypatch):
+        # The tape's LIF layer before a pool: spikes as bool into the array
+        # it is given, every block from rest, and nothing written over the
+        # currents, which its cache keeps.
         monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
         cfg = LifConfig(tau=0.5, v_th=1.0)
         currents = rng.uniform(-1.5, 2.5, size=(4, 9, 5, 5, 3)).astype(np.float32)
         currents = currents.transpose(0, 1, 4, 2, 3)  # channels-last (T, B, C, H, W)
-        want, (want_u_pre, _) = lif_unroll(currents.copy(), cfg)
-        over = currents.copy(order="K")
-        out = (over, np.empty(over.shape, bool))
-        spikes, (u_pre, smooth) = lif_unroll(over, cfg, out=out)
-        assert spikes is out[1] and u_pre is over and smooth is False
-        npt.assert_array_equal(u_pre, want_u_pre)
+        want, _ = lif_unroll(currents.copy(), cfg)
+        before = currents.copy()
+        out = np.empty(currents.shape, bool)
+        spikes, (kept, affine, smooth) = lif_unroll(currents, cfg, out=out)
+        assert spikes is out and kept is currents and affine is None and smooth is False
+        npt.assert_array_equal(currents, before)
         npt.assert_array_equal(spikes, want)
+
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["steps", "rows"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    def test_the_recomputed_potentials_are_the_updates(self, smooth, dtype, broadcast,
+                                                       monkeypatch):
+        # The backward pass recomputes the potentials (`_lif_potentials`)
+        # without spikes or the last step's reset: every bit, the sign of a
+        # zero too, is that of v after `_lif_update`'s tau*v + current.
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        currents = rng.uniform(-1.5, 2.5, size=(4, 9, 5, 5, 3)).astype(dtype)
+        currents[:, 0, 0, 0] = -0.0  # from rest: 0 + -0 is +0
+        currents = currents.transpose(0, 1, 4, 2, 3)  # channels-last (T, B, C, H, W)
+        if broadcast:  # the stem's B rows at every step
+            currents = np.broadcast_to(currents[0], currents.shape)
+        updates = []
+        update = network._lif_update
+
+        def recording(current, v, *args):
+            updates.append(v * cfg.tau + current)
+            return update(current, v, *args)
+
+        monkeypatch.setattr(network, "_lif_update", recording)
+        spikes, cache = lif_unroll(currents, cfg, smooth)
+        monkeypatch.setattr(network, "_lif_update", update)
+        want = np.stack(updates).transpose(0, 1, 4, 2, 3)  # one block: (N,H,W,C) views
+        assert 0 < spikes.mean() < 1 and (want[:, 0, 0, 0, 0] == 0).all()
+        kept, affine, _ = cache
+        steps = np.broadcast_to(kept, currents.shape) if broadcast else kept
+        u_pre = network._lif_potentials(steps, affine, cfg, smooth, np.empty(steps.size, dtype))
+        assert u_pre.shape == currents.shape and u_pre.dtype == dtype
+        assert u_pre.transpose(0, 1, 3, 4, 2).flags.c_contiguous  # kept's memory order
+        npt.assert_array_equal(u_pre.view(f"u{u_pre.itemsize}"), want.view(f"u{want.itemsize}"))
 
 def reference_logits(spec, params, x, t_steps, smooth=False, inputs=None):
     """Per-step logits and the current entering every LIF layer at every

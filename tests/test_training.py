@@ -183,6 +183,36 @@ class TestLosses:
         npt.assert_allclose(dstep, fd, rtol=1e-5, atol=1e-9)
 
 
+def stored_potentials(currents, cfg, smooth):
+    """The (T, B, ...) potentials before each reset, step by step as the
+    forward pass's `_lif_update` computes them: what a tape that stored
+    them would keep."""
+    u, kept = np.zeros_like(currents[0]), []
+    keep, spike = np.empty(u.shape, bool), np.empty_like(u)
+    for current in currents:
+        kept.append(u * cfg.tau + current)
+        network._lif_update(current, u, cfg, smooth, keep, spike)
+    return np.stack(kept)
+
+
+def stored_gradient(dspikes, u_pre, cfg, smooth, step_sum):
+    """The LIF backward on stored potentials, with ``step_sum`` summed over
+    T in step order (as the kernel does, zeros keeping their sign)."""
+    d = np.empty_like(dspikes)
+    training._lif_rows_backward(dspikes, u_pre, smooth, cfg, d)
+    if not step_sum:
+        return d
+    total = d[0].copy()
+    for step in d[1:]:
+        total += step
+    return total
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    npt.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
 class TestLifBackward:
     def test_two_step_scalar_recurrence_by_hand(self):
         # Hand-derived chain for two timesteps of one neuron:
@@ -245,8 +275,9 @@ class TestLifBackward:
         dspikes = data.standard_normal(currents.shape).astype(np.float32)
         cfg = LifConfig(tau=0.5, v_th=1.0)
         spikes, cache = lif_unroll(currents, cfg, smooth)
-        assert 0 < spikes.mean() < 1 and cache[1] is smooth
-        u_pre = cache[0]
+        assert 0 < spikes.mean() < 1 and cache[1] is None and cache[2] is smooth
+        u_pre = network._lif_potentials(cache[0], cache[1], cfg, smooth,
+                                        np.empty(currents.size, currents.dtype))
         total = np.empty_like(dspikes[0]) if step_sum else None
         got = lif_unroll_backward(dspikes, cache, cfg, step_sum=total)
         for s in [spikes] if smooth else [spikes, spikes.astype(bool)]:
@@ -266,10 +297,10 @@ class TestLifBackward:
     @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
     def test_kept_currents_give_the_kept_potentials_gradient(self, smooth, dtype, t_steps,
                                                              step_sum, block_bytes, monkeypatch):
-        # The stem's LIF layer sees its B rows of currents at every step: its
-        # cache keeps them, not the (T, B) potentials, which every block of
-        # the backward pass recomputes.  The gradient is the one of the
-        # kept potentials, bit for bit.
+        # A LIF layer not after a norm keeps its currents: the stem's B rows
+        # that stand for every step, or (T, B) currents, from which every
+        # block of the backward pass recomputes the potentials.  The
+        # gradient is the one of the stored potentials, bit for bit.
         monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
         data = np.random.default_rng(t_steps)
         rows = (data.standard_normal((7, 6, 6, 4)) * 1.5).astype(dtype)
@@ -279,17 +310,75 @@ class TestLifBackward:
         cfg = LifConfig(tau=0.5, v_th=1.0)
         steps = np.broadcast_to(rows, (t_steps,) + rows.shape)
         spikes, kept = lif_unroll(steps, cfg, smooth)
-        want_spikes, stored = lif_unroll(steps.copy(), cfg, smooth)
+        want_spikes, currents = lif_unroll(steps.copy(), cfg, smooth)
         assert kept[0].shape == rows.shape and np.shares_memory(kept[0], rows)
-        assert stored[0].shape == steps.shape and kept[1] is stored[1] is smooth
+        assert currents[0].shape == steps.shape and kept[1] is currents[1] is None
+        assert kept[2] is currents[2] is smooth
         assert 0 < spikes.mean() < 1
         npt.assert_array_equal(spikes, want_spikes)
+        want = stored_gradient(dspikes, stored_potentials(steps, cfg, smooth), cfg, smooth,
+                               step_sum)
 
         def backward(cache):
             total = np.empty_like(dspikes[0]) if step_sum else None
             return lif_unroll_backward(dspikes, cache, cfg, step_sum=total)
 
-        npt.assert_array_equal(backward(kept), backward(stored))
+        assert_bits_equal(backward(kept), want)
+        assert_bits_equal(backward(currents), want)
+
+    @pytest.mark.parametrize("block_bytes", [1, 700, kernels.BLOCK_BYTES])
+    @pytest.mark.parametrize("step_sum", [False, True])
+    @pytest.mark.parametrize("t_steps", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    @pytest.mark.parametrize("stem", [True, False], ids=["stem", "later"])
+    def test_rebuilt_currents_give_the_kept_potentials_gradient(self, stem, smooth, dtype,
+                                                                t_steps, step_sum, block_bytes,
+                                                                monkeypatch):
+        # A LIF layer after a train-mode norm keeps no currents: its cache
+        # holds the norm's xhat (B rows in the stem, T x B rows later), from
+        # which every block of the backward pass rebuilds them by the norm's
+        # formula, xhat * gamma + beta, then recomputes the potentials.  The
+        # gradient is the one of the stored potentials, bit for bit.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        data = np.random.default_rng(t_steps)
+        x = data.standard_normal((7 if stem else 7 * t_steps, 6, 6, 4)) * 1.5 + 0.3
+        x = x.astype(dtype).transpose(0, 3, 1, 2)  # channels-last (N, C, H, W)
+        norm = {"gamma": (1 + 0.5 * data.standard_normal(4)).astype(dtype),
+                "beta": (0.5 * data.standard_normal(4)).astype(dtype),
+                "running_mean": np.zeros(4, dtype), "running_var": np.ones(4, dtype)}
+        y, _, (xhat, _, gamma, view) = batch_norm_train_cached(x, norm, t_steps if stem else 1)
+        steps = np.broadcast_to(y, (t_steps,) + y.shape) if stem else \
+            y.reshape((t_steps, 7) + y.shape[1:])
+        dspikes = data.standard_normal((t_steps, 7, 6, 6, 4)).astype(dtype)
+        dspikes = dspikes.transpose(0, 1, 4, 2, 3)
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        spikes, cache = lif_unroll(steps, cfg, smooth, norm=(
+            xhat, gamma.reshape(view), norm["beta"].reshape(view)))
+        kept, (kept_gamma, kept_beta), kept_smooth = cache
+        assert kept.shape == (steps.shape[1:] if stem else steps.shape) and kept_smooth is smooth
+        assert np.shares_memory(kept, xhat) and not np.shares_memory(kept, y)
+        for got, vector in ((kept_gamma, gamma), (kept_beta, norm["beta"])):  # over one sample
+            npt.assert_array_equal(got, np.broadcast_to(vector.reshape(view)[0], x.shape[1:]))
+        assert 0 < spikes.mean() < 1
+        npt.assert_array_equal(spikes, lif_unroll(steps.copy(), cfg, smooth)[0])
+        total = np.empty_like(dspikes[0]) if step_sum else None
+        got = lif_unroll_backward(dspikes, cache, cfg, step_sum=total)
+        assert_bits_equal(got, stored_gradient(dspikes, stored_potentials(steps, cfg, smooth),
+                                               cfg, smooth, step_sum))
+
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    def test_the_backward_pass_runs_no_lif_update(self, smooth, monkeypatch):
+        # Its recompute writes the potentials and nothing else: no spikes
+        # and no reset after the last step, which nothing reads.
+        net = build_instance(stem_specs()["mnist"], seed=1)
+        net.smooth_spikes = smooth
+        x = np.random.default_rng(3).standard_normal((4,) + net.spec.input_shape)
+        logits, tape = forward_with_tape(net, x.astype(np.float32), 3)
+        calls, update = [], network._lif_update
+        monkeypatch.setattr(network, "_lif_update", lambda *a: calls.append(1) or update(*a))
+        backward_through_time(net, tape, np.ones_like(logits))
+        assert calls == []
 
     def test_smooth_mode_matches_finite_differences(self):
         cfg = LifConfig(tau=0.7, v_th=1.0)
@@ -786,8 +875,12 @@ def assert_steps_equal(got, want):
     for i in want[3]:
         for name in want[3][i]:
             npt.assert_array_equal(got[3][i][name], want[3][i][name])
-    for (kept, smooth), (ref_kept, ref_smooth) in zip(got[4], want[4], strict=True):
+    for (kept, affine, smooth), (ref_kept, ref_affine, ref_smooth) in zip(got[4], want[4],
+                                                                          strict=True):
         npt.assert_array_equal(kept, ref_kept)
+        assert (affine is None) == (ref_affine is None)
+        for a, b in zip(affine or (), ref_affine or (), strict=True):
+            npt.assert_array_equal(a, b)
         assert smooth is ref_smooth
 
 
@@ -864,15 +957,15 @@ def tape_arrays(obj):
 
 
 def workspace_bytes(spec, batch, t_steps, itemsize):
-    """Bytes of the arrays a step on ``spec``, where every norm follows a
-    conv, requests from its workspace, from its layer plan: each conv's,
+    """Bytes of the tape arrays a step on ``spec``, where every norm follows
+    a conv, requests from its workspace, from its layer plan: each conv's,
     norm's and pool's output (a norm's xhat is the conv output), each LIF
-    layer's spikes (bool before a pool; no LIF layer keeps potentials of
-    its own: the stem's are recomputed from its currents, the later ones
-    are their currents), and the input gradients of the pools, the convs
-    after the first layer and the first LIF layer (B rows).  The arena they
-    are packed into is smaller: arrays that are never alive at once share
-    bytes."""
+    layer's spikes (bool before a pool; no LIF layer keeps currents or
+    potentials of its own: it rebuilds its currents from the norm's xhat
+    and recomputes its potentials), and the input gradients of the pools,
+    the convs after the first layer and the first LIF layer (B rows).  The
+    kernels' scratch is `scratch_bytes`.  The arena they are packed into is
+    smaller: arrays that are never alive at once share bytes."""
     s, total = spec.first_lif, 0
     for i, (layer, plan) in enumerate(zip(spec.layers, spec.layer_plan)):
         rows = batch if i < s else t_steps * batch
@@ -888,10 +981,34 @@ def workspace_bytes(spec, batch, t_steps, itemsize):
     return total
 
 
+def scratch_bytes(spec, batch, t_steps, itemsize):
+    """Bytes of the kernels' scratch a step on ``spec``, of one dtype and a
+    conv first, plans for each worker: each conv's at its forward visit
+    and, at its backward visit, per role the larger of its weight
+    gradient's and (after the first layer) its input gradient's; each LIF
+    layer's potentials at its backward visit."""
+    s, elems = spec.first_lif, 0
+    for i, (layer, plan) in enumerate(zip(spec.layers, spec.layer_plan)):
+        rows = batch if i < s else t_steps * batch
+        if layer.kind == "conv":
+            forward = kernels.conv_scratch(rows, plan.in_shape, plan.config, itemsize)
+            backward = {role: math.prod(shape) for role, shape in forward.items()}
+            input_grad = kernels.input_gradient_conv(plan.config)
+            if i > 0 and input_grad is not None:
+                for role, shape in kernels.conv_scratch(rows, plan.out_shape, input_grad,
+                                                        itemsize).items():
+                    backward[role] = max(backward.get(role, 0), math.prod(shape))
+            elems += sum(math.prod(shape) for shape in forward.values()) + sum(backward.values())
+        elif layer.kind == "lif":
+            shapes = network._lif_scratch(t_steps, batch, plan.in_shape, itemsize)[1]
+            elems += sum(math.prod(shape) for shape in shapes.values())
+    return elems * itemsize
+
+
 class TestTapeLayout:
     """A training step keeps bool spikes before a pool, writes a norm's xhat
-    over the conv output and a later LIF layer's potentials over its
-    currents."""
+    over the conv output, and keeps the xhat, not the currents, of the
+    norm before a LIF layer."""
 
     def test_bool_spikes_before_a_pool_and_xhat_over_the_conv_output(self):
         spec = stem_specs()["mnist"]
@@ -904,15 +1021,20 @@ class TestTapeLayout:
             for i, layer in enumerate(spec.layers):
                 cache = tape["caches"][i]
                 if layer.kind == "lif":
-                    # no spikes on the tape: the stem keeps its B rows of
-                    # currents, a later layer its potentials over its currents
-                    kept, kept_smooth = cache[2]
+                    # no spikes, currents or potentials on the tape: the
+                    # cache keeps the norm's xhat, over the conv output (B
+                    # rows in the stem), and the norm's gamma and beta
+                    kept, (gamma, beta), kept_smooth = cache[2]
                     assert spec.layers[i + 1].kind == "pool" and kept_smooth is smooth
                     assert ws.plan.slots[(i, "spikes")][1] == (np.float32 if smooth else bool)
                     assert kept.dtype == np.float32
                     assert kept.shape == ((6,) if i == spec.first_lif else (3, 6)) + \
                         spec.layer_plan[i].in_shape
-                    assert np.shares_memory(kept, ws.planned((i - 1, "y")))
+                    assert spec.layers[i - 1].kind == "norm"
+                    assert np.shares_memory(kept, ws.planned((i - 2, "y")))
+                    for got, name in ((gamma, "gamma"), (beta, "beta")):  # over one sample
+                        vector = net.params[i - 1][name].reshape(-1, 1, 1)
+                        npt.assert_array_equal(got, np.broadcast_to(vector, kept.shape[-3:]))
                 elif layer.kind == "norm":
                     assert spec.layers[i - 1].kind == "conv"
                     assert np.shares_memory(cache[1][0], ws.planned((i - 1, "y")))
@@ -930,7 +1052,8 @@ class TestTapeLayout:
         train(net, x, y, x[:4], y[:4], TrainConfig(epochs=1, batch_size=batch, t_train=t_steps))
         plan = tape_plan(net, batch, t_steps, np.float32)
         assert net.workspace._arena.nbytes == pack(plan)[1] and net.workspace._buffers == {}
-        assert plan_bytes(plan) == workspace_bytes(spec, batch, t_steps, 4)
+        assert plan_bytes(plan) == workspace_bytes(spec, batch, t_steps, 4) + \
+            scratch_bytes(spec, batch, t_steps, 4)
         assert pack(plan)[1] < 0.7 * plan_bytes(plan)
 
 
@@ -1019,23 +1142,27 @@ class TestTapePlan:
                 for stat in want_norms[i]:
                     npt.assert_array_equal(norms[i][stat], want_norms[i][stat])
 
-    def test_the_mnist_step_packs_into_less_than_two_thirds_of_its_arrays(self):
-        # At the bench's B=128, T=4: 95.4 MiB of arrays, 50.5 MiB of arena,
-        # against 48.2 MiB alive at the busiest visit (the end of the
-        # forward pass and the first pool gradient).
+    def test_the_mnist_step_packs_into_less_than_three_tenths_of_its_arrays(self, monkeypatch):
+        # At the bench's B=128, T=4 on two workers: 114.5 MiB of arrays
+        # (95.4 MiB of tape arrays, 19.1 MiB of kernel scratch), 32.2 MiB of
+        # arena, against 31.8 MiB alive at the busiest visit (the forward
+        # pass's arrays at the last LIF layer, with its pool's output).
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
         net = build_instance(stem_specs()["mnist"], seed=0)
         plan = tape_plan(net, 128, 4, np.float32)
-        assert plan_bytes(plan) == workspace_bytes(net.spec, 128, 4, 4)
-        assert pack(plan)[1] <= 51 * 2**20 < plan_bytes(plan)
+        assert plan_bytes(plan) == workspace_bytes(net.spec, 128, 4, 4) + \
+            scratch_bytes(net.spec, 128, 4, 4)
+        assert pack(plan)[1] <= 33 * 2**20 < 0.3 * plan_bytes(plan)
 
     @pytest.mark.parametrize("name", list(zoo_specs()))
     @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
     def test_spikes_last_until_the_next_layer_unless_it_keeps_them(self, name, smooth):
-        # No LIF tape entry holds spikes or planned potentials of its own:
-        # a layer's spikes live until the next layer's forward visit, or its
-        # backward visit when that layer keeps its input (a conv, fc or
-        # classifier) or writes over it (a norm's xhat, a LIF layer's
-        # potentials).  The stem LIF keeps its currents instead.
+        # No LIF tape entry holds spikes or potentials: a layer's spikes
+        # live until the next layer's forward visit, or its backward visit
+        # when that layer keeps its input (a conv, fc or classifier) or
+        # writes over it (a norm's xhat).  A LIF layer after a norm keeps
+        # the norm's xhat, so the norm's output lives until the LIF layer
+        # has read it; any other keeps its currents.
         spec = zoo_specs()[name]
         net = build_instance(spec, seed=0)
         net.smooth_spikes = smooth
@@ -1049,9 +1176,13 @@ class TestTapePlan:
                     shape[0] > 1 and shape[1] * shape[2] > 1  # channels-last, after a conv
                 last = i + 1 if nxt == "pool" or copied else back - (i + 1)
                 assert plan.spans[(i, "spikes")] == (i, last)
-        s, first_param = spec.first_lif, next(i for i, p in enumerate(net.params) if p)
-        if s >= first_param and (s - 1, "y") in plan.slots:
-            assert plan.spans[(s - 1, "y")][1] == back - s  # the stem's currents
+        first_param = next(i for i, p in enumerate(net.params) if p)
+        for i, layer in enumerate(spec.layers):
+            if layer.kind == "lif" and (i - 1, "y") in plan.slots:
+                rebuilt = spec.layers[i - 1].kind == "norm"
+                assert rebuilt <= (i >= first_param)  # a norm has parameters
+                kept = i >= first_param and not rebuilt
+                assert plan.spans[(i - 1, "y")][1] == (back - i if kept else i)
 
     def test_an_fc_input_the_flattening_copies_lasts_until_the_fc_reads_it(self):
         # The second pool's output is channels-last with 6 channels of 2x2:
@@ -1151,9 +1282,9 @@ class TestWorkspace:
     def test_a_first_call_peaks_at_the_arena_not_at_the_sum_of_its_arrays(self, monkeypatch):
         # Tier-1 guard against a return to a buffer per array: a first call
         # at B=32, T=4 peaks within the arena plus a slack of 7 MiB for the
-        # temporaries the workspace does not hold (5.1 MiB measured at two
-        # workers); the arrays on bytes of their own would need 10.7 MiB
-        # more than the arena.
+        # temporaries the workspace does not hold (1.6-2.3 MiB measured at two
+        # workers); the tape's arrays on bytes of their own would need 14.4
+        # MiB more than the arena.
         monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
         spec = stem_specs()["mnist"]
         x, y = self.batch(spec, 32)
