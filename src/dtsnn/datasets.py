@@ -167,9 +167,10 @@ def synth_dataset(kind, n, num_classes, seed, image_size=28, noise=0.3,
         raise ValueError(f"unknown synthetic dataset kind {kind!r}")
     mean = float(images.mean())
     std = float(images.std())
-    images = (images - mean) / std
+    images -= mean  # in place: the same float32 arithmetic, no copies of the images
+    images /= std
     return Dataset(
-        images=images.astype(np.float32),
+        images=images,
         labels=labels.astype(np.int64),
         split=split,
         mean=mean,

@@ -41,9 +41,16 @@ strides, but are fast on that one:
 - a pool, in either engine, sums bool spikes (a strict LIF layer's before a
   pool, on the tape as in a step) as bytes and other integer inputs
   exactly, then divides in the output's float dtype, so its result is that
-  of pooling the same values as floats, bit for bit;
+  of pooling the same values as floats, bit for bit.  A pool before a
+  convolution stops at the sums (`avg_pool2d` with ``sums``), bytes for
+  spikes, a quarter of float32 means: the convolution's blocks divide them
+  by the pool's own division into their bordered buffers (``pooled``), so
+  the unfolded floats, and the convolution and its weight gradient, are
+  those of the means bit for bit;
 - per-channel sums in the norm kernels use einsum, which reduces
-  channels-last memory without looping over the short channel axis.
+  channels-last memory without looping over the short channel axis; their
+  elementwise passes run against the per-channel vectors copied over one
+  sample (`_per_sample`), in long contiguous loops.
 
 This module owns the engine's threads.  `run_blocks` is the one fork-join:
 it runs the blocks of a kernel, or the tiles of `network.scan_timesteps`, on
@@ -54,16 +61,21 @@ kernels -- `conv2d`, the weight gradient of `conv2d_backward`, `avg_pool2d`,
 `avg_pool2d_backward`, the elementwise passes of the train-mode norms, and
 `network.lif_unroll` / `training.lif_unroll_backward` -- split the batch
 into blocks of about BLOCK_BYTES (the convolution's and the pool's in
-their buffers and the LIF backward's, each worker on a scratch of its own;
-the others' `run_row_blocks`) and write every block into the one output
-array.  Blocks keep each reduction's order (the weight gradient adds its
+their buffers, the norm backward's and the LIF backward's, each worker on
+a scratch of its own; the others' `run_row_blocks`) and write every block
+into the one output array.  Blocks keep each reduction's order (the weight gradient adds its
 block products in block order), so a result does not depend on the worker
-count.
+count.  A convolution's blocks are sized by the itemsize of the values it
+reads (a pool's means for handed-over sums), the norm backward's xhat *
+slope is each worker's scratch (`norm_scratch`), and the first LIF layer's
+backward blocks spread the gradient of the pool after it themselves
+(`_spread_pooled`, `avg_pool2d_backward`'s body).
 """
 
 import ctypes
 import functools
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -168,13 +180,18 @@ def _check_out(out, shape, dtype):
     return out
 
 
-def _channels_last_rows(out, shape, dtype):
-    """The (N*H*W, C) matrix under ``out``, an (N,C,H,W) view of (N,H,W,C)
-    memory of this shape and dtype; ShapeError for any other array."""
-    rows = _check_out(out, shape, dtype).transpose(0, 2, 3, 1)
-    if not rows.flags.c_contiguous:
+def _channels_last_mem(out, shape, dtype):
+    """The (N,H,W,C) memory under ``out``, an (N,C,H,W) view of it of this
+    shape and dtype; ShapeError for any other array."""
+    mem = _check_out(out, shape, dtype).transpose(0, 2, 3, 1)
+    if not mem.flags.c_contiguous:
         raise ShapeError("out array must be an (N,C,H,W) view of (N,H,W,C) memory")
-    return rows.reshape(-1, shape[1])
+    return mem
+
+
+def _channels_last_rows(out, shape, dtype):
+    """The (N*H*W, C) matrix under ``out`` (`_channels_last_mem`)."""
+    return _channels_last_mem(out, shape, dtype).reshape(-1, shape[1])
 
 
 class ConvBuffers(NamedTuple):
@@ -186,14 +203,15 @@ class ConvBuffers(NamedTuple):
                          # their windows, the unfold scratch, that scratch as the matrix)
     more: object         # builds the scratch of one more worker, on new arrays
     out: np.ndarray      # (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory
+    load: object         # load(interior, samples): a block's samples into its bordered buffer
 
 
 def conv_scratch(n, in_shape, params, in_itemsize):
     """{(role, k): shape} of the scratch `conv_buffers` takes, in its dtype,
-    for a convolution over n samples of ``in_shape`` (C, H, W) of
-    ``in_itemsize`` bytes: ("x", k), the zero-bordered buffer of one block,
-    and ("cols", k), the unfold scratch of one block, for each worker k its
-    blocks may use."""
+    for a convolution over n samples of ``in_shape`` (C, H, W) that it reads
+    as values of ``in_itemsize`` bytes (a pool's means for handed-over window
+    sums): ("x", k), the zero-bordered buffer of one block, and ("cols", k),
+    the unfold scratch of one block, for each worker k its blocks may use."""
     c, h, w = in_shape
     ho, wo = params.output_hw(h, w)
     step = block_rows(ho * wo * params.kernel_h * params.kernel_w * c * in_itemsize)
@@ -226,12 +244,30 @@ def unfold_size(n, in_shape, params, itemsize):
     return min(n, block_rows(ho * wo * k * itemsize)) * ho * wo * k
 
 
-def conv_buffers(x, params, dtype, out, take):
+def _pooled_dtype(x, pooled):
+    """The dtype of the values a convolution reads from x: x's own, or, for
+    window sums handed over by a pool (``pooled``, (window, dtype)), that of
+    the pool's means."""
+    return x.dtype if pooled is None else np.dtype(pooled[1])
+
+
+def _load_means(divisor, dtype, interior, sums):
+    """A pool's means of its window ``sums`` into ``interior``: the pool's
+    own division, in its means' ``dtype``."""
+    np.divide(sums, divisor, out=interior, dtype=dtype)
+
+
+def conv_buffers(x, params, dtype, out, take, pooled=None):
     """Build the blocks of `conv2d` on x into ``out`` once.
 
-    Blocks are `block_rows` samples of unfolded input at x's itemsize, each
-    with its rows of ``out``, an (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out)
-    memory (the weight gradient passes the output gradient).  Each worker
+    Blocks are `block_rows` samples of unfolded input at the itemsize of
+    the values read (x's, or with ``pooled`` the means'), each with its
+    rows of ``out``, an (N,C_out,Ho,Wo) view of (N,Ho,Wo,C_out) memory (the
+    weight gradient passes the output gradient).  With ``pooled``, a pair
+    (window, dtype), x holds the window sums of a pool before the
+    convolution (`avg_pool2d` with ``sums``): a block divides its samples
+    by window**2 in the means' dtype into its bordered buffer, the pool's
+    means bit for bit, where it would copy them.  Each worker
     `run_blocks` may use gets ``dtype`` scratch from ``take(role, shape,
     dtype)`` (`conv_scratch`): ("x", k), a channels-last buffer of one block
     whose border is zeroed here, and ("cols", k), an unfold scratch of one
@@ -245,11 +281,12 @@ def conv_buffers(x, params, dtype, out, take):
     kh, kw, stride, pad = params.kernel_h, params.kernel_w, params.stride, params.padding
     ho, wo = params.output_hw(h, w)
     k = kh * kw * c
-    step = block_rows(ho * wo * k * x.itemsize)
+    itemsize = _pooled_dtype(x, pooled).itemsize
+    step = block_rows(ho * wo * k * itemsize)
     rows = _channels_last_rows(out, (n, out.shape[1], ho, wo), out.dtype)
     blocks = tuple((x[a : a + step], rows[a * ho * wo : (a + step) * ho * wo])
                    for a in range(0, max(n, 1), step))
-    shapes = conv_scratch(n, (c, h, w), params, x.itemsize)
+    shapes = conv_scratch(n, (c, h, w), params, itemsize)
 
     def scratch(take, worker):
         mem = take(("x", worker), shapes[("x", 0)], dtype)
@@ -269,21 +306,23 @@ def conv_buffers(x, params, dtype, out, take):
                         as_strided(xp[:m], shape, strides, writeable=False), block, matrix)
         return views
 
+    load = np.copyto if pooled is None else \
+        functools.partial(_load_means, pooled[0] * pooled[0], pooled[1])
     return ConvBuffers(x, blocks, tuple(scratch(take, k) for role, k in shapes if role == "x"),
-                       functools.partial(scratch, _new_array, 0), out)
+                       functools.partial(scratch, _new_array, 0), out, load)
 
 
-def _unfold_block(x, scratch):
+def _unfold_block(x, scratch, load=np.copyto):
     """The unfolded matrix of the samples x in a worker's ``scratch`` (from
-    `conv_buffers`): x copied into its bordered buffer, their windows into
-    its unfold scratch."""
+    `conv_buffers`): x loaded into its bordered buffer (``load``, the
+    buffers'), their windows copied into its unfold scratch."""
     interior, windows, cols, matrix = scratch[len(x)]
-    np.copyto(interior, x)
+    load(interior, x)
     np.copyto(cols, windows)
     return matrix
 
 
-def conv2d(x, weights, params, out=None, *, buffers=None, take=_new_array):
+def conv2d(x, weights, params, out=None, *, buffers=None, take=_new_array, pooled=None):
     """2-d cross-correlation of x (N,C,H,W) with weights (C_out,C_in,kh,kw).
 
     Equivalent to the direct sum-of-products over every window.  Runs on
@@ -292,7 +331,9 @@ def conv2d(x, weights, params, out=None, *, buffers=None, take=_new_array):
     (N,Ho,Wo,C_out) memory, new when None) on the scratch of ``take`` (new
     arrays by default): each unfolds its samples in its worker's scratch
     (`_unfold_block`) and multiplies them into its rows of the result,
-    ``buffers.out``.  With ``buffers`` it allocates nothing.
+    ``buffers.out``.  With ``buffers`` it allocates nothing.  ``pooled``,
+    (window, dtype), says that x holds a pool's window sums: the result is
+    the convolution of the pool's means, bit for bit (`conv_buffers`).
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-d (N,C,H,W), got shape {x.shape}")
@@ -318,16 +359,16 @@ def conv2d(x, weights, params, out=None, *, buffers=None, take=_new_array):
     ho, wo = params.output_hw(*x.shape[2:])
     wmat = _weight_matrix(weights).T
     if buffers is None:
-        dtype = np.result_type(x, wmat)
+        dtype = np.result_type(_pooled_dtype(x, pooled), wmat)
         if out is None:
             out = np.empty((n, ho, wo, cout), dtype=dtype).transpose(0, 3, 1, 2)
         buffers = conv_buffers(x, params, dtype, _check_out(out, (n, cout, ho, wo), dtype),
-                               take)
+                               take, pooled)
     elif x is not buffers.x:
         raise ShapeError("conv2d buffers were built on another input array")
-    blocks = buffers.blocks
+    blocks, load = buffers.blocks, buffers.load
     _run_on_scratch(len(blocks), lambda i, scratch: np.matmul(
-        _unfold_block(blocks[i][0], scratch), wmat, out=blocks[i][1]),
+        _unfold_block(blocks[i][0], scratch, load), wmat, out=blocks[i][1]),
         buffers.scratch, buffers.more)
     return buffers.out
 
@@ -351,26 +392,29 @@ def _col2im(dcols, x_shape, kh, kw, stride, padding):
     return dxp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
-def conv2d_backward(dy, x, weights, params, need_dx=True, out=None, *, take=_new_array):
+def conv2d_backward(dy, x, weights, params, need_dx=True, out=None, *, take=_new_array,
+                    pooled=None):
     """Gradients of conv2d w.r.t. input and weights.
 
     dy has the output shape (N,C_out,Ho,Wo).  dW runs on the blocks of
-    `conv_buffers` on x, with dy (copied channels-last unless it is) as
-    their output: each multiplies its rows of dy with its samples' unfolded
-    matrix, and the products are summed in block order.  With
-    ``need_dx=False`` the input gradient is not computed and returned as
-    None.  ``out``, an (N,C,H,W) view of (N,H,W,C) memory, receives the input
-    gradient.  Both convolutions take their scratch from ``take`` (as
-    `conv2d`), the second after the first has let its scratch go.
+    `conv_buffers` on x (a pool's window sums with ``pooled``, as in
+    `conv2d`), with dy (copied channels-last unless it is) as their output:
+    each multiplies its rows of dy with its samples' unfolded matrix, and
+    the products are summed in block order.  With ``need_dx=False`` the
+    input gradient is not computed and returned as None.  ``out``, an
+    (N,C,H,W) view of (N,H,W,C) memory, receives the input gradient.  Both
+    convolutions take their scratch from ``take`` (as `conv2d`), the second
+    after the first has let its scratch go.
     """
     cout, cin, kh, kw = weights.shape
     dy = _channels_last(dy)
-    conv = conv_buffers(x, params, np.result_type(dy, x), dy, take)
+    conv = conv_buffers(x, params, np.result_type(dy, _pooled_dtype(x, pooled)), dy, take,
+                        pooled)
     parts = [None] * len(conv.blocks)
 
     def block(i, scratch):
         samples, dy_rows = conv.blocks[i]
-        parts[i] = dy_rows.T @ _unfold_block(samples, scratch)
+        parts[i] = dy_rows.T @ _unfold_block(samples, scratch, conv.load)
 
     _run_on_scratch(len(parts), block, conv.scratch, conv.more)
     dw = np.ascontiguousarray(sum(parts).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
@@ -450,7 +494,8 @@ class PoolBuffers(NamedTuple):
                          # sum its windows and divide, in order
     more: object         # builds the calls of one more worker, on new row sums
     sums: np.ndarray     # the window sums, one row per sample
-    out: np.ndarray      # (N,C,H/window,W/window) window means
+    out: np.ndarray      # (N,C,H/window,W/window) window means, or, built without
+                         # an out array, the window sums as a view of channels-last memory
 
 
 def pool_buffers(x, window, out, take):
@@ -462,10 +507,11 @@ def pool_buffers(x, window, out, take):
     into row sums, ``take(("rows", k), shape, dtype)`` of its worker k, and
     its rows of the window sums, ``take("sums", shape, dtype)`` (x itself
     for a window of 1), then divides them by window**2 into its samples of
-    ``out``, in out's dtype.  A bool x (spikes) is summed as bytes and
-    another integer x exactly, in `_window_sum_dtype`; integer sums are
-    exact in any order, so a window that covers the whole map is summed by
-    one `np.add.reduce`.
+    ``out``, in out's dtype.  With ``out`` None the blocks stop at the
+    sums (a window of 1 copies x into them), which the buffers' ``out``
+    then is.  A bool x (spikes) is summed as bytes and another integer x
+    exactly, in `_window_sum_dtype`; integer sums are exact in any order,
+    so a window that covers the whole map is summed by one `np.add.reduce`.
     """
     n, c, h, w = x.shape
     ho, wo = h // window, w // window
@@ -476,7 +522,7 @@ def pool_buffers(x, window, out, take):
     if x.dtype == bool:
         mem = mem.view(np.uint8)
     whole = dtype.kind in "iu" and ho == wo == 1 < window
-    sums = mem if window == 1 else take("sums", (n, ho, wo, c), dtype)
+    sums = mem if window == 1 and out is not None else take("sums", (n, ho, wo, c), dtype)
     step = block_rows(x.nbytes // max(1, n))
     blocks = [slice(a, a + step) for a in range(0, max(n, 1), step)]
 
@@ -497,8 +543,11 @@ def pool_buffers(x, window, out, take):
         elif window > 1:
             row_sums = window_sum(src.reshape(m * ho, window, w * c), rows[: m * ho])
             window_sum(row_sums.reshape(m * ho * wo, window, c), total.reshape(-1, c))
-        calls.append(functools.partial(np.divide, total.transpose(0, 3, 1, 2), window * window,
-                                       out=out[b], dtype=out.dtype))
+        elif out is None:
+            calls.append(functools.partial(np.copyto, total, src))
+        if out is not None:
+            calls.append(functools.partial(np.divide, total.transpose(0, 3, 1, 2),
+                                           window * window, out=out[b], dtype=out.dtype))
         return tuple(calls)
 
     def worker(take, k):
@@ -508,7 +557,8 @@ def pool_buffers(x, window, out, take):
 
     return PoolBuffers(x, tuple(worker(take, k) for k in _block_workers(len(blocks))),
                        functools.partial(worker, _new_array, 0),
-                       sums.reshape(n, ho * wo * c), out)
+                       sums.reshape(n, ho * wo * c),
+                       sums.transpose(0, 3, 1, 2) if out is None else out)
 
 
 def _run_calls(i, calls):
@@ -517,7 +567,7 @@ def _run_calls(i, calls):
         call()
 
 
-def avg_pool2d(x, window, out=None, *, buffers=None):
+def avg_pool2d(x, window, out=None, *, buffers=None, sums=False):
     """Non-overlapping mean pooling; H and W must be divisible by window.
 
     Runs on `run_blocks` the blocks of ``buffers``, from `pool_buffers` on
@@ -525,8 +575,11 @@ def avg_pool2d(x, window, out=None, *, buffers=None):
     it is) into ``out`` (new when None, in x's memory order); the result is
     ``buffers.out``, that of pooling ``x.astype(np.result_type(x, 1.0))``
     bit for bit.  A bool x may pool into an ``out`` of any float dtype, as
-    its values in that dtype would.  With ``buffers`` the call allocates
-    nothing.
+    its values in that dtype would.  With ``sums`` the result is the
+    window sums instead, in `_window_sum_dtype` (bytes for bool spikes),
+    an (N,C,H/window,W/window) view of channels-last memory, ``out`` when
+    it is given: what a convolution after the pool reads (`conv2d` with
+    ``pooled``).  With ``buffers`` the call allocates nothing.
     """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d input must be 4-d, got shape {x.shape}")
@@ -535,7 +588,17 @@ def avg_pool2d(x, window, out=None, *, buffers=None):
         raise ShapeError(
             f"spatial size {h}x{w} not divisible by pooling window {window}"
         )
-    if buffers is None:
+    if buffers is None and sums:
+        n, c = x.shape[:2]
+        shape, dtype = (n, c, h // window, w // window), _window_sum_dtype(x.dtype, window)
+        mem = np.empty((n, h // window, w // window, c), dtype) if out is None else \
+            _channels_last_mem(out, shape, dtype)
+        buffers = pool_buffers(_channels_last(x), window, None,
+                               lambda role, shape, dt: mem if role == "sums" else
+                               np.empty(shape, dt))
+        if out is not None:
+            buffers = buffers._replace(out=out)
+    elif buffers is None:
         corner, dtype = x[:, :, ::window, ::window], np.result_type(x, 1.0)
         if x.dtype == bool and out is not None and out.dtype.kind == "f":
             dtype = out.dtype
@@ -558,14 +621,20 @@ def avg_pool2d_backward(dy, window, out=None):
     shape, dtype = (n, c, ho * window, wo * window), np.result_type(dy, 1.0)
     if out is None:
         out = np.empty((n, ho * window, wo * window, c), dtype=dtype).transpose(0, 3, 1, 2)
-    dx = _channels_last_rows(out, shape, dtype).reshape(n, ho, window, wo, window, c)
-
-    def block(samples):
-        g = (dy[samples] / float(window * window)).transpose(0, 2, 3, 1)
-        dx[samples] = g[:, :, None, :, None, :]
-
-    run_row_blocks(n, dx.nbytes // max(1, n), block)
+    dx = _channels_last_mem(out, shape, dtype).reshape(n, ho, window, wo, window, c)
+    run_row_blocks(n, dx.nbytes // max(1, n),
+                   lambda samples: _spread_pooled(dy[samples], window, dx[samples]))
     return out
+
+
+def _spread_pooled(dy, window, dx):
+    """Each pooled gradient of dy (..., C, Ho, Wo) divided by window**2 into
+    every position of its window in dx, the (..., Ho, window, Wo, window, C)
+    view of channels-last memory: `avg_pool2d_backward`'s blocks, and the
+    first LIF layer's backward blocks when a pool follows it
+    (`training.lif_unroll_backward`)."""
+    g = np.moveaxis(dy / float(window * window), -3, -1)
+    dx[...] = g[..., :, None, :, None, :]
 
 
 # Batch normalization constants: the weight of the batch statistics in the
@@ -583,6 +652,25 @@ def norm_params(num_features, dtype=np.float32):
         "running_mean": np.zeros(num_features, dtype=dtype),
         "running_var": np.ones(num_features, dtype=dtype),
     }
+
+
+def _per_sample(vector, x):
+    """A (1, C, ...) per-channel vector copied into one array of the shape
+    and memory order of one sample of x: an elementwise pass against it
+    over whole samples runs in long contiguous loops (for channels-last x,
+    broadcasting the vector gives inner loops of C elements, about 3x
+    slower at 12 channels)."""
+    full = np.empty_like(x[0], dtype=vector.dtype)
+    np.copyto(full, vector[0])
+    return full
+
+
+def _in_order(mem, shape, like):
+    """The first elements of the flat array mem as an array of ``shape`` in
+    the memory order of ``np.empty_like(like)`` (like has as many axes)."""
+    probe = np.empty_like(like, dtype=np.uint8, shape=(2,) * like.ndim)
+    order = np.argsort(probe.strides)[::-1]
+    return mem[: math.prod(shape)].reshape([shape[a] for a in order]).transpose(np.argsort(order))
 
 
 def _channel_view(x, num_features):
@@ -624,9 +712,10 @@ def batch_norm_train_cached(x, params, repeats=1, out=None):
     The statistics are einsum reductions over x and over x centred once, in
     x's memory order; the centred array is then scaled in place into xhat.
     The elementwise passes run in blocks of samples (`run_row_blocks`), the
-    reductions over the whole batch.  ``out``, a pair (xhat, y), receives
-    the two arrays; either may be x itself, whose every element is read
-    before it is written.
+    reductions over the whole batch, and they run against the per-channel
+    vectors copied over one sample (`_per_sample`).  ``out``, a pair (xhat,
+    y), receives the two arrays; either may be x itself, whose every
+    element is read before it is written.
     """
     nf = params["gamma"].shape[0]
     view = _channel_view(x, nf)
@@ -635,17 +724,19 @@ def batch_norm_train_cached(x, params, repeats=1, out=None):
     mean = np.einsum(f"{idx}->c", x) / per_channel
     dtype = np.result_type(x, mean)
     xhat = np.empty_like(x, dtype=dtype) if out is None else _check_out(out[0], x.shape, dtype)
+    centre = _per_sample(mean.reshape(view), xhat)
     run_row_blocks(len(x), xhat.nbytes // max(1, len(x)),
-                   lambda rows: np.subtract(x[rows], mean.reshape(view), out=xhat[rows]))
+                   lambda rows: np.subtract(x[rows], centre, out=xhat[rows]))
     var = np.einsum(f"{idx},{idx}->c", xhat, xhat) / per_channel
     invstd = 1.0 / np.sqrt(var + BN_EPS)
-    gamma, beta = params["gamma"].reshape(view), params["beta"].reshape(view)
-    dtype = np.result_type(xhat, invstd, gamma)
+    dtype = np.result_type(xhat, invstd, params["gamma"])
     y = np.empty_like(xhat, dtype=dtype) if out is None else _check_out(out[1], x.shape, dtype)
+    invstd_s, gamma, beta = (_per_sample(v.reshape(view), xhat)
+                             for v in (invstd, params["gamma"], params["beta"]))
 
     def scale(rows):
         xb, yb = xhat[rows], y[rows]
-        xb *= invstd.reshape(view)
+        xb *= invstd_s
         np.multiply(xb, gamma, out=yb)
         yb += beta
 
@@ -662,14 +753,27 @@ def batch_norm_train_cached(x, params, repeats=1, out=None):
     return y, new_params, (xhat, invstd, params["gamma"], view)
 
 
-def batch_norm_backward(dy, cache, out=None):
+def norm_scratch(n, sample_shape, row_itemsize):
+    """{(role, k): shape} of the scratch `batch_norm_backward` takes over n
+    samples of ``sample_shape`` whose input gradient has ``row_itemsize``
+    bytes a sample: ("term", k), the flat xhat * slope of one block of
+    `block_rows` samples, for each worker k its blocks may use."""
+    step = block_rows(row_itemsize)
+    return {("term", k): (min(n, step) * math.prod(sample_shape),)
+            for k in _block_workers(-(-max(n, 1) // step))}
+
+
+def batch_norm_backward(dy, cache, out=None, *, take=_new_array):
     """Gradient of training-mode batch_norm w.r.t. input, gamma, beta.
 
     With m values per channel, dxhat = gamma * dy has the channel means
     gamma * dbeta / m and mean(dxhat * xhat) = gamma * dgamma / m, so the two
     einsum reductions are the only passes that sum over the batch; the
-    elementwise passes run in blocks of samples (`run_row_blocks`).  ``out``
-    receives the input gradient; it may be dy itself.
+    elementwise passes run in blocks of samples, against the per-channel
+    vectors copied over one sample (`_per_sample`), each worker's
+    xhat * slope in its scratch, ``take(role, shape, dtype)`` (new arrays
+    by default; `norm_scratch` gives the shapes).  ``out`` receives the
+    input gradient; it may be dy itself.
     """
     xhat, invstd, gamma, view = cache
     idx = "nchw"[: dy.ndim]
@@ -680,14 +784,24 @@ def batch_norm_backward(dy, cache, out=None):
     scale = (gamma * invstd).reshape(view)
     dtype = np.result_type(dy, xhat, slope, shift, scale)
     dx = np.empty_like(dy, dtype=dtype) if out is None else _check_out(out, dy.shape, dtype)
+    slope, shift, scale = (_per_sample(v, xhat) for v in (slope, shift, scale))
+    n, row_bytes = len(dy), dx.nbytes // max(1, len(dy))
+    step = block_rows(row_bytes)
+    shapes = norm_scratch(n, dy.shape[1:], row_bytes)
+    term_dtype = np.result_type(xhat, slope)
+    scratch = [take(role, shape, term_dtype) for role, shape in shapes.items()]
 
-    def block(rows):
-        dxb = dx[rows]
-        np.subtract(dy[rows], xhat[rows] * slope, out=dxb)
+    def block(i, mem):
+        rows = slice(i * step, min(i * step + step, n))
+        xb, dxb = xhat[rows], dx[rows]
+        term = _in_order(mem, xb.shape, xb)
+        np.multiply(xb, slope, out=term)
+        np.subtract(dy[rows], term, out=dxb)
         dxb -= shift
         dxb *= scale
 
-    run_row_blocks(len(dy), dx.nbytes // max(1, len(dy)), block)
+    _run_on_scratch(max(1, -(-n // step)), block, scratch,
+                    lambda: np.empty(scratch[0].shape, term_dtype))
     return dx, dgamma, dbeta
 
 

@@ -127,7 +127,7 @@ def lif_unroll(currents, cfg, smooth=False, out=None, norm=None):
     When ``norm`` is given, the (xhat, gamma, beta) of the train-mode norm
     whose output the currents are (gamma and beta per-channel views), kept
     is that xhat and affine its (gamma, beta) over one sample
-    (`_per_sample`): the currents are rebuilt as xhat * gamma + beta, the
+    (`kernels._per_sample`): the currents are rebuilt as xhat * gamma + beta, the
     norm's own formula.  Else kept is the currents and affine None.  For currents that
     are one (B, ...) array at every step (a T axis of stride 0, as
     `np.broadcast_to` gives: the stem's B rows), kept is that array, or the
@@ -151,39 +151,25 @@ def lif_unroll(currents, cfg, smooth=False, out=None, norm=None):
     kept, affine = (step if currents.strides[0] == 0 else currents), None
     if norm is not None:
         xhat, gamma, beta = norm
-        kept, affine = xhat.reshape(kept.shape), (_per_sample(gamma, xhat), _per_sample(beta, xhat))
+        kept, affine = xhat.reshape(kept.shape), (kernels._per_sample(gamma, xhat),
+                                                   kernels._per_sample(beta, xhat))
     return spikes, (kept, affine, smooth)
 
 
-def _per_sample(vector, x):
-    """A (1, C, ...) per-channel vector copied into one array of the shape
-    and memory order of one sample of x: an elementwise pass against it
-    over whole samples runs in long contiguous loops (for channels-last x,
-    broadcasting the vector gives inner loops of C elements, about 3x
-    slower at 12 channels)."""
-    full = np.empty_like(x[0], dtype=vector.dtype)
-    np.copyto(full, vector[0])
-    return full
-
-
-def _lif_scratch(t_steps, batch, step_shape, itemsize):
+def _lif_scratch(t_steps, batch, step_shape, itemsize, spread=False):
     """(rows, {(role, k): shape}): the samples in a block of
     `training.lif_unroll_backward` over gradients of (t_steps, batch) +
     step_shape and ``itemsize`` bytes (T steps of about
-    `kernels.BLOCK_BYTES`), and the flat potentials scratch ("u_pre", k),
-    in the potentials' dtype, of each worker k its blocks may use."""
+    `kernels.BLOCK_BYTES`), and, for each worker k its blocks may use, the
+    flat potentials scratch ("u_pre", k), in the potentials' dtype, and
+    with ``spread`` the flat gradient scratch ("dspikes", k) that a pool's
+    gradient is spread into, in the gradient's dtype."""
     elems = math.prod(step_shape)
     rows = kernels.block_rows(elems * itemsize * t_steps)
-    return rows, {("u_pre", k): (t_steps * min(batch, rows) * elems,)
-                  for k in kernels._block_workers(-(-max(batch, 1) // rows))}
-
-
-def _in_order(mem, shape, like):
-    """The first elements of the flat array mem as an array of ``shape`` in
-    the memory order of ``np.empty_like(like)`` (like has as many axes)."""
-    probe = np.empty_like(like, dtype=np.uint8, shape=(2,) * like.ndim)
-    order = np.argsort(probe.strides)[::-1]
-    return mem[: math.prod(shape)].reshape([shape[a] for a in order]).transpose(np.argsort(order))
+    shape = (t_steps * min(batch, rows) * elems,)
+    return rows, {(role, k): shape
+                  for k in kernels._block_workers(-(-max(batch, 1) // rows))
+                  for role in (("u_pre", "dspikes") if spread else ("u_pre",))}
 
 
 def _lif_potentials(kept, affine, cfg, smooth, mem):
@@ -200,7 +186,7 @@ def _lif_potentials(kept, affine, cfg, smooth, mem):
     m = u_pre[t-1] <= v_th, or 1 - spike_ramp(u_pre[t-1]) when ``smooth``.
     """
     t_steps = kept.shape[0]
-    u_pre = _in_order(mem, (t_steps * kept.shape[1],) + kept.shape[2:], kept[0])
+    u_pre = kernels._in_order(mem, (t_steps * kept.shape[1],) + kept.shape[2:], kept[0])
     u_pre = u_pre.reshape(kept.shape)
     currents = kept
     if affine is not None:  # into the last step's potentials, which are written last
@@ -258,6 +244,14 @@ def _bool_spikes(layers, i, smooth):
     """Whether LIF layer i leaves its spikes as bool, in a step and on the
     tape: under strict firing, when a pool reads them (as bytes)."""
     return not smooth and i + 1 < len(layers) and layers[i + 1].kind == "pool"
+
+
+def _hands_sums(layers, i):
+    """Whether pool layer i hands its window sums (bytes for strict spikes)
+    to the convolution after it, in a step and on the tape, instead of
+    writing its means: the convolution's blocks divide them into their
+    bordered buffers (`kernels.conv2d` with ``pooled``)."""
+    return i + 1 < len(layers) and layers[i + 1].kind == "conv"
 
 
 def _rebuilds_currents(layers, i):
@@ -497,15 +491,22 @@ def tape_plan(net, batch, t_steps, dtype):
     flattening copies it: a channels-last input (any one after a conv) of
     more than one channel and more than one pixel.  The layers before the
     first one with parameters have no backward visit: their arrays last
-    until the last layer that reads them.
+    until the last layer that reads them.  A pool before a convolution
+    (`_hands_sums`) writes its window sums, bytes for strict spikes, which
+    the convolution's entry holds; the convolution reads them as the means'
+    dtype, by which its scratch is sized.  The pool after the first LIF
+    layer has no input gradient of its own: that LIF layer's backward
+    blocks spread the pool's incoming gradient, which lasts until then.
 
     The kernels' scratch is planned too, as (visit, "scratch", role) bytes
     alive at that one visit (`Workspace.scratch`): each worker's bordered
     and unfold buffers of a convolution (`kernels.conv_scratch`; at a
     backward visit the larger of the weight gradient's and the input
-    gradient's, which run one after the other) and each worker's
-    potentials of a LIF layer's backward blocks (`_lif_scratch`).  The
-    workers are those `kernels.run_blocks` would use from this thread.
+    gradient's, which run one after the other), each worker's potentials
+    of a LIF layer's backward blocks, and the first LIF layer's spread
+    gradient (`_lif_scratch`), and each worker's xhat * slope of a norm's
+    backward blocks (`kernels.norm_scratch`).  The workers are those
+    `kernels.run_blocks` would use from this thread.
     """
     spec, params = net.spec, net.params
     layers, s = spec.layers, spec.first_lif
@@ -560,8 +561,10 @@ def tape_plan(net, batch, t_steps, dtype):
             lif_dt, h, dt = dt, spikes, slots[spikes][1]
         elif kind == "pool":
             # bool spikes after the stem pool into their potentials' dtype
+            sums_dt = kernels._window_sum_dtype(dt, layer.window)
             dt = lif_dt if dt == bool and i > s else np.result_type(dt, 1.0)
-            h = new((i, "y"), (rows,) + plan.out_shape, dt, i)
+            h = new((i, "y"), (rows,) + plan.out_shape,
+                    sums_dt if _hands_sums(layers, i) else dt, i)
         else:  # fc / classifier: a new output
             c, *hw = plan.in_shape
             if not (channels_last and hw and c > 1 and math.prod(hw) > 1):  # else a copy
@@ -578,14 +581,22 @@ def tape_plan(net, batch, t_steps, dtype):
             g, dt = None, np.result_type(dt, par["w"])
         elif kind == "pool":
             dt = np.result_type(dt, 1.0)
-            g = new((i, "dx"), (rows,) + plan.in_shape, dt, visit)
+            if i - 1 != s:  # else the first LIF layer spreads g
+                g = new((i, "dx"), (rows,) + plan.in_shape, dt, visit)
         elif kind == "lif":
-            scratch(visit, (_lif_scratch(t_steps, batch, plan.in_shape, dt.itemsize)[1],
-                            in_dtypes[i]))
+            spread = i == s and layers[i + 1].kind == "pool"
+            shapes = _lif_scratch(t_steps, batch, plan.in_shape, dt.itemsize, spread)[1]
+            scratch(visit, ({key: v for key, v in shapes.items() if key[0] == "u_pre"},
+                            in_dtypes[i]),
+                    ({key: v for key, v in shapes.items() if key[0] == "dspikes"}, dt))
             if i == s:  # summed over T into B rows
                 g = new((i, "dx"), (batch,) + plan.in_shape, dt, visit)
-        elif kind == "norm" and dt != np.result_type(dt, xhat_dtypes[i], par["gamma"]):
-            g, dt = None, np.result_type(dt, xhat_dtypes[i], par["gamma"])  # not over g
+        elif kind == "norm":
+            dx_dt = np.result_type(dt, xhat_dtypes[i], par["gamma"])
+            scratch(visit, (kernels.norm_scratch(rows, plan.in_shape, math.prod(plan.in_shape) *
+                                                 dx_dt.itemsize), np.result_type(xhat_dtypes[i], dt)))
+            if dt != dx_dt:
+                g, dt = None, dx_dt  # not over g
         elif kind == "conv":
             x_dt, cfg = in_dtypes[i], plan.config
             weight_grad = (kernels.conv_scratch(rows, plan.in_shape, cfg, x_dt.itemsize),
@@ -651,12 +662,13 @@ class Workspace:
     lays out a new `Workspace()`.
 
     A step's keys are those `run_layers` and `training.backward_through_time`
-    request: each conv's and pool's output ("y"), each train-mode norm's
-    output ("y"; its ``xhat`` is written over the array it reads, or is
-    "xhat"), each LIF layer's spikes ("spikes": bool before a strict pool,
-    else float, alive until the next layer has read them unless it keeps
-    them), the input gradients ("dx") of pools, convs and the first LIF
-    layer, and the kernels' scratch at each visit (`scratch`).  No LIF
+    request: each conv's and pool's output ("y"; a pool before a conv's is
+    its window sums), each train-mode norm's output ("y"; its ``xhat`` is
+    written over the array it reads, or is "xhat"), each LIF layer's spikes
+    ("spikes": bool before a strict pool, else float, alive until the next
+    layer has read them unless it keeps them), the input gradients ("dx")
+    of convs, of the first LIF layer and of pools but the one after it,
+    and the kernels' scratch at each visit (`scratch`).  No LIF
     layer has currents or potentials of its own: its backward pass
     recomputes its potentials, from its currents or, after a norm, from the
     norm's xhat.
@@ -722,11 +734,12 @@ class Workspace:
         mem = self._arena[start : start + math.prod(shape) * dtype.itemsize].view(dtype)
         if like is None and len(shape) == 4:
             return mem.reshape(shape[0], shape[2], shape[3], shape[1]).transpose(0, 3, 1, 2)
-        return mem.reshape(shape) if like is None else _in_order(mem, shape, like)
+        return mem.reshape(shape) if like is None else kernels._in_order(mem, shape, like)
 
     def scratch(self, visit):
         """The ``take(role, shape, dtype)`` of the kernels of layer visit
-        ``visit`` (`kernels.conv_buffers`, `training.lif_unroll_backward`):
+        ``visit`` (`kernels.conv_buffers`, `kernels.batch_norm_backward`,
+        `training.lif_unroll_backward`):
         the first bytes of the planned (visit, "scratch", role) as a C-order
         array.  StateError for a role the plan lacks or a request past its
         bytes."""
@@ -881,8 +894,11 @@ def _step_program(spec, params, key, memory, blocks):
     A strict LIF layer before a pool leaves its spikes as bool
     (`_bool_spikes`), its keep buffer inverted, which the pool sums as bytes
     (`kernels.pool_buffers`); every other output is in the step's float
-    dtype, so no bool array reaches a GEMM or a norm.  4-d arrays are
-    (N,C,H,W) views of channels-last memory.
+    dtype, so no bool array reaches a GEMM or a norm.  A pool before a
+    convolution (`_hands_sums`) writes only its window sums, which the
+    convolution's blocks divide into their bordered scratch
+    (`kernels.conv_buffers` with ``pooled``), so it has no float output.  4-d arrays are (N,C,H,W)
+    views of channels-last memory.
 
     Each layer adds its calls in the order the tape's `run_layers` visits
     it: a copy of h into the array it reads unless h is that array, with
@@ -960,9 +976,10 @@ def _step_program(spec, params, key, memory, blocks):
                     else (_channels_last_views(h)[0] if kind == "conv" else h).reshape(n, -1)
                 calls.append(functools.partial(_count_inputs, rows, False, out=column))
         if kind == "conv":
+            pooled = (layers[i - 1].window, dt) if i and layers[i - 1].kind == "pool" else None
             w, dt = par["w"], np.result_type(dt, par["w"])
             out = memory.channels_last((i if i < s else "step", "y"), (n,) + plan.out_shape, dt)
-            conv = kernels.conv_buffers(h, cfg, dt, out, functools.partial(take, i))
+            conv = kernels.conv_buffers(h, cfg, dt, out, functools.partial(take, i), pooled)
             calls.append(lambda h=h, w=w, cfg=cfg, conv=conv: conv2d(h, w, cfg, buffers=conv))
             if "b" in par:  # one contiguous add per sample
                 rows = out.transpose(0, 2, 3, 1).reshape(n, -1)
@@ -984,7 +1001,8 @@ def _step_program(spec, params, key, memory, blocks):
         elif kind == "pool":
             # h: the output of the last layer that wrote one (a folded norm writes none)
             dt, window = np.result_type(dt, 1.0), layer.window
-            pool = kernels.pool_buffers(h, window, dest(i, dt), functools.partial(take, i))
+            out = None if _hands_sums(layers, i) else dest(i, dt)
+            pool = kernels.pool_buffers(h, window, out, functools.partial(take, i))
             calls.append(lambda h=h, window=window, pool=pool:
                          avg_pool2d(h, window, buffers=pool))
             h = pool.out
@@ -1218,21 +1236,26 @@ def run_layers(net, h, t_steps, tape):
     stem, its B rows), and the backward pass recomputes the potentials from
     them (`lif_unroll`).  No LIF entry holds spikes; a strict LIF layer
     before a pool leaves them as bool (`_bool_spikes`, as in an inference
-    step), which the pool sums as bytes into the potentials' dtype.  A
-    conv's blocks run on the scratch planned for its visit.  Inference does
-    not come here: a step runs its `StepProgram`.
+    step), which the pool sums as bytes, its means in the potentials'
+    dtype.  A pool before a conv (`_hands_sums`) writes only its window
+    sums, which the conv reads as those means and its entry keeps
+    (``pooled``, the pool's window and the means' dtype).  A conv's blocks
+    run on the scratch planned for its visit.  Inference does not come
+    here: a step runs its `StepProgram`.
     """
     spec = net.spec
     layers, s, batch = spec.layers, spec.first_lif, h.shape[0]
     ws, record = tape["workspace"], tape["caches"].append
+    lif_dt = pooled = None  # the last LIF layer's currents' dtype; the sums h holds
     for i, (layer, par, plan) in enumerate(zip(layers, net.params, spec.layer_plan)):
         kind, cfg = layer.kind, plan.config
         if kind == "conv":
-            y = conv2d(h, par["w"], cfg, ws.planned((i, "y")), take=ws.scratch(i))
+            y = conv2d(h, par["w"], cfg, ws.planned((i, "y")), take=ws.scratch(i),
+                       pooled=pooled)
             if "b" in par:
                 y += par["b"].reshape(1, -1, 1, 1)
-            record((kind, cfg, h))
-            h = y
+            record((kind, cfg, h, pooled))
+            h, pooled = y, None
         elif kind == "norm":
             repeats = t_steps if i < s else 1  # the stem's rows stand for T copies
             xhat = h if i > 0 and h.dtype == np.result_type(h, 1.0) else ws.planned((i, "xhat"), h)
@@ -1250,11 +1273,16 @@ def run_layers(net, h, t_steps, tape):
                 norm = (xhat, gamma.reshape(view), net.params[i - 1]["beta"].reshape(view))
             spikes, cache = lif_unroll(h, cfg, net.smooth_spikes, spikes, norm)
             record((kind, cfg, cache))
-            h = spikes.reshape((-1,) + spikes.shape[2:])
+            lif_dt, h = h.dtype, spikes.reshape((-1,) + spikes.shape[2:])
         elif kind == "pool":
             w = layer.window
             record((kind, w))
-            h = avg_pool2d(h, w, ws.planned((i, "y"), h[:, :, ::w, ::w]))
+            if _hands_sums(layers, i):  # sums in channels-last memory, as a conv output
+                # bool spikes after the stem pool into their potentials' dtype
+                pooled = (w, lif_dt if h.dtype == bool and i > s else np.result_type(h, 1.0))
+                h = avg_pool2d(h, w, ws.planned((i, "y")), sums=True)
+            else:
+                h = avg_pool2d(h, w, ws.planned((i, "y"), h[:, :, ::w, ::w]))
         else:  # fc / classifier
             shape = h.shape
             h = h.reshape(h.shape[0], -1)

@@ -128,7 +128,8 @@ def loss_and_grad(step_logits, labels, loss_mode):
     return loss, dstep.astype(step_logits.dtype)
 
 
-def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None, take=kernels._new_array):
+def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None, take=kernels._new_array,
+                        window=None):
     """Reverse-time unroll: surrogate through the firing, tau through the
     membrane recurrence, (1 - s) through the detached reset multiplier.
 
@@ -151,29 +152,59 @@ def lif_unroll_backward(dspikes, cache, cfg, out=None, step_sum=None, take=kerne
     (B, ...) array, each block also adds its rows' gradients over the T
     steps into it, in step order as ``sum(axis=0)`` does, and step_sum is
     returned.
+
+    With ``window``, dspikes (T, B, C, H/window, W/window) is the input
+    gradient of the pool of that window after the layer, and step_sum is
+    required: each block spreads its rows of it as
+    `kernels.avg_pool2d_backward` does (`kernels._spread_pooled`) into its
+    worker's ("dspikes", k) scratch, channels-last, and builds its
+    gradients over them there, so the (T, B) gradient of the spikes is
+    never whole.  `backward_through_time` runs the first LIF layer so when
+    a pool follows it.
     """
     kept, affine, smooth = cache
-    d_currents = np.empty_like(dspikes) if out is None else out
     t_steps, batch = dspikes.shape[:2]
+    shape = dspikes.shape[2:]
+    if window is not None:
+        if step_sum is None:
+            raise ValueError("a pool's gradient spread by the LIF layer needs step_sum")
+        shape = shape[:-2] + (shape[-2] * window, shape[-1] * window)
+        d_dtype = np.result_type(dspikes, 1.0)
+    else:
+        d_currents = np.empty_like(dspikes) if out is None else out
+        d_dtype = d_currents.dtype
     broadcast = kept.ndim < dspikes.ndim  # the stem's B rows
-    step, shapes = _lif_scratch(t_steps, batch, dspikes.shape[2:], d_currents.itemsize)
+    step, shapes = _lif_scratch(t_steps, batch, shape, d_dtype.itemsize, window is not None)
     dtype = kept.dtype if affine is None else np.result_type(kept, affine[0])
-    scratch = [take(role, shape, dtype) for role, shape in shapes.items()]
+    dtypes, workers = {"u_pre": dtype, "dspikes": d_dtype}, {}
+    for role, flat in shapes.items():  # each worker's (u_pre, dspikes) or (u_pre,)
+        workers.setdefault(role[1], []).append(take(role, flat, dtypes[role[0]]))
+    scratch = list(workers.values())
 
     def block(i, mem):
         rows = slice(i * step, min(i * step + step, batch))
         steps = kept[:, rows] if not broadcast else \
             np.broadcast_to(kept[rows], (t_steps,) + kept[rows].shape)
-        u_pre = _lif_potentials(steps, affine, cfg, smooth, mem)
-        _lif_rows_backward(dspikes[:, rows], u_pre, smooth, cfg, d_currents[:, rows])
+        u_pre = _lif_potentials(steps, affine, cfg, smooth, mem[0])
+        if window is None:
+            d_spikes, d_rows = dspikes[:, rows], d_currents[:, rows]
+        else:
+            c, h, w = shape
+            m = len(steps[0])
+            spread = mem[1][: t_steps * m * c * h * w].reshape(t_steps, m, h, w, c)
+            kernels._spread_pooled(dspikes[:, rows], window,
+                                   spread.reshape(t_steps, m, h // window, window,
+                                                  w // window, window, c))
+            d_spikes = d_rows = spread.transpose(0, 1, 4, 2, 3)
+        _lif_rows_backward(d_spikes, u_pre, smooth, cfg, d_rows)
         if step_sum is not None:
             total = step_sum[rows]
-            total[...] = d_currents[0, rows]
-            for d in d_currents[1:, rows]:
+            total[...] = d_rows[0]
+            for d in d_rows[1:]:
                 total += d
 
     kernels._run_on_scratch(max(1, -(-batch // step)), block, scratch,
-                            lambda: np.empty(scratch[0].shape, dtype))
+                            lambda: tuple(np.empty(a.shape, a.dtype) for a in scratch[0]))
     return d_currents if step_sum is None else step_sum
 
 
@@ -270,7 +301,7 @@ def backward_through_time(net, tape, dstep_logits):
     s = spec.first_lif
     first_param = next(i for i, p in enumerate(net.params) if p is not None)
     g = dstep_logits.reshape(t_steps * batch, k)
-    grads = {}
+    grads, window = {}, None  # window: that of the pool whose gradient the first LIF spreads
     with kernels.one_blas_thread():
         for i in reversed(range(first_param, len(spec.layers))):
             layer = spec.layers[i]
@@ -280,6 +311,8 @@ def backward_through_time(net, tape, dstep_logits):
                 dx, dw, db = fully_connected_backward(g, flat_in, net.params[i]["w"])
                 grads[i] = {"w": dw, "b": db}
                 g = dx.reshape(orig_shape)
+            elif layer.kind == "pool" and i - 1 == s:
+                window = cache[1]  # the first LIF layer's blocks spread g
             elif layer.kind == "pool":
                 g = avg_pool2d_backward(g, cache[1], out=ws.planned((i, "dx")))
             elif layer.kind == "lif":
@@ -287,25 +320,29 @@ def backward_through_time(net, tape, dstep_logits):
                 gs = g.reshape((t_steps, batch) + g.shape[1:])
                 take = ws.scratch(2 * len(spec.layers) - 1 - i)
                 if i == s:
-                    g = lif_unroll_backward(gs, lif_cache, cfg, out=gs, take=take,
-                                            step_sum=ws.planned((i, "dx"), gs[0]))
+                    g = lif_unroll_backward(gs, lif_cache, cfg, out=gs, take=take, window=window,
+                                            step_sum=ws.planned((i, "dx"),
+                                                                None if window else gs[0]))
                 else:
                     g = lif_unroll_backward(gs, lif_cache, cfg, out=gs, take=take).reshape(g.shape)
             elif layer.kind == "norm":
                 xhat, _, gamma, _ = cache[1]
                 in_place = g.dtype == np.result_type(g, xhat, gamma)
-                dx, dgamma, dbeta = batch_norm_backward(g, cache[1], out=g if in_place else None)
+                dx, dgamma, dbeta = batch_norm_backward(
+                    g, cache[1], out=g if in_place else None,
+                    take=ws.scratch(2 * len(spec.layers) - 1 - i))
                 grads[i] = {"gamma": dgamma, "beta": dbeta}
                 g = dx
             elif layer.kind == "conv":
-                _, p, x_in = cache
+                _, p, x_in, pooled = cache
                 entry = {"w": None}
                 if "b" in net.params[i]:
                     entry["b"] = g.sum(axis=(0, 2, 3))
                 need_dx = i > first_param
                 out = ws.planned((i, "dx")) if need_dx else None
                 dx, dw = conv2d_backward(g, x_in, net.params[i]["w"], p, need_dx=need_dx, out=out,
-                                         take=ws.scratch(2 * len(spec.layers) - 1 - i))
+                                         take=ws.scratch(2 * len(spec.layers) - 1 - i),
+                                         pooled=pooled)
                 entry["w"] = dw
                 grads[i] = entry
                 g = dx
@@ -435,12 +472,14 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     clones, and every step's tape and input gradients reuse its arena,
     laid out by lifetime: arrays never alive at the same layer visit share
     bytes, so the arena is about the largest set of a step's arrays alive
-    at once (32.2 MiB where the arrays add up to 114.5 MiB, for
+    at once (27.0 MiB where the arrays add up to 98.5 MiB, for
     configs/mnist.yaml at B=128, T=4 on two workers, each worker's kernel
     scratch included: no LIF layer keeps its spikes, currents or
     potentials; one after a norm rebuilds its currents from the norm's
-    xhat).  Steps after the first allocate none of them (a smaller last
-    batch takes a prefix).  A call that finds
+    xhat; a pool before a conv keeps byte window sums, not float means;
+    the first LIF layer spreads its pool's gradient in its own blocks).
+    Steps after the first allocate none of them (a smaller last batch
+    takes a prefix).  A call that finds
     the workspace held by a call on a clone runs each step on a new arena.
     Raises DataFormatError when a split is not an array of real numbers,
     and ConfigError when a step's arena cannot be allocated.

@@ -37,6 +37,9 @@ def traced():
             LayerSpec("norm"),  # after a pool: not folded, so eval batch_norm runs
             LayerSpec("conv", out_channels=2),
             LayerSpec("lif"),
+            # the first LIF layer spreads its pool's gradient itself: this
+            # pool's backward pass is avg_pool2d_backward
+            LayerSpec("pool", window=3),
             LayerSpec("classifier"),
         ),
     )

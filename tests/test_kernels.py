@@ -535,6 +535,72 @@ class TestAvgPool:
         npt.assert_array_equal(got, want)
 
 
+class TestHandedOverSums:
+    """A pool before a conv hands over its window sums; the conv's blocks
+    divide them by the pool's own division into their bordered buffers, so
+    the convolution, its weight gradient and its blocks are those on the
+    pool's means, bit for bit."""
+
+    @staticmethod
+    def spikes(smooth, dtype, shape, seed):
+        data = np.random.default_rng(seed)
+        if smooth:  # floats in [0, 1], zeros included
+            return channels_last(network.spike_ramp(
+                data.standard_normal(shape) * 1.5 + 0.5, 1.0).astype(dtype))
+        return channels_last(data.random(shape) < 0.4)
+
+    @pytest.mark.parametrize("block_bytes", [1, 700, BLOCK_BYTES])
+    @pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    @pytest.mark.parametrize("window", [2, 7])  # 49 is not a power of two
+    def test_a_conv_on_the_sums_equals_the_conv_on_the_means(self, window, smooth, dtype,
+                                                            w_dtype, block_bytes, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        spikes = self.spikes(smooth, dtype, (5, 3, 2 * window, 3 * window), window)
+        means = avg_pool2d(spikes, window, channels_last(np.empty((5, 3, 2, 3), dtype)))
+        sums = avg_pool2d(spikes, window, sums=True)
+        assert sums.dtype == (dtype if smooth else np.uint8)
+        assert sums.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert sums.max() > 1  # the division is not a copy
+        data = np.random.default_rng(window + 1)
+        w = data.standard_normal((4, 3, 3, 3)).astype(w_dtype)
+        params, pooled = ConvParams(3, 4, 3, 3, 1, 1), (window, means.dtype)
+        want = conv2d(means, w, params)
+        got = conv2d(sums, w, params, pooled=pooled)
+        assert got.dtype == want.dtype
+        npt.assert_array_equal(got, want)
+        dy = channels_last(data.standard_normal(want.shape).astype(want.dtype))
+        for a, b in zip(conv2d_backward(dy, sums, w, params, pooled=pooled),
+                        conv2d_backward(dy, means, w, params), strict=True):
+            assert a.dtype == b.dtype
+            npt.assert_array_equal(a, b)
+        # blocks of the means' samples, whatever the bytes of the sums
+        on_sums = kernels.conv_buffers(sums, params, want.dtype, np.empty_like(want),
+                                       kernels._new_array, pooled)
+        on_means = kernels.conv_buffers(means, params, want.dtype, np.empty_like(want),
+                                        kernels._new_array)
+        assert [len(b[0]) for b in on_sums.blocks] == [len(b[0]) for b in on_means.blocks]
+        def shapes(conv):
+            return [{m: [a.shape for a in views] for m, views in worker.items()}
+                    for worker in conv.scratch]
+
+        assert shapes(on_sums) == shapes(on_means)
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_sums_go_into_a_channels_last_out_of_their_dtype(self, window):
+        spikes = self.spikes(False, np.float32, (3, 2, 2 * window, window), 0)
+        out = channels_last(np.empty((3, 2, 2, 1), np.uint8))
+        assert avg_pool2d(spikes, window, out, sums=True) is out
+        want = spikes.astype(np.int64).reshape(3, 2, 2, window, 1, window).sum(axis=(3, 5))
+        npt.assert_array_equal(out, want)
+        with pytest.raises(ShapeError, match="dtype float32"):
+            avg_pool2d(spikes, window, channels_last(np.empty((3, 2, 2, 1), np.float32)),
+                       sums=True)
+        with pytest.raises(ShapeError, match="view of"):
+            avg_pool2d(spikes, window, np.empty((3, 2, 2, 1), np.uint8), sums=True)
+
+
 class TestBatchNorm:
     def test_eval_identity(self):
         state = norm_params(3)
@@ -640,6 +706,62 @@ class TestBatchNorm:
         npt.assert_array_equal(cache[1], invstd)
         for name, value in new_state.items():
             npt.assert_array_equal(got_state[name], value)
+
+    @pytest.mark.parametrize("block_bytes", [1, 700, BLOCK_BYTES])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_passes_over_per_sample_vectors_equal_the_broadcast_formula(self, dtype,
+                                                                       block_bytes, monkeypatch):
+        # The elementwise passes run against the vectors copied over one
+        # sample; every element is the broadcast formula's, bit for bit.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        data = np.random.default_rng(8)
+        x = channels_last((data.standard_normal((6, 4, 5, 3)) * 2.0 + 1.0).astype(dtype))
+        state = dict(norm_params(4, dtype), gamma=data.standard_normal(4).astype(dtype),
+                     beta=data.standard_normal(4).astype(dtype))
+        y, _, cache = batch_norm_train_cached(x, state)
+        xhat, invstd, gamma, view = cache
+        mean = np.einsum("nchw->c", x) / (x.size // 4)
+        want_xhat = x - mean.reshape(view)
+        want_xhat *= invstd.reshape(view)
+        npt.assert_array_equal(xhat, want_xhat)
+        npt.assert_array_equal(y, xhat * gamma.reshape(view) + state["beta"].reshape(view))
+        dy = channels_last(data.standard_normal(x.shape).astype(dtype))
+        dx, dgamma, dbeta = batch_norm_backward(dy, cache)
+        m = x.size // 4
+        want = dy - xhat * (dgamma / m).reshape(view)
+        want -= (dbeta / m).reshape(view)
+        want *= (gamma * invstd).reshape(view)
+        npt.assert_array_equal(dx, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_backward_blocks_take_their_term_from_the_scratch(self, workers, monkeypatch):
+        # Each worker's xhat * slope is its ``take`` scratch: a backward pass
+        # over the gradient it receives allocates no block, where new
+        # arrays allocate at least one block's term.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 256 * 1024)  # 32 samples a block
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
+        data = np.random.default_rng(9)
+        x = channels_last(data.standard_normal((64, 8, 16, 16)).astype(np.float32))
+        _, _, cache = batch_norm_train_cached(x, norm_params(8))
+        dy = channels_last(data.standard_normal(x.shape).astype(np.float32))
+        want = batch_norm_backward(dy, cache)
+        shapes = kernels.norm_scratch(64, x.shape[1:], x[0].nbytes)
+        assert sorted(shapes) == [("term", k) for k in range(workers)]
+        scratch = {role: np.empty(shape, np.float32) for role, shape in shapes.items()}
+        taken, peaks = [], []
+        for take in (lambda role, shape, dt: taken.append(role) or scratch[role],
+                     kernels._new_array):
+            grad = dy.copy(order="K")
+            tracemalloc.start()
+            got = batch_norm_backward(grad, cache, out=grad, take=take)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert got[0] is grad
+            for a, b in zip(got, want, strict=True):
+                npt.assert_array_equal(a, b)
+        assert sorted(taken) == sorted(shapes)
+        term = 32 * x[0].nbytes  # numpy's ufunc buffers and the vectors take the rest
+        assert peaks[0] < term // 2 and peaks[1] - peaks[0] >= term * 3 // 4
 
     def test_zero_variance_is_finite(self):
         state = norm_params(2)

@@ -367,6 +367,50 @@ class TestLifBackward:
         assert_bits_equal(got, stored_gradient(dspikes, stored_potentials(steps, cfg, smooth),
                                                cfg, smooth, step_sum))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block_bytes", [1, 700, kernels.BLOCK_BYTES])
+    @pytest.mark.parametrize("window", [2, 3])
+    @pytest.mark.parametrize("t_steps", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    @pytest.mark.parametrize("rebuilt", [True, False], ids=["after_norm", "currents"])
+    def test_the_first_lif_spreads_its_pools_gradient_as_the_pool_backward_does(
+            self, rebuilt, smooth, dtype, t_steps, window, block_bytes, workers, monkeypatch):
+        # The first LIF layer before a pool takes the pool's input gradient
+        # and its window: each block spreads its rows into its own scratch.
+        # The T-summed gradient is that of avg_pool2d_backward followed by
+        # the backward on the spread gradient, bit for bit.
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
+        data = np.random.default_rng(t_steps * window)
+        x = data.standard_normal((7, 6, 6, 4)) * 1.5 + 0.3
+        x = x.astype(dtype).transpose(0, 3, 1, 2)  # channels-last (B, C, H, W)
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        if rebuilt:
+            norm = {"gamma": (1 + 0.5 * data.standard_normal(4)).astype(dtype),
+                    "beta": (0.5 * data.standard_normal(4)).astype(dtype),
+                    "running_mean": np.zeros(4, dtype), "running_var": np.ones(4, dtype)}
+            y, _, (xhat, _, gamma, view) = batch_norm_train_cached(x, norm, t_steps)
+            steps = np.broadcast_to(y, (t_steps,) + y.shape)
+            _, cache = lif_unroll(steps, cfg, smooth,
+                                  norm=(xhat, gamma.reshape(view), norm["beta"].reshape(view)))
+        else:
+            _, cache = lif_unroll(np.broadcast_to(x, (t_steps,) + x.shape), cfg, smooth)
+        pooled = data.standard_normal((t_steps * 7, 6 // window, 6 // window, 4)).astype(dtype)
+        pooled = pooled.transpose(0, 3, 1, 2)  # the next conv's channels-last input gradient
+        spread = avg_pool2d_backward(pooled, window)
+        want = lif_unroll_backward(spread.reshape((t_steps, 7) + spread.shape[1:]), cache, cfg,
+                                   step_sum=np.empty_like(x))
+        got = lif_unroll_backward(pooled.reshape((t_steps, 7) + pooled.shape[1:]), cache, cfg,
+                                  step_sum=np.empty_like(x), window=window)
+        assert_bits_equal(got, want)
+
+    def test_a_spread_gradient_needs_the_step_sum(self):
+        cfg = LifConfig(tau=0.5, v_th=1.0)
+        _, cache = lif_unroll(np.ones((2, 3, 1, 4, 4)), cfg)
+        with pytest.raises(ValueError, match="needs step_sum"):
+            lif_unroll_backward(np.ones((2, 3, 1, 2, 2)), cache, cfg, window=2)
+
     @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
     def test_the_backward_pass_runs_no_lif_update(self, smooth, monkeypatch):
         # Its recompute writes the potentials and nothing else: no spikes
@@ -855,11 +899,12 @@ def training_steps(batches, t_steps, dtype, smooth, loss_mode, seed, workspace=N
         step_logits, tape = forward_with_tape(net, x, t_steps, workspace=workspace)
         # copied before the backward pass writes its input gradients over them
         lif_caches = copy.deepcopy([cache[2] for cache in tape["caches"] if cache[0] == "lif"])
+        conv_inputs = copy.deepcopy([cache[2:] for cache in tape["caches"] if cache[0] == "conv"])
         loss, dstep = loss_and_grad(step_logits, labels, loss_mode)
         grads = backward_through_time(net, tape, dstep)
         commit_norm_updates(net, tape)
         norms = {i: net.params[i] for i in tape["norm_updates"]}
-        steps.append(copy.deepcopy((loss, step_logits, grads, norms, lif_caches)))
+        steps.append(copy.deepcopy((loss, step_logits, grads, norms, lif_caches, conv_inputs)))
         sgd_step(net, grads, velocities, lr=0.1, momentum=0.9, weight_decay=5e-4)
     return steps
 
@@ -882,6 +927,11 @@ def assert_steps_equal(got, want):
         for a, b in zip(affine or (), ref_affine or (), strict=True):
             npt.assert_array_equal(a, b)
         assert smooth is ref_smooth
+    # each conv's kept input: a pool's window sums (bytes for strict spikes)
+    # and (window, the means' dtype), or its input and None
+    for (x, pooled), (ref_x, ref_pooled) in zip(got[5], want[5], strict=True):
+        assert x.dtype == ref_x.dtype and pooled == ref_pooled
+        npt.assert_array_equal(x, ref_x)
 
 
 class TestRowParallelStep:
@@ -957,26 +1007,31 @@ def tape_arrays(obj):
 
 
 def workspace_bytes(spec, batch, t_steps, itemsize):
-    """Bytes of the tape arrays a step on ``spec``, where every norm follows
-    a conv, requests from its workspace, from its layer plan: each conv's,
-    norm's and pool's output (a norm's xhat is the conv output), each LIF
-    layer's spikes (bool before a pool; no LIF layer keeps currents or
-    potentials of its own: it rebuilds its currents from the norm's xhat
-    and recomputes its potentials), and the input gradients of the pools,
-    the convs after the first layer and the first LIF layer (B rows).  The
-    kernels' scratch is `scratch_bytes`.  The arena they are packed into is
-    smaller: arrays that are never alive at once share bytes."""
+    """Bytes of the tape arrays a strict step on ``spec``, where every norm
+    follows a conv and every pool a LIF layer, requests from its workspace,
+    from its layer plan: each conv's and norm's output (a norm's xhat is
+    the conv output), each pool's (its window sums, a byte each, before a
+    conv), each LIF layer's spikes (bool before a pool; no LIF layer keeps
+    currents or potentials of its own: it rebuilds its currents from the
+    norm's xhat and recomputes its potentials), and the input gradients of
+    the pools but the one after the first LIF layer (whose backward blocks
+    spread that pool's gradient), the convs after the first layer and the
+    first LIF layer (B rows).  The kernels' scratch is `scratch_bytes`.
+    The arena they are packed into is smaller: arrays that are never alive
+    at once share bytes."""
     s, total = spec.first_lif, 0
     for i, (layer, plan) in enumerate(zip(spec.layers, spec.layer_plan)):
         rows = batch if i < s else t_steps * batch
         size_in, size_out = math.prod(plan.in_shape), math.prod(plan.out_shape)
-        if layer.kind in ("conv", "norm", "pool"):
+        if layer.kind in ("conv", "norm"):
             total += rows * size_out * itemsize
+        if layer.kind == "pool":
+            total += rows * size_out * (1 if spec.layers[i + 1].kind == "conv" else itemsize)
         if layer.kind == "lif":
             total += rows * size_out * (1 if spec.layers[i + 1].kind == "pool" else itemsize)
         if i == s:
             total += batch * size_in * itemsize
-        if layer.kind == "pool" or (layer.kind == "conv" and i > 0):
+        if (layer.kind == "pool" and i - 1 != s) or (layer.kind == "conv" and i > 0):
             total += rows * size_in * itemsize
     return total
 
@@ -986,7 +1041,9 @@ def scratch_bytes(spec, batch, t_steps, itemsize):
     conv first, plans for each worker: each conv's at its forward visit
     and, at its backward visit, per role the larger of its weight
     gradient's and (after the first layer) its input gradient's; each LIF
-    layer's potentials at its backward visit."""
+    layer's potentials at its backward visit, and the first one's spread
+    gradient when a pool follows it; each norm's xhat * slope at its
+    backward visit."""
     s, elems = spec.first_lif, 0
     for i, (layer, plan) in enumerate(zip(spec.layers, spec.layer_plan)):
         rows = batch if i < s else t_steps * batch
@@ -1000,7 +1057,11 @@ def scratch_bytes(spec, batch, t_steps, itemsize):
                     backward[role] = max(backward.get(role, 0), math.prod(shape))
             elems += sum(math.prod(shape) for shape in forward.values()) + sum(backward.values())
         elif layer.kind == "lif":
-            shapes = network._lif_scratch(t_steps, batch, plan.in_shape, itemsize)[1]
+            spread = i == s and spec.layers[i + 1].kind == "pool"
+            shapes = network._lif_scratch(t_steps, batch, plan.in_shape, itemsize, spread)[1]
+            elems += sum(math.prod(shape) for shape in shapes.values())
+        elif layer.kind == "norm":
+            shapes = kernels.norm_scratch(rows, plan.in_shape, math.prod(plan.in_shape) * itemsize)
             elems += sum(math.prod(shape) for shape in shapes.values())
     return elems * itemsize
 
@@ -1143,16 +1204,18 @@ class TestTapePlan:
                     npt.assert_array_equal(norms[i][stat], want_norms[i][stat])
 
     def test_the_mnist_step_packs_into_less_than_three_tenths_of_its_arrays(self, monkeypatch):
-        # At the bench's B=128, T=4 on two workers: 114.5 MiB of arrays
-        # (95.4 MiB of tape arrays, 19.1 MiB of kernel scratch), 32.2 MiB of
-        # arena, against 31.8 MiB alive at the busiest visit (the forward
-        # pass's arrays at the last LIF layer, with its pool's output).
+        # At the bench's B=128, T=4 on two workers: 98.5 MiB of arrays
+        # (71.9 MiB of tape arrays, 26.7 MiB of kernel scratch), 27.0 MiB of
+        # arena, against 26.7 MiB alive at the busiest visit (the last
+        # norm's backward visit: the xhat of norms 1, 5 and 9, the sums
+        # the convs keep, the last LIF layer's gradient and the norm's
+        # scratch).
         monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
         net = build_instance(stem_specs()["mnist"], seed=0)
         plan = tape_plan(net, 128, 4, np.float32)
         assert plan_bytes(plan) == workspace_bytes(net.spec, 128, 4, 4) + \
             scratch_bytes(net.spec, 128, 4, 4)
-        assert pack(plan)[1] <= 33 * 2**20 < 0.3 * plan_bytes(plan)
+        assert pack(plan)[1] <= 27.5 * 2**20 < 0.3 * plan_bytes(plan)
 
     @pytest.mark.parametrize("name", list(zoo_specs()))
     @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
@@ -1183,6 +1246,89 @@ class TestTapePlan:
                 assert rebuilt <= (i >= first_param)  # a norm has parameters
                 kept = i >= first_param and not rebuilt
                 assert plan.spans[(i - 1, "y")][1] == (back - i if kept else i)
+
+    @pytest.mark.parametrize("name", list(zoo_specs()))
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    def test_pools_hand_convs_their_sums_and_the_first_lif_spreads_its_pools_gradient(
+            self, name, smooth):
+        # A pool before a conv writes its window sums, bytes for strict
+        # spikes, which last until the conv's backward visit; any other
+        # pool writes float means.  The pool after the first LIF layer has
+        # no input gradient: that LIF layer's backward blocks spread the
+        # pool's incoming gradient, which lasts until then, in scratch.
+        spec = zoo_specs()[name]
+        net = build_instance(spec, seed=0)
+        net.smooth_spikes = smooth
+        plan = tape_plan(net, 5, 3, np.float32)
+        layers, s, back = spec.layers, spec.first_lif, 2 * len(spec.layers) - 1
+        for i, layer in enumerate(layers):
+            if layer.kind == "pool" and (i, "y") in plan.slots:
+                spikes = i > 0 and layers[i - 1].kind == "lif" and not smooth
+                before_conv = layers[i + 1].kind == "conv"
+                assert plan.slots[(i, "y")][1] == (np.uint8 if spikes and before_conv
+                                                    else np.float32)
+                if before_conv:
+                    assert plan.spans[(i, "y")][1] == back - (i + 1)
+        first_param = next(i for i, p in enumerate(net.params) if p)
+        spreads = layers[s + 1].kind == "pool" and s >= first_param
+        if layers[s + 1].kind == "pool":
+            assert (s + 1, "dx") not in plan.slots
+        scratch = {key[2][0] for key in plan.slots if key[:2] == (back - s, "scratch")}
+        assert ("dspikes" in scratch) == spreads
+        if spreads and layers[s + 2].kind == "conv":  # its input gradient is the pool's
+            assert plan.spans[(s + 2, "dx")] == (back - (s + 2), back - s)
+
+    def test_the_mnist_pools_before_convs_keep_bytes(self):
+        net = build_instance(stem_specs()["mnist"], seed=0)
+        plan = tape_plan(net, 128, 4, np.float32)
+        assert plan.slots[(3, "y")] == ((512, 12, 14, 14), np.uint8)
+        assert plan.slots[(7, "y")] == ((512, 24, 7, 7), np.uint8)
+        assert plan.slots[(11, "y")] == ((512, 48, 1, 1), np.float32)
+        assert (3, "dx") not in plan.slots and (7, "dx") in plan.slots
+
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    def test_the_loops_request_what_the_plan_lays_out(self, smooth, monkeypatch):
+        # tape_plan re-encodes the rules of run_layers and
+        # backward_through_time.  Every array a B=8 step requests is a slot
+        # of the plan with its shape and dtype, every slot is requested, and
+        # the kernels' scratch requests fill each planned scratch exactly.
+        # The kernels check each array they write against the shape and
+        # dtype they compute, so a rule changed on one side only (a pool's
+        # dtype, say) raises in the step.
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 16 * 1024)  # several blocks a layer
+        spec = stem_specs()["mnist"]
+        requests, scratch = {}, {}
+        planned, scratch_of = Workspace.planned, Workspace.scratch
+
+        def recording(ws, key, like=None):
+            array = planned(ws, key, like)
+            if key[1] != "scratch":
+                requests.setdefault(key, set()).add((array.shape, array.dtype))
+            return array
+
+        def recording_scratch(ws, visit):
+            take = scratch_of(ws, visit)
+
+            def recorded(role, shape, dtype):
+                key, nbytes = (visit, "scratch", role), math.prod(shape) * np.dtype(dtype).itemsize
+                scratch[key] = max(scratch.get(key, 0), nbytes)
+                return take(role, shape, dtype)
+
+            return recorded
+
+        monkeypatch.setattr(Workspace, "planned", recording)
+        monkeypatch.setattr(Workspace, "scratch", recording_scratch)
+        net = build_instance(spec, seed=0)
+        net.smooth_spikes = smooth
+        x = np.random.default_rng(5).standard_normal((8,) + spec.input_shape).astype(np.float32)
+        logits, tape = forward_with_tape(net, x, 4)
+        backward_through_time(net, tape, np.ones_like(logits))
+        plan = tape_plan(net, 8, 4, np.float32)
+        assert requests == {key: {slot} for key, slot in plan.slots.items()
+                            if key[1] != "scratch"}
+        assert scratch == {key: shape[0] for key, (shape, _) in plan.slots.items()
+                           if key[1] == "scratch"}
 
     def test_an_fc_input_the_flattening_copies_lasts_until_the_fc_reads_it(self):
         # The second pool's output is channels-last with 6 channels of 2x2:
