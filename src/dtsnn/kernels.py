@@ -189,11 +189,6 @@ def _channels_last_mem(out, shape, dtype):
     return mem
 
 
-def _channels_last_rows(out, shape, dtype):
-    """The (N*H*W, C) matrix under ``out`` (`_channels_last_mem`)."""
-    return _channels_last_mem(out, shape, dtype).reshape(-1, shape[1])
-
-
 class ConvBuffers(NamedTuple):
     """The blocks of `conv2d` on one input array, from `conv_buffers`."""
 
@@ -210,16 +205,17 @@ def conv_scratch(n, in_shape, params, in_itemsize):
     """{(role, k): shape} of the scratch `conv_buffers` takes, in its dtype,
     for a convolution over n samples of ``in_shape`` (C, H, W) that it reads
     as values of ``in_itemsize`` bytes (a pool's means for handed-over window
-    sums): ("x", k), the zero-bordered buffer of one block, and ("cols", k),
-    the unfold scratch of one block, for each worker k its blocks may use."""
+    sums): ("x", k), the zero-bordered buffer of one block of `block_rows`
+    samples, and ("cols", k), that block unfolded, for each worker k its
+    blocks may use."""
     c, h, w = in_shape
     ho, wo = params.output_hw(h, w)
-    step = block_rows(ho * wo * params.kernel_h * params.kernel_w * c * in_itemsize)
-    pad = params.padding
-    bordered = (min(n, step), h + 2 * pad, w + 2 * pad, c)
-    cols = (unfold_size(n, in_shape, params, in_itemsize),)
+    row = ho * wo * params.kernel_h * params.kernel_w * c
+    step = block_rows(row * in_itemsize)
+    pad, m = params.padding, min(n, step)
+    shapes = (("x", (m, h + 2 * pad, w + 2 * pad, c)), ("cols", (m * row,)))
     return {(role, k): shape for k in _block_workers(-(-max(n, 1) // step))
-            for role, shape in (("x", bordered), ("cols", cols))}
+            for role, shape in shapes}
 
 
 def input_gradient_conv(params):
@@ -232,16 +228,6 @@ def input_gradient_conv(params):
         return None
     return ConvParams(in_channels=params.out_channels, out_channels=params.in_channels,
                       kernel_h=kh, kernel_w=kw, stride=1, padding=kh - 1 - params.padding)
-
-
-def unfold_size(n, in_shape, params, itemsize):
-    """Elements of a worker's unfold scratch for a convolution over n
-    samples of ``in_shape`` (C, H, W) of ``itemsize`` bytes: one block of
-    `block_rows` samples, unfolded."""
-    c, h, w = in_shape
-    ho, wo = params.output_hw(h, w)
-    k = params.kernel_h * params.kernel_w * c
-    return min(n, block_rows(ho * wo * k * itemsize)) * ho * wo * k
 
 
 def _pooled_dtype(x, pooled):
@@ -271,11 +257,10 @@ def conv_buffers(x, params, dtype, out, take, pooled=None):
     `run_blocks` may use gets ``dtype`` scratch from ``take(role, shape,
     dtype)`` (`conv_scratch`): ("x", k), a channels-last buffer of one block
     whose border is zeroed here, and ("cols", k), an unfold scratch of one
-    block, which several convolutions may share.  A single channel (the raw
-    images) unfolds plane by plane into a K-major matrix, read transposed; several
-    channels into a C-order matrix whatever x's memory order: OpenBLAS
-    rounds a GEMM that reads a long (K of 36 and more in float32) matrix
-    transposed differently.
+    block.  A single channel (the raw images) unfolds plane by plane into a
+    K-major matrix, read transposed; several channels into a C-order matrix
+    whatever x's memory order: OpenBLAS rounds a GEMM that reads a long (K
+    of 36 and more in float32) matrix transposed differently.
     """
     n, c, h, w = x.shape
     kh, kw, stride, pad = params.kernel_h, params.kernel_w, params.stride, params.padding
@@ -283,7 +268,7 @@ def conv_buffers(x, params, dtype, out, take, pooled=None):
     k = kh * kw * c
     itemsize = _pooled_dtype(x, pooled).itemsize
     step = block_rows(ho * wo * k * itemsize)
-    rows = _channels_last_rows(out, (n, out.shape[1], ho, wo), out.dtype)
+    rows = _channels_last_mem(out, (n, out.shape[1], ho, wo), out.dtype).reshape(-1, out.shape[1])
     blocks = tuple((x[a : a + step], rows[a * ho * wo : (a + step) * ho * wo])
                    for a in range(0, max(n, 1), step))
     shapes = conv_scratch(n, (c, h, w), params, itemsize)
@@ -498,6 +483,24 @@ class PoolBuffers(NamedTuple):
                          # an out array, the window sums as a view of channels-last memory
 
 
+def pool_scratch(n, in_shape, window, dtype, means=True):
+    """{role: shape} of the scratch `pool_buffers` takes, in
+    `_window_sum_dtype` of ``dtype``, for a pool over n samples of
+    ``in_shape`` (C, H, W) of ``dtype`` that writes its ``means`` (else
+    stops at its window sums): "sums", the window sums, but for a window of
+    1 that writes means, and ("rows", k), the row sums of one block of
+    about BLOCK_BYTES of input, for each worker k its blocks may use, but
+    for a window of 1 or integer sums over the whole map."""
+    c, h, w = in_shape
+    step = block_rows(math.prod(in_shape) * np.dtype(dtype).itemsize)
+    shapes = {} if window == 1 and means else {"sums": (n, h // window, w // window, c)}
+    if window > 1 and not (_window_sum_dtype(np.dtype(dtype), window).kind in "iu" and
+                           h == w == window):  # else summed whole
+        shapes.update({("rows", k): (min(n, step) * (h // window), w * c)
+                       for k in _block_workers(-(-max(n, 1) // step))})
+    return shapes
+
+
 def pool_buffers(x, window, out, take):
     """Build the blocks of `avg_pool2d` on this x, an (N,C,H,W) view of
     (N,H,W,C) memory, into ``out`` once.
@@ -506,10 +509,10 @@ def pool_buffers(x, window, out, take):
     columns, on views in x's memory order (rows of W*C values, then of C)
     into row sums, ``take(("rows", k), shape, dtype)`` of its worker k, and
     its rows of the window sums, ``take("sums", shape, dtype)`` (x itself
-    for a window of 1), then divides them by window**2 into its samples of
-    ``out``, in out's dtype.  With ``out`` None the blocks stop at the
-    sums (a window of 1 copies x into them), which the buffers' ``out``
-    then is.  A bool x (spikes) is summed as bytes and another integer x
+    for a window of 1; `pool_scratch`), then divides them by window**2 into
+    its samples of ``out``, in out's dtype.  With ``out`` None the blocks
+    stop at the sums (a window of 1 copies x into them), which the buffers'
+    ``out`` then is.  A bool x (spikes) is summed as bytes and another integer x
     exactly, in `_window_sum_dtype`; integer sums are exact in any order,
     so a window that covers the whole map is summed by one `np.add.reduce`.
     """
@@ -519,11 +522,12 @@ def pool_buffers(x, window, out, take):
     if not mem.flags.c_contiguous:
         raise ShapeError("pooled input must be an (N,C,H,W) view of (N,H,W,C) memory")
     dtype = _window_sum_dtype(x.dtype, window)
+    shapes = pool_scratch(n, (c, h, w), window, x.dtype, out is not None)
     if x.dtype == bool:
         mem = mem.view(np.uint8)
-    whole = dtype.kind in "iu" and ho == wo == 1 < window
-    sums = mem if window == 1 and out is not None else take("sums", (n, ho, wo, c), dtype)
-    step = block_rows(x.nbytes // max(1, n))
+    whole = ("rows", 0) not in shapes and window > 1
+    sums = take("sums", shapes["sums"], dtype) if "sums" in shapes else mem
+    step = block_rows(c * h * w * x.itemsize)
     blocks = [slice(a, a + step) for a in range(0, max(n, 1), step)]
 
     def block_calls(b, rows):
@@ -551,8 +555,7 @@ def pool_buffers(x, window, out, take):
         return tuple(calls)
 
     def worker(take, k):
-        rows = None if whole or window == 1 else \
-            take(("rows", k), (min(n, step) * ho, w * c), dtype)
+        rows = take(("rows", k), shapes[("rows", 0)], dtype) if ("rows", 0) in shapes else None
         return tuple(block_calls(b, rows) for b in blocks)
 
     return PoolBuffers(x, tuple(worker(take, k) for k in _block_workers(len(blocks))),

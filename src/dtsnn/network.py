@@ -33,17 +33,15 @@ worker its own membrane potentials (and no cached stem) over the same built
 inference plan.  `scan_timesteps` does this itself: its tiles run on the
 workers of `kernels.run_blocks`, each on its own clone.
 
-An inference step runs every layer on arrays the instance lays out in the
-same walk over the layers that binds the step's calls to them
-(`_step_program`): the LIF potentials, a bool keep array that holds a LIF
-layer's spikes for the pool after it, each pool's integer window sums, each
-convolution's output and the zero-bordered and unfold scratch of each
-worker its blocks may run on.  `StepBuffers`
-keeps that program until the input shape, the firing mode,
-``record_activity`` or the inference parameters change; the next build lays
-its arrays out over the same bytes.  A batch above one scan tile gets bytes
-of its own, which last until `reset_states`.  The kernels the calls run are
-looked up by name at each call.
+An inference step runs every layer on the arrays of its `step_plan`, laid
+out by lifetime in one arena as a training step's `tape_plan` is
+(`Workspace`), and one walk over the layers binds the step's calls to them
+(`_step_program`).  `StepBuffers` keeps that program until the input
+shape, the firing mode, ``record_activity`` or the inference parameters
+change; the next build lays its arrays out over the same bytes.  A batch
+above one scan tile gets an arena of its own, which lasts until
+`reset_states`.  The kernels the calls run are looked up by name at each
+call.
 """
 
 import functools
@@ -458,19 +456,40 @@ _PAGE = 4096
 
 
 class TapePlan(NamedTuple):
-    """The arrays of one training step, from `tape_plan`.
+    """The arrays of one step, from `tape_plan` (a training step) or
+    `step_plan` (an inference step), filled in by one walk over the layers.
 
-    ``slots`` maps each key that `run_layers` and
-    `training.backward_through_time` request to the (shape, dtype) of its
-    array, and ``spans`` maps it to the first and the last layer visit that
-    uses it: visits 0..L-1 are the forward pass over layers 0..L-1, visits
-    L..2L-1 the backward pass over layers L-1..0.  ``logits`` is the dtype
-    of the classifier output, which its gradient must have.
+    ``slots`` maps each key the step requests from its `Workspace` to the
+    (shape, dtype) of its array, and ``spans`` maps it to the first and the
+    last layer visit that uses it: visits 0..L-1 are the forward pass over
+    layers 0..L-1, and a training step's visits L..2L-1 the backward pass
+    over layers L-1..0.  ``logits`` is the dtype of the classifier output,
+    which a training step's gradient must have.
     """
 
     slots: dict
     spans: dict
     logits: np.dtype
+
+    def use(self, key, visit):
+        """Extend the span of ``key`` (None: an unplanned array) to ``visit``."""
+        if key is not None:
+            self.spans[key] = (self.spans[key][0], max(self.spans[key][1], visit))
+
+    def new(self, key, shape, dt, visit):
+        """Plan the array of ``key``, first used at ``visit``; returns key."""
+        self.slots[key], self.spans[key] = (tuple(shape), np.dtype(dt)), (visit, visit)
+        return key
+
+    def scratch(self, visit, *requests):
+        """Plan bytes for each role of the kernels' scratch at ``visit``, the
+        most any of the requests, ({role: shape}, dtype), takes."""
+        need = {}
+        for shapes, dt in requests:
+            for role, shape in shapes.items():
+                need[role] = max(need.get(role, 0), math.prod(shape) * np.dtype(dt).itemsize)
+        for role, nbytes in need.items():
+            self.new((visit, "scratch", role), (nbytes,), np.uint8, visit)
 
 
 def tape_plan(net, batch, t_steps, dtype):
@@ -511,28 +530,11 @@ def tape_plan(net, batch, t_steps, dtype):
     spec, params = net.spec, net.params
     layers, s = spec.layers, spec.first_lif
     first_param = next(i for i, p in enumerate(params) if p is not None)
-    slots, spans, xhat_dtypes, in_dtypes = {}, {}, {}, {}
+    arrays, xhat_dtypes, in_dtypes = TapePlan({}, {}, None), {}, {}
+    use, new, scratch = arrays.use, arrays.new, arrays.scratch
 
     def back(i):
         return 2 * len(layers) - 1 - i
-
-    def use(key, visit):
-        if key is not None:
-            spans[key] = (spans[key][0], max(spans[key][1], visit))
-
-    def new(key, shape, dt, visit):
-        slots[key], spans[key] = (tuple(shape), np.dtype(dt)), (visit, visit)
-        return key
-
-    def scratch(visit, *requests):
-        """Bytes for each role of the kernels' scratch at ``visit``, the
-        most any of the requests, ({role: shape}, dtype), takes."""
-        need = {}
-        for shapes, dt in requests:
-            for role, shape in shapes.items():
-                need[role] = max(need.get(role, 0), math.prod(shape) * np.dtype(dt).itemsize)
-        for role, nbytes in need.items():
-            new((visit, "scratch", role), (nbytes,), np.uint8, visit)
 
     # h: the key of the array the next layer reads, None when it is not planned
     h, dt, lif_dt, channels_last = None, np.dtype(dtype), None, False
@@ -558,7 +560,7 @@ def tape_plan(net, batch, t_steps, dtype):
             spikes = new((i, "spikes"), steps, bool if bool_spikes else dt, i)
             if i >= first_param and not _rebuilds_currents(layers, i):
                 use(h, back(i))  # its currents
-            lif_dt, h, dt = dt, spikes, slots[spikes][1]
+            lif_dt, h, dt = dt, spikes, arrays.slots[spikes][1]
         elif kind == "pool":
             # bool spikes after the stem pool into their potentials' dtype
             sums_dt = kernels._window_sum_dtype(dt, layer.window)
@@ -609,7 +611,81 @@ def tape_plan(net, batch, t_steps, dtype):
                 scratch(visit, weight_grad)
             dt = np.result_type(dt, par["w"])
             g = new((i, "dx"), (rows,) + plan.in_shape, dt, visit) if i > first_param else None
-    return TapePlan(slots, spans, logits)
+    return arrays._replace(logits=logits)
+
+
+def step_plan(spec, params, key):
+    """The `TapePlan` of an inference step for ``key``, (n input rows, their
+    dtype, smooth, record), on the inference parameters ``params``: every
+    array `_step_program` takes, by the rules of its walk, over the visits
+    0..L-1 of layers 0..L-1, with the kernels' scratch of each visit
+    (`kernels.conv_scratch`, `kernels.pool_scratch`) for the workers
+    `kernels.run_blocks` would use from this thread.
+
+    Each layer writes its "y", but into the C-order rows "x" of an fc layer
+    after it, unless it is a convolution, whose "y" the step copies in; a
+    LIF layer has its potentials "u" and a bool "keep", its spikes when a
+    pool reads them (`_bool_spikes`).  An array lasts from the visit that
+    writes it to the last that reads it (a pool's window sums, with
+    ``record``, to the count after it), but those that outlive a step span
+    all of it: the potentials, layer 0's input "x", the stem's output,
+    which a stem-cached step reads, and each convolution's zero-bordered
+    scratch, whose border its build zeroes.
+    """
+    n, dtype, smooth, record = key
+    layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
+    arrays = TapePlan({}, {}, None)
+    fc = [layer.kind in ("fc", "classifier") for layer in layers] + [False]
+
+    def dest(i, dt):
+        """Plan where layer i writes an output of dt."""
+        if fc[i + 1]:
+            return arrays.new((i + 1, "x"), (n, math.prod(plans[i].out_shape)), dt, i)
+        return arrays.new((i, "y"), (n,) + plans[i].out_shape, dt, i)
+
+    dt = np.dtype(dtype)  # the step's float dtype
+    h = arrays.new((0, "x"), (n,) + ((math.prod(spec.input_shape),) if fc[0] else
+                                     spec.input_shape), dt, 0)
+    kept = [h]  # the keys that span the whole step
+    for i, (layer, par, plan) in enumerate(zip(layers, params, plans)):
+        kind = layer.kind
+        if i == s:
+            kept.append(h)
+        arrays.use(h, i)
+        if record and plan.weight_shape is not None and i > s and \
+                layers[i - 1].kind == "pool" and sums[1].kind == "u":
+            arrays.use(sums[0], i)
+        if kind == "conv":  # on window sums, it reads the means' dtype
+            read = dt if i and layers[i - 1].kind == "pool" else arrays.slots[h][1]
+            dt = np.result_type(dt, par["w"])
+            shapes = kernels.conv_scratch(n, plan.in_shape, plan.config, read.itemsize)
+            arrays.scratch(i, (shapes, dt))
+            kept += [(i, "scratch", role) for role in shapes if role[0] == "x"]
+            h = arrays.new((i, "y"), (n,) + plan.out_shape, dt, i)
+        elif kind == "norm" and par is not None:
+            dt = np.result_type(dt, par["running_mean"])
+            h = dest(i, dt)
+        elif kind == "lif":
+            kept.append(arrays.new((i, "u"), (n,) + plan.in_shape, dt, i))
+            keep = arrays.new((i, "keep"), (n,) + plan.in_shape, bool, i)
+            h = keep if _bool_spikes(layers, i, smooth) else dest(i, dt)
+        elif kind == "pool":
+            means, read = not _hands_sums(layers, i), arrays.slots[h][1]
+            shapes = kernels.pool_scratch(n, plan.in_shape, layer.window, read, means)
+            sums = ((i, "scratch", "sums") if "sums" in shapes else h,
+                    kernels._window_sum_dtype(read, layer.window))
+            arrays.scratch(i, (shapes, sums[1]))
+            dt = np.result_type(dt, 1.0)
+            h = dest(i, dt) if means else sums[0]
+        elif kind in ("fc", "classifier"):
+            if (i, "x") not in arrays.slots:  # the step copies h in
+                arrays.new((i, "x"), (n, math.prod(plan.in_shape)), dt, i)
+            dt = np.result_type(dt, par["w"])
+            h = dest(i, dt) if kind == "fc" else None
+        # else: a norm folded into the layer before
+    for k in kept:
+        arrays.spans[k] = (0, len(layers) - 1)
+    return arrays._replace(logits=dt)
 
 
 def _slot_bytes(plan):
@@ -641,47 +717,31 @@ def pack(plan):
 
 
 class Workspace:
-    """Kept memory: a training step's arrays in one arena, an inference
-    step's in byte buffers kept per key.
+    """Kept memory: one step's arrays, laid out by lifetime in one arena.
 
-    A training step's arrays are laid out by lifetime.  Before its first
-    request, `lay_out` takes the step's `TapePlan`: every array the step
-    requests, with its shape, dtype and the layer visits that use it.
-    Arrays whose visits overlap get disjoint bytes of the arena; the others
-    share (`pack`).  The arena grows when a plan needs more bytes and never
-    shrinks, and a plan whose arrays each fit the region their key had (a
-    smaller batch, which may also plan fewer workers' scratch) keeps the
-    layout and takes a prefix of each region.
-    `planned` hands out a key's array; a key the plan lacks raises.  An
-    array is overwritten by the next array on its bytes: the tape's arrays
-    by the backward pass's input gradients once their last reader has run,
-    and every one by the next step.  `training.train` takes the instance's
-    workspace (`take`) for the call; `clone_state` hands it to the clones,
-    so it lives, at about the largest set of one step's arrays alive at
-    once, until the instance and its clones are gone.  A tape without one
-    lays out a new `Workspace()`.
+    Before a step's first request, `lay_out` takes its `TapePlan`
+    (`tape_plan` for a training step, `step_plan` for an inference step):
+    every array the step requests, with its shape, dtype and the layer
+    visits that use it.  Arrays whose visits overlap get disjoint bytes of
+    the arena; the others share (`pack`).  The arena grows when a plan needs
+    more bytes and never shrinks, and a plan whose arrays each fit the
+    region their key had over the same visits (a smaller batch, which may
+    also plan fewer workers' scratch) keeps the layout and takes a prefix
+    of each region.  `planned` hands out a key's array and `scratch` the
+    kernels' scratch of a visit; a key the plan lacks raises.  An array is
+    overwritten by the next array on its bytes: a tape's arrays by the
+    backward pass's input gradients once their last reader has run, and
+    every one by the next step.
 
-    A step's keys are those `run_layers` and `training.backward_through_time`
-    request: each conv's and pool's output ("y"; a pool before a conv's is
-    its window sums), each train-mode norm's output ("y"; its ``xhat`` is
-    written over the array it reads, or is "xhat"), each LIF layer's spikes
-    ("spikes": bool before a strict pool, else float, alive until the next
-    layer has read them unless it keeps them), the input gradients ("dx")
-    of convs, of the first LIF layer and of pools but the one after it,
-    and the kernels' scratch at each visit (`scratch`).  No LIF
-    layer has currents or potentials of its own: its backward pass
-    recomputes its potentials, from its currents or, after a norm, from the
-    norm's xhat.
-
-    An inference step (`StepBuffers`) takes its arrays from `empty`
-    instead: a byte buffer per key, grown when a request needs more bytes
-    and never shrunk, of which a smaller batch takes a prefix.
+    An instance has two: that of its `StepBuffers`, for its inference
+    steps, and ``workspace``, for its training steps, which `training.train`
+    takes (`take`) for the call.  `clone_state` hands the latter to the
+    clones, so it lives, at about the largest set of one step's arrays
+    alive at once, until the instance and its clones are gone.  A tape
+    without one lays out a new `Workspace()`.
     """
 
     def __init__(self):
-        self._buffers = {}     # key -> the byte buffer `empty` keeps for it
-        self._handed = set()   # keys `empty` handed out a view of since `new_walk`
-        self.stale = 0         # how many of those grew since: their views are stale
         self._arena = None
         self._regions = None   # key -> (offset, bytes, span) in the arena
         self.plan = None       # the TapePlan laid out last
@@ -716,7 +776,7 @@ class Workspace:
                 try:
                     self._arena = np.empty(size, dtype=np.uint8)
                 except (MemoryError, ValueError):
-                    raise ConfigError(f"a training step needs a workspace of {size} bytes, "
+                    raise ConfigError(f"a step needs a workspace of {size} bytes, "
                                       f"more than can be allocated") from None
         self._regions, self.plan = regions, plan
 
@@ -753,32 +813,9 @@ class Workspace:
 
         return take
 
-    def new_walk(self):
-        """Start a walk of `empty` requests: forget which keys had views
-        handed out, and count `stale` from 0."""
-        self._handed, self.stale = set(), 0
-
-    def empty(self, key, shape, dtype):
-        """Uninitialized C-order array of this shape and dtype under ``key``,
-        on its kept buffer."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        buf = self._buffers.get(key)
-        if buf is None or buf.nbytes < nbytes:
-            self.stale += key in self._handed
-            buf = self._buffers[key] = np.empty(nbytes, dtype=np.uint8)
-        self._handed.add(key)
-        return buf[:nbytes].view(dtype).reshape(shape)
-
-    def channels_last(self, key, shape, dtype):
-        """`empty` (N,C,H,W) view of (N,H,W,C) memory: a conv output's layout."""
-        n, c, h, w = shape
-        return self.empty(key, (n, h, w, c), dtype).transpose(0, 3, 1, 2)
-
 
 class StepProgram(NamedTuple):
-    """One inference step: calls bound to the arrays `_step_program` laid out
-    for it."""
+    """One inference step: calls bound to the arrays of its `step_plan`."""
 
     key: tuple           # the (rows, dtype, smooth, record) it is built for
     params: list         # the inference parameters the calls read
@@ -795,29 +832,23 @@ class StepProgram(NamedTuple):
 
 class StepBuffers:
     """An instance's inference step: the `StepProgram` of its last step and
-    the memory it runs on.
+    the `Workspace` it runs on.
 
     `forward_timestep` runs the program built for its input's (rows, dtype),
     the instance's firing mode and ``record_activity`` on the inference
     parameters, and keeps it until a step with another of these builds the
     next: a later step with the same ones allocates only its logits and
-    activity row.  The arrays are bytes kept per (layer, role) in a
-    `Workspace`, so a rebuild reuses them and a smaller batch (a scan's
-    last tile) takes a prefix.  An array that the next layer reads and no
-    later one does is shared by the layers of its role: each worker's unfold
-    scratch (one block) and the pools' row sums, the outputs of the
-    convolutions after the stem, the LIF layers' keep arrays and the pools'
-    sums; each convolution has its own zero-bordered scratch.  A
-    build in which a buffer grew after the walk had handed out a view of
-    it walks the layers again, on the grown bytes (`Workspace.new_walk`).  A
-    step of at most one scan tile (`_scan_rows`) runs its kernels' blocks
-    inline, as a scan tile does: a fork-join saves it nothing measurable.
-    A batch of more rows gets a `Workspace` of its own, which only its
-    program holds, until the next build or `reset_states`, and splits its
-    blocks across the workers.  The arrays hold no weights: a rebuilt
-    `inference_params` lays them out on the same bytes unless the
-    parameters' dtypes changed.  Every step overwrites them, so each
-    instance has its own (`clone_state` gives the clone new ones).
+    activity row.  A build lays out the step's `step_plan` and walks the
+    layers once (`_step_program`), binding the calls to the planned arrays;
+    a smaller batch (a scan's last tile) takes a prefix of each array of the
+    last layout.  A step of at most one scan tile (`_scan_rows`) runs its
+    kernels' blocks inline, as a scan tile does: a fork-join saves it
+    nothing measurable.  A batch of more rows gets a `Workspace` of its
+    own, which only its program holds, until the next build or
+    `reset_states`, and splits its blocks across the workers.  The arrays
+    hold no weights: a rebuilt `inference_params` lays them out on the same
+    bytes unless the parameters' dtypes changed.  Every step overwrites
+    them, so each instance has its own (`clone_state`).
     """
 
     def __init__(self):
@@ -837,17 +868,17 @@ class StepBuffers:
         key = (rows, dtype, net.smooth_spikes, net.record_activity)
         prog = self._program
         if prog is None or prog.key != key or prog.params is not params:
-            memory = self._memory
-            if rows > _scan_rows(net.spec, np.result_type(dtype, params[-1]["w"]).itemsize, rows):
-                memory = Workspace()
+            self._program = self._attached = None  # its arrays are laid over next
+            tile = _scan_rows(net.spec, np.result_type(dtype, params[-1]["w"]).itemsize, rows)
+            memory = self._memory if rows <= tile else Workspace()
             blocks = kernels.inline_blocks(memory is self._memory)
-            with blocks:  # built for the workers its calls run on
-                memory.new_walk()
-                prog = _step_program(net.spec, params, key, memory, blocks)
-                if memory.stale:
-                    memory.new_walk()
-                    prog = _step_program(net.spec, params, key, memory, blocks)
-            self._program, self._attached = prog, None
+            with blocks:  # planned and built for the workers its calls run on
+                plan = step_plan(net.spec, params, key)
+                if plan != memory.plan:  # its layout may put any array on a state's bytes
+                    for state in net.lif_states.values():
+                        state.u = state.u.copy()
+                memory.lay_out(plan)
+                prog = self._program = _step_program(net.spec, params, key, memory, blocks)
         if net.lif_states is not self._attached:
             _attach_states(net.lif_states, prog.potentials)
             self._attached = net.lif_states
@@ -880,24 +911,22 @@ def _attach_states(states, potentials):
 def _step_program(spec, params, key, memory, blocks):
     """The StepProgram of one inference step for ``key``, (n input rows,
     their dtype, smooth, record), on the inference parameters ``params``:
-    one walk over the layers lays out each layer's arrays on ``memory`` and
-    adds its calls on them.  ``blocks`` is the `kernels.inline_blocks`
-    context the calls run in, which the walk runs in too.
+    one walk over the layers takes each layer's arrays (`Workspace.planned`)
+    and its kernels' scratch (`Workspace.scratch`) from ``memory``, laid out
+    for the key's `step_plan`, and adds the layer's calls on them.
+    ``blocks`` is the `kernels.inline_blocks` context the calls run in,
+    which the walk runs in too.
 
-    Every layer gets the output dtype its kernel would give.  An fc layer
-    reads C-order rows; the layer before writes straight into them when its
-    output has their dtype, and the step copies h in otherwise; the first
-    layer always reads an array of its own, which a step copies its input
-    into.  A convolution reads h as it comes: its blocks copy their samples
-    into the zero-bordered scratch of their worker (`kernels.conv_buffers`,
-    one scratch for each worker `kernels.run_blocks` may use, built here).
-    A strict LIF layer before a pool leaves its spikes as bool
-    (`_bool_spikes`), its keep buffer inverted, which the pool sums as bytes
-    (`kernels.pool_buffers`); every other output is in the step's float
-    dtype, so no bool array reaches a GEMM or a norm.  A pool before a
-    convolution (`_hands_sums`) writes only its window sums, which the
-    convolution's blocks divide into their bordered scratch
-    (`kernels.conv_buffers` with ``pooled``), so it has no float output.  4-d arrays are (N,C,H,W)
+    Every layer gets the output dtype its kernel would give, on the arrays
+    the plan places.  A convolution reads h as it comes: its blocks copy
+    their samples into the zero-bordered scratch of their worker
+    (`kernels.conv_buffers`).  A strict LIF layer before a pool leaves its
+    spikes as bool (`_bool_spikes`), its keep array inverted, which the pool
+    sums as bytes (`kernels.pool_buffers`); every other output is in the
+    step's float dtype, so no bool array reaches a GEMM or a norm.  A pool
+    before a convolution (`_hands_sums`) writes only its window sums, which
+    the convolution's blocks divide into their bordered scratch
+    (`kernels.conv_buffers` with ``pooled``).  4-d arrays are (N,C,H,W)
     views of channels-last memory.
 
     Each layer adds its calls in the order the tape's `run_layers` visits
@@ -908,60 +937,27 @@ def _step_program(spec, params, key, memory, blocks):
     Kernels are looked up by their name in this module when called, so a
     wrapper put in their place afterwards sees every call.  A layer after a
     pool is counted right after the pool, on the pool's integer window sums
-    when it has them (nonzero where its means are, and smaller), while the
-    pools' shared sums are its.  The stem's input is analog, so its counts
-    are filled in here, once.
+    when it has them (nonzero where its means are, and smaller).  The
+    stem's input is analog, so its counts are filled in here, once.
     """
     n, dtype, smooth, record = key
     layers, plans, s = spec.layers, spec.layer_plan, spec.first_lif
-    inputs = {}  # layer index -> its fixed input array
-    sized = set()  # the unfold scratch keys taken at their largest size
+    inputs = {i: memory.planned((i, "x")).reshape((n,) + plan.in_shape)  # what layer i reads
+              for i, plan in enumerate(plans) if (i, "x") in memory.plan.slots}
 
-    def own(i, role, shape, dt):
-        if len(shape) == 4:
-            return memory.channels_last((i, role), shape, dt)
-        return memory.empty((i, role), shape, dt)
-
-    def take(i, role, shape, dt):
-        """Layer i's kernel scratch: a convolution's zero-bordered one is its
-        own, any other is shared by the layers of its role.  A worker's
-        unfold scratch is first taken at the largest size any convolution
-        needs (`kernels.unfold_size`, the later ones at dt), so that no
-        view of it goes stale."""
-        key = (i if role[0] == "x" else "step", role)
-        if role[0] == "cols" and key not in sized:
-            sized.add(key)
-            memory.empty(key, (max([shape[0]] + [
-                kernels.unfold_size(n, plans[j].in_shape, plans[j].config, dt.itemsize)
-                for j, layer in enumerate(layers) if layer.kind == "conv"]),), dt)
-        return memory.empty(key, shape, dt)
-
-    def fixed_input(i, dt):
-        """The array layer i reads, for input dtype dt; None for h as it comes."""
-        if i < len(layers) and i not in inputs:
-            shape = (n,) + plans[i].in_shape
-            if layers[i].kind in ("fc", "classifier"):
-                inputs[i] = memory.empty((i, "x"), shape, dt)
-            elif i == 0:  # the step's input, channels-last as a pool reads it
-                inputs[i] = own(i, "x", shape, dt)
-        return inputs.get(i)
-
-    def dest(i, dt):
-        """Where layer i writes an output of dtype dt: the next layer's input
-        when it has that dtype, else an array of its own."""
-        nxt = fixed_input(i + 1, dt)
-        if nxt is not None and nxt.dtype == dt:
-            return nxt
-        return own(i, "y", (n,) + plans[i].out_shape, dt)
+    def dest(i):
+        """Where layer i writes its output: the next layer's "x" when it has
+        one, else its own "y"."""
+        return inputs[i + 1] if i + 1 in inputs else memory.planned((i, "y"))
 
     mapped = [i for i, plan in enumerate(plans) if plan.weight_shape is not None]
     counts = np.empty((n, len(mapped))) if record else None
     dt = np.dtype(dtype)
-    x = h = fixed_input(0, dt)
+    x = h = inputs[0]
     calls, potentials = [], {}
     # Each call binds its arguments as defaults: the walk reuses its names.
     for i, (layer, par, plan) in enumerate(zip(layers, params, plans)):
-        kind, cfg, fixed = layer.kind, plan.config, fixed_input(i, dt)
+        kind, cfg, fixed = layer.kind, plan.config, inputs.get(i)
         if i == s:
             stem, stem_out, calls = tuple(calls), h, []
         if fixed is not None and fixed is not h:
@@ -978,8 +974,8 @@ def _step_program(spec, params, key, memory, blocks):
         if kind == "conv":
             pooled = (layers[i - 1].window, dt) if i and layers[i - 1].kind == "pool" else None
             w, dt = par["w"], np.result_type(dt, par["w"])
-            out = memory.channels_last((i if i < s else "step", "y"), (n,) + plan.out_shape, dt)
-            conv = kernels.conv_buffers(h, cfg, dt, out, functools.partial(take, i), pooled)
+            out = memory.planned((i, "y"))
+            conv = kernels.conv_buffers(h, cfg, dt, out, memory.scratch(i), pooled)
             calls.append(lambda h=h, w=w, cfg=cfg, conv=conv: conv2d(h, w, cfg, buffers=conv))
             if "b" in par:  # one contiguous add per sample
                 rows = out.transpose(0, 2, 3, 1).reshape(n, -1)
@@ -987,13 +983,13 @@ def _step_program(spec, params, key, memory, blocks):
             h = out
         elif kind == "norm" and par is not None:
             dt = np.result_type(dt, par["running_mean"])
-            out = dest(i, dt)
+            out = dest(i)
             calls.append(lambda h=h, par=par, out=out: batch_norm(h, par, out=out))
             h = out
         elif kind == "lif":
-            u = potentials[i] = own(i, "u", (n,) + plan.in_shape, dt)
-            keep = own("step", "keep", u.shape, bool)
-            out = keep if _bool_spikes(layers, i, smooth) else dest(i, dt)
+            u = potentials[i] = memory.planned((i, "u"))
+            keep = memory.planned((i, "keep"))
+            out = keep if _bool_spikes(layers, i, smooth) else dest(i)
             current, v, k, spike = _channels_last_views(h, u, keep, out)
             calls.append(lambda current=current, v=v, cfg=cfg, k=k, spike=spike:
                          _lif_update(current, v, cfg, smooth, k, spike))
@@ -1001,15 +997,15 @@ def _step_program(spec, params, key, memory, blocks):
         elif kind == "pool":
             # h: the output of the last layer that wrote one (a folded norm writes none)
             dt, window = np.result_type(dt, 1.0), layer.window
-            out = None if _hands_sums(layers, i) else dest(i, dt)
-            pool = kernels.pool_buffers(h, window, out, functools.partial(take, i))
+            out = None if _hands_sums(layers, i) else dest(i)
+            pool = kernels.pool_buffers(h, window, out, memory.scratch(i))
             calls.append(lambda h=h, window=window, pool=pool:
                          avg_pool2d(h, window, buffers=pool))
             h = pool.out
         elif kind in ("fc", "classifier"):
             rows, w, b = h.reshape(n, -1), par["w"], par["b"]
             dt = np.result_type(dt, w)
-            out = None if kind == "classifier" else dest(i, dt)
+            out = None if kind == "classifier" else dest(i)
             calls.append(lambda rows=rows, w=w, b=b, out=out: fully_connected(rows, w, b, out=out))
             h = out
         # else: a norm folded into the layer before
@@ -1046,8 +1042,8 @@ class SnnInstance:
 
     def clone_state(self):
         """New instance sharing the weight arrays, their inference plan, the
-        training workspace and the firing mode, with fresh inference state
-        and step buffers of its own.
+        training ``workspace`` and the firing mode, with fresh inference
+        state and a `StepBuffers` of its own, whose arena its steps run on.
 
         The clone has its own parameter list and dicts over the same
         (read-only once the plan is built) arrays, so replacing an entry, as

@@ -13,7 +13,7 @@ import pytest
 import dtsnn
 from dtsnn import kernels, training
 from dtsnn.config import parse_config
-from dtsnn.network import build_instance, pack, tape_plan
+from dtsnn.network import build_instance, inference_params, pack, step_plan, tape_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -114,3 +114,20 @@ def test_the_workspace_figures_are_the_mnist_steps(monkeypatch):
     assert found is not None
     arrays, arena, _ = mnist_step_figures(int(found[3]), int(found[4]))
     assert_printed(found.groups()[:2], (arena, arrays))
+
+
+def test_the_step_arena_figures_are_the_mnist_steps():
+    # The README's inference-step figures: the arena a configs/mnist.yaml
+    # step's `step_plan` packs into, on the one worker a step of at most one
+    # scan tile runs its blocks on, and the sum of its planned arrays.
+    text = " ".join(README.split())
+    found = re.search(r"The `configs/mnist\.yaml` step at (\d+) rows in float32 \(strict, one "
+                      r"worker\) packs into a ([\d,]+)-byte arena where its arrays add up to "
+                      r"([\d,]+) bytes", text)
+    assert found is not None
+    net = build_instance(parse_config(ROOT / "configs" / "mnist.yaml").network, seed=0)
+    with kernels.inline_blocks(True):
+        plan = step_plan(net.spec, inference_params(net),
+                         (int(found[1]), np.dtype(np.float32), False, False))
+    arrays = sum(math.prod(shape) * dt.itemsize for shape, dt in plan.slots.values())
+    assert found.groups()[1:] == (f"{pack(plan)[1]:,}", f"{arrays:,}")

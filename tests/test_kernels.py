@@ -956,8 +956,16 @@ class TestOneKernelPath:
     count, on NCHW and on channels-last input."""
 
     @staticmethod
-    def on_workspace(ws, tag):
-        return lambda role, shape, dt: ws.empty((tag, role), shape, dt)
+    def on_workspace(ws, scratch, dtype, out_shape=None):
+        """Lay ``ws`` out for one kernel call: its scratch ({role: shape}
+        of ``dtype``) and, of ``out_shape``, its out array, at visit 0.
+        Returns the scratch's ``take`` and the out array."""
+        plan = network.TapePlan({}, {}, np.dtype(dtype))
+        plan.scratch(0, (scratch, dtype))
+        if out_shape is not None:
+            plan.new((0, "y"), out_shape, dtype, 0)
+        ws.lay_out(plan)
+        return ws.scratch(0), None if out_shape is None else ws.planned((0, "y"))
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, channels_last], ids=["nchw", "nhwc"])
     @pytest.mark.parametrize("c", [1, 3])
@@ -979,8 +987,9 @@ class TestOneKernelPath:
 
         blocks_of(8 * 6 * 9 * c * 4)  # one sample's unfolded input
         y = conv2d(x, w, params)
-        out = ws.channels_last("y", y.shape, y.dtype)
-        conv = kernels.conv_buffers(x, params, y.dtype, out, self.on_workspace(ws, "x"))
+        take, out = self.on_workspace(ws, kernels.conv_scratch(7, (c, 8, 6), params, 4),
+                                      y.dtype, y.shape)
+        conv = kernels.conv_buffers(x, params, y.dtype, out, take)
         assert len(conv.blocks) == (1 if samples is None else -(-7 // samples))
         assert conv2d(x, w, params, buffers=conv) is out
         npt.assert_array_equal(y, out)
@@ -989,15 +998,16 @@ class TestOneKernelPath:
         dx, dw = conv2d_backward(dy, x, w, params)
         assert dw.shape == w.shape and dw.flags.c_contiguous
         assert dx.shape == x.shape and dx.transpose(0, 2, 3, 1).flags.c_contiguous
-        conv = kernels.conv_buffers(x, params, dw.dtype, channels_last(dy),
-                                    self.on_workspace(ws, "dw"))
+        take, _ = self.on_workspace(ws, kernels.conv_scratch(7, (c, 8, 6), params, 4), dw.dtype)
+        conv = kernels.conv_buffers(x, params, dw.dtype, channels_last(dy), take)
         parts = [rows.T @ kernels._unfold_block(xb, conv.scratch[0]) for xb, rows in conv.blocks]
         npt.assert_array_equal(dw, sum(parts).reshape(4, 3, 3, c).transpose(0, 3, 1, 2))
         w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         back = ConvParams(4, c, 3, 3, 1, 1)
         blocks_of(8 * 6 * 9 * 4 * 4)  # one sample's unfolded output gradient
-        out = ws.channels_last("dx", dx.shape, dx.dtype)
-        conv = kernels.conv_buffers(dy, back, dx.dtype, out, self.on_workspace(ws, "dx"))
+        take, out = self.on_workspace(ws, kernels.conv_scratch(7, (4, 8, 6), back, 4),
+                                      dx.dtype, dx.shape)
+        conv = kernels.conv_buffers(dy, back, dx.dtype, out, take)
         npt.assert_array_equal(dx, conv2d(dy, w_flip, back, buffers=conv))
 
         blocks_of(x[0].nbytes)
@@ -1006,7 +1016,9 @@ class TestOneKernelPath:
         assert mem.flags.c_contiguous  # x's memory order
         x_mem = channels_last(x)
         out = np.empty_like(pooled)
-        pool = kernels.pool_buffers(x_mem, 2, out, self.on_workspace(ws, "pool"))
+        take, _ = self.on_workspace(ws, kernels.pool_scratch(7, (c, 8, 6), 2, x.dtype),
+                                    kernels._window_sum_dtype(x.dtype, 2))
+        pool = kernels.pool_buffers(x_mem, 2, out, take)
         assert len(pool.scratch[0]) == (1 if samples is None else -(-7 // samples))
         assert avg_pool2d(x_mem, 2, buffers=pool) is out
         npt.assert_array_equal(pooled, out)

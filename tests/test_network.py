@@ -1,6 +1,8 @@
 """LIF dynamics and the per-timestep forward pass of the spiking network."""
 
+import dataclasses
 import functools
+import math
 import os
 import sys
 import threading
@@ -16,7 +18,7 @@ import pytest
 
 from dtsnn import kernels, network
 from dtsnn.config import parse_config
-from dtsnn.errors import DataFormatError, ShapeError, StateError
+from dtsnn.errors import ConfigError, DataFormatError, ShapeError, StateError
 from dtsnn.hardware import perturbed_instance
 from dtsnn.kernels import avg_pool2d, batch_norm, conv2d, fully_connected
 from dtsnn.network import (
@@ -334,15 +336,14 @@ def step_arrays(net):
     return found
 
 
-def assert_in_kept_buffers(net):
-    """Every array of the built step lies in a buffer of the workspace its
-    program keeps: no build left a layer on bytes that a later layer grew
-    away from."""
-    kept = list(net.step_buffers._program.memory._buffers.values())
+def assert_on_the_arena(net):
+    """Every array of the built step lies in the arena of the workspace its
+    program runs on: the step allocates none of its own."""
+    arena = net.step_buffers._program.memory._arena
     arrays = step_arrays(net)
     assert arrays
     for a in arrays:
-        assert any(np.shares_memory(a, buf) for buf in kept)
+        assert np.shares_memory(a, arena)
 
 
 class TestInferencePlan:
@@ -479,7 +480,7 @@ class TestInferencePlan:
             reset_states(net)
             logits = np.stack([forward_timestep(net, x) for _ in range(self.T_STEPS)])
             npt.assert_allclose(logits, ref_logits, rtol=rtol, atol=atol)
-            assert_in_kept_buffers(net)
+            assert_on_the_arena(net)
             mapped = [i for i, plan in enumerate(net.spec.layer_plan) if plan.weight_shape]
             for t, row in enumerate(net.activity):
                 for j, (i, h) in enumerate(zip(mapped, inputs[t * len(mapped):])):
@@ -989,13 +990,12 @@ class TestStepBuffers:
     def test_replaced_weights_run_on_the_same_buffers(self):
         net, x = self.make(), self.images(2)
         before = mean_after(net, x, 2)
-        kept = dict(net.step_buffers._memory._buffers)
+        arena = net.step_buffers._memory._arena
         w = net.params[0]["w"]
         sgd_step(net, {0: {"w": np.ones_like(w)}}, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
         assert net.params[0]["w"] is not w
         after = mean_after(net, x, 2)
-        assert net.step_buffers._memory._buffers.keys() == kept.keys()
-        assert all(net.step_buffers._memory._buffers[k] is v for k, v in kept.items())
+        assert arena is not None and net.step_buffers._memory._arena is arena
         npt.assert_array_equal(after, mean_after(SnnInstance(spec=net.spec, params=net.params), x, 2))
         assert not np.array_equal(before, after)
 
@@ -1013,12 +1013,11 @@ class TestStepBuffers:
     def test_weights_replaced_after_a_build_get_a_new_program_on_the_same_arrays(self):
         net, x = self.make(), self.images(2)
         self.sequence(net, x)
-        kept, program = dict(net.step_buffers._memory._buffers), net.step_buffers._program
+        arena, program = net.step_buffers._memory._arena, net.step_buffers._program
         w = net.params[4]["w"]
         sgd_step(net, {4: {"w": np.ones_like(w)}}, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
         logits, activity = self.sequence(net, x)
-        assert net.step_buffers._memory._buffers.keys() == kept.keys()
-        assert all(net.step_buffers._memory._buffers[k] is v for k, v in kept.items())
+        assert arena is not None and net.step_buffers._memory._arena is arena
         assert net.step_buffers._program is not program
         want_logits, want_activity = self.sequence(self.fresh(net), x)
         npt.assert_array_equal(logits, want_logits)
@@ -1043,6 +1042,29 @@ class TestStepBuffers:
         fresh = self.fresh(net)
         fresh.lif_states = {i: LifState(u.copy()) for i, u in potentials.items()}
         npt.assert_array_equal(forward_timestep(net, x), forward_timestep(fresh, x))
+
+    @pytest.mark.parametrize("case", list(PLAN_CASES) + ["mnist"])
+    @pytest.mark.parametrize("rows", [1, 27], ids=["batch_1", "tile"])
+    def test_a_new_layout_mid_sequence_carries_the_potentials_over(self, case, rows):
+        # A step of another input dtype or recording plans other arrays,
+        # whose layout may put any of them on a potential's old bytes, as a
+        # convolution's bordered scratch, zeroed at its build.  Each step
+        # continues from the potentials of the last one, as a fresh
+        # instance given them does.
+        if case == "mnist":
+            spec = dataclasses.replace(self.MNIST, t_max=6)
+        else:
+            layers, input_shape, _ = PLAN_CASES[case]
+            spec = NetworkSpec(input_shape=input_shape, num_classes=3, t_max=6, layers=layers)
+        net = randomize_norms(build_instance(spec, seed=1), 1)
+        x = np.random.default_rng(rows).standard_normal((rows,) + spec.input_shape)
+        for dtype, record in ((np.float32, False), (np.float32, True), (np.float64, True),
+                              (np.float64, False), (np.float32, False), (np.float32, True)):
+            fresh = SnnInstance(spec=spec, params=net.params)
+            fresh.lif_states = {i: LifState(state.u.copy()) for i, state in net.lif_states.items()}
+            net.record_activity = record
+            npt.assert_array_equal(forward_timestep(net, x.astype(dtype)),
+                                   forward_timestep(fresh, x.astype(dtype)))
 
     def test_recording_switched_on_after_an_unrecorded_step_counts_the_next(self):
         net, x = self.make(), self.images(2)
@@ -1097,13 +1119,13 @@ class TestStepBuffers:
 
     @pytest.mark.parametrize("rows", [1, 27], ids=["batch_1", "tile"])
     @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
-    def test_a_fresh_build_lays_every_array_in_the_kept_buffers(self, rows, smooth):
-        # The shared buffers are taken at their final size before the views
-        # are built, so no layer is left on bytes a later one grew away from.
+    def test_a_fresh_build_lays_every_array_on_the_arena(self, rows, smooth):
+        # The step's layout is made before its arrays are taken from it, so
+        # every array the calls are bound to lies in the one arena.
         net = self.make()
         net.smooth_spikes = smooth
         mean_after(net, self.images(rows), 1)
-        assert_in_kept_buffers(net)
+        assert_on_the_arena(net)
 
     def test_a_batch_above_one_tile_keeps_no_arrays(self, monkeypatch):
         # It runs on arrays of its own, built at its first step, used by the
@@ -1114,7 +1136,7 @@ class TestStepBuffers:
                             calls.append(weakref.ref(kw["buffers"].out)) or conv2d(*a, **kw))
         net, x = self.make(), self.images(30)
         got = mean_after(net, x, 2)
-        assert net.step_buffers._memory._buffers == {}
+        assert net.step_buffers._memory._arena is None
         assert net.step_buffers._program.memory is not net.step_buffers._memory
         convs = sum(layer.kind == "conv" for layer in self.MNIST.layers)
         outs = [ref() for ref in calls]
@@ -1129,14 +1151,9 @@ class TestStepBuffers:
 
     @pytest.mark.parametrize("rows, walks", [((1, 27, 10, 27, 1), [1, 1, 1, 1, 1]),
                                              ((12, 27), [1, 1])])
-    def test_a_build_walks_again_only_when_a_view_went_stale(self, rows, walks, monkeypatch):
-        # A build walks the layers again only when a buffer grew after the
-        # walk handed out a view of it.  The convolutions share each
-        # worker's unfold scratch, which the stem conv takes at the size the
-        # largest conv needs: a fresh build at 1 row, or one at 27 rows
-        # after it, grows it before any view of it is handed out, and the
-        # buffers of one layer each grow at their one request in the walk.
-        # Every build walks once.
+    def test_every_build_walks_once(self, rows, walks, monkeypatch):
+        # The step's plan is laid out before the walk takes its arrays, so
+        # no array the walk hands out moves under it.
         seen = []
         step_program = network._step_program
         monkeypatch.setattr(network, "_step_program", lambda *a: seen.append(1) or step_program(*a))
@@ -1146,7 +1163,7 @@ class TestStepBuffers:
             reset_states(net)
             forward_timestep(net, self.images(n))
             counts.append(len(seen))
-            assert_in_kept_buffers(net)
+            assert_on_the_arena(net)
         assert counts == walks
 
     def test_a_step_of_one_tile_runs_its_blocks_inline(self, monkeypatch):
@@ -1170,10 +1187,121 @@ class TestStepBuffers:
     def test_a_smaller_batch_takes_a_prefix(self):
         net = self.make()
         mean_after(net, self.images(27), 1)
-        kept = dict(net.step_buffers._memory._buffers)
+        memory = net.step_buffers._memory
+        arena, offsets = memory._arena, {k: r[0] for k, r in memory._regions.items()}
         small = mean_after(net, self.images(10, seed=3), 2)
-        assert all(net.step_buffers._memory._buffers[k] is v for k, v in kept.items())
+        assert memory._arena is arena
+        assert {k: r[0] for k, r in memory._regions.items()} == offsets
+        assert all(memory.planned(k).shape[0] == 10 for k in offsets if k[1] != "scratch")
         npt.assert_array_equal(small, mean_after(self.make(), self.images(10, seed=3), 2))
+
+    def test_steps_of_other_row_counts_run_on_one_layout(self):
+        # Steps of 1, 27, 10, 27 and 1 rows: only the 1-row step and the
+        # first 27-row step allocate an arena, the others lay their plans
+        # over the 27-row layout.  Each row count's steps match a fresh
+        # instance's, and its second step allocates only its logits and
+        # activity row (as in test_a_step_at_a_fixed_shape_allocates_nothing).
+        net, arenas = self.make(), []
+        for rows in (1, 27, 10, 27, 1):
+            x = self.images(rows, seed=rows)
+            reset_states(net)
+            first = forward_timestep(net, x)
+            arenas.append(net.step_buffers._memory._arena)
+            old = np.setbufsize(16)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                second = forward_timestep(net, x)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+                np.setbufsize(old)
+            assert peak < rows * (self.MNIST.num_classes * 4 + 4 * 8) + 6 * 1024
+            logits, activity = np.stack([first, second]), np.stack(net.activity)
+            want_logits, want_activity = self.sequence(self.fresh(net), x, 2)
+            npt.assert_array_equal(logits, want_logits)
+            npt.assert_array_equal(activity, want_activity)
+        assert arenas[0] is not arenas[1]
+        assert all(arena is arenas[1] for arena in arenas[2:])
+
+    def test_a_step_too_large_to_allocate_raises_config_error(self):
+        # A (2**21 + 1)-pixel square conv output: an arena of about 64 TiB,
+        # on parameters of a few bytes.
+        spec = NetworkSpec((1, 1, 1), 2, 2, (
+            LayerSpec("conv", out_channels=1, kernel=1, padding=2**20), LayerSpec("lif"),
+            LayerSpec("pool", window=2**21 + 1), LayerSpec("classifier")))
+        net = build_instance(spec, seed=0)
+        with pytest.raises(ConfigError, match=r"needs a workspace of \d+ bytes"):
+            forward_timestep(net, np.zeros((1, 1, 1, 1), np.float32))
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("case", list(PLAN_CASES) + ["mnist"])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["strict", "smooth"])
+    @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+    @pytest.mark.parametrize("rows", [1, 27, 60], ids=["batch_1", "tile", "60_rows_2_workers"])
+    def test_the_step_program_requests_what_the_step_plan_lays_out(self, case, smooth, record,
+                                                                   rows, monkeypatch):
+        # step_plan re-encodes the rules of _step_program's walk.  Every
+        # array a build requests is a slot of the plan with its shape and
+        # dtype, every slot is requested, and the kernels' scratch requests
+        # fill each planned scratch exactly.  A scan tile is 27 rows for
+        # every spec here, so a 60-row step plans and runs on a workspace of
+        # its own, its blocks split across two workers.
+        if case == "mnist":
+            spec = TestStepBuffers.MNIST
+        else:
+            layers, input_shape, _ = PLAN_CASES[case]
+            spec = NetworkSpec(input_shape=input_shape, num_classes=3, t_max=4, layers=layers)
+        widest = max(math.prod(shape) for plan in spec.layer_plan
+                     for shape in (plan.in_shape, plan.out_shape))
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 27 * widest * 4)
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+        requests, scratch = {}, {}
+        planned, scratch_of = network.Workspace.planned, network.Workspace.scratch
+
+        def recording(ws, key, like=None):
+            array = planned(ws, key, like)
+            if key[1] != "scratch":
+                requests.setdefault(key, set()).add((array.shape, array.dtype))
+            return array
+
+        def recording_scratch(ws, visit):
+            take = scratch_of(ws, visit)
+
+            def recorded(role, shape, dtype):
+                key, nbytes = (visit, "scratch", role), math.prod(shape) * np.dtype(dtype).itemsize
+                scratch[key] = max(scratch.get(key, 0), nbytes)
+                return take(role, shape, dtype)
+
+            return recorded
+
+        monkeypatch.setattr(network.Workspace, "planned", recording)
+        monkeypatch.setattr(network.Workspace, "scratch", recording_scratch)
+        net = randomize_norms(build_instance(spec, seed=0), 0)
+        net.smooth_spikes, net.record_activity = smooth, record
+        x = np.random.default_rng(rows).standard_normal((rows,) + spec.input_shape)
+        mean_after(net, x.astype(np.float32), 2)
+        program = net.step_buffers._program
+        assert bool(program.blocks.inline) == (rows <= 27)
+        with program.blocks:
+            plan = network.step_plan(spec, inference_params(net), program.key)
+        assert program.memory.plan == plan
+        assert requests == {key: {slot} for key, slot in plan.slots.items()
+                            if key[1] != "scratch"}
+        assert scratch == {key: shape[0] for key, (shape, _) in plan.slots.items()
+                           if key[1] == "scratch"}
+
+    def test_the_mnist_step_arena_stays_within_its_bound(self):
+        # float32 on one worker, as a step of at most one tile runs.  The
+        # bounds are the bytes a step kept before its arrays were planned:
+        # 250,432 at 1 row (plus 16 KiB of page alignment) and 5,283,936 at 27.
+        net = build_instance(TestStepBuffers.MNIST, seed=0)
+        for rows, kept in ((1, 250_432 + 16 * 1024), (27, 5_283_936)):
+            with kernels.inline_blocks(True):
+                plan = network.step_plan(net.spec, inference_params(net),
+                                         (rows, np.dtype(np.float32), False, True))
+            assert network.pack(plan)[1] <= kept
 
 
 class TestSpecValidation:

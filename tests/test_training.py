@@ -1102,8 +1102,9 @@ class TestTapeLayout:
                     assert (i, "xhat") not in ws.plan.slots
 
     def test_a_train_call_leaves_the_workspace_the_layout_predicts(self):
-        # The workspace holds the planner's arena and nothing else; the
-        # plan holds the arrays the layout predicts, packed into fewer bytes.
+        # The workspace's one arena is that of the last step's plan, at its
+        # packed size; the plan holds the arrays the layout predicts, packed
+        # into fewer bytes.
         spec = stem_specs()["mnist"]
         batch, t_steps = 8, 4
         data = np.random.default_rng(3)
@@ -1112,7 +1113,7 @@ class TestTapeLayout:
         net = build_instance(spec, seed=1)
         train(net, x, y, x[:4], y[:4], TrainConfig(epochs=1, batch_size=batch, t_train=t_steps))
         plan = tape_plan(net, batch, t_steps, np.float32)
-        assert net.workspace._arena.nbytes == pack(plan)[1] and net.workspace._buffers == {}
+        assert net.workspace._arena.nbytes == pack(plan)[1] and net.workspace.plan == plan
         assert plan_bytes(plan) == workspace_bytes(spec, batch, t_steps, 4) + \
             scratch_bytes(spec, batch, t_steps, 4)
         assert pack(plan)[1] < 0.7 * plan_bytes(plan)
