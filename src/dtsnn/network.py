@@ -31,7 +31,9 @@ An SnnInstance is single-owner mutable state: one inference at a time.
 Weights may be shared read-only between instances; `clone_state` gives each
 worker its own membrane potentials (and no cached stem) over the same built
 inference plan.  `scan_timesteps` does this itself: its tiles run on the
-workers of `kernels.run_blocks`, each on its own clone.
+workers of `kernels.run_blocks`, each on its own clone, whose steps lie in
+one part of the arena of the instance's ``workspace``, which holds its
+training steps too (`Workspace.lend`).
 
 An inference step runs every layer on the arrays of its `step_plan`, laid
 out by lifetime in one arena as a training step's `tape_plan` is
@@ -44,6 +46,7 @@ above one scan tile gets an arena of its own, which lasts until
 call.
 """
 
+import bisect
 import functools
 import math
 import operator
@@ -700,20 +703,26 @@ def pack(plan):
     Arrays whose spans overlap, endpoints included, get disjoint bytes.
     Greedy by size: the largest array first, each at the lowest
     page-aligned offset clear of every placed array that overlaps it in
-    time.
+    time.  The placed arrays are kept in offset order.
     """
     sizes = _slot_bytes(plan)
-    offsets = {}
+    offsets, placed = {}, []  # placed: (offset, end, first visit, last visit)
     for key in sorted(sizes, key=lambda k: -sizes[k]):
         first, last = plan.spans[key]
         start = 0
-        for lo, hi in sorted((offsets[k], offsets[k] + sizes[k]) for k in offsets
-                             if plan.spans[k][0] <= last and first <= plan.spans[k][1]):
-            if start + sizes[key] <= lo:
-                break
-            start = max(start, -(-hi // _PAGE) * _PAGE)
+        for lo, hi, a, b in placed:
+            if a <= last and first <= b:
+                if start + sizes[key] <= lo:
+                    break
+                start = max(start, _page_up(hi))
         offsets[key] = start
-    return offsets, max((offsets[k] + sizes[k] for k in offsets), default=0)
+        bisect.insort(placed, (start, start + sizes[key], first, last))
+    return offsets, max((end for _, end, _, _ in placed), default=0)
+
+
+def _page_up(nbytes):
+    """``nbytes`` rounded up to a whole number of pages."""
+    return -(-nbytes // _PAGE) * _PAGE
 
 
 class Workspace:
@@ -731,26 +740,31 @@ class Workspace:
     kernels' scratch of a visit; a key the plan lacks raises.  An array is
     overwritten by the next array on its bytes: a tape's arrays by the
     backward pass's input gradients once their last reader has run, and
-    every one by the next step.
+    every one by the next step or by a scan the arena is lent to (`lend`).
 
-    An instance has two: that of its `StepBuffers`, for its inference
-    steps, and ``workspace``, for its training steps, which `training.train`
-    takes (`take`) for the call.  `clone_state` hands the latter to the
-    clones, so it lives, at about the largest set of one step's arrays
-    alive at once, until the instance and its clones are gone.  A tape
-    without one lays out a new `Workspace()`.
+    An instance's ``workspace`` holds its training steps and its scans'
+    tiles: `training.train` takes it (`take`) for the call, and
+    `scan_timesteps` takes it and lends each worker's clone one part of
+    its arena, a `Workspace` of its own for that clone's steps.
+    `clone_state` hands it to the clones, so it lives, at about the
+    largest set of one training step's arrays alive at once or the parts
+    of one scan, whichever is more, until the instance and its clones are
+    gone.  A tape without one lays out a new `Workspace()`.  The instance's
+    own inference steps run on the workspace of its `StepBuffers`.
     """
 
-    def __init__(self):
-        self._arena = None
+    def __init__(self, arena=None):
+        self._arena = arena    # uint8 bytes: new ones, or a part another workspace lent
         self._regions = None   # key -> (offset, bytes, span) in the arena
         self.plan = None       # the TapePlan laid out last
-        self._lock = threading.Lock()
+        self.lends = 0         # the calls of `lend`, each handing out parts of the arena
+        self._lock = threading.RLock()
 
     @contextmanager
     def take(self):
-        """Yield this workspace to one holder at a time, None while another
-        holds it."""
+        """Yield this workspace to one thread at a time, again to the thread
+        that holds it (a `training.train` call's eval scan), None to any
+        other while one holds it."""
         if not self._lock.acquire(blocking=False):
             yield None
             return
@@ -758,6 +772,17 @@ class Workspace:
             yield self
         finally:
             self._lock.release()
+
+    def _grow(self, size):
+        """An arena of at least ``size`` bytes: the one there, or new bytes.
+        ConfigError when they cannot be allocated."""
+        if self._arena is None or self._arena.nbytes < size:
+            self._arena = None  # let the old bytes go first
+            try:
+                self._arena = np.empty(size, dtype=np.uint8)
+            except (MemoryError, ValueError):
+                raise ConfigError(f"a step needs a workspace of {size} bytes, "
+                                  f"more than can be allocated") from None
 
     def lay_out(self, plan):
         """Lay the arena out for a step of ``plan``, before its first
@@ -771,14 +796,23 @@ class Workspace:
             offsets, size = pack(plan)
             regions = {k: (offsets[k], sizes[k], plan.spans[k]) for k in sizes}
             self.plan = self._regions = None
-            if self._arena is None or self._arena.nbytes < size:
-                self._arena = None  # let the old bytes go first
-                try:
-                    self._arena = np.empty(size, dtype=np.uint8)
-                except (MemoryError, ValueError):
-                    raise ConfigError(f"a step needs a workspace of {size} bytes, "
-                                      f"more than can be allocated") from None
+            self._grow(size)
         self._regions, self.plan = regions, plan
+
+    def lend(self, sizes):
+        """One `Workspace` for each of ``sizes`` bytes, on page-aligned parts
+        of this arena, no two overlapping; the arena grows first when it
+        holds fewer bytes.  The parts' holders overwrite every array laid
+        out here, a tape's too, so each call counts in ``lends``, which
+        `training.backward_through_time` checks.  The layout stays: a step
+        writes each of its arrays before it reads it.  ConfigError when the
+        arena cannot be allocated."""
+        starts = [0]
+        for size in sizes:
+            starts.append(starts[-1] + _page_up(size))
+        self._grow(starts[-1])
+        self.lends += 1
+        return [Workspace(self._arena[start : start + size]) for start, size in zip(starts, sizes)]
 
     def planned(self, key, like=None):
         """The array of ``key`` in the plan laid out last, with the shape and
@@ -832,7 +866,8 @@ class StepProgram(NamedTuple):
 
 class StepBuffers:
     """An instance's inference step: the `StepProgram` of its last step and
-    the `Workspace` it runs on.
+    the `Workspace` it runs on, a new one or ``memory``: a scan gives each
+    worker's clone one part of its instance's arena (`scan_timesteps`).
 
     `forward_timestep` runs the program built for its input's (rows, dtype),
     the instance's firing mode and ``record_activity`` on the inference
@@ -848,11 +883,14 @@ class StepBuffers:
     `reset_states`, and splits its blocks across the workers.  The arrays
     hold no weights: a rebuilt `inference_params` lays them out on the same
     bytes unless the parameters' dtypes changed.  Every step overwrites
-    them, so each instance has its own (`clone_state`).
+    them, so each instance has its own (`clone_state`), and the clones of
+    one scan have disjoint parts.  Those clones are new at every scan, so
+    each of their programs is built, its convolutions' scratch borders
+    zeroed, over bytes a training step may have written since the last.
     """
 
-    def __init__(self):
-        self._memory = Workspace()
+    def __init__(self, memory=None):
+        self._memory = Workspace() if memory is None else memory
         self._program = None  # StepProgram of the last step
         self._attached = None  # the lif_states dict on the program's potentials
 
@@ -1040,10 +1078,12 @@ class SnnInstance:
     workspace: Workspace = field(default_factory=Workspace, repr=False, compare=False)
     step_buffers: StepBuffers = field(default_factory=StepBuffers, repr=False, compare=False)
 
-    def clone_state(self):
-        """New instance sharing the weight arrays, their inference plan, the
-        training ``workspace`` and the firing mode, with fresh inference
-        state and a `StepBuffers` of its own, whose arena its steps run on.
+    def clone_state(self, memory=None):
+        """New instance sharing the weight arrays, their inference plan,
+        ``workspace`` and the firing mode, with fresh inference state and a
+        `StepBuffers` of its own on ``memory``, the `Workspace` its steps
+        run on: a new one, or a part of ``workspace``'s arena that
+        `scan_timesteps` lends the clone of one of its workers.
 
         The clone has its own parameter list and dicts over the same
         (read-only once the plan is built) arrays, so replacing an entry, as
@@ -1055,6 +1095,7 @@ class SnnInstance:
             smooth_spikes=self.smooth_spikes,
             inference_plan=self.inference_plan,
             workspace=self.workspace,
+            step_buffers=StepBuffers(memory),
         )
 
 
@@ -1317,9 +1358,14 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
     for configs/mnist.yaml in float32); ``batch_size`` only caps that
     number.  BLAS is held at one thread throughout.  The tiles are the
     blocks of one `kernels.run_blocks` call, which every worker, the
-    caller's thread too, runs on a clone (`clone_state`): its step buffers
-    live for the call, so an idle ``net`` keeps none of a scan's.  The
-    kernels inside a tile run their own blocks inline.  Results are written
+    caller's thread too, runs on a clone (`clone_state`).  The call takes
+    ``net.workspace`` (`Workspace.take`; a new `Workspace()` when another
+    thread holds it) and lends each worker's clone one part of its arena
+    (`Workspace.lend`), the `pack` of the `step_plan` of a tile, whose step
+    buffers the clone lays out there.  The clones go with the call, the
+    arena stays: a scan after the first, or one inside a `training.train`
+    call, whose training steps the arena holds, allocates no step arrays.
+    The kernels inside a tile run their own blocks inline.  Results are written
     by sample index, so the outcome depends neither on the tiling nor on the
     workers.  The first error of any tile stops the other workers at their
     next tile and is raised; ``net`` is left reset either way.  Raises
@@ -1354,10 +1400,17 @@ def scan_timesteps(net, images, t_steps, batch_size=512):
         if activity is not None:
             activity[start : start + len(chunk)] = np.stack(inst.activity, axis=1)
 
-    inference_params(net)  # built once here, shared by the clones
+    params = inference_params(net)  # built once here, shared by the clones
+    key = (min(rows, n), images.dtype, net.smooth_spikes, net.record_activity)
+    with kernels.inline_blocks(True):  # a tile's step runs its kernels' blocks inline
+        part = pack(step_plan(spec, params, key))[1]
+    tiles = -(-n // rows)
     try:
-        with kernels.one_blas_thread():  # a single tile runs inline, held too
-            kernels.run_blocks(-(-n // rows), tile, net.clone_state(), net.clone_state)
+        with net.workspace.take() as held, kernels.one_blas_thread():  # a lone tile held too
+            workspace = Workspace() if held is None else held
+            parts = workspace.lend([part] * len(kernels._block_workers(tiles)))
+            kernels._run_on_scratch(tiles, tile, [net.clone_state(p) for p in parts],
+                                    net.clone_state)
     finally:
         reset_states(net)
     return {"mean_logits": mean_logits, "activity": activity}

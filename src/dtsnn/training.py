@@ -247,7 +247,8 @@ def forward_with_tape(net, x, t_steps, *, workspace=None):
     computes from it, are the planned arrays of one `network.Workspace`,
     laid out for the step first (`network.tape_plan`): a new one, or the
     ``workspace`` passed, which only `train` does (the instance's, which
-    the next step overwrites).  Arrays whose lifetimes do not overlap share
+    the next step overwrites, and so does a scan of the instance or of its
+    clones, `network.scan_timesteps`).  Arrays whose lifetimes do not overlap share
     bytes, so the backward pass writes over the tape's arrays once their
     last reader has run: a tape can be walked back once.  Parameter
     gradients are new arrays either way.  ConfigError when the step's
@@ -257,7 +258,7 @@ def forward_with_tape(net, x, t_steps, *, workspace=None):
     check_finite(x)
     ws = Workspace() if workspace is None else workspace
     ws.lay_out(tape_plan(net, x.shape[0], t_steps, x.dtype))
-    tape = {"caches": [], "norm_updates": {}, "t": t_steps, "workspace": ws}
+    tape = {"caches": [], "norm_updates": {}, "t": t_steps, "workspace": ws, "lends": ws.lends}
     with kernels.one_blas_thread():
         h = run_layers(net, x, t_steps, tape)
     return h.reshape(t_steps, x.shape[0], -1), tape
@@ -279,8 +280,10 @@ def backward_through_time(net, tape, dstep_logits):
 
     Returns {layer_index: {param_name: gradient}} with shapes mirroring the
     parameters exactly, in new arrays.  Raises StateError for a tape walked
-    back before, or a gradient of other timesteps or of another dtype than
-    the logits.
+    back before, one whose workspace has lent its arena since the tape was
+    made (`network.Workspace.lend`: a scan of an instance on it, such as
+    ``net.workspace``, overwrote it), or a gradient of other timesteps or
+    of another dtype than the logits.
     """
     spec = net.spec
     caches = tape["caches"]
@@ -294,6 +297,9 @@ def backward_through_time(net, tape, dstep_logits):
     ws = tape["workspace"]
     if ws is None:
         raise StateError("the tape was walked back before: its arrays hold input gradients")
+    if ws.lends != tape["lends"]:
+        raise StateError("the tape's workspace was lent to a scan since the tape was made: "
+                         "its arrays hold the scan's")
     if dstep_logits.dtype != ws.plan.logits:
         raise StateError(f"gradient of dtype {dstep_logits.dtype} for logits of "
                          f"dtype {ws.plan.logits}")
@@ -479,8 +485,11 @@ def train(net, train_images, train_labels, eval_images, eval_labels, cfg,
     xhat; a pool before a conv keeps byte window sums, not float means;
     the first LIF layer spreads its pool's gradient in its own blocks).
     Steps after the first allocate none of them (a smaller last batch
-    takes a prefix).  A call that finds
-    the workspace held by a call on a clone runs each step on a new arena.
+    takes a prefix), and neither does the eval of each epoch: its scan
+    takes the workspace again on this thread and runs its tiles on parts
+    of the arena (`network.scan_timesteps`), which the next step's tape
+    writes over.  A call that finds the workspace held by another thread
+    (a call on a clone) runs each step, and each eval, on a new arena.
     Raises DataFormatError when a split is not an array of real numbers,
     and ConfigError when a step's arena cannot be allocated.
     """

@@ -178,6 +178,27 @@ def finite_difference_grad(f, param, eps=1e-4):
     return grad
 
 
+def pack_reference(plan, page=4096):
+    """A `TapePlan`'s arena layout as `network.pack` first placed it:
+    largest array first, each at the lowest ``page``-aligned offset clear
+    of every placed array whose span overlaps its own, endpoints included,
+    found by sorting those arrays by offset again for every array placed.
+    Returns (offsets, size)."""
+    sizes = {key: math.prod(shape) * np.dtype(dt).itemsize
+             for key, (shape, dt) in plan.slots.items()}
+    offsets = {}
+    for key in sorted(sizes, key=lambda k: -sizes[k]):
+        first, last = plan.spans[key]
+        start = 0
+        for lo, hi in sorted((offsets[k], offsets[k] + sizes[k]) for k in offsets
+                             if plan.spans[k][0] <= last and first <= plan.spans[k][1]):
+            if start + sizes[key] <= lo:
+                break
+            start = max(start, -(-hi // page) * page)
+        offsets[key] = start
+    return offsets, max((offsets[k] + sizes[k] for k in offsets), default=0)
+
+
 def replicated_tape_grads(net, x, t_steps, dstep_logits):
     """Training forward/backward with the input replicated to T*B rows.
 

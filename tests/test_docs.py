@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 
 import dtsnn
-from dtsnn import kernels, training
+from dtsnn import kernels, network, training
 from dtsnn.config import parse_config
-from dtsnn.network import build_instance, inference_params, pack, step_plan, tape_plan
+from dtsnn.network import (
+    build_instance,
+    inference_params,
+    pack,
+    scan_timesteps,
+    step_plan,
+    tape_plan,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -131,3 +138,24 @@ def test_the_step_arena_figures_are_the_mnist_steps():
                          (int(found[1]), np.dtype(np.float32), False, False))
     arrays = sum(math.prod(shape) * dt.itemsize for shape, dt in plan.slots.values())
     assert found.groups()[1:] == (f"{pack(plan)[1]:,}", f"{arrays:,}")
+
+
+def test_the_scan_part_figures_are_the_mnist_tiles(monkeypatch):
+    # The README's figures for what a scanned instance keeps: on each of two
+    # workers one part of its workspace's arena, the arena of a tile's step
+    # rounded up to whole pages, and no more once a scan has run.
+    monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+    text = " ".join(README.split())
+    found = re.search(r"A scanned `configs/mnist\.yaml` instance in float32 on two workers "
+                      r"keeps two (\d+)-row parts of ([\d,]+) bytes, the (\d+)-row step arena "
+                      r"above rounded up to whole pages: ([\d,]+) bytes in all", text)
+    assert found is not None
+    net = build_instance(parse_config(ROOT / "configs" / "mnist.yaml").network, seed=0)
+    rows = network._scan_rows(net.spec, 4, 512)
+    with kernels.inline_blocks(True):
+        plan = step_plan(net.spec, inference_params(net), (rows, np.dtype(np.float32), False, False))
+    part = -(-pack(plan)[1] // 4096) * 4096
+    assert (int(found[1]), int(found[3])) == (rows, rows)
+    assert (found[2], found[4]) == (f"{part:,}", f"{2 * part:,}")
+    scan_timesteps(net, np.zeros((64,) + net.spec.input_shape, np.float32), 1)
+    assert net.workspace._arena.nbytes == 2 * part

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtsnn import kernels, network
 from dtsnn.config import parse_config
@@ -45,7 +47,7 @@ from dtsnn.training import (
 )
 
 from conftest import INPUT_FORMS, input_form, mean_after
-from oracles import lif_sequence_reference
+from oracles import lif_sequence_reference, pack_reference
 
 rng = np.random.default_rng(7)
 
@@ -987,6 +989,55 @@ class TestStepBuffers:
             npt.assert_array_equal(result["mean_logits"], want["mean_logits"])
             npt.assert_array_equal(result["activity"], want["activity"])
 
+    def test_one_instance_scanned_in_more_threads_than_cores_matches_one_thread(self):
+        # One scan at a time takes the instance's workspace, the others lend
+        # the parts of new ones; none writes into another's tiles.
+        net, x = self.make(), self.images(60, seed=1)
+        want = scan_timesteps(net, x, 4, batch_size=27)
+        got = [[] for _ in range(len(os.sched_getaffinity(0)) + 1)]
+
+        def scan(k):
+            for _ in range(3):
+                got[k].append(scan_timesteps(net, x, 4, batch_size=27))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=scan, args=(k,)) for k in range(len(got))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for results in got:
+            assert len(results) == 3
+            for result in results:
+                npt.assert_array_equal(result["mean_logits"], want["mean_logits"])
+                npt.assert_array_equal(result["activity"], want["activity"])
+
+    def test_a_second_scan_allocates_no_part(self, monkeypatch):
+        # A scan lends each worker's clone one part of the instance's arena,
+        # which the first scan grows to two parts and the second finds: it
+        # peaks below one part, where new clone arenas would take two.
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+        net, x = self.make(), self.images(64)
+        with kernels.inline_blocks(True):
+            part = network.pack(network.step_plan(net.spec, inference_params(net),
+                                                  (27, np.dtype(np.float32), False, True)))[1]
+        scan_timesteps(net, x, 4)
+        arena = net.workspace._arena
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scan_timesteps(net, x, 4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < part, (peak, part)
+        assert net.workspace._arena is arena and arena.nbytes == 2 * network._page_up(part)
+
     def test_replaced_weights_run_on_the_same_buffers(self):
         net, x = self.make(), self.images(2)
         before = mean_after(net, x, 2)
@@ -1291,6 +1342,20 @@ class TestStepPlan:
                             if key[1] != "scratch"}
         assert scratch == {key: shape[0] for key, (shape, _) in plan.slots.items()
                            if key[1] == "scratch"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0, 1, 4096, 4097, 8192]),
+                                        st.integers(0, 20_000)),
+                              st.sampled_from([np.uint8, np.float32, np.float64]),
+                              st.integers(0, 9), st.integers(0, 9)), max_size=30))
+    def test_pack_lays_out_as_the_reference_does(self, slots):
+        # Random plans, with ties in size and in offset: the same offsets and
+        # arena size as the layout that sorts the placed arrays again for
+        # every array it places.
+        plan = network.TapePlan({}, {}, None)
+        for key, (elems, dt, a, b) in enumerate(slots):
+            plan.use(plan.new(key, (elems,), dt, min(a, b)), max(a, b))
+        assert network.pack(plan) == pack_reference(plan)
 
     def test_the_mnist_step_arena_stays_within_its_bound(self):
         # float32 on one worker, as a step of at most one tile runs.  The

@@ -33,6 +33,7 @@ from dtsnn.network import (
     forward_timestep,
     inference_params,
     pack,
+    scan_timesteps,
     tape_plan,
 )
 from dtsnn.training import (
@@ -1498,17 +1499,113 @@ class TestWorkspace:
                     npt.assert_array_equal(p[name], q[name])
 
     def test_a_call_finding_the_workspace_held_runs_on_new_arrays(self):
+        # Another thread holds the workspace (the thread that holds it gets
+        # it again): a call here draws nothing from it.
         spec = row_parallel_spec()
         x, y = self.batch(spec, 9)
         cfg = TrainConfig(epochs=2, batch_size=4, lr0=0.05, t_train=3, seed=0)
         net, ref = (build_instance(spec, seed=3) for _ in range(2))
-        with net.workspace.take() as held:
-            with net.workspace.take() as again:
-                assert held is net.workspace and again is None
+        holds, taken, release = [], threading.Event(), threading.Event()
+
+        def hold():
+            with net.workspace.take() as held:
+                with net.workspace.take() as again:
+                    holds.append((held, again))
+                taken.set()
+                release.wait(60)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert taken.wait(60)
+            with net.workspace.take() as other:
+                assert other is None
             clone = net.clone_state()
             got = train(clone, x, y, x, y, cfg)
-            assert held._arena is None  # the clone's steps drew nothing from it
+            assert net.workspace._arena is None  # the clone's steps and evals drew nothing from it
+        finally:
+            release.set()
+            holder.join(60)
+        assert holds == [(net.workspace, net.workspace)]
         assert got.csv_rows() == train(ref, x, y, x, y, cfg).csv_rows()
         for p, q in zip(clone.params, ref.params, strict=True):
             for name in p or {}:
                 npt.assert_array_equal(p[name], q[name])
+
+    def test_a_scan_of_the_instance_fails_the_backward_pass_of_a_tape_on_its_workspace(self):
+        # The scan lends the arena the tape lies in to its tiles.
+        spec = stem_specs()["mnist"]
+        x, y = self.batch(spec, 4)
+        net = build_instance(spec, seed=1)
+        for scan in (False, True):
+            logits, tape = forward_with_tape(net, x, 4, workspace=net.workspace)
+            _, dstep = loss_and_grad(logits, y, "per_timestep")
+            if not scan:
+                backward_through_time(net, tape, dstep)
+                continue
+            scan_timesteps(net, x, 4)
+            with pytest.raises(StateError, match="lent to a scan"):
+                backward_through_time(net, tape, dstep)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scans_after_training_equal_scans_on_a_workspace_of_their_own(self, workers,
+                                                                          monkeypatch):
+        # Training tapes write over the bytes a scan lends its tiles, the
+        # convolutions' zero-bordered scratch included.  The evals of a train
+        # call, and a later scan, equal those of an instance on the same
+        # parameters with a workspace of its own, bit for bit.
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: workers)
+        spec = stem_specs()["mnist"]
+        x, y = self.batch(spec, 48)
+        data = np.random.default_rng(5)
+        images = data.standard_normal((64,) + spec.input_shape).astype(np.float32)
+        labels = data.integers(0, spec.num_classes, 64)
+        net = build_instance(spec, seed=1)
+        want = []
+
+        def own(net):
+            return network.SnnInstance(spec=spec, params=list(net.params),
+                                       record_activity=True)
+
+        def progress(record):
+            want.append(tuple(float(a) for a in evaluate_per_timestep(own(net), images, labels, 4)))
+
+        log = train(net, x, y, images, labels,
+                    TrainConfig(epochs=2, batch_size=48, lr0=0.05, t_train=4), progress)
+        # the scans' parts lie in the training arena, which they did not grow
+        assert net.workspace._arena.nbytes == pack(tape_plan(net, 48, 4, np.float32))[1]
+        assert [record.eval_acc for record in log.records] == want
+        net.record_activity = True
+        got, ref = scan_timesteps(net, images, 4), scan_timesteps(own(net), images, 4)
+        npt.assert_array_equal(got["mean_logits"], ref["mean_logits"])
+        npt.assert_array_equal(got["activity"], ref["activity"])
+
+    def test_the_eval_of_a_call_allocates_no_part(self, monkeypatch):
+        # Once the training arena exists, each epoch's eval scan runs its two
+        # workers' tiles on parts of it: the eval peaks below one part.
+        monkeypatch.setattr(kernels, "_scan_workers", lambda: 2)
+        spec = stem_specs()["mnist"]
+        x, y = self.batch(spec, 48)
+        net = build_instance(spec, seed=1)
+        with kernels.inline_blocks(True):
+            part = pack(network.step_plan(spec, inference_params(build_instance(spec)),
+                                          (27, np.dtype(np.float32), False, False)))[1]
+        assert 2 * network._page_up(part) <= pack(tape_plan(net, 48, 4, np.float32))[1]
+        evaluate, peaks = training.evaluate_per_timestep, []
+
+        def measured(*args, **kwargs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            accuracy = evaluate(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return accuracy
+
+        monkeypatch.setattr(training, "evaluate_per_timestep", measured)
+        images = np.concatenate([x, x[:16]])
+        tracemalloc.start()
+        try:
+            train(net, x, y, images, np.concatenate([y, y[:16]]),
+                  TrainConfig(epochs=2, batch_size=48, t_train=4))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2 and max(peaks) < part, (peaks, part)
