@@ -65,12 +65,18 @@ def softmax(logits):
 
 
 def normalized_entropy(pi, num_classes):
-    """Shannon entropy of pi divided by log(num_classes); result in [0, 1]."""
+    """Shannon entropy of pi divided by log(num_classes); result in [0, 1].
+
+    ValueError unless pi holds num_classes probabilities, each in [0, 1]
+    (NaN is not), that sum to 1 within 1e-4.
+    """
     pi = np.asarray(pi, dtype=np.float64)
     if pi.shape != (num_classes,):
         raise ValueError(
             f"probability vector has length {pi.shape}, expected ({num_classes},)"
         )
+    if not ((pi >= 0.0) & (pi <= 1.0)).all():  # NaN fails both comparisons
+        raise ValueError(f"probabilities must lie in [0, 1], got {pi}")
     total = pi.sum()
     if abs(total - 1.0) > 1e-4:
         raise ValueError(f"probabilities must sum to 1 (got {total:.6f})")
@@ -82,13 +88,14 @@ def _entropy_rows(probs):
     terms = np.maximum(probs, 1e-12)
     np.log(terms, out=terms)
     terms *= probs
-    return -np.add.reduce(terms, axis=1) / _log_classes(probs.shape[1])
+    return np.add.reduce(terms, axis=1) / _minus_log_classes(probs.shape[1])
 
 
 @functools.cache
-def _log_classes(k):
-    """np.log(k), the entropy of k equally likely classes."""
-    return np.log(k)
+def _minus_log_classes(k):
+    """-np.log(k), minus the entropy of k equally likely classes: dividing
+    by it rounds as negating the sum and dividing by np.log(k) does."""
+    return -np.log(k)
 
 
 def dynamic_infer(net, x, policy):
@@ -115,21 +122,20 @@ def dynamic_infer(net, x, policy):
         )
     reset_states(net)
     entropies = []
-    probs = None
-    for t in range(1, policy.t_max + 1):
+    for _ in range(policy.t_max):
         forward_timestep(net, x)
-        probs = softmax(mean_output(net)[0])
-        entropy = float(_entropy_rows(probs[None, :])[0])
+        logits = mean_output(net)  # (1, K), as a scan row
+        probs = softmax(logits)
+        entropy = _entropy_rows(probs).item()
         entropies.append(entropy)
         if entropy < policy.theta:  # strict: a tie runs on
             break
-    logits = mean_output(net)[0]
     return ExitTrace(
         entropies=entropies,
         chosen_t=len(entropies),
-        prediction=int(np.argmax(probs)),
-        probabilities=probs,
-        mean_logits=logits,
+        prediction=int(probs.argmax()),
+        probabilities=probs[0],
+        mean_logits=logits[0],
         step_activity=[row[0] for row in net.activity] if net.record_activity else [],
     )
 

@@ -4,7 +4,9 @@ Everything here is written for clarity, not speed: plain nested loops and
 scalar arithmetic.  The library kernels are checked against these on random
 inputs; the oracles never call into dtsnn, except `replicated_tape_grads`,
 which assembles a whole-network forward/backward from the (separately
-checked) layer kernels.
+checked) layer kernels.  A few (`pack_reference`, the `*_reference`
+pricing functions) keep an earlier numpy version of library code, which a
+faster rewrite must match bit for bit.
 """
 
 import math
@@ -133,6 +135,65 @@ def energy_reference(row, mapping, arch):
             * layer.cols_needed * float(spikes)
         )
     return total
+
+
+def component_energy_matrix_reference(activity, mapping, arch):
+    """`hardware.component_energy_matrix` as it first computed each
+    component: its own array per component, the two constant ones by
+    `np.full`, and the per-layer constants summed afresh."""
+    activity = np.asarray(activity, dtype=np.float64)
+    assert activity.shape[-1:] == (len(mapping.layers),)
+    layers = mapping.layers
+    fixed_digital, fixed_buffer = np.array([
+        [arch.e_crossbar_digital * l.crossbar_count for l in layers],
+        [arch.e_crossbar_buffer * l.crossbar_count for l in layers],
+    ]).sum(axis=1).tolist()
+    per_spike = np.array([
+        arch.e_mac * l.cols_needed + arch.e_adc * l.cols_needed / arch.crossbar_size
+        for l in layers
+    ])
+    fixed = fixed_digital + fixed_buffer + arch.e_step_digital + arch.e_step_buffer
+    crossbar_adc = (activity * per_spike).sum(axis=-1)
+    shape = activity.shape[:-1]
+    return {
+        "crossbar_adc": crossbar_adc,
+        "digital": np.full(shape, fixed_digital + arch.e_step_digital),
+        "buffer_interconnect": np.full(shape, fixed_buffer + arch.e_step_buffer),
+        "total": crossbar_adc + fixed,
+    }
+
+
+def inference_costs_reference(steps, chosen_t, arch, dynamic=True):
+    """`hardware.inference_costs` as it first priced N inferences: the four
+    components stacked again, masked by a fresh step range and summed."""
+    total = steps["total"]
+    n, t_max = total.shape
+    chosen_t = np.asarray(chosen_t)
+    assert chosen_t.shape == (n,) and 1 <= chosen_t.min() and chosen_t.max() <= t_max
+    keys = ("crossbar_adc", "digital", "buffer_interconnect", "total")
+    mask = np.arange(1, t_max + 1) <= chosen_t[:, None]
+    costs = dict(zip(keys, (np.array([steps[k] for k in keys]) * mask).sum(axis=2)))
+    costs["sigma_e"] = chosen_t * (arch.sigma_e_ratio if dynamic else 0.0) * total[:, 0]
+    costs["energy"] = costs.pop("total") + costs["sigma_e"]
+    costs["latency"] = chosen_t * arch.latency_per_timestep
+    return costs
+
+
+def cost_of_inference_reference(rows, mapping, arch, dynamic=True):
+    """The fields of the `hardware.CostReport` of one inference of (t, L)
+    step activity ``rows``, priced by the two references above."""
+    rows = np.asarray(rows, dtype=np.float64)
+    steps = component_energy_matrix_reference(rows[None], mapping, arch)
+    comps = {k: float(v[0]) for k, v in
+             inference_costs_reference(steps, [len(rows)], arch, dynamic).items()}
+    energy, latency = comps.pop("energy"), comps.pop("latency")
+    return {
+        "total_energy": energy,
+        "total_latency": latency,
+        "edp": energy * latency,
+        "per_timestep_energy": tuple(steps["total"][0].tolist()),
+        "components": comps,
+    }
 
 
 def softmax_reference(z):

@@ -102,6 +102,63 @@ def test_traced_batch_one_request_books_every_kernel_under_its_caller():
     assert tracer.counts["conv2d_mac"] > 0
 
 
+def small_recording_net():
+    spec = NetworkSpec(
+        input_shape=(1, 6, 6),
+        num_classes=3,
+        t_max=2,
+        layers=(
+            LayerSpec("conv", out_channels=2),
+            LayerSpec("lif"),
+            LayerSpec("pool", window=2),
+            LayerSpec("classifier"),
+        ),
+    )
+    net = build_instance(spec, seed=0)
+    net.record_activity = True
+    return net
+
+
+def test_a_traced_request_books_one_cost_call():
+    # The `dynamic` workload prices each request with one cost_of_inference
+    # call, which the tracer books as "hardware.cost".
+    net = small_recording_net()
+    arch = dtsnn.hardware.ArchConfig()
+    mapping = dtsnn.hardware.map_network(net.spec, arch)
+    images = np.random.default_rng(3).standard_normal((3, 1, 6, 6)).astype(np.float32)
+    policy = dtsnn.exit_policy.ExitPolicy(theta=0.0, t_max=2)
+    tracer = tracing.Tracer("run")
+    try:
+        tracer.install(dtsnn)
+        for image in images:
+            trace = dtsnn.exit_policy.dynamic_infer(net, image, policy)
+            dtsnn.hardware.cost_of_inference(trace.step_activity, mapping, arch)
+    finally:
+        tracer.unpatch()
+    assert tracer.calls["hardware.cost"] == len(images)
+    assert tracer.calls["exit_policy.dynamic_infer"] == len(images)
+
+
+def test_a_traced_sweep_books_one_cost_call_per_theta():
+    # The `sweep` workload builds its cost callback with dataset_cost_fn
+    # while traced; threshold_sweep calls it once per theta.
+    net = small_recording_net()
+    arch = dtsnn.hardware.ArchConfig()
+    mapping = dtsnn.hardware.map_network(net.spec, arch)
+    images = np.random.default_rng(4).standard_normal((5, 1, 6, 6)).astype(np.float32)
+    labels = np.arange(5) % 3
+    thetas = [0.0, 0.3, 0.6, 0.9]
+    tracer = tracing.Tracer("run")
+    try:
+        tracer.install(dtsnn)
+        cost_fn = dtsnn.hardware.dataset_cost_fn(mapping, arch)
+        dtsnn.exit_policy.threshold_sweep(net, images, labels, thetas, 2, cost_fn=cost_fn)
+    finally:
+        tracer.unpatch()
+    assert tracer.calls["hardware.cost"] == len(thetas)
+    assert tracer.calls["exit_policy.threshold_sweep"] == 1
+
+
 def test_a_step_program_built_untraced_books_what_a_fresh_traced_one_does():
     # An inference step is a program of calls built at the instance's first
     # step and kept.  Its kernels are looked up by name when called, so a

@@ -102,6 +102,16 @@ class TestNormalizedEntropy:
         with pytest.raises(ValueError, match="length"):
             normalized_entropy(np.array([0.5, 0.5]), 3)
 
+    @pytest.mark.parametrize("pi", [
+        [np.nan, 1.0],   # sums to NaN, which no tolerance check rejects
+        [1.5, -0.5],     # sums to 1 but lies outside [0, 1]
+        [0.5, np.nan],
+        [-0.0, 1.0 + 1e-5, 0.0],  # within the sum tolerance, above 1
+    ])
+    def test_rejects_entries_outside_the_unit_interval(self, pi):
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            normalized_entropy(np.array(pi), len(pi))
+
     def test_range_and_uniform_maximum(self):
         for _ in range(200):
             k = int(rng.integers(2, 12))
@@ -447,9 +457,22 @@ def test_dynamic_infer_matches_scan_on_bench_model():
     net = instance_from_checkpoint(ckpt)
     ds = synth_dataset("stripes", 64, ckpt.spec.num_classes, seed=7, noise=1.3)
     scan = scan_with_entropy(net, ds.images, ckpt.spec.t_max)
+    # The bench model's 27-row tiles round the logits differently from one
+    # row in their last bits, so the bits are compared with one-row tiles.
+    rows = scan_with_entropy(net, ds.images, ckpt.spec.t_max, batch_size=1)
     for theta in DEFAULT_THETA_GRID:
         policy = ExitPolicy(theta=theta, t_max=ckpt.spec.t_max)
         ref = summarize_policy(scan, ds.labels, policy)
         traces = [dynamic_infer(net, image, policy) for image in ds.images]
         npt.assert_array_equal([t.chosen_t for t in traces], ref.chosen_t)
         npt.assert_array_equal([t.prediction for t in traces], ref.predictions)
+        # Bit for bit: the gate runs softmax and _entropy_rows on a (1, K)
+        # running mean as the scan runs them on its (N*T, K) rows.
+        for i, trace in enumerate(traces):
+            t = trace.chosen_t
+            assert [e.hex() for e in trace.entropies] == [
+                e.hex() for e in rows["entropy"][i, :t].tolist()]
+            row = rows["mean_logits"][i, t - 1]
+            assert trace.mean_logits.dtype == row.dtype
+            assert trace.mean_logits.tobytes() == row.tobytes()
+            assert trace.probabilities.tobytes() == softmax(row[None])[0].tobytes()

@@ -1,10 +1,13 @@
 """Crossbar mapping, the energy/latency/EDP model, and device variation."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtsnn.config import parse_config
 from dtsnn.errors import ConfigError, ShapeError
@@ -27,7 +30,13 @@ from dtsnn.hardware import (
 )
 from dtsnn.network import LayerSpec, NetworkSpec, build_instance, scan_timesteps
 
-from oracles import crossbar_mapping_reference, energy_reference
+from oracles import (
+    component_energy_matrix_reference,
+    cost_of_inference_reference,
+    crossbar_mapping_reference,
+    energy_reference,
+    inference_costs_reference,
+)
 
 rng = np.random.default_rng(1234)
 
@@ -263,6 +272,24 @@ class TestCostReport:
         with pytest.raises(ValueError, match="at least one timestep"):
             cost_of_inference([], mapping, arch)
 
+    @pytest.mark.parametrize("rows", [
+        [64.0, 10.0],          # a flat (L,) row
+        [[[64.0, 10.0]]],      # (1, 1, L)
+    ])
+    def test_activity_of_another_shape_rejected(self, rows):
+        arch = ArchConfig()
+        mapping = map_network(small_spec(), arch)
+        with pytest.raises(ValueError, match=r"shape \(t, 2\)"):
+            cost_of_inference(rows, mapping, arch)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_a_nan_negative_or_infinite_count_rejected(self, bad):
+        arch = ArchConfig()
+        mapping = map_network(small_spec(), arch)
+        rows = [[64.0, 10.0], [30.0, bad]]
+        with pytest.raises(ValueError, match=rf"got {bad} at timestep 2, layer 1"):
+            cost_of_inference(rows, mapping, arch)
+
     def test_energy_ratio_bounded_by_timesteps(self):
         arch = ArchConfig()
         mapping = map_network(small_spec(), arch)
@@ -375,6 +402,104 @@ class TestDatasetCost:
         activity = rng.integers(1, 50, size=(2, 4, 2)).astype(float)
         with pytest.raises(ValueError, match="chosen_t"):
             dataset_cost_fn(map_network(small_spec(), arch), arch)(np.array(chosen), activity)
+
+    @pytest.mark.parametrize("chosen", [
+        np.array([1, 0], np.uint8),
+        np.array([1, -1], np.int8),
+        np.array([1, 5], np.int64),
+        np.array([1, np.iinfo(np.int64).min], np.int64),
+        np.array([1, np.iinfo(np.int64).max], np.int64),
+        np.array([1, 2**64 - 1], np.uint64),
+        np.array([1, 2**63], np.uint64),
+        np.array([True, True]),
+    ])
+    def test_counts_outside_one_to_t_of_any_integer_type_rejected(self, chosen):
+        # Four steps: of each pair the second count lies outside [1, 4].
+        # One flag column checks both ends of the range, whatever the dtype.
+        arch = ArchConfig()
+        steps = component_energy_matrix(np.ones((2, 4, 2)), map_network(small_spec(), arch), arch)
+        with pytest.raises(ValueError, match=r"chosen_t must hold \(2,\) integers in \[1, 4\]"):
+            inference_costs(steps, chosen, arch)
+
+
+def bits(value):
+    """value with every float as its hex string and every array as its
+    dtype, shape and bytes, so == compares bit for bit."""
+    if isinstance(value, dict):
+        return [(k, bits(v)) for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    assert type(value) is float, type(value)
+    return value.hex()
+
+
+@st.composite
+def pricing_cases(draw):
+    """(arch, mapping, activity (N, T, L), chosen_t (N,)) with random
+    geometry and coefficients, integer counts or fractional means, and
+    chosen_t of a random integer dtype."""
+    unit = st.floats(1e-9, 1.0)
+    arch = ArchConfig(
+        crossbar_size=draw(st.sampled_from([16, 32, 64, 128])),
+        device_bits=draw(st.sampled_from([1, 2, 4, 8])),
+        e_mac=draw(unit) * 1e-6,
+        e_adc=draw(unit) * 1e-5,
+        e_crossbar_digital=draw(unit) * 1e-3,
+        e_crossbar_buffer=draw(unit) * 1e-3,
+        e_step_digital=draw(unit),
+        e_step_buffer=draw(unit),
+        sigma_e_ratio=draw(st.sampled_from([0.0, 2e-5])) + draw(unit) * 1e-3,
+        latency_per_timestep=draw(st.floats(0.01, 10.0)),
+    )
+    fans = draw(st.lists(st.tuples(st.integers(1, 5000), st.integers(1, 600)),
+                         min_size=1, max_size=9))
+    mapping = LayerMapping(layers=tuple(
+        map_layer(i, "fc", fan_in, fan_out, arch) for i, (fan_in, fan_out) in enumerate(fans)
+    ))
+    n, t_max = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, t_max, len(mapping.layers))
+    if draw(st.booleans()):
+        activity = gen.integers(0, 5000, size=shape).astype(np.float64)
+    else:
+        activity = gen.uniform(0.0, draw(st.floats(1e-3, 1e4)), size=shape)
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.int8, np.uint8, np.uint64]))
+    chosen_t = gen.integers(1, t_max + 1, size=n).astype(dtype)
+    return arch, mapping, activity, chosen_t
+
+
+class TestPricingIsTheReferenceBitForBit:
+    """Every pricing route equals the first numpy version of the rule,
+    `oracles.component_energy_matrix_reference` and
+    `oracles.inference_costs_reference`, bit for bit: a rewrite that
+    reordered a sum would change the last bits of some energy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pricing_cases(), st.booleans())
+    def test_every_array_and_report_field_equals_the_reference(self, case, dynamic):
+        arch, mapping, activity, chosen_t = case
+        steps = component_energy_matrix(activity, mapping, arch)
+        ref_steps = component_energy_matrix_reference(activity, mapping, arch)
+        assert bits(steps) == bits(ref_steps)
+        costs = inference_costs(steps, chosen_t, arch, dynamic)
+        ref_costs = inference_costs_reference(ref_steps, chosen_t, arch, dynamic)
+        assert bits(costs) == bits(ref_costs)
+        assert bits(inference_costs(dict(steps), chosen_t, arch, dynamic)) == bits(ref_costs)
+        mean_e = float(ref_costs["energy"].mean())
+        mean_l = float(ref_costs["latency"].mean())
+        assert bits(dataset_cost_fn(mapping, arch, dynamic)(chosen_t, activity)) == bits(
+            (mean_e, mean_l, mean_e * mean_l))
+        for sample, t in zip(activity, chosen_t):
+            report = cost_of_inference(sample[:t], mapping, arch, dynamic)
+            ref = cost_of_inference_reference(sample[:t], mapping, arch, dynamic)
+            assert bits(dataclasses.asdict(report)) == bits(ref)
+        for row in activity[0]:
+            total, comps = energy_per_timestep(mapping, row, arch)
+            ref = component_energy_matrix_reference(row, mapping, arch)
+            assert bits([total, comps]) == bits(
+                [float(ref.pop("total")), {k: float(v) for k, v in ref.items()}])
 
 
 class TestEnergyOracle:
