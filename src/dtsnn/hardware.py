@@ -20,14 +20,6 @@ is strictly linear in timesteps: timesteps are processed sequentially
 without pipelining.  `cost_of_inference` (one request) and `dataset_cost_fn`
 (dataset means) both price through it.
 
-At batch 1 the fixed cost of each numpy call outweighs the arithmetic, so
-the four components of `component_energy_matrix` are the rows of one
-(4, ..., T) array (`StepEnergies.rows`), filled in place from per-layer
-constants kept by the identity of the mapping and the ArchConfig (hashing
-them cost more), and `inference_costs` masks and sums them in one
-multiply-reduce, taking each sample's executed steps, and the check of its
-count, from one cached table.
-
 All energies are in normalized units: the default coefficients are
 calibrated (see `calibrate_energy_coefficients` and data/reference_trace.json)
 so that one timestep of the bundled reference workload costs 1.0, the
@@ -147,61 +139,38 @@ def map_network(spec, arch):
 
 
 _KEYS = ("crossbar_adc", "digital", "buffer_interconnect", "total")
-_CONSTANTS = {}  # (id(mapping), id(arch)) -> (mapping, arch, _step_constants)
 
 
+@functools.lru_cache(maxsize=64)
 def _step_constants(mapping, arch):
     """(per_spike, digital, buffer, fixed) of one (mapping, arch): each
     layer's energy per presented spike (read-only), the digital and the
-    buffer/interconnect energy of a step, and their sum.
-
-    Kept by the identity of the two frozen objects: hashing them costs more
-    than pricing a request.  An entry holds both, so their ids stay theirs.
-    """
-    key = (id(mapping), id(arch))
-    kept = _CONSTANTS.get(key)
-    if kept is None:
-        if len(_CONSTANTS) >= 64:
-            _CONSTANTS.clear()
-        layers = mapping.layers
-        fixed_digital, fixed_buffer = np.array([
-            [arch.e_crossbar_digital * l.crossbar_count for l in layers],
-            [arch.e_crossbar_buffer * l.crossbar_count for l in layers],
-        ]).sum(axis=1).tolist()
-        per_spike = np.array([
-            arch.e_mac * l.cols_needed + arch.e_adc * l.cols_needed / arch.crossbar_size
-            for l in layers
-        ])
-        per_spike.flags.writeable = False
-        fixed = fixed_digital + fixed_buffer + arch.e_step_digital + arch.e_step_buffer
-        kept = _CONSTANTS[key] = (mapping, arch, (
-            per_spike,
-            fixed_digital + arch.e_step_digital,
-            fixed_buffer + arch.e_step_buffer,
-            fixed,
-        ))
-    return kept[2]
-
-
-class StepEnergies(dict):
-    """What `component_energy_matrix` returns: a dict of the four
-    components whose values are, in key order, the rows of one (4, ..., T)
-    array, ``rows``, which `inference_costs` masks and sums in one pass."""
-
-    __slots__ = ("rows",)
+    buffer/interconnect energy of a step, and their sum."""
+    layers = mapping.layers
+    fixed_digital, fixed_buffer = np.array([
+        [arch.e_crossbar_digital * l.crossbar_count for l in layers],
+        [arch.e_crossbar_buffer * l.crossbar_count for l in layers],
+    ]).sum(axis=1).tolist()
+    per_spike = np.array([
+        arch.e_mac * l.cols_needed + arch.e_adc * l.cols_needed / arch.crossbar_size
+        for l in layers
+    ])
+    per_spike.flags.writeable = False
+    fixed = fixed_digital + fixed_buffer + arch.e_step_digital + arch.e_step_buffer
+    return (per_spike, fixed_digital + arch.e_step_digital,
+            fixed_buffer + arch.e_step_buffer, fixed)
 
 
 def component_energy_matrix(activity, mapping, arch):
     """Per-timestep energies, split by component, for activity of shape (..., T, L).
 
     Returns {"crossbar_adc", "digital", "buffer_interconnect", "total"}, each
-    of shape (..., T), a `StepEnergies`.  The activity term is linear in
-    presented spikes: each spike drives one row across the layer's active
-    columns (e_mac per column) and contributes a proportional share of the
-    column conversions (e_adc per crossbar_size rows, i.e. converters
-    duty-cycle with row occupancy).  "total" is crossbar_adc plus the whole
-    fixed per-step energy summed once, so it equals the sum of the three
-    components up to rounding.
+    of shape (..., T).  The activity term is linear in presented spikes: each
+    spike drives one row across the layer's active columns (e_mac per column)
+    and contributes a proportional share of the column conversions (e_adc per
+    crossbar_size rows, i.e. converters duty-cycle with row occupancy).
+    "total" is crossbar_adc plus the whole fixed per-step energy summed once,
+    so it equals the sum of the three components up to rounding.
     """
     activity = np.asarray(activity, dtype=np.float64)
     if activity.shape[-1:] != (len(mapping.layers),):
@@ -210,15 +179,14 @@ def component_energy_matrix(activity, mapping, arch):
             f"{len(mapping.layers)} layers"
         )
     per_spike, digital, buffer, fixed = _step_constants(mapping, arch)
-    rows = np.empty((4,) + activity.shape[:-1])
-    crossbar_adc = rows[0, ...]  # an array also where it has no axes
-    np.add.reduce(activity * per_spike, axis=-1, out=crossbar_adc)
-    rows[1] = digital
-    rows[2] = buffer
-    np.add(crossbar_adc, fixed, out=rows[3, ...])
-    steps = StepEnergies(zip(_KEYS, rows))
-    steps.rows = rows
-    return steps
+    crossbar_adc = np.add.reduce(activity * per_spike, axis=-1)
+    shape = activity.shape[:-1]
+    return {
+        "crossbar_adc": crossbar_adc,
+        "digital": np.full(shape, digital),
+        "buffer_interconnect": np.full(shape, buffer),
+        "total": crossbar_adc + fixed,
+    }
 
 
 def energy_per_timestep(mapping, activity, arch):
@@ -237,20 +205,6 @@ def energy_per_timestep(mapping, activity, arch):
     return comps.pop("total"), comps
 
 
-@functools.cache
-def _executed_steps(t_max):
-    """Read-only float64 table of the steps a count executes: row c, for c
-    in [1, t_max], holds 1.0 at steps 1..c, 0.0 at the others and a last
-    0.0.  Rows 0 and t_max + 1 hold 0.0 but a last 1.0, the flag of an
-    impossible count: `np.take(..., mode="clip")` sends every count outside
-    [1, t_max] to one of them."""
-    table = np.tri(t_max + 2, t_max + 1, -1)
-    table[[0, -1]] = 0.0
-    table[[0, -1], -1] = 1.0
-    table.flags.writeable = False
-    return table
-
-
 def inference_costs(steps, chosen_t, arch, dynamic=True):
     """Per-sample cost of N inferences, sample i run for chosen_t[i] timesteps.
 
@@ -261,20 +215,20 @@ def inference_costs(steps, chosen_t, arch, dynamic=True):
     sigma_e_ratio of the first timestep's energy (none when dynamic=False,
     a static run); energy, the executed step totals plus sigma_e; latency.
     """
-    rows = getattr(steps, "rows", None)
-    if rows is None:  # a plain dict of the four components
-        rows = np.array([steps[k] for k in _KEYS])
-    _, n, t_max = rows.shape
+    total = steps["total"]
+    n, t_max = total.shape
     chosen_t = np.asarray(chosen_t)
-    executed = None
-    if chosen_t.shape == (n,) and chosen_t.dtype.kind in "iu":
-        executed = np.take(_executed_steps(t_max), chosen_t, axis=0, mode="clip")
-    if executed is None or (n and np.maximum.reduce(executed[:, t_max])):
+    if (chosen_t.shape != (n,) or chosen_t.dtype.kind not in "iu"
+            or (n and (np.minimum.reduce(chosen_t) < 1
+                       or np.maximum.reduce(chosen_t) > t_max))):
         raise ValueError(
             f"chosen_t must hold ({n},) integers in [1, {t_max}], got {chosen_t}"
         )
-    sums = np.add.reduce(rows * executed[:, :t_max], axis=2)
-    sigma_e = chosen_t * (arch.sigma_e_ratio if dynamic else 0.0) * rows[3, :, 0]
+    mask = np.arange(1, t_max + 1) <= chosen_t[:, None]
+    # One masked sum over the stacked components: per call it costs less
+    # than four.
+    sums = np.add.reduce(np.array([steps[k] for k in _KEYS]) * mask, axis=2)
+    sigma_e = chosen_t * (arch.sigma_e_ratio if dynamic else 0.0) * total[:, 0]
     return {
         "crossbar_adc": sums[0],
         "digital": sums[1],
@@ -319,7 +273,7 @@ def cost_of_inference(step_activities, mapping, arch, dynamic=True):
     rows = np.asarray(list(step_activities), dtype=np.float64)
     if len(rows) == 0:
         raise ValueError("cost_of_inference requires at least one timestep of activity")
-    if rows.ndim != 2:
+    if rows.ndim != 2 or rows.shape[1] != len(mapping.layers):
         raise ValueError(
             f"step activity must have shape (t, {len(mapping.layers)}), one row of "
             f"per-layer counts per executed timestep, got {rows.shape}"
@@ -335,7 +289,7 @@ def cost_of_inference(step_activities, mapping, arch, dynamic=True):
         total_energy=energy,
         total_latency=latency,
         edp=energy * latency,
-        per_timestep_energy=tuple(steps.rows[3, 0].tolist()),
+        per_timestep_energy=tuple(steps["total"][0].tolist()),
         components={
             "crossbar_adc": costs["crossbar_adc"].item(0),
             "digital": costs["digital"].item(0),
